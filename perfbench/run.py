@@ -5,12 +5,14 @@ Run from the root of a source checkout:
     python3 perfbench/run.py --workload certify-n6 --seed 1 --seconds 36 --trace 0
     python3 perfbench/run.py --workload all --seed 1 --seconds 36 --trace 0
 
-One run builds the workload's inputs from the seed, then repeats whole
-rounds of the same work while another round still fits in --seconds (at
-least two rounds), checks the outputs, and prints one JSON object as its
-last line.  --trace 0 reports the end-to-end metrics; --trace 1 runs one
-untraced and one traced round and reports the per-layer metrics from the
-traced one, writing its spans to .bench_out/.  The program is imported from
+One run builds the workload's inputs from the seed, then repeats a fixed
+number of whole rounds of the same work: as many as fit in --seconds at the
+workload's budgeted round time (at least two), so that the count depends on
+--seconds alone and never on the speed of the program measured.  It checks
+the outputs and prints one JSON object as its last line.  --trace 0 reports
+the end-to-end metrics; --trace 1 runs an untraced, a traced and another
+untraced round and reports the per-layer metrics from the traced one,
+writing its spans to .bench_out/.  The program is imported from
 the checkout's src/ directory; without it the run exits with code 2.
 """
 
@@ -30,9 +32,10 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
-SETUP_SAMPLES = 5  # set-ups timed per run: this process plus fresh interpreters
+SETUP_SAMPLES = 9  # set-ups timed per run: this process plus fresh interpreters
 PROBE_TIMEOUT_S = 120
 MIN_ROUNDS = 2  # an untraced run keeps the fastest of at least this many rounds
+TRACED_ROUND = 1  # a traced run: untraced, traced, untraced
 
 sys.path.insert(0, str(HERE))
 from spans import PER_LAYER, Tracer  # noqa: E402
@@ -74,17 +77,22 @@ def run_workload(args) -> int:
     if args.setup_probe:
         print(setup(workload, args.seed)[2])
         return 0
-    setups = [probe_setup(workload.name, args.seed) for _ in range(SETUP_SAMPLES - 1)]
     zt, inputs, own = setup(workload, args.seed)
-    setups.append(own)
+    setups = [own]
 
     ops = Ops()
+    n_rounds = 3 if args.trace else max(MIN_ROUNDS, int(args.seconds // workload.round_s))
+    # The other set-ups run in fresh interpreters spread between the rounds,
+    # so that setup_s samples the host over the whole run, as wall_s does,
+    # and not over one burst of a second or two.
+    probes = [] if args.trace else [j * n_rounds // (SETUP_SAMPLES - 1) for j in range(SETUP_SAMPLES - 1)]
     rounds: list[float] = []
     digests = []
-    tracer = None
-    while True:
-        if args.trace and rounds:
-            tracer = Tracer()
+    tracer = Tracer() if args.trace else None
+    for i in range(n_rounds):
+        setups += [probe_setup(workload.name, args.seed) for _ in range(probes.count(i))]
+        traced = tracer is not None and i == TRACED_ROUND
+        if traced:
             tracer.install()
         out = None  # the previous round's outputs are freed before the next round
         ops.new_round()
@@ -93,14 +101,9 @@ def run_workload(args) -> int:
             out = workload.run_round(zt, inputs, ops)
         finally:
             rounds.append(perf_counter() - start)
-            if tracer is not None:
+            if traced:
                 tracer.uninstall()
         digests.append(hash(out))
-        if args.trace:
-            if tracer is not None:
-                break
-        elif len(rounds) >= MIN_ROUNDS and sum(rounds) + max(rounds) > args.seconds:
-            break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     for err in ops.errors:
@@ -109,6 +112,8 @@ def run_workload(args) -> int:
         out = workload.TAMPERS[args.tamper](zt, out)
     correct = True
     try:
+        if ops.failed:
+            raise CheckFailed(f"{ops.failed} of {ops.attempted} operations failed; their outputs are unchecked")
         if len(set(digests)) != 1:
             raise CheckFailed("rounds of the same work gave different outputs")
         workload.check(zt, inputs, out, args.seed)
@@ -118,7 +123,8 @@ def run_workload(args) -> int:
 
     if tracer is not None:
         tracer.write(OUT_DIR / f"trace-{workload.name}-seed{args.seed}.jsonl")
-        values = tracer.metrics(overhead_s=rounds[1] - rounds[0])
+        untraced = [r for i, r in enumerate(rounds) if i != TRACED_ROUND]
+        values = tracer.metrics(overhead_s=rounds[TRACED_ROUND] - min(untraced))
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in PER_LAYER}
     else:
         # The same work varies by tens of percent from round to round on a
@@ -144,7 +150,7 @@ def run_workload(args) -> int:
 
 def run_all(args) -> int:
     """Every workload, one at a time, each in a fresh interpreter."""
-    results, worst = {}, 0
+    results, failed = {}, False
     for name in WORKLOADS:
         argv = [sys.executable, str(Path(__file__).resolve()), "--workload", name,
                 "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
@@ -152,10 +158,10 @@ def run_all(args) -> int:
         sys.stdout.write(done.stdout)
         sys.stderr.write(done.stderr)
         lines = done.stdout.strip().splitlines()
-        results[name] = json.loads(lines[-1]) if done.returncode == 0 and lines else None
-        worst = max(worst, done.returncode)
+        results[name] = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+        failed |= done.returncode != 0
     print(json.dumps(results))
-    return worst
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

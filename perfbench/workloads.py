@@ -3,12 +3,15 @@
 Each workload has:
 
   setup(zt, seed, workdir)  inputs, built once per run (timed as set-up);
+  round_s                   the time budgeted for one round on a slow host;
+                            a run does --seconds // round_s rounds;
   run_round(zt, inp, ops)   one round of the timed work, every operation
                             through `ops.call`; returns a hashable value,
                             which must be the same in every round;
   check(zt, inp, out, seed) raises CheckFailed unless the outputs agree
                             with the oracles or with properties the method
                             must have (never with a stored copy of output);
+                            it runs only when no operation failed;
   TAMPERS                   named wrong answers, tamper(zt, out) -> out,
                             that `check` must reject.
 
@@ -84,6 +87,7 @@ class PurityN7:
 
     name = "purity-n7"
     n = 7
+    round_s = 12
 
     @staticmethod
     def setup(zt, seed, workdir):
@@ -101,28 +105,24 @@ class PurityN7:
         weak, strong = out
         rng = random.Random(seed)
         for rel, report in (("weak", weak), ("strong", strong)):
-            if report is None:
-                continue
             expect(report.pure and report.ranks == (want_rank,), f"{rel}: not pure of rank {want_rank}: {report.ranks}")
             cols = report.maximal_collections
             expect(len({c.members for c in cols}) == len(cols), f"{rel}: a collection is listed twice")
             for fam in rng.sample(cols, 60):
                 why = oracles.maximal_in_cube(fam.members, n, rel)
                 expect(why is None, f"{rel} collection {fam.members}: {why}")
-        if strong is not None:
-            got = len(strong.maximal_collections)
-            expect(got == oracles.A006245[n], f"strong count {got} != A006245 {oracles.A006245[n]}")
-        if weak is not None:
-            got = len(weak.maximal_collections)
-            expect(got == oracles.WEAK_7, f"weak count {got} != {oracles.WEAK_7}")
-            # Expanding 6-combis along legal paths must land on enumerated collections.
-            found = {c.members for c in weak.maximal_collections}
-            smaller = zt.enumerate_maximal(zt.hypercube_domain(n - 1), "weak").maximal_collections
-            for fam in rng.sample(smaller, 40):
-                combi = zt.from_w_collection(fam)
-                path = rng.choice(zt.enumerate_legal_paths(combi))
-                big = tuple(sorted(zt.n_expand(combi, path).vertex_masks()))
-                expect(big in found, f"expansion of {fam.members} along {path} was not enumerated")
+        got = len(strong.maximal_collections)
+        expect(got == oracles.A006245[n], f"strong count {got} != A006245 {oracles.A006245[n]}")
+        got = len(weak.maximal_collections)
+        expect(got == oracles.WEAK_7, f"weak count {got} != {oracles.WEAK_7}")
+        # Expanding 6-combis along legal paths must land on enumerated collections.
+        found = {c.members for c in weak.maximal_collections}
+        smaller = zt.enumerate_maximal(zt.hypercube_domain(n - 1), "weak").maximal_collections
+        for fam in rng.sample(smaller, 40):
+            combi = zt.from_w_collection(fam)
+            path = rng.choice(zt.enumerate_legal_paths(combi))
+            big = tuple(sorted(zt.n_expand(combi, path).vertex_masks()))
+            expect(big in found, f"expansion of {fam.members} along {path} was not enumerated")
 
     TAMPERS = {
         "drop-collection": lambda zt, out: (
@@ -137,6 +137,7 @@ class CertifyN6:
 
     name = "certify-n6"
     n = 6
+    round_s = 9
 
     @staticmethod
     def setup(zt, seed, workdir):
@@ -176,18 +177,12 @@ class CertifyN6:
         for fam in rng.sample(weak_in, 20):
             why = oracles.maximal_in_cube(fam.members, n, "weak")
             expect(why is None, f"input {fam.members}: {why}")
-        for fam, res in zip(weak_in, weak):
-            if res is None:
-                continue
-            combi, spec = res
+        for fam, (combi, spec) in zip(weak_in, weak):
             expect(spec == fam, f"spectrum of the combi of {fam.members} differs from it")
-        for fam, res in zip(strong_in, strong):
-            if res is None:
-                continue
-            tiling, combi = res
+        for fam, (tiling, combi) in zip(strong_in, strong):
             expect(len(tiling.tiles) == oracles.rhombus_count(n), f"tiling of {fam.members}: {len(tiling.tiles)} tiles")
             expect(combi.vertex_masks() == fam.as_set(), f"semi-rhombus combi of {fam.members} has other vertices")
-        combis = [r[0] for r in weak if r is not None] + [r[1] for r in strong if r is not None]
+        combis = [r[0] for r in weak] + [r[1] for r in strong]
         for combi in combis:
             expect(len(combi.vertex_masks()) == want_rank, f"combi with {len(combi.vertex_masks())} vertices")
             why = oracles.tiled_zonogon(_cycles(combi), n)
@@ -221,6 +216,7 @@ class TransformN6:
 
     name = "transform-n6"
     n = 6
+    round_s = 12
     descents = 300
 
     @staticmethod
@@ -275,30 +271,22 @@ class TransformN6:
         intervals = oracles.interval_collection(n)
         floor = oracles.size_sum(intervals)
         expect(len(intervals) == oracles.rank(n) and floor == 56, "interval oracle disagrees with its known figures")
-        for combi, res in zip(start, descents):
-            if res is None:
-                continue
-            low, trace = res
+        for combi, (low, trace) in zip(start, descents):
             expect(low.vertex_masks() == intervals, "a descent ended away from the interval collection")
             want = oracles.size_sum(combi.vertex_masks()) - floor
             expect(len(trace) == want, f"a descent took {len(trace)} flips, size sum says {want}")
         for combi, back in zip(start, trips):
-            expect(back is None or back == combi, "n_expand(n_contract(c)) != c")
-        for combi, path, res in converse:
-            if res is None:
-                continue
-            big, back, path2 = res
+            expect(back == combi, "n_expand(n_contract(c)) != c")
+        for combi, path, (big, back, path2) in converse:
             expect(back == combi and path2 == path, f"expand/contract along {path} did not return its input")
-        if None not in paths and all(r is not None for _, _, r in converse):
-            expect(len(converse) == len(cols6) == 3694, f"{len(converse)} converse pairs, want 3694")
-            spectra = {frozenset(r[0].vertex_masks()) for _, _, r in converse}
-            expect(spectra == {c.as_set() for c in cols6}, "expansions are not exactly the weak 6-cube collections")
-        if graph is not None:
-            expect(len(graph.nodes) == 124, f"flip_graph(5) has {len(graph.nodes)} nodes")
-            src, snk = graph.sources(), graph.sinks()
-            expect(len(src) == 1 and len(snk) == 1, f"flip_graph(5): {len(src)} sources, {len(snk)} sinks")
-            expect(graph.nodes[src[0]] == oracles.interval_collection(n - 1), "flip_graph(5) source is not the intervals")
-            expect(graph.nodes[snk[0]] == oracles.cointerval_collection(n - 1), "flip_graph(5) sink is not the co-intervals")
+        expect(len(converse) == len(cols6) == 3694, f"{len(converse)} converse pairs, want 3694")
+        spectra = {frozenset(big.vertex_masks()) for _, _, (big, _, _) in converse}
+        expect(spectra == {c.as_set() for c in cols6}, "expansions are not exactly the weak 6-cube collections")
+        expect(len(graph.nodes) == 124, f"flip_graph(5) has {len(graph.nodes)} nodes")
+        src, snk = graph.sources(), graph.sinks()
+        expect(len(src) == 1 and len(snk) == 1, f"flip_graph(5): {len(src)} sources, {len(snk)} sinks")
+        expect(graph.nodes[src[0]] == oracles.interval_collection(n - 1), "flip_graph(5) source is not the intervals")
+        expect(graph.nodes[snk[0]] == oracles.cointerval_collection(n - 1), "flip_graph(5) sink is not the co-intervals")
 
     TAMPERS = {
         "alter-count": lambda zt, out: (
@@ -316,6 +304,7 @@ class PaperSuite:
 
     name = "paper-suite"
     max_n = 5
+    round_s = 2.0
 
     @staticmethod
     def setup(zt, seed, workdir):
@@ -337,8 +326,6 @@ class PaperSuite:
         # That the rounds of one run (two at least, same seed) wrote
         # byte-identical reports is checked by the runner, which requires
         # every round's output, here (exit code, report bytes), to hash equal.
-        if out is None:
-            return
         code, text = out
         expect(code == 0, f"verify exited {code}")
         report = json.loads(text)
