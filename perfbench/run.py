@@ -2,14 +2,16 @@
 
 Run from the root of a source checkout:
 
-    python3 perfbench/run.py --workload certify-n6 --seed 1 --seconds 36 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload certify-n6 --seed 1 --seconds 60 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 60 --trace 0
 
 One run builds the workload's inputs from the seed, then repeats a fixed
 number of whole rounds of the same work: as many as fit in --seconds at the
 workload's budgeted round time (at least two), so that the count depends on
---seconds alone and never on the speed of the program measured.  It checks
-the outputs and prints one JSON object as its last line.  --trace 0 reports
+--seconds alone and never on the speed of the program measured.  wall_s is
+the round's pieces (its operations, or their parts), each timed by its
+fastest repetition in the run, summed.  It checks the outputs and prints one
+JSON object as its last line.  --trace 0 reports
 the end-to-end metrics; --trace 1 runs an untraced, a traced and another
 untraced round and reports the per-layer metrics from the traced one,
 writing its spans to .bench_out/.  The program is imported from
@@ -32,7 +34,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
-SETUP_SAMPLES = 9  # set-ups timed per run: this process plus fresh interpreters
+SETUP_SAMPLES = 20  # set-ups timed per run: this process plus fresh interpreters
 PROBE_TIMEOUT_S = 120
 MIN_ROUNDS = 2  # an untraced run keeps the fastest of at least this many rounds
 TRACED_ROUND = 1  # a traced run: untraced, traced, untraced
@@ -95,7 +97,6 @@ def run_workload(args) -> int:
         if traced:
             tracer.install()
         out = None  # the previous round's outputs are freed before the next round
-        ops.new_round()
         start = perf_counter()
         try:
             out = workload.run_round(zt, inputs, ops)
@@ -103,6 +104,7 @@ def run_workload(args) -> int:
             rounds.append(perf_counter() - start)
             if traced:
                 tracer.uninstall()
+        ops.end_round()
         digests.append(hash(out))
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -116,6 +118,8 @@ def run_workload(args) -> int:
             raise CheckFailed(f"{ops.failed} of {ops.attempted} operations failed; their outputs are unchecked")
         if len(set(digests)) != 1:
             raise CheckFailed("rounds of the same work gave different outputs")
+        if not args.trace and len(set(ops.pieces)) != 1:
+            raise CheckFailed(f"rounds of the same work were cut into different pieces: {ops.pieces}")
         workload.check(zt, inputs, out, args.seed)
     except CheckFailed as exc:
         print(f"CHECK FAILED ({workload.name}): {exc}", file=sys.stderr)
@@ -128,22 +132,25 @@ def run_workload(args) -> int:
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in PER_LAYER}
     else:
         # The same work varies by tens of percent from round to round on a
-        # shared host, and interference only ever adds time, so a round is
-        # timed by its fastest repetition in the run.
+        # shared host, and interference only ever adds time, so each piece
+        # of a round, and each set-up, is timed by its fastest repetition.
         values = {
-            "setup_s": (statistics.median(setups), "s"),
-            "wall_s": (min(rounds), "s"),
+            "setup_s": (min(setups), "s"),
+            "wall_s": (ops.best_round(), "s"),
             "peak_rss_mb": (peak_rss_mb, "MB"),
         }
         metrics = {name: {"value": v, "unit": unit} for name, (v, unit) in values.items()}
     for name, m in metrics.items():
         print(f"{workload.name}  {name} = {m['value']:.6g} {m['unit']}")
-    lat = ops.best_latencies()
+    lat = ops.best_latencies
     if lat and not args.trace:
         # Too unsteady on a shared host to gate on (see README); shown only.
         print(f"{workload.name}  operation p50 = {percentile(lat, 50) * 1e3:.4g} ms, p99 = "
               f"{percentile(lat, 99) * 1e3:.4g} ms over {len(lat)} operations, each its fastest of {len(rounds)}")
-    print(f"{workload.name}  rounds (s) = {' '.join(f'{r:.3f}' for r in rounds)}  ops = {ops.attempted}")
+    print(f"{workload.name}  rounds (s) = {' '.join(f'{r:.3f}' for r in rounds)}  ops = {ops.attempted}"
+          f"  pieces per round = {ops.pieces[0]}")
+    if not args.trace:
+        print(f"{workload.name}  set-ups (s) = {' '.join(f'{t:.3f}' for t in setups)}")
     print(json.dumps({"correct": correct, "attempted": ops.attempted, "failed": ops.failed, "metrics": metrics}))
     return 0 if correct else 1
 
@@ -168,7 +175,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=36)
+    parser.add_argument("--seconds", type=int, default=60)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--tamper", help="apply a named wrong answer before the checks (they must fail)")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)

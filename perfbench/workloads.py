@@ -3,8 +3,8 @@
 Each workload has:
 
   setup(zt, seed, workdir)  inputs, built once per run (timed as set-up);
-  round_s                   the time budgeted for one round on a slow host;
-                            a run does --seconds // round_s rounds;
+  round_s                   the time budgeted for one round; a run does
+                            --seconds // round_s rounds;
   run_round(zt, inp, ops)   one round of the timed work, every operation
                             through `ops.call`; returns a hashable value,
                             which must be the same in every round;
@@ -22,8 +22,10 @@ looked up at call time, so a traced run sees the wrapped functions.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import random
+from array import array
 from time import perf_counter
 
 import oracles
@@ -39,18 +41,32 @@ def expect(cond: bool, what: str) -> None:
 
 
 class Ops:
-    """Counts the operations of the timed rounds and times the chosen ones."""
+    """Counts and times the operations of the timed rounds.
+
+    Every round runs the same operations in the same order, so each
+    operation, or each piece of one, is kept as its fastest time so far;
+    nothing grows with the number of rounds."""
 
     def __init__(self) -> None:
         self.attempted = 0
         self.failed = 0
-        self.latencies: list[list[float]] = []  # one list per round
+        self.pieces: list[int] = []  # pieces timed, one count per round
+        self.best = array("d")  # fastest time of each piece
+        self.best_latencies = array("d")  # fastest time of each chosen operation
         self.errors: list[str] = []
+        self._times = array("d")
+        self._latencies = array("d")
 
-    def new_round(self) -> None:
-        self.latencies.append([])
+    def end_round(self) -> None:
+        self.pieces.append(len(self._times))
+        self.best = _fastest(self.best, self._times)
+        self.best_latencies = _fastest(self.best_latencies, self._latencies)
+        self._times, self._latencies = array("d"), array("d")
 
-    def call(self, fn, *args, timed: bool = False):
+    def call(self, fn, *args, timed: bool = False, marks: array | None = None):
+        """Run one operation.  `marks`, if given, is an empty array that gets
+        clock readings while the operation runs; the operation is then timed
+        as the pieces between them."""
         self.attempted += 1
         start = perf_counter()
         try:
@@ -61,13 +77,19 @@ class Ops:
                 self.errors.append(f"{getattr(fn, '__name__', fn)}: {exc!r}")
             return None
         finally:
+            end = perf_counter()
+            cuts = [start, *(marks or ()), end]
+            self._times.extend(b - a for a, b in zip(cuts, cuts[1:]))
             if timed:
-                self.latencies[-1].append(perf_counter() - start)
+                self._latencies.append(end - start)
 
-    def best_latencies(self) -> list[float]:
-        """Each timed operation's fastest time over the rounds; every round
-        runs the same operations in the same order."""
-        return [min(times) for times in zip(*self.latencies)]
+    def best_round(self) -> float:
+        """A round's pieces, each timed by its fastest repetition, summed."""
+        return sum(self.best)
+
+
+def _fastest(best: array, times: array) -> array:
+    return array("d", map(min, best, times)) if best else times
 
 
 def _cycles(combi) -> list[list[int]]:
@@ -137,7 +159,7 @@ class CertifyN6:
 
     name = "certify-n6"
     n = 6
-    round_s = 9
+    round_s = 7.5
 
     @staticmethod
     def setup(zt, seed, workdir):
@@ -304,7 +326,7 @@ class PaperSuite:
 
     name = "paper-suite"
     max_n = 5
-    round_s = 2.0
+    round_s = 3.0
 
     @staticmethod
     def setup(zt, seed, workdir):
@@ -319,7 +341,30 @@ class PaperSuite:
 
     @staticmethod
     def run_round(zt, inp, ops):
-        return ops.call(PaperSuite._verify, zt, *inp)
+        # Every call the suite's own code makes to a zonotile function gets a
+        # clock reading as it starts and as it ends, which cuts the one
+        # operation into some 20,000 pieces of a few ms at most.
+        suite = zt.suite
+        marks = array("d")
+        plain = {name: fn for name, fn in vars(suite).items()
+                 if inspect.isfunction(fn) and fn.__module__.startswith("zonotile")}
+
+        def marked(fn):
+            def call(*args, **kwargs):
+                marks.append(perf_counter())
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    marks.append(perf_counter())
+            return call
+
+        for name, fn in plain.items():
+            setattr(suite, name, marked(fn))
+        try:
+            return ops.call(PaperSuite._verify, zt, *inp, marks=marks)
+        finally:
+            for name, fn in plain.items():
+                setattr(suite, name, fn)
 
     @staticmethod
     def check(zt, inp, out, seed):
