@@ -34,6 +34,7 @@ from .separation import (
     inversions,
     is_maximal_separated,
     is_separated_family,
+    separation_row,
     strongly_separated,
     weakly_separated,
 )
@@ -42,6 +43,7 @@ from .geometry import (
     boundary_vertices,
     default_generators,
     embed,
+    embedding_table,
     point_in_closed_polyline,
     segments_properly_cross,
 )

@@ -142,7 +142,9 @@ def cmd(argv: list[str]) -> int:
 def _dispatch(args) -> int:
     if args.command == "separation":
         a, b = bs.parse_subset(args.first), bs.parse_subset(args.second)
-        n = args.n
+        n = bs.check_ground(args.n)
+        bs.check_subset(a, n)
+        bs.check_subset(b, n)
         verdicts = {}
         for kind in RELATION_KINDS:
             try:

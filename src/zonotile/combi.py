@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 
 from . import bitsets as bs
-from ._planar import TilingError, check_planar_cover
-from .geometry import Generators, boundary_cycle, default_generators
+from ._planar import TilingError, check_planar_cover, zonogon_region
+from .geometry import Generators, default_generators
 from .rhombus import RhombusTiling
 from .separation import SetFamily, is_maximal_separated
 
@@ -174,6 +175,11 @@ class Lens:
 
 
 Tile = Delta | Nabla | Lens
+# Sort keys giving each dataclass's own order (its fields compared in
+# turn), faster than sorting by the generated __lt__.
+_DELTA_ORDER = attrgetter("apex", "low", "high")
+_NABLA_ORDER = attrgetter("bottom", "low", "high")
+_LENS_ORDER = attrgetter("upper", "lower")
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,12 @@ class Combi:
         object.__setattr__(self, "lenses", lset)
 
     def tiles(self) -> list[Tile]:
-        return sorted(self.deltas) + sorted(self.nablas) + sorted(self.lenses)
+        """Deltas, nablas, lenses, each kind in its dataclass order."""
+        return (
+            sorted(self.deltas, key=_DELTA_ORDER)
+            + sorted(self.nablas, key=_NABLA_ORDER)
+            + sorted(self.lenses, key=_LENS_ORDER)
+        )
 
     def vertex_masks(self) -> frozenset[int]:
         verts: set[int] = set()
@@ -243,6 +254,15 @@ class Combi:
         return sum(bs.size(v) for v in self.vertex_masks())
 
 
+def tile_label(tile: Tile) -> str:
+    """How a tile is named in a TilingError."""
+    if isinstance(tile, Delta):
+        return f"delta({bs.format_subset(tile.apex)};{tile.low},{tile.high})"
+    if isinstance(tile, Nabla):
+        return f"nabla({bs.format_subset(tile.bottom)};{tile.low},{tile.high})"
+    return f"lens({bs.format_subset(tile.left)}..{bs.format_subset(tile.right)})"
+
+
 def validate_combi(combi: Combi, gens: Generators | None = None) -> bool:
     """Tile-local invariants plus exact planar-cover axioms; raises TilingError."""
     n = combi.n
@@ -252,16 +272,9 @@ def validate_combi(combi: Combi, gens: Generators | None = None) -> bool:
         if combi.deltas or combi.nablas or combi.lenses:
             raise TilingError("tile-shape", "a 1-element ground set admits no tiles")
         return True
-    cycles: list[tuple[str, list[int]]] = []
-    for d in sorted(combi.deltas):
-        cycles.append((f"delta({bs.format_subset(d.apex)};{d.low},{d.high})", d.cycle()))
-    for v in sorted(combi.nablas):
-        cycles.append((f"nabla({bs.format_subset(v.bottom)};{v.low},{v.high})", v.cycle()))
-    for l in sorted(combi.lenses):
-        cycles.append((f"lens({bs.format_subset(l.left)}..{bs.format_subset(l.right)})", l.cycle()))
-    cyc = boundary_cycle(gens)
-    boundary = [(cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc))]
-    check_planar_cover(gens, cycles, boundary, gens.zonogon_area2())
+    cycles = [(t, t.cycle()) for t in combi.tiles()]
+    boundary, area2 = zonogon_region(gens)
+    check_planar_cover(gens, cycles, boundary, area2, tile_label)
     return True
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .bitsets import check_ground, full_mask, iter_elements
@@ -75,10 +76,6 @@ class Generators:
     def vector(self, i: int) -> Point:
         return self.vectors[i - 1]
 
-    def step_vector(self, i: int, j: int) -> Point:
-        """The rightward vector of an edge trading element i for element j."""
-        return sub(self.vector(j), self.vector(i))
-
     @property
     def top(self) -> Point:
         x = sum(v[0] for v in self.vectors)
@@ -100,13 +97,15 @@ def _circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
     return (Fraction(q * q - p * p, d), Fraction(2 * p * q, d))
 
 
+@lru_cache(maxsize=64)
 def default_generators(n: int, attempt: int = 0) -> Generators:
     """Equal-norm rational points on a circle, clockwise in the upper half-plane.
 
     Uses the rational parametrization ((1-u^2)/(1+u^2), 2u/(1+u^2)) with a
     decreasing sequence of positive u, then clears denominators.  If the
     subset sums happen to collide the u values are perturbed deterministically
-    and construction retries (bounded).
+    and construction retries (bounded).  Built once per (n, attempt):
+    `Generators` is immutable, so every caller may share the result.
     """
     check_ground(n)
     for trial in range(attempt, attempt + 8):
@@ -133,6 +132,20 @@ def embed(mask: int, gens: Generators) -> Point:
         x += vx
         y += vy
     return (x, y)
+
+
+# At n=16 a table holds 65,536 points, some 8 MB.
+@lru_cache(maxsize=8)
+def embedding_table(gens: Generators) -> tuple[Point, ...]:
+    """`embed(mask, gens)` for every mask of {1..n}, indexed by mask."""
+    table = [(0, 0)]
+    vecs = gens.vectors
+    for mask in range(1, 1 << gens.n):
+        low = mask & -mask
+        vx, vy = vecs[low.bit_length() - 1]
+        px, py = table[mask ^ low]
+        table.append((px + vx, py + vy))
+    return tuple(table)
 
 
 def boundary_vertices(gens: Generators) -> tuple[list[int], list[int]]:
@@ -164,18 +177,6 @@ def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     o1, o2 = orient(a, b, c), orient(a, b, d)
     o3, o4 = orient(c, d, a), orient(c, d, b)
     return o1 * o2 < 0 and o3 * o4 < 0
-
-
-def segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Closed segments [a,b] and [c,d] share at least one point."""
-    if segments_properly_cross(a, b, c, d):
-        return True
-    return (
-        on_segment(c, a, b)
-        or on_segment(d, a, b)
-        or on_segment(a, c, d)
-        or on_segment(b, c, d)
-    )
 
 
 def collinear_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:

@@ -38,8 +38,10 @@ from .separation import (
     ResourceGuardError,
     SetFamily,
     _max_enum_n,
+    compatible_row,
+    compatible_sets,
     enumerate_maximal,
-    separated,
+    members_mask,
     weakly_separated,
 )
 
@@ -275,9 +277,7 @@ def pattern_compatible_sets(pattern: CyclicPattern) -> SetFamily:
     n = pattern.n
     if n > _max_enum_n():
         raise ResourceGuardError(f"domain scan guard: n={n}")
-    mem = set(pattern.cycle)
-    hits = [x for x in range(1 << n) if all(weakly_separated(x, s) for s in mem)]
-    return SetFamily(n, hits)
+    return SetFamily(n, compatible_sets(set(pattern.cycle), n, "weak"))
 
 
 def domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:
@@ -298,8 +298,7 @@ def strong_domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:
     """Inside/outside domains under strong separation."""
     reg = regions(pattern)
     n = pattern.n
-    mem = set(pattern.cycle)
-    compatible = [x for x in range(1 << n) if all(separated(x, s, "strong") for s in mem)]
+    compatible = compatible_sets(set(pattern.cycle), n, "strong")
     inner, outer = [], []
     for x in compatible:
         where = reg.locate(x)
@@ -311,7 +310,9 @@ def strong_domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:
 
 
 def verify_complementary(dom: SetFamily, dom2: SetFamily, relation: str = "weak") -> bool:
-    return all(separated(a, b, relation) for a in dom.members for b in dom2.members)
+    """Every member of one domain is separated from every member of the other."""
+    other = members_mask(dom2.members)
+    return compatible_row(dom.members, max(dom.n, dom2.n), relation) & other == other
 
 
 def verify_purity(dom: SetFamily, relation: str = "weak"):
@@ -931,9 +932,7 @@ def graph_pattern_domains(pat: GraphPattern, gens: Generators | None = None):
         gens = default_generators(n)
     faces = pattern_faces(pat, gens)
     pts_cache = {v: embed(v, gens) for v in pat.vertices}
-    compatible = [
-        x for x in range(1 << n) if all(weakly_separated(x, s) for s in pat.vertices)
-    ]
+    compatible = compatible_sets(pat.vertices, n, "weak")
     out = []
     for face in faces:
         hits = [

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import bitsets as bs
-from ._planar import TilingError, check_planar_cover
-from .geometry import Generators, boundary_cycle, default_generators
+from ._planar import TilingError, check_planar_cover, zonogon_region
+from .geometry import Generators, default_generators
 from .separation import SetFamily, is_maximal_separated
 
 
@@ -85,6 +85,10 @@ class RhombusTiling:
         return frozenset(out)
 
 
+def _rhombus_label(t: Rhombus) -> str:
+    return f"rhombus({bs.format_subset(t.base)};{t.low},{t.high})"
+
+
 def validate_rhombus(tiling: RhombusTiling, gens: Generators | None = None) -> bool:
     """Planar-tiling axioms under the exact embedding; raises TilingError."""
     n = tiling.n
@@ -94,10 +98,9 @@ def validate_rhombus(tiling: RhombusTiling, gens: Generators | None = None) -> b
         if tiling.tiles:
             raise TilingError("tile-shape", "a 1-element ground set admits no rhombi")
         return True
-    cyc = boundary_cycle(gens)
-    boundary = [(cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc))]
-    cycles = [(f"rhombus({bs.format_subset(t.base)};{t.low},{t.high})", t.cycle()) for t in sorted(tiling.tiles)]
-    return check_planar_cover(gens, cycles, boundary, gens.zonogon_area2())
+    cycles = [(t, t.cycle()) for t in sorted(tiling.tiles)]
+    boundary, area2 = zonogon_region(gens)
+    return check_planar_cover(gens, cycles, boundary, area2, _rhombus_label)
 
 
 def spectrum_rhombus(tiling: RhombusTiling) -> SetFamily:
@@ -152,7 +155,8 @@ def strong_flip(
     """Hexagon flip at base set X and types i < j < k.
 
     raise: tiles (X;i,j), (X;j,k), (X+j;i,k) become (X+k;i,j), (X+i;j,k), (X;i,k),
-    moving the spectrum vertex X+j to X+i+k.  lower: the inverse.
+    moving the spectrum vertex X+j to X+i+k.  lower: the inverse.  The
+    flipped tiling is validated, so an invalid input raises TilingError.
     """
     if not i < j < k:
         raise ValueError("types must satisfy i < j < k")
@@ -174,7 +178,9 @@ def strong_flip(
         raise ValueError("hexagon witnesses are not present in the tiling")
     tiles.difference_update(old)
     tiles.update(new)
-    return RhombusTiling(tiling.n, tiles)
+    flipped = RhombusTiling(tiling.n, tiles)
+    validate_rhombus(flipped)
+    return flipped
 
 
 def hexagons(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 from .bitsets import (
     check_ground,
@@ -43,7 +43,7 @@ def _max_enum_n() -> int:
     try:
         return max(1, min(16, int(raw)))
     except ValueError:
-        return 8
+        raise ValueError(f"ZONOTILE_MAX_N must be an integer, got {raw!r}") from None
 
 
 def termwise_below(a: int, b: int) -> bool:
@@ -102,11 +102,10 @@ def weakly_separated(a: int, b: int) -> bool:
 _RELATION_FUNC = {"weak": weakly_separated, "strong": strongly_separated}
 
 
-def separated(a: int, b: int, relation: str) -> bool:
-    try:
-        return _RELATION_FUNC[relation](a, b)
-    except KeyError:
-        raise ValueError(f"relation must be 'weak' or 'strong', got {relation!r}") from None
+def _check_relation(relation: str) -> str:
+    if relation not in _RELATION_FUNC:
+        raise ValueError(f"relation must be 'weak' or 'strong', got {relation!r}")
+    return relation
 
 
 @dataclass(frozen=True)
@@ -136,25 +135,63 @@ class SetFamily:
         return frozenset(self.members)
 
 
+# At n=16 a row is 8 KB, so a full cache holds at most 32 MB of rows.
+ROW_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def separation_row(a: int, n: int, relation: str) -> int:
+    """Bitmask over all 2^n subsets: bit b is set iff `a` and `b` are separated.
+
+    Built once per (a, n, relation) from the scalar predicates.  Both
+    relations are reflexive and symmetric, so bit `a` is always set and
+    bit b of row a equals bit a of row b.
+    """
+    check_ground(n)
+    check_subset(a, n)
+    rel = _RELATION_FUNC[_check_relation(relation)]
+    bits = "".join("1" if rel(a, b) else "0" for b in range((1 << n) - 1, -1, -1))
+    return int(bits, 2)
+
+
+def members_mask(members) -> int:
+    """The members as one bitmask over all subsets: bit m for member m."""
+    out = 0
+    for m in members:
+        out |= 1 << m
+    return out
+
+
+def compatible_row(members, n: int, relation: str) -> int:
+    """The AND of the members' rows: every subset separated from all of them."""
+    _check_relation(relation)
+    common = (1 << (1 << n)) - 1
+    for m in members:
+        common &= separation_row(m, n, relation)
+    return common
+
+
+def compatible_sets(members, n: int, relation: str) -> list[int]:
+    """All subsets of {1..n} separated from every member, ascending."""
+    bits = bin(compatible_row(members, n, relation))[:1:-1]
+    return [b for b, c in enumerate(bits) if c == "1"]
+
+
 def is_separated_family(family: SetFamily, relation: str) -> bool:
-    rel = _RELATION_FUNC[relation]
-    mem = family.members
-    return all(rel(a, b) for a, b in combinations(mem, 2))
+    fam = members_mask(family.members)
+    return compatible_row(family.members, family.n, relation) & fam == fam
 
 
 def is_maximal_separated(family: SetFamily, relation: str, within: SetFamily | None = None) -> bool:
     """Separated and not extendable by any set of the ambient domain."""
-    if not is_separated_family(family, relation):
+    n = family.n if within is None else max(family.n, within.n)
+    fam = members_mask(family.members)
+    common = compatible_row(family.members, n, relation)
+    if common & fam != fam:
         return False
-    rel = _RELATION_FUNC[relation]
-    mem = family.as_set()
-    ambient = within.members if within is not None else range(1 << family.n)
-    for cand in ambient:
-        if cand in mem:
-            continue
-        if all(rel(cand, m) for m in mem):
-            return False
-    return True
+    if within is None:
+        return common == fam
+    return common & members_mask(within.members) & ~fam == 0
 
 
 @dataclass(frozen=True)

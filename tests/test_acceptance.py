@@ -137,12 +137,15 @@ def test_criterion_5_contraction_bijection():
             forward += 1
     converse = 0
     for n2 in range(1, 5):
+        pairs = 0
         for combi in all_combis(n2):
             for path in enumerate_legal_paths(combi):
                 back, path_back = n_contract(n_expand(combi, path))
                 ok &= back == combi and path_back == path
-                converse += 1
+                pairs += 1
         want = len(enumerate_maximal(hypercube_domain(n2 + 1), "weak").maximal_collections)
+        assert pairs == want, f"n={n2}: {pairs} converse pairs, want {want}"
+        converse += pairs
     _verdict(5, ok, f"{forward} forward and {converse} converse round trips")
 
 

@@ -115,6 +115,14 @@ class TestCli:
         assert "weakly_separated: true" in out
         assert "termwise: true" in out
 
+    def test_separation_rejects_out_of_range_sets(self, capsys):
+        assert cmd(["separation", "1,2", "5", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid-input"
+        assert "outside 1..3" in err["detail"]
+
     def test_enumerate_and_build(self, tmp_path, capsys):
         fam_file = tmp_path / "fam.json"
         fam_file.write_text(json.dumps(jsonio.family_to_json(hypercube_domain(3))))

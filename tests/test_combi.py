@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile._planar import TilingError
+from zonotile._planar import TilingError, check_planar_cover, zonogon_region
 from zonotile.combi import (
     Combi,
     Delta,
@@ -15,8 +17,10 @@ from zonotile.combi import (
     girdle,
     is_semi_rhombus,
     spectrum,
+    tile_label,
     validate_combi,
 )
+from zonotile.geometry import default_generators
 from zonotile.rhombus import minimal_tiling
 from zonotile.separation import (
     SetFamily,
@@ -68,6 +72,44 @@ class TestValidation:
         combi = Combi(2, [], [Nabla(0, 1, 2)])
         with pytest.raises(TilingError):
             validate_combi(combi)
+
+    def test_missing_tile_names_its_edge(self):
+        # Removing any tile leaves one of its edges unshared, and the error
+        # names that edge, in one direction or the other.
+        for combi in _all_combis(4)[:4]:
+            for tile in combi.tiles():
+                short = Combi(4, combi.deltas - {tile}, combi.nablas - {tile}, combi.lenses - {tile})
+                with pytest.raises(TilingError) as info:
+                    validate_combi(short)
+                assert info.value.axiom in ("edge-sharing", "region-boundary")
+                u, v = map(int, re.search(r"edge \((\d+), (\d+)\)", info.value.detail).groups())
+                cyc = tile.cycle()
+                edges = set(zip(cyc, cyc[1:] + cyc[:1]))
+                assert (u, v) in edges or (v, u) in edges
+
+    def test_tile_named_only_when_raising(self):
+        gens = default_generators(3)
+        boundary, area2 = zonogon_region(gens)
+        combi = _all_combis(3)[0]
+        labelled = []
+
+        def label(tile):
+            labelled.append(tile)
+            return tile_label(tile)
+
+        cycles = [(t, t.cycle()) for t in combi.tiles()]
+        assert check_planar_cover(gens, cycles, boundary, area2, label)
+        assert labelled == []
+        delta = Delta(M([1, 2]), 1, 2)
+        with pytest.raises(TilingError) as info:
+            check_planar_cover(gens, [(delta, delta.cycle()[:2])], boundary, area2, label)
+        assert str(info.value) == "tile-shape: delta({1,2};1,2) has fewer than 3 vertices"
+        with pytest.raises(TilingError) as info:
+            check_planar_cover(gens, [(delta, delta.cycle()[::-1])], boundary, area2, label)
+        assert info.value.detail == (
+            "delta({1,2};1,2) is not strictly convex and counterclockwise at vertex index 0"
+        )
+        assert labelled == [delta, delta]
 
     def test_from_rhombus_examples(self):
         combi = from_rhombus(minimal_tiling(3))

@@ -90,6 +90,24 @@ def test_flip_requires_hexagon():
         strong_flip(high, 0, 1, 2, 3, "raise")
 
 
+def test_flip_validates_its_result():
+    # A valid tiling holding the hexagon's tiles, plus one extra rhombus
+    # that overlaps its tiles: the flip must not hand back a tiling.
+    low = minimal_tiling(4)
+    base, i, j, k = hexagons(low, "raise")[0]
+    raised = {
+        Rhombus(base | bs.singleton(k), i, j),
+        Rhombus(base | bs.singleton(i), j, k),
+        Rhombus(base, i, k),
+    }
+    extra = min(maximal_tiling(4).tiles - low.tiles - raised)
+    bad = RhombusTiling(4, low.tiles | {extra})
+    with pytest.raises(TilingError):
+        validate_rhombus(bad)
+    with pytest.raises(TilingError):
+        strong_flip(bad, base, i, j, k, "raise")
+
+
 def test_flip_graph_unique_source_and_sink():
     # breadth-first search over strong raising flips, n = 4
     n = 4

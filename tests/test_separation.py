@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,22 @@ from zonotile.separation import (
     inversions,
     is_maximal_separated,
     is_separated_family,
+    separation_row,
     strongly_separated,
     weakly_separated,
 )
 
 M = bs.mask_of
+SCALAR = {"weak": weakly_separated, "strong": strongly_separated}
+
+
+def _maximal_reference(members, n, relation, within=None):
+    """Pairwise separated and no set of the ambient domain can be added."""
+    rel = SCALAR[relation]
+    if not all(rel(a, b) for a, b in combinations(members, 2)):
+        return False
+    ambient = range(1 << n) if within is None else within
+    return not any(c not in members and all(rel(c, m) for m in members) for c in ambient)
 
 
 class TestBaseRelations:
@@ -109,6 +122,54 @@ class TestSeparation:
         assert is_separated_family(intervals, "weak")
         assert not is_separated_family(SetFamily(3, [M([2]), M([1, 3])]), "weak")
         assert is_separated_family(SetFamily(3, [M([2])]), "weak")
+
+
+class TestSeparationRows:
+    def test_rows_match_scalar_predicates(self):
+        for n in range(1, 6):
+            for relation, rel in SCALAR.items():
+                for a in range(1 << n):
+                    row = separation_row(a, n, relation)
+                    assert row >> (1 << n) == 0
+                    for b in range(1 << n):
+                        assert (row >> b & 1) == rel(a, b)
+
+    def test_row_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            separation_row(M([4]), 3, "weak")
+        with pytest.raises(ValueError):
+            separation_row(0, 3, "medium")
+        with pytest.raises(ValueError):
+            is_separated_family(interval_collection(3), "medium")
+
+    def test_maximality_matches_scalar_reference(self):
+        n = 4
+        cases = []
+        for relation in SCALAR:
+            for fam in enumerate_maximal(hypercube_domain(n), relation).maximal_collections:
+                cases.append((fam, relation, None))
+                cases += [(SetFamily(n, set(fam.members) - {m}), relation, None) for m in fam.members]
+            for images in permutations(range(1, n + 1)):
+                dom = chamber_domain(Permutation(images))
+                for fam in enumerate_maximal(dom, relation).maximal_collections:
+                    cases.append((fam, relation, dom))
+                    cases.append((fam, relation, None))
+                    cases += [(SetFamily(n, set(fam.members) - {m}), relation, dom) for m in fam.members[:2]]
+        verdicts = set()
+        for fam, relation, within in cases:
+            want = _maximal_reference(
+                set(fam.members), n, relation, None if within is None else within.members
+            )
+            assert is_maximal_separated(fam, relation, within) == want, (fam, relation, within)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_max_n_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("ZONOTILE_MAX_N", "abc")
+        with pytest.raises(ValueError, match="ZONOTILE_MAX_N"):
+            enumerate_maximal(hypercube_domain(3), "weak")
+        monkeypatch.setenv("ZONOTILE_MAX_N", "3")
+        assert enumerate_maximal(hypercube_domain(3), "weak").ranks == (7,)
 
 
 class TestEnumeration:
