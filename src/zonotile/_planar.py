@@ -61,25 +61,33 @@ def check_planar_cover(
     """Verify that `cycles`, (tile, CCW vertex-mask cycle) pairs, exactly tile
     the region whose counterclockwise directed boundary edges are `boundary`
     and whose doubled area is `area2`.  Raises TilingError on the first
-    violation, naming the tile by `label(tile)`.
+    violation, naming the tile by `label(tile)`.  Every mask must be a
+    subset of {1..gens.n}, as the Combi and RhombusTiling constructors
+    ensure.
     """
     table = embedding_table(gens)
-    used: set[tuple[int, int]] = set()
+    # A directed edge (u, v) is kept as the int u << 16 | v: every mask is
+    # below 2**16 (bitsets.MAX_GROUND is 16), so ints order as the pairs do.
+    used: set[int] = set()
     total2 = 0
     for tile, cyc in cycles:
-        m = len(cyc)
-        if m < 3:
-            raise TilingError("tile-shape", f"{label(tile)} has fewer than 3 vertices")
-        if len(set(cyc)) != m:
-            raise TilingError("tile-shape", f"{label(tile)} repeats a vertex")
-        pts = [table[v] for v in cyc]
-        if m == 3:
+        if len(cyc) == 3:
+            a, b, c = cyc
+            if a == b or b == c or c == a:
+                raise TilingError("tile-shape", f"{label(tile)} repeats a vertex")
+            (ax, ay), (bx, by), (cx, cy) = table[a], table[b], table[c]
             # a triangle turns the same way at every vertex, by twice its area
-            (ax, ay), (bx, by), (cx, cy) = pts
             area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             bent = 0 if area <= 0 else None
+            keys = [a << 16 | b, b << 16 | c, c << 16 | a]
         else:
-            bent, area = _turns(pts)
+            m = len(cyc)
+            if m < 3:
+                raise TilingError("tile-shape", f"{label(tile)} has fewer than 3 vertices")
+            if len(set(cyc)) != m:
+                raise TilingError("tile-shape", f"{label(tile)} repeats a vertex")
+            bent, area = _turns([table[v] for v in cyc])
+            keys = [u << 16 | v for u, v in zip(cyc, (*cyc[1:], cyc[0]))]
         if bent is not None:
             raise TilingError(
                 "tile-convexity",
@@ -87,20 +95,22 @@ def check_planar_cover(
                 f"vertex index {bent}",
             )
         total2 += area
-        for e in zip(cyc, [*cyc[1:], cyc[0]]):
-            if e in used:
-                raise TilingError("edge-sharing", f"directed edge {e} used twice")
-            used.add(e)
+        # The vertices are distinct, so the tile's own edges are too; the
+        # first one already used is found walking from (cyc[0], cyc[1]).
+        if not used.isdisjoint(keys):
+            e = next(k for k in keys if k in used)
+            raise TilingError("edge-sharing", f"directed edge {_pair(e)} used twice")
+        used.update(keys)
 
-    bnd = set(boundary)
+    bnd = {u << 16 | v for u, v in boundary}
     if len(bnd) != len(boundary):
         e = next(e for e, c in Counter(boundary).items() if c > 1)
         raise TilingError("region-boundary", f"boundary edge {e} repeated")
     # Each directed edge must be used by the tiles, net of its reverse, as
     # often as by the boundary: the multisets used + rev(bnd) and
     # bnd + rev(used) agree, that is their unions and intersections do.
-    rev = {(v, u) for u, v in used}
-    rbnd = {(v, u) for u, v in bnd}
+    rev = {(k & 0xFFFF) << 16 | k >> 16 for k in used}
+    rbnd = {(k & 0xFFFF) << 16 | k >> 16 for k in bnd}
     if (used | rbnd) != (bnd | rev) or (used & rbnd) != (bnd & rev):
         e = min(
             e for e in used | bnd if (e in used) - (e in rev) != (e in bnd) - (e in rbnd)
@@ -108,14 +118,19 @@ def check_planar_cover(
         if e in bnd or e in rbnd:
             raise TilingError(
                 "region-boundary",
-                f"boundary edge {e} not covered exactly once by the tiles",
+                f"boundary edge {_pair(e)} not covered exactly once by the tiles",
             )
         raise TilingError(
             "edge-sharing",
-            f"interior edge {e} is not shared by tiles on both sides",
+            f"interior edge {_pair(e)} is not shared by tiles on both sides",
         )
     if total2 != area2:
         raise TilingError(
             "area", f"tile areas sum to {total2}/2, region area is {area2}/2"
         )
     return True
+
+
+def _pair(key: int) -> tuple[int, int]:
+    """The directed edge (u, v) kept as u << 16 | v."""
+    return (key >> 16, key & 0xFFFF)

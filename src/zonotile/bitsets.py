@@ -25,8 +25,10 @@ def full_mask(n: int) -> int:
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:
-        if e < 1:
-            raise ValueError(f"element {e} out of range (elements are 1-based)")
+        # an element above MAX_GROUND fits no ground set, and its mask
+        # would take e/8 bytes
+        if not 1 <= e <= MAX_GROUND:
+            raise ValueError(f"element {e} out of range 1..{MAX_GROUND}")
         m |= 1 << (e - 1)
     return m
 

@@ -39,7 +39,10 @@ from .suite import run_suite
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -113,7 +116,6 @@ def cmd(argv: list[str]) -> int:
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
 
     p = sub.add_parser("render", help="emit deterministic SVG")
@@ -188,7 +190,9 @@ def _dispatch(args) -> int:
     if args.command == "flip":
         combi = jsonio.combi_from_json(_load(args.combi))
         validate_combi(combi)
-        core = bs.parse_subset(args.core)
+        core = bs.check_subset(bs.parse_subset(args.core), combi.n)
+        if not all(1 <= t <= combi.n for t in (args.i, args.j, args.k)):
+            raise ValueError(f"--i, --j and --k must lie in 1..{combi.n}")
         if args.op == "lower":
             conf = find_w_config_at(combi, core, args.i, args.j, args.k)
             flipped = lowering_flip(combi, conf)

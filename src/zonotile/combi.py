@@ -18,7 +18,7 @@ unique combi, and that combi is reconstructed by `from_w_collection`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 from operator import attrgetter
 
 from . import bitsets as bs
@@ -28,7 +28,7 @@ from .rhombus import RhombusTiling
 from .separation import SetFamily, is_maximal_separated
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Delta:
     """Upward triangle: apex, base from apex-high (left) to apex-low (right)."""
 
@@ -39,27 +39,28 @@ class Delta:
     def __post_init__(self) -> None:
         if not 1 <= self.low < self.high:
             raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        need = bs.singleton(self.low) | bs.singleton(self.high)
+        need = (1 << (self.low - 1)) | (1 << (self.high - 1))
         if self.apex & need != need:
             raise ValueError("apex of a Delta must contain both type elements")
 
     @property
     def left(self) -> int:
-        return self.apex ^ bs.singleton(self.high)
+        return self.apex ^ (1 << (self.high - 1))
 
     @property
     def right(self) -> int:
-        return self.apex ^ bs.singleton(self.low)
+        return self.apex ^ (1 << (self.low - 1))
 
     @property
     def base(self) -> tuple[int, int]:
         return (self.left, self.right)
 
     def cycle(self) -> list[int]:
-        return [self.left, self.right, self.apex]
+        apex = self.apex
+        return [apex ^ (1 << (self.high - 1)), apex ^ (1 << (self.low - 1)), apex]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Nabla:
     """Downward triangle: bottom, base from bottom+low (left) to bottom+high."""
 
@@ -70,23 +71,24 @@ class Nabla:
     def __post_init__(self) -> None:
         if not 1 <= self.low < self.high:
             raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        if self.bottom & (bs.singleton(self.low) | bs.singleton(self.high)):
+        if self.bottom & ((1 << (self.low - 1)) | (1 << (self.high - 1))):
             raise ValueError("bottom of a Nabla must avoid both type elements")
 
     @property
     def left(self) -> int:
-        return self.bottom | bs.singleton(self.low)
+        return self.bottom | (1 << (self.low - 1))
 
     @property
     def right(self) -> int:
-        return self.bottom | bs.singleton(self.high)
+        return self.bottom | (1 << (self.high - 1))
 
     @property
     def base(self) -> tuple[int, int]:
         return (self.left, self.right)
 
     def cycle(self) -> list[int]:
-        return [self.bottom, self.right, self.left]
+        bottom = self.bottom
+        return [bottom, bottom | (1 << (self.high - 1)), bottom | (1 << (self.low - 1))]
 
 
 def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -100,7 +102,7 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Lens:
     upper: tuple[int, ...]
     lower: tuple[int, ...]
@@ -192,12 +194,24 @@ class Combi:
     def __init__(self, n: int, deltas=(), nablas=(), lenses=()) -> None:
         bs.check_ground(n)
         dset, nset, lset = frozenset(deltas), frozenset(nablas), frozenset(lenses)
+        # Every vertex lies in an apex, a nabla's right corner or a lens's
+        # lower center; the tiles are scanned one by one only to name the
+        # first one out of range.
+        span = 0
         for d in dset:
-            bs.check_subset(d.apex, n)
+            span |= d.apex
         for v in nset:
-            bs.check_subset(v.right, n)
+            span |= v.right
         for l in lset:
-            bs.check_subset(l.lower_center, n)
+            for x in l.lower:
+                span |= x
+        if span < 0 or span & ~bs.full_mask(n):
+            for d in dset:
+                bs.check_subset(d.apex, n)
+            for v in nset:
+                bs.check_subset(v.right, n)
+            for l in lset:
+                bs.check_subset(l.lower_center, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "deltas", dset)
         object.__setattr__(self, "nablas", nset)
@@ -212,11 +226,20 @@ class Combi:
         )
 
     def vertex_masks(self) -> frozenset[int]:
-        verts: set[int] = set()
+        return self._vertices
+
+    @cached_property
+    def _vertices(self) -> frozenset[int]:
+        # Built once per instance; not a dataclass field, so equality and
+        # hashing see only the tiles.
+        verts = {d.apex for d in self.deltas}
         for d in self.deltas:
-            verts.update(d.cycle())
+            verts.add(d.apex ^ (1 << (d.low - 1)))
+            verts.add(d.apex ^ (1 << (d.high - 1)))
         for v in self.nablas:
-            verts.update(v.cycle())
+            verts.add(v.bottom)
+            verts.add(v.bottom | (1 << (v.low - 1)))
+            verts.add(v.bottom | (1 << (v.high - 1)))
         for l in self.lenses:
             verts.update(l.upper)
             verts.update(l.lower)
@@ -298,33 +321,38 @@ def is_semi_rhombus(combi: Combi) -> bool:
     return {d.base for d in combi.deltas} == {v.base for v in combi.nablas}
 
 
-def _vertical_edges_of_family(members: frozenset[int], n: int) -> dict[int, list[int]]:
-    """For each member, the sorted list of elements i with X+i also a member."""
-    out: dict[int, list[int]] = {}
+def _fans(
+    members: frozenset[int], n: int
+) -> tuple[list[Delta], list[Nabla], list[list[tuple[int, int]]], list[set[tuple[int, int]]]]:
+    """Fan rule, in one pass over each member X and the elements i of 1..n:
+    the members X+i, in increasing i, are the outgoing edges at X, and each
+    consecutive two span a Nabla with bottom X; the members X-i are the
+    incoming edges at X, and each consecutive two span a Delta with apex X.
+
+    Returns the deltas, the nablas, and indexed by level (the size of a
+    base's vertices) the nabla bases as a list and the delta bases as a set.
+    """
+    bits = [(i, 1 << (i - 1)) for i in range(1, n + 1)]
+    deltas: list[Delta] = []
+    nablas: list[Nabla] = []
+    nabla_bases: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    delta_bases: list[set[tuple[int, int]]] = [set() for _ in range(n + 1)]
     for x in members:
-        ups = [i for i in range(1, n + 1) if not bs.has(x, i) and (x | bs.singleton(i)) in members]
-        out[x] = ups
-    return out
-
-
-def _triangles_from_vertices(members: frozenset[int], n: int) -> tuple[list[Delta], list[Nabla]]:
-    """Fan rule: consecutive outgoing edges at a vertex span a Nabla, and
-    consecutive incoming edges span a Delta."""
-    ups = _vertical_edges_of_family(members, n)
-    nablas = []
-    deltas = []
-    for x, types in ups.items():
-        for i, j in zip(types, types[1:]):
-            nablas.append(Nabla(x, i, j))
-    downs: dict[int, list[int]] = {}
-    for x, types in ups.items():
-        for i in types:
-            downs.setdefault(x | bs.singleton(i), []).append(i)
-    for x, types in downs.items():
-        types.sort(reverse=True)
-        for i, j in zip(types, types[1:]):
-            deltas.append(Delta(x, j, i))
-    return deltas, nablas
+        level = x.bit_count()
+        up = down = 0  # the last type seen going up / down, 0 for none
+        for i, b in bits:
+            if x & b:
+                if x ^ b in members:
+                    if down:
+                        deltas.append(Delta(x, down, i))
+                        delta_bases[level - 1].add((x ^ b, x ^ down_bit))
+                    down, down_bit = i, b
+            elif x | b in members:
+                if up:
+                    nablas.append(Nabla(x, up, i))
+                    nabla_bases[level + 1].append((x | up_bit, x | b))
+                up, up_bit = i, b
+    return deltas, nablas, nabla_bases, delta_bases
 
 
 def _peel_lenses(
@@ -345,7 +373,8 @@ def _peel_lenses(
     frontier = set(nabla_bases)
     lenses: list[Lens] = []
     while frontier - delta_bases:
-        starts = [a for a, b in frontier if not any(x == a for _, x in frontier)]
+        heads = {b for _, b in frontier}
+        starts = [a for a, _ in frontier if a not in heads]
         progress = False
         for start in sorted(starts):
             path = [start]
@@ -415,26 +444,13 @@ def from_w_collection(family: SetFamily, validate: bool = True, check_input: boo
     if check_input and not is_maximal_separated(family, "weak"):
         raise ValueError("family is not a maximal weakly separated collection")
     members = family.as_set()
-    deltas, nablas = _triangles_from_vertices(members, n)
-    by_level: dict[int, set[int]] = {}
-    for m in members:
-        by_level.setdefault(bs.size(m), set()).add(m)
+    deltas, nablas, nabla_bases, delta_bases = _fans(members, n)
     lenses: list[Lens] = []
-    nb_by_level: dict[int, list[tuple[int, int]]] = {}
-    for v in nablas:
-        nb_by_level.setdefault(bs.size(v.left), []).append(v.base)
-    db_by_level: dict[int, set[tuple[int, int]]] = {}
-    for d in deltas:
-        db_by_level.setdefault(bs.size(d.left), set()).add(d.base)
-    for level, bases in sorted(nb_by_level.items()):
-        lenses.extend(
-            _peel_lenses(
-                level,
-                sorted(bases),
-                db_by_level.get(level, set()),
-                frozenset(by_level.get(level, ())),
-            )
-        )
+    for level, bases in enumerate(nabla_bases):
+        if bases:
+            # a lens witness has the size of its level, so the whole family
+            # serves as the level's members
+            lenses.extend(_peel_lenses(level, sorted(bases), delta_bases[level], members))
     combi = Combi(n, deltas, nablas, lenses)
     if validate:
         validate_combi(combi)

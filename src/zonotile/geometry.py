@@ -236,30 +236,31 @@ def polygon_area2(points: list[Point]) -> int:
     return total
 
 
-def angle_sort_key(v: Point):
+class _AngleKey:
+    """Sort key of a nonzero direction: its half-plane, then the cross product."""
+
+    __slots__ = ("half", "vec")
+
+    def __init__(self, half: int, vec: Point) -> None:
+        self.half = half
+        self.vec = vec
+
+    def __lt__(self, other: "_AngleKey") -> bool:
+        if self.half != other.half:
+            return self.half < other.half
+        return cross(self.vec, other.vec) > 0
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _AngleKey)
+            and self.half == other.half
+            and cross(self.vec, other.vec) == 0
+        )
+
+
+def angle_sort_key(v: Point) -> _AngleKey:
     """Total order on nonzero directions by angle in [0, 2*pi), exact."""
     x, y = v
     if x == 0 and y == 0:
         raise ValueError("zero direction")
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    class _Key:
-        __slots__ = ("half", "vec")
-
-        def __init__(self, half_: int, vec: Point) -> None:
-            self.half = half_
-            self.vec = vec
-
-        def __lt__(self, other: "_Key") -> bool:
-            if self.half != other.half:
-                return self.half < other.half
-            return cross(self.vec, other.vec) > 0
-
-        def __eq__(self, other: object) -> bool:
-            return (
-                isinstance(other, _Key)
-                and self.half == other.half
-                and cross(self.vec, other.vec) == 0
-            )
-
-    return _Key(half, v)
+    return _AngleKey(0 if (y > 0 or (y == 0 and x > 0)) else 1, v)

@@ -1,8 +1,10 @@
 """JSON encodings for the public object kinds.
 
-Subsets are encoded as ascending element lists; every decoder validates
-through the ordinary constructors, so parse(serialize(x)) == x on valid
-data and malformed input raises ValueError.
+Subsets are encoded as ascending element lists; every decoder checks the
+shape of its input (objects, lists, and ints that are neither bools nor
+floats) and then validates through the ordinary constructors, so
+parse(serialize(x)) == x on valid data and malformed input raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -19,6 +21,35 @@ from .rhombus import Rhombus, RhombusTiling
 from .separation import DomainReport, Permutation, SetFamily
 
 
+def _int(data: Any, what: str) -> int:
+    # bool is a subclass of int, so compare the exact type
+    if type(data) is not int:
+        raise ValueError(f"{what} must be an integer, got {data!r:.60}")
+    return data
+
+
+def _element(data: Any, what: str) -> int:
+    # checked before any mask 1 << (e - 1) is built, which takes e/8 bytes
+    e = _int(data, what)
+    if not 1 <= e <= bs.MAX_GROUND:
+        raise ValueError(f"{what} must be in 1..{bs.MAX_GROUND}, got {e}")
+    return e
+
+
+def _list(data: Any, what: str) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list, got {data!r:.60}")
+    return data
+
+
+def _field(data: Any, key: str, what: str) -> Any:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r:.60}")
+    if key not in data:
+        raise ValueError(f"{what} lacks the field {key!r}")
+    return data[key]
+
+
 def subset_to_json(mask: int) -> list[int]:
     return list(bs.iter_elements(mask))
 
@@ -26,7 +57,7 @@ def subset_to_json(mask: int) -> list[int]:
 def subset_from_json(data: Any) -> int:
     if not isinstance(data, list):
         raise ValueError("subset must be a list of elements")
-    return bs.mask_of(int(e) for e in data)
+    return bs.mask_of(_int(e, "subset element") for e in data)
 
 
 def family_to_json(family: SetFamily) -> dict:
@@ -34,7 +65,9 @@ def family_to_json(family: SetFamily) -> dict:
 
 
 def family_from_json(data: Any) -> SetFamily:
-    return SetFamily(int(data["n"]), (subset_from_json(m) for m in data["members"]))
+    n = _int(_field(data, "n", "family"), "n")
+    members = _list(_field(data, "members", "family"), "members")
+    return SetFamily(n, [subset_from_json(m) for m in members])
 
 
 def permutation_to_json(perm: Permutation) -> dict:
@@ -42,7 +75,8 @@ def permutation_to_json(perm: Permutation) -> dict:
 
 
 def permutation_from_json(data: Any) -> Permutation:
-    return Permutation(int(x) for x in data["images"])
+    images = _list(_field(data, "images", "permutation"), "images")
+    return Permutation(_int(x, "image") for x in images)
 
 
 def report_to_json(report: DomainReport) -> dict:
@@ -69,11 +103,16 @@ def tiling_to_json(tiling: RhombusTiling) -> dict:
 
 
 def tiling_from_json(data: Any) -> RhombusTiling:
+    n = _int(_field(data, "n", "tiling"), "n")
     tiles = [
-        Rhombus(subset_from_json(r["X"]), int(r["i"]), int(r["j"]))
-        for r in data["rhombi"]
+        Rhombus(
+            subset_from_json(_field(r, "X", "rhombus")),
+            _element(_field(r, "i", "rhombus"), "i"),
+            _element(_field(r, "j", "rhombus"), "j"),
+        )
+        for r in _list(_field(data, "rhombi", "tiling"), "rhombi")
     ]
-    return RhombusTiling(int(data["n"]), tiles)
+    return RhombusTiling(n, tiles)
 
 
 def combi_to_json(combi: Combi) -> dict:
@@ -94,25 +133,34 @@ def combi_to_json(combi: Combi) -> dict:
     }
 
 
+def _base_from_json(tile: Any, what: str) -> tuple[int, int]:
+    base = _list(_field(tile, "base", what), "base")
+    if len(base) != 2:
+        raise ValueError(f"{what} base must be a list of two subsets")
+    return subset_from_json(base[0]), subset_from_json(base[1])
+
+
 def combi_from_json(data: Any) -> Combi:
+    n = _int(_field(data, "n", "combi"), "n")
+    kinds = {key: _list(data.get(key, []), key) for key in ("deltas", "nablas", "lenses")}
     deltas = []
-    for d in data.get("deltas", ()):
-        apex = subset_from_json(d["apex"])
-        left, right = (subset_from_json(x) for x in d["base"])
+    for d in kinds["deltas"]:
+        apex = subset_from_json(_field(d, "apex", "delta"))
+        left, right = _base_from_json(d, "delta")
         deltas.append(Delta(apex, bs.min_element(apex & ~right), bs.min_element(apex & ~left)))
     nablas = []
-    for v in data.get("nablas", ()):
-        bottom = subset_from_json(v["bottom"])
-        left, right = (subset_from_json(x) for x in v["base"])
+    for v in kinds["nablas"]:
+        bottom = subset_from_json(_field(v, "bottom", "nabla"))
+        left, right = _base_from_json(v, "nabla")
         nablas.append(Nabla(bottom, bs.min_element(left & ~bottom), bs.min_element(right & ~bottom)))
     lenses = [
         Lens(
-            tuple(subset_from_json(v) for v in l["upper"]),
-            tuple(subset_from_json(v) for v in l["lower"]),
+            tuple(subset_from_json(v) for v in _list(_field(l, "upper", "lens"), "upper")),
+            tuple(subset_from_json(v) for v in _list(_field(l, "lower", "lens"), "lower")),
         )
-        for l in data.get("lenses", ())
+        for l in kinds["lenses"]
     ]
-    return Combi(int(data["n"]), deltas, nablas, lenses)
+    return Combi(n, deltas, nablas, lenses)
 
 
 def pattern_to_json(pattern: CyclicPattern) -> dict:
@@ -120,7 +168,9 @@ def pattern_to_json(pattern: CyclicPattern) -> dict:
 
 
 def pattern_from_json(data: Any) -> CyclicPattern:
-    return CyclicPattern(int(data["n"]), (subset_from_json(v) for v in data["cycle"]))
+    n = _int(_field(data, "n", "pattern"), "n")
+    cycle = _list(_field(data, "cycle", "pattern"), "cycle")
+    return CyclicPattern(n, [subset_from_json(v) for v in cycle])
 
 
 def graph_pattern_to_json(pat: GraphPattern) -> dict:
@@ -134,9 +184,15 @@ def graph_pattern_to_json(pat: GraphPattern) -> dict:
 
 
 def graph_pattern_from_json(data: Any) -> GraphPattern:
-    verts = [subset_from_json(v) for v in data["vertices"]]
-    edges = [(verts[int(u)], verts[int(v)]) for u, v in data["edges"]]
-    return GraphPattern(int(data["n"]), verts, edges)
+    n = _int(_field(data, "n", "graph pattern"), "n")
+    verts = [subset_from_json(v) for v in _list(_field(data, "vertices", "graph pattern"), "vertices")]
+    edges = []
+    for edge in _list(_field(data, "edges", "graph pattern"), "edges"):
+        ends = [_int(k, "vertex index") for k in _list(edge, "edge")]
+        if len(ends) != 2 or not all(0 <= k < len(verts) for k in ends):
+            raise ValueError(f"edge must be two indices into vertices, got {edge!r:.60}")
+        edges.append((verts[ends[0]], verts[ends[1]]))
+    return GraphPattern(n, verts, edges)
 
 
 def path_to_json(path) -> dict:
@@ -144,7 +200,7 @@ def path_to_json(path) -> dict:
 
 
 def path_from_json(data: Any) -> tuple[int, ...]:
-    return tuple(subset_from_json(v) for v in data["vertices"])
+    return tuple(subset_from_json(v) for v in _list(_field(data, "vertices", "path"), "vertices"))
 
 
 def generators_to_json(gens: Generators) -> list:
@@ -156,9 +212,17 @@ def generators_to_json(gens: Generators) -> list:
 
 def generators_from_json(data: Any, n: int | None = None) -> Generators:
     vecs = []
-    for pair in data:
-        (xr, yr) = (Fraction(int(c["num"]), int(c["den"])) for c in pair)
-        vecs.append((xr, yr))
+    for pair in _list(data, "generators"):
+        if len(_list(pair, "generator")) != 2:
+            raise ValueError("a generator is a list of two coordinates")
+        coords = []
+        for c in pair:
+            num = _int(_field(c, "num", "coordinate"), "num")
+            den = _int(_field(c, "den", "coordinate"), "den")
+            if den == 0:
+                raise ValueError("coordinate denominator must not be 0")
+            coords.append(Fraction(num, den))
+        vecs.append(tuple(coords))
     denom = 1
     for x, y in vecs:
         denom = denom // gcd(denom, x.denominator) * x.denominator

@@ -16,7 +16,7 @@ from .geometry import Generators, default_generators
 from .separation import SetFamily, is_maximal_separated
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Rhombus:
     """Tile with corners base, base+low (left), base+high (right), base+both."""
 
@@ -119,12 +119,12 @@ def from_s_collection(family: SetFamily, validate: bool = True) -> RhombusTiling
     if not is_maximal_separated(family, "strong"):
         raise ValueError("family is not a maximal strongly separated collection")
     present = family.as_set()
+    bits = [(i, 1 << (i - 1)) for i in range(1, n + 1)]
     tiles = []
     for x in family.members:
-        free = [e for e in range(1, n + 1) if not bs.has(x, e)]
-        for i, j in combinations(free, 2):
-            a, b = bs.singleton(i), bs.singleton(j)
-            if x | a in present and x | b in present and x | a | b in present:
+        ups = [(i, x | b) for i, b in bits if not x & b and x | b in present]
+        for (i, left), (j, right) in combinations(ups, 2):
+            if left | right in present:
                 tiles.append(Rhombus(x, i, j))
     tiling = RhombusTiling(n, tiles)
     if validate and n >= 2:

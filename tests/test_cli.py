@@ -53,6 +53,25 @@ class TestJsonRoundTrips:
         back = jsonio.generators_from_json(jsonio.generators_to_json(gens))
         assert back.vectors == gens.vectors
 
+    def test_decoders_take_only_ints_and_documented_shapes(self):
+        bad = [
+            (jsonio.family_from_json, {"n": 3.0, "members": [[1]]}),
+            (jsonio.permutation_from_json, {"images": [2, 1, True]}),
+            (jsonio.tiling_from_json, {"n": 3, "rhombi": [{"X": [], "i": 1, "j": 2.0}]}),
+            (jsonio.tiling_from_json, {"n": 3, "rhombi": [{"X": [], "i": 1, "j": 10 ** 15}]}),
+            (jsonio.combi_from_json, [{"n": 2}]),
+            (jsonio.combi_from_json, {"n": 2, "nablas": [{"bottom": [], "base": [[1]]}]}),
+            (jsonio.combi_from_json, {"n": 2, "lenses": {}}),
+            (jsonio.pattern_from_json, {"n": 3, "cycle": "abc"}),
+            (jsonio.graph_pattern_from_json, {"n": 2, "vertices": [[1], [2]], "edges": [[0, -1]]}),
+            (jsonio.path_from_json, {"vertices": [[], [False]]}),
+            (jsonio.generators_from_json, [[{"num": 1, "den": 0}, {"num": 1, "den": 1}]]),
+            (jsonio.generators_from_json, [[{"num": 1.5, "den": 1}, {"num": 1, "den": 1}]]),
+        ]
+        for decode, data in bad:
+            with pytest.raises(ValueError):
+                decode(data)
+
     def test_malformed_rejected(self):
         with pytest.raises((ValueError, KeyError, TypeError)):
             jsonio.family_from_json({"n": 3, "members": [[1], [1]]})
@@ -123,6 +142,39 @@ class TestCli:
         assert err["error"] == "invalid-input"
         assert "outside 1..3" in err["detail"]
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ('{"n": 3, "members": 5}', "members must be a list, got 5"),
+            ("[[1], [2]]", "family must be an object, got [[1], [2]]"),
+            ('{"n": 3, "members": [[1.5], [2]]}', "subset element must be an integer, got 1.5"),
+            ('{"n": true, "members": [[1]]}', "n must be an integer, got True"),
+            ('{"n": 3, "members": [[1], [1000000000000000]]}', "element 1000000000000000 out of range 1..16"),
+            ("[" * 100000, "JSON nested too deeply"),
+        ],
+        ids=["members-not-a-list", "top-level-list", "float-element", "bool-n", "huge-element", "deep-nesting"],
+    )
+    def test_enumerate_rejects_hostile_domain(self, tmp_path, capsys, text, detail):
+        domain = tmp_path / "domain.json"
+        domain.write_text(text)
+        assert cmd(["enumerate", "--domain", str(domain)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid-input"
+        assert detail in err["detail"]
+
+    def test_verify_has_no_jobs_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cmd(["verify", "--paper-suite", "--jobs", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_separation_rejects_huge_element(self, capsys):
+        assert cmd(["separation", "1,2", "1000000000000000", "--n", "3"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-input", "detail": "element 1000000000000000 out of range 1..16"}
+
     def test_enumerate_and_build(self, tmp_path, capsys):
         fam_file = tmp_path / "fam.json"
         fam_file.write_text(json.dumps(jsonio.family_to_json(hypercube_domain(3))))
@@ -179,6 +231,14 @@ class TestCli:
         assert all(l["op"] == "lower" for l in lines)
         low = jsonio.combi_from_json(json.loads(out.read_text()))
         assert spectrum(low) == interval_collection(3)
+
+    def test_flip_rejects_types_out_of_range(self, tmp_path, capsys):
+        combi_file = tmp_path / "c.json"
+        combi_file.write_text(json.dumps(jsonio.combi_to_json(interval_combi(3))))
+        argv = ["flip", "--combi", str(combi_file), "--op", "raise", "--core", ""]
+        assert cmd(argv + ["--i", "1", "--j", "2", "--k", "1000000000000000"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-input", "detail": "--i, --j and --k must lie in 1..3"}
 
     def test_pattern_commands(self, tmp_path, capsys):
         pat_file = tmp_path / "pat.json"

@@ -9,6 +9,7 @@ from zonotile.combi import (
     Delta,
     Lens,
     Nabla,
+    _peel_lenses,
     adjacent_h_classify,
     find_m_configs,
     find_w_configs,
@@ -32,6 +33,59 @@ from zonotile.separation import (
 )
 
 M = bs.mask_of
+
+
+def _reference_vertical_edges(members, n):
+    """For each member, the sorted list of elements i with X+i also a member."""
+    out = {}
+    for x in members:
+        ups = [i for i in range(1, n + 1) if not bs.has(x, i) and (x | bs.singleton(i)) in members]
+        out[x] = ups
+    return out
+
+
+def _reference_triangles(members, n):
+    """Fan rule: consecutive outgoing edges at a vertex span a Nabla, and
+    consecutive incoming edges span a Delta."""
+    ups = _reference_vertical_edges(members, n)
+    nablas = []
+    deltas = []
+    for x, types in ups.items():
+        for i, j in zip(types, types[1:]):
+            nablas.append(Nabla(x, i, j))
+    downs = {}
+    for x, types in ups.items():
+        for i in types:
+            downs.setdefault(x | bs.singleton(i), []).append(i)
+    for x, types in downs.items():
+        types.sort(reverse=True)
+        for i, j in zip(types, types[1:]):
+            deltas.append(Delta(x, j, i))
+    return deltas, nablas
+
+
+def _reference_combi(family):
+    """The two-step assembly: triangles first, then the bases and the
+    members grouped by level for the lens peeling."""
+    n, members = family.n, family.as_set()
+    deltas, nablas = _reference_triangles(members, n)
+    by_level = {}
+    for m in members:
+        by_level.setdefault(bs.size(m), set()).add(m)
+    nb_by_level = {}
+    for v in nablas:
+        nb_by_level.setdefault(bs.size(v.left), []).append(v.base)
+    db_by_level = {}
+    for d in deltas:
+        db_by_level.setdefault(bs.size(d.left), set()).add(d.base)
+    lenses = []
+    for level, bases in sorted(nb_by_level.items()):
+        lenses.extend(
+            _peel_lenses(
+                level, sorted(bases), db_by_level.get(level, set()), frozenset(by_level.get(level, ()))
+            )
+        )
+    return Combi(n, deltas, nablas, lenses)
 
 
 def _all_combis(n):
@@ -111,6 +165,56 @@ class TestValidation:
         )
         assert labelled == [delta, delta]
 
+    def test_cover_error_texts(self):
+        # The z2 square: boundary 0 -> {2} -> {1,2} -> {1} -> 0, one nabla
+        # [0, {2}, {1}] below one delta [{1}, {2}, {1,2}].
+        gens = default_generators(2)
+        boundary, area2 = zonogon_region(gens)
+        assert boundary == ((0, 2), (2, 3), (3, 1), (1, 0))
+        nabla, delta = Nabla(0, 1, 2), Delta(M([1, 2]), 1, 2)
+        turned = nabla.cycle()[1:] + nabla.cycle()[:1]
+        good = [(delta, delta.cycle()), (nabla, nabla.cycle())]
+        cases = [
+            ([(nabla, nabla.cycle())] * 2, boundary, area2,
+             "edge-sharing: directed edge (0, 2) used twice"),
+            # edges are walked from (cyc[0], cyc[1]) round the cycle
+            ([(nabla, nabla.cycle()), (nabla, turned)], boundary, area2,
+             "edge-sharing: directed edge (2, 1) used twice"),
+            ([(nabla, nabla.cycle())], boundary, area2,
+             "edge-sharing: interior edge (2, 1) is not shared by tiles on both sides"),
+            ([(delta, delta.cycle())], boundary, area2,
+             "region-boundary: boundary edge (0, 2) not covered exactly once by the tiles"),
+            (good, boundary + boundary[:1], area2,
+             "region-boundary: boundary edge (0, 2) repeated"),
+            (good, boundary[1:] + boundary[1:2] + boundary[:1], area2,
+             "region-boundary: boundary edge (2, 3) repeated"),
+            (good, boundary, area2 + 2,
+             "area: tile areas sum to 132600/2, region area is 132602/2"),
+        ]
+        for cycles, bnd, want_area2, text in cases:
+            with pytest.raises(TilingError) as info:
+                check_planar_cover(gens, cycles, bnd, want_area2, tile_label)
+            assert str(info.value) == text
+        assert check_planar_cover(gens, good, boundary, area2, tile_label)
+
+    def test_missing_tile_error_texts(self):
+        # The first unbalanced edge is the least one as a (tail, head) pair.
+        combi = from_rhombus(minimal_tiling(3))
+        want = {
+            "delta({1,2};1,2)": "edge-sharing: interior edge (2, 1) is not shared by tiles on both sides",
+            "delta({2,3};2,3)": "edge-sharing: interior edge (2, 6) is not shared by tiles on both sides",
+            "delta({1,2,3};1,3)": "edge-sharing: interior edge (6, 3) is not shared by tiles on both sides",
+            "nabla({};1,2)": "region-boundary: boundary edge (1, 0) not covered exactly once by the tiles",
+            "nabla({};2,3)": "edge-sharing: interior edge (0, 2) is not shared by tiles on both sides",
+            "nabla({2};1,3)": "edge-sharing: interior edge (2, 3) is not shared by tiles on both sides",
+        }
+        got = {}
+        for tile in combi.tiles():
+            with pytest.raises(TilingError) as info:
+                validate_combi(Combi(3, combi.deltas - {tile}, combi.nablas - {tile}))
+            got[tile_label(tile)] = str(info.value)
+        assert got == want
+
     def test_from_rhombus_examples(self):
         combi = from_rhombus(minimal_tiling(3))
         assert validate_combi(combi)
@@ -156,6 +260,23 @@ class TestReconstruction:
             combi = from_w_collection(fam, check_input=False)
             assert spectrum(combi) == fam
             assert from_w_collection(fam, check_input=False) == combi
+
+    def test_assembly_matches_two_step_reference(self):
+        for n in range(1, 6):
+            for fam in enumerate_maximal(hypercube_domain(n), "weak").maximal_collections:
+                combi = from_w_collection(fam)
+                deltas, nablas = _reference_triangles(fam.as_set(), n)
+                assert combi.deltas == frozenset(deltas)
+                assert combi.nablas == frozenset(nablas)
+                ref = _reference_combi(fam)
+                # `combi` has read its vertex set (the spectrum check), `ref`
+                # has not: equality and hashing must not see the difference
+                assert combi == ref and hash(combi) == hash(ref)
+                cycles = set().union(*(t.cycle() for t in combi.tiles())) if n > 1 else {0, 1}
+                assert combi.vertex_masks() == cycles == fam.as_set()
+                assert combi.vertex_masks() is combi.vertex_masks()
+                ref.vertex_masks()
+                assert combi == ref and hash(combi) == hash(ref)
 
     def test_every_adjacent_pair_is_an_edge(self):
         # X and X+i in the spectrum always join by a vertical edge

@@ -5,6 +5,7 @@ import pytest
 from zonotile import bitsets as bs
 from zonotile.geometry import (
     Generators,
+    angle_sort_key,
     boundary_vertices,
     default_generators,
     embed,
@@ -62,6 +63,17 @@ def test_boundary_vertices():
     assert right == [0, bs.mask_of([3]), bs.mask_of([2, 3]), bs.mask_of([1, 2, 3])]
     l1, r1 = boundary_vertices(default_generators(1))
     assert l1 == r1 == [0, 1]
+
+
+def test_angle_sort_key():
+    # counterclockwise from the positive x axis; keys of one direction are
+    # equal whatever the length
+    dirs = [(0, -1), (-1, 0), (1, 1), (1, 0), (2, -1), (0, 3)]
+    assert sorted(dirs, key=angle_sort_key) == [(1, 0), (1, 1), (0, 3), (-1, 0), (0, -1), (2, -1)]
+    assert angle_sort_key((1, 2)) == angle_sort_key((3, 6))
+    assert angle_sort_key((1, 2)) != angle_sort_key((-1, -2))
+    with pytest.raises(ValueError):
+        angle_sort_key((0, 0))
 
 
 def test_proper_crossing():

@@ -183,6 +183,15 @@ class TestEnumeration:
         report = enumerate_maximal(hypercube_domain(4), "weak")
         assert report.pure and report.ranks == (11,)
 
+    def test_strong_counts_match_a006245(self):
+        # OEIS A006245 counts the rhombus tilings of the 2n-gon; the
+        # collections come straight from the clique search, with no tiling
+        # bijection in between.
+        for n, want in ((3, 2), (4, 8), (5, 62), (6, 908)):
+            report = enumerate_maximal(hypercube_domain(n), "strong")
+            assert len(report.maximal_collections) == want
+            assert report.pure and report.ranks == (n * (n + 1) // 2 + 1,)
+
     def test_singleton_domain(self):
         report = enumerate_maximal(SetFamily(3, [0]), "weak")
         assert len(report.maximal_collections) == 1
