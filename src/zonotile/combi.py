@@ -43,6 +43,16 @@ class Delta:
         if self.apex & need != need:
             raise ValueError("apex of a Delta must contain both type elements")
 
+    @classmethod
+    def on_base(cls, apex: int, left: int, right: int) -> Delta:
+        """The delta with this apex over the base (left, right); raises
+        ValueError if the built delta's base is another one."""
+        d = cls(apex, bs.min_element(apex & ~right), bs.min_element(apex & ~left))
+        if d.base != (left, right):
+            where = bs.format_subset(apex)
+            raise ValueError(f"{_edge_text(left, right)} is not the base of a delta at {where}")
+        return d
+
     @property
     def left(self) -> int:
         return self.apex ^ (1 << (self.high - 1))
@@ -74,6 +84,16 @@ class Nabla:
         if self.bottom & ((1 << (self.low - 1)) | (1 << (self.high - 1))):
             raise ValueError("bottom of a Nabla must avoid both type elements")
 
+    @classmethod
+    def on_base(cls, bottom: int, left: int, right: int) -> Nabla:
+        """The nabla with this bottom under the base (left, right); raises
+        ValueError if the built nabla's base is another one."""
+        v = cls(bottom, bs.min_element(left & ~bottom), bs.min_element(right & ~bottom))
+        if v.base != (left, right):
+            where = bs.format_subset(bottom)
+            raise ValueError(f"{_edge_text(left, right)} is not the base of a nabla at {where}")
+        return v
+
     @property
     def left(self) -> int:
         return self.bottom | (1 << (self.low - 1))
@@ -89,6 +109,10 @@ class Nabla:
     def cycle(self) -> list[int]:
         bottom = self.bottom
         return [bottom, bottom | (1 << (self.high - 1)), bottom | (1 << (self.low - 1))]
+
+
+def _edge_text(a: int, b: int) -> str:
+    return f"{bs.format_subset(a)}-{bs.format_subset(b)}"
 
 
 def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -195,8 +219,8 @@ class Combi:
         bs.check_ground(n)
         dset, nset, lset = frozenset(deltas), frozenset(nablas), frozenset(lenses)
         # Every vertex lies in an apex, a nabla's right corner or a lens's
-        # lower center; the tiles are scanned one by one only to name the
-        # first one out of range.
+        # lower center; the tiles are scanned one by one, in `tiles()`
+        # order, only to name the first one out of range.
         span = 0
         for d in dset:
             span |= d.apex
@@ -205,17 +229,18 @@ class Combi:
         for l in lset:
             for x in l.lower:
                 span |= x
-        if span < 0 or span & ~bs.full_mask(n):
-            for d in dset:
-                bs.check_subset(d.apex, n)
-            for v in nset:
-                bs.check_subset(v.right, n)
-            for l in lset:
-                bs.check_subset(l.lower_center, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "deltas", dset)
         object.__setattr__(self, "nablas", nset)
         object.__setattr__(self, "lenses", lset)
+        if span < 0 or span & ~bs.full_mask(n):
+            for t in self.tiles():
+                if isinstance(t, Delta):
+                    bs.check_subset(t.apex, n)
+                elif isinstance(t, Nabla):
+                    bs.check_subset(t.right, n)
+                else:
+                    bs.check_subset(t.lower_center, n)
 
     def tiles(self) -> list[Tile]:
         """Deltas, nablas, lenses, each kind in its dataclass order."""
@@ -247,6 +272,51 @@ class Combi:
             verts.update((0, 1))
         return frozenset(verts)
 
+    def nabla_fan(self, bottom: int) -> tuple[int, ...]:
+        """Left-to-right base path of the nablas with this bottom, () if
+        there are none; raises TilingError("fan") unless it is one path."""
+        return _chain_fan(self._fan_bases.get(("nabla", bottom), ()), "nabla", bottom)
+
+    def delta_fan(self, apex: int) -> tuple[int, ...]:
+        """Left-to-right base path of the deltas with this apex, () if
+        there are none; raises TilingError("fan") unless it is one path."""
+        return _chain_fan(self._fan_bases.get(("delta", apex), ()), "delta", apex)
+
+    def lens_on(self, edge: tuple[int, int], side: str) -> Lens | None:
+        """The lens with this edge on its `side` ("upper" or "lower")
+        boundary, None if there is none; raises TilingError if two lenses
+        claim it."""
+        if side not in ("upper", "lower"):
+            raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+        index = self._lens_edges
+        if (side, edge) in index and index[side, edge] is None:
+            raise TilingError("lens", f"two lenses have {_edge_text(*edge)} on their {side} boundary")
+        return index.get((side, edge))
+
+    # The incidence index: built on first use and, like `_vertices`, not a
+    # dataclass field, so equality and hashing see only the tiles.
+
+    @cached_property
+    def _fan_bases(self) -> dict[tuple[str, int], list[tuple[int, int]]]:
+        """The nabla bases by bottom and the delta bases by apex."""
+        fans: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        for v in self.nablas:
+            fans.setdefault(("nabla", v.bottom), []).append(v.base)
+        for d in self.deltas:
+            fans.setdefault(("delta", d.apex), []).append(d.base)
+        return fans
+
+    @cached_property
+    def _lens_edges(self) -> dict[tuple[str, tuple[int, int]], Lens | None]:
+        """Each (side, boundary edge) to its lens, or to None if two lenses
+        claim it."""
+        index: dict[tuple[str, tuple[int, int]], Lens | None] = {}
+        for l in self.lenses:
+            for side, path in (("upper", l.upper), ("lower", l.lower)):
+                for e in zip(path, path[1:]):
+                    index[side, e] = None if (side, e) in index else l
+        return index
+
     def vertical_edges(self) -> frozenset[tuple[int, int]]:
         """Upward (X, X+i) edges of the derived graph."""
         out = set()
@@ -275,6 +345,32 @@ class Combi:
     def size_sum(self) -> int:
         """Sum of vertex cardinalities (the flip potential)."""
         return sum(bs.size(v) for v in self.vertex_masks())
+
+
+def _chain_fan(bases, kind: str, corner: int) -> tuple[int, ...]:
+    """The vertex path through the (left, right) bases of a triangle fan,
+    () for no bases; raises TilingError("fan") unless the bases form
+    exactly one path: no two share a left end, one left end is no right
+    end, and the walk from it uses every base."""
+    if not bases:
+        return ()
+    succ = dict(bases)
+    if len(succ) != len(bases):
+        raise _fan_error(kind, corner, "has duplicate left vertices")
+    starts = succ.keys() - succ.values()
+    if len(starts) != 1:
+        raise _fan_error(kind, corner, "does not start at one vertex")
+    path = [*starts]
+    # a repeated vertex would loop, so the walk stops after every base
+    while path[-1] in succ and len(path) <= len(bases):
+        path.append(succ[path[-1]])
+    if len(path) != len(bases) + 1 or path[-1] in succ:
+        raise _fan_error(kind, corner, "does not chain through all its bases")
+    return tuple(path)
+
+
+def _fan_error(kind: str, corner: int, why: str) -> TilingError:
+    return TilingError("fan", f"{kind} fan at {bs.format_subset(corner)} {why}")
 
 
 def tile_label(tile: Tile) -> str:
@@ -580,11 +676,9 @@ def adjacent_h_classify(combi: Combi, e: tuple[int, int], e2: tuple[int, int]) -
         i, j_second = t2
         if j_prime != j_second:
             raise TilingError("adjacency", "middle types differ, combi is inconsistent")
-        for lens in combi.lenses:
-            lo = lens.lower
-            for p in range(len(lo) - 2):
-                if lo[p] == a and lo[p + 1] == b and lo[p + 2] == c:
-                    return "lens-lower"
+        host = combi.lens_on((a, b), "lower")
+        if host is not None and host is combi.lens_on((b, c), "lower"):
+            return "lens-lower"
         apex = b | bs.singleton(j_prime)
         if (
             Delta(apex, i, j_prime) in combi.deltas
@@ -598,11 +692,9 @@ def adjacent_h_classify(combi: Combi, e: tuple[int, int], e2: tuple[int, int]) -
         j_prime, k = t2
         if j_prime != j_second:
             raise TilingError("adjacency", "middle types differ, combi is inconsistent")
-        for lens in combi.lenses:
-            up = lens.upper
-            for p in range(len(up) - 2):
-                if up[p] == a and up[p + 1] == b and up[p + 2] == c:
-                    return "lens-upper"
+        host = combi.lens_on((a, b), "upper")
+        if host is not None and host is combi.lens_on((b, c), "upper"):
+            return "lens-upper"
         bottom = b ^ bs.singleton(j_prime)
         if (
             Nabla(bottom, i, j_prime) in combi.nablas

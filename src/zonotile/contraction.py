@@ -142,10 +142,10 @@ def n_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
         low = [low_v if idx == 0 else _relabel_drop(low_v, n) for idx, low_v in enumerate(tile.lower)]
         apex = up[0]
         for a, b in zip(low[1:], low[2:]):
-            deltas.append(Delta(apex, bs.min_element(apex & ~b), bs.min_element(apex & ~a)))
+            deltas.append(Delta.on_base(apex, a, b))
         bottom = low[-1]
         for a, b in zip(up[:-2], up[1:-1]):
-            nablas.append(Nabla(bottom, _step_type(bottom, a), _step_type(bottom, b)))
+            nablas.append(Nabla.on_base(bottom, a, b))
     contracted = Combi(n - 1, deltas, nablas, lenses)
     # image of the strip's left boundary, with each lens replaced by its zigzag
     path: list[int] = [0]
@@ -226,30 +226,11 @@ def path_vertex_roles(combi: Combi, path) -> list[str]:
     return roles
 
 
-def _chain_nablas(combi: Combi, bottom: int, start: int, end: int) -> list[Nabla]:
-    by_left = {v.left: v for v in combi.nablas if v.bottom == bottom}
-    chain = []
-    cur = start
-    while cur != end:
-        v = by_left.get(cur)
-        if v is None:
-            raise TilingError("expand", "upper filling at a pit does not chain")
-        chain.append(v)
-        cur = v.right
-    return chain
-
-
-def _chain_deltas_at(combi: Combi, apex: int, start: int, end: int) -> list[Delta]:
-    by_left = {d.left: d for d in combi.deltas if d.apex == apex}
-    chain = []
-    cur = start
-    while cur != end:
-        d = by_left.get(cur)
-        if d is None:
-            raise TilingError("expand", "lower filling at a peak does not chain")
-        chain.append(d)
-        cur = d.right
-    return chain
+def _fan_stretch(fan: tuple[int, ...], start: int, end: int, what: str) -> tuple[int, ...]:
+    """The part of a fan's base path from `start` to `end`."""
+    if start in fan and end in fan and fan.index(start) < fan.index(end):
+        return fan[fan.index(start) : fan.index(end) + 1]
+    raise TilingError("expand", f"{what} does not chain")
 
 
 def n_expand(combi: Combi, path) -> Combi:
@@ -275,29 +256,31 @@ def n_expand(combi: Combi, path) -> Combi:
         return winding_number(probe, scaled) != 0
 
     roles = dict(zip(path[1:-1], path_vertex_roles(combi, path)))
-    pit_fill: set[Tile] = set()
-    peak_fill: set[Tile] = set()
-    back_edges = []
+    # at each backward edge peak -> pit, the stretches of the delta fan at
+    # the peak and of the nabla fan at the pit that the new lens replaces
+    fills = []
+    filled: set[Tile] = set()
     for d in range(1, len(path)):
-        if bs.size(path[d]) < bs.size(path[d - 1]):
-            back_edges.append(d)
-    for d in back_edges:
         peak, pit = path[d - 1], path[d]
-        peak_fill.update(_chain_deltas_at(combi, peak, path[d - 2], path[d]))
-        pit_fill.update(_chain_nablas(combi, pit, path[d - 1], path[d + 1]))
+        if bs.size(pit) < bs.size(peak):
+            low = _fan_stretch(combi.delta_fan(peak), path[d - 2], pit, "lower filling at a peak")
+            up = _fan_stretch(combi.nabla_fan(pit), peak, path[d + 1], "upper filling at a pit")
+            fills.append((peak, pit, low, up))
+            filled.update(Delta.on_base(peak, a, b) for a, b in zip(low, low[1:]))
+            filled.update(Nabla.on_base(pit, a, b) for a, b in zip(up, up[1:]))
 
     deltas: list[Delta] = []
     nablas: list[Nabla] = []
     lenses: list[Lens] = []
     for d in combi.deltas:
-        if d in peak_fill or d in pit_fill:
+        if d in filled:
             continue
         if left_of_path(d.cycle()):
             deltas.append(d)
         else:
             deltas.append(Delta(d.apex | sn, d.low, d.high))
     for v in combi.nablas:
-        if v in peak_fill or v in pit_fill:
+        if v in filled:
             continue
         if left_of_path(v.cycle()):
             nablas.append(v)
@@ -322,13 +305,8 @@ def n_expand(combi: Combi, path) -> Combi:
     deltas.append(Delta(bs.full_mask(n), _step_type(path[-2], path[-1]), n))
 
     # one lens per backward edge (Z-L transformation)
-    for d in back_edges:
-        peak, pit = path[d - 1], path[d]
-        up_fill = _chain_nablas(combi, pit, path[d - 1], path[d + 1])
-        low_fill = _chain_deltas_at(combi, peak, path[d - 2], path[d])
-        upper = [peak] + [v.right for v in up_fill[:-1]] + [path[d + 1], pit | sn]
-        lower = [peak, path[d - 2] | sn] + [t.right | sn for t in low_fill]
-        lenses.append(Lens(tuple(upper), tuple(lower)))
+    for peak, pit, low, up in fills:
+        lenses.append(Lens(up + (pit | sn,), (peak,) + tuple(v | sn for v in low)))
 
     out = Combi(n, deltas, nablas, lenses)
     validate_combi(out)

@@ -37,27 +37,12 @@ from .separation import (
 )
 
 
-def _chain_deltas(fan: list[Delta], start: int, end: int) -> list[Delta]:
-    """Order a delta fan left to right from `start` to `end` by matching
-    base endpoints; raises if the fan does not chain exactly."""
-    by_left = {d.left: d for d in fan}
-    if len(by_left) != len(fan):
-        raise TilingError("fan", "delta fan has duplicate left vertices")
-    chain = []
-    cur = start
-    while cur != end:
-        d = by_left.get(cur)
-        if d is None:
-            raise TilingError("fan", "delta fan does not chain between the flip edges")
-        chain.append(d)
-        cur = d.right
-    if len(chain) != len(fan):
-        raise TilingError("fan", "delta fan extends beyond the flip edges")
-    return chain
-
-
 def lowering_flip(combi: Combi, w: WConfig, validate: bool = True) -> Combi:
-    """Replace the middle vertex core+i+k by core+j (i < j < k)."""
+    """Replace the middle vertex core+i+k by core+j (i < j < k).
+
+    The lenses and the delta fan are looked up in the input combi: every
+    tile changed before a lookup has its apex or its edges elsewhere.
+    """
     core, i, j, k = w.core, w.i, w.j, w.k
     si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
     mid = core | si | sk
@@ -90,16 +75,8 @@ def lowering_flip(combi: Combi, w: WConfig, validate: bool = True) -> Combi:
         deltas.add(Delta(top, i, k))
         nablas.add(Nabla(new_v, i, k))
     else:
-        host = None
-        for lens in lenses:
-            lo = lens.lower
-            for p in range(len(lo) - 2):
-                if lo[p] == left_top and lo[p + 1] == mid and lo[p + 2] == right_top:
-                    host = lens
-                    break
-            if host is not None:
-                break
-        if host is None:
+        host = combi.lens_on((left_top, mid), "lower")
+        if host is None or host is not combi.lens_on((mid, right_top), "lower"):
             raise TilingError("flip", "no lens carries the two horizontal flip edges")
         lenses.discard(host)
         if len(host.lower) >= 4:
@@ -109,32 +86,25 @@ def lowering_flip(combi: Combi, w: WConfig, validate: bool = True) -> Combi:
         else:
             up = host.upper
             for a, b in zip(up, up[1:]):
-                nablas.add(Nabla(new_v, bs.min_element(a & ~new_v), bs.min_element(b & ~new_v)))
+                nablas.add(Nabla.on_base(new_v, a, b))
 
     deltas.add(Delta(left_top, i, j))
     deltas.add(Delta(right_top, j, k))
 
     # rebuild below the removed vertex
-    fan = [d for d in deltas if d.apex == mid]
-    chain = _chain_deltas(fan, left_low, right_low)
-    for d in chain:
-        deltas.discard(d)
-    if len(chain) == 1:
+    fan = combi.delta_fan(mid)
+    if not fan or (fan[0], fan[-1]) != (left_low, right_low):
+        raise TilingError("fan", "delta fan does not run between the flip edges")
+    for a, b in zip(fan, fan[1:]):
+        deltas.discard(Delta.on_base(mid, a, b))
+    if len(fan) == 2:  # a single delta
         under = Nabla(core, i, k)
         if under in nablas:
             nablas.discard(under)
             nablas.add(Nabla(core, i, j))
             nablas.add(Nabla(core, j, k))
         else:
-            host = None
-            for lens in lenses:
-                up = lens.upper
-                for p in range(len(up) - 1):
-                    if up[p] == left_low and up[p + 1] == right_low:
-                        host = lens
-                        break
-                if host is not None:
-                    break
+            host = combi.lens_on((left_low, right_low), "upper")
             if host is None:
                 raise TilingError("flip", "nothing beneath the flip fan base")
             lenses.discard(host)
@@ -145,8 +115,7 @@ def lowering_flip(combi: Combi, w: WConfig, validate: bool = True) -> Combi:
                     new_upper.append(new_v)
             lenses.add(Lens(tuple(new_upper), host.lower))
     else:
-        lower_path = [chain[0].left] + [d.right for d in chain]
-        lenses.add(Lens((left_low, new_v, right_low), tuple(lower_path)))
+        lenses.add(Lens((left_low, new_v, right_low), fan))
 
     out = Combi(combi.n, deltas, nablas, lenses)
     if validate:

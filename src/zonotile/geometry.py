@@ -202,15 +202,7 @@ def point_in_closed_polyline(p: Point, points: list[Point]) -> str:
     for k in range(r):
         if on_segment(p, points[k], points[(k + 1) % r]):
             return "on"
-    wind = 0
-    for k in range(r):
-        a, b = points[k], points[(k + 1) % r]
-        if a[1] <= p[1]:
-            if b[1] > p[1] and orient(a, b, p) > 0:
-                wind += 1
-        elif b[1] <= p[1] and orient(a, b, p) < 0:
-            wind -= 1
-    return "inside" if wind != 0 else "outside"
+    return "inside" if winding_number(p, points) != 0 else "outside"
 
 
 def winding_number(p: Point, points: list[Point]) -> int:

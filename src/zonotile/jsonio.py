@@ -143,16 +143,14 @@ def _base_from_json(tile: Any, what: str) -> tuple[int, int]:
 def combi_from_json(data: Any) -> Combi:
     n = _int(_field(data, "n", "combi"), "n")
     kinds = {key: _list(data.get(key, []), key) for key in ("deltas", "nablas", "lenses")}
-    deltas = []
-    for d in kinds["deltas"]:
-        apex = subset_from_json(_field(d, "apex", "delta"))
-        left, right = _base_from_json(d, "delta")
-        deltas.append(Delta(apex, bs.min_element(apex & ~right), bs.min_element(apex & ~left)))
-    nablas = []
-    for v in kinds["nablas"]:
-        bottom = subset_from_json(_field(v, "bottom", "nabla"))
-        left, right = _base_from_json(v, "nabla")
-        nablas.append(Nabla(bottom, bs.min_element(left & ~bottom), bs.min_element(right & ~bottom)))
+    deltas = [
+        Delta.on_base(subset_from_json(_field(d, "apex", "delta")), *_base_from_json(d, "delta"))
+        for d in kinds["deltas"]
+    ]
+    nablas = [
+        Nabla.on_base(subset_from_json(_field(v, "bottom", "nabla")), *_base_from_json(v, "nabla"))
+        for v in kinds["nablas"]
+    ]
     lenses = [
         Lens(
             tuple(subset_from_json(v) for v in _list(_field(l, "upper", "lens"), "upper")),

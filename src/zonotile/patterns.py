@@ -272,18 +272,18 @@ def regions(pattern: CyclicPattern, gens: Generators | None = None) -> PatternRe
     return PatternRegions(pattern, gens, tuple(curve_points(pattern, gens)))
 
 
-def pattern_compatible_sets(pattern: CyclicPattern) -> SetFamily:
-    """All subsets weakly separated from every member of the pattern."""
+def pattern_compatible_sets(pattern: CyclicPattern, relation: str = "weak") -> SetFamily:
+    """All subsets separated (weakly by default) from every member of the pattern."""
     n = pattern.n
     if n > _max_enum_n():
         raise ResourceGuardError(f"domain scan guard: n={n}")
-    return SetFamily(n, compatible_sets(set(pattern.cycle), n, "weak"))
+    return SetFamily(n, compatible_sets(set(pattern.cycle), n, relation))
 
 
-def domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:
+def domains(pattern: CyclicPattern, relation: str = "weak") -> tuple[SetFamily, SetFamily]:
     """Split the compatible sets into the closed inside and outside domains."""
     reg = regions(pattern)
-    compatible = pattern_compatible_sets(pattern)
+    compatible = pattern_compatible_sets(pattern, relation)
     inner, outer = [], []
     for x in compatible.members:
         where = reg.locate(x)
@@ -296,17 +296,7 @@ def domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:
 
 def strong_domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:
     """Inside/outside domains under strong separation."""
-    reg = regions(pattern)
-    n = pattern.n
-    compatible = compatible_sets(set(pattern.cycle), n, "strong")
-    inner, outer = [], []
-    for x in compatible:
-        where = reg.locate(x)
-        if where in ("inside", "on"):
-            inner.append(x)
-        if where in ("outside", "on"):
-            outer.append(x)
-    return SetFamily(n, inner), SetFamily(n, outer)
+    return domains(pattern, "strong")
 
 
 def verify_complementary(dom: SetFamily, dom2: SetFamily, relation: str = "weak") -> bool:
@@ -414,33 +404,6 @@ def _shortcut_path(path: tuple[int, ...], span: tuple[int, int], kids: list[tupl
     return tuple(out)
 
 
-def _fan_targets(combi: Combi, bottom: int) -> tuple[int, ...]:
-    """Left-to-right base path of the nabla fan at a vertex."""
-    fan = [v for v in combi.nablas if v.bottom == bottom]
-    by_left = {v.left: v for v in fan}
-    rights = {v.right for v in fan}
-    starts = [v.left for v in fan if v.left not in rights]
-    if len(starts) != 1:
-        raise TilingError("sector", "upper fan does not form a single chain")
-    path = [starts[0]]
-    while path[-1] in by_left:
-        path.append(by_left[path[-1]].right)
-    return tuple(path)
-
-
-def _fan_sources(combi: Combi, apex: int) -> tuple[int, ...]:
-    fan = [d for d in combi.deltas if d.apex == apex]
-    by_left = {d.left: d for d in fan}
-    rights = {d.right for d in fan}
-    starts = [d.left for d in fan if d.left not in rights]
-    if len(starts) != 1:
-        raise TilingError("sector", "lower fan does not form a single chain")
-    path = [starts[0]]
-    while path[-1] in by_left:
-        path.append(by_left[path[-1]].right)
-    return tuple(path)
-
-
 def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, QuasiCombi]:
     """Cut the combi along the pattern curve into inside/outside quasi-combies.
 
@@ -459,6 +422,11 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     reg = PatternRegions(pattern, gens, tuple(curve_points(pattern, gens)))
     h_edges = combi.horizontal_edges()
 
+    def encloses(probe: Point, masks) -> bool:
+        """Whether the polygon on these vertices, doubled, winds around the probe."""
+        pts = [embed(v, gens) for v in masks]
+        return winding_number(probe, [(2 * x, 2 * y) for x, y in pts]) != 0
+
     lens_cuts: dict[Lens, list[tuple[int, int]]] = {}
     upper_sector_cuts: dict[int, list[tuple[int, int]]] = {}
     lower_sector_cuts: dict[int, list[tuple[int, int]]] = {}
@@ -469,31 +437,23 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
         probe = tuple(map(sum, zip(embed(left, gens), embed(right, gens))))
         host = None
         for lens in combi.lenses:
-            if {left, right} <= set(lens.upper) | set(lens.lower):
-                pts = [(x * 2, y * 2) for x, y in (embed(v, gens) for v in lens.cycle())]
-                if winding_number(probe, pts) != 0:
-                    host = lens
-                    break
+            if {left, right} <= set(lens.upper) | set(lens.lower) and encloses(probe, lens.cycle()):
+                host = lens
+                break
         if host is not None:
             lens_cuts.setdefault(host, []).append((left, right))
             continue
         meet, join = a & b, a | b
         if meet in verts:
-            targets = _fan_targets(combi, meet)
-            if left in targets and right in targets:
-                sector = [meet] + list(targets)
-                pts = [(x * 2, y * 2) for x, y in (embed(v, gens) for v in sector)]
-                if winding_number(probe, pts) != 0:
-                    upper_sector_cuts.setdefault(meet, []).append((left, right))
-                    continue
+            targets = combi.nabla_fan(meet)
+            if left in targets and right in targets and encloses(probe, (meet, *targets)):
+                upper_sector_cuts.setdefault(meet, []).append((left, right))
+                continue
         if join in verts:
-            sources = _fan_sources(combi, join)
-            if left in sources and right in sources:
-                sector = list(sources) + [join]
-                pts = [(x * 2, y * 2) for x, y in (embed(v, gens) for v in sector)]
-                if winding_number(probe, pts) != 0:
-                    lower_sector_cuts.setdefault(join, []).append((left, right))
-                    continue
+            sources = combi.delta_fan(join)
+            if left in sources and right in sources and encloses(probe, (*sources, join)):
+                lower_sector_cuts.setdefault(join, []).append((left, right))
+                continue
         raise TilingError(
             "split",
             f"segment {bs.format_subset(a)}-{bs.format_subset(b)} cuts no tile",
@@ -545,37 +505,25 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
         else:
             lenses.add(Lens(top_u, top_l))
 
-    for bottom, chords in upper_sector_cuts.items():
-        targets = _fan_targets(combi, bottom)
-        tpos = {v: k for k, v in enumerate(targets)}
-        for a, b in zip(targets, targets[1:]):
-            nablas.discard(Nabla(bottom, bs.min_element(a & ~bottom), bs.min_element(b & ~bottom)))
-        spans = [(tpos[l], tpos[r]) for l, r in chords]
-        forest = _chord_spans(spans)
-        for span in forest:
-            if span == (-1, -1):
-                continue
-            path = _shortcut_path(targets, span, forest[span])
-            upper_semis.add(UpperSemiLens((targets[span[0]], targets[span[1]]), path))
-        top = _shortcut_path(targets, (0, len(targets) - 1), forest[(-1, -1)])
-        for a, b in zip(top, top[1:]):
-            nablas.add(Nabla(bottom, bs.min_element(a & ~bottom), bs.min_element(b & ~bottom)))
-
-    for apex, chords in lower_sector_cuts.items():
-        sources = _fan_sources(combi, apex)
-        spos = {v: k for k, v in enumerate(sources)}
-        for a, b in zip(sources, sources[1:]):
-            deltas.discard(Delta(apex, bs.min_element(apex & ~b), bs.min_element(apex & ~a)))
-        spans = [(spos[l], spos[r]) for l, r in chords]
-        forest = _chord_spans(spans)
-        for span in forest:
-            if span == (-1, -1):
-                continue
-            path = _shortcut_path(sources, span, forest[span])
-            lower_semis.add(LowerSemiLens((sources[span[0]], sources[span[1]]), path))
-        top = _shortcut_path(sources, (0, len(sources) - 1), forest[(-1, -1)])
-        for a, b in zip(top, top[1:]):
-            deltas.add(Delta(apex, bs.min_element(apex & ~b), bs.min_element(apex & ~a)))
+    # a cut fan keeps the triangles over its uncut stretches, and each cut
+    # chord closes a semi-lens over the fan path it spans
+    for cuts, fan_at, tile_on, tiles, semi, semis in (
+        (upper_sector_cuts, combi.nabla_fan, Nabla.on_base, nablas, UpperSemiLens, upper_semis),
+        (lower_sector_cuts, combi.delta_fan, Delta.on_base, deltas, LowerSemiLens, lower_semis),
+    ):
+        for corner, chords in cuts.items():
+            fan = fan_at(corner)
+            pos = {v: k for k, v in enumerate(fan)}
+            for a, b in zip(fan, fan[1:]):
+                tiles.discard(tile_on(corner, a, b))
+            forest = _chord_spans([(pos[l], pos[r]) for l, r in chords])
+            for span in forest:
+                if span != (-1, -1):
+                    path = _shortcut_path(fan, span, forest[span])
+                    semis.add(semi((fan[span[0]], fan[span[1]]), path))
+            top = _shortcut_path(fan, (0, len(fan) - 1), forest[(-1, -1)])
+            for a, b in zip(top, top[1:]):
+                tiles.add(tile_on(corner, a, b))
 
     def side(cycle_masks: list[int]) -> str:
         pts = [embed(v, gens) for v in cycle_masks]
@@ -674,37 +622,19 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
             lowers.discard(piece)
             left, right = piece.chord
             apex = left | right
-            t_low = bs.min_element(apex & ~right)
-            t_high = bs.min_element(apex & ~left)
-            cap = Delta(apex, t_low, t_high)
+            cap = Delta.on_base(apex, left, right)
             if cap in deltas:
                 deltas.discard(cap)
                 for a, b in piece.edges():
-                    deltas.add(Delta(apex, bs.min_element(apex & ~b), bs.min_element(apex & ~a)))
+                    deltas.add(Delta.on_base(apex, a, b))
                 continue
-            host_lens = next(
-                (
-                    l
-                    for l in lenses
-                    for p in range(len(l.lower) - 1)
-                    if l.lower[p] == left and l.lower[p + 1] == right
-                ),
-                None,
-            )
+            host_lens = _on_path(lenses, "lower", piece.chord)
             if host_lens is not None:
                 lenses.discard(host_lens)
                 spliced = _splice(host_lens.lower, piece.chord, piece.lower)
                 lenses.add(Lens(host_lens.upper, spliced))
                 continue
-            host_low = next(
-                (
-                    w
-                    for w in lowers
-                    for p in range(len(w.lower) - 1)
-                    if w.lower[p] == left and w.lower[p + 1] == right
-                ),
-                None,
-            )
+            host_low = _on_path(lowers, "lower", piece.chord)
             if host_low is not None:
                 lowers.discard(host_low)
                 lowers.add(
@@ -722,41 +652,19 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
             uppers.discard(piece)
             left, right = piece.chord
             bottom = left & right
-            cup = Nabla(
-                bottom,
-                bs.min_element(left & ~bottom),
-                bs.min_element(right & ~bottom),
-            )
+            cup = Nabla.on_base(bottom, left, right)
             if cup in nablas:
                 nablas.discard(cup)
                 for a, b in piece.edges():
-                    nablas.add(
-                        Nabla(bottom, bs.min_element(a & ~bottom), bs.min_element(b & ~bottom))
-                    )
+                    nablas.add(Nabla.on_base(bottom, a, b))
                 continue
-            host_lens = next(
-                (
-                    l
-                    for l in lenses
-                    for p in range(len(l.upper) - 1)
-                    if l.upper[p] == left and l.upper[p + 1] == right
-                ),
-                None,
-            )
+            host_lens = _on_path(lenses, "upper", piece.chord)
             if host_lens is not None:
                 lenses.discard(host_lens)
                 spliced = _splice(host_lens.upper, piece.chord, piece.upper)
                 lenses.add(Lens(spliced, host_lens.lower))
                 continue
-            host_up = next(
-                (
-                    u
-                    for u in uppers
-                    for p in range(len(u.upper) - 1)
-                    if u.upper[p] == left and u.upper[p + 1] == right
-                ),
-                None,
-            )
+            host_up = _on_path(uppers, "upper", piece.chord)
             if host_up is not None:
                 uppers.discard(host_up)
                 uppers.add(
@@ -776,6 +684,15 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
     if not want <= merged.vertex_masks():
         raise TilingError("merge", "merge lost vertices of the two halves")
     return merged
+
+
+def _on_path(pieces, side: str, edge: tuple[int, int]):
+    """Some piece whose `side` path ("upper" or "lower") has the edge, or
+    None; a scan, since the merge changes its pieces as it goes."""
+    return next(
+        (p for p in pieces if edge in zip(getattr(p, side), getattr(p, side)[1:])),
+        None,
+    )
 
 
 def _splice(path: tuple[int, ...], chord: tuple[int, int], insert: tuple[int, ...]) -> tuple[int, ...]:

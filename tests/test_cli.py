@@ -264,6 +264,25 @@ class TestCli:
         f.write_text(json.dumps(broken))
         assert cmd(["render", "--combi", str(f)]) == 1
 
+    @pytest.mark.parametrize(
+        "kind, corner_key, corner, base, detail",
+        [
+            ("deltas", "apex", [1, 2, 3], [[1, 2], [2]], "{1,2}-{2} is not the base of a delta at {1,2,3}"),
+            ("nablas", "bottom", [], [[1], [2, 3]], "{1}-{2,3} is not the base of a nabla at {}"),
+        ],
+    )
+    def test_triangle_base_is_checked(self, tmp_path, capsys, kind, corner_key, corner, base, detail):
+        # a base that does not fit its apex or bottom was once replaced by
+        # the one that does
+        data = jsonio.combi_to_json(interval_combi(3))
+        tile = next(t for t in data[kind] if t[corner_key] == corner)
+        tile["base"] = base
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(data))
+        assert cmd(["descend", "--combi", str(f), "--out", str(tmp_path / "out.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-input", "detail": detail}
+
     def test_verify_report_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["verify", "--paper-suite", "--max-n", "3", "--seed", "7", "--samples", "40"]

@@ -21,6 +21,8 @@ from zonotile.combi import (
     tile_label,
     validate_combi,
 )
+from zonotile.contraction import n_expand
+from zonotile.flips import lowering_flip
 from zonotile.geometry import default_generators
 from zonotile.rhombus import minimal_tiling
 from zonotile.separation import (
@@ -390,3 +392,164 @@ class TestAdjacentClassification:
         combi = from_rhombus(minimal_tiling(3))
         with pytest.raises(ValueError):
             adjacent_h_classify(combi, (M([1]), M([2])), (M([3]), M([2])))
+
+
+def _reference_fan_targets(combi, bottom):
+    """The left-to-right base path of the nabla fan at a vertex, as
+    `split_quasi` chained it before the index existed."""
+    fan = [v for v in combi.nablas if v.bottom == bottom]
+    by_left = {v.left: v for v in fan}
+    rights = {v.right for v in fan}
+    starts = [v.left for v in fan if v.left not in rights]
+    if len(starts) != 1:
+        raise TilingError("sector", "upper fan does not form a single chain")
+    path = [starts[0]]
+    while path[-1] in by_left:
+        path.append(by_left[path[-1]].right)
+    return tuple(path)
+
+
+def _reference_fan_sources(combi, apex):
+    fan = [d for d in combi.deltas if d.apex == apex]
+    by_left = {d.left: d for d in fan}
+    rights = {d.right for d in fan}
+    starts = [d.left for d in fan if d.left not in rights]
+    if len(starts) != 1:
+        raise TilingError("sector", "lower fan does not form a single chain")
+    path = [starts[0]]
+    while path[-1] in by_left:
+        path.append(by_left[path[-1]].right)
+    return tuple(path)
+
+
+def _reference_lens_scan(combi, edge, side):
+    """Every lens with the edge on that boundary, by a scan of all lenses."""
+    a, b = edge
+    hosts = []
+    for lens in combi.lenses:
+        path = lens.upper if side == "upper" else lens.lower
+        for p in range(len(path) - 1):
+            if path[p] == a and path[p + 1] == b:
+                hosts.append(lens)
+    return hosts
+
+
+# A weak collection at n=5 whose delta fan at {1,3,4,5} has three deltas,
+# with a W-configuration in the middle of that fan and a legal path that
+# peaks there.
+_FAN5 = [
+    [], [1], [1, 2], [1, 3], [1, 2, 3], [1, 3, 4], [1, 2, 3, 4], [5], [1, 5], [1, 3, 5],
+    [4, 5], [1, 4, 5], [3, 4, 5], [1, 3, 4, 5], [2, 3, 4, 5], [1, 2, 3, 4, 5],
+]
+
+
+class TestIncidenceIndex:
+    def test_fans_match_reference_scans(self):
+        for n in range(1, 6):
+            for combi in _all_combis(n):
+                bottoms = {v.bottom for v in combi.nablas}
+                apexes = {d.apex for d in combi.deltas}
+                for x in combi.vertex_masks():
+                    want = _reference_fan_targets(combi, x) if x in bottoms else ()
+                    assert combi.nabla_fan(x) == want
+                    want = _reference_fan_sources(combi, x) if x in apexes else ()
+                    assert combi.delta_fan(x) == want
+
+    def test_lens_on_matches_full_scan(self):
+        for n in range(1, 6):
+            for combi in _all_combis(n):
+                lens_edges = set()
+                for lens in combi.lenses:
+                    for side, path in (("upper", lens.upper), ("lower", lens.lower)):
+                        for e in zip(path, path[1:]):
+                            lens_edges.add((side, e))
+                            assert [combi.lens_on(e, side)] == _reference_lens_scan(combi, e, side)
+                for side in ("upper", "lower"):
+                    for e in combi.horizontal_edges() | combi.vertical_edges():
+                        if (side, e) not in lens_edges:
+                            assert _reference_lens_scan(combi, e, side) == []
+                            assert combi.lens_on(e, side) is None
+
+    def test_index_is_not_part_of_equality(self):
+        combi = from_w_collection(SetFamily(5, [M(s) for s in _FAN5]))
+        fresh = Combi(5, combi.deltas, combi.nablas, combi.lenses)
+        combi.delta_fan(M([1, 3, 4, 5]))
+        combi.lens_on((M([1]), M([2])), "lower")
+        assert combi == fresh and hash(combi) == hash(fresh)
+
+    def test_broken_fan_raises_everywhere(self):
+        combi = from_w_collection(SetFamily(5, [M(s) for s in _FAN5]))
+        mid = M([1, 3, 4, 5])
+        fan = combi.delta_fan(mid)
+        assert fan == (M([1, 3, 4]), M([1, 3, 5]), M([1, 4, 5]), M([3, 4, 5]))
+        middle = Delta.on_base(mid, fan[1], fan[2])
+        broken = Combi(5, combi.deltas - {middle}, combi.nablas, combi.lenses)
+        with pytest.raises(TilingError) as info:
+            broken.delta_fan(mid)
+        assert info.value.axiom == "fan"
+        (w,) = [w for w in find_w_configs(broken) if w.middle == mid]
+        with pytest.raises(TilingError) as info:
+            lowering_flip(broken, w, validate=False)
+        assert info.value.axiom == "fan"
+        path = tuple(
+            M(s)
+            for s in ([], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 3, 4], [1, 3, 4, 5],
+                      [3, 4, 5], [2, 3, 4, 5], [1, 2, 3, 4, 5])
+        )
+        with pytest.raises(TilingError) as info:
+            n_expand(broken, path)
+        assert info.value.axiom == "fan"
+
+    def test_fan_that_is_not_one_path_raises(self):
+        # at {}: two bases leaving {1}, then two separate stretches
+        for nablas, text in (
+            ([Nabla(0, 1, 2), Nabla(0, 1, 3)], "fan: nabla fan at {} has duplicate left vertices"),
+            ([Nabla(0, 1, 2), Nabla(0, 3, 4)], "fan: nabla fan at {} does not start at one vertex"),
+        ):
+            with pytest.raises(TilingError) as info:
+                Combi(4, nablas=nablas).nabla_fan(0)
+            assert str(info.value) == text
+        assert Combi(3, nablas=[Nabla(0, 2, 3), Nabla(0, 1, 2)]).nabla_fan(0) == (
+            M([1]), M([2]), M([3])
+        )
+
+    def test_shared_lens_edge_raises(self):
+        lower = (M([1, 2]), M([1, 5]), M([2, 5]))
+        first = Lens((M([1, 2]), M([2, 3]), M([2, 5])), lower)
+        second = Lens((M([1, 2]), M([2, 4]), M([2, 5])), lower)
+        combi = Combi(5, lenses=[first, second])
+        with pytest.raises(TilingError) as info:
+            combi.lens_on((M([1, 2]), M([1, 5])), "lower")
+        assert str(info.value) == "lens: two lenses have {1,2}-{1,5} on their lower boundary"
+        assert combi.lens_on((M([1, 2]), M([2, 3])), "upper") == first
+        assert combi.lens_on((M([1, 2]), M([2, 4])), "upper") == second
+        with pytest.raises(ValueError):
+            combi.lens_on((M([1, 2]), M([2, 3])), "left")
+
+    def test_on_base(self):
+        for combi in _all_combis(4):
+            for d in combi.deltas:
+                assert Delta.on_base(d.apex, d.left, d.right) == d
+            for v in combi.nablas:
+                assert Nabla.on_base(v.bottom, v.left, v.right) == v
+        with pytest.raises(ValueError, match=r"\{1,2\}-\{2\} is not the base of a delta at \{1,2,3\}"):
+            Delta.on_base(M([1, 2, 3]), M([1, 2]), M([2]))
+        with pytest.raises(ValueError):
+            Delta.on_base(M([1, 2, 3]), M([2, 3]), M([1, 2]))
+        with pytest.raises(ValueError, match=r"\{1\}-\{2,3\} is not the base of a nabla at \{\}"):
+            Nabla.on_base(0, M([1]), M([2, 3]))
+        with pytest.raises(ValueError):
+            Nabla.on_base(M([1]), M([1, 2]), M([1]))
+
+
+def test_range_check_names_a_tile_independent_of_order():
+    # the same tiles given in two orders, on a ground set one too small,
+    # name the same out-of-range tile
+    for combi in _all_combis(5):
+        d, v, l = sorted(combi.deltas), sorted(combi.nablas), sorted(combi.lenses)
+        texts = []
+        for order in (1, -1):
+            with pytest.raises(ValueError) as info:
+                Combi(4, d[::order], v[::order], l[::order])
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from zonotile import bitsets as bs
@@ -9,6 +11,7 @@ from zonotile.combi import (
     from_w_collection,
     spectrum,
 )
+from zonotile.contraction import n_contract, n_expand
 from zonotile.flips import (
     complement_combi,
     descend_to_minimum,
@@ -62,6 +65,26 @@ def test_every_flip_matches_set_flip_n4():
             assert flipped.size_sum() == combi.size_sum() - 1
             back = raising_flip(flipped, MConfig(w.core, w.i, w.j, w.k))
             assert back == combi
+
+
+def test_flips_and_round_trip_on_sampled_n6():
+    # beyond the exhaustive n <= 5 checks: 100 of the 3,694 weak collections
+    # at n=6, drawn with a fixed seed
+    families = _all_families(6)
+    assert len(families) == 3694
+    flips = 0
+    for fam in random.Random(6).sample(families, 100):
+        combi = from_w_collection(fam, check_input=False)
+        for w in find_w_configs(combi):
+            lowered = lowering_flip(combi, w)
+            assert spectrum(lowered) == set_flip(fam, w.core, w.i, w.j, w.k, "lower")
+            flips += 1
+        for m in find_m_configs(combi):
+            raised = raising_flip(combi, m)
+            assert spectrum(raised) == set_flip(fam, m.core, m.i, m.j, m.k, "raise")
+            flips += 1
+        assert n_expand(*n_contract(combi)) == combi
+    assert flips == 627
 
 
 def test_flip_feasible_whenever_witnesses_present_n4():

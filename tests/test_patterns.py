@@ -27,6 +27,7 @@ from zonotile.patterns import (
 from zonotile.rhombus import from_s_collection, minimal_tiling
 from zonotile.separation import (
     Permutation,
+    ResourceGuardError,
     enumerate_maximal,
     hypercube_domain,
     inversions,
@@ -180,6 +181,14 @@ class TestComplementaryPairs:
             assert sin.pure and win.pure and sin.ranks == win.ranks
             checked += 1
         assert checked >= 4
+
+    def test_domain_guard_covers_both_relations(self, monkeypatch):
+        monkeypatch.setenv("ZONOTILE_MAX_N", "3")
+        pat = boundary_pattern(4)
+        for scan in (domains, strong_domains):
+            with pytest.raises(ResourceGuardError, match="domain scan guard: n=4"):
+                scan(pat)
+        assert strong_domains(boundary_pattern(3)) == domains(boundary_pattern(3), "strong")
 
 
 class TestSplitMerge:
