@@ -21,7 +21,7 @@ from .combi import (
     from_w_collection,
     validate_combi,
 )
-from .contraction import legal_path_report, n_contract, n_expand
+from .contraction import n_contract, n_expand
 from .flips import descend_to_minimum, lowering_flip, raising_flip
 from .patterns import classify_pattern, domains, verify_complementary, verify_purity
 from .render import RenderStyle, render_svg
@@ -231,9 +231,6 @@ def _dispatch(args) -> int:
         combi = jsonio.combi_from_json(_load(args.combi))
         validate_combi(combi)
         path = jsonio.path_from_json(_load(args.path))
-        ok, why = legal_path_report(combi, path)
-        if not ok:
-            raise ValueError(why)
         _dump(jsonio.combi_to_json(n_expand(combi, path)), args.out)
         return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import bitsets as bs
 from ._planar import TilingError
 from .combi import Combi, Delta, Lens, Nabla, Tile, validate_combi
-from .geometry import embed, default_generators, winding_number
+from .geometry import default_generators, embedding_table, winding_number
 
 
 @dataclass(frozen=True)
@@ -244,18 +244,22 @@ def n_expand(combi: Combi, path) -> Combi:
     n2 = combi.n
     n = n2 + 1
     sn = bs.singleton(n)
-    gens = default_generators(n2)
+    table = embedding_table(default_generators(n2))
     lbd = [(1 << k) - 1 for k in range(n2 + 1)]
-    region = [embed(v, gens) for v in lbd] + [embed(v, gens) for v in reversed(path[1:-1])]
+    region = [table[v] for v in lbd + list(reversed(path[1:-1]))]
+    # the region scaled by each tile size m, so the probe (m times a tile's
+    # centroid) stays an integer point
+    scaled_by: dict[int, list[tuple[int, int]]] = {}
 
     def left_of_path(cycle_masks: list[int]) -> bool:
-        pts = [embed(v, gens) for v in cycle_masks]
-        m = len(pts)
+        m = len(cycle_masks)
+        scaled = scaled_by.get(m)
+        if scaled is None:
+            scaled = scaled_by[m] = [(x * m, y * m) for x, y in region]
+        pts = [table[v] for v in cycle_masks]
         probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
-        scaled = [(p[0] * m, p[1] * m) for p in region]
         return winding_number(probe, scaled) != 0
 
-    roles = dict(zip(path[1:-1], path_vertex_roles(combi, path)))
     # at each backward edge peak -> pit, the stretches of the delta fan at
     # the peak and of the nabla fan at the pit that the new lens replaces
     fills = []
@@ -295,12 +299,11 @@ def n_expand(combi: Combi, path) -> Combi:
             )
 
     # new strip tiles: one nabla/delta pair per slope plus the two end tiles
-    for d in range(1, len(path) - 1):
-        if roles[path[d]] != "slope":
+    for prev, v, nxt in zip(path, path[1:], path[2:]):
+        if not bs.size(prev) < bs.size(v) < bs.size(nxt):
             continue
-        v = path[d]
-        nablas.append(Nabla(v, _step_type(v, path[d + 1]), n))
-        deltas.append(Delta(v | sn, _step_type(path[d - 1], v), n))
+        nablas.append(Nabla(v, _step_type(v, nxt), n))
+        deltas.append(Delta(v | sn, _step_type(prev, v), n))
     nablas.append(Nabla(0, _step_type(path[0], path[1]), n))
     deltas.append(Delta(bs.full_mask(n), _step_type(path[-2], path[-1]), n))
 

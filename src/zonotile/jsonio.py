@@ -171,16 +171,6 @@ def pattern_from_json(data: Any) -> CyclicPattern:
     return CyclicPattern(n, [subset_from_json(v) for v in cycle])
 
 
-def graph_pattern_to_json(pat: GraphPattern) -> dict:
-    verts = list(pat.vertices)
-    index = {v: k for k, v in enumerate(verts)}
-    return {
-        "n": pat.n,
-        "vertices": [subset_to_json(v) for v in verts],
-        "edges": [[index[u], index[v]] for u, v in pat.edges],
-    }
-
-
 def graph_pattern_from_json(data: Any) -> GraphPattern:
     n = _int(_field(data, "n", "graph pattern"), "n")
     verts = [subset_from_json(v) for v in _list(_field(data, "vertices", "graph pattern"), "vertices")]

@@ -1,0 +1,32 @@
+"""The benchmark's tracer (`perfbench/spans.py`) names zonotile functions by
+string.  A rename that misses it would break only traced benchmark runs, so
+these tests check that every name it uses still resolves."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from zonotile.suite import run_suite
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_and_counted_functions_exist():
+    spans = _spans()
+    for module, func, _ in spans.SPANS + spans.COUNTED:
+        target = importlib.import_module(f"zonotile.{module}")
+        assert callable(getattr(target, func, None)), f"zonotile.{module}.{func} is gone"
+    # the tracer also wraps the relations where separation's loops look them up
+    assert isinstance(importlib.import_module("zonotile.separation")._RELATION_FUNC, dict)
+
+
+def test_suite_checks_match_report_keys():
+    checks = run_suite(max_n=3, seed=7, samples=5)["checks"]
+    assert tuple(checks) == _spans().SUITE_CHECKS

@@ -215,6 +215,19 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "P1" in err["detail"]
 
+    def test_expand_illegal_path_error_text_and_exit_code(self, tmp_path, capsys):
+        # n_expand checks the path itself; the CLI passes its error on unchanged
+        combi_file = tmp_path / "c.json"
+        combi_file.write_text(json.dumps(jsonio.combi_to_json(interval_combi(3))))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"vertices": [[], [3], [1, 3], [1, 2, 3]]}))
+        assert cmd(["expand", "--combi", str(combi_file), "--path", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == (
+            '{"error": "invalid-input", "detail": "P1: {3}->{1,3} is not a vertical edge"}'
+        )
+
     def test_flip_and_descend(self, tmp_path):
         high = from_w_collection(
             enumerate_maximal(hypercube_domain(3), "weak").maximal_collections[1],

@@ -33,6 +33,7 @@ from zonotile.separation import (
     interval_collection,
     is_maximal_separated,
 )
+from zonotile.suite import all_combis
 
 M = bs.mask_of
 
@@ -90,11 +91,6 @@ def _reference_combi(family):
     return Combi(n, deltas, nablas, lenses)
 
 
-def _all_combis(n):
-    report = enumerate_maximal(hypercube_domain(n), "weak")
-    return [from_w_collection(f, check_input=False) for f in report.maximal_collections]
-
-
 class TestTileTypes:
     def test_delta_vertices(self):
         d = Delta(M([1, 2]), 1, 2)
@@ -132,7 +128,7 @@ class TestValidation:
     def test_missing_tile_names_its_edge(self):
         # Removing any tile leaves one of its edges unshared, and the error
         # names that edge, in one direction or the other.
-        for combi in _all_combis(4)[:4]:
+        for combi in all_combis(4)[:4]:
             for tile in combi.tiles():
                 short = Combi(4, combi.deltas - {tile}, combi.nablas - {tile}, combi.lenses - {tile})
                 with pytest.raises(TilingError) as info:
@@ -146,7 +142,7 @@ class TestValidation:
     def test_tile_named_only_when_raising(self):
         gens = default_generators(3)
         boundary, area2 = zonogon_region(gens)
-        combi = _all_combis(3)[0]
+        combi = all_combis(3)[0]
         labelled = []
 
         def label(tile):
@@ -228,7 +224,7 @@ class TestValidation:
 class TestSpectrum:
     def test_vertex_count(self):
         for n in (2, 3, 4, 5):
-            for combi in _all_combis(n):
+            for combi in all_combis(n):
                 assert len(combi.vertex_masks()) == n * (n + 1) // 2 + 1
 
     def test_z1_combi(self):
@@ -237,7 +233,7 @@ class TestSpectrum:
         assert combi.vertex_masks() == frozenset({0, 1})
 
     def test_spectra_are_maximal_weak(self):
-        for combi in _all_combis(4):
+        for combi in all_combis(4):
             assert is_maximal_separated(spectrum(combi), "weak")
 
 
@@ -282,7 +278,7 @@ class TestReconstruction:
 
     def test_every_adjacent_pair_is_an_edge(self):
         # X and X+i in the spectrum always join by a vertical edge
-        for combi in _all_combis(4):
+        for combi in all_combis(4):
             verts = combi.vertex_masks()
             edges = combi.vertical_edges()
             for x in verts:
@@ -293,7 +289,7 @@ class TestReconstruction:
     def test_pair_vertex_alternatives(self):
         # for vertices X+i, X+j one of: X present, X+i+j present, or both on
         # one lens boundary
-        for combi in _all_combis(4):
+        for combi in all_combis(4):
             verts = combi.vertex_masks()
             lens_uppers = [set(l.upper) for l in combi.lenses]
             lens_lowers = [set(l.lower) for l in combi.lenses]
@@ -313,13 +309,13 @@ class TestReconstruction:
 
 class TestGirdles:
     def test_lens_levels_constant(self):
-        for combi in _all_combis(5):
+        for combi in all_combis(5):
             for lens in combi.lenses:
                 sizes = {bs.size(v) for v in lens.upper} | {bs.size(v) for v in lens.lower}
                 assert len(sizes) == 1
 
     def test_girdle_content(self):
-        for combi in _all_combis(4):
+        for combi in all_combis(4):
             for level in (1, 2, 3):
                 lenses, degenerate = girdle(combi, level)
                 for l in lenses:
@@ -331,7 +327,7 @@ class TestGirdles:
         # the chained nabla bases of each level run from the left-boundary
         # vertex [1..h] to the right-boundary vertex [(n-h+1)..n]
         n = 4
-        for combi in _all_combis(n):
+        for combi in all_combis(n):
             for level in range(1, n):
                 bases = sorted(v.base for v in combi.nablas if bs.size(v.left) == level)
                 succ = dict(bases)
@@ -377,7 +373,7 @@ class TestAdjacentClassification:
         assert verdict == "two-deltas"
 
     def test_lens_lower(self):
-        for combi in _all_combis(4):
+        for combi in all_combis(4):
             for lens in combi.lenses:
                 if len(lens.lower) >= 3:
                     e1 = (lens.lower[0], lens.lower[1])
@@ -446,7 +442,7 @@ _FAN5 = [
 class TestIncidenceIndex:
     def test_fans_match_reference_scans(self):
         for n in range(1, 6):
-            for combi in _all_combis(n):
+            for combi in all_combis(n):
                 bottoms = {v.bottom for v in combi.nablas}
                 apexes = {d.apex for d in combi.deltas}
                 for x in combi.vertex_masks():
@@ -457,7 +453,7 @@ class TestIncidenceIndex:
 
     def test_lens_on_matches_full_scan(self):
         for n in range(1, 6):
-            for combi in _all_combis(n):
+            for combi in all_combis(n):
                 lens_edges = set()
                 for lens in combi.lenses:
                     for side, path in (("upper", lens.upper), ("lower", lens.lower)):
@@ -527,7 +523,7 @@ class TestIncidenceIndex:
             combi.lens_on((M([1, 2]), M([2, 3])), "left")
 
     def test_on_base(self):
-        for combi in _all_combis(4):
+        for combi in all_combis(4):
             for d in combi.deltas:
                 assert Delta.on_base(d.apex, d.left, d.right) == d
             for v in combi.nablas:
@@ -545,7 +541,7 @@ class TestIncidenceIndex:
 def test_range_check_names_a_tile_independent_of_order():
     # the same tiles given in two orders, on a ground set one too small,
     # name the same out-of-range tile
-    for combi in _all_combis(5):
+    for combi in all_combis(5):
         d, v, l = sorted(combi.deltas), sorted(combi.nablas), sorted(combi.lenses)
         texts = []
         for order in (1, -1):

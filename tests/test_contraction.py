@@ -1,7 +1,6 @@
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile.combi import from_w_collection
 from zonotile.contraction import (
     enumerate_legal_paths,
     extract_n_strip,
@@ -16,13 +15,9 @@ from zonotile.contraction import (
 )
 from zonotile.flips import interval_combi
 from zonotile.separation import enumerate_maximal, hypercube_domain
+from zonotile.suite import all_combis
 
 M = bs.mask_of
-
-
-def _all_combis(n):
-    report = enumerate_maximal(hypercube_domain(n), "weak")
-    return [from_w_collection(f, check_input=False) for f in report.maximal_collections]
 
 
 def test_strip_of_z2():
@@ -34,7 +29,7 @@ def test_strip_of_z2():
 
 def test_strip_endpoints():
     for n in (3, 4, 5):
-        for combi in _all_combis(n):
+        for combi in all_combis(n):
             strip = extract_n_strip(combi)
             assert strip.left_path[0] == 0
             assert strip.left_path[-1] == bs.full_mask(n) ^ bs.singleton(n)
@@ -43,7 +38,7 @@ def test_strip_endpoints():
 
 
 def test_strip_collects_every_starred_tile_once():
-    for combi in _all_combis(4):
+    for combi in all_combis(4):
         strip = extract_n_strip(combi)
         starred = {d for d in combi.deltas if d.high == 4}
         starred |= {v for v in combi.nablas if v.high == 4}
@@ -90,7 +85,7 @@ def test_legal_path_rules():
 
 
 def test_round_trip_forward_n5():
-    for combi in _all_combis(5):
+    for combi in all_combis(5):
         smaller, path = n_contract(combi)
         assert n_expand(smaller, path) == combi
 
@@ -98,7 +93,7 @@ def test_round_trip_forward_n5():
 def test_round_trip_converse_and_count():
     for n2 in (2, 3, 4):
         pairs = 0
-        for combi in _all_combis(n2):
+        for combi in all_combis(n2):
             for path in enumerate_legal_paths(combi):
                 expanded = n_expand(combi, path)
                 back, path_back = n_contract(expanded)
@@ -115,7 +110,7 @@ def test_expand_rejects_illegal_path():
 
 
 def test_mirror_involution_and_counts():
-    for combi in _all_combis(4):
+    for combi in all_combis(4):
         mirrored = mirror(combi)
         assert mirror(mirrored) == combi
         assert len(mirrored.deltas) == len(combi.deltas)
@@ -132,7 +127,7 @@ def test_mirror_of_intervals_is_intervals():
 
 
 def test_first_contract_round_trip():
-    for combi in _all_combis(4):
+    for combi in all_combis(4):
         smaller, path = first_contract(combi)
         assert first_expand(smaller, path) == combi
 
@@ -140,7 +135,7 @@ def test_first_contract_round_trip():
 def test_contraction_of_lens_combi():
     # a combi with a type-*n lens exercises the L-Z transformation
     hit = False
-    for combi in _all_combis(5):
+    for combi in all_combis(5):
         if any(l.upper_types[-1] == 5 for l in combi.lenses):
             smaller, path = n_contract(combi)
             assert n_expand(smaller, path) == combi
