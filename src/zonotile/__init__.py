@@ -45,7 +45,7 @@ from .geometry import (
     embed,
     embedding_table,
     point_in_closed_polyline,
-    segments_properly_cross,
+    segment_contact,
 )
 from .rhombus import (
     Rhombus,

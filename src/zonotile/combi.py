@@ -191,11 +191,6 @@ class Lens:
         c = self.upper_center
         return tuple(bs.min_element(v & ~c) for v in self.upper)
 
-    @property
-    def lower_types(self) -> tuple[int, ...]:
-        u = self.lower_center
-        return tuple(bs.min_element(u & ~v) for v in self.lower)
-
     def cycle(self) -> list[int]:
         return list(self.lower) + list(reversed(self.upper))[1:-1]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import bitsets as bs
 from ._planar import TilingError
 from .combi import Combi, Delta, Lens, Nabla, Tile, validate_combi
-from .geometry import default_generators, embedding_table, winding_number
+from .geometry import default_generators, embedding_table, point_in_closed_polyline
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def n_expand(combi: Combi, path) -> Combi:
             scaled = scaled_by[m] = [(x * m, y * m) for x, y in region]
         pts = [table[v] for v in cycle_masks]
         probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
-        return winding_number(probe, scaled) != 0
+        return point_in_closed_polyline(probe, scaled) == "inside"
 
     # at each backward edge peak -> pit, the stretches of the delta fan at
     # the peak and of the nabla fan at the pit that the new lens replaces

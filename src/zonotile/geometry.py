@@ -30,12 +30,6 @@ def add(a: Point, b: Point) -> Point:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the turn a->b->c: +1 left, -1 right, 0 collinear."""
-    d = cross(sub(b, a), sub(c, a))
-    return (d > 0) - (d < 0)
-
-
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
@@ -162,60 +156,64 @@ def boundary_cycle(gens: Generators) -> list[int]:
     return right[:-1] + list(reversed(left))[:-1]
 
 
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """p lies on the closed segment [a, b]."""
-    if orient(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
+def segment_contact(a: Point, b: Point, c: Point, d: Point) -> str:
+    """How the closed segments [a, b] and [c, d] meet: 'none', 'endpoint' or 'cross'.
 
-
-def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Open segments (a,b) and (c,d) share exactly one interior point."""
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
-
-
-def collinear_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Segments are collinear and share more than one point."""
-    if orient(a, b, c) != 0 or orient(a, b, d) != 0:
-        return False
-    pts = [p for p in (c, d) if on_segment(p, a, b)] + [
-        p for p in (a, b) if on_segment(p, c, d)
-    ]
-    return len(set(pts)) >= 2
+    'endpoint' is one shared endpoint and nothing else.  'cross' is any other
+    contact: the interiors cross, an endpoint touches the other segment's
+    interior, or the two touch in two distinct points, which is a collinear
+    overlap.
+    """
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = d[0] - c[0], d[1] - c[1]
+    o1 = ux * (c[1] - a[1]) - uy * (c[0] - a[0])
+    o2 = ux * (d[1] - a[1]) - uy * (d[0] - a[0])
+    o3 = vx * (a[1] - c[1]) - vy * (a[0] - c[0])
+    o4 = vx * (b[1] - c[1]) - vy * (b[0] - c[0])
+    if o1 * o2 > 0 or o3 * o4 > 0:
+        return "none"
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return "cross"
+    # some endpoint is collinear with the other segment: it touches that
+    # segment exactly when it also lies in its bounding box
+    touching = {
+        p
+        for p, o, s, t in ((c, o1, a, b), (d, o2, a, b), (a, o3, c, d), (b, o4, c, d))
+        if o == 0 and (p[0] - s[0]) * (p[0] - t[0]) <= 0 and (p[1] - s[1]) * (p[1] - t[1]) <= 0
+    }
+    if not touching:
+        return "none"
+    if len(touching) > 1:
+        return "cross"
+    (p,) = touching
+    return "endpoint" if p in (a, b) and p in (c, d) else "cross"
 
 
 def point_in_closed_polyline(p: Point, points: list[Point]) -> str:
     """Locate p against a closed polyline: 'inside', 'on', or 'outside'.
 
-    The polyline is given by its vertices (closing edge implied).  Uses the
-    exact winding number, so it also behaves sensibly for curves with
-    touch-points (where touched points report 'on').
+    The polyline is given by its vertices (closing edge implied).  One pass
+    over the edges: each edge whose closed y-range holds p gets one exact
+    determinant, which either puts p on that edge or updates the winding
+    number (Hormann & Agathos 2001).  Points of a curve with touch-points
+    therefore report 'on', and 'inside' means a nonzero winding number.
     """
-    r = len(points)
-    if r < 2:
+    if len(points) < 2:
         raise ValueError("polyline needs at least 2 points")
-    for k in range(r):
-        if on_segment(p, points[k], points[(k + 1) % r]):
-            return "on"
-    return "inside" if winding_number(p, points) != 0 else "outside"
-
-
-def winding_number(p: Point, points: list[Point]) -> int:
+    px, py = p
     wind = 0
-    r = len(points)
-    for k in range(r):
-        a, b = points[k], points[(k + 1) % r]
-        if a[1] <= p[1]:
-            if b[1] > p[1] and orient(a, b, p) > 0:
+    ax, ay = points[-1]
+    for bx, by in points:
+        if (ay - py) * (by - py) <= 0:
+            det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if det == 0 and (ax - px) * (bx - px) <= 0:
+                return "on"
+            if ay <= py < by and det > 0:
                 wind += 1
-        elif b[1] <= p[1] and orient(a, b, p) < 0:
-            wind -= 1
-    return wind
+            elif by <= py < ay and det < 0:
+                wind -= 1
+        ax, ay = bx, by
+    return "inside" if wind else "outside"
 
 
 def polygon_area2(points: list[Point]) -> int:

@@ -23,16 +23,13 @@ from .geometry import (
     Generators,
     Point,
     angle_sort_key,
-    boundary_vertices,
-    collinear_overlap,
+    boundary_cycle,
     default_generators,
     embed,
-    on_segment,
     point_in_closed_polyline,
     polygon_area2,
-    segments_properly_cross,
+    segment_contact,
     sub,
-    winding_number,
 )
 from .separation import (
     ResourceGuardError,
@@ -93,8 +90,7 @@ class CyclicPattern:
 
 
 def boundary_pattern(n: int) -> CyclicPattern:
-    left, right = boundary_vertices(default_generators(n))
-    return CyclicPattern(n, tuple(right[:-1]) + tuple(reversed(left))[:-1])
+    return CyclicPattern(n, boundary_cycle(default_generators(n)))
 
 
 def _pairwise_weakly_separated(members) -> bool:
@@ -144,24 +140,6 @@ def curve_points(pattern: CyclicPattern, gens: Generators | None = None) -> list
     return [embed(v, gens) for v in pattern.cycle]
 
 
-def _segment_contact(a: Point, b: Point, c: Point, d: Point) -> str:
-    """'none', 'cross' (interior contact or overlap), or 'endpoint'."""
-    if segments_properly_cross(a, b, c, d):
-        return "cross"
-    if collinear_overlap(a, b, c, d):
-        return "cross"
-    touching = [
-        p
-        for p in set((a, b, c, d))
-        if (p in (a, b) and on_segment(p, c, d)) or (p in (c, d) and on_segment(p, a, b))
-    ]
-    if not touching:
-        return "none"
-    if all(p in (a, b) and p in (c, d) for p in touching):
-        return "endpoint"
-    return "cross"
-
-
 def _chords_laminar(pairs: list[tuple[int, int]], m: int) -> bool:
     """Pairs over cyclic positions 0..m-1 must not interleave."""
     for (a, b), (c, d) in combinations(pairs, 2):
@@ -175,17 +153,12 @@ def curve_kind(pattern: CyclicPattern, gens: Generators | None = None) -> str:
     """Geometric verdict on the closed curve: 'simple', 'touching', 'crossing'."""
     pts = curve_points(pattern, gens)
     r = len(pts)
+    # adjacent segments share an endpoint, so for them "cross" is exactly a
+    # collinear fold-back
     for i in range(r):
         a, b = pts[i], pts[(i + 1) % r]
         for j in range(i + 1, r):
-            c, d = pts[j], pts[(j + 1) % r]
-            adjacent = j == i + 1 or (i == 0 and j == r - 1)
-            if adjacent:
-                # sharing an endpoint is fine; folding back onto itself is not
-                if collinear_overlap(a, b, c, d):
-                    return "crossing"
-                continue
-            if _segment_contact(a, b, c, d) == "cross":
+            if segment_contact(a, b, pts[j], pts[(j + 1) % r]) == "cross":
                 return "crossing"
     multiplicity: dict[Point, list[int]] = {}
     for idx, p in enumerate(pts):
@@ -257,10 +230,6 @@ class PatternRegions:
 
     def locate(self, mask: int) -> str:
         return point_in_closed_polyline(embed(mask, self.gens), list(self.points))
-
-    def locate_point(self, point: Point, scale: int = 1) -> str:
-        pts = [(x * scale, y * scale) for x, y in self.points]
-        return point_in_closed_polyline(point, pts)
 
 
 def regions(pattern: CyclicPattern, gens: Generators | None = None) -> PatternRegions:
@@ -423,9 +392,9 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     h_edges = combi.horizontal_edges()
 
     def encloses(probe: Point, masks) -> bool:
-        """Whether the polygon on these vertices, doubled, winds around the probe."""
+        """Whether the probe lies inside the polygon on these vertices, doubled."""
         pts = [embed(v, gens) for v in masks]
-        return winding_number(probe, [(2 * x, 2 * y) for x, y in pts]) != 0
+        return point_in_closed_polyline(probe, [(2 * x, 2 * y) for x, y in pts]) == "inside"
 
     lens_cuts: dict[Lens, list[tuple[int, int]]] = {}
     upper_sector_cuts: dict[int, list[tuple[int, int]]] = {}
@@ -529,7 +498,7 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
         pts = [embed(v, gens) for v in cycle_masks]
         m = len(pts)
         probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
-        where = reg.locate_point(probe, scale=m)
+        where = point_in_closed_polyline(probe, [(x * m, y * m) for x, y in reg.points])
         if where == "on":
             raise TilingError("split", "piece centroid landed on the curve")
         return "in" if where == "inside" else "out"
@@ -750,8 +719,7 @@ def graph_pattern(n: int, vertices, edges, add_boundary: bool = True) -> GraphPa
     verts = set(vertices)
     edge_set = {(min(u, v), max(u, v)) for u, v in edges}
     if add_boundary:
-        left, right = boundary_vertices(default_generators(n))
-        cyc = right[:-1] + list(reversed(left))[:-1]
+        cyc = boundary_cycle(default_generators(n))
         verts.update(cyc)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             edge_set.add((min(a, b), max(a, b)))
@@ -770,8 +738,7 @@ def graph_pattern(n: int, vertices, edges, add_boundary: bool = True) -> GraphPa
     gens = default_generators(n)
     pts = {v: embed(v, gens) for v in pat.vertices}
     for (a, b), (c, d) in combinations(pat.edges, 2):
-        contact = _segment_contact(pts[a], pts[b], pts[c], pts[d])
-        if contact == "cross":
+        if segment_contact(pts[a], pts[b], pts[c], pts[d]) == "cross":
             raise ValueError(f"edges {(a, b)} and {(c, d)} cross in the plane")
     return pat
 
@@ -822,22 +789,15 @@ def pattern_faces(pat: GraphPattern, gens: Generators | None = None) -> list[Pat
 def _face_closure_contains(
     face: PatternFace, all_faces: list[PatternFace], point: Point, pts_cache: dict[int, Point]
 ) -> bool:
-    cyc = [pts_cache[v] for v in face.cycle]
-    m = len(cyc)
-    for k in range(m):
-        if on_segment(point, cyc[k], cyc[(k + 1) % m]):
-            return True
-    if winding_number(point, cyc) == 0:
-        return False
-    for other in all_faces:
-        if other is face or other.area2 >= face.area2:
-            continue
-        ocyc = [pts_cache[v] for v in other.cycle]
-        if any(on_segment(point, ocyc[k], ocyc[(k + 1) % len(ocyc)]) for k in range(len(ocyc))):
-            continue
-        if winding_number(point, ocyc) != 0:
-            return False
-    return True
+    where = point_in_closed_polyline(point, [pts_cache[v] for v in face.cycle])
+    if where != "inside":
+        return where == "on"
+    # inside the face, but not strictly inside a smaller face nested in it
+    return not any(
+        point_in_closed_polyline(point, [pts_cache[v] for v in other.cycle]) == "inside"
+        for other in all_faces
+        if other is not face and other.area2 < face.area2
+    )
 
 
 def graph_pattern_domains(pat: GraphPattern, gens: Generators | None = None):

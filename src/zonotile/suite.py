@@ -383,6 +383,10 @@ def check_cross_exchange(max_n: int, seed: int, samples: int = 100) -> dict:
 
 def run_suite(max_n: int = 4, seed: int = 7, samples: int = 500) -> dict:
     """Full battery; returns a deterministic report dictionary."""
+    if max_n < 3:
+        raise ValueError(f"max_n must be at least 3, got {max_n}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     report = {
         "max_n": max_n,
         "seed": seed,

@@ -245,6 +245,28 @@ class TestCli:
         low = jsonio.combi_from_json(json.loads(out.read_text()))
         assert spectrum(low) == interval_collection(3)
 
+    def test_flip_raise_then_lower_restores_interval_combi(self, tmp_path, capsys):
+        start = tmp_path / "interval.json"
+        start.write_text(json.dumps(jsonio.combi_to_json(interval_combi(3))))
+        raised, back, trace = tmp_path / "raised.json", tmp_path / "back.json", tmp_path / "t.jsonl"
+        args = ["--core", "", "--i", "1", "--j", "2", "--k", "3", "--trace", str(trace)]
+        assert cmd(["flip", "--combi", str(start), "--op", "raise", "--out", str(raised)] + args) == 0
+        assert jsonio.combi_from_json(json.loads(raised.read_text())) != interval_combi(3)
+        assert cmd(["flip", "--combi", str(raised), "--op", "lower", "--out", str(back)] + args) == 0
+        assert jsonio.combi_from_json(json.loads(back.read_text())) == interval_combi(3)
+        assert [json.loads(l) for l in trace.read_text().splitlines()] == [
+            {"op": op, "Y": [], "i": 1, "j": 2, "k": 3} for op in ("raise", "lower")
+        ]
+        # n = 3 has two combis: the interval combi cannot be lowered and the
+        # raised one cannot be raised
+        for combi_file, op, kind in ((start, "lower", "W"), (raised, "raise", "M")):
+            assert cmd(["flip", "--combi", str(combi_file), "--op", op] + args) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {
+                "error": "invalid-input",
+                "detail": f"the requested {kind}-configuration is not present",
+            }
+
     def test_flip_rejects_types_out_of_range(self, tmp_path, capsys):
         combi_file = tmp_path / "c.json"
         combi_file.write_text(json.dumps(jsonio.combi_to_json(interval_combi(3))))
@@ -295,6 +317,19 @@ class TestCli:
         assert cmd(["descend", "--combi", str(f), "--out", str(tmp_path / "out.json")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "invalid-input", "detail": detail}
+
+    @pytest.mark.parametrize(
+        "option, value, detail",
+        [
+            ("--max-n", "2", "max_n must be at least 3, got 2"),
+            ("--samples", "0", "samples must be at least 1, got 0"),
+        ],
+    )
+    def test_verify_rejects_a_range_that_checks_nothing(self, capsys, option, value, detail):
+        assert cmd(["verify", "--paper-suite", option, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "invalid-input", "detail": detail}
 
     def test_verify_report_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -9,10 +9,11 @@ from zonotile.geometry import (
     boundary_vertices,
     default_generators,
     embed,
-    on_segment,
     point_in_closed_polyline,
-    segments_properly_cross,
+    segment_contact,
 )
+from zonotile.patterns import CyclicPattern, curve_kind, curve_points
+from zonotile.suite import _all_cycles, _combi_edge_sets, all_combis, crossing_pattern_examples
 
 
 def test_default_generators_basic():
@@ -77,9 +78,14 @@ def test_angle_sort_key():
 
 
 def test_proper_crossing():
-    assert segments_properly_cross((0, 0), (2, 2), (0, 2), (2, 0))
-    assert not segments_properly_cross((0, 0), (1, 1), (2, 2), (3, 3))
-    assert not segments_properly_cross((0, 0), (2, 2), (1, 1), (3, 0))
+    assert segment_contact((0, 0), (2, 2), (0, 2), (2, 0)) == "cross"
+    assert segment_contact((0, 0), (1, 1), (2, 2), (3, 3)) == "none"
+    assert segment_contact((0, 0), (1, 0), (0, 1), (1, 1)) == "none"
+    assert segment_contact((0, 0), (2, 2), (1, 1), (3, 0)) == "cross"
+    assert segment_contact((0, 0), (2, 2), (2, 2), (3, 0)) == "endpoint"
+    assert segment_contact((0, 0), (2, 2), (2, 2), (0, 0)) == "cross"
+    assert segment_contact((0, 0), (2, 2), (0, 0), (2, 2)) == "cross"
+    assert segment_contact((0, 0), (2, 2), (1, 1), (3, 3)) == "cross"
 
 
 def test_point_location_examples():
@@ -96,7 +102,7 @@ def _naive_ray_cast(p, poly):
     r = len(poly)
     for k in range(r):
         a, b = poly[k], poly[(k + 1) % r]
-        if on_segment(p, a, b):
+        if _on_segment(p, a, b):
             return "on"
         if (a[1] <= p[1] < b[1]) or (b[1] <= p[1] < a[1]):
             # x coordinate of the intersection, exactly: cross-multiplied
@@ -113,3 +119,161 @@ def test_point_location_matches_naive_oracle():
     for _ in range(600):
         p = (rng.randrange(-2, 12), rng.randrange(-2, 12))
         assert point_in_closed_polyline(p, poly) == _naive_ray_cast(p, poly)
+
+
+# Reference copies of the predicates that `segment_contact` and the one-pass
+# `point_in_closed_polyline` replaced; the tests below require the same
+# verdict from old and new on every input.
+
+
+def _orient(a, b, c):
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (d > 0) - (d < 0)
+
+
+def _on_segment(p, a, b):
+    if _orient(a, b, p) != 0:
+        return False
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _segments_properly_cross(a, b, c, d):
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
+    return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def _collinear_overlap(a, b, c, d):
+    if _orient(a, b, c) != 0 or _orient(a, b, d) != 0:
+        return False
+    pts = [p for p in (c, d) if _on_segment(p, a, b)] + [
+        p for p in (a, b) if _on_segment(p, c, d)
+    ]
+    return len(set(pts)) >= 2
+
+
+def _reference_segment_contact(a, b, c, d):
+    if _segments_properly_cross(a, b, c, d):
+        return "cross"
+    if _collinear_overlap(a, b, c, d):
+        return "cross"
+    touching = [
+        p
+        for p in set((a, b, c, d))
+        if (p in (a, b) and _on_segment(p, c, d)) or (p in (c, d) and _on_segment(p, a, b))
+    ]
+    if not touching:
+        return "none"
+    if all(p in (a, b) and p in (c, d) for p in touching):
+        return "endpoint"
+    return "cross"
+
+
+def _reference_point_location(p, points):
+    r = len(points)
+    for k in range(r):
+        if _on_segment(p, points[k], points[(k + 1) % r]):
+            return "on"
+    wind = 0
+    for k in range(r):
+        a, b = points[k], points[(k + 1) % r]
+        if a[1] <= p[1]:
+            if b[1] > p[1] and _orient(a, b, p) > 0:
+                wind += 1
+        elif b[1] <= p[1] and _orient(a, b, p) < 0:
+            wind -= 1
+    return "inside" if wind != 0 else "outside"
+
+
+def _quadruple(rng):
+    """Four grid points, with shared endpoints and collinear placements forced
+    in most draws (a random quadruple is rarely degenerate)."""
+    pt = lambda: (rng.randint(-4, 4), rng.randint(-4, 4))
+    a, b, c, d = pt(), pt(), pt(), pt()
+    mode = rng.randrange(4)
+    if mode == 1:  # a shared endpoint, in either orientation of either segment
+        c = rng.choice((a, b))
+    elif mode == 2:  # all four on one line through a
+        step = (rng.randint(-2, 2), rng.randint(-2, 2))
+        b, c, d = ((a[0] + t * step[0], a[1] + t * step[1]) for t in rng.sample(range(-3, 4), 3))
+    elif mode == 3:  # c = a, with b and d on one line through it
+        step = (rng.randint(-2, 2), rng.randint(-2, 2))
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        b, c, d = (a[0] + s * step[0], a[1] + s * step[1]), a, (a[0] + t * step[0], a[1] + t * step[1])
+    if rng.random() < 0.5:
+        a, b = b, a
+    if rng.random() < 0.5:
+        c, d = d, c
+    return a, b, c, d
+
+
+def test_segment_contact_matches_reference_predicates():
+    rng = random.Random(2024)
+    verdicts = {"none": 0, "endpoint": 0, "cross": 0}
+    for _ in range(100_000):
+        a, b, c, d = _quadruple(rng)
+        got = segment_contact(a, b, c, d)
+        assert got == _reference_segment_contact(a, b, c, d), (a, b, c, d)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 20_000, verdicts
+
+
+def test_point_location_matches_reference_winding():
+    rng = random.Random(5)
+    verdicts = {"inside": 0, "on": 0, "outside": 0}
+    for _ in range(150):
+        # random vertex lists: most are self-intersecting, some revisit a vertex
+        poly = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(2, 8))]
+        for scale in (1, 2, 3):
+            scaled = [(x * scale, y * scale) for x, y in poly]
+            for x in range(5 * scale + 1):
+                for y in range(5 * scale + 1):
+                    got = point_in_closed_polyline((x, y), scaled)
+                    assert got == _reference_point_location((x, y), scaled), (x, y, scaled)
+                    verdicts[got] += 1
+    assert min(verdicts.values()) > 4_000, verdicts
+
+
+def _reference_curve_kind(pattern):
+    """The segment test of `curve_kind` as it was, with its separate branch
+    for adjacent segments.  The cycles compared have distinct sets, hence
+    distinct points, so the touch-point analysis after it never runs."""
+    pts = curve_points(pattern)
+    r = len(pts)
+    for i in range(r):
+        a, b = pts[i], pts[(i + 1) % r]
+        for j in range(i + 1, r):
+            c, d = pts[j], pts[(j + 1) % r]
+            if j == i + 1 or (i == 0 and j == r - 1):
+                if _collinear_overlap(a, b, c, d):
+                    return "crossing"
+                continue
+            if _reference_segment_contact(a, b, c, d) == "cross":
+                return "crossing"
+    return "simple"
+
+
+def test_curve_kind_matches_reference_on_all_small_cycles():
+    # every cycle of the vertical and horizontal edges of every combi with
+    # n <= 4 (the vertical-edge cycles among them), and the hand-built
+    # crossing patterns
+    patterns = list(crossing_pattern_examples(4))
+    for n in range(2, 5):
+        for combi in all_combis(n):
+            vert, horiz = _combi_edge_sets(combi)
+            patterns += [CyclicPattern(n, cyc) for cyc in _all_cycles(vert | horiz)]
+    kinds = {"simple": 0, "crossing": 0}
+    for pattern in patterns:
+        assert len(set(pattern.cycle)) == len(pattern.cycle)
+        kind = curve_kind(pattern)
+        assert kind == _reference_curve_kind(pattern), pattern
+        kinds[kind] += 1
+    assert kinds == {"simple": 4945, "crossing": 3}
+
+
+def test_curve_kind_folding_back_is_crossing():
+    one, two = bs.singleton(1), bs.singleton(2)
+    assert curve_kind(CyclicPattern(3, (0, one, 0, two))) == "crossing"

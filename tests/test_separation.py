@@ -192,6 +192,18 @@ class TestEnumeration:
             assert len(report.maximal_collections) == want
             assert report.pure and report.ranks == (n * (n + 1) // 2 + 1,)
 
+    @pytest.mark.parametrize(
+        "n, k, want",
+        # k = 2: Catalan(n - 2), the triangulations of an n-gon; (6, 3) and
+        # (7, 3) from Scott 2006. Oh-Postnikov-Speyer 2015: every maximal
+        # weakly separated collection of k-subsets has k(n - k) + 1 members.
+        [(4, 2, 2), (5, 2, 5), (6, 2, 14), (7, 2, 42), (8, 2, 132), (6, 3, 34), (7, 3, 259)],
+    )
+    def test_hypersimplex_counts_match_known_values(self, n, k, want):
+        report = enumerate_maximal(hypersimplex_domain(n, k, k), "weak")
+        assert len(report.maximal_collections) == want
+        assert report.pure and report.ranks == (k * (n - k) + 1,)
+
     def test_singleton_domain(self):
         report = enumerate_maximal(SetFamily(3, [0]), "weak")
         assert len(report.maximal_collections) == 1
