@@ -314,6 +314,16 @@ class Combi:
 
     def vertical_edges(self) -> frozenset[tuple[int, int]]:
         """Upward (X, X+i) edges of the derived graph."""
+        return self._vertical_edges
+
+    def horizontal_edges(self) -> frozenset[tuple[int, int]]:
+        """Rightward trading edges of the derived graph."""
+        return self._horizontal_edges
+
+    # Built once per instance and, like `_vertices`, not dataclass fields.
+
+    @cached_property
+    def _vertical_edges(self) -> frozenset[tuple[int, int]]:
         out = set()
         for d in self.deltas:
             out.add((d.left, d.apex))
@@ -325,8 +335,8 @@ class Combi:
             out.add((0, 1))
         return frozenset(out)
 
-    def horizontal_edges(self) -> frozenset[tuple[int, int]]:
-        """Rightward trading edges of the derived graph."""
+    @cached_property
+    def _horizontal_edges(self) -> frozenset[tuple[int, int]]:
         out = set()
         for d in self.deltas:
             out.add(d.base)

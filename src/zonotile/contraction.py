@@ -233,6 +233,42 @@ def _fan_stretch(fan: tuple[int, ...], start: int, end: int, what: str) -> tuple
     raise TilingError("expand", f"{what} does not chain")
 
 
+def _left_of_path_test(n: int, path: tuple[int, ...]):
+    """The test whether a tile of an n-combi, given by its vertex cycle,
+    lies left of the legal path: in the region between the zonogon's left
+    boundary and the path.  The path runs along tile edges and crosses no
+    tile, so a tile lies on the side of any of its vertices off the path;
+    the first such vertex decides, and each is located once.  A tile with
+    every vertex on the path is probed at its centroid."""
+    table = embedding_table(default_generators(n))
+    lbd = [(1 << k) - 1 for k in range(n + 1)]
+    region = [table[v] for v in lbd + list(reversed(path[1:-1]))]
+    on_path = set(path)
+    vertex_left: dict[int, bool] = {}
+    # the region scaled by each tile size m, so the probe (m times a tile's
+    # centroid) stays an integer point
+    scaled_by: dict[int, list[tuple[int, int]]] = {}
+
+    def left_of_path(cycle_masks: list[int]) -> bool:
+        for v in cycle_masks:
+            if v not in on_path:
+                left = vertex_left.get(v)
+                if left is None:
+                    # "on" is the left boundary, off the path
+                    where = point_in_closed_polyline(table[v], region)
+                    left = vertex_left[v] = where != "outside"
+                return left
+        m = len(cycle_masks)
+        scaled = scaled_by.get(m)
+        if scaled is None:
+            scaled = scaled_by[m] = [(x * m, y * m) for x, y in region]
+        pts = [table[v] for v in cycle_masks]
+        probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
+        return point_in_closed_polyline(probe, scaled) == "inside"
+
+    return left_of_path
+
+
 def n_expand(combi: Combi, path) -> Combi:
     """Inverse of `n_contract`: insert element n along a legal path."""
     path = tuple(path)
@@ -244,21 +280,7 @@ def n_expand(combi: Combi, path) -> Combi:
     n2 = combi.n
     n = n2 + 1
     sn = bs.singleton(n)
-    table = embedding_table(default_generators(n2))
-    lbd = [(1 << k) - 1 for k in range(n2 + 1)]
-    region = [table[v] for v in lbd + list(reversed(path[1:-1]))]
-    # the region scaled by each tile size m, so the probe (m times a tile's
-    # centroid) stays an integer point
-    scaled_by: dict[int, list[tuple[int, int]]] = {}
-
-    def left_of_path(cycle_masks: list[int]) -> bool:
-        m = len(cycle_masks)
-        scaled = scaled_by.get(m)
-        if scaled is None:
-            scaled = scaled_by[m] = [(x * m, y * m) for x, y in region]
-        pts = [table[v] for v in cycle_masks]
-        probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
-        return point_in_closed_polyline(probe, scaled) == "inside"
+    left_of_path = _left_of_path_test(n2, path)
 
     # at each backward edge peak -> pit, the stretches of the delta fan at
     # the peak and of the nabla fan at the pit that the new lens replaces

@@ -25,7 +25,7 @@ from .geometry import (
     angle_sort_key,
     boundary_cycle,
     default_generators,
-    embed,
+    embedding_table,
     point_in_closed_polyline,
     polygon_area2,
     segment_contact,
@@ -39,7 +39,6 @@ from .separation import (
     compatible_sets,
     enumerate_maximal,
     members_mask,
-    weakly_separated,
 )
 
 PATTERN_CLASSES = ("simple", "semi_simple", "generalized_ok", "self_crossing")
@@ -93,8 +92,10 @@ def boundary_pattern(n: int) -> CyclicPattern:
     return CyclicPattern(n, boundary_cycle(default_generators(n)))
 
 
-def _pairwise_weakly_separated(members) -> bool:
-    return all(weakly_separated(a, b) for a, b in combinations(set(members), 2))
+def _pairwise_weakly_separated(members, n: int) -> bool:
+    distinct = set(members)
+    fam = members_mask(distinct)
+    return compatible_row(distinct, n, "weak") & fam == fam
 
 
 def _violates_c3(p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -137,7 +138,8 @@ def _violates_c4(two: tuple[int, int], one: tuple[int, int]) -> bool:
 def curve_points(pattern: CyclicPattern, gens: Generators | None = None) -> list[Point]:
     if gens is None:
         gens = default_generators(pattern.n)
-    return [embed(v, gens) for v in pattern.cycle]
+    table = embedding_table(gens)
+    return [table[v] for v in pattern.cycle]
 
 
 def _chords_laminar(pairs: list[tuple[int, int]], m: int) -> bool:
@@ -195,7 +197,7 @@ def classify_pattern(pattern: CyclicPattern, gens: Generators | None = None) -> 
     geometric test, otherwise the touch-only test decides semi-simplicity.
     """
     cyc = pattern.cycle
-    if not _pairwise_weakly_separated(cyc):
+    if not _pairwise_weakly_separated(cyc, pattern.n):
         raise ValueError("pattern members must be pairwise weakly separated")
     geo = curve_kind(pattern, gens)
     distinct = len(set(cyc)) == len(cyc)
@@ -229,7 +231,7 @@ class PatternRegions:
     points: tuple[Point, ...]
 
     def locate(self, mask: int) -> str:
-        return point_in_closed_polyline(embed(mask, self.gens), list(self.points))
+        return point_in_closed_polyline(embedding_table(self.gens)[mask], list(self.points))
 
 
 def regions(pattern: CyclicPattern, gens: Generators | None = None) -> PatternRegions:
@@ -389,21 +391,22 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
         raise ValueError("pattern members must be vertices of the combi")
     gens = default_generators(n)
     reg = PatternRegions(pattern, gens, tuple(curve_points(pattern, gens)))
+    table = embedding_table(gens)
     h_edges = combi.horizontal_edges()
 
     def encloses(probe: Point, masks) -> bool:
         """Whether the probe lies inside the polygon on these vertices, doubled."""
-        pts = [embed(v, gens) for v in masks]
+        pts = [table[v] for v in masks]
         return point_in_closed_polyline(probe, [(2 * x, 2 * y) for x, y in pts]) == "inside"
 
     lens_cuts: dict[Lens, list[tuple[int, int]]] = {}
     upper_sector_cuts: dict[int, list[tuple[int, int]]] = {}
     lower_sector_cuts: dict[int, list[tuple[int, int]]] = {}
     for a, b in pattern.two_distance_steps():
-        left, right = (a, b) if embed(a, gens) < embed(b, gens) else (b, a)
+        left, right = (a, b) if table[a] < table[b] else (b, a)
         if (left, right) in h_edges:
             continue
-        probe = tuple(map(sum, zip(embed(left, gens), embed(right, gens))))
+        probe = tuple(map(sum, zip(table[left], table[right])))
         host = None
         for lens in combi.lenses:
             if {left, right} <= set(lens.upper) | set(lens.lower) and encloses(probe, lens.cycle()):
@@ -495,7 +498,7 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
                 tiles.add(tile_on(corner, a, b))
 
     def side(cycle_masks: list[int]) -> str:
-        pts = [embed(v, gens) for v in cycle_masks]
+        pts = [table[v] for v in cycle_masks]
         m = len(pts)
         probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
         where = point_in_closed_polyline(probe, [(x * m, y * m) for x, y in reg.points])
@@ -538,17 +541,9 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
 def _check_quasi(quasi: QuasiCombi, source: Combi, reg: PatternRegions) -> None:
     """Area accounting: the half must cover its closed region exactly."""
     gens = reg.gens
-    total = 0
-    for d in quasi.deltas:
-        total += polygon_area2([embed(v, gens) for v in d.cycle()])
-    for v in quasi.nablas:
-        total += polygon_area2([embed(v, gens) for v in v.cycle()])
-    for l in quasi.lenses:
-        total += polygon_area2([embed(v, gens) for v in l.cycle()])
-    for u in quasi.upper_semis:
-        total += polygon_area2([embed(v, gens) for v in u.cycle()])
-    for w in quasi.lower_semis:
-        total += polygon_area2([embed(v, gens) for v in w.cycle()])
+    table = embedding_table(gens)
+    pieces = (*quasi.deltas, *quasi.nablas, *quasi.lenses, *quasi.upper_semis, *quasi.lower_semis)
+    total = sum(polygon_area2([table[v] for v in piece.cycle()]) for piece in pieces)
     curve_area = abs(polygon_area2(list(reg.points)))
     want = curve_area if quasi.region == "in" else gens.zonogon_area2() - curve_area
     if total != want:
@@ -723,7 +718,7 @@ def graph_pattern(n: int, vertices, edges, add_boundary: bool = True) -> GraphPa
         verts.update(cyc)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             edge_set.add((min(a, b), max(a, b)))
-    if not _pairwise_weakly_separated(verts):
+    if not _pairwise_weakly_separated(verts, n):
         raise ValueError("graph-pattern vertices must form a weakly separated family")
     pat = GraphPattern(n, verts, edge_set)
     twos = [e for e in pat.edges if bs.size(e[0] ^ e[1]) == 2]
@@ -735,8 +730,7 @@ def graph_pattern(n: int, vertices, edges, add_boundary: bool = True) -> GraphPa
         for one in ones:
             if _violates_c4(two, one):
                 raise ValueError(f"edges {two} and {one} violate the spanning condition")
-    gens = default_generators(n)
-    pts = {v: embed(v, gens) for v in pat.vertices}
+    pts = embedding_table(default_generators(n))
     for (a, b), (c, d) in combinations(pat.edges, 2):
         if segment_contact(pts[a], pts[b], pts[c], pts[d]) == "cross":
             raise ValueError(f"edges {(a, b)} and {(c, d)} cross in the plane")
@@ -755,7 +749,7 @@ def pattern_faces(pat: GraphPattern, gens: Generators | None = None) -> list[Pat
     """Bounded faces from the rotation system of the exact embedding."""
     if gens is None:
         gens = default_generators(pat.n)
-    pts = {v: embed(v, gens) for v in pat.vertices}
+    pts = embedding_table(gens)
     outgoing: dict[int, list[int]] = {v: [] for v in pat.vertices}
     for u, v in pat.edges:
         outgoing[u].append(v)
@@ -787,14 +781,14 @@ def pattern_faces(pat: GraphPattern, gens: Generators | None = None) -> list[Pat
 
 
 def _face_closure_contains(
-    face: PatternFace, all_faces: list[PatternFace], point: Point, pts_cache: dict[int, Point]
+    face: PatternFace, all_faces: list[PatternFace], point: Point, table: tuple[Point, ...]
 ) -> bool:
-    where = point_in_closed_polyline(point, [pts_cache[v] for v in face.cycle])
+    where = point_in_closed_polyline(point, [table[v] for v in face.cycle])
     if where != "inside":
         return where == "on"
     # inside the face, but not strictly inside a smaller face nested in it
     return not any(
-        point_in_closed_polyline(point, [pts_cache[v] for v in other.cycle]) == "inside"
+        point_in_closed_polyline(point, [table[v] for v in other.cycle]) == "inside"
         for other in all_faces
         if other is not face and other.area2 < face.area2
     )
@@ -808,15 +802,11 @@ def graph_pattern_domains(pat: GraphPattern, gens: Generators | None = None):
     if gens is None:
         gens = default_generators(n)
     faces = pattern_faces(pat, gens)
-    pts_cache = {v: embed(v, gens) for v in pat.vertices}
+    table = embedding_table(gens)
     compatible = compatible_sets(pat.vertices, n, "weak")
     out = []
     for face in faces:
-        hits = [
-            x
-            for x in compatible
-            if _face_closure_contains(face, faces, embed(x, gens), pts_cache)
-        ]
+        hits = [x for x in compatible if _face_closure_contains(face, faces, table[x], table)]
         out.append((face, SetFamily(n, hits)))
     return out
 

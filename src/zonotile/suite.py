@@ -86,10 +86,8 @@ def sample_cycle(
             onpath.add(nxt)
     return None
 
-def _combi_edge_sets(combi: Combi) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    vert = {tuple(e) for e in combi.vertical_edges()}
-    horiz = {tuple(e) for e in combi.horizontal_edges()}
-    return vert, horiz
+def _combi_edge_sets(combi: Combi) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+    return combi.vertical_edges(), combi.horizontal_edges()
 
 def sample_simple_pattern(combi: Combi, rng: random.Random) -> CyclicPattern | None:
     vert, _ = _combi_edge_sets(combi)

@@ -23,7 +23,7 @@ from zonotile.combi import (
 )
 from zonotile.contraction import n_expand
 from zonotile.flips import lowering_flip
-from zonotile.geometry import default_generators
+from zonotile.geometry import default_generators, embedding_table
 from zonotile.rhombus import minimal_tiling
 from zonotile.separation import (
     SetFamily,
@@ -472,6 +472,24 @@ class TestIncidenceIndex:
         combi.delta_fan(M([1, 3, 4, 5]))
         combi.lens_on((M([1]), M([2])), "lower")
         assert combi == fresh and hash(combi) == hash(fresh)
+
+    def test_cached_edges_match_tile_cycles(self):
+        for n in range(1, 6):
+            table = embedding_table(default_generators(n))
+            for combi in all_combis(n):
+                fresh = Combi(n, combi.deltas, combi.nablas, combi.lenses)
+                vert, horiz = {(0, 1)} if n == 1 else set(), set()
+                for tile in combi.tiles():
+                    cycle = tile.cycle()
+                    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                        if bs.size(u) != bs.size(v):
+                            vert.add((u, v) if bs.size(u) < bs.size(v) else (v, u))
+                        else:
+                            horiz.add((u, v) if table[u][0] < table[v][0] else (v, u))
+                assert combi.vertical_edges() == vert
+                assert combi.horizontal_edges() == horiz
+                assert combi.vertical_edges() is combi.vertical_edges()
+                assert combi == fresh and hash(combi) == hash(fresh)
 
     def test_broken_fan_raises_everywhere(self):
         combi = from_w_collection(SetFamily(5, [M(s) for s in _FAN5]))

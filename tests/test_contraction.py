@@ -2,6 +2,7 @@ import pytest
 
 from zonotile import bitsets as bs
 from zonotile.contraction import (
+    _left_of_path_test,
     enumerate_legal_paths,
     extract_n_strip,
     first_contract,
@@ -14,6 +15,7 @@ from zonotile.contraction import (
     path_vertex_roles,
 )
 from zonotile.flips import interval_combi
+from zonotile.geometry import default_generators, embedding_table, point_in_closed_polyline
 from zonotile.separation import enumerate_maximal, hypercube_domain
 from zonotile.suite import all_combis
 
@@ -142,3 +144,27 @@ def test_contraction_of_lens_combi():
             assert any(bs.size(a) > bs.size(b) for a, b in zip(path, path[1:]))
             hit = True
     assert hit
+
+
+def _centroid_left_of_path(n, path, cycle):
+    """Reference side test: the tile's centroid probed against the region
+    between the left boundary and the path, all scaled by the tile size."""
+    table = embedding_table(default_generators(n))
+    lbd = [(1 << k) - 1 for k in range(n + 1)]
+    region = [table[v] for v in lbd + list(reversed(path[1:-1]))]
+    m = len(cycle)
+    probe = (sum(table[v][0] for v in cycle), sum(table[v][1] for v in cycle))
+    return point_in_closed_polyline(probe, [(x * m, y * m) for x, y in region]) == "inside"
+
+
+def test_side_test_matches_centroid_probe():
+    pairs = 0
+    for n in range(1, 6):
+        for combi in all_combis(n):
+            for path in enumerate_legal_paths(combi):
+                left_of_path = _left_of_path_test(n, path)
+                for tile in combi.tiles():
+                    want = _centroid_left_of_path(n, path, tile.cycle())
+                    assert left_of_path(tile.cycle()) == want, (combi, path, tile)
+                pairs += 1
+    assert pairs == 3831

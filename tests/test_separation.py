@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonotile import bitsets as bs
+from zonotile import separation
+from zonotile.patterns import CyclicPattern, domains, strong_domains
 from zonotile.separation import (
+    DomainReport,
     Permutation,
     SetFamily,
     base_relation,
@@ -18,10 +22,12 @@ from zonotile.separation import (
     inversions,
     is_maximal_separated,
     is_separated_family,
+    maximal_cliques,
     separation_row,
     strongly_separated,
     weakly_separated,
 )
+from zonotile.suite import _all_cycles, all_combis
 
 M = bs.mask_of
 SCALAR = {"weak": weakly_separated, "strong": strongly_separated}
@@ -34,6 +40,26 @@ def _maximal_reference(members, n, relation, within=None):
         return False
     ambient = range(1 << n) if within is None else within
     return not any(c not in members and all(rel(c, m) for m in members) for c in ambient)
+
+
+def _enumerate_reference(domain, relation):
+    """`enumerate_maximal` with the adjacency built pair by pair from the
+    scalar predicates, over the member indices."""
+    rel = SCALAR[relation]
+    mem = domain.members
+    k = len(mem)
+    adj = [0] * k
+    for i, j in combinations(range(k), 2):
+        if rel(mem[i], mem[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    collections = sorted(
+        (SetFamily(domain.n, [mem[v] for v in range(k) if clique >> v & 1])
+         for clique in maximal_cliques(adj, (1 << k) - 1)),
+        key=lambda f: f.members,
+    )
+    ranks = tuple(sorted({len(c) for c in collections}))
+    return DomainReport(domain, relation, tuple(collections), len(ranks) == 1, ranks)
 
 
 class TestBaseRelations:
@@ -123,16 +149,47 @@ class TestSeparation:
         assert not is_separated_family(SetFamily(3, [M([2]), M([1, 3])]), "weak")
         assert is_separated_family(SetFamily(3, [M([2])]), "weak")
 
+    def test_family_names_its_first_member_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^mask 0x8 has elements outside 1\.\.3$"):
+            SetFamily(3, [M([1, 4, 5]), M([1]), M([4])])
+        with pytest.raises(ValueError, match=r"^mask -0x1 has elements outside 1\.\.3$"):
+            SetFamily(3, [M([2]), M([5]), -1])
+
 
 class TestSeparationRows:
     def test_rows_match_scalar_predicates(self):
-        for n in range(1, 6):
+        for n in range(1, 8):
             for relation, rel in SCALAR.items():
                 for a in range(1 << n):
                     row = separation_row(a, n, relation)
                     assert row >> (1 << n) == 0
                     for b in range(1 << n):
                         assert (row >> b & 1) == rel(a, b)
+
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_seeded_rows_match_scalar_predicates(self, n):
+        rng = random.Random(n)
+        for a in [0, bs.full_mask(n)] + [rng.randrange(1 << n) for _ in range(2)]:
+            for relation, rel in SCALAR.items():
+                want = sum(1 << b for b in range(1 << n) if rel(a, b))
+                assert separation_row(a, n, relation) == want, (a, relation)
+
+    def test_cold_maximality_check_calls_no_scalar_predicate(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def call(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return call
+
+        for name, fn in SCALAR.items():
+            monkeypatch.setitem(separation._RELATION_FUNC, name, counted(fn))
+            monkeypatch.setattr(separation, fn.__name__, counted(fn))
+        separation_row.cache_clear()
+        assert is_maximal_separated(interval_collection(16), "weak")
+        assert separation_row.cache_info().misses == 137
+        assert calls == []
 
     def test_row_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -203,6 +260,35 @@ class TestEnumeration:
         report = enumerate_maximal(hypersimplex_domain(n, k, k), "weak")
         assert len(report.maximal_collections) == want
         assert report.pure and report.ranks == (k * (n - k) + 1,)
+
+    def test_matches_pairwise_reference(self):
+        doms = [hypersimplex_domain(n, lo, hi) for n in range(1, 7)
+                for lo in range(n + 1) for hi in range(lo, n + 1)]
+        for upper in permutations(range(1, 5)):
+            up = Permutation(upper)
+            doms.append(chamber_domain(up))
+            for lower in permutations(range(1, 5)):
+                if inversions(Permutation(lower)) <= inversions(up):
+                    doms.append(chamber_pair_domain(Permutation(lower), up))
+        seen = set()
+        for combi in all_combis(4):
+            for cyc in _all_cycles(combi.vertical_edges()):
+                pat = CyclicPattern(4, cyc)
+                if pat.canonical() not in seen:
+                    seen.add(pat.canonical())
+                    doms += [*domains(pat), *strong_domains(pat)]
+        rng = random.Random(16)
+        doms.append(SetFamily(16, rng.sample(range(1 << 16), 12)))
+        doms = {(d.n, d.members): d for d in doms}.values()
+        for dom in doms:
+            for relation in SCALAR:
+                want = _enumerate_reference(dom, relation)
+                assert enumerate_maximal(dom, relation) == want, (dom, relation)
+
+    def test_unknown_relation(self):
+        for dom in (hypercube_domain(3), SetFamily(3, [])):
+            with pytest.raises(ValueError, match="relation must be"):
+                enumerate_maximal(dom, "medium")
 
     def test_singleton_domain(self):
         report = enumerate_maximal(SetFamily(3, [0]), "weak")
