@@ -24,7 +24,7 @@ from zonotile import (
     verify_complementary,
     verify_purity,
 )
-from zonotile.suite import _combi_edge_sets, sample_cycle
+from zonotile.suite import sample_cycle
 
 here = Path(__file__).parent
 rng = random.Random(42)
@@ -37,7 +37,7 @@ pool = [
 ]
 while True:
     combi = rng.choice(pool)
-    vert, horiz = _combi_edge_sets(combi)
+    vert, horiz = combi.vertical_edges(), combi.horizontal_edges()
     cycle = sample_cycle(vert | horiz, rng)
     if cycle is None:
         continue

@@ -13,7 +13,7 @@ combies into a new valid combi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from . import bitsets as bs
@@ -135,6 +135,20 @@ def _violates_c4(two: tuple[int, int], one: tuple[int, int]) -> bool:
     return False
 
 
+def _quadruple_violation(twos, ones) -> str | None:
+    """The first pair of 2-distance steps breaking the interleaving
+    condition, else of a 2-distance and a 1-distance step breaking the
+    spanning condition, as text; None if there is none."""
+    for p, q in combinations(twos, 2):
+        if _violates_c3(p, q):
+            return f"edges {p} and {q} violate the interleaving condition"
+    for two in twos:
+        for one in ones:
+            if _violates_c4(two, one):
+                return f"edges {two} and {one} violate the spanning condition"
+    return None
+
+
 def curve_points(pattern: CyclicPattern, gens: Generators | None = None) -> list[Point]:
     if gens is None:
         gens = default_generators(pattern.n)
@@ -204,15 +218,8 @@ def classify_pattern(pattern: CyclicPattern, gens: Generators | None = None) -> 
     if not distinct:
         return "semi_simple" if geo == "touching" else "self_crossing"
     twos = pattern.two_distance_steps()
-    combinatorial_ok = True
-    for p, q in combinations(twos, 2):
-        if _violates_c3(p, q):
-            combinatorial_ok = False
     ones = [(a, b) for a, b in pattern.steps() if bs.size(a ^ b) == 1]
-    for two in twos:
-        for one in ones:
-            if _violates_c4(two, one):
-                combinatorial_ok = False
+    combinatorial_ok = _quadruple_violation(twos, ones) is None
     if combinatorial_ok != (geo != "crossing"):
         raise TilingError(
             "pattern",
@@ -294,9 +301,6 @@ class UpperSemiLens:
     def cycle(self) -> list[int]:
         return [self.upper[0]] + list(reversed(self.upper))[:-1]
 
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.upper, self.upper[1:]))
-
 
 @dataclass(frozen=True, order=True)
 class LowerSemiLens:
@@ -307,9 +311,6 @@ class LowerSemiLens:
 
     def cycle(self) -> list[int]:
         return list(self.lower)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.lower, self.lower[1:]))
 
 
 @dataclass(frozen=True)
@@ -323,19 +324,14 @@ class QuasiCombi:
     upper_semis: frozenset[UpperSemiLens]
     lower_semis: frozenset[LowerSemiLens]
 
+    def pieces(self) -> tuple:
+        """Every triangle, lens and semi-lens of the half, kind by kind."""
+        return (*self.deltas, *self.nablas, *self.lenses, *self.upper_semis, *self.lower_semis)
+
     def vertex_masks(self) -> frozenset[int]:
         verts: set[int] = set()
-        for d in self.deltas:
-            verts.update(d.cycle())
-        for v in self.nablas:
-            verts.update(v.cycle())
-        for l in self.lenses:
-            verts.update(l.upper)
-            verts.update(l.lower)
-        for u in self.upper_semis:
-            verts.update(u.upper)
-        for w in self.lower_semis:
-            verts.update(w.lower)
+        for piece in self.pieces():
+            verts.update(piece.cycle())
         return frozenset(verts)
 
     def semi_count(self) -> int:
@@ -373,6 +369,21 @@ def _shortcut_path(path: tuple[int, ...], span: tuple[int, int], kids: list[tupl
             k += 1
         out.append(path[k])
     return tuple(out)
+
+
+def _cut_path(path: tuple[int, ...], chords, semi, semis: set) -> tuple[int, ...]:
+    """Cut `path` along chords joining two of its vertices, left to right.
+
+    Each chord closes one `semi` piece, added to `semis`, over the stretch of
+    path it spans less the stretches of the chords nested in it; returns the
+    path that no chord spans, shortcut over the outermost chords.
+    """
+    pos = {v: k for k, v in enumerate(path)}
+    forest = _chord_spans([(pos[left], pos[right]) for left, right in chords])
+    for span, kids in forest.items():
+        if span != (-1, -1):
+            semis.add(semi((path[span[0]], path[span[1]]), _shortcut_path(path, span, kids)))
+    return _shortcut_path(path, (0, len(path) - 1), forest[(-1, -1)])
 
 
 def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, QuasiCombi]:
@@ -437,65 +448,28 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     upper_semis: set[UpperSemiLens] = set()
     lower_semis: set[LowerSemiLens] = set()
 
+    # a cut lens leaves a semi-lens per chord on the path holding it; the
+    # central chord lies on both paths and leaves nothing to re-close
     for lens, chords in lens_cuts.items():
         lenses.discard(lens)
-        upos = {v: k for k, v in enumerate(lens.upper)}
-        lpos = {v: k for k, v in enumerate(lens.lower)}
-        upper_spans: list[tuple[int, int]] = []
-        lower_spans: list[tuple[int, int]] = []
-        central = False
-        for left, right in chords:
-            if (left, right) == (lens.left, lens.right):
-                central = True
-            elif left in upos and right in upos:
-                upper_spans.append((upos[left], upos[right]))
-            elif left in lpos and right in lpos:
-                lower_spans.append((lpos[left], lpos[right]))
-            else:
-                raise TilingError("split", "chord endpoints straddle the lens boundary")
-        uforest = _chord_spans(upper_spans)
-        for span in uforest:
-            if span == (-1, -1):
-                continue
-            path = _shortcut_path(lens.upper, span, uforest[span])
-            upper_semis.add(
-                UpperSemiLens((lens.upper[span[0]], lens.upper[span[1]]), path)
-            )
-        lforest = _chord_spans(lower_spans)
-        for span in lforest:
-            if span == (-1, -1):
-                continue
-            path = _shortcut_path(lens.lower, span, lforest[span])
-            lower_semis.add(
-                LowerSemiLens((lens.lower[span[0]], lens.lower[span[1]]), path)
-            )
-        top_u = _shortcut_path(lens.upper, (0, len(lens.upper) - 1), uforest[(-1, -1)])
-        top_l = _shortcut_path(lens.lower, (0, len(lens.lower) - 1), lforest[(-1, -1)])
-        if central:
-            upper_semis.add(UpperSemiLens((lens.left, lens.right), top_u))
-            lower_semis.add(LowerSemiLens((lens.left, lens.right), top_l))
-        else:
+        upper, lower = set(lens.upper), set(lens.lower)
+        if any(not ({l, r} <= upper or {l, r} <= lower) for l, r in chords):
+            raise TilingError("split", "chord endpoints straddle the lens boundary")
+        top_u = _cut_path(lens.upper, [c for c in chords if set(c) <= upper], UpperSemiLens, upper_semis)
+        top_l = _cut_path(lens.lower, [c for c in chords if set(c) <= lower], LowerSemiLens, lower_semis)
+        if len(top_u) > 2:
             lenses.add(Lens(top_u, top_l))
 
-    # a cut fan keeps the triangles over its uncut stretches, and each cut
-    # chord closes a semi-lens over the fan path it spans
+    # a cut fan keeps the triangles over its uncut stretches
     for cuts, fan_at, tile_on, tiles, semi, semis in (
         (upper_sector_cuts, combi.nabla_fan, Nabla.on_base, nablas, UpperSemiLens, upper_semis),
         (lower_sector_cuts, combi.delta_fan, Delta.on_base, deltas, LowerSemiLens, lower_semis),
     ):
         for corner, chords in cuts.items():
             fan = fan_at(corner)
-            pos = {v: k for k, v in enumerate(fan)}
-            for a, b in zip(fan, fan[1:]):
-                tiles.discard(tile_on(corner, a, b))
-            forest = _chord_spans([(pos[l], pos[r]) for l, r in chords])
-            for span in forest:
-                if span != (-1, -1):
-                    path = _shortcut_path(fan, span, forest[span])
-                    semis.add(semi((fan[span[0]], fan[span[1]]), path))
-            top = _shortcut_path(fan, (0, len(fan) - 1), forest[(-1, -1)])
-            for a, b in zip(top, top[1:]):
-                tiles.add(tile_on(corner, a, b))
+            tiles.difference_update(tile_on(corner, a, b) for a, b in zip(fan, fan[1:]))
+            top = _cut_path(fan, chords, semi, semis)
+            tiles.update(tile_on(corner, a, b) for a, b in zip(top, top[1:]))
 
     def side(cycle_masks: list[int]) -> str:
         pts = [table[v] for v in cycle_masks]
@@ -506,44 +480,21 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
             raise TilingError("split", "piece centroid landed on the curve")
         return "in" if where == "inside" else "out"
 
-    halves = {
-        "in": ([], [], [], [], []),
-        "out": ([], [], [], [], []),
-    }
-    for d in deltas:
-        halves[side(d.cycle())][0].append(d)
-    for v in nablas:
-        halves[side(v.cycle())][1].append(v)
-    for l in lenses:
-        halves[side(l.cycle())][2].append(l)
-    for u in upper_semis:
-        halves[side(u.cycle())][3].append(u)
-    for w in lower_semis:
-        halves[side(w.cycle())][4].append(w)
-    out = tuple(
-        QuasiCombi(
-            n,
-            tag,
-            pattern.cycle,
-            frozenset(halves[tag][0]),
-            frozenset(halves[tag][1]),
-            frozenset(halves[tag][2]),
-            frozenset(halves[tag][3]),
-            frozenset(halves[tag][4]),
-        )
-        for tag in ("in", "out")
-    )
-    _check_quasi(out[0], combi, reg)
-    _check_quasi(out[1], combi, reg)
+    halves = {"in": ([], [], [], [], []), "out": ([], [], [], [], [])}
+    for k, group in enumerate((deltas, nablas, lenses, upper_semis, lower_semis)):
+        for piece in group:
+            halves[side(piece.cycle())][k].append(piece)
+    out = tuple(QuasiCombi(n, tag, pattern.cycle, *map(frozenset, halves[tag])) for tag in ("in", "out"))
+    _check_quasi(out[0], reg)
+    _check_quasi(out[1], reg)
     return out
 
 
-def _check_quasi(quasi: QuasiCombi, source: Combi, reg: PatternRegions) -> None:
+def _check_quasi(quasi: QuasiCombi, reg: PatternRegions) -> None:
     """Area accounting: the half must cover its closed region exactly."""
     gens = reg.gens
     table = embedding_table(gens)
-    pieces = (*quasi.deltas, *quasi.nablas, *quasi.lenses, *quasi.upper_semis, *quasi.lower_semis)
-    total = sum(polygon_area2([table[v] for v in piece.cycle()]) for piece in pieces)
+    total = sum(polygon_area2([table[v] for v in piece.cycle()]) for piece in quasi.pieces())
     curve_area = abs(polygon_area2(list(reg.points)))
     want = curve_area if quasi.region == "in" else gens.zonogon_area2() - curve_area
     if total != want:
@@ -559,8 +510,8 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
     Each semi-lens is eliminated by removing its chord edge and merging with
     the tile on the other side: a triangle turns the union into a refilled
     fan, a lens or same-kind semi-lens absorbs the path, and two semi-lenses
-    facing each other fuse into a lens.  The semi-lens count drops every
-    step, and the final combi is validated.
+    facing each other fuse into a lens.  Every step removes one semi-lens
+    and adds none, and the final combi is validated.
     """
     if inside.n != outside.n:
         raise ValueError("halves live on different ground sets")
@@ -576,71 +527,38 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
     uppers = set(inside.upper_semis) | set(outside.upper_semis)
     lowers = set(inside.lower_semis) | set(outside.lower_semis)
 
-    guard = len(uppers) + len(lowers)
     while uppers or lowers:
-        if guard < 0:
-            raise TilingError("merge", "semi-lens elimination failed to terminate")
-        guard -= 1
+        # a lower semi-lens is repaired from above its chord, an upper one
+        # from below, the lower ones first
         if lowers:
-            piece = min(lowers)
-            lowers.discard(piece)
-            left, right = piece.chord
-            apex = left | right
-            cap = Delta.on_base(apex, left, right)
-            if cap in deltas:
-                deltas.discard(cap)
-                for a, b in piece.edges():
-                    deltas.add(Delta.on_base(apex, a, b))
-                continue
-            host_lens = _on_path(lenses, "lower", piece.chord)
-            if host_lens is not None:
-                lenses.discard(host_lens)
-                spliced = _splice(host_lens.lower, piece.chord, piece.lower)
-                lenses.add(Lens(host_lens.upper, spliced))
-                continue
-            host_low = _on_path(lowers, "lower", piece.chord)
-            if host_low is not None:
-                lowers.discard(host_low)
-                lowers.add(
-                    LowerSemiLens(host_low.chord, _splice(host_low.lower, piece.chord, piece.lower))
-                )
-                continue
-            host_up = next((u for u in uppers if u.chord == piece.chord), None)
-            if host_up is not None:
-                uppers.discard(host_up)
-                lenses.add(Lens(host_up.upper, piece.lower))
-                continue
-            raise TilingError("merge", f"no tile above semi-lens chord {piece.chord}")
+            side, tiles, triangle, where = "lower", deltas, Delta.on_base, "above"
+            semis, facing = lowers, uppers
         else:
-            piece = min(uppers)
-            uppers.discard(piece)
-            left, right = piece.chord
-            bottom = left & right
-            cup = Nabla.on_base(bottom, left, right)
-            if cup in nablas:
-                nablas.discard(cup)
-                for a, b in piece.edges():
-                    nablas.add(Nabla.on_base(bottom, a, b))
-                continue
-            host_lens = _on_path(lenses, "upper", piece.chord)
-            if host_lens is not None:
-                lenses.discard(host_lens)
-                spliced = _splice(host_lens.upper, piece.chord, piece.upper)
-                lenses.add(Lens(spliced, host_lens.lower))
-                continue
-            host_up = _on_path(uppers, "upper", piece.chord)
-            if host_up is not None:
-                uppers.discard(host_up)
-                uppers.add(
-                    UpperSemiLens(host_up.chord, _splice(host_up.upper, piece.chord, piece.upper))
-                )
-                continue
-            host_low = next((w for w in lowers if w.chord == piece.chord), None)
-            if host_low is not None:
-                lowers.discard(host_low)
-                lenses.add(Lens(piece.upper, host_low.lower))
-                continue
-            raise TilingError("merge", f"no tile below semi-lens chord {piece.chord}")
+            side, tiles, triangle, where = "upper", nablas, Nabla.on_base, "below"
+            semis, facing = uppers, lowers
+        piece = min(semis)
+        semis.discard(piece)
+        path = getattr(piece, side)
+        left, right = piece.chord
+        corner = left | right if side == "lower" else left & right
+        cap = triangle(corner, left, right)
+        if cap in tiles:
+            tiles.discard(cap)
+            tiles.update(triangle(corner, a, b) for a, b in zip(path, path[1:]))
+            continue
+        for hosts in (lenses, semis):
+            host = _on_path(hosts, side, piece.chord)
+            if host is not None:
+                hosts.discard(host)
+                hosts.add(replace(host, **{side: _splice(getattr(host, side), piece.chord, path)}))
+                break
+        else:
+            host = next((p for p in facing if p.chord == piece.chord), None)
+            if host is None:
+                raise TilingError("merge", f"no tile {where} semi-lens chord {piece.chord}")
+            facing.discard(host)
+            top, bottom = (host, piece) if side == "lower" else (piece, host)
+            lenses.add(Lens(top.upper, bottom.lower))
 
     merged = Combi(inside.n, deltas, nablas, lenses)
     validate_combi(merged)
@@ -660,17 +578,10 @@ def _on_path(pieces, side: str, edge: tuple[int, int]):
 
 
 def _splice(path: tuple[int, ...], chord: tuple[int, int], insert: tuple[int, ...]) -> tuple[int, ...]:
-    left, right = chord
-    out: list[int] = []
-    k = 0
-    while k < len(path):
-        if k + 1 < len(path) and path[k] == left and path[k + 1] == right:
-            out.extend(insert[:-1])
-            k += 1
-        else:
-            out.append(path[k])
-            k += 1
-    return tuple(out)
+    """`path` with its edge `chord` replaced by the path `insert` between the
+    same two ends."""
+    k = list(zip(path, path[1:])).index(chord)
+    return path[:k] + insert + path[k + 2:]
 
 
 # --------------------------------------------------------------------------
@@ -723,13 +634,9 @@ def graph_pattern(n: int, vertices, edges, add_boundary: bool = True) -> GraphPa
     pat = GraphPattern(n, verts, edge_set)
     twos = [e for e in pat.edges if bs.size(e[0] ^ e[1]) == 2]
     ones = [e for e in pat.edges if bs.size(e[0] ^ e[1]) == 1]
-    for p, q in combinations(twos, 2):
-        if _violates_c3(p, q):
-            raise ValueError(f"edges {p} and {q} violate the interleaving condition")
-    for two in twos:
-        for one in ones:
-            if _violates_c4(two, one):
-                raise ValueError(f"edges {two} and {one} violate the spanning condition")
+    violation = _quadruple_violation(twos, ones)
+    if violation is not None:
+        raise ValueError(violation)
     pts = embedding_table(default_generators(n))
     for (a, b), (c, d) in combinations(pat.edges, 2):
         if segment_contact(pts[a], pts[b], pts[c], pts[d]) == "cross":

@@ -115,25 +115,16 @@ def render_svg(obj, style: RenderStyle | None = None, gens: Generators | None = 
         fills = [tuple(l.cycle()) for l in sorted(obj.lenses)]
         return _render_edges(obj.n, vert, horiz, fills, style, gens)
     if isinstance(obj, QuasiCombi):
+        # every piece's boundary edges, each upward if its ends differ in
+        # size and rightward (smaller traded element first) if they do not
         vert, horiz = set(), set()
-        for d in obj.deltas:
-            vert.update(((d.left, d.apex), (d.right, d.apex)))
-            horiz.add(d.base)
-        for v in obj.nablas:
-            vert.update(((v.bottom, v.left), (v.bottom, v.right)))
-            horiz.add(v.base)
-        fills = [tuple(l.cycle()) for l in sorted(obj.lenses)]
-        for l in obj.lenses:
-            horiz.update(zip(l.upper, l.upper[1:]))
-            horiz.update(zip(l.lower, l.lower[1:]))
-        for u in sorted(obj.upper_semis):
-            horiz.update(u.edges())
-            horiz.add(u.chord)
-            fills.append(tuple(u.cycle()))
-        for w in sorted(obj.lower_semis):
-            horiz.update(w.edges())
-            horiz.add(w.chord)
-            fills.append(tuple(w.cycle()))
+        for piece in obj.pieces():
+            cyc = piece.cycle()
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                edge = (a, b) if a & ~b < b & ~a else (b, a)
+                (vert if bs.size(a) != bs.size(b) else horiz).add(edge)
+        fills = [tuple(p.cycle())
+                 for group in (obj.lenses, obj.upper_semis, obj.lower_semis) for p in sorted(group)]
         return _render_edges(obj.n, sorted(vert), sorted(horiz), fills, style, gens)
     if isinstance(obj, CyclicPattern):
         return _render_pattern(obj, style, gens)

@@ -86,17 +86,12 @@ def sample_cycle(
             onpath.add(nxt)
     return None
 
-def _combi_edge_sets(combi: Combi) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
-    return combi.vertical_edges(), combi.horizontal_edges()
-
 def sample_simple_pattern(combi: Combi, rng: random.Random) -> CyclicPattern | None:
-    vert, _ = _combi_edge_sets(combi)
-    cyc = sample_cycle(vert, rng)
+    cyc = sample_cycle(combi.vertical_edges(), rng)
     return CyclicPattern(combi.n, cyc) if cyc else None
 
 def sample_generalized_pattern(combi: Combi, rng: random.Random) -> CyclicPattern | None:
-    vert, horiz = _combi_edge_sets(combi)
-    cyc = sample_cycle(vert | horiz, rng)
+    cyc = sample_cycle(combi.vertical_edges() | combi.horizontal_edges(), rng)
     return CyclicPattern(combi.n, cyc) if cyc else None
 
 def crossing_pattern_examples(n: int) -> list[CyclicPattern]:
@@ -269,8 +264,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500) -> dict:
     exhaustive_n = min(max_n, 4)
     seen = set()
     for combi in combi_pool.get(exhaustive_n, ()):
-        vert, _ = _combi_edge_sets(combi)
-        for cyc in _all_cycles(vert):
+        for cyc in _all_cycles(combi.vertical_edges()):
             pat = CyclicPattern(exhaustive_n, cyc)
             key = pat.canonical()
             if key in seen:
@@ -298,8 +292,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500) -> dict:
     s_report = enumerate_maximal(hypercube_domain(min(max_n, 4)), "strong")
     for fam in s_report.maximal_collections:
         semi = from_rhombus(from_s_collection(fam))
-        vert, _ = _combi_edge_sets(semi)
-        cyc = sample_cycle(vert, rng)
+        cyc = sample_cycle(semi.vertical_edges(), rng)
         if cyc is None:
             continue
         pat = CyclicPattern(semi.n, cyc)
@@ -319,7 +312,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500) -> dict:
     n4 = min(max_n, 4)
     while graph_checked < 50:
         combi = rng.choice(combi_pool[n4])
-        vert, horiz = _combi_edge_sets(combi)
+        vert, horiz = combi.vertical_edges(), combi.horizontal_edges()
         chosen = [e for e in sorted(vert | horiz) if rng.random() < 0.35]
         try:
             pat = graph_pattern(n4, set(combi.vertex_masks()), chosen)
@@ -361,9 +354,8 @@ def check_cross_exchange(max_n: int, seed: int, samples: int = 100) -> dict:
         combi_a = rng.choice(pools[n])
         combi_b = rng.choice(pools[n])
         common = combi_a.vertex_masks() & combi_b.vertex_masks()
-        vert_a, horiz_a = _combi_edge_sets(combi_a)
-        vert_b, horiz_b = _combi_edge_sets(combi_b)
-        edges = vert_a | horiz_a | vert_b | horiz_b
+        edges = (combi_a.vertical_edges() | combi_a.horizontal_edges()
+                 | combi_b.vertical_edges() | combi_b.horizontal_edges())
         usable = {(u, v) for u, v in edges if u in common and v in common}
         cyc = sample_cycle(usable, rng)
         if cyc is None:

@@ -13,7 +13,7 @@ from zonotile.geometry import (
     segment_contact,
 )
 from zonotile.patterns import CyclicPattern, curve_kind, curve_points
-from zonotile.suite import _all_cycles, _combi_edge_sets, all_combis, crossing_pattern_examples
+from zonotile.suite import _all_cycles, all_combis, crossing_pattern_examples
 
 
 def test_default_generators_basic():
@@ -263,7 +263,7 @@ def test_curve_kind_matches_reference_on_all_small_cycles():
     patterns = list(crossing_pattern_examples(4))
     for n in range(2, 5):
         for combi in all_combis(n):
-            vert, horiz = _combi_edge_sets(combi)
+            vert, horiz = combi.vertical_edges(), combi.horizontal_edges()
             patterns += [CyclicPattern(n, cyc) for cyc in _all_cycles(vert | horiz)]
     kinds = {"simple": 0, "crossing": 0}
     for pattern in patterns:

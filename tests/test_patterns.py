@@ -3,7 +3,7 @@ import random
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile.combi import from_rhombus, from_w_collection, spectrum
+from zonotile.combi import from_rhombus, from_w_collection, spectrum, validate_combi
 from zonotile.patterns import (
     CyclicPattern,
     boundary_pattern,
@@ -28,12 +28,12 @@ from zonotile.rhombus import from_s_collection, minimal_tiling
 from zonotile.separation import (
     Permutation,
     ResourceGuardError,
+    SetFamily,
     enumerate_maximal,
     hypercube_domain,
     inversions,
 )
 from zonotile.suite import (
-    _combi_edge_sets,
     all_combis,
     crossing_pattern_examples,
     sample_cycle,
@@ -119,7 +119,7 @@ class TestRegionsAndDomains:
         # any pattern that avoids it
         fam = enumerate_maximal(hypercube_domain(3), "weak").maximal_collections[0]
         combi = from_w_collection(fam, check_input=False)
-        vert, _ = _combi_edge_sets(combi)
+        vert = combi.vertical_edges()
         cyc = sample_cycle({e for e in vert if 0 not in e}, random.Random(3))
         if cyc is not None:
             reg = regions(CyclicPattern(3, cyc))
@@ -152,7 +152,7 @@ class TestComplementaryPairs:
     def test_exhaustive_small(self):
         rng = random.Random(0)
         for combi in all_combis(3):
-            vert, horiz = _combi_edge_sets(combi)
+            vert, horiz = combi.vertical_edges(), combi.horizontal_edges()
             for _ in range(20):
                 cyc = sample_cycle(vert | horiz, rng)
                 if cyc is None:
@@ -170,7 +170,7 @@ class TestComplementaryPairs:
         checked = 0
         for fam in fams:
             semi = from_rhombus(from_s_collection(fam))
-            vert, _ = _combi_edge_sets(semi)
+            vert = semi.vertical_edges()
             cyc = sample_cycle(vert, rng)
             if cyc is None:
                 continue
@@ -194,7 +194,7 @@ class TestComplementaryPairs:
 class TestSplitMerge:
     def test_split_partitions_when_no_cuts(self):
         combi = from_rhombus(minimal_tiling(4))
-        vert, _ = _combi_edge_sets(combi)
+        vert = combi.vertical_edges()
         cyc = sample_cycle(vert, random.Random(2))
         pat = CyclicPattern(4, cyc)
         inner, outer = split_quasi(combi, pat)
@@ -263,11 +263,8 @@ class TestSplitMerge:
         while done < 40:
             a, b = rng.choice(pools), rng.choice(pools)
             common = a.vertex_masks() & b.vertex_masks()
-            va, ha = _combi_edge_sets(a)
-            vb, hb = _combi_edge_sets(b)
-            usable = {
-                (u, v) for u, v in va | ha | vb | hb if u in common and v in common
-            }
+            edges = a.vertical_edges() | a.horizontal_edges() | b.vertical_edges() | b.horizontal_edges()
+            usable = {(u, v) for u, v in edges if u in common and v in common}
             cyc = sample_cycle(usable, rng)
             if cyc is None:
                 continue
@@ -279,6 +276,85 @@ class TestSplitMerge:
             merged = merge_repair(inner, outer)
             assert inner.vertex_masks() | outer.vertex_masks() <= merged.vertex_masks()
             done += 1
+
+    def test_merge_rejects_mismatched_halves(self):
+        combi = from_rhombus(minimal_tiling(4))
+        inner, _ = split_quasi(combi, boundary_pattern(4))
+        cyc = sample_cycle(combi.vertical_edges(), random.Random(2))
+        _, other = split_quasi(combi, CyclicPattern(4, cyc))
+        _, small = split_quasi(from_rhombus(minimal_tiling(3)), boundary_pattern(3))
+        for a, b, text in (
+            (inner, small, "different ground sets"),
+            (inner, other, "different patterns"),
+            (inner, inner, "one inside half and one outside half"),
+        ):
+            with pytest.raises(ValueError, match=text):
+                merge_repair(a, b)
+
+    # Seam branches the sampled exchanges rarely reach.  Each case splits
+    # combi a and combi b along the cycle and merges inside(a) with
+    # outside(b); `seam` gives, for each of the two halves, its upper and
+    # lower semi-lenses and the lenses its split re-closed.
+    @pytest.mark.parametrize(
+        "n, spec_a, spec_b, cycle, seam",
+        [
+            (
+                5,
+                {0, 1, 3, 5, 7, 13, 14, 15, 16, 17, 21, 24, 25, 28, 30, 31},
+                {0, 1, 3, 7, 9, 11, 13, 15, 16, 17, 24, 25, 28, 29, 30, 31},
+                (16, 24, 28, 30, 31, 15, 13, 25, 17),
+                ((0, 0, 1), (0, 0, 0)),
+            ),
+            (
+                5,
+                {0, 1, 3, 7, 14, 15, 16, 17, 19, 21, 22, 24, 25, 28, 30, 31},
+                {0, 1, 3, 7, 13, 14, 15, 16, 17, 19, 20, 21, 24, 28, 30, 31},
+                (24, 17, 19, 21, 28),
+                ((0, 1, 0), (0, 0, 0)),
+            ),
+            (
+                5,
+                {0, 1, 3, 7, 10, 11, 15, 16, 17, 18, 24, 26, 27, 28, 30, 31},
+                {0, 1, 3, 6, 7, 10, 12, 14, 15, 16, 17, 18, 24, 28, 30, 31},
+                (17, 16, 1, 3, 10, 18),
+                ((0, 0, 0), (1, 0, 0)),
+            ),
+            (
+                4,
+                {0, 1, 3, 4, 5, 6, 7, 8, 12, 14, 15},
+                {0, 1, 2, 3, 4, 6, 7, 8, 12, 14, 15},
+                (8, 1, 4),
+                ((1, 0, 0), (1, 0, 0)),
+            ),
+            (
+                4,
+                {0, 1, 3, 4, 5, 7, 8, 12, 13, 14, 15},
+                {0, 1, 3, 7, 8, 9, 11, 12, 13, 14, 15},
+                (14, 7, 13),
+                ((0, 1, 0), (0, 1, 0)),
+            ),
+        ],
+        ids=[
+            "lens-reclosed",
+            "lens-absorbs-lower",
+            "lens-absorbs-upper",
+            "upper-absorbs-upper",
+            "lower-absorbs-lower",
+        ],
+    )
+    def test_seam_witnesses(self, n, spec_a, spec_b, cycle, seam):
+        a = from_w_collection(SetFamily(n, spec_a))
+        b = from_w_collection(SetFamily(n, spec_b))
+        pat = CyclicPattern(n, cycle)
+        inner, _ = split_quasi(a, pat)
+        _, outer = split_quasi(b, pat)
+        assert tuple(
+            (len(half.upper_semis), len(half.lower_semis), len(half.lenses - source.lenses))
+            for half, source in ((inner, a), (outer, b))
+        ) == seam
+        merged = merge_repair(inner, outer)
+        validate_combi(merged)
+        assert inner.vertex_masks() | outer.vertex_masks() <= merged.vertex_masks()
 
 
 class TestGraphPatterns:
@@ -342,8 +418,6 @@ class TestNecklaces:
         pat, _ = grassmann_necklace(interval_necklace(n, m), n)
         inner, outer = domains(pat)
         level = [x for x in outer.members if bs.size(x) == m]
-        from zonotile.separation import SetFamily
-
         outer_level = SetFamily(n, level)
         assert verify_complementary(inner, outer_level)
         assert verify_purity(inner).pure and verify_purity(outer_level).pure
