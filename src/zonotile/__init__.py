@@ -114,6 +114,6 @@ from .patterns import (
     verify_face_domains,
     verify_purity,
 )
-from .render import RenderStyle, render_svg
+from .render import render_svg
 
 __version__ = "0.1.0"

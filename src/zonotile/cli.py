@@ -16,6 +16,7 @@ from . import bitsets as bs
 from . import jsonio
 from ._planar import TilingError
 from .combi import (
+    Combi,
     find_m_config_at,
     find_w_config_at,
     from_w_collection,
@@ -24,7 +25,8 @@ from .combi import (
 from .contraction import n_contract, n_expand
 from .flips import descend_to_minimum, lowering_flip, raising_flip
 from .patterns import classify_pattern, domains, verify_complementary, verify_purity
-from .render import RenderStyle, render_svg
+from .render import render_svg
+from .rhombus import validate_rhombus
 from .separation import (
     RELATION_KINDS,
     ResourceGuardError,
@@ -43,6 +45,13 @@ def _load(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_combi(path: str) -> Combi:
+    """A combi read from a JSON file and validated."""
+    combi = jsonio.combi_from_json(_load(path))
+    validate_combi(combi)
+    return combi
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -188,8 +197,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "flip":
-        combi = jsonio.combi_from_json(_load(args.combi))
-        validate_combi(combi)
+        combi = _load_combi(args.combi)
         core = bs.check_subset(bs.parse_subset(args.core), combi.n)
         if not all(1 <= t <= combi.n for t in (args.i, args.j, args.k)):
             raise ValueError(f"--i, --j and --k must lie in 1..{combi.n}")
@@ -207,8 +215,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "descend":
-        combi = jsonio.combi_from_json(_load(args.combi))
-        validate_combi(combi)
+        combi = _load_combi(args.combi)
         final, trace = descend_to_minimum(combi)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -219,8 +226,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "contract":
-        combi = jsonio.combi_from_json(_load(args.combi))
-        validate_combi(combi)
+        combi = _load_combi(args.combi)
         smaller, path = n_contract(combi)
         _dump(jsonio.combi_to_json(smaller), args.out_combi)
         if args.out_path:
@@ -228,8 +234,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "expand":
-        combi = jsonio.combi_from_json(_load(args.combi))
-        validate_combi(combi)
+        combi = _load_combi(args.combi)
         path = jsonio.path_from_json(_load(args.path))
         _dump(jsonio.combi_to_json(n_expand(combi, path)), args.out)
         return 0
@@ -270,18 +275,14 @@ def _dispatch(args) -> int:
         chosen = [x for x in (args.combi, args.tiling, args.pattern) if x]
         if len(chosen) != 1:
             raise ValueError("pass exactly one of --combi, --tiling, --pattern")
-        style = RenderStyle(labels=not args.no_labels)
         if args.combi:
-            obj = jsonio.combi_from_json(_load(args.combi))
-            validate_combi(obj)
+            obj = _load_combi(args.combi)
         elif args.tiling:
-            from .rhombus import validate_rhombus
-
             obj = jsonio.tiling_from_json(_load(args.tiling))
             validate_rhombus(obj)
         else:
             obj = jsonio.pattern_from_json(_load(args.pattern))
-        _write_output(render_svg(obj, style), args.out)
+        _write_output(render_svg(obj, labels=not args.no_labels), args.out)
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 from . import bitsets as bs
 from ._planar import TilingError, check_planar_cover, zonogon_region
-from .geometry import Generators, default_generators
+from .geometry import default_generators
 from .rhombus import RhombusTiling
 from .separation import SetFamily, is_maximal_separated
 
@@ -387,19 +387,11 @@ def tile_label(tile: Tile) -> str:
     return f"lens({bs.format_subset(tile.left)}..{bs.format_subset(tile.right)})"
 
 
-def validate_combi(combi: Combi, gens: Generators | None = None) -> bool:
-    """Tile-local invariants plus exact planar-cover axioms; raises TilingError."""
-    n = combi.n
-    if gens is None:
-        gens = default_generators(n)
-    if n == 1:
-        if combi.deltas or combi.nablas or combi.lenses:
-            raise TilingError("tile-shape", "a 1-element ground set admits no tiles")
-        return True
+def validate_combi(combi: Combi) -> bool:
+    """Exact planar-cover axioms under the default generators; raises TilingError."""
+    gens = default_generators(combi.n)
     cycles = [(t, t.cycle()) for t in combi.tiles()]
-    boundary, area2 = zonogon_region(gens)
-    check_planar_cover(gens, cycles, boundary, area2, tile_label)
-    return True
+    return check_planar_cover(gens, cycles, *zonogon_region(gens), tile_label)
 
 
 def from_rhombus(tiling: RhombusTiling) -> Combi:
@@ -532,7 +524,7 @@ def _peel_lenses(
     return lenses
 
 
-def from_w_collection(family: SetFamily, validate: bool = True, check_input: bool = True) -> Combi:
+def from_w_collection(family: SetFamily, check_input: bool = True) -> Combi:
     """Reconstruct the unique combi whose spectrum is the given maximal
     weakly separated collection.
 
@@ -553,10 +545,9 @@ def from_w_collection(family: SetFamily, validate: bool = True, check_input: boo
             # serves as the level's members
             lenses.extend(_peel_lenses(level, sorted(bases), delta_bases[level], members))
     combi = Combi(n, deltas, nablas, lenses)
-    if validate:
-        validate_combi(combi)
-        if combi.vertex_masks() != members:
-            raise TilingError("spectrum", "reconstruction changed the vertex set")
+    validate_combi(combi)
+    if combi.vertex_masks() != members:
+        raise TilingError("spectrum", "reconstruction changed the vertex set")
     return combi
 
 
@@ -582,10 +573,6 @@ class WConfig:
     def middle(self) -> int:
         return self.core | bs.singleton(self.i) | bs.singleton(self.k)
 
-    @property
-    def replacement(self) -> int:
-        return self.core | bs.singleton(self.j)
-
     def left_nabla(self) -> Nabla:
         return Nabla(self.core | bs.singleton(self.i), self.j, self.k)
 
@@ -601,14 +588,6 @@ class MConfig:
     i: int
     j: int
     k: int
-
-    @property
-    def middle(self) -> int:
-        return self.core | bs.singleton(self.j)
-
-    @property
-    def replacement(self) -> int:
-        return self.core | bs.singleton(self.i) | bs.singleton(self.k)
 
     def left_delta(self) -> Delta:
         return Delta(self.core | bs.singleton(self.i) | bs.singleton(self.j), self.i, self.j)

@@ -145,7 +145,7 @@ def complement_combi(combi: Combi, validate: bool = True) -> Combi:
     return out
 
 
-def raising_flip(combi: Combi, m: MConfig, validate: bool = True) -> Combi:
+def raising_flip(combi: Combi, m: MConfig) -> Combi:
     """Replace core+j by core+i+k; performed as a lowering flip on the
     complemented combi."""
     if m.left_delta() not in combi.deltas or m.right_delta() not in combi.deltas:
@@ -155,8 +155,7 @@ def raising_flip(combi: Combi, m: MConfig, validate: bool = True) -> Combi:
     mirrored = WConfig(comp_core, m.i, m.j, m.k)
     flipped = lowering_flip(complement_combi(combi, validate=False), mirrored, validate=False)
     out = complement_combi(flipped, validate=False)
-    if validate:
-        validate_combi(out)
+    validate_combi(out)
     return out
 
 
@@ -228,7 +227,7 @@ class FlipGraph:
         return [v for v in range(len(self.nodes)) if v not in has_out]
 
 
-def flip_graph(n: int, cross_check: bool = True) -> FlipGraph:
+def flip_graph(n: int) -> FlipGraph:
     """BFS over raising flips from the interval combi; nodes are spectra.
 
     Cross-checked against the brute-force clique enumeration so the flip
@@ -258,11 +257,10 @@ def flip_graph(n: int, cross_check: bool = True) -> FlipGraph:
     nodes = tuple(sorted(order, key=lambda s: tuple(sorted(s))))
     remap = {order[key]: idx for idx, key in enumerate(nodes)}
     arcs2 = tuple(sorted((remap[u], remap[v]) for u, v in arcs))
-    if cross_check:
-        report = enumerate_maximal(hypercube_domain(n), "weak")
-        expected = {f.as_set() for f in report.maximal_collections}
-        if set(nodes) != expected:
-            raise TilingError("flip-graph", "flip moves do not reach every collection")
+    report = enumerate_maximal(hypercube_domain(n), "weak")
+    expected = {f.as_set() for f in report.maximal_collections}
+    if set(nodes) != expected:
+        raise TilingError("flip-graph", "flip moves do not reach every collection")
     return FlipGraph(n, nodes, arcs2)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from .bitsets import check_ground, full_mask, iter_elements
 
@@ -28,10 +28,6 @@ def sub(a: Point, b: Point) -> Point:
 
 def add(a: Point, b: Point) -> Point:
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @dataclass(frozen=True)
@@ -92,31 +88,19 @@ def _circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=64)
-def default_generators(n: int, attempt: int = 0) -> Generators:
+def default_generators(n: int) -> Generators:
     """Equal-norm rational points on a circle, clockwise in the upper half-plane.
 
-    Uses the rational parametrization ((1-u^2)/(1+u^2), 2u/(1+u^2)) with a
-    decreasing sequence of positive u, then clears denominators.  If the
-    subset sums happen to collide the u values are perturbed deterministically
-    and construction retries (bounded).  Built once per (n, attempt):
-    `Generators` is immutable, so every caller may share the result.
+    Uses the rational parametrization ((1-u^2)/(1+u^2), 2u/(1+u^2)) at the
+    decreasing u = 2(n-k+1)/(n+1), k = 1..n, then clears denominators.  The
+    `Generators` constructor checks that the subset sums are injective, as
+    they are for every n in 1..16.  Built once per n: `Generators` is
+    immutable, so every caller may share the result.
     """
     check_ground(n)
-    for trial in range(attempt, attempt + 8):
-        us = [
-            Fraction(2 * (n - k + 1), n + 1) + Fraction(trial, (n + 2) * (k + 2))
-            for k in range(1, n + 1)
-        ]
-        pts = [_circle_point(u) for u in us]
-        denom = 1
-        for x, y in pts:
-            denom = _lcm(denom, _lcm(x.denominator, y.denominator))
-        vecs = [(int(x * denom), int(y * denom)) for x, y in pts]
-        try:
-            return Generators(n, vecs)
-        except ValueError:
-            continue
-    raise ValueError(f"could not build injective generators for n={n}")
+    pts = [_circle_point(Fraction(2 * (n - k + 1), n + 1)) for k in range(1, n + 1)]
+    denom = lcm(*(c.denominator for p in pts for c in p))
+    return Generators(n, [(int(x * denom), int(y * denom)) for x, y in pts])
 
 
 def embed(mask: int, gens: Generators) -> Point:

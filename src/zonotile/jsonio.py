@@ -9,16 +9,13 @@ ValueError.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Any
 
 from . import bitsets as bs
 from .combi import Combi, Delta, Lens, Nabla
-from .geometry import Generators
-from .patterns import CyclicPattern, GraphPattern
+from .patterns import CyclicPattern
 from .rhombus import Rhombus, RhombusTiling
-from .separation import DomainReport, Permutation, SetFamily
+from .separation import DomainReport, SetFamily
 
 
 def _int(data: Any, what: str) -> int:
@@ -68,15 +65,6 @@ def family_from_json(data: Any) -> SetFamily:
     n = _int(_field(data, "n", "family"), "n")
     members = _list(_field(data, "members", "family"), "members")
     return SetFamily(n, [subset_from_json(m) for m in members])
-
-
-def permutation_to_json(perm: Permutation) -> dict:
-    return {"images": list(perm.images)}
-
-
-def permutation_from_json(data: Any) -> Permutation:
-    images = _list(_field(data, "images", "permutation"), "images")
-    return Permutation(_int(x, "image") for x in images)
 
 
 def report_to_json(report: DomainReport) -> dict:
@@ -171,52 +159,12 @@ def pattern_from_json(data: Any) -> CyclicPattern:
     return CyclicPattern(n, [subset_from_json(v) for v in cycle])
 
 
-def graph_pattern_from_json(data: Any) -> GraphPattern:
-    n = _int(_field(data, "n", "graph pattern"), "n")
-    verts = [subset_from_json(v) for v in _list(_field(data, "vertices", "graph pattern"), "vertices")]
-    edges = []
-    for edge in _list(_field(data, "edges", "graph pattern"), "edges"):
-        ends = [_int(k, "vertex index") for k in _list(edge, "edge")]
-        if len(ends) != 2 or not all(0 <= k < len(verts) for k in ends):
-            raise ValueError(f"edge must be two indices into vertices, got {edge!r:.60}")
-        edges.append((verts[ends[0]], verts[ends[1]]))
-    return GraphPattern(n, verts, edges)
-
-
 def path_to_json(path) -> dict:
     return {"vertices": [subset_to_json(v) for v in path]}
 
 
 def path_from_json(data: Any) -> tuple[int, ...]:
     return tuple(subset_from_json(v) for v in _list(_field(data, "vertices", "path"), "vertices"))
-
-
-def generators_to_json(gens: Generators) -> list:
-    return [
-        [{"num": x, "den": 1}, {"num": y, "den": 1}]
-        for x, y in gens.vectors
-    ]
-
-
-def generators_from_json(data: Any, n: int | None = None) -> Generators:
-    vecs = []
-    for pair in _list(data, "generators"):
-        if len(_list(pair, "generator")) != 2:
-            raise ValueError("a generator is a list of two coordinates")
-        coords = []
-        for c in pair:
-            num = _int(_field(c, "num", "coordinate"), "num")
-            den = _int(_field(c, "den", "coordinate"), "den")
-            if den == 0:
-                raise ValueError("coordinate denominator must not be 0")
-            coords.append(Fraction(num, den))
-        vecs.append(tuple(coords))
-    denom = 1
-    for x, y in vecs:
-        denom = denom // gcd(denom, x.denominator) * x.denominator
-        denom = denom // gcd(denom, y.denominator) * y.denominator
-    ivecs = [(int(x * denom), int(y * denom)) for x, y in vecs]
-    return Generators(n if n is not None else len(ivecs), ivecs)
 
 
 def flip_trace_line(op: str, core: int, i: int, j: int, k: int) -> dict:

@@ -14,13 +14,13 @@ combies into a new valid combi.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 from . import bitsets as bs
 from ._planar import TilingError
 from .combi import Combi, Delta, Lens, Nabla, validate_combi
 from .geometry import (
-    Generators,
     Point,
     angle_sort_key,
     boundary_cycle,
@@ -149,10 +149,8 @@ def _quadruple_violation(twos, ones) -> str | None:
     return None
 
 
-def curve_points(pattern: CyclicPattern, gens: Generators | None = None) -> list[Point]:
-    if gens is None:
-        gens = default_generators(pattern.n)
-    table = embedding_table(gens)
+def curve_points(pattern: CyclicPattern) -> list[Point]:
+    table = embedding_table(default_generators(pattern.n))
     return [table[v] for v in pattern.cycle]
 
 
@@ -165,9 +163,9 @@ def _chords_laminar(pairs: list[tuple[int, int]], m: int) -> bool:
     return True
 
 
-def curve_kind(pattern: CyclicPattern, gens: Generators | None = None) -> str:
+def curve_kind(pattern: CyclicPattern) -> str:
     """Geometric verdict on the closed curve: 'simple', 'touching', 'crossing'."""
-    pts = curve_points(pattern, gens)
+    pts = curve_points(pattern)
     r = len(pts)
     # adjacent segments share an endpoint, so for them "cross" is exactly a
     # collinear fold-back
@@ -203,7 +201,7 @@ def curve_kind(pattern: CyclicPattern, gens: Generators | None = None) -> str:
     return "touching"
 
 
-def classify_pattern(pattern: CyclicPattern, gens: Generators | None = None) -> str:
+def classify_pattern(pattern: CyclicPattern) -> str:
     """Combinatorial pattern class, cross-validated against the exact curve.
 
     Requires pairwise weak separation of the members; with distinct members
@@ -213,7 +211,7 @@ def classify_pattern(pattern: CyclicPattern, gens: Generators | None = None) -> 
     cyc = pattern.cycle
     if not _pairwise_weakly_separated(cyc, pattern.n):
         raise ValueError("pattern members must be pairwise weakly separated")
-    geo = curve_kind(pattern, gens)
+    geo = curve_kind(pattern)
     distinct = len(set(cyc)) == len(cyc)
     if not distinct:
         return "semi_simple" if geo == "touching" else "self_crossing"
@@ -234,20 +232,23 @@ def classify_pattern(pattern: CyclicPattern, gens: Generators | None = None) -> 
 @dataclass(frozen=True)
 class PatternRegions:
     pattern: CyclicPattern
-    gens: Generators
-    points: tuple[Point, ...]
+
+    @cached_property
+    def _table(self) -> tuple[Point, ...]:
+        return embedding_table(default_generators(self.pattern.n))
+
+    @cached_property
+    def points(self) -> list[Point]:
+        return [self._table[v] for v in self.pattern.cycle]
 
     def locate(self, mask: int) -> str:
-        return point_in_closed_polyline(embedding_table(self.gens)[mask], list(self.points))
+        return point_in_closed_polyline(self._table[mask], self.points)
 
 
-def regions(pattern: CyclicPattern, gens: Generators | None = None) -> PatternRegions:
-    kind = classify_pattern(pattern, gens)
-    if kind == "self_crossing":
+def regions(pattern: CyclicPattern) -> PatternRegions:
+    if classify_pattern(pattern) == "self_crossing":
         raise ValueError("a self-crossing pattern does not bound regions")
-    if gens is None:
-        gens = default_generators(pattern.n)
-    return PatternRegions(pattern, gens, tuple(curve_points(pattern, gens)))
+    return PatternRegions(pattern)
 
 
 def pattern_compatible_sets(pattern: CyclicPattern, relation: str = "weak") -> SetFamily:
@@ -401,8 +402,8 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     if not set(pattern.cycle) <= verts:
         raise ValueError("pattern members must be vertices of the combi")
     gens = default_generators(n)
-    reg = PatternRegions(pattern, gens, tuple(curve_points(pattern, gens)))
     table = embedding_table(gens)
+    curve = [table[v] for v in pattern.cycle]
     h_edges = combi.horizontal_edges()
 
     def encloses(probe: Point, masks) -> bool:
@@ -475,7 +476,7 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
         pts = [table[v] for v in cycle_masks]
         m = len(pts)
         probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
-        where = point_in_closed_polyline(probe, [(x * m, y * m) for x, y in reg.points])
+        where = point_in_closed_polyline(probe, [(x * m, y * m) for x, y in curve])
         if where == "on":
             raise TilingError("split", "piece centroid landed on the curve")
         return "in" if where == "inside" else "out"
@@ -485,23 +486,13 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
         for piece in group:
             halves[side(piece.cycle())][k].append(piece)
     out = tuple(QuasiCombi(n, tag, pattern.cycle, *map(frozenset, halves[tag])) for tag in ("in", "out"))
-    _check_quasi(out[0], reg)
-    _check_quasi(out[1], reg)
+    # area accounting: each half must cover its closed region exactly
+    curve_area = abs(polygon_area2(curve))
+    for half, want in zip(out, (curve_area, gens.zonogon_area2() - curve_area)):
+        total = sum(polygon_area2([table[v] for v in piece.cycle()]) for piece in half.pieces())
+        if total != want:
+            raise TilingError("split", f"{half.region} half covers {total}/2, expected {want}/2")
     return out
-
-
-def _check_quasi(quasi: QuasiCombi, reg: PatternRegions) -> None:
-    """Area accounting: the half must cover its closed region exactly."""
-    gens = reg.gens
-    table = embedding_table(gens)
-    total = sum(polygon_area2([table[v] for v in piece.cycle()]) for piece in quasi.pieces())
-    curve_area = abs(polygon_area2(list(reg.points)))
-    want = curve_area if quasi.region == "in" else gens.zonogon_area2() - curve_area
-    if total != want:
-        raise TilingError(
-            "split",
-            f"{quasi.region} half covers {total}/2, expected {want}/2",
-        )
 
 
 def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
@@ -615,20 +606,19 @@ class GraphPattern:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
 
-def graph_pattern(n: int, vertices, edges, add_boundary: bool = True) -> GraphPattern:
-    """Build and fully check a graph pattern.
+def graph_pattern(n: int, vertices, edges) -> GraphPattern:
+    """Build and fully check a graph pattern, the zonogon boundary cycle added.
 
     Verifies that the vertex family is weakly separated, that every edge
     pair obeys the quadruple conditions, and that the drawn segments are
-    pairwise non-crossing; the zonogon boundary cycle is added by default.
+    pairwise non-crossing.
     """
     verts = set(vertices)
     edge_set = {(min(u, v), max(u, v)) for u, v in edges}
-    if add_boundary:
-        cyc = boundary_cycle(default_generators(n))
-        verts.update(cyc)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edge_set.add((min(a, b), max(a, b)))
+    cyc = boundary_cycle(default_generators(n))
+    verts.update(cyc)
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        edge_set.add((min(a, b), max(a, b)))
     if not _pairwise_weakly_separated(verts, n):
         raise ValueError("graph-pattern vertices must form a weakly separated family")
     pat = GraphPattern(n, verts, edge_set)
@@ -652,11 +642,12 @@ class PatternFace:
     area2: int
 
 
-def pattern_faces(pat: GraphPattern, gens: Generators | None = None) -> list[PatternFace]:
+def pattern_faces(pat: GraphPattern) -> list[PatternFace]:
     """Bounded faces from the rotation system of the exact embedding."""
-    if gens is None:
-        gens = default_generators(pat.n)
-    pts = embedding_table(gens)
+    return _faces(pat, embedding_table(default_generators(pat.n)))
+
+
+def _faces(pat: GraphPattern, pts: tuple[Point, ...]) -> list[PatternFace]:
     outgoing: dict[int, list[int]] = {v: [] for v in pat.vertices}
     for u, v in pat.edges:
         outgoing[u].append(v)
@@ -701,15 +692,13 @@ def _face_closure_contains(
     )
 
 
-def graph_pattern_domains(pat: GraphPattern, gens: Generators | None = None):
+def graph_pattern_domains(pat: GraphPattern):
     """Map each bounded face to the compatible sets lying in its closure."""
     n = pat.n
     if n > _max_enum_n():
         raise ResourceGuardError(f"domain scan guard: n={n}")
-    if gens is None:
-        gens = default_generators(n)
-    faces = pattern_faces(pat, gens)
-    table = embedding_table(gens)
+    table = embedding_table(default_generators(n))
+    faces = _faces(pat, table)
     compatible = compatible_sets(pat.vertices, n, "weak")
     out = []
     for face in faces:

@@ -8,7 +8,6 @@ shaded, and pattern curves dashed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bitsets as bs
@@ -18,18 +17,12 @@ from .patterns import CyclicPattern, QuasiCombi
 from .rhombus import RhombusTiling
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    scale: Fraction = Fraction(160)
-    margin: Fraction = Fraction(30)
-    vertical_width: Fraction = Fraction(5, 2)
-    horizontal_width: Fraction = Fraction(1)
-    lens_fill: bool = True
-    labels: bool = True
-
-    def __post_init__(self) -> None:
-        if self.vertical_width <= self.horizontal_width:
-            raise ValueError("vertical edges must be drawn wider than horizontal ones")
+# the length of a generator and the blank border, in SVG units
+SCALE = Fraction(160)
+MARGIN = Fraction(30)
+# stroke widths: vertical edges bold, horizontal ones thin
+VERTICAL_WIDTH = Fraction(5, 2)
+HORIZONTAL_WIDTH = Fraction(1)
 
 
 def _fmt(x: Fraction) -> str:
@@ -41,11 +34,9 @@ def _fmt(x: Fraction) -> str:
 
 
 class _Canvas:
-    def __init__(self, gens: Generators, style: RenderStyle) -> None:
-        self.gens = gens
-        self.style = style
+    def __init__(self, gens: Generators) -> None:
         norm2 = sum(c * c for c in gens.vectors[0])
-        self.unit = Fraction(style.scale) / _isqrt_fraction(norm2)
+        self.unit = SCALE / _isqrt_fraction(norm2)
         top = gens.top
         self.width = Fraction(abs(sum(min(v[0], 0) for v in gens.vectors))
                               + abs(sum(max(v[0], 0) for v in gens.vectors))) * self.unit
@@ -54,8 +45,8 @@ class _Canvas:
         self.parts: list[str] = []
 
     def to_svg(self, p) -> tuple[Fraction, Fraction]:
-        x = Fraction(p[0]) * self.unit + self.x_shift + self.style.margin
-        y = self.height - Fraction(p[1]) * self.unit + self.style.margin
+        x = Fraction(p[0]) * self.unit + self.x_shift + MARGIN
+        y = self.height - Fraction(p[1]) * self.unit + MARGIN
         return x, y
 
     def line(self, a, b, width: Fraction, color: str, dashed: bool = False) -> None:
@@ -66,9 +57,9 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{_fmt(width)}" stroke-linecap="round"{dash}/>'
         )
 
-    def polygon(self, pts, fill: str, opacity: str = "0.45") -> None:
+    def polygon(self, pts, fill: str) -> None:
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (self.to_svg(p) for p in pts))
-        self.parts.append(f'<polygon points="{coords}" fill="{fill}" fill-opacity="{opacity}" stroke="none"/>')
+        self.parts.append(f'<polygon points="{coords}" fill="{fill}" fill-opacity="0.45" stroke="none"/>')
 
     def label(self, p, text: str) -> None:
         x, y = self.to_svg(p)
@@ -81,8 +72,8 @@ class _Canvas:
         )
 
     def document(self) -> str:
-        w = _fmt(self.width + 2 * self.style.margin)
-        h = _fmt(self.height + 2 * self.style.margin)
+        w = _fmt(self.width + 2 * MARGIN)
+        h = _fmt(self.height + 2 * MARGIN)
         body = "\n".join(self.parts)
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -104,16 +95,16 @@ def _vertex_label(mask: int) -> str:
     return ",".join(str(e) for e in bs.iter_elements(mask))
 
 
-def render_svg(obj, style: RenderStyle | None = None, gens: Generators | None = None) -> str:
-    """SVG text for a Combi, RhombusTiling, QuasiCombi, or CyclicPattern."""
-    style = style or RenderStyle()
+def render_svg(obj, labels: bool = True) -> str:
+    """SVG text for a Combi, RhombusTiling, QuasiCombi, or CyclicPattern,
+    drawn with the default generators; `labels` names every vertex."""
     if isinstance(obj, RhombusTiling):
-        return _render_edges(obj.n, _rhombus_edges(obj), [], [], style, gens)
+        return _render_edges(obj.n, sorted(obj.edges()), [], [], labels)
     if isinstance(obj, Combi):
         vert = sorted(obj.vertical_edges())
         horiz = sorted(obj.horizontal_edges())
         fills = [tuple(l.cycle()) for l in sorted(obj.lenses)]
-        return _render_edges(obj.n, vert, horiz, fills, style, gens)
+        return _render_edges(obj.n, vert, horiz, fills, labels)
     if isinstance(obj, QuasiCombi):
         # every piece's boundary edges, each upward if its ends differ in
         # size and rightward (smaller traded element first) if they do not
@@ -125,40 +116,35 @@ def render_svg(obj, style: RenderStyle | None = None, gens: Generators | None = 
                 (vert if bs.size(a) != bs.size(b) else horiz).add(edge)
         fills = [tuple(p.cycle())
                  for group in (obj.lenses, obj.upper_semis, obj.lower_semis) for p in sorted(group)]
-        return _render_edges(obj.n, sorted(vert), sorted(horiz), fills, style, gens)
+        return _render_edges(obj.n, sorted(vert), sorted(horiz), fills, labels)
     if isinstance(obj, CyclicPattern):
-        return _render_pattern(obj, style, gens)
+        return _render_pattern(obj, labels)
     raise TypeError(f"cannot render object of type {type(obj).__name__}")
 
 
-def _rhombus_edges(tiling: RhombusTiling):
-    return sorted(tiling.edges())
-
-
-def _render_edges(n, vertical, horizontal, lens_cycles, style, gens) -> str:
-    gens = gens or default_generators(n)
-    canvas = _Canvas(gens, style)
-    if style.lens_fill:
-        for cyc in lens_cycles:
-            canvas.polygon([embed(v, gens) for v in cyc], "#9ecae1")
+def _render_edges(n, vertical, horizontal, lens_cycles, labels) -> str:
+    gens = default_generators(n)
+    canvas = _Canvas(gens)
+    for cyc in lens_cycles:
+        canvas.polygon([embed(v, gens) for v in cyc], "#9ecae1")
     for a, b in horizontal:
-        canvas.line(embed(a, gens), embed(b, gens), style.horizontal_width, "#555555")
+        canvas.line(embed(a, gens), embed(b, gens), HORIZONTAL_WIDTH, "#555555")
     for a, b in vertical:
-        canvas.line(embed(a, gens), embed(b, gens), style.vertical_width, "#000000")
-    if style.labels:
+        canvas.line(embed(a, gens), embed(b, gens), VERTICAL_WIDTH, "#000000")
+    if labels:
         verts = {v for e in list(vertical) + list(horizontal) for v in e}
         for v in sorted(verts):
             canvas.label(embed(v, gens), _vertex_label(v))
     return canvas.document()
 
 
-def _render_pattern(pattern: CyclicPattern, style: RenderStyle, gens) -> str:
-    gens = gens or default_generators(pattern.n)
-    canvas = _Canvas(gens, style)
+def _render_pattern(pattern: CyclicPattern, labels) -> str:
+    gens = default_generators(pattern.n)
+    canvas = _Canvas(gens)
     cyc = pattern.cycle
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        canvas.line(embed(a, gens), embed(b, gens), style.horizontal_width * 2, "#c22", dashed=True)
-    if style.labels:
+        canvas.line(embed(a, gens), embed(b, gens), HORIZONTAL_WIDTH * 2, "#c22", dashed=True)
+    if labels:
         for v in sorted(set(cyc)):
             canvas.label(embed(v, gens), _vertex_label(v))
     return canvas.document()

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from . import bitsets as bs
 from ._planar import TilingError, check_planar_cover, zonogon_region
-from .geometry import Generators, default_generators
+from .geometry import default_generators
 from .separation import SetFamily, is_maximal_separated
 
 
@@ -89,25 +89,18 @@ def _rhombus_label(t: Rhombus) -> str:
     return f"rhombus({bs.format_subset(t.base)};{t.low},{t.high})"
 
 
-def validate_rhombus(tiling: RhombusTiling, gens: Generators | None = None) -> bool:
+def validate_rhombus(tiling: RhombusTiling) -> bool:
     """Planar-tiling axioms under the exact embedding; raises TilingError."""
-    n = tiling.n
-    if gens is None:
-        gens = default_generators(n)
-    if n == 1:
-        if tiling.tiles:
-            raise TilingError("tile-shape", "a 1-element ground set admits no rhombi")
-        return True
+    gens = default_generators(tiling.n)
     cycles = [(t, t.cycle()) for t in sorted(tiling.tiles)]
-    boundary, area2 = zonogon_region(gens)
-    return check_planar_cover(gens, cycles, boundary, area2, _rhombus_label)
+    return check_planar_cover(gens, cycles, *zonogon_region(gens), _rhombus_label)
 
 
 def spectrum_rhombus(tiling: RhombusTiling) -> SetFamily:
     return SetFamily(tiling.n, tiling.vertex_masks())
 
 
-def from_s_collection(family: SetFamily, validate: bool = True) -> RhombusTiling:
+def from_s_collection(family: SetFamily) -> RhombusTiling:
     """The unique rhombus tiling whose vertex set is the given maximal
     strongly separated collection.
 
@@ -127,13 +120,12 @@ def from_s_collection(family: SetFamily, validate: bool = True) -> RhombusTiling
             if left | right in present:
                 tiles.append(Rhombus(x, i, j))
     tiling = RhombusTiling(n, tiles)
-    if validate and n >= 2:
-        try:
-            validate_rhombus(tiling)
-        except TilingError as exc:
-            raise TilingError(
-                exc.axiom, f"collection does not assemble into a tiling ({exc.detail})"
-            ) from exc
+    try:
+        validate_rhombus(tiling)
+    except TilingError as exc:
+        raise TilingError(
+            exc.axiom, f"collection does not assemble into a tiling ({exc.detail})"
+        ) from exc
     return tiling
 
 

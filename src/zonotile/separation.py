@@ -16,6 +16,7 @@ weak separation additionally admits the split relation from the larger set.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,7 +134,8 @@ class SetFamily:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        k = bisect_left(self.members, mask)
+        return k < len(self.members) and self.members[k] == mask
 
     def as_set(self) -> frozenset[int]:
         return frozenset(self.members)

@@ -60,25 +60,24 @@ class _SortedAdjacency(dict):
         for nbrs in self.values():
             nbrs.sort()
 
-def sample_cycle(
-    edges: set[tuple[int, int]], rng: random.Random, min_len: int = 3, tries: int = 40
-) -> tuple[int, ...] | None:
-    """A random simple cycle in an undirected graph given by vertex-pair edges."""
+def sample_cycle(edges: set[tuple[int, int]], rng: random.Random) -> tuple[int, ...] | None:
+    """A random simple cycle in an undirected graph given by vertex-pair
+    edges, from at most 40 random walks; None if none of them closes."""
     adjacency = _SortedAdjacency(edges)
     if not adjacency:
         return None
     verts = sorted(adjacency)
-    for _ in range(tries):
+    for _ in range(40):
         start = rng.choice(verts)
         path = [start]
         onpath = {start}
         while True:
             nbrs = adjacency[path[-1]]
-            if len(path) >= min_len and start in nbrs and rng.random() < 0.5:
+            if len(path) >= 3 and start in nbrs and rng.random() < 0.5:
                 return tuple(path)
             fresh = [w for w in nbrs if w not in onpath]
             if not fresh:
-                if len(path) >= min_len and start in nbrs:
+                if len(path) >= 3 and start in nbrs:
                     return tuple(path)
                 break
             nxt = rng.choice(fresh)

@@ -4,6 +4,7 @@ these tests check that every name it uses still resolves."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from zonotile.suite import run_suite
@@ -25,6 +26,9 @@ def test_traced_and_counted_functions_exist():
         assert callable(getattr(target, func, None)), f"zonotile.{module}.{func} is gone"
     # the tracer also wraps the relations where separation's loops look them up
     assert isinstance(importlib.import_module("zonotile.separation")._RELATION_FUNC, dict)
+    # and counts planar tile edges from the cycles, the second argument
+    planar = importlib.import_module("zonotile._planar")
+    assert list(inspect.signature(planar.check_planar_cover).parameters)[1] == "cycles"
 
 
 def test_suite_checks_match_report_keys():

@@ -8,10 +8,9 @@ from zonotile.cli import cmd
 from zonotile.combi import from_w_collection, spectrum
 from zonotile.flips import interval_combi
 from zonotile.patterns import boundary_pattern
-from zonotile.render import RenderStyle, render_svg
+from zonotile.render import render_svg
 from zonotile.rhombus import minimal_tiling
 from zonotile.separation import (
-    Permutation,
     enumerate_maximal,
     hypercube_domain,
     interval_collection,
@@ -24,10 +23,6 @@ class TestJsonRoundTrips:
     def test_family(self):
         fam = interval_collection(4)
         assert jsonio.family_from_json(jsonio.family_to_json(fam)) == fam
-
-    def test_permutation(self):
-        perm = Permutation((3, 1, 2))
-        assert jsonio.permutation_from_json(jsonio.permutation_to_json(perm)) == perm
 
     def test_tiling(self):
         tiling = minimal_tiling(4)
@@ -46,27 +41,16 @@ class TestJsonRoundTrips:
         path = (0, M([1]), M([1, 2]))
         assert jsonio.path_from_json(jsonio.path_to_json(path)) == path
 
-    def test_generators(self):
-        from zonotile.geometry import default_generators
-
-        gens = default_generators(3)
-        back = jsonio.generators_from_json(jsonio.generators_to_json(gens))
-        assert back.vectors == gens.vectors
-
     def test_decoders_take_only_ints_and_documented_shapes(self):
         bad = [
             (jsonio.family_from_json, {"n": 3.0, "members": [[1]]}),
-            (jsonio.permutation_from_json, {"images": [2, 1, True]}),
             (jsonio.tiling_from_json, {"n": 3, "rhombi": [{"X": [], "i": 1, "j": 2.0}]}),
             (jsonio.tiling_from_json, {"n": 3, "rhombi": [{"X": [], "i": 1, "j": 10 ** 15}]}),
             (jsonio.combi_from_json, [{"n": 2}]),
             (jsonio.combi_from_json, {"n": 2, "nablas": [{"bottom": [], "base": [[1]]}]}),
             (jsonio.combi_from_json, {"n": 2, "lenses": {}}),
             (jsonio.pattern_from_json, {"n": 3, "cycle": "abc"}),
-            (jsonio.graph_pattern_from_json, {"n": 2, "vertices": [[1], [2]], "edges": [[0, -1]]}),
             (jsonio.path_from_json, {"vertices": [[], [False]]}),
-            (jsonio.generators_from_json, [[{"num": 1, "den": 0}, {"num": 1, "den": 1}]]),
-            (jsonio.generators_from_json, [[{"num": 1.5, "den": 1}, {"num": 1, "den": 1}]]),
         ]
         for decode, data in bad:
             with pytest.raises(ValueError):
@@ -118,9 +102,18 @@ class TestRender:
         assert svg == render_svg(outer)
         assert "<polygon" in svg
 
-    def test_style_invariant(self):
-        with pytest.raises(ValueError):
-            RenderStyle(vertical_width=1, horizontal_width=2)
+    def test_tiling_render_through_cli(self, tmp_path):
+        tiling = minimal_tiling(3)
+        tiling_file = tmp_path / "t.json"
+        tiling_file.write_text(json.dumps(jsonio.tiling_to_json(tiling)))
+        svg_file = tmp_path / "t.svg"
+        assert cmd(["render", "--tiling", str(tiling_file), "--out", str(svg_file)]) == 0
+        assert svg_file.read_text() == render_svg(tiling)
+        assert svg_file.read_text().count("<line") == len(tiling.edges()) == 9
+        bare = tmp_path / "bare.svg"
+        assert cmd(["render", "--tiling", str(tiling_file), "--no-labels", "--out", str(bare)]) == 0
+        assert bare.read_text() == render_svg(tiling, labels=False)
+        assert "<text" not in bare.read_text()
 
 
 class TestCli:

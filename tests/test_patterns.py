@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from zonotile import bitsets as bs
 from zonotile.combi import from_rhombus, from_w_collection, spectrum, validate_combi
+from zonotile.flips import interval_combi
+from zonotile.geometry import Generators, default_generators, embedding_table, point_in_closed_polyline
 from zonotile.patterns import (
     CyclicPattern,
     boundary_pattern,
@@ -42,6 +46,18 @@ from zonotile.suite import (
 )
 
 M = bs.mask_of
+
+
+def perturbed_generators(n: int, shift: int) -> Generators:
+    """The circle points of `default_generators(n)` with the k-th parameter u
+    moved by shift/((n+2)(k+2)): another valid generator set for n."""
+    pts = []
+    for k in range(1, n + 1):
+        u = Fraction(2 * (n - k + 1), n + 1) + Fraction(shift, (n + 2) * (k + 2))
+        p, q = u.numerator, u.denominator
+        pts.append((Fraction(q * q - p * p, p * p + q * q), Fraction(2 * p * q, p * p + q * q)))
+    denom = lcm(*(c.denominator for p in pts for c in p))
+    return Generators(n, [(int(x * denom), int(y * denom)) for x, y in pts])
 
 
 class TestClassification:
@@ -134,18 +150,20 @@ class TestRegionsAndDomains:
             assert v in set(inner.members) and v in set(outer.members)
 
     def test_region_generator_independence(self):
-        from zonotile.geometry import default_generators
-
-        pat = boundary_pattern(4)
-        compat = pattern_compatible_sets(pat)
-        baseline = None
-        for attempt in (0, 1, 2):
-            gens = default_generators(4, attempt)
-            reg = regions(pat, gens)
-            verdicts = tuple(reg.locate(x) for x in compat.members)
-            if baseline is None:
-                baseline = verdicts
-            assert verdicts == baseline
+        # inside, on and outside are combinatorial: two other generator sets
+        # locate every compatible set as the default generators do
+        others = [perturbed_generators(4, shift) for shift in (1, 2)]
+        assert len({g.vectors for g in others} | {default_generators(4).vectors}) == 3
+        cycle = sample_cycle(interval_combi(4).vertical_edges(), random.Random(1))
+        for pat in (boundary_pattern(4), CyclicPattern(4, cycle)):
+            compat = pattern_compatible_sets(pat).members
+            reg = regions(pat)
+            baseline = [reg.locate(x) for x in compat]
+            for gens in others:
+                table = embedding_table(gens)
+                curve = [table[v] for v in pat.cycle]
+                assert [point_in_closed_polyline(table[x], curve) for x in compat] == baseline
+        assert set(baseline) == {"inside", "on", "outside"}
 
 
 class TestComplementaryPairs:

@@ -155,6 +155,12 @@ class TestSeparation:
         with pytest.raises(ValueError, match=r"^mask -0x1 has elements outside 1\.\.3$"):
             SetFamily(3, [M([2]), M([5]), -1])
 
+    def test_family_membership(self):
+        fam = interval_collection(3)
+        assert M([2, 3]) in fam and 0 in fam
+        assert M([1, 3]) not in fam
+        assert -1 not in fam and M([4]) not in fam and 1 << 20 not in fam
+
 
 class TestSeparationRows:
     def test_rows_match_scalar_predicates(self):
