@@ -12,7 +12,11 @@ element for a larger one).  Its tiles are:
 
 The central facts implemented here: the vertex set (spectrum) of a combi is
 a maximal weakly separated collection, every such collection arises from a
-unique combi, and that combi is reconstructed by `from_w_collection`.
+unique combi, and that combi is reconstructed by `from_w_collection` with
+one fan-and-lens rule.  The members X+i over a member X, in increasing i,
+span the nablas with bottom X, and the members X-i the deltas with apex X;
+the members X+i over a non-member X, when three or more, are a lens's upper
+path, and the members under the union of its ends its lower path.
 """
 
 from __future__ import annotations
@@ -414,114 +418,41 @@ def is_semi_rhombus(combi: Combi) -> bool:
     return {d.base for d in combi.deltas} == {v.base for v in combi.nablas}
 
 
-def _fans(
-    members: frozenset[int], n: int
-) -> tuple[list[Delta], list[Nabla], list[list[tuple[int, int]]], list[set[tuple[int, int]]]]:
-    """Fan rule, in one pass over each member X and the elements i of 1..n:
-    the members X+i, in increasing i, are the outgoing edges at X, and each
-    consecutive two span a Nabla with bottom X; the members X-i are the
-    incoming edges at X, and each consecutive two span a Delta with apex X.
-
-    Returns the deltas, the nablas, and indexed by level (the size of a
-    base's vertices) the nabla bases as a list and the delta bases as a set.
-    """
+def _assemble(members: frozenset[int], n: int) -> tuple[list[Delta], list[Nabla], list[Lens]]:
+    """The deltas, nablas and lenses of the fan-and-lens rule (see the module
+    docstring), in one pass over the members X in ascending order and the
+    elements i of 1..n: consecutive members X+i over a member X span a
+    Nabla, consecutive members X-i under it a Delta, and the members over a
+    non-member, when three or more, are a lens's upper path."""
     bits = [(i, 1 << (i - 1)) for i in range(1, n + 1)]
     deltas: list[Delta] = []
     nablas: list[Nabla] = []
-    nabla_bases: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    delta_bases: list[set[tuple[int, int]]] = [set() for _ in range(n + 1)]
-    for x in members:
-        level = x.bit_count()
+    # members over / under each non-member; ascending members keep each list
+    # in path order
+    over: dict[int, list[int]] = {}
+    under: dict[int, list[int]] = {}
+    for x in sorted(members):
         up = down = 0  # the last type seen going up / down, 0 for none
         for i, b in bits:
             if x & b:
                 if x ^ b in members:
                     if down:
                         deltas.append(Delta(x, down, i))
-                        delta_bases[level - 1].add((x ^ b, x ^ down_bit))
-                    down, down_bit = i, b
+                    down = i
+                else:
+                    over.setdefault(x ^ b, []).append(x)
             elif x | b in members:
                 if up:
                     nablas.append(Nabla(x, up, i))
-                    nabla_bases[level + 1].append((x | up_bit, x | b))
-                up, up_bit = i, b
-    return deltas, nablas, nabla_bases, delta_bases
-
-
-def _peel_lenses(
-    level: int,
-    nabla_bases: list[tuple[int, int]],
-    delta_bases: set[tuple[int, int]],
-    members: frozenset[int],
-) -> list[Lens]:
-    """Recover the lenses of one girdle from the triangle base edges.
-
-    The lower frontier starts as the nabla bases; a maximal run of frontier
-    edges with a constant pairwise union and at least two edges is the lower
-    boundary of a lens exactly when witness vertices exist between its end
-    types; emitting the lens replaces the run by the lens's upper path.
-    Edges that are also delta bases are complete (degenerate lenses).
-    """
-    succ = {a: b for a, b in nabla_bases}
-    frontier = set(nabla_bases)
-    lenses: list[Lens] = []
-    while frontier - delta_bases:
-        heads = {b for _, b in frontier}
-        starts = [a for a, _ in frontier if a not in heads]
-        progress = False
-        for start in sorted(starts):
-            path = [start]
-            while path[-1] in succ and (path[-1], succ[path[-1]]) in frontier:
-                path.append(succ[path[-1]])
-            runs: list[list[int]] = []
-            k = 0
-            while k + 1 < len(path):
-                if (path[k], path[k + 1]) in delta_bases:
-                    k += 1
-                    continue
-                j = k
-                union = path[k] | path[k + 1]
-                while (
-                    j + 1 < len(path)
-                    and (path[j], path[j + 1]) not in delta_bases
-                    and (path[j] | path[j + 1]) == union
-                ):
-                    j += 1
-                if j - k >= 2:
-                    runs.append(path[k : j + 1])
-                k = j
-            for run in runs:
-                lo, hi = run[0], run[-1]
-                meet = lo & hi
-                t_lo, t_hi = bs.min_element(lo & ~meet), bs.min_element(hi & ~meet)
-                witnesses = [
-                    meet | bs.singleton(s)
-                    for s in range(min(t_lo, t_hi) + 1, max(t_lo, t_hi))
-                    if not bs.has(meet, s) and (meet | bs.singleton(s)) in members
-                ]
-                if not witnesses:
-                    continue
-                upper = [lo] + witnesses + [hi]
-                lens = Lens(upper, run)
-                lenses.append(lens)
-                for a, b in zip(run, run[1:]):
-                    frontier.discard((a, b))
-                    succ.pop(a, None)
-                for a, b in zip(upper, upper[1:]):
-                    frontier.add((a, b))
-                    succ[a] = b
-                progress = True
-        if not progress:
-            raise TilingError(
-                "girdle",
-                f"level {level}: lens recovery stalled with frontier "
-                f"{sorted(frontier - delta_bases)}",
-            )
-    if frontier != delta_bases:
-        raise TilingError(
-            "girdle", f"level {level}: frontier does not close onto the delta bases"
-        )
-    return lenses
+                up = i
+            else:
+                under.setdefault(x | b, []).append(x)
+    lenses = [
+        Lens(upper, under.get(upper[0] | upper[-1], ()))
+        for upper in over.values()
+        if len(upper) >= 3
+    ]
+    return deltas, nablas, lenses
 
 
 def from_w_collection(family: SetFamily, check_input: bool = True) -> Combi:
@@ -529,35 +460,20 @@ def from_w_collection(family: SetFamily, check_input: bool = True) -> Combi:
     weakly separated collection.
 
     Vertical edges are all pairs (X, X+i) inside the family; triangles are
-    the fans between consecutive such edges; lenses are peeled girdle by
-    girdle from the remaining triangle bases.  The result is validated, so
-    success certifies correctness on each instance.
+    the fans between consecutive such edges, around a member; lenses are
+    the same fans around a non-member, read off the members over it and
+    under its ends' union.  The result is validated, so success certifies
+    correctness on each instance.
     """
     n = family.n
     if check_input and not is_maximal_separated(family, "weak"):
         raise ValueError("family is not a maximal weakly separated collection")
     members = family.as_set()
-    deltas, nablas, nabla_bases, delta_bases = _fans(members, n)
-    lenses: list[Lens] = []
-    for level, bases in enumerate(nabla_bases):
-        if bases:
-            # a lens witness has the size of its level, so the whole family
-            # serves as the level's members
-            lenses.extend(_peel_lenses(level, sorted(bases), delta_bases[level], members))
-    combi = Combi(n, deltas, nablas, lenses)
+    combi = Combi(n, *_assemble(members, n))
     validate_combi(combi)
     if combi.vertex_masks() != members:
         raise TilingError("spectrum", "reconstruction changed the vertex set")
     return combi
-
-
-def girdle(combi: Combi, level: int) -> tuple[list[Lens], list[tuple[int, int]]]:
-    """Lenses of the given level plus its degenerate lenses (edges that are
-    simultaneously a nabla base and a delta base)."""
-    lenses = [l for l in combi.lenses if l.level == level]
-    nb = {v.base for v in combi.nablas if bs.size(v.left) == level}
-    db = {d.base for d in combi.deltas if bs.size(d.left) == level}
-    return lenses, sorted(nb & db)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ from .separation import (
     members_mask,
 )
 
-PATTERN_CLASSES = ("simple", "semi_simple", "generalized_ok", "self_crossing")
-
-
 @dataclass(frozen=True)
 class CyclicPattern:
     """Cyclic sequence of subsets with 1- or 2-distance steps."""
@@ -390,10 +387,12 @@ def _cut_path(path: tuple[int, ...], chords, semi, semis: set) -> tuple[int, ...
 def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, QuasiCombi]:
     """Cut the combi along the pattern curve into inside/outside quasi-combies.
 
-    2-distance segments that are not edges of the combi cut either a lens
-    (into semi-lenses and at most one secondary lens) or a triangle fan
-    (into semi-lenses plus a refilled secondary fan); every resulting piece
-    is assigned to the closed inside or outside region.
+    A 2-distance segment that is not an edge of the combi cuts the nabla fan
+    at its meet if that is a vertex, else the delta fan at its join if that
+    is one, else the lens around its meet or join; a cut fan leaves
+    semi-lenses plus a refilled secondary fan, a cut lens semi-lenses and at
+    most one secondary lens.  Every resulting piece is assigned to the
+    closed inside or outside region.
     """
     n = combi.n
     if classify_pattern(pattern) == "self_crossing":
@@ -405,11 +404,10 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     table = embedding_table(gens)
     curve = [table[v] for v in pattern.cycle]
     h_edges = combi.horizontal_edges()
-
-    def encloses(probe: Point, masks) -> bool:
-        """Whether the probe lies inside the polygon on these vertices, doubled."""
-        pts = [table[v] for v in masks]
-        return point_in_closed_polyline(probe, [(2 * x, 2 * y) for x, y in pts]) == "inside"
+    # a lens's upper path is every member over its upper center, and its
+    # lower path every member under its lower center; neither is a member
+    lens_over = {lens.upper_center: lens for lens in combi.lenses}
+    lens_under = {lens.lower_center: lens for lens in combi.lenses}
 
     lens_cuts: dict[Lens, list[tuple[int, int]]] = {}
     upper_sector_cuts: dict[int, list[tuple[int, int]]] = {}
@@ -418,30 +416,19 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
         left, right = (a, b) if table[a] < table[b] else (b, a)
         if (left, right) in h_edges:
             continue
-        probe = tuple(map(sum, zip(table[left], table[right])))
-        host = None
-        for lens in combi.lenses:
-            if {left, right} <= set(lens.upper) | set(lens.lower) and encloses(probe, lens.cycle()):
-                host = lens
-                break
-        if host is not None:
-            lens_cuts.setdefault(host, []).append((left, right))
-            continue
         meet, join = a & b, a | b
         if meet in verts:
-            targets = combi.nabla_fan(meet)
-            if left in targets and right in targets and encloses(probe, (meet, *targets)):
-                upper_sector_cuts.setdefault(meet, []).append((left, right))
-                continue
-        if join in verts:
-            sources = combi.delta_fan(join)
-            if left in sources and right in sources and encloses(probe, (*sources, join)):
-                lower_sector_cuts.setdefault(join, []).append((left, right))
-                continue
-        raise TilingError(
-            "split",
-            f"segment {bs.format_subset(a)}-{bs.format_subset(b)} cuts no tile",
-        )
+            upper_sector_cuts.setdefault(meet, []).append((left, right))
+        elif join in verts:
+            lower_sector_cuts.setdefault(join, []).append((left, right))
+        else:
+            host = lens_over.get(meet) or lens_under.get(join)
+            if host is None:
+                raise TilingError(
+                    "split",
+                    f"segment {bs.format_subset(a)}-{bs.format_subset(b)} cuts no tile",
+                )
+            lens_cuts.setdefault(host, []).append((left, right))
 
     deltas = set(combi.deltas)
     nablas = set(combi.nablas)
@@ -454,8 +441,6 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     for lens, chords in lens_cuts.items():
         lenses.discard(lens)
         upper, lower = set(lens.upper), set(lens.lower)
-        if any(not ({l, r} <= upper or {l, r} <= lower) for l, r in chords):
-            raise TilingError("split", "chord endpoints straddle the lens boundary")
         top_u = _cut_path(lens.upper, [c for c in chords if set(c) <= upper], UpperSemiLens, upper_semis)
         top_l = _cut_path(lens.lower, [c for c in chords if set(c) <= lower], LowerSemiLens, lower_semis)
         if len(top_u) > 2:

@@ -264,12 +264,6 @@ class DomainReport:
     pure: bool
     ranks: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        if not self.pure:
-            raise ValueError("domain is not pure; inspect .ranks")
-        return self.ranks[0]
-
 
 def _bron_kerbosch_pivot(adj, r: int, p: int, x: int, out: list[int]) -> None:
     if p == 0 and x == 0:

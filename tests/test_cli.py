@@ -115,6 +115,13 @@ class TestRender:
         assert bare.read_text() == render_svg(tiling, labels=False)
         assert "<text" not in bare.read_text()
 
+    def test_pattern_render_to_stdout(self, tmp_path, capsys):
+        pattern = boundary_pattern(3)
+        pat_file = tmp_path / "pat.json"
+        pat_file.write_text(json.dumps(jsonio.pattern_to_json(pattern)))
+        assert cmd(["render", "--pattern", str(pat_file)]) == 0
+        assert capsys.readouterr().out == render_svg(pattern)
+
 
 class TestCli:
     def test_purity_hypercube(self, capsys):
@@ -126,6 +133,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "weakly_separated: true" in out
         assert "termwise: true" in out
+
+    def test_purity_domain_impure(self, tmp_path, capsys):
+        domain = tmp_path / "domain.json"
+        domain.write_text(json.dumps({"n": 4, "members": [[2], [3], [1, 4]]}))
+        assert cmd(["purity", "--domain", str(domain), "--relation", "weak"]) == 0
+        assert capsys.readouterr().out.strip() == "impure, ranks 1,2"
+
+    def test_separation_of_a_set_with_itself(self, capsys):
+        # termwise, cancel and split compare distinct sets only
+        assert cmd(["separation", "1,2", "1,2", "--n", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for kind in ("termwise", "cancel", "split"):
+            assert f"{kind}: undefined" in out
+        assert "global: undefined" not in out
 
     def test_separation_rejects_out_of_range_sets(self, capsys):
         assert cmd(["separation", "1,2", "5", "--n", "3"]) == 1

@@ -9,13 +9,11 @@ from zonotile.combi import (
     Delta,
     Lens,
     Nabla,
-    _peel_lenses,
     adjacent_h_classify,
     find_m_configs,
     find_w_configs,
     from_rhombus,
     from_w_collection,
-    girdle,
     is_semi_rhombus,
     spectrum,
     tile_label,
@@ -65,6 +63,71 @@ def _reference_triangles(members, n):
         for i, j in zip(types, types[1:]):
             deltas.append(Delta(x, j, i))
     return deltas, nablas
+
+
+def _peel_lenses(level, nabla_bases, delta_bases, members):
+    """Recover the lenses of one girdle (one level) from the triangle base
+    edges, as reconstruction did before lenses were read off the members.
+
+    The lower frontier starts as the nabla bases; a maximal run of frontier
+    edges with a constant pairwise union and at least two edges is the lower
+    boundary of a lens exactly when witness vertices exist between its end
+    types; emitting the lens replaces the run by the lens's upper path.
+    Edges that are also delta bases are complete (degenerate lenses).
+    """
+    succ = {a: b for a, b in nabla_bases}
+    frontier = set(nabla_bases)
+    lenses = []
+    while frontier - delta_bases:
+        heads = {b for _, b in frontier}
+        starts = [a for a, _ in frontier if a not in heads]
+        progress = False
+        for start in sorted(starts):
+            path = [start]
+            while path[-1] in succ and (path[-1], succ[path[-1]]) in frontier:
+                path.append(succ[path[-1]])
+            runs = []
+            k = 0
+            while k + 1 < len(path):
+                if (path[k], path[k + 1]) in delta_bases:
+                    k += 1
+                    continue
+                j = k
+                union = path[k] | path[k + 1]
+                while (
+                    j + 1 < len(path)
+                    and (path[j], path[j + 1]) not in delta_bases
+                    and (path[j] | path[j + 1]) == union
+                ):
+                    j += 1
+                if j - k >= 2:
+                    runs.append(path[k : j + 1])
+                k = j
+            for run in runs:
+                lo, hi = run[0], run[-1]
+                meet = lo & hi
+                t_lo, t_hi = bs.min_element(lo & ~meet), bs.min_element(hi & ~meet)
+                witnesses = [
+                    meet | bs.singleton(s)
+                    for s in range(min(t_lo, t_hi) + 1, max(t_lo, t_hi))
+                    if not bs.has(meet, s) and (meet | bs.singleton(s)) in members
+                ]
+                if not witnesses:
+                    continue
+                upper = [lo] + witnesses + [hi]
+                lenses.append(Lens(upper, run))
+                for a, b in zip(run, run[1:]):
+                    frontier.discard((a, b))
+                    succ.pop(a, None)
+                for a, b in zip(upper, upper[1:]):
+                    frontier.add((a, b))
+                    succ[a] = b
+                progress = True
+        if not progress:
+            raise TilingError("girdle", f"level {level}: lens recovery stalled")
+    if frontier != delta_bases:
+        raise TilingError("girdle", f"level {level}: frontier does not close onto the delta bases")
+    return lenses
 
 
 def _reference_combi(family):
@@ -252,6 +315,20 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             from_w_collection(SetFamily(3, [0, M([1])]))
 
+    def test_rejects_non_separated(self):
+        # {1,3} and {2,4} interlace, so no separated collection holds both
+        fam = SetFamily(4, [M([1, 3]), M([2, 4])])
+        assert is_maximal_separated(fam, "weak") is False
+        with pytest.raises(ValueError):
+            from_w_collection(fam)
+
+    def test_unchecked_lens_without_lower_path_raises_value_error(self):
+        # {1}, {2}, {3} over the non-member {} make a lens's upper path, but
+        # the union {1,3} of its ends is a member, so no lower path exists
+        fam = SetFamily(3, [M([1]), M([2]), M([3]), M([1, 3])])
+        with pytest.raises(ValueError, match="two edges each"):
+            from_w_collection(fam, check_input=False)
+
     def test_unique_and_deterministic_all_n5(self):
         report = enumerate_maximal(hypercube_domain(5), "weak")
         for fam in report.maximal_collections:
@@ -307,21 +384,21 @@ class TestReconstruction:
                     assert ok, (a, b)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n, collections, lenses", [(6, 3694, 4352), (7, 259480, 504578)])
+def test_reconstructs_every_weak_collection(n, collections, lenses):
+    # the lens totals are those the girdle peeling (`_peel_lenses`) found
+    fams = enumerate_maximal(hypercube_domain(n), "weak").maximal_collections
+    assert len(fams) == collections
+    assert sum(len(from_w_collection(fam, check_input=False).lenses) for fam in fams) == lenses
+
+
 class TestGirdles:
     def test_lens_levels_constant(self):
         for combi in all_combis(5):
             for lens in combi.lenses:
                 sizes = {bs.size(v) for v in lens.upper} | {bs.size(v) for v in lens.lower}
                 assert len(sizes) == 1
-
-    def test_girdle_content(self):
-        for combi in all_combis(4):
-            for level in (1, 2, 3):
-                lenses, degenerate = girdle(combi, level)
-                for l in lenses:
-                    assert l.level == level
-                for a, b in degenerate:
-                    assert bs.size(a) == level
 
     def test_girdle_spans_boundary_to_boundary(self):
         # the chained nabla bases of each level run from the left-boundary
