@@ -21,6 +21,7 @@ from ._planar import TilingError
 from .separation import (
     DomainReport,
     Permutation,
+    PurityVerdict,
     ResourceGuardError,
     SetFamily,
     base_relation,
@@ -34,6 +35,7 @@ from .separation import (
     inversions,
     is_maximal_separated,
     is_separated_family,
+    purity_verdict,
     separation_row,
     strongly_separated,
     weakly_separated,

@@ -33,6 +33,7 @@ from .separation import (
     base_relation,
     enumerate_maximal,
     hypercube_domain,
+    purity_verdict,
     strongly_separated,
     weakly_separated,
 )
@@ -183,11 +184,11 @@ def _dispatch(args) -> int:
             if args.hypercube is not None
             else jsonio.family_from_json(_load(args.domain))
         )
-        report = enumerate_maximal(family, args.relation)
-        if report.pure:
-            print(f"pure, rank {report.ranks[0]}")
+        verdict = purity_verdict(family, args.relation)
+        if verdict.pure:
+            print(f"pure, rank {verdict.ranks[0]}")
         else:
-            print("impure, ranks " + ",".join(map(str, report.ranks)))
+            print("impure, ranks " + ",".join(map(str, verdict.ranks)))
         return 0
 
     if args.command == "build-combi":

@@ -32,13 +32,14 @@ from .geometry import (
     sub,
 )
 from .separation import (
+    PurityVerdict,
     ResourceGuardError,
     SetFamily,
     _max_enum_n,
     compatible_row,
     compatible_sets,
-    enumerate_maximal,
     members_mask,
+    purity_verdict,
 )
 
 @dataclass(frozen=True)
@@ -281,8 +282,10 @@ def verify_complementary(dom: SetFamily, dom2: SetFamily, relation: str = "weak"
     return compatible_row(dom.members, max(dom.n, dom2.n), relation) & other == other
 
 
-def verify_purity(dom: SetFamily, relation: str = "weak"):
-    return enumerate_maximal(dom, relation)
+def verify_purity(dom: SetFamily, relation: str = "weak") -> PurityVerdict:
+    """The domain's purity verdict: `.pure`, `.ranks` and `.count`, with no
+    maximal collection built."""
+    return purity_verdict(dom, relation)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,14 @@ Runs the theorem-level checks at desk scale and collects a deterministic
 report (pure data, no timing), so two runs with the same arguments are
 byte-identical when serialized.  Used by the `verify` CLI subcommand and by
 the acceptance test-suite.
+
+A run builds one `CubePool`: each n's weak hypercube report and its list of
+certified combis are made at most once, on first use, and every check that
+reads them shares them.  The pool lives as long as the run, never longer, so
+two runs in one process do the same work.  A check called on its own makes
+a pool of its own.  Verdicts that need only the number and the sizes of the
+maximal collections come from `verify_purity`/`purity_verdict`, which build
+no collection.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .patterns import (
     verify_purity,
 )
 from .separation import (
+    DomainReport,
     Permutation,
     SetFamily,
     chamber_domain,
@@ -40,12 +49,34 @@ from .separation import (
     hypersimplex_domain,
     interval_collection,
     inversions,
+    purity_verdict,
 )
 from .rhombus import from_s_collection
 
+class CubePool:
+    """Per n, the weak hypercube report and the combis certified from its
+    collections by `from_w_collection`, in the report's order; each filled
+    on first use."""
+
+    def __init__(self) -> None:
+        self._reports: dict[int, DomainReport] = {}
+        self._combis: dict[int, list[Combi]] = {}
+
+    def report(self, n: int) -> DomainReport:
+        if n not in self._reports:
+            self._reports[n] = enumerate_maximal(hypercube_domain(n), "weak")
+        return self._reports[n]
+
+    def combis(self, n: int) -> list[Combi]:
+        if n not in self._combis:
+            self._combis[n] = [
+                from_w_collection(f, check_input=False) for f in self.report(n).maximal_collections
+            ]
+        return self._combis[n]
+
 def all_combis(n: int) -> list[Combi]:
-    report = enumerate_maximal(hypercube_domain(n), "weak")
-    return [from_w_collection(f, check_input=False) for f in report.maximal_collections]
+    """Every n-combi, certified, in the order of the weak n-cube's collections."""
+    return CubePool().combis(n)
 
 class _SortedAdjacency(dict):
     """Sorted neighbour lists of an undirected graph given by vertex-pair edges
@@ -105,10 +136,11 @@ def crossing_pattern_examples(n: int) -> list[CyclicPattern]:
         out.append(CyclicPattern(n, (a, c, bs.mask_of((2, 3)), bs.singleton(2), 0)))
     return out
 
-def check_hypercube_purity(max_n: int) -> dict:
+def check_hypercube_purity(max_n: int, pool: CubePool | None = None) -> dict:
+    pool = CubePool() if pool is None else pool
     per_n = {}
     for n in range(3, max_n + 1):
-        report = enumerate_maximal(hypercube_domain(n), "weak")
+        report = pool.report(n)
         want = n * (n + 1) // 2 + 1
         per_n[str(n)] = {
             "collections": len(report.maximal_collections),
@@ -123,7 +155,7 @@ def check_rank_formulas(max_n: int) -> dict:
     perms4 = [Permutation(p) for p in permutations(range(1, 5))]
     single = []
     for w in perms4:
-        rep = enumerate_maximal(chamber_domain(w), "weak")
+        rep = purity_verdict(chamber_domain(w), "weak")
         want = len(inversions(w)) + 4 + 1
         single.append(rep.pure and rep.ranks == (want,))
     results["chamber_n4"] = {"checked": len(single), "pass": all(single)}
@@ -133,7 +165,7 @@ def check_rank_formulas(max_n: int) -> dict:
         for w in perms4:
             if not inversions(wp) <= inversions(w):
                 continue
-            rep = enumerate_maximal(chamber_pair_domain(wp, w), "weak")
+            rep = purity_verdict(chamber_pair_domain(wp, w), "weak")
             want = len(inversions(w)) - len(inversions(wp)) + 4 + 1
             pair_ok &= rep.pure and rep.ranks == (want,)
             pairs += 1
@@ -143,25 +175,27 @@ def check_rank_formulas(max_n: int) -> dict:
     for n in range(1, min(max_n, 6) + 1):
         for m_high in range(n + 1):
             for m_low in range(m_high + 1):
-                rep = enumerate_maximal(hypersimplex_domain(n, m_low, m_high), "weak")
+                rep = purity_verdict(hypersimplex_domain(n, m_low, m_high), "weak")
                 want = comb(n + 1, 2) - comb(n - m_high + 1, 2) - comb(m_low + 1, 2) + 1
                 hyper_ok &= rep.pure and rep.ranks == (want,)
                 checked += 1
     results["hypersimplex"] = {"checked": checked, "pass": hyper_ok}
     spot = (
-        enumerate_maximal(hypersimplex_domain(4, 2, 2), "weak").ranks == (5,)
-        and enumerate_maximal(hypersimplex_domain(5, 2, 2), "weak").ranks == (7,)
+        purity_verdict(hypersimplex_domain(4, 2, 2), "weak").ranks == (5,)
+        and purity_verdict(hypersimplex_domain(5, 2, 2), "weak").ranks == (7,)
     )
     results["grassmannian_spot"] = {"pass": spot}
     return {"pass": all(entry["pass"] for entry in results.values()), "detail": results}
 
-def check_combi_bijection(max_n: int) -> dict:
+def check_combi_bijection(max_n: int, pool: CubePool | None = None) -> dict:
+    pool = CubePool() if pool is None else pool
     per_n = {}
     for n in range(2, max_n + 1):
-        report = enumerate_maximal(hypercube_domain(n), "weak")
+        report = pool.report(n)
         good = True
-        for fam in report.maximal_collections:
-            combi = from_w_collection(fam, check_input=False)
+        # `again` is built here, apart from the pool, so reconstruction is
+        # also checked to be deterministic
+        for fam, combi in zip(report.maximal_collections, pool.combis(n)):
             again = from_w_collection(fam, check_input=False)
             good &= spectrum(combi) == fam and combi == again
         per_n[str(n)] = {"collections": len(report.maximal_collections), "pass": good}
@@ -193,32 +227,35 @@ def check_flip_coherence(max_n: int) -> dict:
         }
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_contraction_bijection(max_n: int) -> dict:
+def check_contraction_bijection(max_n: int, pool: CubePool | None = None) -> dict:
+    pool = CubePool() if pool is None else pool
     per_n = {}
     for n in range(2, max_n + 1):
         good = True
-        for combi in all_combis(n):
+        for combi in pool.combis(n):
             smaller, path = n_contract(combi)
             good &= n_expand(smaller, path) == combi
         per_n[f"forward_n{n}"] = {"pass": good}
     for n2 in range(1, min(max_n - 1, 4) + 1):
         pairs = 0
         good = True
-        for combi in all_combis(n2):
+        for combi in pool.combis(n2):
             for path in enumerate_legal_paths(combi):
                 back, path2 = n_contract(n_expand(combi, path))
                 good &= back == combi and path2 == path
                 pairs += 1
-        want = len(enumerate_maximal(hypercube_domain(n2 + 1), "weak").maximal_collections)
+        want = len(pool.report(n2 + 1).maximal_collections)
         good &= pairs == want
         per_n[f"converse_n{n2}"] = {"pairs": pairs, "expected": want, "pass": good}
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_pattern_theorems(max_n: int, seed: int, samples: int = 500) -> dict:
+def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
+                           pool: CubePool | None = None) -> dict:
+    pool = CubePool() if pool is None else pool
     rng = random.Random(seed)
     detail = {}
 
-    combi_pool = {n: all_combis(n) for n in range(3, max_n + 1)}
+    combi_pool = {n: pool.combis(n) for n in range(3, max_n + 1)}
 
     def complementary_pair(pat: CyclicPattern) -> bool:
         din, dout = domains(pat)
@@ -341,11 +378,13 @@ def _all_cycles(edges: set[tuple[int, int]]) -> list[tuple[int, ...]]:
                     stack.append((nxt, path + [nxt]))
     return out
 
-def check_cross_exchange(max_n: int, seed: int, samples: int = 100) -> dict:
+def check_cross_exchange(max_n: int, seed: int, samples: int = 100,
+                         pool: CubePool | None = None) -> dict:
+    pool = CubePool() if pool is None else pool
     rng = random.Random(seed)
     ok = True
     checked = 0
-    pools = {n: all_combis(n) for n in range(3, max_n + 1)}
+    pools = {n: pool.combis(n) for n in range(3, max_n + 1)}
     attempts = 0
     while checked < samples and attempts < samples * 60:
         attempts += 1
@@ -376,17 +415,18 @@ def run_suite(max_n: int = 4, seed: int = 7, samples: int = 500) -> dict:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    pool = CubePool()
     report = {
         "max_n": max_n,
         "seed": seed,
         "checks": {
-            "hypercube_purity": check_hypercube_purity(max_n),
+            "hypercube_purity": check_hypercube_purity(max_n, pool),
             "rank_formulas": check_rank_formulas(max_n),
-            "combi_bijection": check_combi_bijection(max_n),
+            "combi_bijection": check_combi_bijection(max_n, pool),
             "flip_coherence": check_flip_coherence(max_n),
-            "contraction_bijection": check_contraction_bijection(max_n),
-            "pattern_theorems": check_pattern_theorems(max_n, seed, samples),
-            "cross_exchange": check_cross_exchange(max_n, seed, samples=min(100, samples)),
+            "contraction_bijection": check_contraction_bijection(max_n, pool),
+            "pattern_theorems": check_pattern_theorems(max_n, seed, samples, pool),
+            "cross_exchange": check_cross_exchange(max_n, seed, min(100, samples), pool),
         },
     }
     report["pass"] = all(c["pass"] for c in report["checks"].values())

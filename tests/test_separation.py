@@ -11,6 +11,7 @@ from zonotile.patterns import CyclicPattern, domains, strong_domains
 from zonotile.separation import (
     DomainReport,
     Permutation,
+    PurityVerdict,
     SetFamily,
     base_relation,
     chamber_domain,
@@ -23,6 +24,7 @@ from zonotile.separation import (
     is_maximal_separated,
     is_separated_family,
     maximal_cliques,
+    purity_verdict,
     separation_row,
     strongly_separated,
     weakly_separated,
@@ -60,6 +62,45 @@ def _enumerate_reference(domain, relation):
     )
     ranks = tuple(sorted({len(c) for c in collections}))
     return DomainReport(domain, relation, tuple(collections), len(ranks) == 1, ranks)
+
+
+@pytest.fixture(scope="module")
+def small_domains():
+    """The hypersimplex domains with n <= 6, the n = 4 chamber domains and
+    chamber pairs, and the distinct simple cycles of the 4-combis as patterns."""
+    chambers, pairs = [], []
+    for upper in permutations(range(1, 5)):
+        up = Permutation(upper)
+        chambers.append(chamber_domain(up))
+        for lower in permutations(range(1, 5)):
+            if inversions(Permutation(lower)) <= inversions(up):
+                pairs.append(chamber_pair_domain(Permutation(lower), up))
+    patterns = {}
+    for combi in all_combis(4):
+        for cyc in _all_cycles(combi.vertical_edges()):
+            pat = CyclicPattern(4, cyc)
+            patterns.setdefault(pat.canonical(), pat)
+    return {
+        "hypersimplex": [hypersimplex_domain(n, lo, hi) for n in range(1, 7)
+                         for lo in range(n + 1) for hi in range(lo, n + 1)],
+        "chamber": chambers,
+        "chamber_pair": pairs,
+        "pattern": list(patterns.values()),
+    }
+
+
+@pytest.fixture(scope="module")
+def enumerated():
+    """`enumerate_maximal`, run once per domain and relation in this module."""
+    reports = {}
+
+    def get(dom, relation):
+        key = (dom.n, dom.members, relation)
+        if key not in reports:
+            reports[key] = enumerate_maximal(dom, relation)
+        return reports[key]
+
+    return get
 
 
 class TestBaseRelations:
@@ -267,34 +308,51 @@ class TestEnumeration:
         assert len(report.maximal_collections) == want
         assert report.pure and report.ranks == (k * (n - k) + 1,)
 
-    def test_matches_pairwise_reference(self):
-        doms = [hypersimplex_domain(n, lo, hi) for n in range(1, 7)
-                for lo in range(n + 1) for hi in range(lo, n + 1)]
-        for upper in permutations(range(1, 5)):
-            up = Permutation(upper)
-            doms.append(chamber_domain(up))
-            for lower in permutations(range(1, 5)):
-                if inversions(Permutation(lower)) <= inversions(up):
-                    doms.append(chamber_pair_domain(Permutation(lower), up))
-        seen = set()
-        for combi in all_combis(4):
-            for cyc in _all_cycles(combi.vertical_edges()):
-                pat = CyclicPattern(4, cyc)
-                if pat.canonical() not in seen:
-                    seen.add(pat.canonical())
-                    doms += [*domains(pat), *strong_domains(pat)]
+    def test_matches_pairwise_reference(self, small_domains, enumerated):
+        doms = [*small_domains["hypersimplex"], *small_domains["chamber"], *small_domains["chamber_pair"]]
+        for pat in small_domains["pattern"]:
+            doms += [*domains(pat), *strong_domains(pat)]
         rng = random.Random(16)
         doms.append(SetFamily(16, rng.sample(range(1 << 16), 12)))
         doms = {(d.n, d.members): d for d in doms}.values()
         for dom in doms:
             for relation in SCALAR:
                 want = _enumerate_reference(dom, relation)
-                assert enumerate_maximal(dom, relation) == want, (dom, relation)
+                assert enumerated(dom, relation) == want, (dom, relation)
+
+    def test_rank_only_matches_enumeration(self, small_domains, enumerated):
+        counts = {kind: len(doms) for kind, doms in small_domains.items()}
+        assert counts == {"hypersimplex": 83, "chamber": 24, "chamber_pair": 151, "pattern": 228}
+        empty, impure = SetFamily(4, []), SetFamily(4, [M([2]), M([3]), M([1, 4])])
+        doms = [*small_domains["hypersimplex"], *small_domains["chamber"],
+                *small_domains["chamber_pair"], empty, impure]
+        for pat in small_domains["pattern"]:
+            doms += domains(pat)
+        for dom in doms:
+            for relation in SCALAR:
+                report = enumerated(dom, relation)
+                verdict = purity_verdict(dom, relation)
+                got = (verdict.count, verdict.ranks, verdict.pure)
+                assert got == (len(report.maximal_collections), report.ranks, report.pure), (dom, relation)
+        assert purity_verdict(empty, "weak") == PurityVerdict(count=1, ranks=(0,))
+        assert purity_verdict(impure, "weak").ranks == (1, 2)
+        assert not purity_verdict(impure, "strong").pure
 
     def test_unknown_relation(self):
         for dom in (hypercube_domain(3), SetFamily(3, [])):
             with pytest.raises(ValueError, match="relation must be"):
                 enumerate_maximal(dom, "medium")
+            with pytest.raises(ValueError, match="relation must be"):
+                purity_verdict(dom, "medium")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "n, relation, count, rank",
+        # strong: A006245, the rhombus tilings of the 16-gon
+        [(7, "weak", 259480, 29), (8, "strong", 1232944, 37)],
+    )
+    def test_rank_only_counts_past_n6(self, n, relation, count, rank):
+        assert purity_verdict(hypercube_domain(n), relation) == PurityVerdict(count, (rank,))
 
     def test_singleton_domain(self):
         report = enumerate_maximal(SetFamily(3, [0]), "weak")
