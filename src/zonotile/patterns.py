@@ -85,6 +85,13 @@ class CyclicPattern:
                     best = cand
         return best
 
+    @cached_property
+    def _kind(self) -> str:
+        # Worked out on the first classification and, like `Combi._vertices`,
+        # not a dataclass field, so equality and hashing see only n and the
+        # cycle.  A classification that raises leaves nothing behind.
+        return _classification(self)
+
 
 def boundary_pattern(n: int) -> CyclicPattern:
     return CyclicPattern(n, boundary_cycle(default_generators(n)))
@@ -205,7 +212,14 @@ def classify_pattern(pattern: CyclicPattern) -> str:
     Requires pairwise weak separation of the members; with distinct members
     the quadruple conditions decide self-crossing and must agree with the
     geometric test, otherwise the touch-only test decides semi-simplicity.
+    The pattern keeps its class once worked out, so `classify_pattern`,
+    `regions` and `split_quasi` on one pattern run `curve_kind` once; an
+    input that fails raises again on every call.
     """
+    return pattern._kind
+
+
+def _classification(pattern: CyclicPattern) -> str:
     cyc = pattern.cycle
     if not _pairwise_weakly_separated(cyc, pattern.n):
         raise ValueError("pattern members must be pairwise weakly separated")

@@ -5,13 +5,16 @@ report (pure data, no timing), so two runs with the same arguments are
 byte-identical when serialized.  Used by the `verify` CLI subcommand and by
 the acceptance test-suite.
 
-A run builds one `CubePool`: each n's weak hypercube report and its list of
-certified combis are made at most once, on first use, and every check that
-reads them shares them.  The pool lives as long as the run, never longer, so
-two runs in one process do the same work.  A check called on its own makes
-a pool of its own.  Verdicts that need only the number and the sizes of the
-maximal collections come from `verify_purity`/`purity_verdict`, which build
-no collection.
+A run builds one `CubePool`, which works out each distinct input of the
+checks once, on first use, and shares the result: each n's weak hypercube
+report and its list of certified combis, the purity verdict of each
+distinct (domain, relation), and one interned copy of each cyclic pattern
+the run classifies, which keeps its class.  The contraction check keeps its
+own table of the pairs its forward pass computed, which the converse reads.
+The pool lives as long as the run, never longer, so two runs in one process
+do the same work.  A check called on its own makes a pool of its own.
+Verdicts need only the number and the sizes of the maximal collections, so
+they come from `verify_purity`, which builds no collection.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .patterns import (
 from .separation import (
     DomainReport,
     Permutation,
+    PurityVerdict,
     SetFamily,
     chamber_domain,
     chamber_pair_domain,
@@ -49,18 +53,21 @@ from .separation import (
     hypersimplex_domain,
     interval_collection,
     inversions,
-    purity_verdict,
 )
 from .rhombus import from_s_collection
 
 class CubePool:
-    """Per n, the weak hypercube report and the combis certified from its
-    collections by `from_w_collection`, in the report's order; each filled
-    on first use."""
+    """One run's shared inputs, each filled on first use: per n, the weak
+    hypercube report and the combis certified from its collections by
+    `from_w_collection`, in the report's order; the purity verdict of each
+    distinct (domain, relation); and `patterns`, one interned copy of each
+    cyclic pattern classified, which keeps its class."""
 
     def __init__(self) -> None:
         self._reports: dict[int, DomainReport] = {}
         self._combis: dict[int, list[Combi]] = {}
+        self._verdicts: dict[tuple[int, tuple[int, ...], str], PurityVerdict] = {}
+        self.patterns: dict[CyclicPattern, CyclicPattern] = {}
 
     def report(self, n: int) -> DomainReport:
         if n not in self._reports:
@@ -73,6 +80,12 @@ class CubePool:
                 from_w_collection(f, check_input=False) for f in self.report(n).maximal_collections
             ]
         return self._combis[n]
+
+    def verdict(self, domain: SetFamily, relation: str) -> PurityVerdict:
+        key = (domain.n, domain.members, relation)
+        if key not in self._verdicts:
+            self._verdicts[key] = verify_purity(domain, relation)
+        return self._verdicts[key]
 
 def all_combis(n: int) -> list[Combi]:
     """Every n-combi, certified, in the order of the weak n-cube's collections."""
@@ -150,12 +163,13 @@ def check_hypercube_purity(max_n: int, pool: CubePool | None = None) -> dict:
         }
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_rank_formulas(max_n: int) -> dict:
+def check_rank_formulas(max_n: int, pool: CubePool | None = None) -> dict:
+    pool = CubePool() if pool is None else pool
     results = {}
     perms4 = [Permutation(p) for p in permutations(range(1, 5))]
     single = []
     for w in perms4:
-        rep = purity_verdict(chamber_domain(w), "weak")
+        rep = pool.verdict(chamber_domain(w), "weak")
         want = len(inversions(w)) + 4 + 1
         single.append(rep.pure and rep.ranks == (want,))
     results["chamber_n4"] = {"checked": len(single), "pass": all(single)}
@@ -165,7 +179,7 @@ def check_rank_formulas(max_n: int) -> dict:
         for w in perms4:
             if not inversions(wp) <= inversions(w):
                 continue
-            rep = purity_verdict(chamber_pair_domain(wp, w), "weak")
+            rep = pool.verdict(chamber_pair_domain(wp, w), "weak")
             want = len(inversions(w)) - len(inversions(wp)) + 4 + 1
             pair_ok &= rep.pure and rep.ranks == (want,)
             pairs += 1
@@ -175,14 +189,14 @@ def check_rank_formulas(max_n: int) -> dict:
     for n in range(1, min(max_n, 6) + 1):
         for m_high in range(n + 1):
             for m_low in range(m_high + 1):
-                rep = purity_verdict(hypersimplex_domain(n, m_low, m_high), "weak")
+                rep = pool.verdict(hypersimplex_domain(n, m_low, m_high), "weak")
                 want = comb(n + 1, 2) - comb(n - m_high + 1, 2) - comb(m_low + 1, 2) + 1
                 hyper_ok &= rep.pure and rep.ranks == (want,)
                 checked += 1
     results["hypersimplex"] = {"checked": checked, "pass": hyper_ok}
     spot = (
-        purity_verdict(hypersimplex_domain(4, 2, 2), "weak").ranks == (5,)
-        and purity_verdict(hypersimplex_domain(5, 2, 2), "weak").ranks == (7,)
+        pool.verdict(hypersimplex_domain(4, 2, 2), "weak").ranks == (5,)
+        and pool.verdict(hypersimplex_domain(5, 2, 2), "weak").ranks == (7,)
     )
     results["grassmannian_spot"] = {"pass": spot}
     return {"pass": all(entry["pass"] for entry in results.values()), "detail": results}
@@ -201,7 +215,8 @@ def check_combi_bijection(max_n: int, pool: CubePool | None = None) -> dict:
         per_n[str(n)] = {"collections": len(report.maximal_collections), "pass": good}
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_flip_coherence(max_n: int) -> dict:
+def check_flip_coherence(max_n: int, pool: CubePool | None = None) -> dict:
+    pool = CubePool() if pool is None else pool
     per_n = {}
     for n in range(2, min(max_n, 4) + 1):
         g_combi = flip_graph(n)
@@ -212,8 +227,10 @@ def check_flip_coherence(max_n: int) -> dict:
         src_ok = len(sources) == 1 and g_combi.nodes[sources[0]] == interval_collection(n).as_set()
         snk_ok = len(sinks) == 1 and g_combi.nodes[sinks[0]] == cointerval_collection(n).as_set()
         eta_ok = True
+        # `flip_graph` checked that its nodes are the weak collections
+        by_vertices = {combi.vertex_masks(): combi for combi in pool.combis(n)}
         for fam_set in g_combi.nodes:
-            combi = from_w_collection(SetFamily(n, fam_set), check_input=False)
+            combi = by_vertices[fam_set]
             for w in find_w_configs(combi):
                 eta_ok &= lowering_flip(combi, w).size_sum() == combi.size_sum() - 1
         per_n[str(n)] = {
@@ -230,18 +247,31 @@ def check_flip_coherence(max_n: int) -> dict:
 def check_contraction_bijection(max_n: int, pool: CubePool | None = None) -> dict:
     pool = CubePool() if pool is None else pool
     per_n = {}
+    # each map's result by its input: the converse calls a map only on an
+    # input the forward pass did not
+    contracted: dict[Combi, tuple[Combi, tuple[int, ...]]] = {}
+    expanded: dict[tuple[Combi, tuple[int, ...]], Combi] = {}
     for n in range(2, max_n + 1):
         good = True
         for combi in pool.combis(n):
-            smaller, path = n_contract(combi)
-            good &= n_expand(smaller, path) == combi
+            smaller, path = contracted[combi] = n_contract(combi)
+            key = (smaller, tuple(path))
+            if key not in expanded:
+                expanded[key] = n_expand(smaller, path)
+            good &= expanded[key] == combi
         per_n[f"forward_n{n}"] = {"pass": good}
     for n2 in range(1, min(max_n - 1, 4) + 1):
         pairs = 0
         good = True
         for combi in pool.combis(n2):
             for path in enumerate_legal_paths(combi):
-                back, path2 = n_contract(n_expand(combi, path))
+                key = (combi, tuple(path))
+                if key not in expanded:
+                    expanded[key] = n_expand(combi, path)
+                bigger = expanded[key]
+                if bigger not in contracted:
+                    contracted[bigger] = n_contract(bigger)
+                back, path2 = contracted[bigger]
                 good &= back == combi and path2 == path
                 pairs += 1
         want = len(pool.report(n2 + 1).maximal_collections)
@@ -260,7 +290,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
     def complementary_pair(pat: CyclicPattern) -> bool:
         din, dout = domains(pat)
         good = verify_complementary(din, dout)
-        return good & (verify_purity(din).pure and verify_purity(dout).pure)
+        return good & (pool.verdict(din, "weak").pure and pool.verdict(dout, "weak").pure)
 
     simple_checked = 0
     simple_ok = True
@@ -270,6 +300,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
         pat = sample_simple_pattern(combi, rng)
         if pat is None:
             continue
+        pat = pool.patterns.setdefault(pat, pat)
         simple_ok &= classify_pattern(pat) == "simple"
         simple_checked += 1
     detail["simple_never_crossing"] = {"samples": simple_checked, "pass": simple_ok}
@@ -287,6 +318,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
         pat = sample_generalized_pattern(combi, rng)
         if pat is None:
             continue
+        pat = pool.patterns.setdefault(pat, pat)
         gen_ok &= classify_pattern(pat) in ("simple", "generalized_ok")
         gen_checked += 1
     detail["quadruples_match_curve"] = {
@@ -306,6 +338,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
             if key in seen:
                 continue
             seen.add(key)
+            pat = pool.patterns.setdefault(pat, pat)
             comp_ok &= complementary_pair(pat)
             comp_checked += 1
     sampled5 = 0
@@ -313,7 +346,10 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
         while sampled5 < 100:
             combi = rng.choice(combi_pool[5])
             pat = sample_generalized_pattern(combi, rng)
-            if pat is None or classify_pattern(pat) == "self_crossing":
+            if pat is None:
+                continue
+            pat = pool.patterns.setdefault(pat, pat)
+            if classify_pattern(pat) == "self_crossing":
                 continue
             comp_ok &= complementary_pair(pat)
             sampled5 += 1
@@ -332,12 +368,13 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
         if cyc is None:
             continue
         pat = CyclicPattern(semi.n, cyc)
+        pat = pool.patterns.setdefault(pat, pat)
         din, dout = strong_domains(pat)
         strong_ok &= verify_complementary(din, dout, "strong")
-        rin = verify_purity(din, "strong")
-        rout = verify_purity(dout, "strong")
-        win = verify_purity(din, "weak")
-        wout = verify_purity(dout, "weak")
+        rin = pool.verdict(din, "strong")
+        rout = pool.verdict(dout, "strong")
+        win = pool.verdict(din, "weak")
+        wout = pool.verdict(dout, "weak")
         strong_ok &= rin.pure and rout.pure and win.pure and wout.pure
         strong_ok &= rin.ranks == win.ranks and rout.ranks == wout.ranks
         strong_checked += 1
@@ -399,6 +436,7 @@ def check_cross_exchange(max_n: int, seed: int, samples: int = 100,
         if cyc is None:
             continue
         pat = CyclicPattern(n, cyc)
+        pat = pool.patterns.setdefault(pat, pat)
         if classify_pattern(pat) == "self_crossing":
             continue
         inside, _ = split_quasi(combi_a, pat)
@@ -421,9 +459,9 @@ def run_suite(max_n: int = 4, seed: int = 7, samples: int = 500) -> dict:
         "seed": seed,
         "checks": {
             "hypercube_purity": check_hypercube_purity(max_n, pool),
-            "rank_formulas": check_rank_formulas(max_n),
+            "rank_formulas": check_rank_formulas(max_n, pool),
             "combi_bijection": check_combi_bijection(max_n, pool),
-            "flip_coherence": check_flip_coherence(max_n),
+            "flip_coherence": check_flip_coherence(max_n, pool),
             "contraction_bijection": check_contraction_bijection(max_n, pool),
             "pattern_theorems": check_pattern_theorems(max_n, seed, samples, pool),
             "cross_exchange": check_cross_exchange(max_n, seed, min(100, samples), pool),

@@ -84,10 +84,14 @@ def test_criterion_7_cross_tiling_exchange():
 
 
 REPORT_MAX_N4_SEED7_SHA256 = "679d55dfce7ddb17f44090002abbe7ddc378d10bb637807e2680b3ddf36f8f8b"
+# --max-n 5 is the smallest run that reaches every input the run's pool
+# shares: the contraction converse up to n - 1 = 4, the sampled n = 5
+# complementary pairs and the n = 5 cross exchanges
+REPORT_MAX_N5_SEED7_SHA256 = "70d7680daa669d5549a0fbdc7c1ce4dd9cdea17b80851647158ea65700ff47be"
 
 
 def test_criterion_8_determinism(tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    out1, out2, out5 = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "r5.json"
     args = ["verify", "--paper-suite", "--max-n", "4", "--seed", "7"]
     rc1 = cmd(args + ["--out", str(out1)])
     rc2 = cmd(args + ["--out", str(out2)])
@@ -96,4 +100,6 @@ def test_criterion_8_determinism(tmp_path):
     ok &= report["pass"] is True
     # the report's bytes are pinned, so a refactor that changes one fails here
     ok &= hashlib.sha256(out1.read_bytes()).hexdigest() == REPORT_MAX_N4_SEED7_SHA256
-    _verdict(8, ok, "verify --paper-suite --max-n 4 --seed 7 byte-identical across runs and commits")
+    rc5 = cmd(["verify", "--paper-suite", "--max-n", "5", "--seed", "7", "--out", str(out5)])
+    ok &= rc5 == 0 and hashlib.sha256(out5.read_bytes()).hexdigest() == REPORT_MAX_N5_SEED7_SHA256
+    _verdict(8, ok, "verify --paper-suite --max-n 4 and 5 --seed 7 byte-identical across runs and commits")

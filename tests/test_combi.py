@@ -21,7 +21,7 @@ from zonotile.combi import (
 )
 from zonotile.contraction import n_expand
 from zonotile.flips import lowering_flip
-from zonotile.geometry import default_generators, embedding_table
+from zonotile.geometry import Generators, default_generators, embedding_table
 from zonotile.rhombus import minimal_tiling
 from zonotile.separation import (
     SetFamily,
@@ -257,6 +257,36 @@ class TestValidation:
                 check_planar_cover(gens, cycles, bnd, want_area2, tile_label)
             assert str(info.value) == text
         assert check_planar_cover(gens, good, boundary, area2, tile_label)
+
+    def test_convexity_error_texts(self):
+        # Each bad tile is the first of a cover that is exact in every other
+        # respect, so without the convexity test the cover would pass.
+        gens = default_generators(3)
+        boundary, area2 = zonogon_region(gens)
+        # the hexagon cut into the union of two rhombi around {2}, reflex
+        # at {2}, and the third rhombus
+        chevron = [0, M([3]), M([2, 3]), M([2]), M([1, 2]), M([1])]
+        rhombus = [M([2]), M([2, 3]), M([1, 2, 3]), M([1, 2])]
+        with pytest.raises(TilingError) as info:
+            check_planar_cover(gens, [("chevron", chevron), ("rhombus", rhombus)], boundary, area2)
+        assert str(info.value) == (
+            "tile-convexity: chevron is not strictly convex and counterclockwise at vertex index 3"
+        )
+        # symmetric generators put 0, {2} and {1,3} on one vertical line: the
+        # triangle 0, {1,3}, {1} with {2} on its edge from 0 to {1,3}
+        gens = Generators(3, [(-3, 4), (0, 5), (3, 4)])
+        boundary = [(0, M([2])), (M([2]), M([1, 3])), (M([1, 3]), M([1])), (M([1]), 0)]
+        cases = [
+            ([("notched", [0, M([2]), M([1, 3]), M([1])])], 1),
+            ([("flat", [0, M([2]), M([1, 3])]), ("triangle", [0, M([1, 3]), M([1])])], 0),
+        ]
+        for cycles, index in cases:
+            with pytest.raises(TilingError) as info:
+                check_planar_cover(gens, cycles, boundary, 24)
+            assert str(info.value) == (
+                f"tile-convexity: {cycles[0][0]} is not strictly convex and "
+                f"counterclockwise at vertex index {index}"
+            )
 
     def test_missing_tile_error_texts(self):
         # The first unbalanced edge is the least one as a (tail, head) pair.

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from zonotile import bitsets as bs
+from zonotile import patterns
 from zonotile.combi import from_rhombus, from_w_collection, spectrum, validate_combi
 from zonotile.flips import interval_combi
 from zonotile.geometry import Generators, default_generators, embedding_table, point_in_closed_polyline
@@ -92,6 +93,30 @@ class TestClassification:
     def test_weak_separation_required(self):
         with pytest.raises(ValueError):
             classify_pattern(CyclicPattern(4, (M([2]), M([1, 3]), M([1, 2, 3]), M([1, 2]))))
+
+    def test_class_worked_out_once_per_pattern(self, monkeypatch):
+        calls = []
+
+        def counted(pattern):
+            calls.append(pattern)
+            return curve_kind(pattern)
+
+        monkeypatch.setattr(patterns, "curve_kind", counted)
+        pat = boundary_pattern(3)
+        assert classify_pattern(pat) == classify_pattern(pat) == "simple"
+        regions(pat)
+        split_quasi(all_combis(3)[0], pat)
+        assert calls == [pat]
+        # the kept class is no field: a fresh equal pattern is equal and
+        # hashes equal
+        twin = CyclicPattern(3, pat.cycle)
+        assert twin == pat and hash(twin) == hash(pat)
+        # a failed classification is not kept
+        bad = CyclicPattern(4, (M([1]), M([2]), M([2, 3]), M([1, 3])))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="pairwise weakly separated"):
+                classify_pattern(bad)
+        assert calls == [pat]
 
     def test_sampled_simple_patterns_never_cross(self):
         rng = random.Random(5)

@@ -1,5 +1,7 @@
 """`run_suite` shares one `CubePool` among its checks: each weak hypercube is
-enumerated once per run, and nothing carries over from one run to the next."""
+enumerated once per run, each distinct contraction, expansion and purity
+input is worked out once per run, and nothing carries over from one run to
+the next."""
 
 from collections import Counter
 
@@ -8,7 +10,9 @@ from zonotile import suite
 
 def test_one_enumeration_per_n_per_run(monkeypatch):
     enumerations, builds = Counter(), Counter()
+    contractions, expansions, verdicts = Counter(), Counter(), Counter()
     enumerate_maximal, from_w_collection = suite.enumerate_maximal, suite.from_w_collection
+    n_contract, n_expand, verify_purity = suite.n_contract, suite.n_expand, suite.verify_purity
 
     def counted_enumerate(domain, relation):
         enumerations[domain.n, len(domain), relation] += 1
@@ -18,25 +22,77 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
         builds[family.n] += 1
         return from_w_collection(family, **kwargs)
 
+    def counted_contract(combi):
+        contractions[combi] += 1
+        return n_contract(combi)
+
+    def counted_expand(combi, path):
+        expansions[combi, tuple(path)] += 1
+        return n_expand(combi, path)
+
+    def counted_verdict(domain, relation):
+        verdicts[domain.n, domain.members, relation] += 1
+        return verify_purity(domain, relation)
+
     monkeypatch.setattr(suite, "enumerate_maximal", counted_enumerate)
     monkeypatch.setattr(suite, "from_w_collection", counted_build)
+    monkeypatch.setattr(suite, "n_contract", counted_contract)
+    monkeypatch.setattr(suite, "n_expand", counted_expand)
+    monkeypatch.setattr(suite, "verify_purity", counted_verdict)
 
+    counters = (enumerations, builds, contractions, expansions, verdicts)
     runs = []
     for _ in range(2):
-        enumerations.clear()
-        builds.clear()
+        for counter in counters:
+            counter.clear()
         report = suite.run_suite(max_n=4, seed=7, samples=5)
         assert report["pass"] is True
-        runs.append((report, Counter(enumerations), Counter(builds)))
-    (first, enum1, builds1), (second, enum2, builds2) = runs
+        runs.append((report, *(Counter(counter) for counter in counters)))
+    first, second = runs
+    _, enum1, builds1, contract1, expand1, verdict1 = first
 
     # the weak n-cube for n = 1..4 once each, and the strong 4-cube for the
     # strong patterns
     assert enum1 == Counter({(n, 1 << n, "weak"): 1 for n in range(1, 5)} | {(4, 16, "strong"): 1})
     # per weak collection (1, 1, 2 and 10 for n = 1..4): the pooled combi,
-    # the bijection's independent rebuild for n >= 2, and the flip
-    # coherence check's own build for n = 2..4
-    assert builds1 == Counter({1: 1, 2: 3, 3: 6, 4: 30})
+    # and the bijection's independent rebuild for n >= 2; the flip
+    # coherence check reads the pooled combis
+    assert builds1 == Counter({1: 1, 2: 2, 3: 4, 4: 20})
+    # every n-combi for n = 2..4 is contracted once, and the pair it gives
+    # expanded once; the converse (pairs at n - 1 = 1..3) reads them all
+    assert set(contract1.values()) == set(expand1.values()) == {1}
+    assert len(contract1) == len(expand1) == 1 + 2 + 10
+    # one purity verdict per distinct (domain, relation), 412 in this run
+    assert set(verdict1.values()) == {1}
+    assert len(verdict1) == 412
     # a second run in the same process starts from an empty pool
     assert second == first
-    assert (enum2, builds2) == (enum1, builds1)
+
+
+def test_converse_works_out_the_pairs_the_forward_pass_lacks(monkeypatch):
+    class FewerCombis(suite.CubePool):
+        """Only the first three of the ten 4-combis."""
+
+        def combis(self, n):
+            got = super().combis(n)
+            return got[:3] if n == 4 else got
+
+    calls = Counter()
+    n_contract, n_expand = suite.n_contract, suite.n_expand
+
+    def counted_contract(combi):
+        calls["contract"] += 1
+        return n_contract(combi)
+
+    def counted_expand(combi, path):
+        calls["expand"] += 1
+        return n_expand(combi, path)
+
+    monkeypatch.setattr(suite, "n_contract", counted_contract)
+    monkeypatch.setattr(suite, "n_expand", counted_expand)
+    result = suite.check_contraction_bijection(4, FewerCombis())
+    assert result["pass"] is True
+    assert result["detail"]["converse_n3"] == {"pairs": 10, "expected": 10, "pass": True}
+    # the forward pass maps the 1 + 2 + 3 combis it sees; the converse maps
+    # the 7 pairs at n - 1 = 3 that it did not, both ways
+    assert calls == Counter({"contract": 6 + 7, "expand": 6 + 7})
