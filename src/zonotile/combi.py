@@ -124,9 +124,10 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
     out = []
     for a, b in zip(vertices, vertices[1:]):
         gone, came = a & ~b, b & ~a
-        if bs.size(gone) != 1 or bs.size(came) != 1:
+        if gone.bit_count() != 1 or came.bit_count() != 1:
             raise ValueError("lens path steps must trade exactly one element")
-        out.append((bs.min_element(gone), bs.min_element(came)))
+        # one element each, so it is the highest
+        out.append((gone.bit_length(), came.bit_length()))
     return out
 
 
@@ -141,7 +142,7 @@ class Lens:
             raise ValueError("lens boundaries need at least two edges each")
         if up[0] != lo[0] or up[-1] != lo[-1]:
             raise ValueError("lens boundaries must share their end vertices")
-        sizes = {bs.size(v) for v in up} | {bs.size(v) for v in lo}
+        sizes = {v.bit_count() for v in up} | {v.bit_count() for v in lo}
         if len(sizes) != 1:
             raise ValueError("all lens vertices must have the same cardinality")
         ups = _path_types(up)
@@ -151,14 +152,14 @@ class Lens:
         inter = up[0]
         for v in up:
             inter &= v
-        if any(bs.size(v & ~inter) != 1 for v in up):
+        if any((v & ~inter).bit_count() != 1 for v in up):
             raise ValueError("upper path vertices must share a common center")
         union = 0
         for v in lo:
             union |= v
-        if any(bs.size(union & ~v) != 1 for v in lo):
+        if any((union & ~v).bit_count() != 1 for v in lo):
             raise ValueError("lower path vertices must share a common union")
-        lseq = [bs.min_element(union & ~v) for v in lo]
+        lseq = [(union & ~v).bit_length() for v in lo]
         if any(a <= b for a, b in zip(lseq, lseq[1:])):
             raise ValueError("lower path types must strictly decrease")
         object.__setattr__(self, "upper", up)

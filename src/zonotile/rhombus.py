@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 
 from . import bitsets as bs
 from ._planar import TilingError, check_planar_cover, zonogon_region
@@ -27,7 +28,7 @@ class Rhombus:
     def __post_init__(self) -> None:
         if not 1 <= self.low < self.high:
             raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        if self.base & (bs.singleton(self.low) | bs.singleton(self.high)):
+        if self.base & ((1 << (self.low - 1)) | (1 << (self.high - 1))):
             raise ValueError("type elements must not lie in the base set")
 
     @property
@@ -36,19 +37,25 @@ class Rhombus:
 
     @property
     def left(self) -> int:
-        return self.base | bs.singleton(self.low)
+        return self.base | (1 << (self.low - 1))
 
     @property
     def right(self) -> int:
-        return self.base | bs.singleton(self.high)
+        return self.base | (1 << (self.high - 1))
 
     @property
     def top(self) -> int:
-        return self.base | bs.singleton(self.low) | bs.singleton(self.high)
+        return self.base | (1 << (self.low - 1)) | (1 << (self.high - 1))
 
     def cycle(self) -> list[int]:
         """Corner masks in counterclockwise order."""
-        return [self.bottom, self.right, self.top, self.left]
+        base, low, high = self.base, 1 << (self.low - 1), 1 << (self.high - 1)
+        return [base, base | high, base | low | high, base | low]
+
+
+# Sort key giving the dataclass's own order (its fields compared in turn),
+# faster than sorting by the generated __lt__.
+_RHOMBUS_ORDER = attrgetter("base", "low", "high")
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,14 @@ class RhombusTiling:
     def __init__(self, n: int, tiles) -> None:
         bs.check_ground(n)
         tset = frozenset(tiles)
+        # Every vertex lies in a top; the tiles are scanned one by one, in
+        # sorted order, only to name the first one out of range.
+        span = 0
         for t in tset:
-            bs.check_subset(t.top, n)
+            span |= t.top
+        if span < 0 or span & ~bs.full_mask(n):
+            for t in sorted(tset, key=_RHOMBUS_ORDER):
+                bs.check_subset(t.top, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "tiles", tset)
 
@@ -92,7 +105,7 @@ def _rhombus_label(t: Rhombus) -> str:
 def validate_rhombus(tiling: RhombusTiling) -> bool:
     """Planar-tiling axioms under the exact embedding; raises TilingError."""
     gens = default_generators(tiling.n)
-    cycles = [(t, t.cycle()) for t in sorted(tiling.tiles)]
+    cycles = [(t, t.cycle()) for t in sorted(tiling.tiles, key=_RHOMBUS_ORDER)]
     return check_planar_cover(gens, cycles, *zonogon_region(gens), _rhombus_label)
 
 

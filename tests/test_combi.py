@@ -1,4 +1,6 @@
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -22,7 +24,7 @@ from zonotile.combi import (
 from zonotile.contraction import n_expand
 from zonotile.flips import lowering_flip
 from zonotile.geometry import Generators, default_generators, embedding_table
-from zonotile.rhombus import minimal_tiling
+from zonotile.rhombus import _rhombus_label, from_s_collection, minimal_tiling
 from zonotile.separation import (
     SetFamily,
     cointerval_collection,
@@ -154,6 +156,167 @@ def _reference_combi(family):
     return Combi(n, deltas, nablas, lenses)
 
 
+def _reference_turns(pts):
+    """The first vertex index where the polygon fails to turn strictly left
+    (None if there is none), and its doubled signed area."""
+    m = len(pts)
+    bent = None
+    area = 0
+    ax, ay = pts[-1]
+    bx, by = pts[0]
+    for k in range(m):
+        cx, cy = pts[(k + 1) % m]
+        if bent is None and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+            bent = k
+        area += bx * cy - by * cx
+        ax, ay, bx, by = bx, by, cx, cy
+    return bent, area
+
+
+def _reference_cover_check(gens, cycles, boundary, area2, label=str):
+    """The planar-cover check as a scan that checks each tile in turn, as
+    `check_planar_cover` was written before its one-pass form."""
+    table = embedding_table(gens)
+    used = set()
+    total2 = 0
+    for tile, cyc in cycles:
+        if len(cyc) == 3:
+            a, b, c = cyc
+            if a == b or b == c or c == a:
+                raise TilingError("tile-shape", f"{label(tile)} repeats a vertex")
+            (ax, ay), (bx, by), (cx, cy) = table[a], table[b], table[c]
+            # a triangle turns the same way at every vertex, by twice its area
+            area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            bent = 0 if area <= 0 else None
+            keys = [a << 16 | b, b << 16 | c, c << 16 | a]
+        else:
+            m = len(cyc)
+            if m < 3:
+                raise TilingError("tile-shape", f"{label(tile)} has fewer than 3 vertices")
+            if len(set(cyc)) != m:
+                raise TilingError("tile-shape", f"{label(tile)} repeats a vertex")
+            bent, area = _reference_turns([table[v] for v in cyc])
+            keys = [u << 16 | v for u, v in zip(cyc, (*cyc[1:], cyc[0]))]
+        if bent is not None:
+            raise TilingError(
+                "tile-convexity",
+                f"{label(tile)} is not strictly convex and counterclockwise at "
+                f"vertex index {bent}",
+            )
+        total2 += area
+        # The vertices are distinct, so the tile's own edges are too; the
+        # first one already used is found walking from (cyc[0], cyc[1]).
+        if not used.isdisjoint(keys):
+            e = next(k for k in keys if k in used)
+            raise TilingError("edge-sharing", f"directed edge {(e >> 16, e & 0xFFFF)} used twice")
+        used.update(keys)
+
+    bnd = {u << 16 | v for u, v in boundary}
+    if len(bnd) != len(boundary):
+        e = next(e for e, c in Counter(boundary).items() if c > 1)
+        raise TilingError("region-boundary", f"boundary edge {e} repeated")
+    rev = {(k & 0xFFFF) << 16 | k >> 16 for k in used}
+    rbnd = {(k & 0xFFFF) << 16 | k >> 16 for k in bnd}
+    if (used | rbnd) != (bnd | rev) or (used & rbnd) != (bnd & rev):
+        e = min(
+            e for e in used | bnd if (e in used) - (e in rev) != (e in bnd) - (e in rbnd)
+        )
+        if e in bnd or e in rbnd:
+            raise TilingError(
+                "region-boundary",
+                f"boundary edge {(e >> 16, e & 0xFFFF)} not covered exactly once by the tiles",
+            )
+        raise TilingError(
+            "edge-sharing",
+            f"interior edge {(e >> 16, e & 0xFFFF)} is not shared by tiles on both sides",
+        )
+    if total2 != area2:
+        raise TilingError(
+            "area", f"tile areas sum to {total2}/2, region area is {area2}/2"
+        )
+    return True
+
+
+def _tampered_covers(cycles, boundary, area2, vertices, rng):
+    """The cover itself and, for each tamper, one tampered copy as
+    (cycles, boundary, area2): a tile dropped or duplicated, a cycle
+    reversed or rotated, a vertex swapped for another vertex of the cover,
+    a boundary edge repeated, the area off by one either way; then two
+    tampers at once, twice."""
+
+    def tile_tamper(kind, cycles):
+        out = list(cycles)
+        if not out:
+            return out
+        k = rng.randrange(len(out))
+        tile, cyc = out[k]
+        if kind == "drop":
+            del out[k]
+        elif kind == "duplicate":
+            out.insert(rng.randrange(len(out) + 1), (tile, cyc))
+        elif kind == "reverse":
+            out[k] = (tile, cyc[::-1])
+        elif kind == "rotate":
+            r = rng.randrange(1, len(cyc))
+            out[k] = (tile, cyc[r:] + cyc[:r])
+        else:
+            cyc = list(cyc)
+            cyc[rng.randrange(len(cyc))] = rng.choice(vertices)
+            out[k] = (tile, cyc)
+        return out
+
+    kinds = ["drop", "duplicate", "reverse", "rotate", "swap"]
+    out = [(cycles, boundary, area2)]
+    if cycles:
+        out += [(tile_tamper(kind, cycles), boundary, area2) for kind in kinds]
+        for _ in range(2):
+            first, second = rng.sample(kinds, 2)
+            out.append((tile_tamper(second, tile_tamper(first, cycles)), boundary, area2))
+    k = rng.randrange(len(boundary))
+    out.append((cycles, boundary[:k] + boundary[k:][:1] + boundary[k:], area2))
+    out += [(cycles, boundary, area2 + 2), (cycles, boundary, area2 - 2)]
+    return out
+
+
+def _verdict(check, gens, cover, label):
+    try:
+        return check(gens, *cover, label)
+    except TilingError as exc:
+        return str(exc)
+
+
+def test_cover_check_matches_reference_scan():
+    # every combi and rhombus tiling with n <= 4 and a seeded sample at
+    # n = 5, each as it is and under each tamper
+    rng = random.Random(13)
+    covers = []
+    for n in range(1, 6):
+        gens = default_generators(n)
+        region = zonogon_region(gens)
+        weak = enumerate_maximal(hypercube_domain(n), "weak").maximal_collections
+        strong = enumerate_maximal(hypercube_domain(n), "strong").maximal_collections
+        if n == 5:
+            weak, strong = rng.sample(weak, 40), rng.sample(strong, 20)
+        for fam in weak:
+            tiles = from_w_collection(fam, check_input=False).tiles()
+            covers.append((gens, region, [(t, t.cycle()) for t in tiles], tile_label, fam))
+        for fam in strong:
+            tiles = sorted(from_s_collection(fam).tiles)
+            covers.append((gens, region, [(t, t.cycle()) for t in tiles], _rhombus_label, fam))
+    verdicts = Counter()
+    for gens, (boundary, area2), cycles, label, fam in covers:
+        vertices = sorted(fam.as_set())
+        tampered = [_tampered_covers(cycles, boundary, area2, vertices, rng) for _ in range(3)]
+        for cover in [c for batch in tampered for c in batch]:
+            want = _verdict(_reference_cover_check, gens, cover, label)
+            assert _verdict(check_planar_cover, gens, cover, label) == want
+            verdicts[want if want is True else want.split(":")[0]] += 1
+    assert len(covers) == 86
+    assert set(verdicts) == {
+        True, "tile-shape", "tile-convexity", "edge-sharing", "region-boundary", "area"
+    }
+
+
 class TestTileTypes:
     def test_delta_vertices(self):
         d = Delta(M([1, 2]), 1, 2)
@@ -176,6 +339,29 @@ class TestTileTypes:
     def test_lens_needs_two_edges_per_side(self):
         with pytest.raises(ValueError):
             Lens((M([1, 3]), M([3, 4])), (M([1, 3]), M([1, 4]), M([3, 4])))
+
+    def test_lens_error_texts(self):
+        # each case breaks one axiom of the good lens, upper {1,3} {2,3}
+        # {3,4} and lower {1,3} {1,4} {3,4}, and passes the ones before it
+        up, lo = (M([1, 3]), M([2, 3]), M([3, 4])), (M([1, 3]), M([1, 4]), M([3, 4]))
+        cases = [
+            (up[::2], lo, "lens boundaries need at least two edges each"),
+            (up, (M([1, 3]), M([1, 4]), M([2, 4])), "lens boundaries must share their end vertices"),
+            (up, (M([1, 3]), M([1]), M([3, 4])), "all lens vertices must have the same cardinality"),
+            ((M([1, 2]), M([3, 4]), M([4, 5])), (M([1, 2]), M([1, 5]), M([4, 5])),
+             "lens path steps must trade exactly one element"),
+            ((M([2, 3]), M([1, 3]), M([3, 4])), (M([2, 3]), M([2, 4]), M([3, 4])),
+             "upper path types must strictly increase"),
+            ((M([1, 2]), M([2, 3]), M([3, 4])), (M([1, 2]), M([1, 4]), M([3, 4])),
+             "upper path vertices must share a common center"),
+            (up, (M([1, 3]), M([1, 2]), M([3, 4])), "lower path vertices must share a common union"),
+            (up, (M([1, 3]), M([3, 4]), M([3, 4])), "lower path types must strictly decrease"),
+        ]
+        for upper, lower, text in cases:
+            with pytest.raises(ValueError) as info:
+                Lens(upper, lower)
+            assert str(info.value) == text
+        assert Lens(up, lo).upper_types == (1, 2, 4)
 
 
 class TestValidation:
@@ -249,6 +435,11 @@ class TestValidation:
              "region-boundary: boundary edge (0, 2) repeated"),
             (good, boundary[1:] + boundary[1:2] + boundary[:1], area2,
              "region-boundary: boundary edge (2, 3) repeated"),
+            (good, boundary + boundary[2:3], area2,
+             "region-boundary: boundary edge (3, 1) repeated"),
+            # the delta spills over the nabla's edge from {2} to {1}
+            ([(nabla, nabla.cycle()), (delta, delta.cycle())], ((0, 2), (2, 1), (1, 0)), area2 // 2,
+             "region-boundary: boundary edge (1, 2) not covered exactly once by the tiles"),
             (good, boundary, area2 + 2,
              "area: tile areas sum to 132600/2, region area is 132602/2"),
         ]
@@ -257,6 +448,8 @@ class TestValidation:
                 check_planar_cover(gens, cycles, bnd, want_area2, tile_label)
             assert str(info.value) == text
         assert check_planar_cover(gens, good, boundary, area2, tile_label)
+        # edges are compared as chains: two opposite boundary edges cancel
+        assert check_planar_cover(gens, good, boundary + ((0, 3), (3, 0)), area2, tile_label)
 
     def test_convexity_error_texts(self):
         # Each bad tile is the first of a cover that is exact in every other
@@ -287,6 +480,38 @@ class TestValidation:
                 f"tile-convexity: {cycles[0][0]} is not strictly convex and "
                 f"counterclockwise at vertex index {index}"
             )
+
+    def test_error_order_and_bent_index(self):
+        gens = default_generators(3)
+        boundary, area2 = zonogon_region(gens)
+        nabla = [0, M([2]), M([1])]
+        chevron = [0, M([3]), M([2, 3]), M([2]), M([1, 2]), M([1])]
+        rhombus = [M([2]), M([2, 3]), M([1, 2, 3]), M([1, 2])]
+        # the dart 0, {2,3}, {2}, {1} turns right at {2} only
+        dart = [0, M([2, 3]), M([2]), M([1])]
+        cases = [
+            # a repeated edge in an earlier tile wins over a later reflex tile
+            ([("t0", nabla), ("t1", nabla), ("t2", rhombus), ("t3", chevron)],
+             "edge-sharing: directed edge (0, 2) used twice"),
+            # and a reflex tile wins over a later repeated edge
+            ([("t0", nabla), ("t1", chevron), ("t2", rhombus), ("t3", nabla)],
+             "tile-convexity: t1 is not strictly convex and counterclockwise at vertex index 3"),
+            ([("first", dart[2:] + dart[:2])],
+             "tile-convexity: first is not strictly convex and counterclockwise at vertex index 0"),
+            ([("last", dart[3:] + dart[:3])],
+             "tile-convexity: last is not strictly convex and counterclockwise at vertex index 3"),
+            # a repeated vertex is a shape fault, though the triangle is flat too
+            ([("t0", rhombus), ("twice", [0, M([1]), 0])], "tile-shape: twice repeats a vertex"),
+            ([("t0", rhombus), ("twice", [0, M([1]), M([1]), M([2])])],
+             "tile-shape: twice repeats a vertex"),
+            ([("t0", rhombus), ("two", [0, M([1])])], "tile-shape: two has fewer than 3 vertices"),
+            # turning left at every vertex, twice round a triangle
+            ([("t0", rhombus), ("twice round", nabla * 2)], "tile-shape: twice round repeats a vertex"),
+        ]
+        for cycles, text in cases:
+            with pytest.raises(TilingError) as info:
+                check_planar_cover(gens, cycles, boundary, area2)
+            assert str(info.value) == text
 
     def test_missing_tile_error_texts(self):
         # The first unbalanced edge is the least one as a (tail, head) pair.

@@ -41,6 +41,16 @@ def test_type_elements_must_avoid_base():
         Rhombus(M([2]), 1, 2)
 
 
+def test_out_of_range_text():
+    with pytest.raises(ValueError) as info:
+        RhombusTiling(2, [Rhombus(0, 1, 2), Rhombus(4, 1, 2)])
+    assert str(info.value) == "mask 0x7 has elements outside 1..2"
+    # of two tiles out of range, the one first in tile order is named
+    for tiles in ([Rhombus(8, 1, 2), Rhombus(4, 1, 2)], [Rhombus(4, 1, 2), Rhombus(8, 1, 2)]):
+        with pytest.raises(ValueError, match="^mask 0x7 has"):
+            RhombusTiling(2, tiles)
+
+
 def test_tile_counts():
     for n in (2, 3, 4, 5):
         tiling = minimal_tiling(n)
