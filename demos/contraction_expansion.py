@@ -7,13 +7,13 @@ Run:  python demos/contraction_expansion.py
 from zonotile import (
     enumerate_legal_paths,
     enumerate_maximal,
-    extract_n_strip,
     format_subset,
     from_w_collection,
     hypercube_domain,
     n_contract,
     n_expand,
 )
+from zonotile.contraction import path_vertex_roles
 
 # Pick a combi with a lens so the contraction has something interesting to do.
 lensy = next(
@@ -22,19 +22,20 @@ lensy = next(
     if any(l.upper_types[-1] == 5 for l in from_w_collection(f).lenses)
 )
 
-strip = extract_n_strip(lensy)
-print(f"the 5-strip crosses {len(strip.tiles)} tiles:")
-print("  left boundary: ", " -> ".join(format_subset(v) for v in strip.left_path))
-print("  right boundary:", " -> ".join(format_subset(v) for v in strip.right_path))
-
 smaller, path = n_contract(lensy)
-print("\ncontracting the strip leaves a combi on the 4-zonogon.")
-print("the strip's left boundary deforms into the legal path")
+print("dropping 5 from every vertex leaves a combi on the 4-zonogon.")
+print("its vertices found both with and without 5, with the zigzag of the")
+print("lens whose last type is 5, make the legal path")
 print("  ", " -> ".join(format_subset(v) for v in path))
-print("whose backward step remembers the dissolved lens.")
+roles = path_vertex_roles(smaller, path)
+print("whose inner vertices are")
+print("  ", ", ".join(f"{format_subset(v)} {r}" for v, r in zip(path[1:-1], roles)))
+print("and whose backward step remembers the dissolved lens.")
 
 assert n_expand(smaller, path) == lensy
-print("expanding along that path rebuilds the original combi exactly.")
+print("\nexpanding along that path rebuilds the original combi exactly: each")
+print("slope X comes back as X and X+5, each peak as X, each pit as X+5, and")
+print("every other vertex on the side that is separated from those.")
 
 # Counting pairs proves the bijection at desk scale: the number of
 # (combi, legal path) pairs at n-1 equals the number of combies at n.

@@ -8,11 +8,9 @@ domain machinery, each backed by a complete planar-cover validator.
 """
 
 from .bitsets import (
-    complement,
     elements_of,
     format_subset,
     full_mask,
-    interval_mask,
     mask_of,
     parse_subset,
     reverse_mask,
@@ -34,7 +32,6 @@ from .separation import (
     interval_collection,
     inversions,
     is_maximal_separated,
-    is_separated_family,
     purity_verdict,
     separation_row,
     strongly_separated,
@@ -86,12 +83,9 @@ from .flips import (
     set_flip_graph,
 )
 from .contraction import (
-    NStrip,
     enumerate_legal_paths,
-    extract_n_strip,
     first_contract,
     first_expand,
-    is_legal_path,
     mirror,
     n_contract,
     n_expand,

@@ -66,17 +66,6 @@ def has(mask: int, e: int) -> bool:
     return bool(mask >> (e - 1) & 1)
 
 
-def interval_mask(p: int, q: int) -> int:
-    """Mask of {p, p+1, ..., q}; empty when p > q."""
-    if p > q:
-        return 0
-    return ((1 << q) - 1) ^ ((1 << (p - 1)) - 1)
-
-
-def complement(mask: int, n: int) -> int:
-    return full_mask(n) ^ mask
-
-
 def reverse_mask(mask: int, n: int) -> int:
     """Image of the set under the index reversal i -> n+1-i."""
     out = 0

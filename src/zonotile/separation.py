@@ -239,11 +239,6 @@ def compatible_sets(members, n: int, relation: str) -> list[int]:
     return _bits(compatible_row(members, n, relation))
 
 
-def is_separated_family(family: SetFamily, relation: str) -> bool:
-    fam = members_mask(family.members)
-    return compatible_row(family.members, family.n, relation) & fam == fam
-
-
 def is_maximal_separated(family: SetFamily, relation: str, within: SetFamily | None = None) -> bool:
     """Separated and not extendable by any set of the ambient domain."""
     n = family.n if within is None else max(family.n, within.n)
