@@ -22,13 +22,13 @@ path, and the members under the union of its ends its lower path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 from . import bitsets as bs
 from ._planar import TilingError, check_planar_cover, zonogon_region
 from .geometry import default_generators
-from .rhombus import RhombusTiling
+from .rhombus import TILE_CACHE_SIZE, RhombusTiling
 from .separation import SetFamily, is_maximal_separated
 
 
@@ -201,6 +201,14 @@ class Lens:
 
 
 Tile = Delta | Nabla | Lens
+# One checked instance per distinct tile, for the sites that build every
+# tile of a combi (a combi is fixed by its vertex set, so its tiles repeat
+# across reconstructions): each tile runs its constructor check on its
+# first build only, and a failure, never cached, raises every time.  A
+# single tile is built with its class.
+shared_delta = lru_cache(maxsize=TILE_CACHE_SIZE)(Delta)
+shared_nabla = lru_cache(maxsize=TILE_CACHE_SIZE)(Nabla)
+shared_lens = lru_cache(maxsize=TILE_CACHE_SIZE)(Lens)
 # Sort keys giving each dataclass's own order (its fields compared in
 # turn), faster than sorting by the generated __lt__.
 _DELTA_ORDER = attrgetter("apex", "low", "high")
@@ -411,8 +419,8 @@ def from_rhombus(tiling: RhombusTiling) -> Combi:
     deltas = []
     nablas = []
     for t in tiling.tiles:
-        deltas.append(Delta(t.top, t.low, t.high))
-        nablas.append(Nabla(t.bottom, t.low, t.high))
+        deltas.append(shared_delta(t.top, t.low, t.high))
+        nablas.append(shared_nabla(t.bottom, t.low, t.high))
     return Combi(tiling.n, deltas, nablas)
 
 
@@ -439,18 +447,18 @@ def _assemble(members: frozenset[int], n: int) -> tuple[list[Delta], list[Nabla]
             if x & b:
                 if x ^ b in members:
                     if down:
-                        deltas.append(Delta(x, down, i))
+                        deltas.append(shared_delta(x, down, i))
                     down = i
                 else:
                     over.setdefault(x ^ b, []).append(x)
             elif x | b in members:
                 if up:
-                    nablas.append(Nabla(x, up, i))
+                    nablas.append(shared_nabla(x, up, i))
                 up = i
             else:
                 under.setdefault(x | b, []).append(x)
     lenses = [
-        Lens(upper, under.get(upper[0] | upper[-1], ()))
+        shared_lens(tuple(upper), tuple(under.get(upper[0] | upper[-1], ())))
         for upper in over.values()
         if len(upper) >= 3
     ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import bitsets as bs
 from ._planar import TilingError
-from .combi import Combi, Delta, Lens, Nabla, from_w_collection
+from .combi import Combi, from_w_collection, shared_delta, shared_lens, shared_nabla
 from .separation import SetFamily, compatible_row
 
 
@@ -122,15 +122,15 @@ def mirror(combi: Combi) -> Combi:
     """Left-right mirror: relabel every element i as n+1-i."""
     n = combi.n
     deltas = [
-        Delta(bs.reverse_mask(d.apex, n), n + 1 - d.high, n + 1 - d.low)
+        shared_delta(bs.reverse_mask(d.apex, n), n + 1 - d.high, n + 1 - d.low)
         for d in combi.deltas
     ]
     nablas = [
-        Nabla(bs.reverse_mask(v.bottom, n), n + 1 - v.high, n + 1 - v.low)
+        shared_nabla(bs.reverse_mask(v.bottom, n), n + 1 - v.high, n + 1 - v.low)
         for v in combi.nablas
     ]
     lenses = [
-        Lens(
+        shared_lens(
             tuple(bs.reverse_mask(v, n) for v in reversed(l.upper)),
             tuple(bs.reverse_mask(v, n) for v in reversed(l.lower)),
         )

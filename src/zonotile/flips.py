@@ -25,6 +25,9 @@ from .combi import (
     find_m_configs,
     find_w_configs,
     from_w_collection,
+    shared_delta,
+    shared_lens,
+    shared_nabla,
     validate_combi,
 )
 from .separation import (
@@ -130,10 +133,10 @@ def complement_combi(combi: Combi, validate: bool = True) -> Combi:
     boundaries, reversed and complemented.
     """
     full = bs.full_mask(combi.n)
-    deltas = [Delta(full ^ v.bottom, v.low, v.high) for v in combi.nablas]
-    nablas = [Nabla(full ^ d.apex, d.low, d.high) for d in combi.deltas]
+    deltas = [shared_delta(full ^ v.bottom, v.low, v.high) for v in combi.nablas]
+    nablas = [shared_nabla(full ^ d.apex, d.low, d.high) for d in combi.deltas]
     lenses = [
-        Lens(
+        shared_lens(
             tuple(full ^ v for v in reversed(l.lower)),
             tuple(full ^ v for v in reversed(l.upper)),
         )

@@ -8,6 +8,7 @@ directions are implemented and cross-validated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter
 
@@ -51,6 +52,18 @@ class Rhombus:
         """Corner masks in counterclockwise order."""
         base, low, high = self.base, 1 << (self.low - 1), 1 << (self.high - 1)
         return [base, base | high, base | low | high, base | low]
+
+
+# C(10,2)·2^8 = 11,520 is the number of rhombi, and of deltas and of
+# nablas, with n <= 10, so up to n = 10 none of them is ever evicted.  A
+# full cache holds at most 2.7 MB of these triangles or rhombi, or 8 MB of
+# lenses with the longest paths at n = 16 (tracemalloc, Python 3.11).
+TILE_CACHE_SIZE = 11_520
+
+# One checked instance per distinct rhombus, for the sites that build every
+# tile of a tiling: each tile runs its constructor check on its first build
+# only, and a failure, never cached, raises every time.
+shared_rhombus = lru_cache(maxsize=TILE_CACHE_SIZE)(Rhombus)
 
 
 # Sort key giving the dataclass's own order (its fields compared in turn),
@@ -137,7 +150,7 @@ def from_s_collection(family: SetFamily) -> RhombusTiling:
         ups = [(i, x | b) for i, b in bits if not x & b and x | b in present]
         for (i, left), (j, right) in combinations(ups, 2):
             if left | right in present:
-                tiles.append(Rhombus(x, i, j))
+                tiles.append(shared_rhombus(x, i, j))
     tiling = RhombusTiling(n, tiles)
     try:
         validate_rhombus(tiling)

@@ -16,12 +16,15 @@ from zonotile.combi import (
     find_w_configs,
     from_rhombus,
     from_w_collection,
+    shared_delta,
+    shared_lens,
+    shared_nabla,
     spectrum,
     tile_label,
     validate_combi,
 )
-from zonotile.contraction import n_expand
-from zonotile.flips import lowering_flip
+from zonotile.contraction import mirror, n_expand
+from zonotile.flips import complement_combi, lowering_flip
 from zonotile.geometry import Generators, default_generators, embedding_table
 from zonotile.rhombus import _rhombus_label, from_s_collection, minimal_tiling
 from zonotile.separation import (
@@ -321,10 +324,12 @@ class TestTileTypes:
         d = Delta(M([1, 2]), 1, 2)
         assert d.left == M([1]) and d.right == M([2])
         assert d.base == (M([1]), M([2]))
+        assert Combi(2, [d]).vertex_masks() == {M([1]), M([2]), M([1, 2])}
 
     def test_nabla_vertices(self):
         v = Nabla(0, 1, 2)
         assert v.left == M([1]) and v.right == M([2])
+        assert Combi(2, (), [v]).vertex_masks() == {0, M([1]), M([2])}
 
     def test_lens_axioms(self):
         good = Lens((M([1, 3]), M([2, 3]), M([3, 4])), (M([1, 3]), M([1, 4]), M([3, 4])))
@@ -332,6 +337,9 @@ class TestTileTypes:
         assert good.upper_center == M([3])
         assert good.lower_center == M([1, 3, 4])
         assert good.upper_types == (1, 2, 4)
+        assert (good.left, good.right) == (M([1, 3]), M([3, 4]))
+        shifted = Lens([v << 1 for v in good.upper], [v << 1 for v in good.lower])
+        assert shifted.lower_center == M([2, 4, 5])
         with pytest.raises(ValueError):
             Lens((M([2, 3]), M([1, 3]), M([3, 4])), (M([2, 3]), M([2, 4]), M([3, 4])))
 
@@ -345,6 +353,7 @@ class TestTileTypes:
         up, lo = (M([1, 3]), M([2, 3]), M([3, 4])), (M([1, 3]), M([1, 4]), M([3, 4]))
         cases = [
             (up[::2], lo, "lens boundaries need at least two edges each"),
+            (up, lo[::2], "lens boundaries need at least two edges each"),
             (up, (M([1, 3]), M([1, 4]), M([2, 4])), "lens boundaries must share their end vertices"),
             (up, (M([1, 3]), M([1]), M([3, 4])), "all lens vertices must have the same cardinality"),
             ((M([1, 2]), M([3, 4]), M([4, 5])), (M([1, 2]), M([1, 5]), M([4, 5])),
@@ -361,6 +370,29 @@ class TestTileTypes:
                 Lens(upper, lower)
             assert str(info.value) == text
         assert Lens(up, lo).upper_types == (1, 2, 4)
+
+    def test_failed_tiles_are_never_shared(self):
+        # each text through the class, then twice through the shared
+        # constructor: a failure is not cached, so it raises every time
+        cases = [
+            (Delta, shared_delta, (M([1, 2]), 2, 2), "need 1 <= low < high, got 2, 2"),
+            (Delta, shared_delta, (M([1, 2]), 0, 2), "need 1 <= low < high, got 0, 2"),
+            (Delta, shared_delta, (M([1]), 1, 2), "apex of a Delta must contain both type elements"),
+            (Delta, shared_delta, (M([2]), 1, 2), "apex of a Delta must contain both type elements"),
+            (Nabla, shared_nabla, (0, 2, 2), "need 1 <= low < high, got 2, 2"),
+            (Nabla, shared_nabla, (0, 0, 1), "need 1 <= low < high, got 0, 1"),
+            (Nabla, shared_nabla, (M([1]), 1, 2), "bottom of a Nabla must avoid both type elements"),
+            (Nabla, shared_nabla, (M([2]), 1, 2), "bottom of a Nabla must avoid both type elements"),
+            (Lens, shared_lens, ((M([1]), M([2])), (M([1]), M([2]))),
+             "lens boundaries need at least two edges each"),
+        ]
+        for cls, shared, args, text in cases:
+            size = shared.cache_info().currsize
+            for build in (cls, shared, shared):
+                with pytest.raises(ValueError) as info:
+                    build(*args)
+                assert str(info.value) == text
+            assert shared.cache_info().currsize == size
 
 
 class TestValidation:
@@ -568,8 +600,17 @@ class TestReconstruction:
         assert spectrum(combi) == fam
 
     def test_rejects_non_maximal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^family is not a maximal weakly separated collection$"):
             from_w_collection(SetFamily(3, [0, M([1])]))
+
+    def test_unchecked_member_on_no_tile_fails_the_spectrum_check(self):
+        # no X+i or X-i of {1,3,5} is a member, so it is the vertex of no
+        # tile: the tiles of the other members cover the zonogon, and only
+        # the spectrum check sees the member left out
+        rest = [0, 1, 2, 3, 4, 6, 7, 8, 12, 14, 15, 16, 24, 28, 30, 31]
+        assert from_w_collection(SetFamily(5, rest)).vertex_masks() == set(rest)
+        with pytest.raises(TilingError, match="^spectrum: reconstruction changed the vertex set$"):
+            from_w_collection(SetFamily(5, rest + [M([1, 3, 5])]), check_input=False)
 
     def test_rejects_non_separated(self):
         # {1,3} and {2,4} interlace, so no separated collection holds both
@@ -608,6 +649,25 @@ class TestReconstruction:
                 assert combi.vertex_masks() is combi.vertex_masks()
                 ref.vertex_masks()
                 assert combi == ref and hash(combi) == hash(ref)
+
+    def test_reconstructions_share_every_tile(self):
+        # each distinct tile is built once: every site that builds all the
+        # tiles of a combi hands out the same objects, equal to the tiles
+        # the plain classes build (the two-step reference)
+        for n in range(1, 5):
+            cube = hypercube_domain(n)
+            strong = {fam.members: fam for fam in enumerate_maximal(cube, "strong").maximal_collections}
+            for fam in enumerate_maximal(cube, "weak").maximal_collections:
+                first = from_w_collection(fam)
+                held = {t: t for t in first.tiles()}
+                again = [from_w_collection(fam), mirror(mirror(first))]
+                again.append(complement_combi(complement_combi(first)))
+                if fam.members in strong:
+                    again.append(from_rhombus(from_s_collection(strong[fam.members])))
+                for combi in again:
+                    assert len(combi.tiles()) == len(held)
+                    assert all(held.get(t) is t for t in combi.tiles())
+                assert first == _reference_combi(fam)
 
     def test_every_adjacent_pair_is_an_edge(self):
         # X and X+i in the spectrum always join by a vertical edge

@@ -71,6 +71,16 @@ class TestClassification:
             assert classify_pattern(pat) == "self_crossing"
             assert curve_kind(pat) == "crossing"
 
+    def test_spanning_condition_on_the_union_side(self):
+        # the 1-distance step {1,3}-{1,2,3} reaches the union of the
+        # 2-distance step {2,3}-{1,2}, and its type 2 lies between 1 and 3
+        two, one = (M([2, 3]), M([1, 2])), (M([1, 2, 3]), M([1, 3]))
+        assert two[0] & two[1] != one[1]
+        assert patterns._violates_c4(two, one)
+        pat = CyclicPattern(3, (*two, *one))
+        assert classify_pattern(pat) == "self_crossing"
+        assert curve_kind(pat) == "crossing"
+
     def test_semi_simple_touching(self):
         # diamond traversed as a figure made of two loops touching at {1}
         cyc = (

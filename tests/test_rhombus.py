@@ -1,6 +1,7 @@
 import pytest
 
 from zonotile import bitsets as bs
+from zonotile import rhombus
 from zonotile._planar import TilingError
 from zonotile.rhombus import (
     Rhombus,
@@ -9,6 +10,7 @@ from zonotile.rhombus import (
     hexagons,
     maximal_tiling,
     minimal_tiling,
+    shared_rhombus,
     spectrum_rhombus,
     strong_flip,
     validate_rhombus,
@@ -41,6 +43,44 @@ def test_type_elements_must_avoid_base():
         Rhombus(M([2]), 1, 2)
 
 
+def test_failed_rhombi_are_never_shared():
+    # each text through the class, then twice through the shared
+    # constructor: a failure is not cached, so it raises every time
+    cases = [
+        ((0, 2, 2), "need 1 <= low < high, got 2, 2"),
+        ((0, 0, 2), "need 1 <= low < high, got 0, 2"),
+        ((M([1]), 1, 2), "type elements must not lie in the base set"),
+        ((M([2]), 1, 2), "type elements must not lie in the base set"),
+    ]
+    size = shared_rhombus.cache_info().currsize
+    for args, text in cases:
+        for build in (Rhombus, shared_rhombus, shared_rhombus):
+            with pytest.raises(ValueError) as info:
+                build(*args)
+            assert str(info.value) == text
+    assert shared_rhombus.cache_info().currsize == size
+    t = Rhombus(M([3]), 1, 2)
+    assert (t.left, t.right) == (M([1, 3]), M([2, 3]))
+
+
+def test_tilings_share_every_rhombus():
+    # two reconstructions hold the same rhombus objects, equal to those the
+    # plain class builds on every quadruple X, X+i, X+j, X+ij of members
+    for n in range(1, 5):
+        for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections:
+            first, second = from_s_collection(fam), from_s_collection(fam)
+            held = {t: t for t in first.tiles}
+            assert all(held.get(t) is t for t in second.tiles)
+            s = fam.as_set()
+            plain = {
+                Rhombus(x, i, j)
+                for x in s for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if {x | bs.singleton(i), x | bs.singleton(j), x | bs.singleton(i) | bs.singleton(j)} <= s
+                and not x & (bs.singleton(i) | bs.singleton(j))
+            }
+            assert first.tiles == plain
+
+
 def test_out_of_range_text():
     with pytest.raises(ValueError) as info:
         RhombusTiling(2, [Rhombus(0, 1, 2), Rhombus(4, 1, 2)])
@@ -64,11 +104,23 @@ def test_spectrum_examples():
     )
     assert spectrum_rhombus(minimal_tiling(3)) == interval_collection(3)
     assert spectrum_rhombus(maximal_tiling(3)) == cointerval_collection(3)
+    # the segment of n = 1 has no tile, only its two vertices and one edge
+    assert spectrum_rhombus(minimal_tiling(1)) == SetFamily(1, [0, 1])
+    assert minimal_tiling(1).edges() == {(0, 1)}
 
 
-def test_from_s_collection_rejects_non_maximal():
-    with pytest.raises(ValueError):
+def test_from_s_collection_rejects_non_maximal(monkeypatch):
+    with pytest.raises(ValueError, match="^family is not a maximal strongly separated collection$"):
         from_s_collection(SetFamily(3, [0, M([1])]))
+    # let through the input check, the family fails validation, and the
+    # error says that the collection does not assemble
+    monkeypatch.setattr(rhombus, "is_maximal_separated", lambda family, relation: True)
+    with pytest.raises(TilingError) as info:
+        from_s_collection(SetFamily(3, [0, M([1])]))
+    assert str(info.value) == (
+        "region-boundary: collection does not assemble into a tiling "
+        "(boundary edge (0, 4) not covered exactly once by the tiles)"
+    )
 
 
 def test_bijection_round_trip_all_n5():

@@ -13,7 +13,8 @@ The mutants:
     == and !=, is and is not, in and not in;
   - each `and` swapped for `or` and each `or` for `and`;
   - each integer constant, plus one and minus one;
-  - each `raise` statement replaced by `pass`.
+  - each `raise` statement replaced by `pass`;
+  - each `return False` replaced by `pass`, so the code after it runs.
 
 Decorator arguments and f-strings are left alone.  A mutant replaces only
 the source of the node it changes, padded to the same number of lines, so
@@ -106,6 +107,9 @@ def mutants(source: str) -> list[tuple[int, int, str, str]]:
                 splice(node, str(value), f"{ast.unparse(node)} -> {value}")
         elif isinstance(node, ast.Raise):
             splice(node, "pass", "raise -> pass")
+        elif (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+              and node.value.value is False):
+            splice(node, "pass", "return False -> pass")
     out.sort(key=lambda m: (m[0], m[1]))
     return out
 
