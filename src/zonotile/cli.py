@@ -15,13 +15,7 @@ from pathlib import Path
 from . import bitsets as bs
 from . import jsonio
 from ._planar import TilingError
-from .combi import (
-    Combi,
-    find_m_config_at,
-    find_w_config_at,
-    from_w_collection,
-    validate_combi,
-)
+from .combi import Combi, MConfig, WConfig, from_w_collection, validate_combi
 from .contraction import n_contract, n_expand
 from .flips import descend_to_minimum, lowering_flip, raising_flip
 from .patterns import classify_pattern, domains, verify_complementary, verify_purity
@@ -203,11 +197,9 @@ def _dispatch(args) -> int:
         if not all(1 <= t <= combi.n for t in (args.i, args.j, args.k)):
             raise ValueError(f"--i, --j and --k must lie in 1..{combi.n}")
         if args.op == "lower":
-            conf = find_w_config_at(combi, core, args.i, args.j, args.k)
-            flipped = lowering_flip(combi, conf)
+            flipped = lowering_flip(combi, WConfig(core, args.i, args.j, args.k))
         else:
-            conf = find_m_config_at(combi, core, args.i, args.j, args.k)
-            flipped = raising_flip(combi, conf)
+            flipped = raising_flip(combi, MConfig(core, args.i, args.j, args.k))
         if args.trace:
             line = jsonio.flip_trace_line(args.op, core, args.i, args.j, args.k)
             with open(args.trace, "a", encoding="utf-8") as fh:

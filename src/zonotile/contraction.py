@@ -1,14 +1,14 @@
 """Contraction and expansion between combies on adjacent ground sizes.
 
 A maximal weakly separated collection fixes its combi, which
-`from_w_collection` rebuilds and certifies, so both maps are rules on
-vertex sets.  Contracting an n-combi with vertex set S gives the combi of
-{X - n : X in S} and a legal path in it through the X without n that have
-both X and X+n in S, and, for each lens whose last upper type is n, through
-its zigzag upper[0], lower[-1] - n, upper[-2].  Expanding along a legal
-path inverts that exactly: its ends and slopes X give X and X+n, its peaks
-X and its pits X+n, and every other vertex X enters as whichever of X and
-X+n is weakly separated from those.  This gives the bijection
+`from_w_collection` rebuilds and certifies, so both maps, and the mirror,
+are rules on vertex sets.  Contracting an n-combi with vertex set S gives
+the combi of {X - n : X in S} and a legal path in it through the X without
+n that have both X and X+n in S, and, for each lens whose last upper type
+is n, through its zigzag upper[0], lower[-1] - n, upper[-2].  Expanding
+along a legal path inverts that exactly: its ends and slopes X give X and
+X+n, its peaks X and its pits X+n, and every other vertex X enters as
+whichever of X and X+n is weakly separated from those.  This gives the bijection
 (combi on n-1 ground, legal path)  <->  (combi on n ground).
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import bitsets as bs
 from ._planar import TilingError
-from .combi import Combi, from_w_collection, shared_delta, shared_lens, shared_nabla
+from .combi import Combi, from_w_collection
 from .separation import SetFamily, compatible_row
 
 
@@ -121,22 +121,8 @@ def n_expand(combi: Combi, path) -> Combi:
 def mirror(combi: Combi) -> Combi:
     """Left-right mirror: relabel every element i as n+1-i."""
     n = combi.n
-    deltas = [
-        shared_delta(bs.reverse_mask(d.apex, n), n + 1 - d.high, n + 1 - d.low)
-        for d in combi.deltas
-    ]
-    nablas = [
-        shared_nabla(bs.reverse_mask(v.bottom, n), n + 1 - v.high, n + 1 - v.low)
-        for v in combi.nablas
-    ]
-    lenses = [
-        shared_lens(
-            tuple(bs.reverse_mask(v, n) for v in reversed(l.upper)),
-            tuple(bs.reverse_mask(v, n) for v in reversed(l.lower)),
-        )
-        for l in combi.lenses
-    ]
-    return Combi(n, deltas, nablas, lenses)
+    verts = {bs.reverse_mask(x, n) for x in combi.vertex_masks()}
+    return from_w_collection(SetFamily(n, verts), check_input=False)
 
 
 def first_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:

@@ -1,12 +1,12 @@
 """Weak raising and lowering flips on combies, set-level flips, flip graphs.
 
-A lowering flip removes the middle vertex of a W-configuration and inserts
-the complementary vertex one level down, rebuilding the surrounding tiles.
-There are two regimes above the removed vertex (its top companion present
-or a lens absorbing the two horizontal edges) and three below (a single
-delta over a nabla, a single delta over a lens, or a delta fan that turns
-into a new lens).  Raising flips are lowering flips on the complemented
-combi.  Every flip result is re-validated.
+A combi is fixed by its vertex set, a maximal weakly separated collection,
+which `from_w_collection` rebuilds and certifies, so the flips and the
+complement are rules on vertex sets.  A lowering flip, on the two nablas of
+a W-configuration, trades their shared top vertex core+i+k for core+j one
+level down; a raising flip, on the two deltas of an M-configuration, makes
+the reverse trade; the complement complements every vertex.  Every result
+is validated.
 """
 
 from __future__ import annotations
@@ -15,21 +15,7 @@ from dataclasses import dataclass
 
 from . import bitsets as bs
 from ._planar import TilingError
-from .combi import (
-    Combi,
-    Delta,
-    Lens,
-    MConfig,
-    Nabla,
-    WConfig,
-    find_m_configs,
-    find_w_configs,
-    from_w_collection,
-    shared_delta,
-    shared_lens,
-    shared_nabla,
-    validate_combi,
-)
+from .combi import Combi, MConfig, WConfig, find_m_configs, find_w_configs, from_w_collection
 from .separation import (
     ResourceGuardError,
     SetFamily,
@@ -40,126 +26,30 @@ from .separation import (
 )
 
 
-def lowering_flip(combi: Combi, w: WConfig, validate: bool = True) -> Combi:
-    """Replace the middle vertex core+i+k by core+j (i < j < k).
-
-    The lenses and the delta fan are looked up in the input combi: every
-    tile changed before a lookup has its apex or its edges elsewhere.
-    """
-    core, i, j, k = w.core, w.i, w.j, w.k
-    si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
-    mid = core | si | sk
-    new_v = core | sj
-    left_top = core | si | sj
-    right_top = core | sj | sk
-    left_low = core | si
-    right_low = core | sk
-    top = core | si | sj | sk
-
-    deltas = set(combi.deltas)
-    nablas = set(combi.nablas)
-    lenses = set(combi.lenses)
-
-    nb_left = Nabla(left_low, j, k)
-    nb_right = Nabla(right_low, i, j)
-    if nb_left not in nablas or nb_right not in nablas:
-        raise ValueError("W-configuration is not present in the combi")
-    nablas.discard(nb_left)
-    nablas.discard(nb_right)
-
-    # update above the removed vertex
-    if top in combi.vertex_masks():
-        d_left = Delta(top, j, k)
-        d_right = Delta(top, i, j)
-        if d_left not in deltas or d_right not in deltas:
-            raise TilingError("flip", "top companions of the W-configuration missing")
-        deltas.discard(d_left)
-        deltas.discard(d_right)
-        deltas.add(Delta(top, i, k))
-        nablas.add(Nabla(new_v, i, k))
-    else:
-        host = combi.lens_on((left_top, mid), "lower")
-        if host is None or host is not combi.lens_on((mid, right_top), "lower"):
-            raise TilingError("flip", "no lens carries the two horizontal flip edges")
-        lenses.discard(host)
-        if len(host.lower) >= 4:
-            new_lower = tuple(v for v in host.lower if v != mid)
-            lenses.add(Lens(host.upper, new_lower))
-            nablas.add(Nabla(new_v, i, k))
-        else:
-            up = host.upper
-            for a, b in zip(up, up[1:]):
-                nablas.add(Nabla.on_base(new_v, a, b))
-
-    deltas.add(Delta(left_top, i, j))
-    deltas.add(Delta(right_top, j, k))
-
-    # rebuild below the removed vertex
-    fan = combi.delta_fan(mid)
-    if not fan or (fan[0], fan[-1]) != (left_low, right_low):
-        raise TilingError("fan", "delta fan does not run between the flip edges")
-    for a, b in zip(fan, fan[1:]):
-        deltas.discard(Delta.on_base(mid, a, b))
-    if len(fan) == 2:  # a single delta
-        under = Nabla(core, i, k)
-        if under in nablas:
-            nablas.discard(under)
-            nablas.add(Nabla(core, i, j))
-            nablas.add(Nabla(core, j, k))
-        else:
-            host = combi.lens_on((left_low, right_low), "upper")
-            if host is None:
-                raise TilingError("flip", "nothing beneath the flip fan base")
-            lenses.discard(host)
-            new_upper = []
-            for v in host.upper:
-                new_upper.append(v)
-                if v == left_low:
-                    new_upper.append(new_v)
-            lenses.add(Lens(tuple(new_upper), host.lower))
-    else:
-        lenses.add(Lens((left_low, new_v, right_low), fan))
-
-    out = Combi(combi.n, deltas, nablas, lenses)
-    if validate:
-        validate_combi(out)
-    return out
-
-
-def complement_combi(combi: Combi, validate: bool = True) -> Combi:
-    """The combi on the complemented vertex set (an involution).
-
-    Deltas and nablas swap roles with unchanged types; each lens swaps its
-    boundaries, reversed and complemented.
-    """
-    full = bs.full_mask(combi.n)
-    deltas = [shared_delta(full ^ v.bottom, v.low, v.high) for v in combi.nablas]
-    nablas = [shared_nabla(full ^ d.apex, d.low, d.high) for d in combi.deltas]
-    lenses = [
-        shared_lens(
-            tuple(full ^ v for v in reversed(l.lower)),
-            tuple(full ^ v for v in reversed(l.upper)),
-        )
-        for l in combi.lenses
-    ]
-    out = Combi(combi.n, deltas, nablas, lenses)
-    if validate:
-        validate_combi(out)
-    return out
+def lowering_flip(combi: Combi, w: WConfig) -> Combi:
+    """Replace the middle vertex core+i+k by core+j (i < j < k); raises
+    ValueError unless the two nablas of `w` are tiles of the combi."""
+    if w.left_nabla() not in combi.nablas or w.right_nabla() not in combi.nablas:
+        raise ValueError("the requested W-configuration is not present")
+    verts = combi.vertex_masks() - {w.middle} | {w.core | bs.singleton(w.j)}
+    return from_w_collection(SetFamily(combi.n, verts), check_input=False)
 
 
 def raising_flip(combi: Combi, m: MConfig) -> Combi:
-    """Replace core+j by core+i+k; performed as a lowering flip on the
-    complemented combi."""
+    """Replace the middle vertex core+j by core+i+k (i < j < k); raises
+    ValueError unless the two deltas of `m` are tiles of the combi."""
     if m.left_delta() not in combi.deltas or m.right_delta() not in combi.deltas:
-        raise ValueError("M-configuration is not present in the combi")
+        raise ValueError("the requested M-configuration is not present")
+    high = m.core | bs.singleton(m.i) | bs.singleton(m.k)
+    verts = combi.vertex_masks() - {m.core | bs.singleton(m.j)} | {high}
+    return from_w_collection(SetFamily(combi.n, verts), check_input=False)
+
+
+def complement_combi(combi: Combi) -> Combi:
+    """The combi on the complemented vertex set (an involution)."""
     full = bs.full_mask(combi.n)
-    comp_core = full ^ (m.core | bs.singleton(m.i) | bs.singleton(m.j) | bs.singleton(m.k))
-    mirrored = WConfig(comp_core, m.i, m.j, m.k)
-    flipped = lowering_flip(complement_combi(combi, validate=False), mirrored, validate=False)
-    out = complement_combi(flipped, validate=False)
-    validate_combi(out)
-    return out
+    verts = {full ^ x for x in combi.vertex_masks()}
+    return from_w_collection(SetFamily(combi.n, verts), check_input=False)
 
 
 def set_flip(

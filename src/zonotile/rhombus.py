@@ -84,7 +84,7 @@ class RhombusTiling:
         span = 0
         for t in tset:
             span |= t.top
-        if span < 0 or span & ~bs.full_mask(n):
+        if span & ~bs.full_mask(n):
             for t in sorted(tset, key=_RHOMBUS_ORDER):
                 bs.check_subset(t.top, n)
         object.__setattr__(self, "n", n)

@@ -1,17 +1,35 @@
+"""Weak flips, the complement and the mirror on combies, set flips, flip graphs.
+
+`zonotile.flips` computes the flips and the complement, and
+`zonotile.contraction` the mirror, as rules on vertex sets.  The tile maps
+they replace are kept here as the references of a differential test.  The
+lowering flip's tile surgery has the paper's case analysis: two regimes
+above the removed vertex (its top companion present, or a lens absorbing the
+two horizontal edges) and three below (a single delta over a nabla, a single
+delta over a lens, or a delta fan that turns into a new lens).  The
+reference raising flip is a lowering flip on the complemented combi.
+"""
+
 import random
 
 import pytest
 
 from zonotile import bitsets as bs
+from zonotile import flips
+from zonotile._planar import TilingError
 from zonotile.combi import (
+    Combi,
+    Delta,
+    Lens,
     MConfig,
+    Nabla,
     WConfig,
     find_m_configs,
     find_w_configs,
     from_w_collection,
     spectrum,
 )
-from zonotile.contraction import n_contract, n_expand
+from zonotile.contraction import mirror, n_contract, n_expand
 from zonotile.flips import (
     complement_combi,
     descend_to_minimum,
@@ -23,14 +41,176 @@ from zonotile.flips import (
     set_flip_graph,
 )
 from zonotile.separation import (
+    ResourceGuardError,
     SetFamily,
     cointerval_collection,
     enumerate_maximal,
     hypercube_domain,
     interval_collection,
 )
+from zonotile.suite import all_combis
 
 M = bs.mask_of
+
+
+# The tile maps, the references of the differential tests.
+
+
+def _reference_lower(combi: Combi, w: WConfig) -> Combi:
+    """Replace the middle vertex core+i+k by core+j (i < j < k).
+
+    The lenses and the delta fan are looked up in the input combi: every
+    tile changed before a lookup has its apex or its edges elsewhere.
+    """
+    core, i, j, k = w.core, w.i, w.j, w.k
+    si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
+    mid = core | si | sk
+    new_v = core | sj
+    left_top = core | si | sj
+    right_top = core | sj | sk
+    left_low = core | si
+    right_low = core | sk
+    top = core | si | sj | sk
+
+    deltas = set(combi.deltas)
+    nablas = set(combi.nablas)
+    lenses = set(combi.lenses)
+
+    nb_left = Nabla(left_low, j, k)
+    nb_right = Nabla(right_low, i, j)
+    if nb_left not in nablas or nb_right not in nablas:
+        raise ValueError("W-configuration is not present in the combi")
+    nablas.discard(nb_left)
+    nablas.discard(nb_right)
+
+    # update above the removed vertex
+    if top in combi.vertex_masks():
+        d_left = Delta(top, j, k)
+        d_right = Delta(top, i, j)
+        if d_left not in deltas or d_right not in deltas:
+            raise TilingError("flip", "top companions of the W-configuration missing")
+        deltas.discard(d_left)
+        deltas.discard(d_right)
+        deltas.add(Delta(top, i, k))
+        nablas.add(Nabla(new_v, i, k))
+    else:
+        host = combi.lens_on((left_top, mid), "lower")
+        if host is None or host is not combi.lens_on((mid, right_top), "lower"):
+            raise TilingError("flip", "no lens carries the two horizontal flip edges")
+        lenses.discard(host)
+        if len(host.lower) >= 4:
+            new_lower = tuple(v for v in host.lower if v != mid)
+            lenses.add(Lens(host.upper, new_lower))
+            nablas.add(Nabla(new_v, i, k))
+        else:
+            up = host.upper
+            for a, b in zip(up, up[1:]):
+                nablas.add(Nabla.on_base(new_v, a, b))
+
+    deltas.add(Delta(left_top, i, j))
+    deltas.add(Delta(right_top, j, k))
+
+    # rebuild below the removed vertex
+    fan = combi.delta_fan(mid)
+    if not fan or (fan[0], fan[-1]) != (left_low, right_low):
+        raise TilingError("fan", "delta fan does not run between the flip edges")
+    for a, b in zip(fan, fan[1:]):
+        deltas.discard(Delta.on_base(mid, a, b))
+    if len(fan) == 2:  # a single delta
+        under = Nabla(core, i, k)
+        if under in nablas:
+            nablas.discard(under)
+            nablas.add(Nabla(core, i, j))
+            nablas.add(Nabla(core, j, k))
+        else:
+            host = combi.lens_on((left_low, right_low), "upper")
+            if host is None:
+                raise TilingError("flip", "nothing beneath the flip fan base")
+            lenses.discard(host)
+            new_upper = []
+            for v in host.upper:
+                new_upper.append(v)
+                if v == left_low:
+                    new_upper.append(new_v)
+            lenses.add(Lens(tuple(new_upper), host.lower))
+    else:
+        lenses.add(Lens((left_low, new_v, right_low), fan))
+
+    return Combi(combi.n, deltas, nablas, lenses)
+
+
+def _reference_complement(combi: Combi) -> Combi:
+    """Deltas and nablas swap roles with unchanged types; each lens swaps its
+    boundaries, reversed and complemented."""
+    full = bs.full_mask(combi.n)
+    deltas = [Delta(full ^ v.bottom, v.low, v.high) for v in combi.nablas]
+    nablas = [Nabla(full ^ d.apex, d.low, d.high) for d in combi.deltas]
+    lenses = [
+        Lens(tuple(full ^ v for v in reversed(l.lower)), tuple(full ^ v for v in reversed(l.upper)))
+        for l in combi.lenses
+    ]
+    return Combi(combi.n, deltas, nablas, lenses)
+
+
+def _reference_raise(combi: Combi, m: MConfig) -> Combi:
+    """Replace core+j by core+i+k: a lowering flip on the complemented combi."""
+    if m.left_delta() not in combi.deltas or m.right_delta() not in combi.deltas:
+        raise ValueError("M-configuration is not present in the combi")
+    full = bs.full_mask(combi.n)
+    comp_core = full ^ (m.core | bs.singleton(m.i) | bs.singleton(m.j) | bs.singleton(m.k))
+    mirrored = WConfig(comp_core, m.i, m.j, m.k)
+    return _reference_complement(_reference_lower(_reference_complement(combi), mirrored))
+
+
+def _reference_mirror(combi: Combi) -> Combi:
+    """Relabel every element i as n+1-i, tile by tile."""
+    n = combi.n
+    deltas = [Delta(bs.reverse_mask(d.apex, n), n + 1 - d.high, n + 1 - d.low) for d in combi.deltas]
+    nablas = [Nabla(bs.reverse_mask(v.bottom, n), n + 1 - v.high, n + 1 - v.low) for v in combi.nablas]
+    lenses = [
+        Lens(
+            tuple(bs.reverse_mask(v, n) for v in reversed(l.upper)),
+            tuple(bs.reverse_mask(v, n) for v in reversed(l.lower)),
+        )
+        for l in combi.lenses
+    ]
+    return Combi(n, deltas, nablas, lenses)
+
+
+def _check_against_references(n: int) -> tuple[int, int]:
+    """Every flip, the complement and the mirror of every n-combi against the
+    tile maps, and each flip against `set_flip`; returns the numbers of W-
+    and M-configurations."""
+    ws = ms = 0
+    for combi in all_combis(n):
+        fam = spectrum(combi)
+        for w in find_w_configs(combi):
+            lowered = lowering_flip(combi, w)
+            assert lowered == _reference_lower(combi, w), (combi, w)
+            assert spectrum(lowered) == set_flip(fam, w.core, w.i, w.j, w.k, "lower")
+            ws += 1
+        for m in find_m_configs(combi):
+            raised = raising_flip(combi, m)
+            assert raised == _reference_raise(combi, m), (combi, m)
+            assert spectrum(raised) == set_flip(fam, m.core, m.i, m.j, m.k, "raise")
+            ms += 1
+        comp = complement_combi(combi)
+        assert comp == _reference_complement(combi)
+        assert _reference_complement(comp) == combi
+        mirrored = mirror(combi)
+        assert mirrored == _reference_mirror(combi)
+        assert _reference_mirror(mirrored) == combi
+    return ws, ms
+
+
+def test_maps_match_tile_references():
+    counts = [_check_against_references(n) for n in range(1, 6)]
+    assert counts == [(0, 0), (0, 0), (1, 1), (12, 12), (254, 254)]
+
+
+@pytest.mark.slow
+def test_maps_match_tile_references_at_n6():
+    assert _check_against_references(6) == (11328, 11328)
 
 
 def _all_families(n):
@@ -43,17 +223,30 @@ def test_n3_flip_pair():
     high = raising_flip(low, m)
     assert spectrum(high) == cointerval_collection(3)
     assert high.size_sum() == low.size_sum() + 1
+    assert complement_combi(low) == high
     (w,) = find_w_configs(high)
     assert lowering_flip(high, w) == low
 
 
 def test_flip_requires_configuration():
     low = interval_combi(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the requested W-configuration is not present$"):
         lowering_flip(low, WConfig(0, 1, 2, 3))
     high = from_w_collection(cointerval_collection(3), check_input=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the requested M-configuration is not present$"):
         raising_flip(high, MConfig(0, 1, 2, 3))
+    # one triangle of the pair is a tile and the other is not
+    sets = ([], [1], [2], [1, 2], [1, 2, 3], [4], [2, 4], [1, 2, 4], [3, 4], [2, 3, 4], [1, 2, 3, 4])
+    combi = from_w_collection(SetFamily(4, [M(s) for s in sets]))
+    for w in (WConfig(0, 2, 3, 4), WConfig(M([1]), 2, 3, 4)):
+        assert (w.left_nabla() in combi.nablas) != (w.right_nabla() in combi.nablas)
+        with pytest.raises(ValueError, match="^the requested W-configuration is not present$"):
+            lowering_flip(combi, w)
+    low = interval_combi(4)
+    for m in (MConfig(0, 1, 2, 4), MConfig(0, 1, 3, 4)):
+        assert (m.left_delta() in low.deltas) != (m.right_delta() in low.deltas)
+        with pytest.raises(ValueError, match="^the requested M-configuration is not present$"):
+            raising_flip(low, m)
 
 
 def test_every_flip_matches_set_flip_n4():
@@ -135,8 +328,20 @@ def test_set_flip_examples():
     raised = set_flip(fam, 0, 1, 2, 3, "raise")
     assert raised == cointerval_collection(3)
     assert set_flip(raised, 0, 1, 2, 3, "lower") == fam
-    with pytest.raises(ValueError):
-        set_flip(SetFamily(3, [M([1]), M([3]), M([1, 3]), M([2, 3])]), 0, 1, 2, 3, "raise")
+    both = SetFamily(3, [M([1]), M([2]), M([3]), M([1, 2]), M([1, 3]), M([2, 3])])
+    for family, types, direction, text in (
+        (fam, (2, 2, 3), "raise", "types must satisfy i < j < k"),
+        (fam, (1, 2, 2), "raise", "types must satisfy i < j < k"),
+        (fam, (2, 1, 3), "raise", "types must satisfy i < j < k"),
+        (SetFamily(3, [M([1]), M([3]), M([1, 3]), M([2, 3])]), (1, 2, 3), "raise",
+         "flip witnesses are absent from the family"),
+        (both, (1, 2, 3), "raise", "family contains both flip targets; it is not weakly separated"),
+        (fam, (1, 2, 3), "sideways", "direction must be 'raise' or 'lower', got 'sideways'"),
+        (fam, (1, 2, 3), "lower", "flip source {1,3} not in the family"),
+    ):
+        with pytest.raises(ValueError) as info:
+            set_flip(family, 0, *types, direction)
+        assert str(info.value) == text
 
 
 def test_descend_to_minimum():
@@ -148,12 +353,41 @@ def test_descend_to_minimum():
         combi = from_w_collection(fam, check_input=False)
         final, trace = descend_to_minimum(combi)
         assert len(trace) == combi.size_sum() - final.size_sum()
+        # the least W-configuration goes first
+        assert trace[:1] == find_w_configs(combi)[:1]
+
+
+def test_descent_rejects_a_combi_off_its_tiling():
+    # a stray nabla brings in {2}, the vertex the flip adds, so the flip
+    # takes the size sum down by 2
+    high = from_w_collection(cointerval_collection(3), check_input=False)
+    stray = Combi(3, high.deltas, high.nablas | {Nabla(M([2]), 1, 3)}, high.lenses)
+    with pytest.raises(TilingError) as info:
+        descend_to_minimum(stray)
+    assert str(info.value) == "flip: lowering flip did not decrease the size sum by 1"
+    # no W-configuration, and not the interval combi
+    with pytest.raises(TilingError) as info:
+        descend_to_minimum(Combi(3))
+    assert str(info.value) == "flip: flip descent did not reach the interval combi"
 
 
 def test_flip_graph_n3():
     graph = flip_graph(3)
     assert len(graph.nodes) == 2 and len(graph.arcs) == 1
     assert graph.sources() != graph.sinks()
+
+
+def test_flip_graph_guard_and_reach_check(monkeypatch):
+    graph = flip_graph(5)
+    assert (len(graph.nodes), len(graph.arcs)) == (124, 254)
+    with pytest.raises(ResourceGuardError) as info:
+        flip_graph(6)
+    assert str(info.value) == "flip_graph guard: n=6 exceeds the configured bound"
+    # a search that stops at the start misses the other collections
+    monkeypatch.setattr(flips, "find_m_configs", lambda combi: [])
+    with pytest.raises(TilingError) as info:
+        flip_graph(3)
+    assert str(info.value) == "flip-graph: flip moves do not reach every collection"
 
 
 def test_flip_graphs_agree_n4():
