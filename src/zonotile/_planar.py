@@ -53,7 +53,10 @@ def check_planar_cover(
     violation, naming the tile by `label(tile)`.  Tiles are taken in order,
     each checked for its shape, then its convexity, then for a directed
     edge an earlier tile used; the region's boundary, the cancellation of
-    the edges and the area come after.  Every mask must be a subset of
+    the edges and the area come after.  The verdict does not depend on the
+    order, only the error does: `combi._planar`, through which combies and
+    rhombus tilings are validated, passes the tiles as they come and, on
+    failure, again in tile order.  Every mask must be a subset of
     {1..gens.n}, as the Combi and RhombusTiling constructors ensure.
     """
     table = embedding_table(gens)

@@ -24,12 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from . import bitsets as bs
 from ._planar import TilingError, check_planar_cover, zonogon_region
 from .geometry import default_generators
-from .rhombus import TILE_CACHE_SIZE, RhombusTiling
 from .separation import SetFamily, is_maximal_separated
+
+if TYPE_CHECKING:
+    from .rhombus import RhombusTiling
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -201,6 +204,11 @@ class Lens:
 
 
 Tile = Delta | Nabla | Lens
+# C(10,2)·2^8 = 11,520 is the number of rhombi, and of deltas and of
+# nablas, with n <= 10, so up to n = 10 none of them is ever evicted.  A
+# full cache holds at most 2.7 MB of these triangles or rhombi, or 8 MB of
+# lenses with the longest paths at n = 16 (tracemalloc, Python 3.11).
+TILE_CACHE_SIZE = 11_520
 # One checked instance per distinct tile, for the sites that build every
 # tile of a combi (a combi is fixed by its vertex set, so its tiles repeat
 # across reconstructions): each tile runs its constructor check on its
@@ -398,18 +406,23 @@ def tile_label(tile: Tile) -> str:
     return f"lens({bs.format_subset(tile.left)}..{bs.format_subset(tile.right)})"
 
 
+def _planar(n: int, tiles, ordered, label) -> bool:
+    """Check that `tiles` exactly tile the n-zonogon under the default
+    generators; raises TilingError naming, by `label`, the first violation
+    in the order of the list `ordered()` returns."""
+    gens = default_generators(n)
+    region = zonogon_region(gens)
+    try:
+        return check_planar_cover(gens, [(t, t.cycle()) for t in tiles], *region, label)
+    except TilingError:
+        # the verdict does not depend on the tile order, only the error does
+        return check_planar_cover(gens, [(t, t.cycle()) for t in ordered()], *region, label)
+
+
 def validate_combi(combi: Combi) -> bool:
     """Exact planar-cover axioms under the default generators; raises
     TilingError naming the first violation in `tiles()` order."""
-    gens = default_generators(combi.n)
-    region = zonogon_region(gens)
-    cycles = [(t, t.cycle()) for t in (*combi.deltas, *combi.nablas, *combi.lenses)]
-    try:
-        return check_planar_cover(gens, cycles, *region, tile_label)
-    except TilingError:
-        # the verdict does not depend on the tile order, only the error does
-        cycles = [(t, t.cycle()) for t in combi.tiles()]
-        return check_planar_cover(gens, cycles, *region, tile_label)
+    return _planar(combi.n, (*combi.deltas, *combi.nablas, *combi.lenses), combi.tiles, tile_label)
 
 
 def from_rhombus(tiling: RhombusTiling) -> Combi:

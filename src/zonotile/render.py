@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bitsets as bs
-from .combi import Combi
+from .combi import Combi, from_rhombus
 from .geometry import Generators, default_generators, embed
 from .patterns import CyclicPattern, QuasiCombi
 from .rhombus import RhombusTiling
@@ -99,7 +99,8 @@ def render_svg(obj, labels: bool = True) -> str:
     """SVG text for a Combi, RhombusTiling, QuasiCombi, or CyclicPattern,
     drawn with the default generators; `labels` names every vertex."""
     if isinstance(obj, RhombusTiling):
-        return _render_edges(obj.n, sorted(obj.edges()), [], [], labels)
+        # a rhombus's edges are the vertical edges of its two triangles
+        return _render_edges(obj.n, sorted(from_rhombus(obj).vertical_edges()), [], [], labels)
     if isinstance(obj, Combi):
         vert = sorted(obj.vertical_edges())
         horiz = sorted(obj.horizontal_edges())

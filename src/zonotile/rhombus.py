@@ -1,21 +1,23 @@
 """Rhombus tilings of the zonogon and strong (hexagon) flips.
 
 The spectrum (vertex set) of a rhombus tiling is a maximal strongly
-separated collection, and this correspondence is a bijection; both
-directions are implemented and cross-validated.
+separated collection, and this correspondence is a bijection.  A maximal
+strong collection is also a maximal weak one (both hypercubes are pure of
+rank C(n+1,2)+1), and its combi is the semi-rhombus combi of its tiling:
+so the tiling is read through the combi layer, its rhombi from the nablas
+of the fan rule and its vertices and edges from its semi-rhombus combi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from operator import attrgetter
 
 from . import bitsets as bs
-from ._planar import TilingError, check_planar_cover, zonogon_region
-from .geometry import default_generators
-from .separation import SetFamily, is_maximal_separated
+from ._planar import TilingError
+from .combi import TILE_CACHE_SIZE, _assemble, _planar, from_rhombus
+from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -54,12 +56,6 @@ class Rhombus:
         return [base, base | high, base | low | high, base | low]
 
 
-# C(10,2)·2^8 = 11,520 is the number of rhombi, and of deltas and of
-# nablas, with n <= 10, so up to n = 10 none of them is ever evicted.  A
-# full cache holds at most 2.7 MB of these triangles or rhombi, or 8 MB of
-# lenses with the longest paths at n = 16 (tracemalloc, Python 3.11).
-TILE_CACHE_SIZE = 11_520
-
 # One checked instance per distinct rhombus, for the sites that build every
 # tile of a tiling: each tile runs its constructor check on its first build
 # only, and a failure, never cached, raises every time.
@@ -91,24 +87,7 @@ class RhombusTiling:
         object.__setattr__(self, "tiles", tset)
 
     def vertex_masks(self) -> frozenset[int]:
-        verts = set()
-        for t in self.tiles:
-            verts.update(t.cycle())
-        if self.n == 1:
-            verts.update((0, 1))
-        return frozenset(verts)
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Upward directed tile edges (X, X+i)."""
-        out = set()
-        for t in self.tiles:
-            out.add((t.bottom, t.left))
-            out.add((t.bottom, t.right))
-            out.add((t.left, t.top))
-            out.add((t.right, t.top))
-        if self.n == 1:
-            out.add((0, 1))
-        return frozenset(out)
+        return from_rhombus(self).vertex_masks()
 
 
 def _rhombus_label(t: Rhombus) -> str:
@@ -118,14 +97,8 @@ def _rhombus_label(t: Rhombus) -> str:
 def validate_rhombus(tiling: RhombusTiling) -> bool:
     """Planar-tiling axioms under the exact embedding; raises TilingError
     naming the first violation in sorted tile order."""
-    gens = default_generators(tiling.n)
-    region = zonogon_region(gens)
-    try:
-        return check_planar_cover(gens, [(t, t.cycle()) for t in tiling.tiles], *region, _rhombus_label)
-    except TilingError:
-        # the verdict does not depend on the tile order, only the error does
-        cycles = [(t, t.cycle()) for t in sorted(tiling.tiles, key=_RHOMBUS_ORDER)]
-        return check_planar_cover(gens, cycles, *region, _rhombus_label)
+    tiles = tiling.tiles
+    return _planar(tiling.n, tiles, lambda: sorted(tiles, key=_RHOMBUS_ORDER), _rhombus_label)
 
 
 def spectrum_rhombus(tiling: RhombusTiling) -> SetFamily:
@@ -136,22 +109,17 @@ def from_s_collection(family: SetFamily) -> RhombusTiling:
     """The unique rhombus tiling whose vertex set is the given maximal
     strongly separated collection.
 
-    Tiles are exactly the quadruples X, X+i, X+j, X+ij present in the family
-    (no other subset point can fall inside such a rhombus, so each quadruple
-    bounds a tile); validation certifies the result.
+    Its rhombi are the nablas of the fan rule (`combi._assemble`), each
+    with the delta above it; validation certifies the result.  Every
+    vertex of a tiling but the full set, which the family holds, is a
+    bottom, left or right corner of a tile, so all its vertices lie in the
+    family, and by purity they are all of it.
     """
     n = family.n
     if not is_maximal_separated(family, "strong"):
         raise ValueError("family is not a maximal strongly separated collection")
-    present = family.as_set()
-    bits = [(i, 1 << (i - 1)) for i in range(1, n + 1)]
-    tiles = []
-    for x in family.members:
-        ups = [(i, x | b) for i, b in bits if not x & b and x | b in present]
-        for (i, left), (j, right) in combinations(ups, 2):
-            if left | right in present:
-                tiles.append(shared_rhombus(x, i, j))
-    tiling = RhombusTiling(n, tiles)
+    _, nablas, _ = _assemble(family.as_set(), n)
+    tiling = RhombusTiling(n, [shared_rhombus(v.bottom, v.low, v.high) for v in nablas])
     try:
         validate_rhombus(tiling)
     except TilingError as exc:
@@ -162,14 +130,10 @@ def from_s_collection(family: SetFamily) -> RhombusTiling:
 
 
 def minimal_tiling(n: int) -> RhombusTiling:
-    from .separation import interval_collection
-
     return from_s_collection(interval_collection(n))
 
 
 def maximal_tiling(n: int) -> RhombusTiling:
-    from .separation import cointerval_collection
-
     return from_s_collection(cointerval_collection(n))
 
 

@@ -5,7 +5,7 @@ import pytest
 from zonotile import bitsets as bs
 from zonotile import jsonio
 from zonotile.cli import cmd
-from zonotile.combi import from_w_collection, spectrum
+from zonotile.combi import from_rhombus, from_w_collection, spectrum
 from zonotile.flips import interval_combi
 from zonotile.patterns import boundary_pattern
 from zonotile.render import render_svg
@@ -109,7 +109,7 @@ class TestRender:
         svg_file = tmp_path / "t.svg"
         assert cmd(["render", "--tiling", str(tiling_file), "--out", str(svg_file)]) == 0
         assert svg_file.read_text() == render_svg(tiling)
-        assert svg_file.read_text().count("<line") == len(tiling.edges()) == 9
+        assert svg_file.read_text().count("<line") == len(from_rhombus(tiling).vertical_edges()) == 9
         bare = tmp_path / "bare.svg"
         assert cmd(["render", "--tiling", str(tiling_file), "--no-labels", "--out", str(bare)]) == 0
         assert bare.read_text() == render_svg(tiling, labels=False)
@@ -165,8 +165,13 @@ class TestCli:
             ('{"n": true, "members": [[1]]}', "n must be an integer, got True"),
             ('{"n": 3, "members": [[1], [1000000000000000]]}', "element 1000000000000000 out of range 1..16"),
             ("[" * 100000, "JSON nested too deeply"),
+            ('{"n": 3}', "family lacks the field 'members'"),
+            ('{"n": 3, "members": [[1], 2]}', "subset must be a list of elements"),
         ],
-        ids=["members-not-a-list", "top-level-list", "float-element", "bool-n", "huge-element", "deep-nesting"],
+        ids=[
+            "members-not-a-list", "top-level-list", "float-element", "bool-n", "huge-element", "deep-nesting",
+            "no-members", "bare-element",
+        ],
     )
     def test_enumerate_rejects_hostile_domain(self, tmp_path, capsys, text, detail):
         domain = tmp_path / "domain.json"

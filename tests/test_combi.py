@@ -960,3 +960,14 @@ def test_range_check_names_a_tile_independent_of_order():
                 Combi(4, d[::order], v[::order], l[::order])
             texts.append(str(info.value))
         assert texts[0] == texts[1]
+
+
+def test_range_check_names_a_nabla_or_a_lens():
+    # with the tiles before it in range, a nabla or a lens is named
+    with pytest.raises(ValueError) as info:
+        Combi(2, [Delta(M([1, 2]), 1, 2)], [Nabla(M([3]), 1, 2)])
+    assert str(info.value) == "mask 0x6 has elements outside 1..2"
+    lens = Lens((M([1, 2]), M([2, 3]), M([2, 4])), (M([1, 2]), M([1, 4]), M([2, 4])))
+    with pytest.raises(ValueError) as info:
+        Combi(3, [Delta(M([1, 2]), 1, 2)], [Nabla(0, 1, 2)], [lens])
+    assert str(info.value) == "mask 0xb has elements outside 1..3"

@@ -1,8 +1,13 @@
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from zonotile import bitsets as bs
 from zonotile import rhombus
 from zonotile._planar import TilingError
+from zonotile.combi import from_rhombus, from_w_collection
+from zonotile.render import render_svg
 from zonotile.rhombus import (
     Rhombus,
     RhombusTiling,
@@ -63,22 +68,61 @@ def test_failed_rhombi_are_never_shared():
     assert (t.left, t.right) == (M([1, 3]), M([2, 3]))
 
 
+def _quadruple_tiles(fam: SetFamily) -> set[Rhombus]:
+    """The reference rule: a plain rhombus on every quadruple X, X+i, X+j,
+    X+ij of members (no other subset point can fall inside such a rhombus,
+    so each quadruple of a maximal strong collection bounds a tile)."""
+    s, n = fam.as_set(), fam.n
+    return {
+        Rhombus(x, i, j)
+        for x in s for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        if {x | bs.singleton(i), x | bs.singleton(j), x | bs.singleton(i) | bs.singleton(j)} <= s
+        and not x & (bs.singleton(i) | bs.singleton(j))
+    }
+
+
 def test_tilings_share_every_rhombus():
     # two reconstructions hold the same rhombus objects, equal to those the
-    # plain class builds on every quadruple X, X+i, X+j, X+ij of members
-    for n in range(1, 5):
+    # quadruple reference builds
+    for n in range(1, 6):
         for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections:
             first, second = from_s_collection(fam), from_s_collection(fam)
             held = {t: t for t in first.tiles}
             assert all(held.get(t) is t for t in second.tiles)
-            s = fam.as_set()
-            plain = {
-                Rhombus(x, i, j)
-                for x in s for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                if {x | bs.singleton(i), x | bs.singleton(j), x | bs.singleton(i) | bs.singleton(j)} <= s
-                and not x & (bs.singleton(i) | bs.singleton(j))
-            }
-            assert first.tiles == plain
+            assert first.tiles == _quadruple_tiles(fam)
+
+
+@pytest.mark.slow
+def test_fan_rule_matches_quadruples_n6():
+    # the tiling read from the fan rule is the quadruple reference's, and
+    # its semi-rhombus combi is the lens-free combi of the same collection
+    fams = enumerate_maximal(hypercube_domain(6), "strong").maximal_collections
+    assert len(fams) == 908
+    for fam in fams:
+        tiling = from_s_collection(fam)
+        assert tiling.tiles == _quadruple_tiles(fam)
+        combi = from_w_collection(fam)
+        assert from_rhombus(tiling) == combi and not combi.lenses
+        assert tiling.vertex_masks() == fam.as_set()
+
+
+def _svg_digest(tilings) -> str:
+    """The first 16 hex digits of the sha256 of the concatenated SVG texts."""
+    h = hashlib.sha256()
+    for tiling in tilings:
+        h.update(render_svg(tiling).encode())
+    return h.hexdigest()[:16]
+
+
+def test_tiling_svg_bytes():
+    assert _svg_digest([minimal_tiling(4)]) == "856d204696c8f0cc"
+    assert _svg_digest([maximal_tiling(4)]) == "69b650b0f8322b30"
+    every = (
+        from_s_collection(fam)
+        for n in range(1, 6)
+        for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections
+    )
+    assert _svg_digest(every) == "add2a7618eccbbc5"
 
 
 def test_out_of_range_text():
@@ -106,7 +150,7 @@ def test_spectrum_examples():
     assert spectrum_rhombus(maximal_tiling(3)) == cointerval_collection(3)
     # the segment of n = 1 has no tile, only its two vertices and one edge
     assert spectrum_rhombus(minimal_tiling(1)) == SetFamily(1, [0, 1])
-    assert minimal_tiling(1).edges() == {(0, 1)}
+    assert _svg_digest([minimal_tiling(1)]) == "a74a46164c52d91f"
 
 
 def test_from_s_collection_rejects_non_maximal(monkeypatch):
@@ -148,8 +192,19 @@ def test_strong_flip_n3():
 
 def test_flip_requires_hexagon():
     high = maximal_tiling(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hexagon witnesses are not present in the tiling$"):
         strong_flip(high, 0, 1, 2, 3, "raise")
+
+
+def test_flip_argument_texts():
+    low = minimal_tiling(3)
+    for i, j, k in ((2, 1, 3), (1, 3, 2), (1, 2, 2), (1, 1, 3)):
+        with pytest.raises(ValueError) as info:
+            strong_flip(low, 0, i, j, k, "raise")
+        assert str(info.value) == "types must satisfy i < j < k"
+    with pytest.raises(ValueError) as info:
+        strong_flip(low, 0, 1, 2, 3, "sideways")
+    assert str(info.value) == "direction must be 'raise' or 'lower', got 'sideways'"
 
 
 def test_flip_validates_its_result():
@@ -168,6 +223,36 @@ def test_flip_validates_its_result():
         validate_rhombus(bad)
     with pytest.raises(TilingError):
         strong_flip(bad, base, i, j, k, "raise")
+
+
+def _hexagon_reference(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:
+    """Every (X, i, j, k) at which the tiling holds the three tiles that a
+    flip in `direction` removes, by a scan over all bases and types."""
+    n, out = tiling.n, []
+    for base in range(1 << n):
+        for i, j, k in combinations(range(1, n + 1), 3):
+            si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
+            if base & (si | sj | sk):
+                continue
+            if direction == "raise":
+                old = {Rhombus(base, i, j), Rhombus(base, j, k), Rhombus(base | sj, i, k)}
+            else:
+                old = {Rhombus(base | sk, i, j), Rhombus(base | si, j, k), Rhombus(base, i, k)}
+            if old <= tiling.tiles:
+                out.append((base, i, j, k))
+    return out
+
+
+def test_hexagons_match_reference_scan():
+    assert hexagons(minimal_tiling(3), "raise") == [(0, 1, 2, 3)]
+    assert hexagons(maximal_tiling(3), "lower") == [(0, 1, 2, 3)]
+    for n in range(1, 5):
+        for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections:
+            tiling = from_s_collection(fam)
+            for direction in ("raise", "lower"):
+                found = hexagons(tiling, direction)
+                assert sorted(found) == _hexagon_reference(tiling, direction)
+                assert len(set(found)) == len(found)
 
 
 def test_flip_graph_unique_source_and_sink():
