@@ -7,20 +7,33 @@ once.  (The covering degree of any generic point then equals the winding
 number of the region boundary, which is 1.)  This gives a complete
 O(edges) certificate with no pairwise intersection tests.
 
-`check_planar_cover` checks it in one pass over the tiles: one determinant
-per triangle, one turn loop per larger tile, and every directed edge into
-one list whose set must be as long as the list.  Nothing is named on the
-way; only when a check fails is the first violation in tile order worked
-out and named.
+`check_planar_cover` checks it in two stages.  Each tile's shape,
+convexity, directed edges and area are a pure function of its vertex cycle
+and the generators, memoised per generator set and keyed by the cycle's
+vertex tuple, so a distinct tile is worked out once however many covers
+hold it.  The whole cover is then checked on every call: no directed edge
+used twice, the edges cancelling against the region's boundary, and the
+areas summing to the region's.  Only when a check fails is the first
+violation in tile order worked out and named.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .geometry import Generators, boundary_cycle, embedding_table
+from .geometry import Generators, Point, boundary_cycle, embedding_table
+
+# C(10,2)·2^8 = 11,520 is the number of rhombi, and of deltas and of
+# nablas, with n <= 10, so up to n = 10 none of them is ever evicted from
+# the tile caches of `combi` and `rhombus`, one per tile class.  A full
+# cache holds at most 2.7 MB of these triangles or rhombi, or 8 MB of
+# lenses with the longest paths at n = 16.  The tile-shape memo of a
+# generator set holds as many cycles: 0.44 MB for the 926 tiles at n = 6;
+# full at n = 16, 7.3 MB of triangles or 19.6 MB of 16-vertex lenses.
+# (tracemalloc, Python 3.11)
+TILE_CACHE_SIZE = 11_520
 
 
 class TilingError(ValueError):
@@ -32,12 +45,52 @@ class TilingError(ValueError):
         super().__init__(f"{axiom}: {detail}" if detail else axiom)
 
 
+class _Boundary(tuple):
+    """A region's directed boundary edges (u, v), with `keys`, their keys
+    u << 16 | v, and `unpaired`, the keys whose reverse is not one."""
+
+    def __init__(self, edges: Sequence[tuple[int, int]]) -> None:
+        self.keys = frozenset(u << 16 | v for u, v in self)
+        self.unpaired = self.keys - {(k & 0xFFFF) << 16 | k >> 16 for k in self.keys}
+
+
 @lru_cache(maxsize=64)
 def zonogon_region(gens: Generators) -> tuple[tuple[tuple[int, int], ...], int]:
     """The zonogon's counterclockwise directed boundary edges and doubled area."""
     cyc = boundary_cycle(gens)
-    boundary = tuple((cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc)))
+    boundary = _Boundary((cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc)))
     return boundary, gens.zonogon_area2()
+
+
+def _tile_shape(table: tuple[Point, ...], cyc: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The directed-edge keys of the vertex-mask cycle `cyc`, from (cyc[0],
+    cyc[1]) on, their reverses' keys and its doubled area in the embedding
+    `table`.  Raises TilingError, whose detail names no tile, unless `cyc`
+    has at least 3 distinct vertices and turns strictly left at each."""
+    m = len(cyc)
+    if m < 3:
+        raise TilingError("tile-shape", "has fewer than 3 vertices")
+    if len(set(cyc)) != m:
+        raise TilingError("tile-shape", "repeats a vertex")
+    pts = [table[v] for v in cyc]
+    area = 0
+    for k in range(m):
+        # the turn at pts[k] from its predecessor onto its successor
+        (ax, ay), (bx, by), (cx, cy) = pts[k - 1], pts[k], pts[k + 1 - m]
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+            raise TilingError("tile-convexity", f"is not strictly convex and counterclockwise at vertex index {k}")
+        area += bx * cy - by * cx
+    # every mask is below 2**16 (bitsets.MAX_GROUND is 16), so the keys
+    # order as the (u, v) pairs do
+    edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+    return tuple(u << 16 | v for u, v in edges), tuple(v << 16 | u for u, v in edges), area
+
+
+@lru_cache(maxsize=8)
+def _tile_shapes(gens: Generators) -> Callable[[tuple[int, ...]], tuple]:
+    """`_tile_shape` under `gens`, memoised by the cycle's vertex tuple; a
+    failing cycle raises and is never stored."""
+    return lru_cache(maxsize=TILE_CACHE_SIZE)(partial(_tile_shape, embedding_table(gens)))
 
 
 def check_planar_cover(
@@ -59,47 +112,24 @@ def check_planar_cover(
     failure, again in tile order.  Every mask must be a subset of
     {1..gens.n}, as the Combi and RhombusTiling constructors ensure.
     """
-    table = embedding_table(gens)
-    # A directed edge (u, v) is kept as the int u << 16 | v: every mask is
-    # below 2**16 (bitsets.MAX_GROUND is 16), so ints order as the pairs do.
+    shape = _tile_shapes(gens)
     keys: list[int] = []
+    back: list[int] = []  # the reverse of each key
     total2 = 0
     for tile, cyc in cycles:
-        m = len(cyc)
-        if m == 3:
-            a, b, c = cyc
-            (ax, ay), (bx, by), (cx, cy) = table[a], table[b], table[c]
-            # a triangle turns the same way at every vertex, by twice its
-            # area, which is 0 if it repeats a vertex
-            area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if area <= 0:
-                raise _tile_fault(keys, tile, cyc, 0, label)
-            keys += (a << 16 | b, b << 16 | c, c << 16 | a)
-        else:
-            if m < 3 or len(set(cyc)) != m:
-                raise _tile_fault(keys, tile, cyc, None, label)
-            # the turn at vertex u = cyc[k + m - 1], from index 0 on, onto
-            # its successor v = cyc[k]: cyc[1 - m] is cyc[1], and cyc[0] last
-            u = cyc[0]
-            (ax, ay), (bx, by) = table[cyc[-1]], table[u]
-            area = 0
-            for k in range(1 - m, 1):
-                v = cyc[k]
-                cx, cy = table[v]
-                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-                    bent = k + m - 1
-                    del keys[len(keys) - bent :]  # this tile's edges so far
-                    raise _tile_fault(keys, tile, cyc, bent, label)
-                area += bx * cy - by * cx
-                keys.append(u << 16 | v)
-                u = v
-                ax, ay, bx, by = bx, by, cx, cy
+        try:
+            edges, reverse, area = shape(tuple(cyc))
+        except TilingError as fault:  # an edge the tiles before used twice comes first
+            raise _edge_twice(keys) or TilingError(fault.axiom, f"{label(tile)} {fault.detail}") from None
+        keys += edges
+        back += reverse
         total2 += area
     used = set(keys)
     if len(used) != len(keys):
         raise _edge_twice(keys)
 
-    bnd = {u << 16 | v for u, v in boundary}
+    boundary = boundary if isinstance(boundary, _Boundary) else _Boundary(boundary)
+    bnd = boundary.keys
     if len(bnd) != len(boundary):
         e = next(e for e, c in Counter(boundary).items() if c > 1)
         raise TilingError("region-boundary", f"boundary edge {e} repeated")
@@ -108,10 +138,8 @@ def check_planar_cover(
     # is 1 if e is used and its reverse is not, -1 if the reverse is used
     # and e is not, and 0 otherwise: so the edges used without their
     # reverse must be the same for the tiles as for the boundary.
-    if {k for k in used if (k & 0xFFFF) << 16 | k >> 16 not in used} != {
-        k for k in bnd if (k & 0xFFFF) << 16 | k >> 16 not in bnd
-    }:
-        rev = {(k & 0xFFFF) << 16 | k >> 16 for k in used}
+    if used.difference(back) != boundary.unpaired:
+        rev = set(back)
         rbnd = {(k & 0xFFFF) << 16 | k >> 16 for k in bnd}
         e = min(
             e for e in used | bnd if (e in used) - (e in rev) != (e in bnd) - (e in rbnd)
@@ -143,26 +171,6 @@ def _edge_twice(keys: list[int]) -> TilingError | None:
             return TilingError("edge-sharing", f"directed edge {_pair(k)} used twice")
         seen.add(k)
     return None
-
-
-def _tile_fault(
-    keys: list[int], tile: object, cyc: list[int], bent: int | None, label: Callable[[object], str]
-) -> TilingError:
-    """The error for a tile whose shape or convexity fails, with `keys` the
-    edges of the tiles before it: an edge those tiles used twice comes
-    first, then too few vertices, a repeated one, and the vertex index
-    `bent` where the tile stops turning left."""
-    err = _edge_twice(keys)
-    if err is not None:
-        return err
-    if len(cyc) < 3:
-        return TilingError("tile-shape", f"{label(tile)} has fewer than 3 vertices")
-    if len(set(cyc)) != len(cyc):
-        return TilingError("tile-shape", f"{label(tile)} repeats a vertex")
-    return TilingError(
-        "tile-convexity",
-        f"{label(tile)} is not strictly convex and counterclockwise at vertex index {bent}",
-    )
 
 
 def _pair(key: int) -> tuple[int, int]:

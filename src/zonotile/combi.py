@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import bitsets as bs
-from ._planar import TilingError, check_planar_cover, zonogon_region
+from ._planar import TILE_CACHE_SIZE, TilingError, check_planar_cover, zonogon_region
 from .geometry import default_generators
 from .separation import SetFamily, is_maximal_separated
 
@@ -204,11 +204,6 @@ class Lens:
 
 
 Tile = Delta | Nabla | Lens
-# C(10,2)·2^8 = 11,520 is the number of rhombi, and of deltas and of
-# nablas, with n <= 10, so up to n = 10 none of them is ever evicted.  A
-# full cache holds at most 2.7 MB of these triangles or rhombi, or 8 MB of
-# lenses with the longest paths at n = 16 (tracemalloc, Python 3.11).
-TILE_CACHE_SIZE = 11_520
 # One checked instance per distinct tile, for the sites that build every
 # tile of a combi (a combi is fixed by its vertex set, so its tiles repeat
 # across reconstructions): each tile runs its constructor check on its

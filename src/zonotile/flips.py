@@ -17,6 +17,7 @@ from . import bitsets as bs
 from ._planar import TilingError
 from .combi import Combi, MConfig, WConfig, find_m_configs, find_w_configs, from_w_collection
 from .separation import (
+    DomainReport,
     ResourceGuardError,
     SetFamily,
     _max_enum_n,
@@ -120,11 +121,12 @@ class FlipGraph:
         return [v for v in range(len(self.nodes)) if v not in has_out]
 
 
-def flip_graph(n: int) -> FlipGraph:
+def flip_graph(n: int, report: DomainReport | None = None) -> FlipGraph:
     """BFS over raising flips from the interval combi; nodes are spectra.
 
-    Cross-checked against the brute-force clique enumeration so the flip
-    moves provably reach every maximal w-collection.
+    Cross-checked against the brute-force clique enumeration, `report` if
+    the caller has it, so the flip moves provably reach every maximal
+    w-collection.
     """
     if n > min(5, _max_enum_n()):
         raise ResourceGuardError(f"flip_graph guard: n={n} exceeds the configured bound")
@@ -150,16 +152,19 @@ def flip_graph(n: int) -> FlipGraph:
     nodes = tuple(sorted(order, key=lambda s: tuple(sorted(s))))
     remap = {order[key]: idx for idx, key in enumerate(nodes)}
     arcs2 = tuple(sorted((remap[u], remap[v]) for u, v in arcs))
-    report = enumerate_maximal(hypercube_domain(n), "weak")
+    if report is None:
+        report = enumerate_maximal(hypercube_domain(n), "weak")
     expected = {f.as_set() for f in report.maximal_collections}
     if set(nodes) != expected:
         raise TilingError("flip-graph", "flip moves do not reach every collection")
     return FlipGraph(n, nodes, arcs2)
 
 
-def set_flip_graph(n: int) -> FlipGraph:
-    """Raising-flip graph computed purely at the set level, for cross-checks."""
-    report = enumerate_maximal(hypercube_domain(n), "weak")
+def set_flip_graph(n: int, report: DomainReport | None = None) -> FlipGraph:
+    """Raising-flip graph computed purely at the set level, for cross-checks,
+    over the collections of `report`, the weak n-cube's enumeration."""
+    if report is None:
+        report = enumerate_maximal(hypercube_domain(n), "weak")
     nodes = tuple(f.as_set() for f in report.maximal_collections)
     index = {s: i for i, s in enumerate(nodes)}
     arcs = set()

@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of tilings, combies, and pattern curves.
 
-Coordinates stay exact until serialization, where they are rounded to a
-fixed six-decimal policy; identical inputs therefore produce byte-identical
-output.  Vertical edges are drawn bold, horizontal edges thin, lenses are
-shaded, and pattern curves dashed.
+Coordinates stay exact until serialization, as integer numerators over one
+denominator per drawing, where they are rounded to a fixed six-decimal
+policy; identical inputs therefore produce byte-identical output.  Vertical
+edges are drawn bold, horizontal edges thin, lenses are shaded, and
+pattern curves dashed.
 """
 
 from __future__ import annotations
@@ -18,62 +19,66 @@ from .rhombus import RhombusTiling
 
 
 # the length of a generator and the blank border, in SVG units
-SCALE = Fraction(160)
-MARGIN = Fraction(30)
+SCALE = 160
+MARGIN = 30
 # stroke widths: vertical edges bold, horizontal ones thin
 VERTICAL_WIDTH = Fraction(5, 2)
 HORIZONTAL_WIDTH = Fraction(1)
 
 
-def _fmt(x: Fraction) -> str:
-    scaled = round(Fraction(x) * 10**6)
+def _fmt(num: int, den: int = 1) -> str:
+    """num/den to six decimals, rounded half to even as round(Fraction) is."""
+    scaled, rest = divmod(num * 10**6, den)
+    if 2 * rest > den or 2 * rest == den and scaled % 2:
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**6)
+    whole, frac = divmod(abs(scaled), 10**6)
     return f"{sign}{whole}.{frac:06d}"
 
 
 class _Canvas:
+    """SVG coordinates as integer numerators over one denominator, `den`."""
+
     def __init__(self, gens: Generators) -> None:
         norm2 = sum(c * c for c in gens.vectors[0])
-        self.unit = SCALE / _isqrt_fraction(norm2)
-        top = gens.top
-        self.width = Fraction(abs(sum(min(v[0], 0) for v in gens.vectors))
-                              + abs(sum(max(v[0], 0) for v in gens.vectors))) * self.unit
-        self.height = Fraction(top[1]) * self.unit
-        self.x_shift = Fraction(-sum(min(v[0], 0) for v in gens.vectors)) * self.unit
+        self.unit, self.den = (SCALE / _isqrt_fraction(norm2)).as_integer_ratio()
+        self.x_shift = -sum(min(v[0], 0) for v in gens.vectors)
+        self.width = self.x_shift + sum(max(v[0], 0) for v in gens.vectors)
+        self.top = gens.top[1]
+        self.margin = MARGIN * self.den
         self.parts: list[str] = []
 
-    def to_svg(self, p) -> tuple[Fraction, Fraction]:
-        x = Fraction(p[0]) * self.unit + self.x_shift + MARGIN
-        y = self.height - Fraction(p[1]) * self.unit + MARGIN
-        return x, y
+    def to_svg(self, p, lift: int = 0) -> tuple[str, str]:
+        """The SVG coordinates of p, raised by `lift` SVG units, to six decimals."""
+        x = (p[0] + self.x_shift) * self.unit + self.margin
+        y = (self.top - p[1]) * self.unit + self.margin - lift * self.den
+        return _fmt(x, self.den), _fmt(y, self.den)
 
     def line(self, a, b, width: Fraction, color: str, dashed: bool = False) -> None:
         (x1, y1), (x2, y2) = self.to_svg(a), self.to_svg(b)
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{_fmt(width)}" stroke-linecap="round"{dash}/>'
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{color}" stroke-width="{_fmt(*width.as_integer_ratio())}" stroke-linecap="round"{dash}/>'
         )
 
     def polygon(self, pts, fill: str) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (self.to_svg(p) for p in pts))
+        coords = " ".join(f"{x},{y}" for x, y in map(self.to_svg, pts))
         self.parts.append(f'<polygon points="{coords}" fill="{fill}" fill-opacity="0.45" stroke="none"/>')
 
     def label(self, p, text: str) -> None:
         x, y = self.to_svg(p)
         self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y - Fraction(7))}" font-size="11" '
+            f'<text x="{x}" y="{self.to_svg(p, 7)[1]}" font-size="11" '
             f'font-family="monospace" text-anchor="middle">{text}</text>'
         )
         self.parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="black"/>'
+            f'<circle cx="{x}" cy="{y}" r="3" fill="black"/>'
         )
 
     def document(self) -> str:
-        w = _fmt(self.width + 2 * MARGIN)
-        h = _fmt(self.height + 2 * MARGIN)
+        w = _fmt(self.width * self.unit + 2 * self.margin, self.den)
+        h = _fmt(self.top * self.unit + 2 * self.margin, self.den)
         body = "\n".join(self.parts)
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '

@@ -15,8 +15,8 @@ from functools import lru_cache
 from operator import attrgetter
 
 from . import bitsets as bs
-from ._planar import TilingError
-from .combi import TILE_CACHE_SIZE, _assemble, _planar, from_rhombus
+from ._planar import TILE_CACHE_SIZE, TilingError
+from .combi import _assemble, _planar, from_rhombus
 from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
 

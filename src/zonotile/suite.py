@@ -219,8 +219,8 @@ def check_flip_coherence(max_n: int, pool: CubePool | None = None) -> dict:
     pool = CubePool() if pool is None else pool
     per_n = {}
     for n in range(2, min(max_n, 4) + 1):
-        g_combi = flip_graph(n)
-        g_sets = set_flip_graph(n)
+        g_combi = flip_graph(n, pool.report(n))
+        g_sets = set_flip_graph(n, pool.report(n))
         same = g_combi.nodes == g_sets.nodes and g_combi.arcs == g_sets.arcs
         sources = g_combi.sources()
         sinks = g_combi.sinks()

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile._planar import TilingError, check_planar_cover, zonogon_region
+from zonotile._planar import TilingError, _tile_shapes, check_planar_cover, zonogon_region
 from zonotile.combi import (
     Combi,
     Delta,
@@ -309,14 +309,58 @@ def test_cover_check_matches_reference_scan():
     for gens, (boundary, area2), cycles, label, fam in covers:
         vertices = sorted(fam.as_set())
         tampered = [_tampered_covers(cycles, boundary, area2, vertices, rng) for _ in range(3)]
-        for cover in [c for batch in tampered for c in batch]:
-            want = _verdict(_reference_cover_check, gens, cover, label)
-            assert _verdict(check_planar_cover, gens, cover, label) == want
-            verdicts[want if want is True else want.split(":")[0]] += 1
+        batch = [c for copies in tampered for c in copies]
+        wants = [_verdict(_reference_cover_check, gens, cover, label) for cover in batch]
+        # each tile's shape is memoised by its cycle: the same verdicts and
+        # error texts with the memo cleared as warm
+        _tile_shapes(gens).cache_clear()
+        for _ in range(2):
+            assert [_verdict(check_planar_cover, gens, cover, label) for cover in batch] == wants
+        verdicts.update(want if want is True else want.split(":")[0] for want in wants)
     assert len(covers) == 86
     assert set(verdicts) == {
         True, "tile-shape", "tile-convexity", "edge-sharing", "region-boundary", "area"
     }
+
+
+def test_tile_memo_keyed_by_cycle_and_generators():
+    gens = default_generators(2)
+    boundary, area2 = zonogon_region(gens)
+    nabla, delta = Nabla(0, 1, 2), Delta(M([1, 2]), 1, 2)
+    cyc = delta.cycle()
+    assert check_planar_cover(gens, [(delta, cyc), (nabla, nabla.cycle())], boundary, area2, tile_label)
+    # the genuine delta's verdict is not reused for its cycle reversed, nor
+    # its edges for its cycle rotated, walked from another vertex
+    rotated = cyc[1:] + cyc[:1]
+    cases = [
+        ([(delta, cyc[::-1]), (nabla, nabla.cycle())],
+         "tile-convexity: delta({1,2};1,2) is not strictly convex and counterclockwise at vertex index 0"),
+        ([(delta, cyc), (delta, rotated), (nabla, nabla.cycle())],
+         f"edge-sharing: directed edge {(rotated[0], rotated[1])} used twice"),
+    ]
+    for cycles, text in cases * 2:  # a failing cycle fails the same way twice
+        with pytest.raises(TilingError) as info:
+            check_planar_cover(gens, cycles, boundary, area2, tile_label)
+        assert str(info.value) == text
+    # one cycle, two generator sets: counterclockwise under the default
+    # ones, flat under the symmetric ones, which put 0, {2} and {1,3} on one
+    # vertical line; each verdict holds whichever is worked out first, and
+    # the flat tile fails before the region is read
+    triangle = (0, M([1, 3]), M([2]))
+    symmetric = Generators(3, [(-3, 4), (0, 5), (3, 4)])
+    for _ in range(2):
+        edges, reverse, area = _tile_shapes(default_generators(3))(triangle)
+        assert edges == (M([1, 3]), M([1, 3]) << 16 | M([2]), M([2]) << 16) and area > 0
+        assert reverse == tuple((k & 0xFFFF) << 16 | k >> 16 for k in edges)
+        with pytest.raises(TilingError, match="^tile-convexity: is not strictly convex .* index 0$"):
+            _tile_shapes(symmetric)(triangle)
+        with pytest.raises(TilingError, match="flat is not strictly convex .* at vertex index 0"):
+            check_planar_cover(symmetric, [("flat", list(triangle))], (), 0)
+    # the least left turn there is: a triangle of doubled area 1
+    thin = Generators(3, [(-4, 3), (-3, 4), (3, 4)])
+    assert _tile_shapes(thin)((M([1]), M([2]), M([1, 3])))[2] == 1
+    with pytest.raises(TilingError, match="^tile-convexity: .* index 0$"):
+        _tile_shapes(thin)((M([1]), M([1, 3]), M([2])))
 
 
 class TestTileTypes:

@@ -399,3 +399,6 @@ def test_flip_graphs_agree_n4():
     (snk,) = combi_graph.sinks()
     assert combi_graph.nodes[src] == interval_collection(4).as_set()
     assert combi_graph.nodes[snk] == cointerval_collection(4).as_set()
+    # the same graphs over a weak report the caller already has
+    report = enumerate_maximal(hypercube_domain(4), "weak")
+    assert flip_graph(4, report) == combi_graph and set_flip_graph(4, report) == sets_graph

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ from zonotile import bitsets as bs
 from zonotile import rhombus
 from zonotile._planar import TilingError
 from zonotile.combi import from_rhombus, from_w_collection
-from zonotile.render import render_svg
+from zonotile.render import _fmt, render_svg
 from zonotile.rhombus import (
     Rhombus,
     RhombusTiling,
@@ -123,6 +124,15 @@ def test_tiling_svg_bytes():
         for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections
     )
     assert _svg_digest(every) == "add2a7618eccbbc5"
+
+
+def test_svg_numbers_round_as_fractions_do():
+    # six decimals, ties to even, of a numerator over any denominator
+    cases = [(n, 2 * 10**6) for n in range(-7, 8)] + [(5, 2), (-1, 3), (2, 3), (10**7 + 1, 7), (0, 9)]
+    for num, den in cases:
+        scaled = round(Fraction(num, den) * 10**6)
+        want = ("-" if scaled < 0 else "") + f"{abs(scaled) // 10**6}.{abs(scaled) % 10**6:06d}"
+        assert _fmt(num, den) == _fmt(3 * num, 3 * den) == want
 
 
 def test_out_of_range_text():

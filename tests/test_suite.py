@@ -5,7 +5,7 @@ the next."""
 
 from collections import Counter
 
-from zonotile import suite
+from zonotile import flips, suite
 
 
 def test_one_enumeration_per_n_per_run(monkeypatch):
@@ -35,6 +35,7 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
         return verify_purity(domain, relation)
 
     monkeypatch.setattr(suite, "enumerate_maximal", counted_enumerate)
+    monkeypatch.setattr(flips, "enumerate_maximal", counted_enumerate)
     monkeypatch.setattr(suite, "from_w_collection", counted_build)
     monkeypatch.setattr(suite, "n_contract", counted_contract)
     monkeypatch.setattr(suite, "n_expand", counted_expand)
@@ -51,8 +52,8 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
     first, second = runs
     _, enum1, builds1, contract1, expand1, verdict1 = first
 
-    # the weak n-cube for n = 1..4 once each, and the strong 4-cube for the
-    # strong patterns
+    # the weak n-cube for n = 1..4 once each, the flip graphs reading the
+    # pool's, and the strong 4-cube for the strong patterns
     assert enum1 == Counter({(n, 1 << n, "weak"): 1 for n in range(1, 5)} | {(4, 16, "strong"): 1})
     # per weak collection (1, 1, 2 and 10 for n = 1..4): the pooled combi,
     # and the bijection's independent rebuild for n >= 2; the flip

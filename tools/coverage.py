@@ -8,9 +8,10 @@ and the totals.  From the root of a source checkout:
     python tools/coverage.py -k separation      # extra arguments go to pytest
 
 The statements are the `ast` statement nodes of each module, docstrings
-excepted.  A statement has run when a line event fires on one of its own
-lines: the whole of a simple statement, the header of a compound one (for a
-decorated definition, its decorators too).  A `try` has run when its first
+and the bodies of `if TYPE_CHECKING:` blocks, which never run, excepted.  A
+statement has run when a line event fires on one of its own lines: the
+whole of a simple statement, the header of a compound one (for a decorated
+definition, its decorators too).  A `try` has run when its first
 body statement has.  Tracing makes the run about five times slower than
 plain pytest, so this is a tool to run by hand, not a test.  The exit code
 is pytest's.
@@ -42,10 +43,19 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return out
 
 
+def _type_checking_only(tree: ast.Module) -> set[int]:
+    """The ids of the statements in the body of an `if TYPE_CHECKING:`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            out.update(id(s) for stmt in node.body for s in ast.walk(stmt) if isinstance(s, ast.stmt))
+    return out
+
+
 def statements(source: str) -> dict[int, set[int]]:
     """Each statement, by its first line, to the lines whose execution shows it ran."""
     tree = ast.parse(source)
-    skip = _docstrings(tree)
+    skip = _docstrings(tree) | _type_checking_only(tree)
     out: dict[int, set[int]] = {}
     tries = []
     for node in ast.walk(tree):
