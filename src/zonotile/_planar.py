@@ -95,7 +95,7 @@ def _tile_shapes(gens: Generators) -> Callable[[tuple[int, ...]], tuple]:
 
 def check_planar_cover(
     gens: Generators,
-    cycles: list[tuple[object, list[int]]],
+    cycles: list[tuple[object, Sequence[int]]],
     boundary: Sequence[tuple[int, int]],
     area2: int,
     label: Callable[[object], str] = str,

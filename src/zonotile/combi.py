@@ -72,9 +72,9 @@ class Delta:
     def base(self) -> tuple[int, int]:
         return (self.left, self.right)
 
-    def cycle(self) -> list[int]:
+    def cycle(self) -> tuple[int, ...]:
         apex = self.apex
-        return [apex ^ (1 << (self.high - 1)), apex ^ (1 << (self.low - 1)), apex]
+        return (apex ^ (1 << (self.high - 1)), apex ^ (1 << (self.low - 1)), apex)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -113,9 +113,9 @@ class Nabla:
     def base(self) -> tuple[int, int]:
         return (self.left, self.right)
 
-    def cycle(self) -> list[int]:
+    def cycle(self) -> tuple[int, ...]:
         bottom = self.bottom
-        return [bottom, bottom | (1 << (self.high - 1)), bottom | (1 << (self.low - 1))]
+        return (bottom, bottom | (1 << (self.high - 1)), bottom | (1 << (self.low - 1)))
 
 
 def _edge_text(a: int, b: int) -> str:
@@ -199,8 +199,8 @@ class Lens:
         c = self.upper_center
         return tuple(bs.min_element(v & ~c) for v in self.upper)
 
-    def cycle(self) -> list[int]:
-        return list(self.lower) + list(reversed(self.upper))[1:-1]
+    def cycle(self) -> tuple[int, ...]:
+        return self.lower + self.upper[-2:0:-1]
 
 
 Tile = Delta | Nabla | Lens

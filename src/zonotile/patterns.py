@@ -7,19 +7,21 @@ zonogon it bounds an inside and an outside region; the sets weakly
 separated from the pattern split accordingly into two domains which form a
 complementary pair, hence are both pure.  The proof-carrying operations
 here are the quasi-combi splitting of a combi along the pattern curve and
-the merge-repair that recombines inside and outside halves from different
-combies into a new valid combi.
+the merge that recombines an inside half and an outside half, possibly of
+different combies.  A combi is fixed by its vertex set, so the merge reads
+only the halves' vertex sets: `from_w_collection` rebuilds the combi of
+their union and certifies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from . import bitsets as bs
 from ._planar import TilingError
-from .combi import Combi, Delta, Lens, Nabla, validate_combi
+from .combi import Combi, Delta, Lens, Nabla, from_w_collection
 from .geometry import (
     Point,
     angle_sort_key,
@@ -313,8 +315,8 @@ class UpperSemiLens:
     chord: tuple[int, int]
     upper: tuple[int, ...]
 
-    def cycle(self) -> list[int]:
-        return [self.upper[0]] + list(reversed(self.upper))[:-1]
+    def cycle(self) -> tuple[int, ...]:
+        return self.upper[:1] + self.upper[:0:-1]
 
 
 @dataclass(frozen=True, order=True)
@@ -324,8 +326,8 @@ class LowerSemiLens:
     chord: tuple[int, int]
     lower: tuple[int, ...]
 
-    def cycle(self) -> list[int]:
-        return list(self.lower)
+    def cycle(self) -> tuple[int, ...]:
+        return self.lower
 
 
 @dataclass(frozen=True)
@@ -474,7 +476,7 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
             top = _cut_path(fan, chords, semi, semis)
             tiles.update(tile_on(corner, a, b) for a, b in zip(top, top[1:]))
 
-    def side(cycle_masks: list[int]) -> str:
+    def side(cycle_masks: tuple[int, ...]) -> str:
         pts = [table[v] for v in cycle_masks]
         m = len(pts)
         probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
@@ -498,13 +500,13 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
 
 
 def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
-    """Union two quasi-combi halves sharing a pattern and repair the seam.
+    """The combi of the union of two quasi-combi halves split along a shared
+    pattern, one inside half and one outside.
 
-    Each semi-lens is eliminated by removing its chord edge and merging with
-    the tile on the other side: a triangle turns the union into a refilled
-    fan, a lens or same-kind semi-lens absorbs the path, and two semi-lenses
-    facing each other fuse into a lens.  Every step removes one semi-lens
-    and adds none, and the final combi is validated.
+    A combi is fixed by its vertex set, so the merge reads only the halves'
+    vertex sets: `from_w_collection` rebuilds the combi of their union and
+    certifies it, raising `TilingError` if the union is not the spectrum of
+    a combi.
     """
     if inside.n != outside.n:
         raise ValueError("halves live on different ground sets")
@@ -514,67 +516,8 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
         raise ValueError("halves were split along different patterns")
     if inside.region == outside.region:
         raise ValueError("need one inside half and one outside half")
-    deltas = set(inside.deltas) | set(outside.deltas)
-    nablas = set(inside.nablas) | set(outside.nablas)
-    lenses = set(inside.lenses) | set(outside.lenses)
-    uppers = set(inside.upper_semis) | set(outside.upper_semis)
-    lowers = set(inside.lower_semis) | set(outside.lower_semis)
-
-    while uppers or lowers:
-        # a lower semi-lens is repaired from above its chord, an upper one
-        # from below, the lower ones first
-        if lowers:
-            side, tiles, triangle, where = "lower", deltas, Delta.on_base, "above"
-            semis, facing = lowers, uppers
-        else:
-            side, tiles, triangle, where = "upper", nablas, Nabla.on_base, "below"
-            semis, facing = uppers, lowers
-        piece = min(semis)
-        semis.discard(piece)
-        path = getattr(piece, side)
-        left, right = piece.chord
-        corner = left | right if side == "lower" else left & right
-        cap = triangle(corner, left, right)
-        if cap in tiles:
-            tiles.discard(cap)
-            tiles.update(triangle(corner, a, b) for a, b in zip(path, path[1:]))
-            continue
-        for hosts in (lenses, semis):
-            host = _on_path(hosts, side, piece.chord)
-            if host is not None:
-                hosts.discard(host)
-                hosts.add(replace(host, **{side: _splice(getattr(host, side), piece.chord, path)}))
-                break
-        else:
-            host = next((p for p in facing if p.chord == piece.chord), None)
-            if host is None:
-                raise TilingError("merge", f"no tile {where} semi-lens chord {piece.chord}")
-            facing.discard(host)
-            top, bottom = (host, piece) if side == "lower" else (piece, host)
-            lenses.add(Lens(top.upper, bottom.lower))
-
-    merged = Combi(inside.n, deltas, nablas, lenses)
-    validate_combi(merged)
-    want = inside.vertex_masks() | outside.vertex_masks()
-    if not want <= merged.vertex_masks():
-        raise TilingError("merge", "merge lost vertices of the two halves")
-    return merged
-
-
-def _on_path(pieces, side: str, edge: tuple[int, int]):
-    """Some piece whose `side` path ("upper" or "lower") has the edge, or
-    None; a scan, since the merge changes its pieces as it goes."""
-    return next(
-        (p for p in pieces if edge in zip(getattr(p, side), getattr(p, side)[1:])),
-        None,
-    )
-
-
-def _splice(path: tuple[int, ...], chord: tuple[int, int], insert: tuple[int, ...]) -> tuple[int, ...]:
-    """`path` with its edge `chord` replaced by the path `insert` between the
-    same two ends."""
-    k = list(zip(path, path[1:])).index(chord)
-    return path[:k] + insert + path[k + 2:]
+    verts = inside.vertex_masks() | outside.vertex_masks()
+    return from_w_collection(SetFamily(inside.n, verts), check_input=False)
 
 
 # --------------------------------------------------------------------------

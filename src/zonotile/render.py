@@ -109,7 +109,7 @@ def render_svg(obj, labels: bool = True) -> str:
     if isinstance(obj, Combi):
         vert = sorted(obj.vertical_edges())
         horiz = sorted(obj.horizontal_edges())
-        fills = [tuple(l.cycle()) for l in sorted(obj.lenses)]
+        fills = [l.cycle() for l in sorted(obj.lenses)]
         return _render_edges(obj.n, vert, horiz, fills, labels)
     if isinstance(obj, QuasiCombi):
         # every piece's boundary edges, each upward if its ends differ in
@@ -120,8 +120,7 @@ def render_svg(obj, labels: bool = True) -> str:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 edge = (a, b) if a & ~b < b & ~a else (b, a)
                 (vert if bs.size(a) != bs.size(b) else horiz).add(edge)
-        fills = [tuple(p.cycle())
-                 for group in (obj.lenses, obj.upper_semis, obj.lower_semis) for p in sorted(group)]
+        fills = [p.cycle() for group in (obj.lenses, obj.upper_semis, obj.lower_semis) for p in sorted(group)]
         return _render_edges(obj.n, sorted(vert), sorted(horiz), fills, labels)
     if isinstance(obj, CyclicPattern):
         return _render_pattern(obj, labels)

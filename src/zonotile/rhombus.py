@@ -50,10 +50,10 @@ class Rhombus:
     def top(self) -> int:
         return self.base | (1 << (self.low - 1)) | (1 << (self.high - 1))
 
-    def cycle(self) -> list[int]:
+    def cycle(self) -> tuple[int, ...]:
         """Corner masks in counterclockwise order."""
         base, low, high = self.base, 1 << (self.low - 1), 1 << (self.high - 1)
-        return [base, base | high, base | low | high, base | low]
+        return (base, base | high, base | low | high, base | low)
 
 
 # One checked instance per distinct rhombus, for the sites that build every

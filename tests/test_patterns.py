@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -6,6 +7,7 @@ import pytest
 
 from zonotile import bitsets as bs
 from zonotile import patterns
+from zonotile._planar import TilingError
 from zonotile.combi import from_rhombus, from_w_collection, spectrum, validate_combi
 from zonotile.flips import interval_combi
 from zonotile.geometry import Generators, default_generators, embedding_table, point_in_closed_polyline
@@ -287,7 +289,7 @@ class TestSplitMerge:
                 continue
             inner, outer = split_quasi(combi, pat)
             merged = merge_repair(inner, outer)
-            assert spectrum(merged).as_set() >= inner.vertex_masks() | outer.vertex_masks()
+            assert spectrum(merged).as_set() == inner.vertex_masks() | outer.vertex_masks()
             done += 1
 
     def test_semi_simple_exchange_and_domains(self):
@@ -304,7 +306,7 @@ class TestSplitMerge:
         qa, _ = split_quasi(hosts[0], pat)
         _, qb = split_quasi(hosts[1], pat)
         merged = merge_repair(qa, qb)
-        assert qa.vertex_masks() | qb.vertex_masks() <= merged.vertex_masks()
+        assert qa.vertex_masks() | qb.vertex_masks() == merged.vertex_masks()
         din, dout = domains(pat)
         assert verify_complementary(din, dout)
         assert verify_purity(din).pure and verify_purity(dout).pure
@@ -327,7 +329,7 @@ class TestSplitMerge:
             inner, _ = split_quasi(a, pat)
             _, outer = split_quasi(b, pat)
             merged = merge_repair(inner, outer)
-            assert inner.vertex_masks() | outer.vertex_masks() <= merged.vertex_masks()
+            assert inner.vertex_masks() | outer.vertex_masks() == merged.vertex_masks()
             done += 1
 
     def test_merge_rejects_mismatched_halves(self):
@@ -344,10 +346,22 @@ class TestSplitMerge:
             with pytest.raises(ValueError, match=text):
                 merge_repair(a, b)
 
-    # Seam branches the sampled exchanges rarely reach.  Each case splits
-    # combi a and combi b along the cycle and merges inside(a) with
-    # outside(b); `seam` gives, for each of the two halves, its upper and
-    # lower semi-lenses and the lenses its split re-closed.
+    def test_merge_certifies_the_union(self):
+        # the inside half here is the top corner rhombus; emptied of its
+        # tiles, the halves' vertex sets lose the top vertex, and the union
+        # is no combi's spectrum
+        combi = from_rhombus(minimal_tiling(4))
+        inner, outer = split_quasi(combi, CyclicPattern(4, (6, 14, 15, 7)))
+        assert spectrum(merge_repair(inner, outer)) == spectrum(combi)
+        empty = replace(inner, deltas=frozenset(), nablas=frozenset(), lenses=frozenset())
+        with pytest.raises(TilingError) as info:
+            merge_repair(empty, outer)
+        assert info.value.axiom == "edge-sharing"
+
+    # Seams the sampled exchanges rarely reach.  Each case splits combi a
+    # and combi b along the cycle and merges inside(a) with outside(b);
+    # `seam` gives, for each of the two halves, its upper and lower
+    # semi-lenses and the lenses its split re-closed.
     @pytest.mark.parametrize(
         "n, spec_a, spec_b, cycle, seam",
         [
@@ -407,7 +421,7 @@ class TestSplitMerge:
         ) == seam
         merged = merge_repair(inner, outer)
         validate_combi(merged)
-        assert inner.vertex_masks() | outer.vertex_masks() <= merged.vertex_masks()
+        assert inner.vertex_masks() | outer.vertex_masks() == merged.vertex_masks()
 
 
 class TestGraphPatterns:
