@@ -10,6 +10,10 @@ element for a larger one).  Its tiles are:
            types around a common intersection set, and a lower horizontal
            path with strictly decreasing types around a common union.
 
+Every vertex and edge reading (the vertex set, the vertical and horizontal
+edge sets, the range check) is read off the tiles' counterclockwise
+boundary cycles, which each tile stores once when built.
+
 The central facts implemented here: the vertex set (spectrum) of a combi is
 a maximal weakly separated collection, every such collection arises from a
 unique combi, and that combi is reconstructed by `from_w_collection` with
@@ -21,9 +25,10 @@ path, and the members under the union of its ends its lower path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import attrgetter
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
+from itertools import chain
+from operator import attrgetter, or_
 from typing import TYPE_CHECKING
 
 from . import bitsets as bs
@@ -42,13 +47,16 @@ class Delta:
     apex: int
     low: int
     high: int
+    # the corners counterclockwise, from the base's left end: set once
+    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.low < self.high:
             raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        need = (1 << (self.low - 1)) | (1 << (self.high - 1))
-        if self.apex & need != need:
+        apex, low, high = self.apex, 1 << (self.low - 1), 1 << (self.high - 1)
+        if apex & (low | high) != low | high:
             raise ValueError("apex of a Delta must contain both type elements")
+        object.__setattr__(self, "_cycle", (apex ^ high, apex ^ low, apex))
 
     @classmethod
     def on_base(cls, apex: int, left: int, right: int) -> Delta:
@@ -62,19 +70,18 @@ class Delta:
 
     @property
     def left(self) -> int:
-        return self.apex ^ (1 << (self.high - 1))
+        return self._cycle[0]
 
     @property
     def right(self) -> int:
-        return self.apex ^ (1 << (self.low - 1))
+        return self._cycle[1]
 
     @property
     def base(self) -> tuple[int, int]:
         return (self.left, self.right)
 
     def cycle(self) -> tuple[int, ...]:
-        apex = self.apex
-        return (apex ^ (1 << (self.high - 1)), apex ^ (1 << (self.low - 1)), apex)
+        return self._cycle
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -84,12 +91,16 @@ class Nabla:
     bottom: int
     low: int
     high: int
+    # the corners counterclockwise, from the bottom: set once
+    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.low < self.high:
             raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        if self.bottom & ((1 << (self.low - 1)) | (1 << (self.high - 1))):
+        bottom, low, high = self.bottom, 1 << (self.low - 1), 1 << (self.high - 1)
+        if bottom & (low | high):
             raise ValueError("bottom of a Nabla must avoid both type elements")
+        object.__setattr__(self, "_cycle", (bottom, bottom | high, bottom | low))
 
     @classmethod
     def on_base(cls, bottom: int, left: int, right: int) -> Nabla:
@@ -103,19 +114,18 @@ class Nabla:
 
     @property
     def left(self) -> int:
-        return self.bottom | (1 << (self.low - 1))
+        return self._cycle[2]
 
     @property
     def right(self) -> int:
-        return self.bottom | (1 << (self.high - 1))
+        return self._cycle[1]
 
     @property
     def base(self) -> tuple[int, int]:
         return (self.left, self.right)
 
     def cycle(self) -> tuple[int, ...]:
-        bottom = self.bottom
-        return (bottom, bottom | (1 << (self.high - 1)), bottom | (1 << (self.low - 1)))
+        return self._cycle
 
 
 def _edge_text(a: int, b: int) -> str:
@@ -138,6 +148,7 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
 class Lens:
     upper: tuple[int, ...]
     lower: tuple[int, ...]
+    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, upper, lower) -> None:
         up, lo = tuple(upper), tuple(lower)
@@ -167,6 +178,7 @@ class Lens:
             raise ValueError("lower path types must strictly decrease")
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "_cycle", lo + up[-2:0:-1])
 
     @property
     def left(self) -> int:
@@ -176,19 +188,16 @@ class Lens:
     def right(self) -> int:
         return self.upper[-1]
 
+    # each upper (lower) vertex is its center with (without) one element,
+    # and the ends differ, so they meet (join) in the center
+
     @property
     def upper_center(self) -> int:
-        inter = self.upper[0]
-        for v in self.upper:
-            inter &= v
-        return inter
+        return self.upper[0] & self.upper[-1]
 
     @property
     def lower_center(self) -> int:
-        union = 0
-        for v in self.lower:
-            union |= v
-        return union
+        return self.lower[0] | self.lower[-1]
 
     @property
     def level(self) -> int:
@@ -200,14 +209,15 @@ class Lens:
         return tuple(bs.min_element(v & ~c) for v in self.upper)
 
     def cycle(self) -> tuple[int, ...]:
-        return self.lower + self.upper[-2:0:-1]
+        return self._cycle
 
 
 Tile = Delta | Nabla | Lens
 # One checked instance per distinct tile, for the sites that build every
 # tile of a combi (a combi is fixed by its vertex set, so its tiles repeat
-# across reconstructions): each tile runs its constructor check on its
-# first build only, and a failure, never cached, raises every time.  A
+# across reconstructions) and for the W/M-configuration search's partner
+# candidates: each tile runs its constructor check and builds its cycle on
+# its first build only, and a failure, never cached, raises every time.  A
 # single tile is built with its class.
 shared_delta = lru_cache(maxsize=TILE_CACHE_SIZE)(Delta)
 shared_nabla = lru_cache(maxsize=TILE_CACHE_SIZE)(Nabla)
@@ -217,6 +227,7 @@ shared_lens = lru_cache(maxsize=TILE_CACHE_SIZE)(Lens)
 _DELTA_ORDER = attrgetter("apex", "low", "high")
 _NABLA_ORDER = attrgetter("bottom", "low", "high")
 _LENS_ORDER = attrgetter("upper", "lower")
+_CYCLE = attrgetter("_cycle")
 
 
 @dataclass(frozen=True)
@@ -228,30 +239,23 @@ class Combi:
 
     def __init__(self, n: int, deltas=(), nablas=(), lenses=()) -> None:
         bs.check_ground(n)
-        dset, nset, lset = frozenset(deltas), frozenset(nablas), frozenset(lenses)
-        # Every vertex lies in an apex, a nabla's right corner or a lens's
-        # lower center; the tiles are scanned one by one, in `tiles()`
-        # order, only to name the first one out of range.
-        span = 0
-        for d in dset:
-            span |= d.apex
-        for v in nset:
-            span |= v.right
-        for l in lset:
-            for x in l.lower:
-                span |= x
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "deltas", dset)
-        object.__setattr__(self, "nablas", nset)
-        object.__setattr__(self, "lenses", lset)
-        if span & ~bs.full_mask(n):
+        object.__setattr__(self, "deltas", frozenset(deltas))
+        object.__setattr__(self, "nablas", frozenset(nablas))
+        object.__setattr__(self, "lenses", frozenset(lenses))
+        # A triangle's largest corner (its apex or right corner) or a lens's
+        # lower center is out of range just when one of its corners is; the
+        # tiles are scanned one by one, in `tiles()` order, only to name the
+        # first one out of range.
+        if reduce(or_, chain.from_iterable(self._cycles()), 0) & ~bs.full_mask(n):
             for t in self.tiles():
-                if isinstance(t, Delta):
-                    bs.check_subset(t.apex, n)
-                elif isinstance(t, Nabla):
-                    bs.check_subset(t.right, n)
-                else:
-                    bs.check_subset(t.lower_center, n)
+                bs.check_subset(t.lower_center if isinstance(t, Lens) else max(t.cycle()), n)
+
+    def _cycles(self):
+        """Every tile's boundary cycle; for n = 1, with no tiles, the one
+        edge of the zonogon as the two-corner cycle ({}, {1})."""
+        cycles = map(_CYCLE, chain(self.deltas, self.nablas, self.lenses))
+        return chain(cycles, [(0, 1)]) if self.n == 1 else cycles
 
     def tiles(self) -> list[Tile]:
         """Deltas, nablas, lenses, each kind in its dataclass order."""
@@ -266,22 +270,10 @@ class Combi:
 
     @cached_property
     def _vertices(self) -> frozenset[int]:
-        # Built once per instance; not a dataclass field, so equality and
-        # hashing see only the tiles.
-        verts = {d.apex for d in self.deltas}
-        for d in self.deltas:
-            verts.add(d.apex ^ (1 << (d.low - 1)))
-            verts.add(d.apex ^ (1 << (d.high - 1)))
-        for v in self.nablas:
-            verts.add(v.bottom)
-            verts.add(v.bottom | (1 << (v.low - 1)))
-            verts.add(v.bottom | (1 << (v.high - 1)))
-        for l in self.lenses:
-            verts.update(l.upper)
-            verts.update(l.lower)
-        if self.n == 1:
-            verts.update((0, 1))
-        return frozenset(verts)
+        # Built on first use and not a dataclass field, so equality and
+        # hashing see only the tiles; copied from a set, the frozenset's
+        # table is sized to the members, not to the corners with repeats.
+        return frozenset(set(chain.from_iterable(self._cycles())))
 
     def nabla_fan(self, bottom: int) -> tuple[int, ...]:
         """Left-to-right base path of the nablas with this bottom, () if
@@ -330,42 +322,32 @@ class Combi:
 
     def vertical_edges(self) -> frozenset[tuple[int, int]]:
         """Upward (X, X+i) edges of the derived graph."""
-        return self._vertical_edges
+        return self._edges[0]
 
     def horizontal_edges(self) -> frozenset[tuple[int, int]]:
         """Rightward trading edges of the derived graph."""
-        return self._horizontal_edges
-
-    # Built once per instance and, like `_vertices`, not dataclass fields.
+        return self._edges[1]
 
     @cached_property
-    def _vertical_edges(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for d in self.deltas:
-            out.add((d.left, d.apex))
-            out.add((d.right, d.apex))
-        for v in self.nablas:
-            out.add((v.bottom, v.left))
-            out.add((v.bottom, v.right))
-        if self.n == 1:
-            out.add((0, 1))
-        return frozenset(out)
-
-    @cached_property
-    def _horizontal_edges(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for d in self.deltas:
-            out.add(d.base)
-        for v in self.nablas:
-            out.add(v.base)
-        for l in self.lenses:
-            out.update(zip(l.upper, l.upper[1:]))
-            out.update(zip(l.lower, l.lower[1:]))
-        return frozenset(out)
+    def _edges(self) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+        # Built once per instance and, like `_vertices`, not a dataclass field.
+        return cycle_sides(self._cycles())
 
     def size_sum(self) -> int:
         """Sum of vertex cardinalities (the flip potential)."""
         return sum(bs.size(v) for v in self.vertex_masks())
+
+
+def cycle_sides(cycles) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+    """The vertical and the horizontal sides of the given boundary cycles: a
+    side is vertical when its ends differ in size, and is stored upward if
+    so and rightward (smaller traded element first) if not."""
+    vertical, horizontal = set(), set()
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            side = (a, b) if a & ~b < b & ~a else (b, a)
+            (vertical if a.bit_count() != b.bit_count() else horizontal).add(side)
+    return frozenset(vertical), frozenset(horizontal)
 
 
 def _chain_fan(bases, kind: str, corner: int) -> tuple[int, ...]:
@@ -535,9 +517,7 @@ def find_w_configs(combi: Combi) -> list[WConfig]:
         # nb as the left tile: bottom core+i, base types (j, k)
         for i in bs.iter_elements(nb.bottom):
             cand_core = nb.bottom ^ bs.singleton(i)
-            if i < nb.low and Nabla(
-                cand_core | bs.singleton(nb.high), i, nb.low
-            ) in nablas:
+            if i < nb.low and shared_nabla(cand_core | bs.singleton(nb.high), i, nb.low) in nablas:
                 out.append(WConfig(cand_core, i, nb.low, nb.high))
     return sorted(out, key=lambda w: (w.core, w.i, w.j, w.k))
 
@@ -552,7 +532,7 @@ def find_m_configs(combi: Combi) -> list[MConfig]:
         for k in range(j + 1, combi.n + 1):
             if bs.has(core, k):
                 continue
-            if Delta(core | bs.singleton(j) | bs.singleton(k), j, k) in deltas:
+            if shared_delta(core | bs.singleton(j) | bs.singleton(k), j, k) in deltas:
                 out.append(MConfig(core, i, j, k))
     return sorted(out, key=lambda m: (m.core, m.i, m.j, m.k))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bitsets as bs
-from .combi import Combi, from_rhombus
+from .combi import Combi, cycle_sides, from_rhombus
 from .geometry import Generators, default_generators, embed
 from .patterns import CyclicPattern, QuasiCombi
 from .rhombus import RhombusTiling
@@ -112,14 +112,7 @@ def render_svg(obj, labels: bool = True) -> str:
         fills = [l.cycle() for l in sorted(obj.lenses)]
         return _render_edges(obj.n, vert, horiz, fills, labels)
     if isinstance(obj, QuasiCombi):
-        # every piece's boundary edges, each upward if its ends differ in
-        # size and rightward (smaller traded element first) if they do not
-        vert, horiz = set(), set()
-        for piece in obj.pieces():
-            cyc = piece.cycle()
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                edge = (a, b) if a & ~b < b & ~a else (b, a)
-                (vert if bs.size(a) != bs.size(b) else horiz).add(edge)
+        vert, horiz = cycle_sides(piece.cycle() for piece in obj.pieces())
         fills = [p.cycle() for group in (obj.lenses, obj.upper_semis, obj.lower_semis) for p in sorted(group)]
         return _render_edges(obj.n, sorted(vert), sorted(horiz), fills, labels)
     if isinstance(obj, CyclicPattern):

@@ -10,7 +10,7 @@ of the fan rule and its vertices and edges from its semi-rhombus combi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 
@@ -27,12 +27,16 @@ class Rhombus:
     base: int
     low: int
     high: int
+    # the corners counterclockwise, from the bottom: set once
+    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.low < self.high:
             raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        if self.base & ((1 << (self.low - 1)) | (1 << (self.high - 1))):
+        base, low, high = self.base, 1 << (self.low - 1), 1 << (self.high - 1)
+        if base & (low | high):
             raise ValueError("type elements must not lie in the base set")
+        object.__setattr__(self, "_cycle", (base, base | high, base | low | high, base | low))
 
     @property
     def bottom(self) -> int:
@@ -40,20 +44,19 @@ class Rhombus:
 
     @property
     def left(self) -> int:
-        return self.base | (1 << (self.low - 1))
+        return self._cycle[3]
 
     @property
     def right(self) -> int:
-        return self.base | (1 << (self.high - 1))
+        return self._cycle[1]
 
     @property
     def top(self) -> int:
-        return self.base | (1 << (self.low - 1)) | (1 << (self.high - 1))
+        return self._cycle[2]
 
     def cycle(self) -> tuple[int, ...]:
         """Corner masks in counterclockwise order."""
-        base, low, high = self.base, 1 << (self.low - 1), 1 << (self.high - 1)
-        return (base, base | high, base | low | high, base | low)
+        return self._cycle
 
 
 # One checked instance per distinct rhombus, for the sites that build every

@@ -419,7 +419,6 @@ def check_cross_exchange(max_n: int, seed: int, samples: int = 100,
                          pool: CubePool | None = None) -> dict:
     pool = CubePool() if pool is None else pool
     rng = random.Random(seed)
-    ok = True
     checked = 0
     pools = {n: pool.combis(n) for n in range(3, max_n + 1)}
     attempts = 0
@@ -441,11 +440,11 @@ def check_cross_exchange(max_n: int, seed: int, samples: int = 100,
             continue
         inside, _ = split_quasi(combi_a, pat)
         _, outside = split_quasi(combi_b, pat)
-        merged = merge_repair(inside, outside)
-        ok &= inside.vertex_masks() | outside.vertex_masks() <= merged.vertex_masks()
+        # raises unless it certifies the combi on the union of the halves'
+        # vertex sets
+        merge_repair(inside, outside)
         checked += 1
-    ok &= checked >= samples
-    return {"pass": ok, "detail": {"checked": checked}}
+    return {"pass": checked >= samples, "detail": {"checked": checked}}
 
 def run_suite(max_n: int = 4, seed: int = 7, samples: int = 500) -> dict:
     """Full battery; returns a deterministic report dictionary."""
