@@ -63,7 +63,6 @@ from .combi import (
     MConfig,
     Nabla,
     WConfig,
-    adjacent_h_classify,
     find_m_configs,
     find_w_configs,
     from_rhombus,

@@ -275,51 +275,6 @@ class Combi:
         # table is sized to the members, not to the corners with repeats.
         return frozenset(set(chain.from_iterable(self._cycles())))
 
-    def nabla_fan(self, bottom: int) -> tuple[int, ...]:
-        """Left-to-right base path of the nablas with this bottom, () if
-        there are none; raises TilingError("fan") unless it is one path."""
-        return _chain_fan(self._fan_bases.get(("nabla", bottom), ()), "nabla", bottom)
-
-    def delta_fan(self, apex: int) -> tuple[int, ...]:
-        """Left-to-right base path of the deltas with this apex, () if
-        there are none; raises TilingError("fan") unless it is one path."""
-        return _chain_fan(self._fan_bases.get(("delta", apex), ()), "delta", apex)
-
-    def lens_on(self, edge: tuple[int, int], side: str) -> Lens | None:
-        """The lens with this edge on its `side` ("upper" or "lower")
-        boundary, None if there is none; raises TilingError if two lenses
-        claim it."""
-        if side not in ("upper", "lower"):
-            raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-        index = self._lens_edges
-        if (side, edge) in index and index[side, edge] is None:
-            raise TilingError("lens", f"two lenses have {_edge_text(*edge)} on their {side} boundary")
-        return index.get((side, edge))
-
-    # The incidence index: built on first use and, like `_vertices`, not a
-    # dataclass field, so equality and hashing see only the tiles.
-
-    @cached_property
-    def _fan_bases(self) -> dict[tuple[str, int], list[tuple[int, int]]]:
-        """The nabla bases by bottom and the delta bases by apex."""
-        fans: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        for v in self.nablas:
-            fans.setdefault(("nabla", v.bottom), []).append(v.base)
-        for d in self.deltas:
-            fans.setdefault(("delta", d.apex), []).append(d.base)
-        return fans
-
-    @cached_property
-    def _lens_edges(self) -> dict[tuple[str, tuple[int, int]], Lens | None]:
-        """Each (side, boundary edge) to its lens, or to None if two lenses
-        claim it."""
-        index: dict[tuple[str, tuple[int, int]], Lens | None] = {}
-        for l in self.lenses:
-            for side, path in (("upper", l.upper), ("lower", l.lower)):
-                for e in zip(path, path[1:]):
-                    index[side, e] = None if (side, e) in index else l
-        return index
-
     def vertical_edges(self) -> frozenset[tuple[int, int]]:
         """Upward (X, X+i) edges of the derived graph."""
         return self._edges[0]
@@ -348,30 +303,6 @@ def cycle_sides(cycles) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int
             side = (a, b) if a & ~b < b & ~a else (b, a)
             (vertical if a.bit_count() != b.bit_count() else horizontal).add(side)
     return frozenset(vertical), frozenset(horizontal)
-
-
-def _chain_fan(bases, kind: str, corner: int) -> tuple[int, ...]:
-    """The vertex path through the (left, right) bases of a triangle fan,
-    () for no bases; raises TilingError("fan") unless the bases form
-    exactly one path: no two share a left end and one left end is no right
-    end."""
-    if not bases:
-        return ()
-    succ = dict(bases)
-    if len(succ) != len(bases):
-        raise _fan_error(kind, corner, "has duplicate left vertices")
-    starts = succ.keys() - succ.values()
-    if len(starts) != 1:
-        raise _fan_error(kind, corner, "does not start at one vertex")
-    path = [*starts]
-    # low < high makes the bases acyclic, so one start walks through them all
-    while path[-1] in succ:
-        path.append(succ[path[-1]])
-    return tuple(path)
-
-
-def _fan_error(kind: str, corner: int, why: str) -> TilingError:
-    return TilingError("fan", f"{kind} fan at {bs.format_subset(corner)} {why}")
 
 
 def tile_label(tile: Tile) -> str:
@@ -535,53 +466,3 @@ def find_m_configs(combi: Combi) -> list[MConfig]:
             if shared_delta(core | bs.singleton(j) | bs.singleton(k), j, k) in deltas:
                 out.append(MConfig(core, i, j, k))
     return sorted(out, key=lambda m: (m.core, m.i, m.j, m.k))
-
-
-def adjacent_h_classify(combi: Combi, e: tuple[int, int], e2: tuple[int, int]) -> str:
-    """Classify two horizontal edges sharing a middle vertex.
-
-    For edges (A,B), (B,C) of types (j', k) then (i, j'') with i < j'' <= j' < k
-    the middle types must agree and the pair lies on one lens's lower boundary
-    or under two deltas with a common apex; the mirrored pattern lies on one
-    lens's upper boundary or above two nablas with a common bottom.
-    """
-    (a, b), (b2, c) = e, e2
-    if b != b2:
-        raise ValueError("edges must share their middle vertex")
-    if bs.size(a & ~b) != 1 or bs.size(b & ~a) != 1 or bs.size(b & ~c) != 1 or bs.size(c & ~b) != 1:
-        raise ValueError("both edges must be single-trade horizontal steps")
-    t1 = (bs.min_element(a & ~b), bs.min_element(b & ~a))
-    t2 = (bs.min_element(b & ~c), bs.min_element(c & ~b))
-    if t2[1] <= t1[0]:
-        # types (j', k) then (i, j'') with i < j'' <= j' < k
-        j_prime, k = t1
-        i, j_second = t2
-        if j_prime != j_second:
-            raise TilingError("adjacency", "middle types differ, combi is inconsistent")
-        host = combi.lens_on((a, b), "lower")
-        if host is not None and host is combi.lens_on((b, c), "lower"):
-            return "lens-lower"
-        apex = b | bs.singleton(j_prime)
-        if (
-            Delta(apex, i, j_prime) in combi.deltas
-            and Delta(apex, j_prime, k) in combi.deltas
-        ):
-            return "two-deltas"
-        raise TilingError("adjacency", "neither a lens nor a delta pair covers the edges")
-    if t1[1] <= t2[0]:
-        # mirrored: types (i, j'') then (j', k) with i < j'' <= j' < k
-        i, j_second = t1
-        j_prime, k = t2
-        if j_prime != j_second:
-            raise TilingError("adjacency", "middle types differ, combi is inconsistent")
-        host = combi.lens_on((a, b), "upper")
-        if host is not None and host is combi.lens_on((b, c), "upper"):
-            return "lens-upper"
-        bottom = b ^ bs.singleton(j_prime)
-        if (
-            Nabla(bottom, i, j_prime) in combi.nablas
-            and Nabla(bottom, j_prime, k) in combi.nablas
-        ):
-            return "two-nablas"
-        raise TilingError("adjacency", "neither a lens nor a nabla pair covers the edges")
-    raise ValueError("edge types do not match the required pattern")

@@ -5,12 +5,13 @@ whose steps either add/remove one element (1-distance, a vertical segment)
 or trade one element for another at equal size (2-distance).  Drawn on the
 zonogon it bounds an inside and an outside region; the sets weakly
 separated from the pattern split accordingly into two domains which form a
-complementary pair, hence are both pure.  The proof-carrying operations
-here are the quasi-combi splitting of a combi along the pattern curve and
-the merge that recombines an inside half and an outside half, possibly of
-different combies.  A combi is fixed by its vertex set, so the merge reads
-only the halves' vertex sets: `from_w_collection` rebuilds the combi of
-their union and certifies it.
+complementary pair, hence are both pure.  The cross exchange joins the
+inside of one combi to the outside of another along a shared pattern.  A
+combi is fixed by its vertex set, so both steps are rules on vertex sets:
+`split_quasi` takes a combi's vertices in the closed inside and in the
+closed outside of the curve, and `merge_repair` rebuilds the combi of the
+union of an inside half and an outside half with `from_w_collection`,
+which certifies it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from . import bitsets as bs
 from ._planar import TilingError
-from .combi import Combi, Delta, Lens, Nabla, from_w_collection
+from .combi import Combi, from_w_collection
 from .geometry import (
     Point,
     angle_sort_key,
@@ -308,200 +309,43 @@ def verify_purity(dom: SetFamily, relation: str = "weak") -> PurityVerdict:
 # quasi-combies: splitting a combi along a pattern curve and merging halves
 
 
-@dataclass(frozen=True, order=True)
-class UpperSemiLens:
-    """Piece with all vertices on one upper arc, chord below, path above."""
-
-    chord: tuple[int, int]
-    upper: tuple[int, ...]
-
-    def cycle(self) -> tuple[int, ...]:
-        return self.upper[:1] + self.upper[:0:-1]
-
-
-@dataclass(frozen=True, order=True)
-class LowerSemiLens:
-    """Piece with all vertices on one lower arc, chord above, path below."""
-
-    chord: tuple[int, int]
-    lower: tuple[int, ...]
-
-    def cycle(self) -> tuple[int, ...]:
-        return self.lower
-
-
 @dataclass(frozen=True)
 class QuasiCombi:
+    """One half of a combi split along a pattern: the combi's vertices in the
+    closed inside (region "in") or the closed outside ("out") of the curve."""
+
     n: int
     region: str
     pattern: tuple[int, ...]
-    deltas: frozenset[Delta]
-    nablas: frozenset[Nabla]
-    lenses: frozenset[Lens]
-    upper_semis: frozenset[UpperSemiLens]
-    lower_semis: frozenset[LowerSemiLens]
-
-    def pieces(self) -> tuple:
-        """Every triangle, lens and semi-lens of the half, kind by kind."""
-        return (*self.deltas, *self.nablas, *self.lenses, *self.upper_semis, *self.lower_semis)
+    vertices: frozenset[int]
 
     def vertex_masks(self) -> frozenset[int]:
-        verts: set[int] = set()
-        for piece in self.pieces():
-            verts.update(piece.cycle())
-        return frozenset(verts)
-
-    def semi_count(self) -> int:
-        return len(self.upper_semis) + len(self.lower_semis)
-
-
-def _chord_spans(positions: list[tuple[int, int]]) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Nesting forest of index spans; maps each span to its direct children."""
-    spans = sorted(set(positions), key=lambda s: (s[0], -s[1]))
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {s: [] for s in spans}
-    root: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = []
-    for s in spans:
-        while stack and not (stack[-1][0] <= s[0] and s[1] <= stack[-1][1]):
-            stack.pop()
-        if stack:
-            children[stack[-1]].append(s)
-        else:
-            root.append(s)
-        stack.append(s)
-    children[(-1, -1)] = root
-    return children
-
-
-def _shortcut_path(path: tuple[int, ...], span: tuple[int, int], kids: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Vertices of `path` across `span`, skipping over the listed sub-spans."""
-    lo, hi = span
-    out = [path[lo]]
-    k = lo
-    kid_at = {s[0]: s for s in kids}
-    while k < hi:
-        if k in kid_at and kid_at[k][1] <= hi:
-            k = kid_at[k][1]
-        else:
-            k += 1
-        out.append(path[k])
-    return tuple(out)
-
-
-def _cut_path(path: tuple[int, ...], chords, semi, semis: set) -> tuple[int, ...]:
-    """Cut `path` along chords joining two of its vertices, left to right.
-
-    Each chord closes one `semi` piece, added to `semis`, over the stretch of
-    path it spans less the stretches of the chords nested in it; returns the
-    path that no chord spans, shortcut over the outermost chords.
-    """
-    pos = {v: k for k, v in enumerate(path)}
-    forest = _chord_spans([(pos[left], pos[right]) for left, right in chords])
-    for span, kids in forest.items():
-        if span != (-1, -1):
-            semis.add(semi((path[span[0]], path[span[1]]), _shortcut_path(path, span, kids)))
-    return _shortcut_path(path, (0, len(path) - 1), forest[(-1, -1)])
+        return self.vertices
 
 
 def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, QuasiCombi]:
-    """Cut the combi along the pattern curve into inside/outside quasi-combies.
+    """Split the combi along the pattern curve into its inside and outside
+    halves: the vertices not outside the curve, and those not inside it.
 
-    A 2-distance segment that is not an edge of the combi cuts the nabla fan
-    at its meet if that is a vertex, else the delta fan at its join if that
-    is one, else the lens around its meet or join; a cut fan leaves
-    semi-lenses plus a refilled secondary fan, a cut lens semi-lenses and at
-    most one secondary lens.  Every resulting piece is assigned to the
-    closed inside or outside region.
+    A combi is fixed by its vertex set, so a half is its vertex set; the two
+    halves meet in the pattern's members and together hold every vertex.
     """
-    n = combi.n
-    if classify_pattern(pattern) == "self_crossing":
-        raise ValueError("cannot split along a self-crossing pattern")
+    reg = regions(pattern)
     verts = combi.vertex_masks()
     if not set(pattern.cycle) <= verts:
         raise ValueError("pattern members must be vertices of the combi")
-    gens = default_generators(n)
-    table = embedding_table(gens)
-    curve = [table[v] for v in pattern.cycle]
-    h_edges = combi.horizontal_edges()
-    # a lens's upper path is every member over its upper center, and its
-    # lower path every member under its lower center; neither is a member
-    lens_over = {lens.upper_center: lens for lens in combi.lenses}
-    lens_under = {lens.lower_center: lens for lens in combi.lenses}
-
-    lens_cuts: dict[Lens, list[tuple[int, int]]] = {}
-    upper_sector_cuts: dict[int, list[tuple[int, int]]] = {}
-    lower_sector_cuts: dict[int, list[tuple[int, int]]] = {}
-    for a, b in pattern.two_distance_steps():
-        left, right = (a, b) if table[a] < table[b] else (b, a)
-        if (left, right) in h_edges:
-            continue
-        meet, join = a & b, a | b
-        if meet in verts:
-            upper_sector_cuts.setdefault(meet, []).append((left, right))
-        elif join in verts:
-            lower_sector_cuts.setdefault(join, []).append((left, right))
-        else:
-            host = lens_over.get(meet) or lens_under.get(join)
-            if host is None:
-                raise TilingError(
-                    "split",
-                    f"segment {bs.format_subset(a)}-{bs.format_subset(b)} cuts no tile",
-                )
-            lens_cuts.setdefault(host, []).append((left, right))
-
-    deltas = set(combi.deltas)
-    nablas = set(combi.nablas)
-    lenses = set(combi.lenses)
-    upper_semis: set[UpperSemiLens] = set()
-    lower_semis: set[LowerSemiLens] = set()
-
-    # a cut lens leaves a semi-lens per chord on the path holding it; the
-    # central chord lies on both paths and leaves nothing to re-close
-    for lens, chords in lens_cuts.items():
-        lenses.discard(lens)
-        upper, lower = set(lens.upper), set(lens.lower)
-        top_u = _cut_path(lens.upper, [c for c in chords if set(c) <= upper], UpperSemiLens, upper_semis)
-        top_l = _cut_path(lens.lower, [c for c in chords if set(c) <= lower], LowerSemiLens, lower_semis)
-        if len(top_u) > 2:
-            lenses.add(Lens(top_u, top_l))
-
-    # a cut fan keeps the triangles over its uncut stretches
-    for cuts, fan_at, tile_on, tiles, semi, semis in (
-        (upper_sector_cuts, combi.nabla_fan, Nabla.on_base, nablas, UpperSemiLens, upper_semis),
-        (lower_sector_cuts, combi.delta_fan, Delta.on_base, deltas, LowerSemiLens, lower_semis),
-    ):
-        for corner, chords in cuts.items():
-            fan = fan_at(corner)
-            tiles.difference_update(tile_on(corner, a, b) for a, b in zip(fan, fan[1:]))
-            top = _cut_path(fan, chords, semi, semis)
-            tiles.update(tile_on(corner, a, b) for a, b in zip(top, top[1:]))
-
-    def side(cycle_masks: tuple[int, ...]) -> str:
-        pts = [table[v] for v in cycle_masks]
-        m = len(pts)
-        probe = (sum(p[0] for p in pts), sum(p[1] for p in pts))
-        where = point_in_closed_polyline(probe, [(x * m, y * m) for x, y in curve])
-        if where == "on":
-            raise TilingError("split", "piece centroid landed on the curve")
-        return "in" if where == "inside" else "out"
-
-    halves = {"in": ([], [], [], [], []), "out": ([], [], [], [], [])}
-    for k, group in enumerate((deltas, nablas, lenses, upper_semis, lower_semis)):
-        for piece in group:
-            halves[side(piece.cycle())][k].append(piece)
-    out = tuple(QuasiCombi(n, tag, pattern.cycle, *map(frozenset, halves[tag])) for tag in ("in", "out"))
-    # area accounting: each half must cover its closed region exactly
-    curve_area = abs(polygon_area2(curve))
-    for half, want in zip(out, (curve_area, gens.zonogon_area2() - curve_area)):
-        total = sum(polygon_area2([table[v] for v in piece.cycle()]) for piece in half.pieces())
-        if total != want:
-            raise TilingError("split", f"{half.region} half covers {total}/2, expected {want}/2")
-    return out
+    where = {v: reg.locate(v) for v in verts}
+    inside = frozenset(v for v, w in where.items() if w != "outside")
+    outside = frozenset(v for v, w in where.items() if w != "inside")
+    return (
+        QuasiCombi(combi.n, "in", pattern.cycle, inside),
+        QuasiCombi(combi.n, "out", pattern.cycle, outside),
+    )
 
 
 def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
     """The combi of the union of two quasi-combi halves split along a shared
-    pattern, one inside half and one outside.
+    pattern, one inside half and one outside, possibly of different combies.
 
     A combi is fixed by its vertex set, so the merge reads only the halves'
     vertex sets: `from_w_collection` rebuilds the combi of their union and

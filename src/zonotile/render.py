@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bitsets as bs
-from .combi import Combi, cycle_sides, from_rhombus
+from .combi import Combi, from_rhombus
 from .geometry import Generators, default_generators, embed
-from .patterns import CyclicPattern, QuasiCombi
+from .patterns import CyclicPattern
 from .rhombus import RhombusTiling
 
 
@@ -101,7 +101,7 @@ def _vertex_label(mask: int) -> str:
 
 
 def render_svg(obj, labels: bool = True) -> str:
-    """SVG text for a Combi, RhombusTiling, QuasiCombi, or CyclicPattern,
+    """SVG text for a Combi, RhombusTiling, or CyclicPattern,
     drawn with the default generators; `labels` names every vertex."""
     if isinstance(obj, RhombusTiling):
         # a rhombus's edges are the vertical edges of its two triangles
@@ -111,10 +111,6 @@ def render_svg(obj, labels: bool = True) -> str:
         horiz = sorted(obj.horizontal_edges())
         fills = [l.cycle() for l in sorted(obj.lenses)]
         return _render_edges(obj.n, vert, horiz, fills, labels)
-    if isinstance(obj, QuasiCombi):
-        vert, horiz = cycle_sides(piece.cycle() for piece in obj.pieces())
-        fills = [p.cycle() for group in (obj.lenses, obj.upper_semis, obj.lower_semis) for p in sorted(group)]
-        return _render_edges(obj.n, sorted(vert), sorted(horiz), fills, labels)
     if isinstance(obj, CyclicPattern):
         return _render_pattern(obj, labels)
     raise TypeError(f"cannot render object of type {type(obj).__name__}")

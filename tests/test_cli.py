@@ -7,7 +7,7 @@ from zonotile import jsonio
 from zonotile.cli import cmd
 from zonotile.combi import from_rhombus, from_w_collection, spectrum
 from zonotile.flips import interval_combi
-from zonotile.patterns import boundary_pattern
+from zonotile.patterns import boundary_pattern, split_quasi
 from zonotile.render import render_svg
 from zonotile.rhombus import minimal_tiling
 from zonotile.separation import (
@@ -86,21 +86,10 @@ class TestRender:
         svg = render_svg(boundary_pattern(3))
         assert "stroke-dasharray" in svg
 
-    def test_quasi_combi_render(self):
-        from zonotile.combi import from_w_collection
-        from zonotile.patterns import CyclicPattern, split_quasi
-
-        combi = next(
-            from_w_collection(f, check_input=False)
-            for f in enumerate_maximal(hypercube_domain(4), "weak").maximal_collections
-            if from_w_collection(f, check_input=False).lenses
-        )
-        lens = sorted(combi.lenses)[0]
-        pat = CyclicPattern(4, [lens.left, lens.right] + list(reversed(lens.upper))[1:-1])
-        inner, outer = split_quasi(combi, pat)
-        svg = render_svg(outer)
-        assert svg == render_svg(outer)
-        assert "<polygon" in svg
+    def test_quasi_combi_is_not_rendered(self):
+        inner, _ = split_quasi(interval_combi(3), boundary_pattern(3))
+        with pytest.raises(TypeError, match="cannot render object of type QuasiCombi"):
+            render_svg(inner)
 
     def test_tiling_render_through_cli(self, tmp_path):
         tiling = minimal_tiling(3)

@@ -29,6 +29,8 @@ from zonotile.geometry import default_generators, embedding_table, point_in_clos
 from zonotile.separation import compatible_row, enumerate_maximal, hypercube_domain
 from zonotile.suite import all_combis
 
+from tile_scans import delta_fan, nabla_fan
+
 M = bs.mask_of
 
 
@@ -247,8 +249,8 @@ def _reference_expand(combi: Combi, path) -> Combi:
     for d in range(1, len(path)):
         peak, pit = path[d - 1], path[d]
         if bs.size(pit) < bs.size(peak):
-            low = _fan_stretch(combi.delta_fan(peak), path[d - 2], pit, "lower filling at a peak")
-            up = _fan_stretch(combi.nabla_fan(pit), peak, path[d + 1], "upper filling at a pit")
+            low = _fan_stretch(delta_fan(combi, peak), path[d - 2], pit, "lower filling at a peak")
+            up = _fan_stretch(nabla_fan(combi, pit), peak, path[d + 1], "upper filling at a pit")
             fills.append((peak, pit, low, up))
             filled.update(Delta.on_base(peak, a, b) for a, b in zip(low, low[1:]))
             filled.update(Nabla.on_base(pit, a, b) for a, b in zip(up, up[1:]))

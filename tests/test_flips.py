@@ -50,6 +50,8 @@ from zonotile.separation import (
 )
 from zonotile.suite import all_combis
 
+from tile_scans import delta_fan, lenses_on
+
 M = bs.mask_of
 
 
@@ -94,9 +96,10 @@ def _reference_lower(combi: Combi, w: WConfig) -> Combi:
         deltas.add(Delta(top, i, k))
         nablas.add(Nabla(new_v, i, k))
     else:
-        host = combi.lens_on((left_top, mid), "lower")
-        if host is None or host is not combi.lens_on((mid, right_top), "lower"):
+        hosts = lenses_on(combi, (left_top, mid), "lower")
+        if len(hosts) != 1 or hosts != lenses_on(combi, (mid, right_top), "lower"):
             raise TilingError("flip", "no lens carries the two horizontal flip edges")
+        (host,) = hosts
         lenses.discard(host)
         if len(host.lower) >= 4:
             new_lower = tuple(v for v in host.lower if v != mid)
@@ -111,7 +114,7 @@ def _reference_lower(combi: Combi, w: WConfig) -> Combi:
     deltas.add(Delta(right_top, j, k))
 
     # rebuild below the removed vertex
-    fan = combi.delta_fan(mid)
+    fan = delta_fan(combi, mid)
     if not fan or (fan[0], fan[-1]) != (left_low, right_low):
         raise TilingError("fan", "delta fan does not run between the flip edges")
     for a, b in zip(fan, fan[1:]):
@@ -123,9 +126,10 @@ def _reference_lower(combi: Combi, w: WConfig) -> Combi:
             nablas.add(Nabla(core, i, j))
             nablas.add(Nabla(core, j, k))
         else:
-            host = combi.lens_on((left_low, right_low), "upper")
-            if host is None:
+            hosts = lenses_on(combi, (left_low, right_low), "upper")
+            if len(hosts) != 1:
                 raise TilingError("flip", "nothing beneath the flip fan base")
+            (host,) = hosts
             lenses.discard(host)
             new_upper = []
             for v in host.upper:

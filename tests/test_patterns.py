@@ -248,17 +248,13 @@ class TestComplementaryPairs:
 
 class TestSplitMerge:
     def test_split_partitions_when_no_cuts(self):
+        # the halves meet in the curve and hold every vertex between them
         combi = from_rhombus(minimal_tiling(4))
-        vert = combi.vertical_edges()
-        cyc = sample_cycle(vert, random.Random(2))
-        pat = CyclicPattern(4, cyc)
-        inner, outer = split_quasi(combi, pat)
-        assert inner.semi_count() == 0 and outer.semi_count() == 0
-        total = (
-            len(inner.deltas) + len(inner.nablas) + len(inner.lenses)
-            + len(outer.deltas) + len(outer.nablas) + len(outer.lenses)
-        )
-        assert total == len(combi.deltas) + len(combi.nablas) + len(combi.lenses)
+        cyc = sample_cycle(combi.vertical_edges(), random.Random(2))
+        inner, outer = split_quasi(combi, CyclicPattern(4, cyc))
+        assert (inner.region, outer.region) == ("in", "out")
+        assert inner.vertex_masks() & outer.vertex_masks() == set(cyc)
+        assert inner.vertex_masks() | outer.vertex_masks() == combi.vertex_masks()
 
     def test_central_chord_split(self):
         target = None
@@ -267,16 +263,18 @@ class TestSplitMerge:
                 cyc = [lens.left, lens.right] + list(reversed(lens.upper))[1:-1]
                 pat = CyclicPattern(4, cyc)
                 if classify_pattern(pat) != "self_crossing":
-                    target = (combi, pat)
+                    target = (combi, lens, pat)
                     break
             if target:
                 break
         assert target is not None
-        combi, pat = target
+        combi, lens, pat = target
+        # the curve closes the lens's central chord over its upper path,
+        # and no vertex lies inside a lens
         inner, outer = split_quasi(combi, pat)
-        assert inner.semi_count() + outer.semi_count() == 2
-        merged = merge_repair(inner, outer)
-        assert spectrum(merged) == spectrum(combi)
+        assert inner.vertex_masks() == set(lens.upper)
+        assert outer.vertex_masks() == combi.vertex_masks()
+        assert merge_repair(inner, outer) == combi
 
     def test_self_merge_preserves_spectrum(self):
         rng = random.Random(9)
@@ -288,9 +286,40 @@ class TestSplitMerge:
             if pat is None or classify_pattern(pat) == "self_crossing":
                 continue
             inner, outer = split_quasi(combi, pat)
-            merged = merge_repair(inner, outer)
-            assert spectrum(merged).as_set() == inner.vertex_masks() | outer.vertex_masks()
+            assert inner.vertex_masks() & outer.vertex_masks() == set(pat.cycle)
+            assert inner.vertex_masks() | outer.vertex_masks() == combi.vertex_masks()
+            assert merge_repair(inner, outer) == combi
             done += 1
+
+    def test_split_rejects_bad_patterns(self):
+        combi = interval_combi(4)
+        with pytest.raises(ValueError, match="self-crossing pattern does not bound regions"):
+            split_quasi(combi, crossing_pattern_examples(4)[0])
+        # {1,3} is no interval, so no vertex of the interval combi
+        square = CyclicPattern(4, (0, M([1]), M([1, 3]), M([3])))
+        with pytest.raises(ValueError, match="pattern members must be vertices of the combi"):
+            split_quasi(combi, square)
+
+    def test_halves_fill_their_domains(self):
+        # the paper's statement behind the exchange: a combi holding the
+        # pattern splits into a maximal collection of each closed domain
+        rng = random.Random(4)
+        halves = 0
+        for n in (4, 5):
+            combis = all_combis(n)
+            for _ in range(6):
+                pat = sample_generalized_pattern(rng.choice(combis), rng)
+                if pat is None or classify_pattern(pat) == "self_crossing":
+                    continue
+                doms = domains(pat)
+                ranks = [verify_purity(dom).ranks for dom in doms]
+                for combi in combis:
+                    if set(pat.cycle) <= combi.vertex_masks():
+                        for half, dom, rank in zip(split_quasi(combi, pat), doms, ranks):
+                            assert half.vertex_masks() <= dom.as_set()
+                            assert rank == (len(half.vertex_masks()),)
+                            halves += 1
+        assert halves == 490
 
     def test_semi_simple_exchange_and_domains(self):
         # the touching figure from the classification test, run through the
@@ -347,58 +376,51 @@ class TestSplitMerge:
                 merge_repair(a, b)
 
     def test_merge_certifies_the_union(self):
-        # the inside half here is the top corner rhombus; emptied of its
-        # tiles, the halves' vertex sets lose the top vertex, and the union
-        # is no combi's spectrum
+        # the inside half here is the top corner rhombus; without the top
+        # vertex in either half, the union is no combi's spectrum
         combi = from_rhombus(minimal_tiling(4))
         inner, outer = split_quasi(combi, CyclicPattern(4, (6, 14, 15, 7)))
         assert spectrum(merge_repair(inner, outer)) == spectrum(combi)
-        empty = replace(inner, deltas=frozenset(), nablas=frozenset(), lenses=frozenset())
+        top = {bs.full_mask(4)}
         with pytest.raises(TilingError) as info:
-            merge_repair(empty, outer)
+            merge_repair(replace(inner, vertices=inner.vertices - top), replace(outer, vertices=outer.vertices - top))
         assert info.value.axiom == "edge-sharing"
 
-    # Seams the sampled exchanges rarely reach.  Each case splits combi a
-    # and combi b along the cycle and merges inside(a) with outside(b);
-    # `seam` gives, for each of the two halves, its upper and lower
-    # semi-lenses and the lenses its split re-closed.
+    # Curves through lenses and fans that the sampled exchanges rarely
+    # reach: each case splits combi a and combi b along the cycle and
+    # merges inside(a) with outside(b).
     @pytest.mark.parametrize(
-        "n, spec_a, spec_b, cycle, seam",
+        "n, spec_a, spec_b, cycle",
         [
             (
                 5,
                 {0, 1, 3, 5, 7, 13, 14, 15, 16, 17, 21, 24, 25, 28, 30, 31},
                 {0, 1, 3, 7, 9, 11, 13, 15, 16, 17, 24, 25, 28, 29, 30, 31},
                 (16, 24, 28, 30, 31, 15, 13, 25, 17),
-                ((0, 0, 1), (0, 0, 0)),
             ),
             (
                 5,
                 {0, 1, 3, 7, 14, 15, 16, 17, 19, 21, 22, 24, 25, 28, 30, 31},
                 {0, 1, 3, 7, 13, 14, 15, 16, 17, 19, 20, 21, 24, 28, 30, 31},
                 (24, 17, 19, 21, 28),
-                ((0, 1, 0), (0, 0, 0)),
             ),
             (
                 5,
                 {0, 1, 3, 7, 10, 11, 15, 16, 17, 18, 24, 26, 27, 28, 30, 31},
                 {0, 1, 3, 6, 7, 10, 12, 14, 15, 16, 17, 18, 24, 28, 30, 31},
                 (17, 16, 1, 3, 10, 18),
-                ((0, 0, 0), (1, 0, 0)),
             ),
             (
                 4,
                 {0, 1, 3, 4, 5, 6, 7, 8, 12, 14, 15},
                 {0, 1, 2, 3, 4, 6, 7, 8, 12, 14, 15},
                 (8, 1, 4),
-                ((1, 0, 0), (1, 0, 0)),
             ),
             (
                 4,
                 {0, 1, 3, 4, 5, 7, 8, 12, 13, 14, 15},
                 {0, 1, 3, 7, 8, 9, 11, 12, 13, 14, 15},
                 (14, 7, 13),
-                ((0, 1, 0), (0, 1, 0)),
             ),
         ],
         ids=[
@@ -409,16 +431,12 @@ class TestSplitMerge:
             "lower-absorbs-lower",
         ],
     )
-    def test_seam_witnesses(self, n, spec_a, spec_b, cycle, seam):
+    def test_seam_witnesses(self, n, spec_a, spec_b, cycle):
         a = from_w_collection(SetFamily(n, spec_a))
         b = from_w_collection(SetFamily(n, spec_b))
         pat = CyclicPattern(n, cycle)
         inner, _ = split_quasi(a, pat)
         _, outer = split_quasi(b, pat)
-        assert tuple(
-            (len(half.upper_semis), len(half.lower_semis), len(half.lenses - source.lenses))
-            for half, source in ((inner, a), (outer, b))
-        ) == seam
         merged = merge_repair(inner, outer)
         validate_combi(merged)
         assert inner.vertex_masks() | outer.vertex_masks() == merged.vertex_masks()
