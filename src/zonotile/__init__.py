@@ -83,8 +83,6 @@ from .flips import (
 )
 from .contraction import (
     enumerate_legal_paths,
-    first_contract,
-    first_expand,
     mirror,
     n_contract,
     n_expand,

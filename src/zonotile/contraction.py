@@ -125,20 +125,6 @@ def mirror(combi: Combi) -> Combi:
     return from_w_collection(SetFamily(n, verts), check_input=False)
 
 
-def first_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
-    """Contract away element 1 via the mirror reflection."""
-    contracted, path = n_contract(mirror(combi))
-    back = mirror(contracted)
-    return back, tuple(bs.reverse_mask(v, combi.n - 1) for v in path)
-
-
-def first_expand(combi: Combi, path) -> Combi:
-    """Insert a new smallest element along a mirrored legal path."""
-    n2 = combi.n
-    mirrored_path = tuple(bs.reverse_mask(v, n2) for v in path)
-    return mirror(n_expand(mirror(combi), mirrored_path))
-
-
 def enumerate_legal_paths(combi: Combi) -> list[tuple[int, ...]]:
     """All legal paths of a combi (simple, by depth-first search)."""
     return [p for p in _walks(combi) if legal_path_report(combi, p)[0]]

@@ -5,7 +5,8 @@ separated collection, and this correspondence is a bijection.  A maximal
 strong collection is also a maximal weak one (both hypercubes are pure of
 rank C(n+1,2)+1), and its combi is the semi-rhombus combi of its tiling:
 so the tiling is read through the combi layer, its rhombi from the nablas
-of the fan rule and its vertices and edges from its semi-rhombus combi.
+of the fan rule and its vertices and edges from its semi-rhombus combi.  A
+strong flip trades one vertex, and `from_s_collection` certifies the result.
 """
 
 from __future__ import annotations
@@ -140,60 +141,50 @@ def maximal_tiling(n: int) -> RhombusTiling:
     return from_s_collection(cointerval_collection(n))
 
 
+def _hexagon(base: int, i: int, j: int, k: int) -> tuple[tuple[Rhombus, ...], tuple[Rhombus, ...]]:
+    """The hexagon at base set X and types i < j < k: its lowered rhombi
+    (X;i,j), (X;j,k), (X+j;i,k) and its raised ones (X+k;i,j), (X+i;j,k), (X;i,k)."""
+    si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
+    lowered = (Rhombus(base, i, j), Rhombus(base, j, k), Rhombus(base | sj, i, k))
+    raised = (Rhombus(base | sk, i, j), Rhombus(base | si, j, k), Rhombus(base, i, k))
+    return lowered, raised
+
+
+def _removed(direction: str) -> bool:
+    """Whether a flip in `direction` removes `_hexagon`'s raised triple."""
+    if direction not in ("raise", "lower"):
+        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    return direction == "lower"
+
+
 def strong_flip(
     tiling: RhombusTiling, base: int, i: int, j: int, k: int, direction: str
 ) -> RhombusTiling:
     """Hexagon flip at base set X and types i < j < k.
 
     raise: tiles (X;i,j), (X;j,k), (X+j;i,k) become (X+k;i,j), (X+i;j,k), (X;i,k),
-    moving the spectrum vertex X+j to X+i+k.  lower: the inverse.  The
-    flipped tiling is validated, so an invalid input raises TilingError.
+    trading the spectrum vertex X+j for X+i+k.  lower: the inverse.  The
+    result is `from_s_collection` of the traded vertex set, so certified.
     """
     if not i < j < k:
         raise ValueError("types must satisfy i < j < k")
-    sj = bs.singleton(j)
-    lowered = (Rhombus(base, i, j), Rhombus(base, j, k), Rhombus(base | sj, i, k))
-    raised = (
-        Rhombus(base | bs.singleton(k), i, j),
-        Rhombus(base | bs.singleton(i), j, k),
-        Rhombus(base, i, k),
-    )
-    if direction == "raise":
-        old, new = lowered, raised
-    elif direction == "lower":
-        old, new = raised, lowered
-    else:
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    tiles = set(tiling.tiles)
-    if not all(t in tiles for t in old):
+    side = _removed(direction)
+    if not tiling.tiles.issuperset(_hexagon(base, i, j, k)[side]):
         raise ValueError("hexagon witnesses are not present in the tiling")
-    tiles.difference_update(old)
-    tiles.update(new)
-    flipped = RhombusTiling(tiling.n, tiles)
-    validate_rhombus(flipped)
-    return flipped
+    low, high = base | bs.singleton(j), base | bs.singleton(i) | bs.singleton(k)
+    gone, came = (high, low) if side else (low, high)
+    return from_s_collection(SetFamily(tiling.n, tiling.vertex_masks() - {gone} | {came}))
 
 
 def hexagons(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:
-    """All (base, i, j, k) admitting a strong flip in the given direction."""
-    tiles = tiling.tiles
-    out = []
+    """All (base, i, j, k) admitting a strong flip in the given direction:
+    by the removed tile (X;i,j) or (X;i,k) in sorted order, then by the
+    third type ascending, which no corner of that tile holds."""
+    side = _removed(direction)
+    tiles, out = tiling.tiles, []
     for t in sorted(tiles):
-        if direction == "raise":
-            i, j = t.low, t.high
-            for k in range(j + 1, tiling.n + 1):
-                if bs.has(t.base, k):
-                    continue
-                if Rhombus(t.base, j, k) in tiles and Rhombus(t.base | bs.singleton(j), i, k) in tiles:
-                    out.append((t.base, i, j, k))
-        else:
-            i, k = t.low, t.high
-            for j in range(i + 1, k):
-                if bs.has(t.base, j):
-                    continue
-                if (
-                    Rhombus(t.base | bs.singleton(k), i, j) in tiles
-                    and Rhombus(t.base | bs.singleton(i), j, k) in tiles
-                ):
-                    out.append((t.base, i, j, k))
+        for m in bs.iter_elements(bs.full_mask(tiling.n) ^ t.top):
+            hexagon = (t.base, t.low, m, t.high) if side else (t.base, t.low, t.high, m)
+            if hexagon[1] < hexagon[2] < hexagon[3] and tiles.issuperset(_hexagon(*hexagon)[side]):
+                out.append(hexagon)
     return out

@@ -51,6 +51,7 @@ from zonotile.separation import (
 from zonotile.suite import all_combis
 
 from tile_scans import delta_fan, lenses_on
+from reverse_search import reverse_search_count
 
 M = bs.mask_of
 
@@ -215,6 +216,30 @@ def test_maps_match_tile_references():
 @pytest.mark.slow
 def test_maps_match_tile_references_at_n6():
     assert _check_against_references(6) == (11328, 11328)
+
+
+def _weak_count(n: int) -> int:
+    def flip(combi, move, direction):
+        if direction == "raise":
+            return raising_flip(combi, MConfig(*move))
+        return lowering_flip(combi, WConfig(*move))
+
+    return reverse_search_count(
+        interval_combi(n),
+        lambda c: [(m.core, m.i, m.j, m.k) for m in find_m_configs(c)],
+        lambda c: [(w.core, w.i, w.j, w.k) for w in find_w_configs(c)],
+        flip,
+    )
+
+
+def test_reverse_search_counts_combis():
+    # the stored weak count at n = 5, without the clique search
+    assert _weak_count(5) == 124
+
+
+@pytest.mark.slow
+def test_reverse_search_counts_combis_n6():
+    assert _weak_count(6) == 3694
 
 
 def _all_families(n):

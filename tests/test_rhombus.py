@@ -30,6 +30,8 @@ from zonotile.separation import (
     is_maximal_separated,
 )
 
+from reverse_search import reverse_search_count
+
 M = bs.mask_of
 
 
@@ -212,14 +214,16 @@ def test_flip_argument_texts():
         with pytest.raises(ValueError) as info:
             strong_flip(low, 0, i, j, k, "raise")
         assert str(info.value) == "types must satisfy i < j < k"
-    with pytest.raises(ValueError) as info:
-        strong_flip(low, 0, 1, 2, 3, "sideways")
-    assert str(info.value) == "direction must be 'raise' or 'lower', got 'sideways'"
+    for call, args in ((strong_flip, (low, 0, 1, 2, 3)), (hexagons, (low,))):
+        with pytest.raises(ValueError) as info:
+            call(*args, "sideways")
+        assert str(info.value) == "direction must be 'raise' or 'lower', got 'sideways'"
 
 
 def test_flip_validates_its_result():
     # A valid tiling holding the hexagon's tiles, plus one extra rhombus
-    # that overlaps its tiles: the flip must not hand back a tiling.
+    # that overlaps its tiles: the flip must not hand back a tiling.  Its
+    # traded vertex set is not a maximal strong collection.
     low = minimal_tiling(4)
     base, i, j, k = hexagons(low, "raise")[0]
     raised = {
@@ -231,8 +235,71 @@ def test_flip_validates_its_result():
     bad = RhombusTiling(4, low.tiles | {extra})
     with pytest.raises(TilingError):
         validate_rhombus(bad)
-    with pytest.raises(TilingError):
+    with pytest.raises(ValueError) as info:
         strong_flip(bad, base, i, j, k, "raise")
+    assert str(info.value) == "family is not a maximal strongly separated collection"
+
+
+def _surgery_flip(
+    tiling: RhombusTiling, base: int, i: int, j: int, k: int, direction: str
+) -> RhombusTiling:
+    """The reference strong flip, by tile surgery: remove the hexagon's
+    three rhombi around X+j (raise) or X+i+k (lower), add the other three,
+    and validate the result."""
+    sj = bs.singleton(j)
+    lowered = {Rhombus(base, i, j), Rhombus(base, j, k), Rhombus(base | sj, i, k)}
+    raised = {
+        Rhombus(base | bs.singleton(k), i, j),
+        Rhombus(base | bs.singleton(i), j, k),
+        Rhombus(base, i, k),
+    }
+    old, new = (lowered, raised) if direction == "raise" else (raised, lowered)
+    assert old <= tiling.tiles
+    flipped = RhombusTiling(tiling.n, tiling.tiles - old | new)
+    validate_rhombus(flipped)
+    return flipped
+
+
+def _check_flips_against_surgery(n: int) -> int:
+    """Every raise and lower flip of every strong n-tiling, by the vertex
+    trade and by the surgery; returns the number of flips."""
+    flips = 0
+    for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections:
+        tiling = from_s_collection(fam)
+        for direction in ("raise", "lower"):
+            for hexagon in hexagons(tiling, direction):
+                want = _surgery_flip(tiling, *hexagon, direction)
+                assert strong_flip(tiling, *hexagon, direction) == want
+                flips += 1
+    return flips
+
+
+def test_flips_match_tile_surgery():
+    assert [_check_flips_against_surgery(n) for n in range(1, 6)] == [0, 0, 2, 16, 200]
+
+
+@pytest.mark.slow
+def test_flips_match_tile_surgery_n6():
+    assert _check_flips_against_surgery(6) == 4288
+
+
+def _strong_count(n: int) -> int:
+    return reverse_search_count(
+        minimal_tiling(n),
+        lambda t: hexagons(t, "raise"),
+        lambda t: hexagons(t, "lower"),
+        lambda t, hexagon, direction: strong_flip(t, *hexagon, direction),
+    )
+
+
+def test_reverse_search_counts_strong_tilings():
+    # OEIS A006245, without the clique search
+    assert [_strong_count(n) for n in range(1, 6)] == [1, 1, 2, 8, 62]
+
+
+@pytest.mark.slow
+def test_reverse_search_counts_strong_tilings_n6():
+    assert _strong_count(6) == 908
 
 
 def _hexagon_reference(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:
