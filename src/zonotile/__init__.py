@@ -105,7 +105,6 @@ from .patterns import (
     strong_domains,
     verify_complementary,
     verify_face_domains,
-    verify_purity,
 )
 from .render import render_svg
 

@@ -18,7 +18,7 @@ from ._planar import TilingError
 from .combi import Combi, MConfig, WConfig, from_w_collection, validate_combi
 from .contraction import n_contract, n_expand
 from .flips import descend_to_minimum, lowering_flip, raising_flip
-from .patterns import classify_pattern, domains, verify_complementary, verify_purity
+from .patterns import classify_pattern, domains, verify_complementary
 from .render import render_svg
 from .rhombus import validate_rhombus
 from .separation import (
@@ -248,7 +248,7 @@ def _dispatch(args) -> int:
             )
             return 0
         comp = verify_complementary(inner, outer)
-        rin, rout = verify_purity(inner), verify_purity(outer)
+        rin, rout = purity_verdict(inner, "weak"), purity_verdict(outer, "weak")
         result = {
             "complementary": comp,
             "inside": {"pure": rin.pure, "ranks": list(rin.ranks)},

@@ -27,9 +27,15 @@ from .separation import (
 )
 
 
+def _check_types(i: int, j: int, k: int) -> None:
+    if not i < j < k:
+        raise ValueError("types must satisfy i < j < k")
+
+
 def lowering_flip(combi: Combi, w: WConfig) -> Combi:
     """Replace the middle vertex core+i+k by core+j (i < j < k); raises
-    ValueError unless the two nablas of `w` are tiles of the combi."""
+    ValueError unless i < j < k and the two nablas of `w` are tiles of the combi."""
+    _check_types(w.i, w.j, w.k)
     if w.left_nabla() not in combi.nablas or w.right_nabla() not in combi.nablas:
         raise ValueError("the requested W-configuration is not present")
     verts = combi.vertex_masks() - {w.middle} | {w.core | bs.singleton(w.j)}
@@ -38,7 +44,8 @@ def lowering_flip(combi: Combi, w: WConfig) -> Combi:
 
 def raising_flip(combi: Combi, m: MConfig) -> Combi:
     """Replace the middle vertex core+j by core+i+k (i < j < k); raises
-    ValueError unless the two deltas of `m` are tiles of the combi."""
+    ValueError unless i < j < k and the two deltas of `m` are tiles of the combi."""
+    _check_types(m.i, m.j, m.k)
     if m.left_delta() not in combi.deltas or m.right_delta() not in combi.deltas:
         raise ValueError("the requested M-configuration is not present")
     high = m.core | bs.singleton(m.i) | bs.singleton(m.k)
@@ -57,8 +64,7 @@ def set_flip(
     family: SetFamily, core: int, i: int, j: int, k: int, direction: str
 ) -> SetFamily:
     """Weak flip on a maximal w-collection: trade core+j against core+i+k."""
-    if not i < j < k:
-        raise ValueError("types must satisfy i < j < k")
+    _check_types(i, j, k)
     mem = set(family.members)
     si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
     witnesses = (core | si, core | sk, core | si | sj, core | sj | sk)

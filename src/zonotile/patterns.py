@@ -35,7 +35,6 @@ from .geometry import (
     sub,
 )
 from .separation import (
-    PurityVerdict,
     ResourceGuardError,
     SetFamily,
     _max_enum_n,
@@ -55,38 +54,28 @@ class CyclicPattern:
     def __init__(self, n: int, cycle) -> None:
         bs.check_ground(n)
         cyc = tuple(cycle)
-        if len(cyc) >= 2 and cyc[0] == cyc[-1]:
+        if cyc and cyc[0] == cyc[-1]:
             cyc = cyc[:-1]
         if len(cyc) < 3:
             raise ValueError("a cyclic pattern needs at least three sets")
         for m in cyc:
             bs.check_subset(m, n)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            d = bs.size(a ^ b)
-            if not (d == 1 or (d == 2 and bs.size(a) == bs.size(b))):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cycle", cyc)
+        for a, b in self.steps():
+            if not _legal_step(a, b):
                 raise ValueError(
                     f"illegal step {bs.format_subset(a)} -> {bs.format_subset(b)}: "
                     "steps must be 1-distance or equal-size 2-distance"
                 )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cycle", cyc)
 
     def steps(self) -> list[tuple[int, int]]:
         c = self.cycle
         return list(zip(c, c[1:] + c[:1]))
 
-    def two_distance_steps(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, b in self.steps() if bs.size(a ^ b) == 2]
-
     def canonical(self) -> tuple[int, ...]:
         c = self.cycle
-        best = None
-        for seq in (c, tuple(reversed(c))):
-            for r in range(len(seq)):
-                cand = seq[r:] + seq[:r]
-                if best is None or cand < best:
-                    best = cand
-        return best
+        return min(seq[r:] + seq[:r] for seq in (c, c[::-1]) for r in range(len(c)))
 
     @cached_property
     def _kind(self) -> str:
@@ -94,6 +83,18 @@ class CyclicPattern:
         # not a dataclass field, so equality and hashing see only n and the
         # cycle.  A classification that raises leaves nothing behind.
         return _classification(self)
+
+
+def _legal_step(a: int, b: int) -> bool:
+    """A 1-distance step, or a 2-distance one between sets of equal size."""
+    d = bs.size(a ^ b)
+    return d == 1 or (d == 2 and bs.size(a) == bs.size(b))
+
+
+def _by_distance(steps) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Legal steps split into the 2-distance ones and the 1-distance ones."""
+    twos = [s for s in steps if bs.size(s[0] ^ s[1]) == 2]
+    return twos, [s for s in steps if bs.size(s[0] ^ s[1]) == 1]
 
 
 def boundary_pattern(n: int) -> CyclicPattern:
@@ -106,41 +107,38 @@ def _pairwise_weakly_separated(members, n: int) -> bool:
     return compatible_row(distinct, n, "weak") & fam == fam
 
 
-def _violates_c3(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    """Interleaved 2-distance pairs around a common intersection or union."""
+# Each quadruple condition is stated about a common intersection; about a
+# common union it is the same condition on the complements within {1..16}:
+# X -> [n]\X keeps weak separation, swaps intersections and unions, and keeps
+# the elements a step trades.
+_FULL = bs.full_mask(bs.MAX_GROUND)
+
+
+def _co(step: tuple[int, int]) -> tuple[int, int]:
+    return _FULL ^ step[0], _FULL ^ step[1]
+
+
+def _interleaved(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Two 2-distance steps about one intersection whose traded elements interleave."""
     (a1, b1), (a2, b2) = p, q
-    if a1 & b1 == a2 & b2:
-        x = a1 & b1
-        t = sorted((bs.min_element(a1 & ~x), bs.min_element(b1 & ~x)))
-        s = sorted((bs.min_element(a2 & ~x), bs.min_element(b2 & ~x)))
-        if len({*t, *s}) == 4 and (t[0] < s[0] < t[1] < s[1] or s[0] < t[0] < s[1] < t[1]):
-            return True
-    if a1 | b1 == a2 | b2:
-        y = a1 | b1
-        t = sorted((bs.min_element(y & ~a1), bs.min_element(y & ~b1)))
-        s = sorted((bs.min_element(y & ~a2), bs.min_element(y & ~b2)))
-        if len({*t, *s}) == 4 and (t[0] < s[0] < t[1] < s[1] or s[0] < t[0] < s[1] < t[1]):
-            return True
-    return False
+    x = a1 & b1
+    if a2 & b2 != x:
+        return False
+    # each traded element is a singleton, and singletons order as their elements
+    t0, t1 = sorted((a1 ^ x, b1 ^ x))
+    s0, s1 = sorted((a2 ^ x, b2 ^ x))
+    return t0 < s0 < t1 < s1 or s0 < t0 < s1 < t1
 
 
-def _violates_c4(two: tuple[int, int], one: tuple[int, int]) -> bool:
-    """A 1-distance step climbing through the span of a 2-distance step."""
-    a, b = two
-    c, d = one if bs.size(one[0]) < bs.size(one[1]) else (one[1], one[0])
+def _climbs(two: tuple[int, int], one: tuple[int, int]) -> bool:
+    """A 1-distance step up from the intersection of a 2-distance step by an
+    element strictly between the two that step trades."""
+    (a, b), (c, d) = two, one
     x = a & b
-    if c == x:
-        i, k = sorted((bs.min_element(a & ~x), bs.min_element(b & ~x)))
-        j = bs.min_element(d & ~c)
-        if i < j < k:
-            return True
-    y = a | b
-    if d == y:
-        i, k = sorted((bs.min_element(y & ~a), bs.min_element(y & ~b)))
-        j = bs.min_element(y & ~c)
-        if i < j < k:
-            return True
-    return False
+    if c & d != x:
+        return False
+    i, k = sorted((a ^ x, b ^ x))
+    return i < c ^ d < k
 
 
 def _quadruple_violation(twos, ones) -> str | None:
@@ -148,11 +146,11 @@ def _quadruple_violation(twos, ones) -> str | None:
     condition, else of a 2-distance and a 1-distance step breaking the
     spanning condition, as text; None if there is none."""
     for p, q in combinations(twos, 2):
-        if _violates_c3(p, q):
+        if _interleaved(p, q) or _interleaved(_co(p), _co(q)):
             return f"edges {p} and {q} violate the interleaving condition"
     for two in twos:
         for one in ones:
-            if _violates_c4(two, one):
+            if _climbs(two, one) or _climbs(_co(two), _co(one)):
                 return f"edges {two} and {one} violate the spanning condition"
     return None
 
@@ -162,11 +160,10 @@ def curve_points(pattern: CyclicPattern) -> list[Point]:
     return [table[v] for v in pattern.cycle]
 
 
-def _chords_laminar(pairs: list[tuple[int, int]], m: int) -> bool:
-    """Pairs over cyclic positions 0..m-1 must not interleave."""
+def _chords_laminar(pairs: list[tuple[int, int]]) -> bool:
+    """Ascending pairs of distinct positions must nest or be disjoint."""
     for (a, b), (c, d) in combinations(pairs, 2):
-        inside = lambda x, lo, hi: (lo < x < hi) if lo < hi else (x > lo or x < hi)
-        if inside(c, a, b) != inside(d, a, b):
+        if (a < c < b) != (a < d < b):
             return False
     return True
 
@@ -188,23 +185,15 @@ def curve_kind(pattern: CyclicPattern) -> str:
     repeated = {p: occ for p, occ in multiplicity.items() if len(occ) > 1}
     if not repeated:
         return "simple"
+    # no two segments leave a point in one direction: they would overlap,
+    # which the pass above calls a crossing
     for p, occurrences in repeated.items():
-        dirs: list[tuple[Point, int]] = []
-        for occ_idx, idx in enumerate(occurrences):
-            before = pts[(idx - 1) % r]
-            after = pts[(idx + 1) % r]
-            dirs.append((sub(before, p), occ_idx))
-            dirs.append((sub(after, p), occ_idx))
-        keyed = sorted(dirs, key=lambda t: angle_sort_key(t[0]))
-        for (v1, _), (v2, _) in zip(keyed, keyed[1:]):
-            if angle_sort_key(v1) == angle_sort_key(v2):
-                return "crossing"
-        order = [occ for _, occ in keyed]
-        pairs = []
-        for occ_idx in range(len(occurrences)):
-            pos = [k for k, o in enumerate(order) if o == occ_idx]
-            pairs.append((pos[0], pos[1]))
-        if not _chords_laminar(pairs, len(order)):
+        # each visit leaves p along two segments; around p, the positions
+        # of one visit's two directions must not interleave with another's
+        dirs = [(sub(pts[(idx + step) % r], p), v) for v, idx in enumerate(occurrences) for step in (-1, 1)]
+        order = [v for _, v in sorted(dirs, key=lambda t: angle_sort_key(t[0]))]
+        pairs = [tuple(k for k, w in enumerate(order) if w == v) for v in range(len(occurrences))]
+        if not _chords_laminar(pairs):
             return "crossing"
     return "touching"
 
@@ -227,11 +216,9 @@ def _classification(pattern: CyclicPattern) -> str:
     if not _pairwise_weakly_separated(cyc, pattern.n):
         raise ValueError("pattern members must be pairwise weakly separated")
     geo = curve_kind(pattern)
-    distinct = len(set(cyc)) == len(cyc)
-    if not distinct:
+    if len(set(cyc)) != len(cyc):
         return "semi_simple" if geo == "touching" else "self_crossing"
-    twos = pattern.two_distance_steps()
-    ones = [(a, b) for a, b in pattern.steps() if bs.size(a ^ b) == 1]
+    twos, ones = _by_distance(pattern.steps())
     combinatorial_ok = _quadruple_violation(twos, ones) is None
     if combinatorial_ok != (geo != "crossing"):
         raise TilingError(
@@ -254,10 +241,16 @@ class PatternRegions:
 
     @cached_property
     def points(self) -> list[Point]:
-        return [self._table[v] for v in self.pattern.cycle]
+        return curve_points(self.pattern)
 
     def locate(self, mask: int) -> str:
         return point_in_closed_polyline(self._table[mask], self.points)
+
+    def _closed_sides(self, masks) -> tuple[list[int], list[int]]:
+        """The masks in the closed inside and those in the closed outside of
+        the curve, each in the given order; the curve's own lie in both."""
+        where = [(x, self.locate(x)) for x in masks]
+        return [x for x, w in where if w != "outside"], [x for x, w in where if w != "inside"]
 
 
 def regions(pattern: CyclicPattern) -> PatternRegions:
@@ -268,23 +261,21 @@ def regions(pattern: CyclicPattern) -> PatternRegions:
 
 def pattern_compatible_sets(pattern: CyclicPattern, relation: str = "weak") -> SetFamily:
     """All subsets separated (weakly by default) from every member of the pattern."""
-    n = pattern.n
+    return SetFamily(pattern.n, _domain_scan(set(pattern.cycle), pattern.n, relation))
+
+
+def _domain_scan(members, n: int, relation: str) -> list[int]:
+    """The subsets separated from every member, ascending, under the
+    domain-scan guard."""
     if n > _max_enum_n():
         raise ResourceGuardError(f"domain scan guard: n={n}")
-    return SetFamily(n, compatible_sets(set(pattern.cycle), n, relation))
+    return compatible_sets(members, n, relation)
 
 
 def domains(pattern: CyclicPattern, relation: str = "weak") -> tuple[SetFamily, SetFamily]:
     """Split the compatible sets into the closed inside and outside domains."""
     reg = regions(pattern)
-    compatible = pattern_compatible_sets(pattern, relation)
-    inner, outer = [], []
-    for x in compatible.members:
-        where = reg.locate(x)
-        if where in ("inside", "on"):
-            inner.append(x)
-        if where in ("outside", "on"):
-            outer.append(x)
+    inner, outer = reg._closed_sides(pattern_compatible_sets(pattern, relation).members)
     return SetFamily(pattern.n, inner), SetFamily(pattern.n, outer)
 
 
@@ -297,12 +288,6 @@ def verify_complementary(dom: SetFamily, dom2: SetFamily, relation: str = "weak"
     """Every member of one domain is separated from every member of the other."""
     other = members_mask(dom2.members)
     return compatible_row(dom.members, max(dom.n, dom2.n), relation) & other == other
-
-
-def verify_purity(dom: SetFamily, relation: str = "weak") -> PurityVerdict:
-    """The domain's purity verdict: `.pure`, `.ranks` and `.count`, with no
-    maximal collection built."""
-    return purity_verdict(dom, relation)
 
 
 # --------------------------------------------------------------------------
@@ -334,12 +319,10 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     verts = combi.vertex_masks()
     if not set(pattern.cycle) <= verts:
         raise ValueError("pattern members must be vertices of the combi")
-    where = {v: reg.locate(v) for v in verts}
-    inside = frozenset(v for v, w in where.items() if w != "outside")
-    outside = frozenset(v for v, w in where.items() if w != "inside")
+    inside, outside = reg._closed_sides(verts)
     return (
-        QuasiCombi(combi.n, "in", pattern.cycle, inside),
-        QuasiCombi(combi.n, "out", pattern.cycle, outside),
+        QuasiCombi(combi.n, "in", pattern.cycle, frozenset(inside)),
+        QuasiCombi(combi.n, "out", pattern.cycle, frozenset(outside)),
     )
 
 
@@ -386,8 +369,7 @@ class GraphPattern:
         for u, v in edges:
             if u == v or u not in vset or v not in vset:
                 raise ValueError("edges must join two distinct pattern vertices")
-            d = bs.size(u ^ v)
-            if not (d == 1 or (d == 2 and bs.size(u) == bs.size(v))):
+            if not _legal_step(u, v):
                 raise ValueError("edges must be 1- or 2-distance pairs")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "n", n)
@@ -402,18 +384,12 @@ def graph_pattern(n: int, vertices, edges) -> GraphPattern:
     pair obeys the quadruple conditions, and that the drawn segments are
     pairwise non-crossing.
     """
-    verts = set(vertices)
-    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
     cyc = boundary_cycle(default_generators(n))
-    verts.update(cyc)
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        edge_set.add((min(a, b), max(a, b)))
+    verts = set(vertices) | set(cyc)
     if not _pairwise_weakly_separated(verts, n):
         raise ValueError("graph-pattern vertices must form a weakly separated family")
-    pat = GraphPattern(n, verts, edge_set)
-    twos = [e for e in pat.edges if bs.size(e[0] ^ e[1]) == 2]
-    ones = [e for e in pat.edges if bs.size(e[0] ^ e[1]) == 1]
-    violation = _quadruple_violation(twos, ones)
+    pat = GraphPattern(n, verts, [*edges, *zip(cyc, cyc[1:] + cyc[:1])])
+    violation = _quadruple_violation(*_by_distance(pat.edges))
     if violation is not None:
         raise ValueError(violation)
     pts = embedding_table(default_generators(n))
@@ -467,33 +443,26 @@ def _faces(pat: GraphPattern, pts: tuple[Point, ...]) -> list[PatternFace]:
     return faces
 
 
-def _face_closure_contains(
-    face: PatternFace, all_faces: list[PatternFace], point: Point, table: tuple[Point, ...]
-) -> bool:
-    where = point_in_closed_polyline(point, [table[v] for v in face.cycle])
-    if where != "inside":
-        return where == "on"
-    # inside the face, but not strictly inside a smaller face nested in it
-    return not any(
-        point_in_closed_polyline(point, [table[v] for v in other.cycle]) == "inside"
-        for other in all_faces
-        if other is not face and other.area2 < face.area2
-    )
-
-
 def graph_pattern_domains(pat: GraphPattern):
-    """Map each bounded face to the compatible sets lying in its closure."""
+    """Map each bounded face to the compatible sets lying in its closure.
+
+    A face takes the sets on its boundary and the sets strictly inside it
+    and strictly inside no smaller face: faces strictly around one point are
+    nested, so each such set goes to the smallest face around it.
+    """
     n = pat.n
-    if n > _max_enum_n():
-        raise ResourceGuardError(f"domain scan guard: n={n}")
+    compatible = _domain_scan(pat.vertices, n, "weak")
     table = embedding_table(default_generators(n))
     faces = _faces(pat, table)
-    compatible = compatible_sets(pat.vertices, n, "weak")
-    out = []
-    for face in faces:
-        hits = [x for x in compatible if _face_closure_contains(face, faces, table[x], table)]
-        out.append((face, SetFamily(n, hits)))
-    return out
+    curves = [[table[v] for v in face.cycle] for face in faces]
+    hits: list[list[int]] = [[] for _ in faces]
+    for x in compatible:
+        where = [point_in_closed_polyline(table[x], curve) for curve in curves]
+        home = min((f.area2 for f, w in zip(faces, where) if w == "inside"), default=None)
+        for face, w, found in zip(faces, where, hits):
+            if w == "on" or (w == "inside" and face.area2 == home):
+                found.append(x)
+    return [(face, SetFamily(n, found)) for face, found in zip(faces, hits)]
 
 
 def verify_face_domains(pat: GraphPattern) -> bool:
@@ -502,50 +471,33 @@ def verify_face_domains(pat: GraphPattern) -> bool:
     for (_, fa), (_, fb) in combinations(doms, 2):
         if not verify_complementary(fa, fb):
             return False
-    return all(verify_purity(fam).pure for _, fam in doms)
+    return all(purity_verdict(fam, "weak").pure for _, fam in doms)
 
 
 def grassmann_necklace(sequence, n: int) -> tuple[CyclicPattern, int]:
     """Validate a necklace in the discrete Grassmannian and build its pattern.
 
     The defining condition fixes each consecutive difference to one rotating
-    singleton; the index convention is discovered by trying every offset,
-    and the validating offset is returned alongside the cyclic pattern.
+    singleton; the first difference fixes the index convention's offset,
+    which is returned alongside the cyclic pattern.
     """
     seq = tuple(sequence)
     bs.check_ground(n)
     if len(seq) != n:
         raise ValueError(f"a necklace on ground size {n} needs exactly {n} sets")
-    sizes = {bs.size(s) for s in seq}
-    if len(sizes) != 1:
+    if len({bs.size(s) for s in seq}) != 1:
         raise ValueError("necklace sets must share one cardinality")
-    valid_offsets = []
-    for offset in range(n):
-        ok = True
-        for p in range(n):
-            want = (p + offset) % n + 1
-            nxt, cur = seq[(p + 1) % n], seq[p]
-            if nxt & ~cur != bs.singleton(want):
-                ok = False
-                break
-        if ok:
-            valid_offsets.append(offset)
-    if not valid_offsets:
+    offset = bs.min_element(seq[1 % n] & ~seq[0]) - 1
+    if any(seq[(p + 1) % n] & ~seq[p] != bs.singleton((p + offset) % n + 1) for p in range(n)):
         raise ValueError("sequence satisfies the necklace condition for no offset")
     pattern = CyclicPattern(n, seq)
     if classify_pattern(pattern) == "self_crossing":
         raise ValueError("necklace pattern is self-crossing")
-    return pattern, valid_offsets[0]
+    return pattern, offset
 
 
 def interval_necklace(n: int, m: int) -> tuple[int, ...]:
     """The necklace of cyclic intervals of size m."""
     if not 0 < m < n:
         raise ValueError("need 0 < m < n for a nondegenerate necklace")
-    out = []
-    for start in range(n):
-        mask = 0
-        for k in range(m):
-            mask |= bs.singleton((start + k) % n + 1)
-        out.append(mask)
-    return tuple(out)
+    return tuple(bs.mask_of((start + k) % n + 1 for k in range(m)) for start in range(n))

@@ -14,7 +14,7 @@ own table of the pairs its forward pass computed, which the converse reads.
 The pool lives as long as the run, never longer, so two runs in one process
 do the same work.  A check called on its own makes a pool of its own.
 Verdicts need only the number and the sizes of the maximal collections, so
-they come from `verify_purity`, which builds no collection.
+they come from `purity_verdict`, which builds no collection.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .patterns import (
     strong_domains,
     verify_complementary,
     verify_face_domains,
-    verify_purity,
 )
 from .separation import (
     DomainReport,
@@ -53,6 +52,7 @@ from .separation import (
     hypersimplex_domain,
     interval_collection,
     inversions,
+    purity_verdict,
 )
 from .rhombus import from_s_collection
 
@@ -84,7 +84,7 @@ class CubePool:
     def verdict(self, domain: SetFamily, relation: str) -> PurityVerdict:
         key = (domain.n, domain.members, relation)
         if key not in self._verdicts:
-            self._verdicts[key] = verify_purity(domain, relation)
+            self._verdicts[key] = purity_verdict(domain, relation)
         return self._verdicts[key]
 
 def all_combis(n: int) -> list[Combi]:

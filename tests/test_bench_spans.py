@@ -1,7 +1,9 @@
 """The benchmark's tracer (`perfbench/spans.py`) names zonotile functions by
-string.  A rename that misses it would break only traced benchmark runs, so
-these tests check that every name it uses still resolves."""
+string, and its workloads call the package's public names as `zt.<name>`.
+A rename that misses either would break only benchmark runs, so these tests
+check that every name they use still resolves."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -9,7 +11,8 @@ from pathlib import Path
 
 from zonotile.suite import run_suite
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def _spans():
@@ -34,3 +37,17 @@ def test_traced_and_counted_functions_exist():
 def test_suite_checks_match_report_keys():
     checks = run_suite(max_n=3, seed=7, samples=5)["checks"]
     assert tuple(checks) == _spans().SUITE_CHECKS
+
+
+def test_package_names_the_benchmark_reads_exist():
+    names = {
+        node.attr
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "zt"
+    }
+    assert {"cli", "suite", "from_w_collection", "enumerate_maximal"} <= names
+    zt = importlib.import_module("zonotile")
+    importlib.import_module("zonotile.cli")
+    missing = sorted(name for name in names if not hasattr(zt, name))
+    assert not missing, f"perfbench reads zonotile names that are gone: {missing}"

@@ -283,6 +283,17 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "invalid-input", "detail": "--i, --j and --k must lie in 1..3"}
 
+    def test_flip_rejects_types_out_of_order(self, tmp_path, capsys):
+        # checked before any triangle is built, whose constructors would
+        # otherwise reject the types with their own texts
+        combi_file = tmp_path / "c.json"
+        combi_file.write_text(json.dumps(jsonio.combi_to_json(interval_combi(3))))
+        for op, types in (("lower", ("2", "2", "3")), ("raise", ("3", "2", "1"))):
+            argv = ["flip", "--combi", str(combi_file), "--op", op, "--core", ""]
+            assert cmd(argv + ["--i", types[0], "--j", types[1], "--k", types[2]]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "invalid-input", "detail": "types must satisfy i < j < k"}
+
     def test_pattern_commands(self, tmp_path, capsys):
         pat_file = tmp_path / "pat.json"
         pat_file.write_text(json.dumps(jsonio.pattern_to_json(boundary_pattern(3))))

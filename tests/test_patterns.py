@@ -29,7 +29,6 @@ from zonotile.patterns import (
     strong_domains,
     verify_complementary,
     verify_face_domains,
-    verify_purity,
 )
 from zonotile.rhombus import from_s_collection, minimal_tiling
 from zonotile.separation import (
@@ -39,6 +38,8 @@ from zonotile.separation import (
     enumerate_maximal,
     hypercube_domain,
     inversions,
+    purity_verdict,
+    weakly_separated,
 )
 from zonotile.suite import (
     all_combis,
@@ -63,10 +64,73 @@ def perturbed_generators(n: int, shift: int) -> Generators:
     return Generators(n, [(int(x * denom), int(y * denom)) for x, y in pts])
 
 
+def _violates_c3(p, q):
+    """The interleaving condition as it was stated on both sides, kept as a
+    reference: interleaved 2-distance pairs around a common intersection or
+    union."""
+    (a1, b1), (a2, b2) = p, q
+    if a1 & b1 == a2 & b2:
+        x = a1 & b1
+        t = sorted((bs.min_element(a1 & ~x), bs.min_element(b1 & ~x)))
+        s = sorted((bs.min_element(a2 & ~x), bs.min_element(b2 & ~x)))
+        if len({*t, *s}) == 4 and (t[0] < s[0] < t[1] < s[1] or s[0] < t[0] < s[1] < t[1]):
+            return True
+    if a1 | b1 == a2 | b2:
+        y = a1 | b1
+        t = sorted((bs.min_element(y & ~a1), bs.min_element(y & ~b1)))
+        s = sorted((bs.min_element(y & ~a2), bs.min_element(y & ~b2)))
+        if len({*t, *s}) == 4 and (t[0] < s[0] < t[1] < s[1] or s[0] < t[0] < s[1] < t[1]):
+            return True
+    return False
+
+
+def _violates_c4(two, one):
+    """The spanning condition as it was stated on both sides, kept as a
+    reference: a 1-distance step climbing through the span of a 2-distance
+    step."""
+    a, b = two
+    c, d = one if bs.size(one[0]) < bs.size(one[1]) else (one[1], one[0])
+    x = a & b
+    if c == x:
+        i, k = sorted((bs.min_element(a & ~x), bs.min_element(b & ~x)))
+        if i < bs.min_element(d & ~c) < k:
+            return True
+    y = a | b
+    if d == y:
+        i, k = sorted((bs.min_element(y & ~a), bs.min_element(y & ~b)))
+        if i < bs.min_element(y & ~c) < k:
+            return True
+    return False
+
+
+def _all_steps(n):
+    """Every ordered 2-distance equal-size step and every ordered 1-distance
+    step on {1..n}."""
+    twos, ones = [], []
+    for a in range(1 << n):
+        for e in range(n):
+            ones.append((a, a ^ 1 << e))
+            for f in range(n):
+                if a >> e & 1 and not a >> f & 1:
+                    twos.append((a, a ^ 1 << e ^ 1 << f))
+    return twos, ones
+
+
 class TestClassification:
     def test_boundary_cycle_simple(self):
         for n in (2, 3, 4, 5):
             assert classify_pattern(boundary_pattern(n)) == "simple"
+            assert curve_kind(boundary_pattern(n)) == "simple"
+
+    def test_canonical_names_rotations_and_reflections(self):
+        cyc = boundary_pattern(4).cycle
+        forms = {CyclicPattern(4, seq[r:] + seq[:r]).canonical() for seq in (cyc, cyc[::-1]) for r in range(8)}
+        assert forms == {(0, M([1]), M([1, 2]), M([1, 2, 3]), M([1, 2, 3, 4]), M([2, 3, 4]), M([3, 4]), M([4]))}
+
+    def test_curve_test_cross_checks_the_quadruple_conditions(self, monkeypatch):
+        monkeypatch.setattr(patterns, "curve_kind", lambda pattern: "crossing")
+        with pytest.raises(TilingError, match="quadruple conditions disagree"):
+            classify_pattern(boundary_pattern(3))
 
     def test_constructed_violators_cross(self):
         for pat in crossing_pattern_examples(4):
@@ -78,10 +142,40 @@ class TestClassification:
         # 2-distance step {2,3}-{1,2}, and its type 2 lies between 1 and 3
         two, one = (M([2, 3]), M([1, 2])), (M([1, 2, 3]), M([1, 3]))
         assert two[0] & two[1] != one[1]
-        assert patterns._violates_c4(two, one)
+        assert _violates_c4(two, one)
+        assert patterns._quadruple_violation([two], [one]) is not None
+        assert not patterns._climbs(two, one)
         pat = CyclicPattern(3, (*two, *one))
         assert classify_pattern(pat) == "self_crossing"
         assert curve_kind(pat) == "crossing"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_quadruple_conditions_match_two_sided_reference(self, n):
+        # each union-side condition is the intersection side on complements
+        twos, ones = _all_steps(n)
+        violation = patterns._quadruple_violation
+        fired = [0, 0]
+        for p in twos:
+            for q in twos:
+                if p != q:
+                    want = _violates_c3(p, q)
+                    assert (violation([p, q], []) is not None) == want, (p, q)
+                    fired[0] += want
+            for one in ones:
+                want = _violates_c4(p, one)
+                assert (violation([p], [one]) is not None) == want, (p, one)
+                fired[1] += want
+        # interleaving needs four elements, and climbing three
+        assert [c > 0 for c in fired] == [n >= 4, n >= 3]
+
+    def test_crossing_at_a_touch_point(self):
+        # no two segments cross, but the curve meets itself at {1} and its
+        # two visits there leave in interleaved directions; and a curve
+        # that runs back along its own segment {}-{1}
+        for cyc in ((M([1]), 0, M([3]), M([1]), M([1, 2]), M([2])), (0, M([1]), 0, M([3]), M([2]))):
+            pat = CyclicPattern(3, cyc)
+            assert curve_kind(pat) == "crossing"
+            assert classify_pattern(pat) == "self_crossing"
 
     def test_semi_simple_touching(self):
         # diamond traversed as a figure made of two loops touching at {1}
@@ -97,10 +191,21 @@ class TestClassification:
         )
         pat = CyclicPattern(4, cyc)
         assert classify_pattern(pat) == "semi_simple"
+        assert curve_kind(pat) == "touching"
+        # two loops through {2,3}, one of them between the other's two
+        # directions there
+        pat = CyclicPattern(3, (M([2, 3]), M([1, 2, 3]), M([1, 2]), M([2, 3]), M([2]), M([3])))
+        assert curve_kind(pat) == "touching"
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):
             CyclicPattern(3, (0, M([1, 2]), M([1])))
+        # the closing step is a step too
+        with pytest.raises(ValueError, match=r"illegal step \{2,3\} -> \{\}"):
+            CyclicPattern(3, (0, M([1]), M([1, 2]), M([2, 3])))
+        for short in ((0, M([1])), (0, M([1]), 0)):
+            with pytest.raises(ValueError, match="at least three sets"):
+                CyclicPattern(3, short)
 
     def test_weak_separation_required(self):
         with pytest.raises(ValueError):
@@ -217,7 +322,7 @@ class TestComplementaryPairs:
                     continue
                 inner, outer = domains(pat)
                 assert verify_complementary(inner, outer)
-                assert verify_purity(inner).pure and verify_purity(outer).pure
+                assert purity_verdict(inner, "weak").pure and purity_verdict(outer, "weak").pure
 
     def test_strong_variant(self):
         rng = random.Random(1)
@@ -232,7 +337,7 @@ class TestComplementaryPairs:
             pat = CyclicPattern(4, cyc)
             inner, outer = strong_domains(pat)
             assert verify_complementary(inner, outer, "strong")
-            sin, win = verify_purity(inner, "strong"), verify_purity(inner, "weak")
+            sin, win = purity_verdict(inner, "strong"), purity_verdict(inner, "weak")
             assert sin.pure and win.pure and sin.ranks == win.ranks
             checked += 1
         assert checked >= 4
@@ -312,7 +417,7 @@ class TestSplitMerge:
                 if pat is None or classify_pattern(pat) == "self_crossing":
                     continue
                 doms = domains(pat)
-                ranks = [verify_purity(dom).ranks for dom in doms]
+                ranks = [purity_verdict(dom, "weak").ranks for dom in doms]
                 for combi in combis:
                     if set(pat.cycle) <= combi.vertex_masks():
                         for half, dom, rank in zip(split_quasi(combi, pat), doms, ranks):
@@ -338,7 +443,7 @@ class TestSplitMerge:
         assert qa.vertex_masks() | qb.vertex_masks() == merged.vertex_masks()
         din, dout = domains(pat)
         assert verify_complementary(din, dout)
-        assert verify_purity(din).pure and verify_purity(dout).pure
+        assert purity_verdict(din, "weak").pure and purity_verdict(dout, "weak").pure
 
     def test_cross_merge_n4(self):
         rng = random.Random(10)
@@ -473,30 +578,118 @@ class TestGraphPatterns:
         assert any(set(fam.members) == target for _, fam in graph_pattern_domains(hp))
 
     def test_crossing_edges_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="violate the interleaving condition"):
             graph_pattern(
                 4,
                 {M([1]), M([3]), M([2]), M([4])},
                 [(M([1]), M([3])), (M([2]), M([4]))],
             )
+        # the 1-distance edge climbs by 2 from {3}, the intersection of the
+        # edge {1,3}-{3,4}, whose traded elements are 1 and 4
+        with pytest.raises(ValueError, match="violate the spanning condition"):
+            graph_pattern(4, {M([1, 3]), M([3, 4]), M([3]), M([2, 3])}, [(M([1, 3]), M([3, 4])), (M([3]), M([2, 3]))])
+
+    def test_bad_graph_patterns_rejected(self):
+        two, twothree = M([2]), M([2, 3])
+        for vertices, edges, text in (
+            ({M([1]), two, twothree, M([1, 3])}, [], "weakly separated family"),
+            ({two}, [(two, twothree)], "join two distinct pattern vertices"),
+            ({two}, [(two, two)], "join two distinct pattern vertices"),
+            ({two}, [(two, M([2, 3, 4]))], "1- or 2-distance pairs"),
+        ):
+            with pytest.raises(ValueError, match=text):
+                graph_pattern(4, vertices, edges)
+
+    def test_face_domains_verdict_reads_complementarity(self, monkeypatch):
+        hp = graph_pattern(3, set(), [])
+        assert verify_face_domains(hp)
+        hp = graph_pattern(4, {M([2]), M([2, 3]), M([3])}, [(M([2]), M([2, 3])), (M([2, 3]), M([3])), (M([3]), M([2]))])
+        assert verify_face_domains(hp)
+        monkeypatch.setattr(patterns, "verify_complementary", lambda a, b: False)
+        assert not verify_face_domains(hp)
+
+    def test_face_domains_match_nested_rescan_on_holes(self):
+        # a tile of a combi with no vertex on the zonogon's boundary, drawn
+        # with the boundary, leaves a hole in the outer face; the reference
+        # rescans every smaller face for each set strictly inside a face
+        def rescan(pat):
+            table = embedding_table(default_generators(pat.n))
+            faces = pattern_faces(pat)
+            compatible = [
+                x for x in range(1 << pat.n) if all(weakly_separated(x, v) for v in pat.vertices)
+            ]
+
+            def closure_contains(face, x):
+                where = point_in_closed_polyline(table[x], [table[v] for v in face.cycle])
+                if where != "inside":
+                    return where == "on"
+                return not any(
+                    point_in_closed_polyline(table[x], [table[v] for v in other.cycle]) == "inside"
+                    for other in faces
+                    if other is not face and other.area2 < face.area2
+                )
+
+            return [(face, [x for x in compatible if closure_contains(face, x)]) for face in faces]
+
+        def hole(n, cyc):
+            pat = graph_pattern(n, cyc, zip(cyc, cyc[1:] + cyc[:1]))
+            got = [(face, list(fam.members)) for face, fam in graph_pattern_domains(pat)]
+            assert len(got) == 2 and got == rescan(pat)
+            return got
+
+        # 404 such tiles in the combis of n = 4 and 5, 78 of them distinct
+        holes = [
+            (n, tile.cycle())
+            for n in (4, 5)
+            for combi in all_combis(n)
+            for tile in combi.tiles()
+            if set(boundary_pattern(n).cycle).isdisjoint(tile.cycle())
+        ]
+        assert (len(holes), len(set(holes))) == (404, 78)
+        for n, cyc in sorted(set(holes)):
+            hole(n, cyc)
+        # no compatible set lies strictly inside a tile; this hole holds
+        # {2,4} strictly inside, which only the smaller face takes
+        (outer, outer_dom), (inner, inner_dom) = sorted(
+            hole(5, (26, 18, 2, 6, 14)), key=lambda fd: -fd[0].area2
+        )
+        table = embedding_table(default_generators(5))
+        assert point_in_closed_polyline(table[M([2, 4])], [table[v] for v in inner.cycle]) == "inside"
+        assert M([2, 4]) in inner_dom and M([2, 4]) not in outer_dom
 
     def test_face_count_of_boundary_only(self):
         hp = graph_pattern(3, set(), [])
+        assert len(pattern_faces(hp)) == 1
+        # a lone edge inside is walked around with zero area: no face
+        hp = graph_pattern(4, {M([2]), M([2, 3])}, [(M([2]), M([2, 3]))])
         assert len(pattern_faces(hp)) == 1
 
 
 class TestNecklaces:
     def test_interval_necklace_valid(self):
-        for n, m in ((4, 2), (5, 2), (5, 3)):
+        for n, m in ((4, 1), (4, 2), (5, 2), (5, 3), (5, 4)):
             seq = interval_necklace(n, m)
             pat, offset = grassmann_necklace(seq, n)
             assert classify_pattern(pat) != "self_crossing"
-            assert 0 <= offset < n
+            assert offset == m
 
     def test_bad_step_rejected(self):
         seq = (M([1, 2]), M([3, 4]), M([1, 4]), M([1, 2]))
         with pytest.raises(ValueError):
             grassmann_necklace(seq, 4)
+
+    def test_necklace_errors(self):
+        for seq, n, text in (
+            (interval_necklace(4, 2)[:3], 4, "needs exactly 4 sets"),
+            ((M([1, 2]), M([2, 3]), M([3, 4]), M([4])), 4, "share one cardinality"),
+            ((M([1, 2]), M([1, 3]), M([3, 4]), M([1, 3])), 4, "necklace pattern is self-crossing"),
+            (interval_necklace(4, 2)[::-1], 4, "necklace condition for no offset"),
+        ):
+            with pytest.raises(ValueError, match=text):
+                grassmann_necklace(seq, n)
+        for m in (0, 4):
+            with pytest.raises(ValueError, match="need 0 < m < n"):
+                interval_necklace(4, m)
 
     def test_necklace_domains_complementary_in_hypersimplex(self):
         n, m = 5, 2
@@ -505,4 +698,4 @@ class TestNecklaces:
         level = [x for x in outer.members if bs.size(x) == m]
         outer_level = SetFamily(n, level)
         assert verify_complementary(inner, outer_level)
-        assert verify_purity(inner).pure and verify_purity(outer_level).pure
+        assert purity_verdict(inner, "weak").pure and purity_verdict(outer_level, "weak").pure

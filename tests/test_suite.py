@@ -12,7 +12,7 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
     enumerations, builds = Counter(), Counter()
     contractions, expansions, verdicts = Counter(), Counter(), Counter()
     enumerate_maximal, from_w_collection = suite.enumerate_maximal, suite.from_w_collection
-    n_contract, n_expand, verify_purity = suite.n_contract, suite.n_expand, suite.verify_purity
+    n_contract, n_expand, purity_verdict = suite.n_contract, suite.n_expand, suite.purity_verdict
 
     def counted_enumerate(domain, relation):
         enumerations[domain.n, len(domain), relation] += 1
@@ -32,14 +32,14 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
 
     def counted_verdict(domain, relation):
         verdicts[domain.n, domain.members, relation] += 1
-        return verify_purity(domain, relation)
+        return purity_verdict(domain, relation)
 
     monkeypatch.setattr(suite, "enumerate_maximal", counted_enumerate)
     monkeypatch.setattr(flips, "enumerate_maximal", counted_enumerate)
     monkeypatch.setattr(suite, "from_w_collection", counted_build)
     monkeypatch.setattr(suite, "n_contract", counted_contract)
     monkeypatch.setattr(suite, "n_expand", counted_expand)
-    monkeypatch.setattr(suite, "verify_purity", counted_verdict)
+    monkeypatch.setattr(suite, "purity_verdict", counted_verdict)
 
     counters = (enumerations, builds, contractions, expansions, verdicts)
     runs = []
