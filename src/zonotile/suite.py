@@ -12,15 +12,21 @@ distinct (domain, relation), and one interned copy of each cyclic pattern
 the run classifies, which keeps its class.  The contraction check keeps its
 own table of the pairs its forward pass computed, which the converse reads.
 The pool lives as long as the run, never longer, so two runs in one process
-do the same work.  A check called on its own makes a pool of its own.
-Verdicts need only the number and the sizes of the maximal collections, so
-they come from `purity_verdict`, which builds no collection.
+do the same work; every check takes it as an argument.  Verdicts need only
+the number and the sizes of the maximal collections, so they come from
+`purity_verdict`, which builds no collection.
+
+The pattern checks draw through one sampler, `_patterns`: a random cycle of
+each combi's edges in turn, interned in the pool.  A cycle of one combi's
+edges is a simple curve, and that combi's vertices with some of its edges
+form a graph pattern, so a crossing sample or a rejected graph fails the run
+rather than being drawn again.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb
 
 from . import bitsets as bs
@@ -149,8 +155,7 @@ def crossing_pattern_examples(n: int) -> list[CyclicPattern]:
         out.append(CyclicPattern(n, (a, c, bs.mask_of((2, 3)), bs.singleton(2), 0)))
     return out
 
-def check_hypercube_purity(max_n: int, pool: CubePool | None = None) -> dict:
-    pool = CubePool() if pool is None else pool
+def check_hypercube_purity(max_n: int, pool: CubePool) -> dict:
     per_n = {}
     for n in range(3, max_n + 1):
         report = pool.report(n)
@@ -163,8 +168,7 @@ def check_hypercube_purity(max_n: int, pool: CubePool | None = None) -> dict:
         }
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_rank_formulas(max_n: int, pool: CubePool | None = None) -> dict:
-    pool = CubePool() if pool is None else pool
+def check_rank_formulas(max_n: int, pool: CubePool) -> dict:
     results = {}
     perms4 = [Permutation(p) for p in permutations(range(1, 5))]
     single = []
@@ -201,8 +205,7 @@ def check_rank_formulas(max_n: int, pool: CubePool | None = None) -> dict:
     results["grassmannian_spot"] = {"pass": spot}
     return {"pass": all(entry["pass"] for entry in results.values()), "detail": results}
 
-def check_combi_bijection(max_n: int, pool: CubePool | None = None) -> dict:
-    pool = CubePool() if pool is None else pool
+def check_combi_bijection(max_n: int, pool: CubePool) -> dict:
     per_n = {}
     for n in range(2, max_n + 1):
         report = pool.report(n)
@@ -215,8 +218,7 @@ def check_combi_bijection(max_n: int, pool: CubePool | None = None) -> dict:
         per_n[str(n)] = {"collections": len(report.maximal_collections), "pass": good}
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_flip_coherence(max_n: int, pool: CubePool | None = None) -> dict:
-    pool = CubePool() if pool is None else pool
+def check_flip_coherence(max_n: int, pool: CubePool) -> dict:
     per_n = {}
     for n in range(2, min(max_n, 4) + 1):
         g_combi = flip_graph(n, pool.report(n))
@@ -244,8 +246,7 @@ def check_flip_coherence(max_n: int, pool: CubePool | None = None) -> dict:
         }
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_contraction_bijection(max_n: int, pool: CubePool | None = None) -> dict:
-    pool = CubePool() if pool is None else pool
+def check_contraction_bijection(max_n: int, pool: CubePool) -> dict:
     per_n = {}
     # each map's result by its input: the converse calls a map only on an
     # input the forward pass did not
@@ -279,121 +280,82 @@ def check_contraction_bijection(max_n: int, pool: CubePool | None = None) -> dic
         per_n[f"converse_n{n2}"] = {"pairs": pairs, "expected": want, "pass": good}
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def check_pattern_theorems(max_n: int, seed: int, samples: int = 500,
-                           pool: CubePool | None = None) -> dict:
-    pool = CubePool() if pool is None else pool
+def _patterns(rng: random.Random, combis, sample, pool: CubePool):
+    """`sample(combi, rng)` for each combi in turn, interned in
+    `pool.patterns`; a combi that gives None gives nothing."""
+    for combi in combis:
+        pat = sample(combi, rng)
+        if pat is not None:
+            yield pool.patterns.setdefault(pat, pat)
+
+def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) -> dict:
     rng = random.Random(seed)
     detail = {}
 
     combi_pool = {n: pool.combis(n) for n in range(3, max_n + 1)}
+    ns = sorted(combi_pool)
+    n4 = min(max_n, 4)
+    draws = iter(lambda: rng.choice(combi_pool[rng.choice(ns)]), None)
 
     def complementary_pair(pat: CyclicPattern) -> bool:
         din, dout = domains(pat)
         good = verify_complementary(din, dout)
         return good & (pool.verdict(din, "weak").pure and pool.verdict(dout, "weak").pure)
 
-    simple_checked = 0
-    simple_ok = True
-    while simple_checked < samples:
-        n = rng.choice(sorted(combi_pool))
-        combi = rng.choice(combi_pool[n])
-        pat = sample_simple_pattern(combi, rng)
-        if pat is None:
-            continue
-        pat = pool.patterns.setdefault(pat, pat)
-        simple_ok &= classify_pattern(pat) == "simple"
-        simple_checked += 1
-    detail["simple_never_crossing"] = {"samples": simple_checked, "pass": simple_ok}
-
-    gen_checked = 0
-    gen_ok = True
-    crossings_seen = 0
-    for pat in crossing_pattern_examples(min(max_n, 4)):
-        gen_ok &= classify_pattern(pat) == "self_crossing" and curve_kind(pat) == "crossing"
-        crossings_seen += 1
-        gen_checked += 1
-    while gen_checked < samples:
-        n = rng.choice(sorted(combi_pool))
-        combi = rng.choice(combi_pool[n])
-        pat = sample_generalized_pattern(combi, rng)
-        if pat is None:
-            continue
-        pat = pool.patterns.setdefault(pat, pat)
-        gen_ok &= classify_pattern(pat) in ("simple", "generalized_ok")
-        gen_checked += 1
-    detail["quadruples_match_curve"] = {
-        "samples": gen_checked,
-        "violators": crossings_seen,
-        "pass": gen_ok,
-    }
-
-    comp_ok = True
-    comp_checked = 0
-    exhaustive_n = min(max_n, 4)
-    seen = set()
-    for combi in combi_pool.get(exhaustive_n, ()):
-        for cyc in _all_cycles(combi.vertical_edges()):
-            pat = CyclicPattern(exhaustive_n, cyc)
-            key = pat.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            pat = pool.patterns.setdefault(pat, pat)
-            comp_ok &= complementary_pair(pat)
-            comp_checked += 1
-    sampled5 = 0
-    if max_n >= 5:
-        while sampled5 < 100:
-            combi = rng.choice(combi_pool[5])
-            pat = sample_generalized_pattern(combi, rng)
-            if pat is None:
-                continue
-            pat = pool.patterns.setdefault(pat, pat)
-            if classify_pattern(pat) == "self_crossing":
-                continue
-            comp_ok &= complementary_pair(pat)
-            sampled5 += 1
-    detail["complementary_pairs"] = {
-        "exhaustive_n4": comp_checked,
-        "sampled_n5": sampled5,
-        "pass": comp_ok,
-    }
-
-    strong_ok = True
-    strong_checked = 0
-    s_report = enumerate_maximal(hypercube_domain(min(max_n, 4)), "strong")
-    for fam in s_report.maximal_collections:
-        semi = from_rhombus(from_s_collection(fam))
-        cyc = sample_cycle(semi.vertical_edges(), rng)
-        if cyc is None:
-            continue
-        pat = CyclicPattern(semi.n, cyc)
-        pat = pool.patterns.setdefault(pat, pat)
+    def strong_pair(pat: CyclicPattern) -> bool:
         din, dout = strong_domains(pat)
-        strong_ok &= verify_complementary(din, dout, "strong")
-        rin = pool.verdict(din, "strong")
-        rout = pool.verdict(dout, "strong")
-        win = pool.verdict(din, "weak")
-        wout = pool.verdict(dout, "weak")
-        strong_ok &= rin.pure and rout.pure and win.pure and wout.pure
-        strong_ok &= rin.ranks == win.ranks and rout.ranks == wout.ranks
-        strong_checked += 1
-    detail["strong_patterns"] = {"checked": strong_checked, "pass": strong_ok}
+        good = verify_complementary(din, dout, "strong")
+        strong = [pool.verdict(d, "strong") for d in (din, dout)]
+        weak = [pool.verdict(d, "weak") for d in (din, dout)]
+        return good and all(s.pure and w.pure and s.ranks == w.ranks
+                            for s, w in zip(strong, weak))
+
+    simple = [classify_pattern(pat) == "simple"
+              for pat in islice(_patterns(rng, draws, sample_simple_pattern, pool), samples)]
+    detail["simple_never_crossing"] = {"samples": len(simple), "pass": all(simple)}
+
+    controls = crossing_pattern_examples(n4)
+    gen = [classify_pattern(pat) == "self_crossing" and curve_kind(pat) == "crossing"
+           for pat in controls]
+    sampled = _patterns(rng, draws, sample_generalized_pattern, pool)
+    gen += [classify_pattern(pat) in ("simple", "generalized_ok")
+            for pat in islice(sampled, max(samples - len(controls), 0))]
+    detail["quadruples_match_curve"] = {
+        "samples": len(gen), "violators": len(controls), "pass": all(gen)}
+
+    first = {}
+    for combi in combi_pool.get(n4, ()):
+        for cyc in _all_cycles(combi.vertical_edges()):
+            pat = CyclicPattern(n4, cyc)
+            first.setdefault(pat.canonical(), pat)
+    exhaustive = [complementary_pair(pool.patterns.setdefault(pat, pat)) for pat in first.values()]
+    sampled5 = []
+    if max_n >= 5:
+        # a cycle of one combi's edges is a simple curve: a crossing one fails
+        draws5 = iter(lambda: rng.choice(combi_pool[5]), None)
+        sampled = _patterns(rng, draws5, sample_generalized_pattern, pool)
+        sampled5 = [classify_pattern(pat) != "self_crossing" and complementary_pair(pat)
+                    for pat in islice(sampled, 100)]
+    detail["complementary_pairs"] = {
+        "exhaustive_n4": len(exhaustive),
+        "sampled_n5": len(sampled5),
+        "pass": all(exhaustive) and all(sampled5),
+    }
+
+    s_report = enumerate_maximal(hypercube_domain(n4), "strong")
+    semis = (from_rhombus(from_s_collection(fam)) for fam in s_report.maximal_collections)
+    strong = [strong_pair(pat) for pat in _patterns(rng, semis, sample_simple_pattern, pool)]
+    detail["strong_patterns"] = {"checked": len(strong), "pass": all(strong)}
 
     graph_ok = True
-    graph_checked = 0
-    n4 = min(max_n, 4)
-    while graph_checked < 50:
+    # one combi's vertices, some of its edges and the zonogon boundary
+    # always form a graph pattern, so `graph_pattern` raises on none
+    for _ in range(50):
         combi = rng.choice(combi_pool[n4])
-        vert, horiz = combi.vertical_edges(), combi.horizontal_edges()
-        chosen = [e for e in sorted(vert | horiz) if rng.random() < 0.35]
-        try:
-            pat = graph_pattern(n4, set(combi.vertex_masks()), chosen)
-        except ValueError:
-            continue
-        graph_ok &= verify_face_domains(pat)
-        graph_checked += 1
-    detail["graph_patterns"] = {"checked": graph_checked, "pass": graph_ok}
+        edges = sorted(combi.vertical_edges() | combi.horizontal_edges())
+        chosen = [e for e in edges if rng.random() < 0.35]
+        graph_ok &= verify_face_domains(graph_pattern(n4, set(combi.vertex_masks()), chosen))
+    detail["graph_patterns"] = {"checked": 50, "pass": graph_ok}
 
     return {"pass": all(entry["pass"] for entry in detail.values()), "detail": detail}
 
@@ -415,9 +377,7 @@ def _all_cycles(edges: set[tuple[int, int]]) -> list[tuple[int, ...]]:
                     stack.append((nxt, path + [nxt]))
     return out
 
-def check_cross_exchange(max_n: int, seed: int, samples: int = 100,
-                         pool: CubePool | None = None) -> dict:
-    pool = CubePool() if pool is None else pool
+def check_cross_exchange(max_n: int, seed: int, samples: int, pool: CubePool) -> dict:
     rng = random.Random(seed)
     checked = 0
     pools = {n: pool.combis(n) for n in range(3, max_n + 1)}

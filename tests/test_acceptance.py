@@ -20,7 +20,7 @@ def _per_n(detail: dict, field: str) -> dict:
 
 
 def test_criterion_1_hypercube_purity():
-    result = suite.check_hypercube_purity(5)
+    result = suite.check_hypercube_purity(5, suite.CubePool())
     sizes, ranks = _per_n(result["detail"], "collections"), _per_n(result["detail"], "ranks")
     ok = result["pass"] and sizes == {"3": 2, "4": 10, "5": 124}
     ok &= ranks == {"3": [7], "4": [11], "5": [16]}
@@ -28,35 +28,35 @@ def test_criterion_1_hypercube_purity():
 
 
 def test_criterion_1_optional_n6():
-    result = suite.check_hypercube_purity(6)
+    result = suite.check_hypercube_purity(6, suite.CubePool())
     sizes, ranks = _per_n(result["detail"], "collections"), _per_n(result["detail"], "ranks")
     ok = result["pass"] and sizes == {"3": 2, "4": 10, "5": 124, "6": 3694} and ranks["6"] == [22]
     _verdict(1, ok, f"hypercube n=6: {sizes['6']} collections, rank 22")
 
 
 def test_criterion_2_rank_formulas():
-    result = suite.check_rank_formulas(6)
+    result = suite.check_rank_formulas(6, suite.CubePool())
     chambers, pairs, bands, spot = (entry.get("checked") for entry in result["detail"].values())
     ok = result["pass"] and (chambers, pairs, bands, spot) == (24, 151, 83, None)
     _verdict(2, ok, f"{chambers} chamber domains, {pairs} chamber pairs, {bands} hypersimplex bands")
 
 
 def test_criterion_3_combi_bijection():
-    result = suite.check_combi_bijection(5)
+    result = suite.check_combi_bijection(5, suite.CubePool())
     sizes = _per_n(result["detail"], "collections")
     ok = result["pass"] and sizes == {"2": 1, "3": 2, "4": 10, "5": 124}
     _verdict(3, ok, f"{sum(sizes.values())} maximal w-collections reconstructed and round-tripped")
 
 
 def test_criterion_4_flip_coherence():
-    result = suite.check_flip_coherence(4)
+    result = suite.check_flip_coherence(4, suite.CubePool())
     nodes, arcs = _per_n(result["detail"], "nodes"), _per_n(result["detail"], "arcs")
     ok = result["pass"] and nodes == {"2": 1, "3": 2, "4": 10} and arcs == {"2": 0, "3": 1, "4": 12}
     _verdict(4, ok, f"flip graphs isomorphic, nodes {nodes}, arcs {arcs}, unique source/sink, eta exact")
 
 
 def test_criterion_5_contraction_bijection():
-    result = suite.check_contraction_bijection(5)
+    result = suite.check_contraction_bijection(5, suite.CubePool())
     pairs = [result["detail"][f"converse_n{n}"]["pairs"] for n in range(1, 5)]
     forward = [key for key in result["detail"] if key.startswith("forward")]
     ok = result["pass"] and pairs == [1, 2, 10, 124]
@@ -65,7 +65,7 @@ def test_criterion_5_contraction_bijection():
 
 
 def test_criterion_6_pattern_theorems():
-    result = suite.check_pattern_theorems(5, seed=2024, samples=500)
+    result = suite.check_pattern_theorems(5, seed=2024, samples=500, pool=suite.CubePool())
     d = result["detail"]
     counts = (d["simple_never_crossing"]["samples"], d["quadruples_match_curve"]["samples"],
               d["complementary_pairs"]["exhaustive_n4"], d["complementary_pairs"]["sampled_n5"],
@@ -77,7 +77,7 @@ def test_criterion_6_pattern_theorems():
 
 
 def test_criterion_7_cross_tiling_exchange():
-    result = suite.check_cross_exchange(5, seed=7, samples=100)
+    result = suite.check_cross_exchange(5, seed=7, samples=100, pool=suite.CubePool())
     checked = result["detail"]["checked"]
     ok = result["pass"] and checked == 100
     _verdict(7, ok, f"{checked} sampled cross-tiling exchanges merged and validated")

@@ -197,6 +197,18 @@ class TestClassification:
         pat = CyclicPattern(3, (M([2, 3]), M([1, 2, 3]), M([1, 2]), M([2, 3]), M([2]), M([3])))
         assert curve_kind(pat) == "touching"
 
+    def test_three_visits_to_one_point(self):
+        # three loops through {2,3}; the touch-point test pairs each visit's
+        # two directions there, so it must tell the three visits apart.
+        # Each loop run the other way round interleaves the pairs.
+        x = M([2, 3])
+        touching = (x, M([3]), M([2]), x, M([1, 2]), M([1, 2, 3]), x, M([2, 3, 4]), M([3, 4]))
+        crossing = (x, M([2]), M([3]), x, M([1, 2, 3]), M([1, 2]), x, M([3, 4]), M([2, 3, 4]))
+        for cyc, want in ((touching, ("touching", "semi_simple")),
+                          (crossing, ("crossing", "self_crossing"))):
+            pat = CyclicPattern(4, cyc)
+            assert (curve_kind(pat), classify_pattern(pat)) == want
+
     def test_steps_validated(self):
         with pytest.raises(ValueError):
             CyclicPattern(3, (0, M([1, 2]), M([1])))

@@ -298,8 +298,9 @@ def test_reverse_search_counts_strong_tilings():
 
 
 @pytest.mark.slow
-def test_reverse_search_counts_strong_tilings_n6():
-    assert _strong_count(6) == 908
+@pytest.mark.parametrize("n, count", [(6, 908), (7, 24698)])
+def test_reverse_search_counts_strong_tilings_slow(n, count):
+    assert _strong_count(n) == count
 
 
 def _hexagon_reference(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:

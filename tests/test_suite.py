@@ -1,8 +1,9 @@
 """`run_suite` shares one `CubePool` among its checks: each weak hypercube is
 enumerated once per run, each distinct contraction, expansion and purity
 input is worked out once per run, and nothing carries over from one run to
-the next."""
+the next.  Also the cycle sampler the pattern checks draw through."""
 
+import random
 from collections import Counter
 
 from zonotile import flips, suite
@@ -97,3 +98,10 @@ def test_converse_works_out_the_pairs_the_forward_pass_lacks(monkeypatch):
     # the forward pass maps the 1 + 2 + 3 combis it sees; the converse maps
     # the 7 pairs at n - 1 = 3 that it did not, both ways
     assert calls == Counter({"contract": 6 + 7, "expand": 6 + 7})
+
+
+def test_sample_cycle_without_a_cycle_gives_none():
+    rng = random.Random(0)
+    assert suite.sample_cycle(set(), rng) is None
+    # every walk on a path stops at an end before it can close
+    assert suite.sample_cycle({(1, 2), (2, 3)}, rng) is None
