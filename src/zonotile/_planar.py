@@ -28,10 +28,12 @@ from .geometry import Generators, Point, boundary_cycle, embedding_table
 # C(10,2)·2^8 = 11,520 is the number of rhombi, and of deltas and of
 # nablas, with n <= 10, so up to n = 10 none of them is ever evicted from
 # the tile caches of `combi` and `rhombus`, one per tile class.  A full
-# cache holds at most 2.7 MB of these triangles or rhombi, or 8 MB of
-# lenses with the longest paths at n = 16.  The tile-shape memo of a
-# generator set holds as many cycles: 0.44 MB for the 926 tiles at n = 6;
-# full at n = 16, 7.3 MB of triangles or 19.6 MB of 16-vertex lenses.
+# cache holds at most 3.1 MB of these triangles, 3.5 MB of rhombi, or
+# 12.3 MB of lenses with the longest paths at n = 16 (18 path entries),
+# each tile counted with its masks, its cycle and its kept hash, the
+# cache's own keys not.  The tile-shape memo of a generator set holds as
+# many cycles, and no tiles: 0.44 MB for the 926 tiles at n = 6; full at
+# n = 16, 7.3 MB of triangles or 19.6 MB of 16-vertex lenses.
 # (tracemalloc, Python 3.11)
 TILE_CACHE_SIZE = 11_520
 

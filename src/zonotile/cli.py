@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import bitsets as bs
@@ -62,7 +63,10 @@ def _dump(data, out: str | None) -> None:
     _write_output(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
 
 
-def cmd(argv: list[str]) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of a process: parsing
+    leaves it unchanged, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(prog="zonotile", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,8 +132,11 @@ def cmd(argv: list[str]) -> int:
     p.add_argument("--pattern")
     p.add_argument("--out")
     p.add_argument("--no-labels", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def cmd(argv: list[str]) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ResourceGuardError as exc:

@@ -25,7 +25,6 @@ path, and the members under the union of its ends its lower path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from operator import attrgetter, or_
@@ -33,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from . import bitsets as bs
 from ._planar import TILE_CACHE_SIZE, TilingError, check_planar_cover, zonogon_region
+from ._value import OrderedValue, Value, _set
 from .geometry import default_generators
 from .separation import SetFamily, is_maximal_separated
 
@@ -40,23 +40,24 @@ if TYPE_CHECKING:
     from .rhombus import RhombusTiling
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Delta:
+class Delta(OrderedValue):
     """Upward triangle: apex, base from apex-high (left) to apex-low (right)."""
 
+    __slots__ = ("apex", "low", "high", "_cycle")
     apex: int
     low: int
     high: int
     # the corners counterclockwise, from the base's left end: set once
-    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cycle: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.low < self.high:
-            raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        apex, low, high = self.apex, 1 << (self.low - 1), 1 << (self.high - 1)
-        if apex & (low | high) != low | high:
+    def __init__(self, apex: int, low: int, high: int) -> None:
+        if not 1 <= low < high:
+            raise ValueError(f"need 1 <= low < high, got {low}, {high}")
+        lo, hi = 1 << (low - 1), 1 << (high - 1)
+        if apex & (lo | hi) != lo | hi:
             raise ValueError("apex of a Delta must contain both type elements")
-        object.__setattr__(self, "_cycle", (apex ^ high, apex ^ low, apex))
+        self._fill(apex, low, high)
+        _set(self, "_cycle", (apex ^ hi, apex ^ lo, apex))
 
     @classmethod
     def on_base(cls, apex: int, left: int, right: int) -> Delta:
@@ -84,23 +85,24 @@ class Delta:
         return self._cycle
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Nabla:
+class Nabla(OrderedValue):
     """Downward triangle: bottom, base from bottom+low (left) to bottom+high."""
 
+    __slots__ = ("bottom", "low", "high", "_cycle")
     bottom: int
     low: int
     high: int
     # the corners counterclockwise, from the bottom: set once
-    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cycle: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.low < self.high:
-            raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        bottom, low, high = self.bottom, 1 << (self.low - 1), 1 << (self.high - 1)
-        if bottom & (low | high):
+    def __init__(self, bottom: int, low: int, high: int) -> None:
+        if not 1 <= low < high:
+            raise ValueError(f"need 1 <= low < high, got {low}, {high}")
+        lo, hi = 1 << (low - 1), 1 << (high - 1)
+        if bottom & (lo | hi):
             raise ValueError("bottom of a Nabla must avoid both type elements")
-        object.__setattr__(self, "_cycle", (bottom, bottom | high, bottom | low))
+        self._fill(bottom, low, high)
+        _set(self, "_cycle", (bottom, bottom | hi, bottom | lo))
 
     @classmethod
     def on_base(cls, bottom: int, left: int, right: int) -> Nabla:
@@ -144,11 +146,11 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Lens:
+class Lens(OrderedValue):
+    __slots__ = ("upper", "lower", "_cycle")
     upper: tuple[int, ...]
     lower: tuple[int, ...]
-    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cycle: tuple[int, ...]
 
     def __init__(self, upper, lower) -> None:
         up, lo = tuple(upper), tuple(lower)
@@ -176,9 +178,8 @@ class Lens:
         lseq = [(union & ~v).bit_length() for v in lo]
         if any(a <= b for a, b in zip(lseq, lseq[1:])):
             raise ValueError("lower path types must strictly decrease")
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "_cycle", lo + up[-2:0:-1])
+        self._fill(up, lo)
+        _set(self, "_cycle", lo + up[-2:0:-1])
 
     @property
     def left(self) -> int:
@@ -222,16 +223,10 @@ Tile = Delta | Nabla | Lens
 shared_delta = lru_cache(maxsize=TILE_CACHE_SIZE)(Delta)
 shared_nabla = lru_cache(maxsize=TILE_CACHE_SIZE)(Nabla)
 shared_lens = lru_cache(maxsize=TILE_CACHE_SIZE)(Lens)
-# Sort keys giving each dataclass's own order (its fields compared in
-# turn), faster than sorting by the generated __lt__.
-_DELTA_ORDER = attrgetter("apex", "low", "high")
-_NABLA_ORDER = attrgetter("bottom", "low", "high")
-_LENS_ORDER = attrgetter("upper", "lower")
 _CYCLE = attrgetter("_cycle")
 
 
-@dataclass(frozen=True)
-class Combi:
+class Combi(Value):
     n: int
     deltas: frozenset[Delta]
     nablas: frozenset[Nabla]
@@ -239,10 +234,7 @@ class Combi:
 
     def __init__(self, n: int, deltas=(), nablas=(), lenses=()) -> None:
         bs.check_ground(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "deltas", frozenset(deltas))
-        object.__setattr__(self, "nablas", frozenset(nablas))
-        object.__setattr__(self, "lenses", frozenset(lenses))
+        self._fill(n, frozenset(deltas), frozenset(nablas), frozenset(lenses))
         # A triangle's largest corner (its apex or right corner) or a lens's
         # lower center is out of range just when one of its corners is; the
         # tiles are scanned one by one, in `tiles()` order, only to name the
@@ -258,11 +250,12 @@ class Combi:
         return chain(cycles, [(0, 1)]) if self.n == 1 else cycles
 
     def tiles(self) -> list[Tile]:
-        """Deltas, nablas, lenses, each kind in its dataclass order."""
+        """Deltas, nablas, lenses, each kind in its own order (sorted by the
+        field tuples, faster than by the tiles' __lt__)."""
         return (
-            sorted(self.deltas, key=_DELTA_ORDER)
-            + sorted(self.nablas, key=_NABLA_ORDER)
-            + sorted(self.lenses, key=_LENS_ORDER)
+            sorted(self.deltas, key=Delta._values)
+            + sorted(self.nablas, key=Nabla._values)
+            + sorted(self.lenses, key=Lens._values)
         )
 
     def vertex_masks(self) -> frozenset[int]:
@@ -270,7 +263,7 @@ class Combi:
 
     @cached_property
     def _vertices(self) -> frozenset[int]:
-        # Built on first use and not a dataclass field, so equality and
+        # Built on first use and not a field, so equality and
         # hashing see only the tiles; copied from a set, the frozenset's
         # table is sized to the members, not to the corners with repeats.
         return frozenset(set(chain.from_iterable(self._cycles())))
@@ -285,7 +278,7 @@ class Combi:
 
     @cached_property
     def _edges(self) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
-        # Built once per instance and, like `_vertices`, not a dataclass field.
+        # Built once per instance and, like `_vertices`, not a field.
         return cycle_sides(self._cycles())
 
     def size_sum(self) -> int:
@@ -405,8 +398,7 @@ def from_w_collection(family: SetFamily, check_input: bool = True) -> Combi:
     return combi
 
 
-@dataclass(frozen=True)
-class WConfig:
+class WConfig(Value):
     """Two nablas sharing their middle top vertex, witnessing a lowering flip."""
 
     core: int
@@ -425,8 +417,7 @@ class WConfig:
         return Nabla(self.core | bs.singleton(self.k), self.i, self.j)
 
 
-@dataclass(frozen=True)
-class MConfig:
+class MConfig(Value):
     """Two deltas sharing their middle bottom vertex, witnessing a raising flip."""
 
     core: int

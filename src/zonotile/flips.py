@@ -11,10 +11,9 @@ is validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bitsets as bs
 from ._planar import TilingError
+from ._value import Value
 from .combi import Combi, MConfig, WConfig, find_m_configs, find_w_configs, from_w_collection
 from .separation import (
     DomainReport,
@@ -110,8 +109,7 @@ def descend_to_minimum(combi: Combi) -> tuple[Combi, list[WConfig]]:
     return cur, trace
 
 
-@dataclass(frozen=True)
-class FlipGraph:
+class FlipGraph(Value):
     """Raising-flip graph over maximal w-collections of the hypercube."""
 
     n: int

@@ -8,11 +8,10 @@ constructor verifies that this embedding is injective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
+from ._value import Value
 from .bitsets import check_ground, full_mask, iter_elements
 
 Point = tuple[int, int]
@@ -30,8 +29,7 @@ def add(a: Point, b: Point) -> Point:
     return (a[0] + b[0], a[1] + b[1])
 
 
-@dataclass(frozen=True)
-class Generators:
+class Generators(Value):
     """n integer vectors in the upper half-plane, clockwise, equal norms."""
 
     n: int
@@ -60,8 +58,7 @@ class Generators:
             if len(nxt) != 2 * len(sums):
                 raise ValueError("subset sums of the generators collide")
             sums = nxt
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", vecs)
+        self._fill(n, vecs)
 
     def vector(self, i: int) -> Point:
         return self.vectors[i - 1]
@@ -81,10 +78,16 @@ class Generators:
         return 2 * total
 
 
-def _circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
-    p, q = u.numerator, u.denominator
+def _reduced(a: int, b: int) -> tuple[int, int]:
+    g = gcd(a, b)
+    return (a // g, b // g)
+
+
+def _circle_point(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The point at u = p/q of the parametrization below, each coordinate
+    a reduced (numerator, positive denominator) pair."""
     d = p * p + q * q
-    return (Fraction(q * q - p * p, d), Fraction(2 * p * q, d))
+    return (_reduced(q * q - p * p, d), _reduced(2 * p * q, d))
 
 
 @lru_cache(maxsize=64)
@@ -98,9 +101,9 @@ def default_generators(n: int) -> Generators:
     immutable, so every caller may share the result.
     """
     check_ground(n)
-    pts = [_circle_point(Fraction(2 * (n - k + 1), n + 1)) for k in range(1, n + 1)]
-    denom = lcm(*(c.denominator for p in pts for c in p))
-    return Generators(n, [(int(x * denom), int(y * denom)) for x, y in pts])
+    pts = [_circle_point(2 * (n - k + 1), n + 1) for k in range(1, n + 1)]
+    denom = lcm(*(b for p in pts for _, b in p))
+    return Generators(n, [(x * denom // b, y * denom // c) for (x, b), (y, c) in pts])
 
 
 def embed(mask: int, gens: Generators) -> Point:

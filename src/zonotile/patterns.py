@@ -16,12 +16,12 @@ which certifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from . import bitsets as bs
 from ._planar import TilingError
+from ._value import Value
 from .combi import Combi, from_w_collection
 from .geometry import (
     Point,
@@ -44,8 +44,7 @@ from .separation import (
     purity_verdict,
 )
 
-@dataclass(frozen=True)
-class CyclicPattern:
+class CyclicPattern(Value):
     """Cyclic sequence of subsets with 1- or 2-distance steps."""
 
     n: int
@@ -60,8 +59,7 @@ class CyclicPattern:
             raise ValueError("a cyclic pattern needs at least three sets")
         for m in cyc:
             bs.check_subset(m, n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cycle", cyc)
+        self._fill(n, cyc)
         for a, b in self.steps():
             if not _legal_step(a, b):
                 raise ValueError(
@@ -80,7 +78,7 @@ class CyclicPattern:
     @cached_property
     def _kind(self) -> str:
         # Worked out on the first classification and, like `Combi._vertices`,
-        # not a dataclass field, so equality and hashing see only n and the
+        # not a field, so equality and hashing see only n and the
         # cycle.  A classification that raises leaves nothing behind.
         return _classification(self)
 
@@ -231,8 +229,7 @@ def _classification(pattern: CyclicPattern) -> str:
     return "simple" if not twos else "generalized_ok"
 
 
-@dataclass(frozen=True)
-class PatternRegions:
+class PatternRegions(Value):
     pattern: CyclicPattern
 
     @cached_property
@@ -294,8 +291,7 @@ def verify_complementary(dom: SetFamily, dom2: SetFamily, relation: str = "weak"
 # quasi-combies: splitting a combi along a pattern curve and merging halves
 
 
-@dataclass(frozen=True)
-class QuasiCombi:
+class QuasiCombi(Value):
     """One half of a combi split along a pattern: the combi's vertices in the
     closed inside (region "in") or the closed outside ("out") of the curve."""
 
@@ -351,8 +347,7 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
 # planar graph patterns and their face domains
 
 
-@dataclass(frozen=True)
-class GraphPattern:
+class GraphPattern(Value):
     """Planar graph of pattern vertices with 1-/2-distance edges."""
 
     n: int
@@ -372,9 +367,7 @@ class GraphPattern:
             if not _legal_step(u, v):
                 raise ValueError("edges must be 1- or 2-distance pairs")
             norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        self._fill(n, verts, tuple(sorted(norm)))
 
 
 def graph_pattern(n: int, vertices, edges) -> GraphPattern:
@@ -399,8 +392,7 @@ def graph_pattern(n: int, vertices, edges) -> GraphPattern:
     return pat
 
 
-@dataclass(frozen=True)
-class PatternFace:
+class PatternFace(Value):
     """A bounded face of the graph pattern, traced counterclockwise."""
 
     cycle: tuple[int, ...]

@@ -9,11 +9,11 @@ pattern curves dashed.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import isqrt
 
 from . import bitsets as bs
 from .combi import Combi, from_rhombus
-from .geometry import Generators, default_generators, embed
+from .geometry import Generators, _reduced, default_generators, embed
 from .patterns import CyclicPattern
 from .rhombus import RhombusTiling
 
@@ -21,9 +21,9 @@ from .rhombus import RhombusTiling
 # the length of a generator and the blank border, in SVG units
 SCALE = 160
 MARGIN = 30
-# stroke widths: vertical edges bold, horizontal ones thin
-VERTICAL_WIDTH = Fraction(5, 2)
-HORIZONTAL_WIDTH = Fraction(1)
+# stroke widths in half SVG units: vertical edges bold, horizontal ones thin
+VERTICAL_WIDTH = 5
+HORIZONTAL_WIDTH = 2
 
 
 def _fmt(num: int, den: int = 1) -> str:
@@ -41,7 +41,7 @@ class _Canvas:
 
     def __init__(self, gens: Generators) -> None:
         norm2 = sum(c * c for c in gens.vectors[0])
-        self.unit, self.den = (SCALE / _isqrt_fraction(norm2)).as_integer_ratio()
+        self.unit, self.den = _unit(norm2)
         self.x_shift = -sum(min(v[0], 0) for v in gens.vectors)
         self.width = self.x_shift + sum(max(v[0], 0) for v in gens.vectors)
         self.top = gens.top[1]
@@ -54,12 +54,12 @@ class _Canvas:
         y = (self.top - p[1]) * self.unit + self.margin - lift * self.den
         return _fmt(x, self.den), _fmt(y, self.den)
 
-    def line(self, a, b, width: Fraction, color: str, dashed: bool = False) -> None:
+    def line(self, a, b, width: int, color: str, dashed: bool = False) -> None:
         (x1, y1), (x2, y2) = self.to_svg(a), self.to_svg(b)
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.parts.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="{color}" stroke-width="{_fmt(*width.as_integer_ratio())}" stroke-linecap="round"{dash}/>'
+            f'stroke="{color}" stroke-width="{_fmt(width, 2)}" stroke-linecap="round"{dash}/>'
         )
 
     def polygon(self, pts, fill: str) -> None:
@@ -86,12 +86,11 @@ class _Canvas:
         )
 
 
-def _isqrt_fraction(norm2: int) -> Fraction:
-    """Rational approximation of sqrt(norm2), good far beyond pixel scale."""
-    from math import isqrt
-
+def _unit(norm2: int) -> tuple[int, int]:
+    """SCALE over a rational approximation of sqrt(norm2), good far beyond
+    pixel scale, as a reduced fraction (numerator, denominator)."""
     scale = 10**12
-    return Fraction(isqrt(norm2 * scale * scale), scale)
+    return _reduced(SCALE * scale, isqrt(norm2 * scale * scale))
 
 
 def _vertex_label(mask: int) -> str:

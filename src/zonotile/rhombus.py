@@ -11,33 +11,33 @@ strong flip trades one vertex, and `from_s_collection` certifies the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 
 from . import bitsets as bs
 from ._planar import TILE_CACHE_SIZE, TilingError
+from ._value import OrderedValue, Value, _set
 from .combi import _assemble, _planar, from_rhombus
 from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Rhombus:
+class Rhombus(OrderedValue):
     """Tile with corners base, base+low (left), base+high (right), base+both."""
 
+    __slots__ = ("base", "low", "high", "_cycle")
     base: int
     low: int
     high: int
     # the corners counterclockwise, from the bottom: set once
-    _cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cycle: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.low < self.high:
-            raise ValueError(f"need 1 <= low < high, got {self.low}, {self.high}")
-        base, low, high = self.base, 1 << (self.low - 1), 1 << (self.high - 1)
-        if base & (low | high):
+    def __init__(self, base: int, low: int, high: int) -> None:
+        if not 1 <= low < high:
+            raise ValueError(f"need 1 <= low < high, got {low}, {high}")
+        lo, hi = 1 << (low - 1), 1 << (high - 1)
+        if base & (lo | hi):
             raise ValueError("type elements must not lie in the base set")
-        object.__setattr__(self, "_cycle", (base, base | high, base | low | high, base | low))
+        self._fill(base, low, high)
+        _set(self, "_cycle", (base, base | hi, base | lo | hi, base | lo))
 
     @property
     def bottom(self) -> int:
@@ -66,13 +66,7 @@ class Rhombus:
 shared_rhombus = lru_cache(maxsize=TILE_CACHE_SIZE)(Rhombus)
 
 
-# Sort key giving the dataclass's own order (its fields compared in turn),
-# faster than sorting by the generated __lt__.
-_RHOMBUS_ORDER = attrgetter("base", "low", "high")
-
-
-@dataclass(frozen=True)
-class RhombusTiling:
+class RhombusTiling(Value):
     n: int
     tiles: frozenset[Rhombus]
 
@@ -85,10 +79,9 @@ class RhombusTiling:
         for t in tset:
             span |= t.top
         if span & ~bs.full_mask(n):
-            for t in sorted(tset, key=_RHOMBUS_ORDER):
+            for t in sorted(tset, key=Rhombus._values):
                 bs.check_subset(t.top, n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tiles", tset)
+        self._fill(n, tset)
 
     def vertex_masks(self) -> frozenset[int]:
         return from_rhombus(self).vertex_masks()
@@ -102,7 +95,7 @@ def validate_rhombus(tiling: RhombusTiling) -> bool:
     """Planar-tiling axioms under the exact embedding; raises TilingError
     naming the first violation in sorted tile order."""
     tiles = tiling.tiles
-    return _planar(tiling.n, tiles, lambda: sorted(tiles, key=_RHOMBUS_ORDER), _rhombus_label)
+    return _planar(tiling.n, tiles, lambda: sorted(tiles, key=Rhombus._values), _rhombus_label)
 
 
 def spectrum_rhombus(tiling: RhombusTiling) -> SetFamily:

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value
 from .bitsets import (
     MAX_GROUND,
     check_ground,
@@ -110,8 +111,7 @@ def _check_relation(relation: str) -> str:
     return relation
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Value):
     """A duplicate-free collection of subsets of {1..n}, stored sorted."""
 
     n: int
@@ -127,8 +127,7 @@ class SetFamily:
                 check_subset(m, n)
         if len(set(mem)) != len(mem):
             raise ValueError("SetFamily members must be duplicate-free")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", mem)
+        self._fill(n, mem)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -260,8 +259,7 @@ class DomainReport:
     ranks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PurityVerdict:
+class PurityVerdict(Value):
     """How many maximal separated collections a domain has, and their sizes."""
 
     count: int
@@ -362,8 +360,7 @@ def purity_verdict(domain: SetFamily, relation: str) -> PurityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     images: tuple[int, ...]
 
     def __init__(self, images) -> None:
@@ -372,7 +369,7 @@ class Permutation:
         check_ground(n)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValueError(f"{imgs!r} is not a permutation of 1..{n}")
-        object.__setattr__(self, "images", imgs)
+        self._fill(imgs)
 
     @property
     def n(self) -> int:

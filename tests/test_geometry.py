@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,6 +24,25 @@ def test_default_generators_basic():
         norms = {x * x + y * y for x, y in gens.vectors}
         assert len(norms) == 1
         assert all(y > 0 for _, y in gens.vectors)
+
+
+def _fraction_generators(n):
+    """The generator vectors in Fractions: the points of the rational
+    parametrization at u = 2(n-k+1)/(n+1), scaled by the least common
+    denominator."""
+    pts = []
+    for k in range(1, n + 1):
+        u = Fraction(2 * (n - k + 1), n + 1)
+        p, q = u.numerator, u.denominator
+        d = p * p + q * q
+        pts.append((Fraction(q * q - p * p, d), Fraction(2 * p * q, d)))
+    denom = lcm(*(c.denominator for p in pts for c in p))
+    return tuple((int(x * denom), int(y * denom)) for x, y in pts)
+
+
+def test_default_generators_match_the_fraction_reference():
+    for n in range(1, 17):
+        assert default_generators(n).vectors == _fraction_generators(n)
 
 
 def test_generator_order_is_clockwise():

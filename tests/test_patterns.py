@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -13,6 +12,7 @@ from zonotile.flips import interval_combi
 from zonotile.geometry import Generators, default_generators, embedding_table, point_in_closed_polyline
 from zonotile.patterns import (
     CyclicPattern,
+    QuasiCombi,
     boundary_pattern,
     classify_pattern,
     curve_kind,
@@ -500,7 +500,7 @@ class TestSplitMerge:
         assert spectrum(merge_repair(inner, outer)) == spectrum(combi)
         top = {bs.full_mask(4)}
         with pytest.raises(TilingError) as info:
-            merge_repair(replace(inner, vertices=inner.vertices - top), replace(outer, vertices=outer.vertices - top))
+            merge_repair(*(QuasiCombi(h.n, h.region, h.pattern, h.vertices - top) for h in (inner, outer)))
         assert info.value.axiom == "edge-sharing"
 
     # Curves through lenses and fans that the sampled exchanges rarely

@@ -1,0 +1,152 @@
+"""The contract of the frozen value types: what each class kept from the
+dataclass it was, pinned by instance."""
+
+import copy
+import dataclasses
+import importlib
+import pickle
+import pkgutil
+
+import pytest
+
+import zonotile
+from zonotile._value import OrderedValue, Value
+from zonotile.combi import Combi, Delta, Lens, MConfig, Nabla, WConfig
+from zonotile.flips import FlipGraph
+from zonotile.geometry import Generators
+from zonotile.patterns import CyclicPattern, GraphPattern, PatternFace, PatternRegions, QuasiCombi
+from zonotile.rhombus import Rhombus, RhombusTiling
+from zonotile.separation import DomainReport, Permutation, PurityVerdict, SetFamily
+
+PATTERN = CyclicPattern(2, (0, 1, 3, 2))
+
+# one instance per class, its dataclass repr, and an unequal instance
+CASES = [
+    (Delta(7, 1, 2), "Delta(apex=7, low=1, high=2)", Delta(7, 1, 3)),
+    (Nabla(0, 1, 2), "Nabla(bottom=0, low=1, high=2)", Nabla(4, 1, 2)),
+    (Lens((3, 6, 10), (3, 9, 10)), "Lens(upper=(3, 6, 10), lower=(3, 9, 10))", Lens((5, 6, 12), (5, 9, 12))),
+    (Rhombus(0, 1, 2), "Rhombus(base=0, low=1, high=2)", Rhombus(4, 1, 2)),
+    (
+        Combi(2, [Delta(3, 1, 2)], [Nabla(0, 1, 2)]),
+        "Combi(n=2, deltas=frozenset({Delta(apex=3, low=1, high=2)}), "
+        "nablas=frozenset({Nabla(bottom=0, low=1, high=2)}), lenses=frozenset())",
+        Combi(2, [Delta(3, 1, 2)]),
+    ),
+    (WConfig(0, 1, 2, 3), "WConfig(core=0, i=1, j=2, k=3)", WConfig(8, 1, 2, 3)),
+    (MConfig(0, 1, 2, 3), "MConfig(core=0, i=1, j=2, k=3)", MConfig(0, 1, 2, 4)),
+    (SetFamily(3, (2, 1)), "SetFamily(n=3, members=(1, 2))", SetFamily(4, (1, 2))),
+    (PurityVerdict(1, (0,)), "PurityVerdict(count=1, ranks=(0,))", PurityVerdict(2, (0,))),
+    (Permutation((2, 1)), "Permutation(images=(2, 1))", Permutation((1, 2))),
+    (Generators(1, [(0, 1)]), "Generators(n=1, vectors=((0, 1),))", Generators(1, [(0, 2)])),
+    (
+        FlipGraph(1, (frozenset({0, 1}),), ()),
+        "FlipGraph(n=1, nodes=(frozenset({0, 1}),), arcs=())",
+        FlipGraph(1, (frozenset({0}),), ()),
+    ),
+    (PATTERN, "CyclicPattern(n=2, cycle=(0, 1, 3, 2))", CyclicPattern(2, (0, 2, 3, 1))),
+    (
+        PatternRegions(PATTERN),
+        "PatternRegions(pattern=CyclicPattern(n=2, cycle=(0, 1, 3, 2)))",
+        PatternRegions(CyclicPattern(2, (0, 2, 3, 1))),
+    ),
+    (
+        QuasiCombi(2, "in", (0, 1, 3, 2), frozenset({0, 1})),
+        "QuasiCombi(n=2, region='in', pattern=(0, 1, 3, 2), vertices=frozenset({0, 1}))",
+        QuasiCombi(2, "out", (0, 1, 3, 2), frozenset({0, 1})),
+    ),
+    (
+        GraphPattern(2, [0, 1, 3, 2], [(0, 1), (1, 3)]),
+        "GraphPattern(n=2, vertices=(0, 1, 2, 3), edges=((0, 1), (1, 3)))",
+        GraphPattern(2, [0, 1, 3, 2], [(0, 1)]),
+    ),
+    (PatternFace((0, 1, 3), 4), "PatternFace(cycle=(0, 1, 3), area2=4)", PatternFace((0, 1, 3), 6)),
+    (
+        RhombusTiling(2, [Rhombus(0, 1, 2)]),
+        "RhombusTiling(n=2, tiles=frozenset({Rhombus(base=0, low=1, high=2)}))",
+        RhombusTiling(2, []),
+    ),
+]
+TILES = (Delta, Nabla, Lens, Rhombus)
+
+
+def _classes():
+    """Every class the zonotile modules define."""
+    modules = [importlib.import_module(f"zonotile.{m.name}") for m in pkgutil.iter_modules(zonotile.__path__)]
+    return {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    }
+
+
+def _fields(value):
+    return tuple(getattr(value, name) for name in value._fields)
+
+
+def test_every_value_class_is_covered():
+    covered = {type(value) for value, _, _ in CASES}
+    assert len(covered) == len(CASES) == 18
+    assert {cls for cls in _classes() if issubclass(cls, Value)} - {Value, OrderedValue} == covered
+    assert {cls for cls in covered if issubclass(cls, OrderedValue)} == set(TILES)
+
+
+def test_domain_report_is_the_only_dataclass():
+    assert {cls for cls in _classes() if dataclasses.is_dataclass(cls)} == {DomainReport}
+
+
+@pytest.mark.parametrize("value, text, other", CASES, ids=[type(value).__name__ for value, _, _ in CASES])
+class TestContract:
+    def test_equality_and_hash(self, value, text, other):
+        twin = type(value)(*_fields(value))
+        assert twin == value and not twin != value and hash(twin) == hash(value)
+        assert other != value and not other == value
+        assert value != _fields(value) and value.__eq__(_fields(value)) is NotImplemented
+        # the dataclass hash, so sets of values iterate in the same order
+        assert hash(value) == hash(_fields(value))
+
+    def test_keywords(self, value, text, other):
+        fields = dict(zip(value._fields, _fields(value)))
+        assert type(value)(**fields) == value
+        with pytest.raises(TypeError):
+            type(value)(**fields, extra=0)
+        first = value._fields[0]
+        with pytest.raises(TypeError):
+            type(value)(*_fields(value), **{first: fields[first]})
+
+    def test_repr(self, value, text, other):
+        assert repr(value) == text
+        assert "_cycle" not in repr(value) and "_hash" not in repr(value)
+
+    def test_frozen(self, value, text, other):
+        for name in (*value._fields, "_cycle", "anything"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert repr(value) == text
+
+    def test_pickle_and_copies(self, value, text, other):
+        pickled = [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*pickled, copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            assert repr(twin) == text
+
+    def test_order(self, value, text, other):
+        if not isinstance(value, TILES):
+            with pytest.raises(TypeError):
+                value < other  # noqa: B015
+            return
+        for a, b in ((value, other), (other, value), (value, value)):
+            x, y = _fields(a), _fields(b)
+            assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+        stranger = Nabla(0, 1, 2) if isinstance(value, Delta) else Delta(7, 1, 2)
+        with pytest.raises(TypeError):
+            value < stranger  # noqa: B015
+
+
+def test_generic_constructor_rejects_a_wrong_count():
+    with pytest.raises(TypeError):
+        WConfig(0, 1, 2)
+    with pytest.raises(TypeError):
+        WConfig(0, 1, 2, 3, 4)
