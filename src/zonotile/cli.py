@@ -51,10 +51,10 @@ def _load_combi(path: str) -> Combi:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """`text`, which ends in a newline (JSON dumps and SVG documents), to
+    stdout or to the file `out`."""
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         Path(out).write_text(text, encoding="utf-8")
 
@@ -271,21 +271,19 @@ def _dispatch(args) -> int:
         _dump(report, args.out)
         return 0 if report["pass"] else 1
 
-    if args.command == "render":
-        chosen = [x for x in (args.combi, args.tiling, args.pattern) if x]
-        if len(chosen) != 1:
-            raise ValueError("pass exactly one of --combi, --tiling, --pattern")
-        if args.combi:
-            obj = _load_combi(args.combi)
-        elif args.tiling:
-            obj = jsonio.tiling_from_json(_load(args.tiling))
-            validate_rhombus(obj)
-        else:
-            obj = jsonio.pattern_from_json(_load(args.pattern))
-        _write_output(render_svg(obj, labels=not args.no_labels), args.out)
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # render, the last of the commands: argparse admits no other
+    chosen = [x for x in (args.combi, args.tiling, args.pattern) if x]
+    if len(chosen) != 1:
+        raise ValueError("pass exactly one of --combi, --tiling, --pattern")
+    if args.combi:
+        obj = _load_combi(args.combi)
+    elif args.tiling:
+        obj = jsonio.tiling_from_json(_load(args.tiling))
+        validate_rhombus(obj)
+    else:
+        obj = jsonio.pattern_from_json(_load(args.pattern))
+    _write_output(render_svg(obj, labels=not args.no_labels), args.out)
+    return 0
 
 
 def main() -> None:

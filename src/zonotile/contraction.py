@@ -133,8 +133,10 @@ def enumerate_legal_paths(combi: Combi) -> list[tuple[int, ...]]:
 def _walks(combi: Combi, within: set[int] | None = None) -> list[tuple[int, ...]]:
     """The simple paths along vertical edges from the bottom to the top
     vertex with no two backward edges in a row and every zigzag bent to the
-    right, by depth-first search in ascending order of the next vertex; with
-    `within`, only the paths through exactly the vertices of `within`."""
+    right, by depth-first search: from each vertex the up-steps in ascending
+    order, then the down-steps in ascending order, each of them to a smaller
+    vertex than the current one; with `within`, only the paths through
+    exactly the vertices of `within`."""
     edges = combi.vertical_edges()
     if within is not None:
         edges = [(a, b) for a, b in edges if a in within and b in within]

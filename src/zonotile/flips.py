@@ -6,7 +6,9 @@ complement are rules on vertex sets.  A lowering flip, on the two nablas of
 a W-configuration, trades their shared top vertex core+i+k for core+j one
 level down; a raising flip, on the two deltas of an M-configuration, makes
 the reverse trade; the complement complements every vertex.  Every result
-is validated.
+is validated.  The trade itself, with its type and direction checks, is
+`_trade`, shared by these flips, `set_flip` and `rhombus.strong_flip`;
+each checks only its own witnesses.
 """
 
 from __future__ import annotations
@@ -26,29 +28,41 @@ from .separation import (
 )
 
 
-def _check_types(i: int, j: int, k: int) -> None:
+def _lowers(direction: str) -> bool:
+    """Whether a flip in `direction` lowers; ValueError unless 'raise' or 'lower'."""
+    if direction not in ("raise", "lower"):
+        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    return direction == "lower"
+
+
+def _trade(core: int, i: int, j: int, k: int, direction: str) -> tuple[int, int]:
+    """The vertex a flip at core X and types i < j < k removes and the one it
+    adds: X+j and X+i+k for a raise, the reverse for a lower.  Raises
+    ValueError unless i < j < k, then unless the direction is known."""
     if not i < j < k:
         raise ValueError("types must satisfy i < j < k")
+    lowers = _lowers(direction)
+    low, high = core | bs.singleton(j), core | bs.singleton(i) | bs.singleton(k)
+    return (high, low) if lowers else (low, high)
 
 
 def lowering_flip(combi: Combi, w: WConfig) -> Combi:
     """Replace the middle vertex core+i+k by core+j (i < j < k); raises
     ValueError unless i < j < k and the two nablas of `w` are tiles of the combi."""
-    _check_types(w.i, w.j, w.k)
+    gone, came = _trade(w.core, w.i, w.j, w.k, "lower")
     if w.left_nabla() not in combi.nablas or w.right_nabla() not in combi.nablas:
         raise ValueError("the requested W-configuration is not present")
-    verts = combi.vertex_masks() - {w.middle} | {w.core | bs.singleton(w.j)}
+    verts = combi.vertex_masks() - {gone} | {came}
     return from_w_collection(SetFamily(combi.n, verts), check_input=False)
 
 
 def raising_flip(combi: Combi, m: MConfig) -> Combi:
     """Replace the middle vertex core+j by core+i+k (i < j < k); raises
     ValueError unless i < j < k and the two deltas of `m` are tiles of the combi."""
-    _check_types(m.i, m.j, m.k)
+    gone, came = _trade(m.core, m.i, m.j, m.k, "raise")
     if m.left_delta() not in combi.deltas or m.right_delta() not in combi.deltas:
         raise ValueError("the requested M-configuration is not present")
-    high = m.core | bs.singleton(m.i) | bs.singleton(m.k)
-    verts = combi.vertex_masks() - {m.core | bs.singleton(m.j)} | {high}
+    verts = combi.vertex_masks() - {gone} | {came}
     return from_w_collection(SetFamily(combi.n, verts), check_input=False)
 
 
@@ -62,27 +76,20 @@ def complement_combi(combi: Combi) -> Combi:
 def set_flip(
     family: SetFamily, core: int, i: int, j: int, k: int, direction: str
 ) -> SetFamily:
-    """Weak flip on a maximal w-collection: trade core+j against core+i+k."""
-    _check_types(i, j, k)
+    """Weak flip on a maximal w-collection: trade core+j against core+i+k.
+    Its witnesses core+i, core+k, core+i+j and core+j+k are checked before
+    the direction."""
+    low, high = _trade(core, i, j, k, "raise")
     mem = set(family.members)
-    si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
-    witnesses = (core | si, core | sk, core | si | sj, core | sj | sk)
-    if not all(wit in mem for wit in witnesses):
+    si, sk = bs.singleton(i), bs.singleton(k)
+    if not mem.issuperset((core | si, core | sk, low | si, low | sk)):
         raise ValueError("flip witnesses are absent from the family")
-    low, high = core | sj, core | si | sk
     if low in mem and high in mem:
         raise ValueError("family contains both flip targets; it is not weakly separated")
-    if direction == "raise":
-        gone, came = low, high
-    elif direction == "lower":
-        gone, came = high, low
-    else:
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    gone, came = _trade(core, i, j, k, direction)
     if gone not in mem:
         raise ValueError(f"flip source {bs.format_subset(gone)} not in the family")
-    mem.discard(gone)
-    mem.add(came)
-    return SetFamily(family.n, mem)
+    return SetFamily(family.n, mem - {gone} | {came})
 
 
 def interval_combi(n: int) -> Combi:
@@ -125,70 +132,55 @@ class FlipGraph(Value):
         return [v for v in range(len(self.nodes)) if v not in has_out]
 
 
-def flip_graph(n: int, report: DomainReport | None = None) -> FlipGraph:
-    """BFS over raising flips from the interval combi; nodes are spectra.
+def _index(n: int, report: DomainReport | None) -> dict[frozenset[int], int]:
+    """The collections of `report`, else of the weak n-cube's enumeration,
+    each to its place: the nodes of a flip graph."""
+    if report is None:
+        report = enumerate_maximal(hypercube_domain(n), "weak")
+    return {f.as_set(): v for v, f in enumerate(report.maximal_collections)}
 
-    Cross-checked against the brute-force clique enumeration, `report` if
-    the caller has it, so the flip moves provably reach every maximal
-    w-collection.
+
+def flip_graph(n: int, report: DomainReport | None = None) -> FlipGraph:
+    """BFS over raising flips from the interval combi; nodes are spectra,
+    indexed by `report`, the weak n-cube's enumeration.
+
+    The flips must reach exactly the collections of the report, so the flip
+    moves provably reach every maximal w-collection.
     """
     if n > min(5, _max_enum_n()):
         raise ResourceGuardError(f"flip_graph guard: n={n} exceeds the configured bound")
+    index = _index(n, report)
     start = interval_combi(n)
-    key0 = start.vertex_masks()
-    order: dict[frozenset[int], int] = {key0: 0}
-    combis = [start]
-    arcs: set[tuple[int, int]] = set()
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        cur = combis[u]
+    queue, seen, arcs = [start], {start.vertex_masks()}, set()
+    for cur in queue:
         for m in find_m_configs(cur):
             nxt = raising_flip(cur, m)
-            key = nxt.vertex_masks()
-            v = order.get(key)
-            if v is None:
-                v = len(combis)
-                order[key] = v
-                combis.append(nxt)
-                queue.append(v)
-            arcs.add((u, v))
-    nodes = tuple(sorted(order, key=lambda s: tuple(sorted(s))))
-    remap = {order[key]: idx for idx, key in enumerate(nodes)}
-    arcs2 = tuple(sorted((remap[u], remap[v]) for u, v in arcs))
-    if report is None:
-        report = enumerate_maximal(hypercube_domain(n), "weak")
-    expected = {f.as_set() for f in report.maximal_collections}
-    if set(nodes) != expected:
+            if nxt.vertex_masks() not in seen:
+                seen.add(nxt.vertex_masks())
+                queue.append(nxt)
+            arcs.add((cur.vertex_masks(), nxt.vertex_masks()))
+    if seen != index.keys():
         raise TilingError("flip-graph", "flip moves do not reach every collection")
-    return FlipGraph(n, nodes, arcs2)
+    return FlipGraph(n, tuple(index), tuple(sorted((index[u], index[v]) for u, v in arcs)))
 
 
 def set_flip_graph(n: int, report: DomainReport | None = None) -> FlipGraph:
-    """Raising-flip graph computed purely at the set level, for cross-checks,
-    over the collections of `report`, the weak n-cube's enumeration."""
-    if report is None:
-        report = enumerate_maximal(hypercube_domain(n), "weak")
-    nodes = tuple(f.as_set() for f in report.maximal_collections)
-    index = {s: i for i, s in enumerate(nodes)}
+    """Raising-flip graph computed purely at the set level, for cross-checks:
+    the `set_flip` raises between the collections of `report`, the weak
+    n-cube's enumeration, tried on each member X+j with i < j < k outside it."""
+    index = _index(n, report)
     arcs = set()
-    for idx, fam in enumerate(report.maximal_collections):
-        mem = fam.as_set()
-        for low in mem:
+    for node, u in index.items():
+        fam = SetFamily(n, node)
+        for low in node:
             rest = [e for e in range(1, n + 1) if not bs.has(low, e)]
             for j in bs.iter_elements(low):
-                core = low ^ bs.singleton(j)
-                for i in rest:
-                    if i >= j:
-                        continue
-                    for k in rest:
-                        if k <= j:
+                for i in (e for e in rest if e < j):
+                    for k in (e for e in rest if e > j):
+                        try:
+                            raised = set_flip(fam, low ^ bs.singleton(j), i, j, k, "raise")
+                        except ValueError:
                             continue
-                        si, sk = bs.singleton(i), bs.singleton(k)
-                        wits = (core | si, core | sk, core | si | bs.singleton(j), core | bs.singleton(j) | sk)
-                        if all(wt in mem for wt in wits):
-                            target = (mem - {low}) | {core | si | sk}
-                            v = index.get(frozenset(target))
-                            if v is not None:
-                                arcs.add((idx, v))
-    return FlipGraph(n, nodes, tuple(sorted(arcs)))
+                        if raised.as_set() in index:
+                            arcs.add((u, index[raised.as_set()]))
+    return FlipGraph(n, tuple(index), tuple(sorted(arcs)))

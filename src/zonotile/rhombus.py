@@ -17,6 +17,7 @@ from . import bitsets as bs
 from ._planar import TILE_CACHE_SIZE, TilingError
 from ._value import OrderedValue, Value, _set
 from .combi import _assemble, _planar, from_rhombus
+from .flips import _lowers, _trade
 from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
 
@@ -136,18 +137,12 @@ def maximal_tiling(n: int) -> RhombusTiling:
 
 def _hexagon(base: int, i: int, j: int, k: int) -> tuple[tuple[Rhombus, ...], tuple[Rhombus, ...]]:
     """The hexagon at base set X and types i < j < k: its lowered rhombi
-    (X;i,j), (X;j,k), (X+j;i,k) and its raised ones (X+k;i,j), (X+i;j,k), (X;i,k)."""
+    (X;i,j), (X;j,k), (X+j;i,k) and its raised ones (X+k;i,j), (X+i;j,k),
+    (X;i,k); a flip in a direction that lowers removes the raised ones."""
     si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
     lowered = (Rhombus(base, i, j), Rhombus(base, j, k), Rhombus(base | sj, i, k))
     raised = (Rhombus(base | sk, i, j), Rhombus(base | si, j, k), Rhombus(base, i, k))
     return lowered, raised
-
-
-def _removed(direction: str) -> bool:
-    """Whether a flip in `direction` removes `_hexagon`'s raised triple."""
-    if direction not in ("raise", "lower"):
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    return direction == "lower"
 
 
 def strong_flip(
@@ -159,13 +154,9 @@ def strong_flip(
     trading the spectrum vertex X+j for X+i+k.  lower: the inverse.  The
     result is `from_s_collection` of the traded vertex set, so certified.
     """
-    if not i < j < k:
-        raise ValueError("types must satisfy i < j < k")
-    side = _removed(direction)
-    if not tiling.tiles.issuperset(_hexagon(base, i, j, k)[side]):
+    gone, came = _trade(base, i, j, k, direction)
+    if not tiling.tiles.issuperset(_hexagon(base, i, j, k)[_lowers(direction)]):
         raise ValueError("hexagon witnesses are not present in the tiling")
-    low, high = base | bs.singleton(j), base | bs.singleton(i) | bs.singleton(k)
-    gone, came = (high, low) if side else (low, high)
     return from_s_collection(SetFamily(tiling.n, tiling.vertex_masks() - {gone} | {came}))
 
 
@@ -173,7 +164,7 @@ def hexagons(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int,
     """All (base, i, j, k) admitting a strong flip in the given direction:
     by the removed tile (X;i,j) or (X;i,k) in sorted order, then by the
     third type ascending, which no corner of that tile holds."""
-    side = _removed(direction)
+    side = _lowers(direction)
     tiles, out = tiling.tiles, []
     for t in sorted(tiles):
         for m in bs.iter_elements(bs.full_mask(tiling.n) ^ t.top):

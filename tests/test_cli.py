@@ -350,6 +350,23 @@ class TestCli:
         assert out == ""
         assert json.loads(err) == {"error": "invalid-input", "detail": detail}
 
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["purity"], "pass exactly one of --domain or --hypercube"),
+            (["purity", "--domain", "d.json", "--hypercube", "3"], "pass exactly one of --domain or --hypercube"),
+            (["verify"], "only --paper-suite verification is available"),
+            (["render"], "pass exactly one of --combi, --tiling, --pattern"),
+            (["render", "--combi", "c.json", "--tiling", "t.json"], "pass exactly one of --combi, --tiling, --pattern"),
+        ],
+    )
+    def test_option_combinations_are_checked_first(self, capsys, argv, detail):
+        # the named files do not exist: the check comes before any read
+        assert cmd(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "invalid-input", "detail": detail}
+
     def test_verify_report_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["verify", "--paper-suite", "--max-n", "3", "--seed", "7", "--samples", "40"]

@@ -41,6 +41,7 @@ from zonotile.flips import (
     set_flip_graph,
 )
 from zonotile.separation import (
+    DomainReport,
     ResourceGuardError,
     SetFamily,
     cointerval_collection,
@@ -367,6 +368,12 @@ def test_set_flip_examples():
         (both, (1, 2, 3), "raise", "family contains both flip targets; it is not weakly separated"),
         (fam, (1, 2, 3), "sideways", "direction must be 'raise' or 'lower', got 'sideways'"),
         (fam, (1, 2, 3), "lower", "flip source {1,3} not in the family"),
+        # two faults: the types are checked first, then the witnesses and
+        # both targets, and the direction after them
+        (fam, (2, 1, 3), "sideways", "types must satisfy i < j < k"),
+        (SetFamily(3, [M([1]), M([3]), M([1, 3]), M([2, 3])]), (1, 2, 3), "sideways",
+         "flip witnesses are absent from the family"),
+        (both, (1, 2, 3), "sideways", "family contains both flip targets; it is not weakly separated"),
     ):
         with pytest.raises(ValueError) as info:
             set_flip(family, 0, *types, direction)
@@ -417,6 +424,34 @@ def test_flip_graph_guard_and_reach_check(monkeypatch):
     with pytest.raises(TilingError) as info:
         flip_graph(3)
     assert str(info.value) == "flip-graph: flip moves do not reach every collection"
+
+
+def test_flip_graph_needs_every_collection_the_flips_reach():
+    report = enumerate_maximal(hypercube_domain(4), "weak")
+    cols = report.maximal_collections
+    start = cols.index(interval_collection(4))
+    for lacking in (start, 5, len(cols) - 1):
+        partial = DomainReport(report.domain, "weak", cols[:lacking] + cols[lacking + 1:], True, report.ranks)
+        with pytest.raises(TilingError) as info:
+            flip_graph(4, partial)
+        assert str(info.value) == "flip-graph: flip moves do not reach every collection"
+    # and only those: a strong report lacks collections the weak flips reach
+    with pytest.raises(TilingError) as info:
+        flip_graph(4, enumerate_maximal(hypercube_domain(4), "strong"))
+    assert str(info.value) == "flip-graph: flip moves do not reach every collection"
+
+
+def test_flip_graphs_index_the_report():
+    report = enumerate_maximal(hypercube_domain(4), "weak")
+    cols = report.maximal_collections[::-1]
+    reversed_report = DomainReport(report.domain, "weak", cols, True, report.ranks)
+    graph = flip_graph(4, reversed_report)
+    assert graph.nodes == tuple(f.as_set() for f in cols)
+    assert graph == set_flip_graph(4, reversed_report)
+    sorted_graph = flip_graph(4, report)
+    assert {(graph.nodes[u], graph.nodes[v]) for u, v in graph.arcs} == {
+        (sorted_graph.nodes[u], sorted_graph.nodes[v]) for u, v in sorted_graph.arcs
+    }
 
 
 def test_flip_graphs_agree_n4():

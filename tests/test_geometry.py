@@ -53,8 +53,37 @@ def test_generator_order_is_clockwise():
 
 
 def test_subset_sum_injectivity_checked():
-    with pytest.raises(ValueError):
-        Generators(2, [(0, 5), (0, 5)])
+    # Six clockwise vectors of norm 65 in which two disjoint triples have
+    # one sum: (-63,16)+(-39,52)+(33,56) = (-56,33)+(-52,39)+(39,52) = (-69,124).
+    vecs = [(-63, 16), (-56, 33), (-52, 39), (-39, 52), (33, 56), (39, 52)]
+    with pytest.raises(ValueError) as info:
+        Generators(6, vecs)
+    assert str(info.value) == "subset sums of the generators collide"
+    assert len({embed(m, Generators(5, vecs[:5])) for m in range(32)}) == 32
+
+
+@pytest.mark.parametrize(
+    "n, vectors, text",
+    [
+        (2, [(0, 5)], "expected 2 generator vectors, got 1"),
+        (2, [(-3, 4), (5, 0)], "generator (5, 0) is not in the open upper half-plane"),
+        (2, [(-3, 4), (4, -3)], "generator (4, -3) is not in the open upper half-plane"),
+        (2, [(-3, 4), (1, 1)], "generators must have equal euclidean norms"),
+        (2, [(0, 5), (0, 5)], "generators must be ordered strictly clockwise"),
+        (2, [(3, 4), (-3, 4)], "generators must be ordered strictly clockwise"),
+    ],
+)
+def test_generators_reject_bad_vectors(n, vectors, text):
+    with pytest.raises(ValueError) as info:
+        Generators(n, vectors)
+    assert str(info.value) == text
+
+
+def test_polyline_needs_two_points():
+    for points in ([], [(0, 0)]):
+        with pytest.raises(ValueError) as info:
+            point_in_closed_polyline((1, 1), points)
+        assert str(info.value) == "polyline needs at least 2 points"
 
 
 def test_embed_examples():

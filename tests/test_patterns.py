@@ -601,6 +601,15 @@ class TestGraphPatterns:
         with pytest.raises(ValueError, match="violate the spanning condition"):
             graph_pattern(4, {M([1, 3]), M([3, 4]), M([3]), M([2, 3])}, [(M([1, 3]), M([3, 4])), (M([3]), M([2, 3]))])
 
+    def test_plane_crossing_check_backs_the_quadruple_conditions(self, monkeypatch):
+        # the quadruple conditions rule out every crossing pair; let one
+        # through, the 1-distance edge {}-{2} and the 2-distance edge
+        # {1}-{3} it meets, and the exact segment test still rejects it
+        monkeypatch.setattr(patterns, "_quadruple_violation", lambda twos, ones: None)
+        with pytest.raises(ValueError) as info:
+            graph_pattern(3, {M([2])}, [(0, M([2])), (M([1]), M([3]))])
+        assert str(info.value) == "edges (0, 2) and (1, 4) cross in the plane"
+
     def test_bad_graph_patterns_rejected(self):
         two, twothree = M([2]), M([2, 3])
         for vertices, edges, text in (

@@ -214,7 +214,10 @@ def test_flip_argument_texts():
         with pytest.raises(ValueError) as info:
             strong_flip(low, 0, i, j, k, "raise")
         assert str(info.value) == "types must satisfy i < j < k"
-    for call, args in ((strong_flip, (low, 0, 1, 2, 3)), (hexagons, (low,))):
+    # the direction is checked before the hexagon: the maximal tiling has
+    # no hexagon to raise
+    for call, args in ((strong_flip, (low, 0, 1, 2, 3)), (strong_flip, (maximal_tiling(3), 0, 1, 2, 3)),
+                       (hexagons, (low,))):
         with pytest.raises(ValueError) as info:
             call(*args, "sideways")
         assert str(info.value) == "direction must be 'raise' or 'lower', got 'sideways'"

@@ -154,6 +154,17 @@ class TestBaseRelations:
         with pytest.raises(ValueError):
             base_relation("global", M([5]), 0, 3)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError) as info:
+            base_relation("medium", M([1]), M([2]), 3)
+        assert str(info.value) == "unknown relation kind 'medium'"
+
+    def test_ground_size_checked(self):
+        for n in (0, 17, 2.0):
+            with pytest.raises(ValueError) as info:
+                bs.check_ground(n)
+            assert str(info.value) == f"ground size must be an integer in 1..16, got {n!r}"
+
 
 class TestSeparation:
     def test_strong_examples(self):
@@ -398,6 +409,17 @@ class TestDomains:
     def test_chamber_pair_requires_inversion_containment(self):
         with pytest.raises(ValueError):
             chamber_pair_domain(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+
+    def test_chamber_pair_requires_one_ground_set(self):
+        with pytest.raises(ValueError) as info:
+            chamber_pair_domain(Permutation((2, 1)), Permutation((2, 1, 3)))
+        assert str(info.value) == "permutations must act on the same ground set"
+
+    def test_permutation_checks_its_images(self):
+        for images in ((1, 1), (2, 3), (0, 1, 2)):
+            with pytest.raises(ValueError) as info:
+                Permutation(images)
+            assert str(info.value) == f"{images!r} is not a permutation of 1..{len(images)}"
 
     def test_hypersimplex(self):
         dom = hypersimplex_domain(4, 2, 2)

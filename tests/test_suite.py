@@ -1,7 +1,8 @@
 """`run_suite` shares one `CubePool` among its checks: each weak hypercube is
 enumerated once per run, each distinct contraction, expansion and purity
 input is worked out once per run, and nothing carries over from one run to
-the next.  Also the cycle sampler the pattern checks draw through."""
+the next.  Also the cycle sampler the pattern checks draw through, and the
+cross exchange's two skips: a draw with no cycle or a self-crossing one."""
 
 import random
 from collections import Counter
@@ -105,3 +106,55 @@ def test_sample_cycle_without_a_cycle_gives_none():
     assert suite.sample_cycle(set(), rng) is None
     # every walk on a path stops at an end before it can close
     assert suite.sample_cycle({(1, 2), (2, 3)}, rng) is None
+
+
+def test_cross_exchange_counts_only_the_draws_it_checks(monkeypatch):
+    sample_cycle, classify_pattern, merge_repair = suite.sample_cycle, suite.classify_pattern, suite.merge_repair
+    calls = Counter()
+
+    def skipping_sample(edges, rng):
+        calls["draws"] += 1
+        cyc = None if calls["draws"] % 3 == 0 else sample_cycle(edges, rng)
+        calls["no cycle"] += cyc is None
+        return cyc
+
+    def skipping_classify(pattern):
+        calls["classified"] += 1
+        kind = "self_crossing" if calls["classified"] % 4 == 0 else classify_pattern(pattern)
+        calls["crossing"] += kind == "self_crossing"
+        return kind
+
+    def counted_merge(inside, outside):
+        calls["merged"] += 1
+        return merge_repair(inside, outside)
+
+    monkeypatch.setattr(suite, "sample_cycle", skipping_sample)
+    monkeypatch.setattr(suite, "classify_pattern", skipping_classify)
+    monkeypatch.setattr(suite, "merge_repair", counted_merge)
+    result = suite.check_cross_exchange(4, 7, 10, suite.CubePool())
+    assert result == {"pass": True, "detail": {"checked": 10}}
+    assert calls["no cycle"] > 0 and calls["crossing"] > 0
+    assert calls["merged"] == 10 == calls["draws"] - calls["no cycle"] - calls["crossing"]
+
+
+def test_cross_exchange_fails_at_its_attempt_cap_when_every_draw_is_skipped(monkeypatch):
+    sample_cycle, draws = suite.sample_cycle, Counter()
+
+    def no_cycle(edges, rng):
+        draws["no cycle"] += 1
+        return None
+
+    def counted_sample(edges, rng):
+        draws["cycle"] += 1
+        return sample_cycle(edges, rng)
+
+    for name, sample, classify in (
+        ("no cycle", no_cycle, suite.classify_pattern),
+        ("cycle", counted_sample, lambda pattern: "self_crossing"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(suite, "sample_cycle", sample)
+            patch.setattr(suite, "classify_pattern", classify)
+            result = suite.check_cross_exchange(3, 7, 2, suite.CubePool())
+        assert result == {"pass": False, "detail": {"checked": 0}}
+        assert draws[name] == 2 * 60
