@@ -406,10 +406,6 @@ class WConfig(Value):
     j: int
     k: int
 
-    @property
-    def middle(self) -> int:
-        return self.core | bs.singleton(self.i) | bs.singleton(self.k)
-
     def left_nabla(self) -> Nabla:
         return Nabla(self.core | bs.singleton(self.i), self.j, self.k)
 

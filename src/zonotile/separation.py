@@ -19,6 +19,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from ._value import Value
 from .bitsets import (
@@ -113,6 +114,8 @@ def _check_relation(relation: str) -> str:
 
 class SetFamily(Value):
     """A duplicate-free collection of subsets of {1..n}, stored sorted."""
+
+    __slots__ = ("n", "members")
 
     n: int
     members: tuple[int, ...]
@@ -270,11 +273,12 @@ class PurityVerdict(Value):
         return len(self.ranks) == 1
 
 
-def _bron_kerbosch_pivot(adj, r: int, p: int, x: int, emit) -> None:
+def _bron_kerbosch_pivot(adj, path: list[int], p: int, x: int, emit) -> None:
     """Tomita-Tanaka-Takahashi pivoting: hands every maximal clique extending
-    `r` to `emit`, one call each."""
+    the vertices on `path` to `emit`, one call each, as that list itself;
+    `emit` reads it before the search goes on."""
     if p == 0 and x == 0:
-        emit(r)
+        emit(path)
         return
     pool = p | x
     pivot, best = -1, -1
@@ -290,7 +294,9 @@ def _bron_kerbosch_pivot(adj, r: int, p: int, x: int, emit) -> None:
     while cand:
         low = cand & -cand
         v = low.bit_length() - 1
-        _bron_kerbosch_pivot(adj, r | low, p & adj[v], x & adj[v], emit)
+        path.append(v)
+        _bron_kerbosch_pivot(adj, path, p & adj[v], x & adj[v], emit)
+        path.pop()
         p &= ~low
         x |= low
         cand ^= low
@@ -300,7 +306,7 @@ def maximal_cliques(adjacency, vertices: int) -> list[int]:
     """All maximal cliques among the `vertices` (a bitmask) of a graph given
     as neighbour bitmasks, `adjacency[v]` for each vertex v."""
     out: list[int] = []
-    _bron_kerbosch_pivot(adjacency, 0, vertices, 0, out.append)
+    _bron_kerbosch_pivot(adjacency, [], vertices, 0, lambda path: out.append(members_mask(path)))
     return out
 
 
@@ -324,11 +330,16 @@ def enumerate_maximal(domain: SetFamily, relation: str) -> DomainReport:
     Computed as the maximal cliques of the compatibility graph on the domain
     members, which is exhaustive by construction.  A vertex is the member's
     own mask, and its neighbours are its separation row cut to the domain,
-    so a clique's bits are its members.
+    so the search's path of vertices is a clique's members.  Each maximal
+    clique becomes its `SetFamily` as the search reaches it, built straight
+    from that path (the constructor sorts it and runs its range and
+    duplicate checks), and the collections are then sorted by their members.
     """
     dom, adj = _compatibility_graph(domain, relation)
-    collections = [SetFamily(domain.n, _bits(clique)) for clique in maximal_cliques(adj, dom)]
-    collections.sort(key=lambda f: f.members)
+    n, collections = domain.n, []
+    add = collections.append
+    _bron_kerbosch_pivot(adj, [], dom, 0, lambda path: add(SetFamily(n, path)))
+    collections.sort(key=attrgetter("members"))
     ranks = tuple(sorted({len(c) for c in collections}))
     return DomainReport(
         domain=domain,
@@ -350,10 +361,10 @@ def purity_verdict(domain: SetFamily, relation: str) -> PurityVerdict:
     dom, adj = _compatibility_graph(domain, relation)
     tally = [0] * (len(domain) + 1)
 
-    def emit(clique: int) -> None:
-        tally[clique.bit_count()] += 1
+    def emit(path: list[int]) -> None:
+        tally[len(path)] += 1
 
-    _bron_kerbosch_pivot(adj, 0, dom, 0, emit)
+    _bron_kerbosch_pivot(adj, [], dom, 0, emit)
     return PurityVerdict(
         count=sum(tally),
         ranks=tuple(size for size, hits in enumerate(tally) if hits),

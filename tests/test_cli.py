@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,14 @@ from zonotile.separation import (
 )
 
 M = bs.mask_of
+
+# the bytes `zonotile enumerate` writes for the 6-cube's 3,694 weak and 908
+# strong maximal collections, so a change to how the collections are found,
+# built or ordered cannot pass unseen
+ENUMERATE_6_CUBE_SHA256 = {
+    "weak": "3613eda452b3840af692c90459f4f46c997ecbb47e20724de699fb2734ea6ceb",
+    "strong": "4115a360f30e5b09c00f29f95aacea32e1becb25d19d4a06fae1cbcf26ecbadb",
+}
 
 
 class TestJsonRoundTrips:
@@ -156,10 +165,11 @@ class TestCli:
             ("[" * 100000, "JSON nested too deeply"),
             ('{"n": 3}', "family lacks the field 'members'"),
             ('{"n": 3, "members": [[1], 2]}', "subset must be a list of elements"),
+            ('{"n": 3, "members": [[1], [2], [1]]}', "SetFamily members must be duplicate-free"),
         ],
         ids=[
             "members-not-a-list", "top-level-list", "float-element", "bool-n", "huge-element", "deep-nesting",
-            "no-members", "bare-element",
+            "no-members", "bare-element", "duplicate-member",
         ],
     )
     def test_enumerate_rejects_hostile_domain(self, tmp_path, capsys, text, detail):
@@ -171,6 +181,13 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "invalid-input"
         assert detail in err["detail"]
+
+    @pytest.mark.parametrize("relation, digest", ENUMERATE_6_CUBE_SHA256.items(), ids=list(ENUMERATE_6_CUBE_SHA256))
+    def test_enumerate_output_of_the_6_cube_is_pinned(self, tmp_path, relation, digest):
+        domain, out = tmp_path / "cube.json", tmp_path / "report.json"
+        domain.write_text(json.dumps(jsonio.family_to_json(hypercube_domain(6))))
+        assert cmd(["enumerate", "--domain", str(domain), "--relation", relation, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_verify_has_no_jobs_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

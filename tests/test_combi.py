@@ -840,7 +840,10 @@ class TestIncidenceIndex:
             validate_combi(broken)
         # the flip reads only the vertex set and the two nablas, which the
         # broken combi keeps
-        (w,) = [w for w in find_w_configs(broken) if w.middle == mid]
+        (w,) = [
+            w for w in find_w_configs(broken)
+            if w.core | bs.singleton(w.i) | bs.singleton(w.k) == mid
+        ]
         assert lowering_flip(broken, w) == lowering_flip(combi, w)
         path = tuple(
             M(s)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, permutations
 
@@ -217,6 +218,29 @@ class TestSeparation:
         assert M([2, 3]) in fam and 0 in fam
         assert M([1, 3]) not in fam
         assert -1 not in fam and M([4]) not in fam and 1 << 20 not in fam
+
+    def test_family_contract(self):
+        with pytest.raises(ValueError, match=r"^SetFamily members must be duplicate-free$"):
+            SetFamily(3, [3, 1, 3])
+        assert SetFamily(3, (m for m in (5, 0, 2))).members == (0, 2, 5)
+        empty = SetFamily(3, [])
+        assert empty.members == () and len(empty) == 0 and 0 not in empty and empty.as_set() == frozenset()
+        top = SetFamily(3, [bs.full_mask(3), 0])
+        assert top.members == (0, 7) and 7 in top and 8 not in top
+        with pytest.raises(ValueError, match=r"^mask 0x8 has elements outside 1\.\.3$"):
+            SetFamily(3, [bs.full_mask(3) + 1, 0])
+        with pytest.raises(ValueError, match=r"^ground size must be an integer in 1\.\.16, got 0$"):
+            SetFamily(0, [])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            top.members = ()
+        assert not hasattr(top, "__dict__")
+
+    def test_bit_decode_matches_a_scan_of_every_position(self):
+        rng = random.Random(16)
+        for n in range(1, 17):
+            width = 1 << n
+            for mask in (0, (1 << width) - 1, 1 << (width - 1), rng.getrandbits(width)):
+                assert separation._bits(mask) == [b for b in range(width) if mask >> b & 1], (n, hex(mask))
 
 
 class TestSeparationRows:
