@@ -100,12 +100,11 @@ def check_planar_cover(
     cycles: list[tuple[object, Sequence[int]]],
     boundary: Sequence[tuple[int, int]],
     area2: int,
-    label: Callable[[object], str] = str,
 ) -> bool:
     """Verify that `cycles`, (tile, CCW vertex-mask cycle) pairs, exactly tile
     the region whose counterclockwise directed boundary edges are `boundary`
     and whose doubled area is `area2`.  Raises TilingError on the first
-    violation, naming the tile by `label(tile)`.  Tiles are taken in order,
+    violation, naming the tile by its str.  Tiles are taken in order,
     each checked for its shape, then its convexity, then for a directed
     edge an earlier tile used; the region's boundary, the cancellation of
     the edges and the area come after.  The verdict does not depend on the
@@ -122,7 +121,7 @@ def check_planar_cover(
         try:
             edges, reverse, area = shape(tuple(cyc))
         except TilingError as fault:  # an edge the tiles before used twice comes first
-            raise _edge_twice(keys) or TilingError(fault.axiom, f"{label(tile)} {fault.detail}") from None
+            raise _edge_twice(keys) or TilingError(fault.axiom, f"{tile} {fault.detail}") from None
         keys += edges
         back += reverse
         total2 += area

@@ -2,17 +2,18 @@
 
 A subclass's fields are the public names its class body annotates, in
 order.  `Value` gives it a constructor taking them by position or keyword,
-equality and hashing over their tuple (the hash a frozen dataclass has),
-a dataclass-style repr, and pickling and copying through the constructor,
-so every copy runs the class's own checks again.  Assigning or deleting an
-attribute raises `dataclasses.FrozenInstanceError`; a constructor sets its
-fields once with `_fill`.  A `Value` keeps its fields in the instance dict,
-which leaves room for cached properties, unless the subclass declares them
-as slots, as `SetFamily` does: an enumeration makes it by the hundred
-thousand, and a slotted instance is smaller.  `OrderedValue` keeps them in
-slots the subclass declares, adds the comparisons of the field tuples, and
-keeps the hash in a slot, worked out when the fields are filled.  Defining
-a subclass builds one `attrgetter` over its fields and compiles nothing.
+equality and hashing over their tuple (the hash a frozen dataclass has), a
+dataclass-style repr, and pickling and copying through the constructor, so
+every copy runs the class's own checks again.  Assigning or deleting an
+attribute raises `dataclasses.FrozenInstanceError`; every construction
+path sets the fields once with `_fill`, where a subclass may check them.
+A `Value` keeps its fields in the instance dict, which leaves room for
+cached properties, unless the subclass declares them as slots, as
+`SetFamily` does: an enumeration makes it by the hundred thousand, and a
+slotted instance is smaller.  `OrderedValue` keeps them in slots the
+subclass declares, adds the comparisons of the field tuples, and keeps the
+hash in a slot, worked out when the fields are filled.  Defining a
+subclass builds one `attrgetter` over its fields and compiles nothing.
 """
 
 from __future__ import annotations

@@ -40,98 +40,90 @@ if TYPE_CHECKING:
     from .rhombus import RhombusTiling
 
 
-class Delta(OrderedValue):
+class Tile(OrderedValue):
+    """A tile of a combi or a rhombus tiling, named by its str in a TilingError.
+
+    `_fill` checks the fields and stores the corners, counterclockwise, once,
+    through the class's `_corners`: so keyword construction, pickling and
+    copying check a tile too.  The default `_corners` and str are a typed
+    tile's: a delta, nabla or rhombus, whose fields are a corner and two
+    types low < high.  Its class gives the corner field first, `_holds`,
+    whether the corner holds both type elements, `_wrong`, the error if not,
+    and `_recipe`, the cycle from the corner and the two type masks: the
+    right corner second, the left one first if the corner holds the types
+    and last if not.  A lens gives its own `_corners`, str and ends.
+    """
+
+    __slots__ = ("_cycle",)
+    _cycle: tuple[int, ...]
+
+    def _fill(self, *values) -> None:
+        cycle = self._corners(*values)
+        super()._fill(*values)
+        _set(self, "_cycle", cycle)
+
+    def _corners(self, corner: int, low: int, high: int) -> tuple[int, ...]:
+        if not 1 <= low < high:
+            raise ValueError(f"need 1 <= low < high, got {low}, {high}")
+        lo, hi = 1 << (low - 1), 1 << (high - 1)
+        if corner & (lo | hi) != (lo | hi if self._holds else 0):
+            raise ValueError(self._wrong)
+        return self._recipe(corner, lo, hi)
+
+    def cycle(self) -> tuple[int, ...]:
+        return self._cycle
+
+    def __str__(self) -> str:
+        corner = bs.format_subset(self._values(self)[0])
+        return f"{type(self).__name__.lower()}({corner};{self.low},{self.high})"
+
+    @property
+    def left(self) -> int:
+        return self._cycle[0 if self._holds else -1]
+
+    @property
+    def right(self) -> int:
+        return self._cycle[1]
+
+    @property
+    def base(self) -> tuple[int, int]:
+        """A triangle's horizontal side, (left, right)."""
+        return (self.left, self.right)
+
+    @classmethod
+    def on_base(cls, corner: int, left: int, right: int) -> Tile:
+        """The triangle with this apex or bottom and the base (left, right);
+        raises ValueError if the built triangle's base is another one."""
+        ends = (corner & ~right, corner & ~left) if cls._holds else (left & ~corner, right & ~corner)
+        t = cls(corner, *map(bs.min_element, ends))
+        if (t.left, t.right) != (left, right):
+            edge, kind = f"{bs.format_subset(left)}-{bs.format_subset(right)}", cls.__name__.lower()
+            raise ValueError(f"{edge} is not the base of a {kind} at {bs.format_subset(corner)}")
+        return t
+
+
+class Delta(Tile):
     """Upward triangle: apex, base from apex-high (left) to apex-low (right)."""
 
-    __slots__ = ("apex", "low", "high", "_cycle")
+    __slots__ = ("apex", "low", "high")
     apex: int
     low: int
     high: int
-    # the corners counterclockwise, from the base's left end: set once
-    _cycle: tuple[int, ...]
-
-    def __init__(self, apex: int, low: int, high: int) -> None:
-        if not 1 <= low < high:
-            raise ValueError(f"need 1 <= low < high, got {low}, {high}")
-        lo, hi = 1 << (low - 1), 1 << (high - 1)
-        if apex & (lo | hi) != lo | hi:
-            raise ValueError("apex of a Delta must contain both type elements")
-        self._fill(apex, low, high)
-        _set(self, "_cycle", (apex ^ hi, apex ^ lo, apex))
-
-    @classmethod
-    def on_base(cls, apex: int, left: int, right: int) -> Delta:
-        """The delta with this apex over the base (left, right); raises
-        ValueError if the built delta's base is another one."""
-        d = cls(apex, bs.min_element(apex & ~right), bs.min_element(apex & ~left))
-        if d.base != (left, right):
-            where = bs.format_subset(apex)
-            raise ValueError(f"{_edge_text(left, right)} is not the base of a delta at {where}")
-        return d
-
-    @property
-    def left(self) -> int:
-        return self._cycle[0]
-
-    @property
-    def right(self) -> int:
-        return self._cycle[1]
-
-    @property
-    def base(self) -> tuple[int, int]:
-        return (self.left, self.right)
-
-    def cycle(self) -> tuple[int, ...]:
-        return self._cycle
+    _holds = True
+    _wrong = "apex of a Delta must contain both type elements"
+    _recipe = staticmethod(lambda apex, lo, hi: (apex ^ hi, apex ^ lo, apex))
 
 
-class Nabla(OrderedValue):
+class Nabla(Tile):
     """Downward triangle: bottom, base from bottom+low (left) to bottom+high."""
 
-    __slots__ = ("bottom", "low", "high", "_cycle")
+    __slots__ = ("bottom", "low", "high")
     bottom: int
     low: int
     high: int
-    # the corners counterclockwise, from the bottom: set once
-    _cycle: tuple[int, ...]
-
-    def __init__(self, bottom: int, low: int, high: int) -> None:
-        if not 1 <= low < high:
-            raise ValueError(f"need 1 <= low < high, got {low}, {high}")
-        lo, hi = 1 << (low - 1), 1 << (high - 1)
-        if bottom & (lo | hi):
-            raise ValueError("bottom of a Nabla must avoid both type elements")
-        self._fill(bottom, low, high)
-        _set(self, "_cycle", (bottom, bottom | hi, bottom | lo))
-
-    @classmethod
-    def on_base(cls, bottom: int, left: int, right: int) -> Nabla:
-        """The nabla with this bottom under the base (left, right); raises
-        ValueError if the built nabla's base is another one."""
-        v = cls(bottom, bs.min_element(left & ~bottom), bs.min_element(right & ~bottom))
-        if v.base != (left, right):
-            where = bs.format_subset(bottom)
-            raise ValueError(f"{_edge_text(left, right)} is not the base of a nabla at {where}")
-        return v
-
-    @property
-    def left(self) -> int:
-        return self._cycle[2]
-
-    @property
-    def right(self) -> int:
-        return self._cycle[1]
-
-    @property
-    def base(self) -> tuple[int, int]:
-        return (self.left, self.right)
-
-    def cycle(self) -> tuple[int, ...]:
-        return self._cycle
-
-
-def _edge_text(a: int, b: int) -> str:
-    return f"{bs.format_subset(a)}-{bs.format_subset(b)}"
+    _holds = False
+    _wrong = "bottom of a Nabla must avoid both type elements"
+    _recipe = staticmethod(lambda bottom, lo, hi: (bottom, bottom | hi, bottom | lo))
 
 
 def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -146,14 +138,15 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-class Lens(OrderedValue):
-    __slots__ = ("upper", "lower", "_cycle")
+class Lens(Tile):
+    __slots__ = ("upper", "lower")
     upper: tuple[int, ...]
     lower: tuple[int, ...]
-    _cycle: tuple[int, ...]
 
     def __init__(self, upper, lower) -> None:
-        up, lo = tuple(upper), tuple(lower)
+        self._fill(tuple(upper), tuple(lower))
+
+    def _corners(self, up: tuple[int, ...], lo: tuple[int, ...]) -> tuple[int, ...]:
         if len(up) < 3 or len(lo) < 3:
             raise ValueError("lens boundaries need at least two edges each")
         if up[0] != lo[0] or up[-1] != lo[-1]:
@@ -178,8 +171,10 @@ class Lens(OrderedValue):
         lseq = [(union & ~v).bit_length() for v in lo]
         if any(a <= b for a, b in zip(lseq, lseq[1:])):
             raise ValueError("lower path types must strictly decrease")
-        self._fill(up, lo)
-        _set(self, "_cycle", lo + up[-2:0:-1])
+        return lo + up[-2:0:-1]
+
+    def __str__(self) -> str:
+        return f"lens({bs.format_subset(self.left)}..{bs.format_subset(self.right)})"
 
     @property
     def left(self) -> int:
@@ -209,11 +204,7 @@ class Lens(OrderedValue):
         c = self.upper_center
         return tuple(bs.min_element(v & ~c) for v in self.upper)
 
-    def cycle(self) -> tuple[int, ...]:
-        return self._cycle
 
-
-Tile = Delta | Nabla | Lens
 # One checked instance per distinct tile, for the sites that build every
 # tile of a combi (a combi is fixed by its vertex set, so its tiles repeat
 # across reconstructions) and for the W/M-configuration search's partner
@@ -298,42 +289,30 @@ def cycle_sides(cycles) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int
     return frozenset(vertical), frozenset(horizontal)
 
 
-def tile_label(tile: Tile) -> str:
-    """How a tile is named in a TilingError."""
-    if isinstance(tile, Delta):
-        return f"delta({bs.format_subset(tile.apex)};{tile.low},{tile.high})"
-    if isinstance(tile, Nabla):
-        return f"nabla({bs.format_subset(tile.bottom)};{tile.low},{tile.high})"
-    return f"lens({bs.format_subset(tile.left)}..{bs.format_subset(tile.right)})"
-
-
-def _planar(n: int, tiles, ordered, label) -> bool:
+def _planar(n: int, tiles, ordered) -> bool:
     """Check that `tiles` exactly tile the n-zonogon under the default
-    generators; raises TilingError naming, by `label`, the first violation
-    in the order of the list `ordered()` returns."""
+    generators; raises TilingError naming the first violation in the order
+    of the list `ordered()` returns."""
     gens = default_generators(n)
     region = zonogon_region(gens)
     try:
-        return check_planar_cover(gens, [(t, t.cycle()) for t in tiles], *region, label)
+        return check_planar_cover(gens, [(t, t.cycle()) for t in tiles], *region)
     except TilingError:
         # the verdict does not depend on the tile order, only the error does
-        return check_planar_cover(gens, [(t, t.cycle()) for t in ordered()], *region, label)
+        return check_planar_cover(gens, [(t, t.cycle()) for t in ordered()], *region)
 
 
 def validate_combi(combi: Combi) -> bool:
     """Exact planar-cover axioms under the default generators; raises
     TilingError naming the first violation in `tiles()` order."""
-    return _planar(combi.n, (*combi.deltas, *combi.nablas, *combi.lenses), combi.tiles, tile_label)
+    return _planar(combi.n, (*combi.deltas, *combi.nablas, *combi.lenses), combi.tiles)
 
 
 def from_rhombus(tiling: RhombusTiling) -> Combi:
     """Split every rhombus into its upper and lower triangle (semi-rhombus combi)."""
-    deltas = []
-    nablas = []
-    for t in tiling.tiles:
-        deltas.append(shared_delta(t.top, t.low, t.high))
-        nablas.append(shared_nabla(t.bottom, t.low, t.high))
-    return Combi(tiling.n, deltas, nablas)
+    tiles = tiling.tiles
+    deltas = [shared_delta(t.top, t.low, t.high) for t in tiles]
+    return Combi(tiling.n, deltas, [shared_nabla(t.base, t.low, t.high) for t in tiles])
 
 
 def spectrum(combi: Combi) -> SetFamily:

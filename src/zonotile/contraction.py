@@ -38,7 +38,7 @@ def n_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
         raise TilingError("contract", f"{len(paths)} legal paths visit the strip's image, not 1")
     (path,) = paths
     ok, why = legal_path_report(smaller, path)
-    if not ok:
+    if not ok:  # never, as `_walks` takes only legal steps: a last certificate
         raise TilingError("contract", f"contracted boundary path is not legal: {why}")
     return smaller, path
 
@@ -98,7 +98,7 @@ def n_expand(combi: Combi, path) -> Combi:
     ok, why = legal_path_report(combi, path)
     if not ok:
         raise ValueError(why)
-    if len(set(path)) != len(path):
+    if len(set(path)) != len(path):  # never after the report: a legal path is simple
         raise ValueError("legal path repeats a vertex")
     n = combi.n + 1
     sn = bs.singleton(n)

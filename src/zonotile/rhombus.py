@@ -15,50 +15,26 @@ from functools import lru_cache
 
 from . import bitsets as bs
 from ._planar import TILE_CACHE_SIZE, TilingError
-from ._value import OrderedValue, Value, _set
-from .combi import _assemble, _planar, from_rhombus
+from ._value import Value
+from .combi import Tile, _assemble, _planar, from_rhombus
 from .flips import _lowers, _trade
 from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
 
-class Rhombus(OrderedValue):
+class Rhombus(Tile):
     """Tile with corners base, base+low (left), base+high (right), base+both."""
 
-    __slots__ = ("base", "low", "high", "_cycle")
+    __slots__ = ("base", "low", "high")
     base: int
     low: int
     high: int
-    # the corners counterclockwise, from the bottom: set once
-    _cycle: tuple[int, ...]
-
-    def __init__(self, base: int, low: int, high: int) -> None:
-        if not 1 <= low < high:
-            raise ValueError(f"need 1 <= low < high, got {low}, {high}")
-        lo, hi = 1 << (low - 1), 1 << (high - 1)
-        if base & (lo | hi):
-            raise ValueError("type elements must not lie in the base set")
-        self._fill(base, low, high)
-        _set(self, "_cycle", (base, base | hi, base | lo | hi, base | lo))
-
-    @property
-    def bottom(self) -> int:
-        return self.base
-
-    @property
-    def left(self) -> int:
-        return self._cycle[3]
-
-    @property
-    def right(self) -> int:
-        return self._cycle[1]
+    _holds = False
+    _wrong = "type elements must not lie in the base set"
+    _recipe = staticmethod(lambda base, lo, hi: (base, base | hi, base | lo | hi, base | lo))
 
     @property
     def top(self) -> int:
         return self._cycle[2]
-
-    def cycle(self) -> tuple[int, ...]:
-        """Corner masks in counterclockwise order."""
-        return self._cycle
 
 
 # One checked instance per distinct rhombus, for the sites that build every
@@ -88,15 +64,11 @@ class RhombusTiling(Value):
         return from_rhombus(self).vertex_masks()
 
 
-def _rhombus_label(t: Rhombus) -> str:
-    return f"rhombus({bs.format_subset(t.base)};{t.low},{t.high})"
-
-
 def validate_rhombus(tiling: RhombusTiling) -> bool:
     """Planar-tiling axioms under the exact embedding; raises TilingError
     naming the first violation in sorted tile order."""
     tiles = tiling.tiles
-    return _planar(tiling.n, tiles, lambda: sorted(tiles, key=Rhombus._values), _rhombus_label)
+    return _planar(tiling.n, tiles, lambda: sorted(tiles, key=Rhombus._values))
 
 
 def spectrum_rhombus(tiling: RhombusTiling) -> SetFamily:

@@ -30,7 +30,7 @@ from itertools import islice, permutations
 from math import comb
 
 from . import bitsets as bs
-from .combi import Combi, find_w_configs, from_rhombus, from_w_collection, spectrum
+from .combi import Combi, find_w_configs, from_w_collection, spectrum
 from .contraction import enumerate_legal_paths, n_contract, n_expand
 from .flips import flip_graph, lowering_flip, set_flip_graph
 from .patterns import (
@@ -58,9 +58,9 @@ from .separation import (
     hypersimplex_domain,
     interval_collection,
     inversions,
+    is_maximal_separated,
     purity_verdict,
 )
-from .rhombus import from_s_collection
 
 class CubePool:
     """One run's shared inputs, each filled on first use: per n, the weak
@@ -342,8 +342,10 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) 
         "pass": all(exhaustive) and all(sampled5),
     }
 
-    s_report = enumerate_maximal(hypercube_domain(n4), "strong")
-    semis = (from_rhombus(from_s_collection(fam)) for fam in s_report.maximal_collections)
+    # a maximal strongly separated collection is a maximal weakly separated
+    # one, and its combi is the semi-rhombus combi of its tiling
+    semis = (combi for fam, combi in zip(pool.report(n4).maximal_collections, combi_pool[n4])
+             if is_maximal_separated(fam, "strong"))
     strong = [strong_pair(pat) for pat in _patterns(rng, semis, sample_simple_pattern, pool)]
     detail["strong_patterns"] = {"checked": len(strong), "pass": all(strong)}
 

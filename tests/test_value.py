@@ -11,7 +11,7 @@ import pytest
 
 import zonotile
 from zonotile._value import OrderedValue, Value
-from zonotile.combi import Combi, Delta, Lens, MConfig, Nabla, WConfig
+from zonotile.combi import Combi, Delta, Lens, MConfig, Nabla, Tile, WConfig
 from zonotile.flips import FlipGraph
 from zonotile.geometry import Generators
 from zonotile.patterns import CyclicPattern, GraphPattern, PatternFace, PatternRegions, QuasiCombi
@@ -87,7 +87,8 @@ def _fields(value):
 def test_every_value_class_is_covered():
     covered = {type(value) for value, _, _ in CASES}
     assert len(covered) == len(CASES) == 18
-    assert {cls for cls in _classes() if issubclass(cls, Value)} - {Value, OrderedValue} == covered
+    # the tiles' abstract base is the one value class with no instance
+    assert {cls for cls in _classes() if issubclass(cls, Value)} - {Value, OrderedValue, Tile} == covered
     assert {cls for cls in covered if issubclass(cls, OrderedValue)} == set(TILES)
 
 
@@ -150,3 +151,35 @@ def test_generic_constructor_rejects_a_wrong_count():
         WConfig(0, 1, 2)
     with pytest.raises(TypeError):
         WConfig(0, 1, 2, 3, 4)
+
+
+# one tile of each class, its name in a TilingError, and its repr
+NAMES = [
+    (Delta(7, 1, 2), "delta({1,2,3};1,2)", "Delta(apex=7, low=1, high=2)"),
+    (Nabla(0, 1, 2), "nabla({};1,2)", "Nabla(bottom=0, low=1, high=2)"),
+    (Lens((3, 6, 10), (3, 9, 10)), "lens({1,2}..{2,4})", "Lens(upper=(3, 6, 10), lower=(3, 9, 10))"),
+    (Rhombus(0, 1, 2), "rhombus({};1,2)", "Rhombus(base=0, low=1, high=2)"),
+]
+
+
+@pytest.mark.parametrize("tile, name, text", NAMES, ids=[type(tile).__name__ for tile, _, _ in NAMES])
+def test_every_tile_names_itself(tile, name, text):
+    assert str(tile) == f"{tile}" == name
+    assert repr(tile) == text
+
+
+@pytest.mark.parametrize("cls, corner, good, bad, error", [
+    (Delta, "apex", 7, 1, "apex of a Delta must contain both type elements"),
+    (Nabla, "bottom", 0, 2, "bottom of a Nabla must avoid both type elements"),
+    (Rhombus, "base", 4, 2, "type elements must not lie in the base set"),
+])
+def test_typed_tiles_built_by_keyword_are_checked(cls, corner, good, bad, error):
+    tile, named = cls(good, 1, 2), cls(high=2, **{corner: good}, low=1)
+    assert named == cls(good, high=2, low=1) == tile and named.cycle() == tile.cycle()
+    with pytest.raises(ValueError) as info:
+        cls(**{corner: bad}, low=1, high=2)
+    assert str(info.value) == error
+    with pytest.raises(ValueError) as info:
+        cls(**{corner: good}, low=2, high=2)
+    assert str(info.value) == "need 1 <= low < high, got 2, 2"
+
