@@ -149,8 +149,16 @@ def segment_contact(a: Point, b: Point, c: Point, d: Point) -> str:
     'endpoint' is one shared endpoint and nothing else.  'cross' is any other
     contact: the interiors cross, an endpoint touches the other segment's
     interior, or the two touch in two distinct points, which is a collinear
-    overlap.
+    overlap.  Two segments with a shared endpoint are answered by one
+    collinearity test and one sign.
     """
+    if a == c or a == d or b == c or b == d:
+        # [p, q] and [p, s] meet beyond their shared endpoint p exactly when
+        # they leave p along one ray: collinear, and q, s on one side of p
+        p, q = (a, b) if a == c or a == d else (b, a)
+        s = d if p == c else c
+        qx, qy, sx, sy = q[0] - p[0], q[1] - p[1], s[0] - p[0], s[1] - p[1]
+        return "cross" if qx * sy == qy * sx and qx * sx + qy * sy > 0 else "endpoint"
     ux, uy = b[0] - a[0], b[1] - a[1]
     vx, vy = d[0] - c[0], d[1] - c[1]
     o1 = ux * (c[1] - a[1]) - uy * (c[0] - a[0])
@@ -161,19 +169,38 @@ def segment_contact(a: Point, b: Point, c: Point, d: Point) -> str:
         return "none"
     if o1 * o2 < 0 and o3 * o4 < 0:
         return "cross"
-    # some endpoint is collinear with the other segment: it touches that
-    # segment exactly when it also lies in its bounding box
-    touching = {
-        p
-        for p, o, s, t in ((c, o1, a, b), (d, o2, a, b), (a, o3, c, d), (b, o4, c, d))
-        if o == 0 and (p[0] - s[0]) * (p[0] - t[0]) <= 0 and (p[1] - s[1]) * (p[1] - t[1]) <= 0
-    }
-    if not touching:
-        return "none"
-    if len(touching) > 1:
-        return "cross"
-    (p,) = touching
-    return "endpoint" if p in (a, b) and p in (c, d) else "cross"
+    # no endpoint is shared, so any touch is a cross.  Some endpoint is
+    # collinear with the other segment: it touches that segment exactly when
+    # it also lies in its bounding box
+    for p, o, s, t in ((c, o1, a, b), (d, o2, a, b), (a, o3, c, d), (b, o4, c, d)):
+        if o == 0 and (p[0] - s[0]) * (p[0] - t[0]) <= 0 and (p[1] - s[1]) * (p[1] - t[1]) <= 0:
+            return "cross"
+    return "none"
+
+
+def first_crossing(segments: list[tuple[Point, Point]]) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in `combinations` order, of segments
+    whose `segment_contact` is 'cross'; None if no pair crosses.
+
+    Segments whose closed bounding boxes are apart cannot meet, so only the
+    pairs whose boxes overlap or touch reach `segment_contact`.
+    """
+    boxes = []
+    for (ax, ay), (bx, by) in segments:
+        # conditionals, not min and max: two calls fewer per coordinate
+        x0, x1 = (ax, bx) if ax < bx else (bx, ax)
+        y0, y1 = (ay, by) if ay < by else (by, ay)
+        boxes.append((x0, x1, y0, y1))
+    r = len(segments)
+    for i in range(r):
+        a, b = segments[i]
+        x0, x1, y0, y1 = boxes[i]
+        for j in range(i + 1, r):
+            u0, u1, v0, v1 = boxes[j]
+            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1:
+                if segment_contact(a, b, *segments[j]) == "cross":
+                    return i, j
+    return None
 
 
 def point_in_closed_polyline(p: Point, points: list[Point]) -> str:

@@ -16,8 +16,9 @@ which certifies it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from . import bitsets as bs
 from ._planar import TilingError
@@ -29,9 +30,9 @@ from .geometry import (
     boundary_cycle,
     default_generators,
     embedding_table,
+    first_crossing,
     point_in_closed_polyline,
     polygon_area2,
-    segment_contact,
     sub,
 )
 from .separation import (
@@ -57,15 +58,27 @@ class CyclicPattern(Value):
             cyc = cyc[:-1]
         if len(cyc) < 3:
             raise ValueError("a cyclic pattern needs at least three sets")
-        for m in cyc:
-            bs.check_subset(m, n)
+        # int members are all subsets of {1..n} exactly when their union is;
+        # members with no union, or one that is not an int, go to the scan,
+        # which names the first bad member
+        try:
+            union = reduce(or_, cyc)
+        except TypeError:
+            union = None
+        if type(union) is not int or union & ~bs.full_mask(n):
+            for m in cyc:
+                bs.check_subset(m, n)
         self._fill(n, cyc)
-        for a, b in self.steps():
-            if not _legal_step(a, b):
+        # in cycle order, so the first illegal step is the one named
+        a = cyc[0]
+        for b in (*cyc[1:], cyc[0]):
+            d = (a ^ b).bit_count()
+            if d != 1 and (d != 2 or a.bit_count() != b.bit_count()):
                 raise ValueError(
                     f"illegal step {bs.format_subset(a)} -> {bs.format_subset(b)}: "
                     "steps must be 1-distance or equal-size 2-distance"
                 )
+            a = b
 
     def steps(self) -> list[tuple[int, int]]:
         c = self.cycle
@@ -172,20 +185,16 @@ def curve_kind(pattern: CyclicPattern) -> str:
     r = len(pts)
     # adjacent segments share an endpoint, so for them "cross" is exactly a
     # collinear fold-back
-    for i in range(r):
-        a, b = pts[i], pts[(i + 1) % r]
-        for j in range(i + 1, r):
-            if segment_contact(a, b, pts[j], pts[(j + 1) % r]) == "cross":
-                return "crossing"
+    if first_crossing(list(zip(pts, pts[1:] + pts[:1]))) is not None:
+        return "crossing"
+    if len(set(pts)) == r:
+        return "simple"
     multiplicity: dict[Point, list[int]] = {}
     for idx, p in enumerate(pts):
         multiplicity.setdefault(p, []).append(idx)
-    repeated = {p: occ for p, occ in multiplicity.items() if len(occ) > 1}
-    if not repeated:
-        return "simple"
     # no two segments leave a point in one direction: they would overlap,
     # which the pass above calls a crossing
-    for p, occurrences in repeated.items():
+    for p, occurrences in multiplicity.items():
         # each visit leaves p along two segments; around p, the positions
         # of one visit's two directions must not interleave with another's
         dirs = [(sub(pts[(idx + step) % r], p), v) for v, idx in enumerate(occurrences) for step in (-1, 1)]
@@ -386,9 +395,10 @@ def graph_pattern(n: int, vertices, edges) -> GraphPattern:
     if violation is not None:
         raise ValueError(violation)
     pts = embedding_table(default_generators(n))
-    for (a, b), (c, d) in combinations(pat.edges, 2):
-        if segment_contact(pts[a], pts[b], pts[c], pts[d]) == "cross":
-            raise ValueError(f"edges {(a, b)} and {(c, d)} cross in the plane")
+    hit = first_crossing([(pts[a], pts[b]) for a, b in pat.edges])
+    if hit is not None:
+        i, j = hit
+        raise ValueError(f"edges {pat.edges[i]} and {pat.edges[j]} cross in the plane")
     return pat
 
 

@@ -1,18 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 
 from zonotile import bitsets as bs
+from zonotile import geometry
 from zonotile.geometry import (
     Generators,
     angle_sort_key,
     boundary_vertices,
     default_generators,
     embed,
+    first_crossing,
     point_in_closed_polyline,
     segment_contact,
+    sub,
 )
 from zonotile.patterns import CyclicPattern, curve_kind, curve_points
 from zonotile.suite import _all_cycles, all_combis, crossing_pattern_examples
@@ -327,3 +332,179 @@ def test_curve_kind_matches_reference_on_all_small_cycles():
 def test_curve_kind_folding_back_is_crossing():
     one, two = bs.singleton(1), bs.singleton(2)
     assert curve_kind(CyclicPattern(3, (0, one, 0, two))) == "crossing"
+
+
+@pytest.mark.parametrize("shared", ["a=c", "a=d", "b=c", "b=d"])
+def test_segment_contact_on_a_shared_endpoint(shared):
+    # [p, q] and [p, s] with q, s on one ray from p fold back over each
+    # other; on opposite rays they continue straight through p; off one
+    # line they meet in p alone
+    p, q = (1, 1), (3, 2)
+    for s, want in (((5, 3), "cross"), ((-1, 0), "endpoint"), ((2, 4), "endpoint"), (q, "cross")):
+        first = (p, q) if shared[0] == "a" else (q, p)
+        second = (p, s) if shared[2] == "c" else (s, p)
+        assert segment_contact(*first, *second) == want, (first, second)
+        assert _reference_segment_contact(*first, *second) == want
+
+
+def test_segment_contact_on_identical_and_degenerate_segments():
+    a, b = (0, 0), (2, 1)
+    for c, d, want in (
+        (a, b, "cross"),  # identical
+        (b, a, "cross"),  # reversed
+        (a, a, "endpoint"),  # a zero-length segment at an endpoint
+        (b, b, "endpoint"),
+        ((4, 2), (4, 2), "none"),  # one on the line beyond b
+    ):
+        assert segment_contact(a, b, c, d) == segment_contact(c, d, a, b) == want, (c, d)
+        assert _reference_segment_contact(a, b, c, d) == want
+    assert segment_contact(a, a, a, a) == "endpoint"
+    assert segment_contact(a, a, b, b) == "none"
+
+
+def _boxes_meet(s, t):
+    """Whether the closed bounding boxes of two segments share a point."""
+    return all(
+        max(min(s[0][k], s[1][k]), min(t[0][k], t[1][k])) <= min(max(s[0][k], s[1][k]), max(t[0][k], t[1][k]))
+        for k in (0, 1)
+    )
+
+
+def _segment_list(rng):
+    """Two to eight segments on a small grid, many of them degenerate: an
+    endpoint shared with an earlier segment, a repeat of one (either way
+    round), a segment along an earlier one's line, or a single point."""
+    size = rng.choice((2, 4, 12))
+    pt = lambda: (rng.randint(0, size), rng.randint(0, size))
+    segments = []
+    for _ in range(rng.randint(2, 8)):
+        a, b = pt(), pt()
+        if segments:
+            c, d = rng.choice(segments)
+            mode = rng.randrange(6)
+            if mode == 1:
+                a = rng.choice((c, d))
+            elif mode == 2:
+                a, b = rng.choice(((c, d), (d, c)))
+            elif mode == 3:  # on the line through c and d
+                t, u = rng.randint(-2, 2), rng.randint(-2, 2)
+                a, b = ((c[0] + k * (d[0] - c[0]), c[1] + k * (d[1] - c[1])) for k in (t, u))
+            elif mode == 4:
+                b = a
+        segments.append((a, b))
+    return segments
+
+
+def test_first_crossing_matches_all_pairs_scan(monkeypatch):
+    # the first crossing pair in `combinations` order, and `segment_contact`
+    # asked about exactly the pairs whose closed boxes meet before it
+    rng = random.Random(71)
+    asked = []
+
+    def recorded(a, b, c, d):
+        asked.append(((a, b), (c, d)))
+        return segment_contact(a, b, c, d)
+
+    monkeypatch.setattr(geometry, "segment_contact", recorded)
+    outcomes = Counter()
+    for _ in range(3000):
+        segments = _segment_list(rng)
+        want, meeting = None, []
+        for (i, s), (j, t) in combinations(enumerate(segments), 2):
+            if _boxes_meet(s, t):
+                meeting.append((s, t))
+            if segment_contact(*s, *t) == "cross":
+                want = i, j
+                break
+        asked.clear()
+        assert first_crossing(segments) == want, segments
+        assert asked == meeting, segments
+        outcomes["none" if want is None else "cross"] += 1
+    assert outcomes == {"none": 835, "cross": 2165}
+
+
+@pytest.mark.parametrize(
+    "stem, bar",
+    [
+        (((0, 0), (2, 0)), ((0, -1), (0, 1))),  # the stem's box starts where the bar's ends
+        (((0, 0), (0, 2)), ((-1, 0), (1, 0))),
+        (((-2, 0), (0, 0)), ((0, -1), (0, 1))),  # ... or ends where it starts
+        (((0, -2), (0, 0)), ((-1, 0), (1, 0))),
+    ],
+)
+def test_first_crossing_keeps_t_touches_at_a_box_edge(stem, bar):
+    # the stem's endpoint touches the bar's interior, and their closed boxes
+    # meet in one edge only
+    for segments in ([stem, bar], [bar, stem]):
+        assert first_crossing(segments) == (0, 1)
+    assert first_crossing([stem, ((5, 5), (6, 6)), bar]) == (0, 2)
+    assert first_crossing([stem]) is None and first_crossing([]) is None
+
+
+def _parent_curve_kind(pattern):
+    """`curve_kind` as it was: every pair of segments, then the touch-point
+    analysis at each repeated point.  `segment_contact` itself is held to
+    the references above."""
+    pts = curve_points(pattern)
+    r = len(pts)
+    for i in range(r):
+        a, b = pts[i], pts[(i + 1) % r]
+        for j in range(i + 1, r):
+            if segment_contact(a, b, pts[j], pts[(j + 1) % r]) == "cross":
+                return "crossing"
+    multiplicity = {}
+    for idx, p in enumerate(pts):
+        multiplicity.setdefault(p, []).append(idx)
+    repeated = {p: occ for p, occ in multiplicity.items() if len(occ) > 1}
+    if not repeated:
+        return "simple"
+    for p, occurrences in repeated.items():
+        dirs = [(sub(pts[(idx + step) % r], p), v) for v, idx in enumerate(occurrences) for step in (-1, 1)]
+        order = [v for _, v in sorted(dirs, key=lambda t: angle_sort_key(t[0]))]
+        pairs = [tuple(k for k, w in enumerate(order) if w == v) for v in range(len(occurrences))]
+        for (a, b), (c, d) in combinations(pairs, 2):
+            if (a < c < b) != (a < d < b):
+                return "crossing"
+    return "touching"
+
+
+def _legal_steps(n):
+    """For each subset of {1..n}, the sets one legal step away: one element
+    added or removed, or one traded for another."""
+    return [
+        [x ^ (1 << e) for e in range(n)]
+        + [x ^ (1 << i) ^ (1 << k) for i in range(n) for k in range(n) if x >> i & 1 and not x >> k & 1]
+        for x in range(1 << n)
+    ]
+
+
+def _closed_walks(rng, count):
+    """Seeded closed walks of legal steps at n = 3..6: one to four random
+    steps, then back one element at a time, the last step being the closing
+    one.  Walks revisit sets, and many fold back on themselves."""
+    steps = {n: _legal_steps(n) for n in range(3, 7)}
+    walks = []
+    while len(walks) < count:
+        n = 3 + rng.getrandbits(2)
+        start = x = rng.getrandbits(n)
+        walk = [x]
+        for _ in range(rng.randint(1, 4)):
+            x = rng.choice(steps[n][x])
+            walk.append(x)
+        back = [1 << e for e in range(n) if (x ^ start) >> e & 1]
+        rng.shuffle(back)
+        for bit in back[:-1]:
+            x ^= bit
+            walk.append(x)
+        if len(walk) >= 3 + (x == start):
+            walks.append(CyclicPattern(n, walk))
+    return walks
+
+
+def test_curve_kind_matches_parent_scan_on_closed_walks():
+    kinds = Counter()
+    for pattern in _closed_walks(random.Random(30), 30_000):
+        kind = curve_kind(pattern)
+        assert kind == _parent_curve_kind(pattern), pattern
+        kinds[kind] += 1
+    assert kinds == {"simple": 14_023, "crossing": 15_631, "touching": 346}

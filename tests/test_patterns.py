@@ -133,9 +133,12 @@ class TestClassification:
             classify_pattern(boundary_pattern(3))
 
     def test_constructed_violators_cross(self):
+        # in every rotation, so each step is the closing one in turn
         for pat in crossing_pattern_examples(4):
-            assert classify_pattern(pat) == "self_crossing"
-            assert curve_kind(pat) == "crossing"
+            for r in range(len(pat.cycle)):
+                turned = CyclicPattern(4, pat.cycle[r:] + pat.cycle[:r])
+                assert classify_pattern(turned) == "self_crossing"
+                assert curve_kind(turned) == "crossing"
 
     def test_spanning_condition_on_the_union_side(self):
         # the 1-distance step {1,3}-{1,2,3} reaches the union of the
@@ -218,6 +221,24 @@ class TestClassification:
         for short in ((0, M([1])), (0, M([1]), 0)):
             with pytest.raises(ValueError, match="at least three sets"):
                 CyclicPattern(3, short)
+
+    def test_first_bad_member_named_before_any_step(self):
+        # each raise as `check_subset` words it, at the first bad member in
+        # cycle order, though the step {} -> {1,2} is illegal too
+        for cyc, error, text in (
+            ((0, M([1, 2]), 1.5), TypeError, "unsupported operand type(s) for &: 'float' and 'int'"),
+            ((0, M([1, 2]), -1, 8), ValueError, "mask -0x1 has elements outside 1..3"),
+            ((0, M([1, 2]), 8, -1), ValueError, "mask 0x8 has elements outside 1..3"),
+            (
+                (frozenset(), frozenset({1, 2}), frozenset({1})),
+                TypeError,
+                "'<' not supported between instances of 'frozenset' and 'int'",
+            ),
+        ):
+            with pytest.raises(error) as info:
+                CyclicPattern(3, cyc)
+            assert str(info.value) == text
+        assert CyclicPattern(3, (True, M([1, 2]), M([2]))).cycle == (1, 3, 2)
 
     def test_weak_separation_required(self):
         with pytest.raises(ValueError):
