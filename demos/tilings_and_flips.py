@@ -19,7 +19,6 @@ from zonotile import (
     raising_flip,
     render_svg,
     spectrum,
-    spectrum_rhombus,
 )
 from zonotile.flips import descend_to_minimum, flip_graph
 
@@ -31,7 +30,7 @@ tiling = minimal_tiling(4)
 print(f"minimal rhombus tiling of the 4-zonogon: {len(tiling.tiles)} rhombi")
 from zonotile import format_subset
 
-print("spectrum:", " ".join(format_subset(m) for m in spectrum_rhombus(tiling).members))
+print("spectrum:", " ".join(format_subset(m) for m in spectrum(tiling.combi).members))
 
 # Combies do the same for weakly separated collections; some need lenses.
 interval = from_w_collection(interval_collection(4))

@@ -47,14 +47,11 @@ from .geometry import (
     segment_contact,
 )
 from .rhombus import (
-    Rhombus,
     RhombusTiling,
     from_s_collection,
     maximal_tiling,
     minimal_tiling,
-    spectrum_rhombus,
     strong_flip,
-    validate_rhombus,
 )
 from .combi import (
     Combi,

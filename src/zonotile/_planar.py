@@ -25,16 +25,15 @@ from functools import lru_cache, partial
 
 from .geometry import Generators, Point, boundary_cycle, embedding_table
 
-# C(10,2)·2^8 = 11,520 is the number of rhombi, and of deltas and of
-# nablas, with n <= 10, so up to n = 10 none of them is ever evicted from
-# the tile caches of `combi` and `rhombus`, one per tile class.  A full
-# cache holds at most 3.1 MB of these triangles, 3.5 MB of rhombi, or
-# 12.3 MB of lenses with the longest paths at n = 16 (18 path entries),
-# each tile counted with its masks, its cycle and its kept hash, the
-# cache's own keys not.  The tile-shape memo of a generator set holds as
-# many cycles, and no tiles: 0.44 MB for the 926 tiles at n = 6; full at
-# n = 16, 7.3 MB of triangles or 19.6 MB of 16-vertex lenses.
-# (tracemalloc, Python 3.11)
+# C(10,2)·2^8 = 11,520 is the number of deltas, and of nablas, with
+# n <= 10, so up to n = 10 none of them is ever evicted from the tile
+# caches of `combi`, one per tile class.  A full cache holds at most
+# 3.1 MB of these triangles, or 12.3 MB of lenses with the longest paths
+# at n = 16 (18 path entries), each tile counted with its masks, its cycle
+# and its kept hash, the cache's own keys not.  The tile-shape memo of a
+# generator set holds as many cycles, and no tiles: 0.44 MB for the 926
+# tiles at n = 6; full at n = 16, 7.3 MB of triangles or 19.6 MB of
+# 16-vertex lenses.  (tracemalloc, Python 3.11)
 TILE_CACHE_SIZE = 11_520
 
 
@@ -108,10 +107,10 @@ def check_planar_cover(
     each checked for its shape, then its convexity, then for a directed
     edge an earlier tile used; the region's boundary, the cancellation of
     the edges and the area come after.  The verdict does not depend on the
-    order, only the error does: `combi._planar`, through which combies and
-    rhombus tilings are validated, passes the tiles as they come and, on
-    failure, again in tile order.  Every mask must be a subset of
-    {1..gens.n}, as the Combi and RhombusTiling constructors ensure.
+    order, only the error does: `combi.validate_combi`, through which every
+    combi, and so every rhombus tiling, is validated, passes the tiles as
+    they come and, on failure, again in tile order.  Every mask must be a
+    subset of {1..gens.n}, as the Combi constructor ensures.
     """
     shape = _tile_shapes(gens)
     keys: list[int] = []

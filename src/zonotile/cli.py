@@ -21,7 +21,6 @@ from .contraction import n_contract, n_expand
 from .flips import descend_to_minimum, lowering_flip, raising_flip
 from .patterns import classify_pattern, domains, verify_complementary
 from .render import render_svg
-from .rhombus import validate_rhombus
 from .separation import (
     RELATION_KINDS,
     ResourceGuardError,
@@ -279,7 +278,7 @@ def _dispatch(args) -> int:
         obj = _load_combi(args.combi)
     elif args.tiling:
         obj = jsonio.tiling_from_json(_load(args.tiling))
-        validate_rhombus(obj)
+        validate_combi(obj.combi)
     else:
         obj = jsonio.pattern_from_json(_load(args.pattern))
     _write_output(render_svg(obj, labels=not args.no_labels), args.out)

@@ -41,17 +41,17 @@ if TYPE_CHECKING:
 
 
 class Tile(OrderedValue):
-    """A tile of a combi or a rhombus tiling, named by its str in a TilingError.
+    """A tile of a combi, named by its str in a TilingError.
 
     `_fill` checks the fields and stores the corners, counterclockwise, once,
     through the class's `_corners`: so keyword construction, pickling and
     copying check a tile too.  The default `_corners` and str are a typed
-    tile's: a delta, nabla or rhombus, whose fields are a corner and two
-    types low < high.  Its class gives the corner field first, `_holds`,
-    whether the corner holds both type elements, `_wrong`, the error if not,
-    and `_recipe`, the cycle from the corner and the two type masks: the
-    right corner second, the left one first if the corner holds the types
-    and last if not.  A lens gives its own `_corners`, str and ends.
+    tile's: a delta or nabla, whose fields are a corner and two types
+    low < high.  Its class gives the corner field first, `_holds`, whether
+    the corner holds both type elements, `_wrong`, the error if not, and
+    `_recipe`, the cycle from the corner and the two type masks: the right
+    corner second, the left one first if the corner holds the types and
+    last if not.  A lens gives its own `_corners`, str and ends.
     """
 
     __slots__ = ("_cycle",)
@@ -289,30 +289,22 @@ def cycle_sides(cycles) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int
     return frozenset(vertical), frozenset(horizontal)
 
 
-def _planar(n: int, tiles, ordered) -> bool:
-    """Check that `tiles` exactly tile the n-zonogon under the default
-    generators; raises TilingError naming the first violation in the order
-    of the list `ordered()` returns."""
-    gens = default_generators(n)
+def validate_combi(combi: Combi) -> bool:
+    """Exact planar-cover axioms under the default generators; raises
+    TilingError naming the first violation in `tiles()` order."""
+    gens = default_generators(combi.n)
     region = zonogon_region(gens)
+    tiles = (*combi.deltas, *combi.nablas, *combi.lenses)
     try:
         return check_planar_cover(gens, [(t, t.cycle()) for t in tiles], *region)
     except TilingError:
         # the verdict does not depend on the tile order, only the error does
-        return check_planar_cover(gens, [(t, t.cycle()) for t in ordered()], *region)
-
-
-def validate_combi(combi: Combi) -> bool:
-    """Exact planar-cover axioms under the default generators; raises
-    TilingError naming the first violation in `tiles()` order."""
-    return _planar(combi.n, (*combi.deltas, *combi.nablas, *combi.lenses), combi.tiles)
+        return check_planar_cover(gens, [(t, t.cycle()) for t in combi.tiles()], *region)
 
 
 def from_rhombus(tiling: RhombusTiling) -> Combi:
-    """Split every rhombus into its upper and lower triangle (semi-rhombus combi)."""
-    tiles = tiling.tiles
-    deltas = [shared_delta(t.top, t.low, t.high) for t in tiles]
-    return Combi(tiling.n, deltas, [shared_nabla(t.base, t.low, t.high) for t in tiles])
+    """The semi-rhombus combi of a rhombus tiling, of which the tiling is a view."""
+    return tiling.combi
 
 
 def spectrum(combi: Combi) -> SetFamily:

@@ -14,7 +14,7 @@ from typing import Any
 from . import bitsets as bs
 from .combi import Combi, Delta, Lens, Nabla
 from .patterns import CyclicPattern
-from .rhombus import Rhombus, RhombusTiling
+from .rhombus import RhombusTiling
 from .separation import DomainReport, SetFamily
 
 
@@ -84,23 +84,26 @@ def tiling_to_json(tiling: RhombusTiling) -> dict:
     return {
         "n": tiling.n,
         "rhombi": [
-            {"X": subset_to_json(t.base), "i": t.low, "j": t.high}
+            {"X": subset_to_json(t.bottom), "i": t.low, "j": t.high}
             for t in sorted(tiling.tiles)
         ],
     }
 
 
 def tiling_from_json(data: Any) -> RhombusTiling:
+    """Each rhombus (X; i, j) as its lower half, the nabla (X; i, j), and
+    its upper half, the delta (X+i+j; i, j)."""
     n = _int(_field(data, "n", "tiling"), "n")
-    tiles = [
-        Rhombus(
+    nablas = [
+        Nabla(
             subset_from_json(_field(r, "X", "rhombus")),
             _element(_field(r, "i", "rhombus"), "i"),
             _element(_field(r, "j", "rhombus"), "j"),
         )
         for r in _list(_field(data, "rhombi", "tiling"), "rhombi")
     ]
-    return RhombusTiling(n, tiles)
+    deltas = [Delta(v.left | v.right, v.low, v.high) for v in nablas]
+    return RhombusTiling(Combi(n, deltas, nablas))
 
 
 def combi_to_json(combi: Combi) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import isqrt
 
 from . import bitsets as bs
-from .combi import Combi, from_rhombus
+from .combi import Combi
 from .geometry import Generators, _reduced, default_generators, embed
 from .patterns import CyclicPattern
 from .rhombus import RhombusTiling
@@ -104,7 +104,7 @@ def render_svg(obj, labels: bool = True) -> str:
     drawn with the default generators; `labels` names every vertex."""
     if isinstance(obj, RhombusTiling):
         # a rhombus's edges are the vertical edges of its two triangles
-        return _render_edges(obj.n, sorted(from_rhombus(obj).vertical_edges()), [], [], labels)
+        return _render_edges(obj.n, sorted(obj.combi.vertical_edges()), [], [], labels)
     if isinstance(obj, Combi):
         vert = sorted(obj.vertical_edges())
         horiz = sorted(obj.horizontal_edges())

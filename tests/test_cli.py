@@ -4,13 +4,13 @@ import json
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile import jsonio
+from zonotile import jsonio, suite
 from zonotile.cli import cmd
 from zonotile.combi import from_rhombus, from_w_collection, spectrum
 from zonotile.flips import interval_combi
 from zonotile.patterns import boundary_pattern, split_quasi
 from zonotile.render import render_svg
-from zonotile.rhombus import minimal_tiling
+from zonotile.rhombus import maximal_tiling, minimal_tiling
 from zonotile.separation import (
     enumerate_maximal,
     hypercube_domain,
@@ -366,6 +366,51 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err) == {"error": "invalid-input", "detail": detail}
+
+    @pytest.mark.parametrize("max_n", ["7", "8"])
+    def test_verify_past_its_bound_is_a_resource_guard(self, monkeypatch, capsys, max_n):
+        # the weak 8-cube alone holds 42,419,886 collections: the run stops
+        # before it enumerates or reconstructs anything
+        def refuse(*args, **kwargs):
+            raise AssertionError("the suite started its work")
+
+        for name in ("enumerate_maximal", "purity_verdict", "from_w_collection"):
+            monkeypatch.setattr(suite, name, refuse)
+        assert cmd(["verify", "--paper-suite", "--max-n", max_n]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "resource-guard", "detail": f"max_n is at most 6, got {max_n}"}
+
+    @pytest.mark.parametrize(
+        "fault, error, detail",
+        [
+            ("type-in-base", "invalid-input", "bottom of a Nabla must avoid both type elements"),
+            ("out-of-range", "invalid-input", "mask 0x13 has elements outside 1..4"),
+            ("missing", "edge-sharing", "interior edge (6, 7) is not shared by tiles on both sides"),
+            ("overlapping", "edge-sharing", "directed edge (1, 0) used twice"),
+            ("moved", "region-boundary", "boundary edge (1, 0) not covered exactly once by the tiles"),
+        ],
+    )
+    def test_render_rejects_a_bad_tiling(self, tmp_path, capsys, fault, error, detail):
+        # each JSON rhombus is read as its two triangles, which the combi
+        # layer checks and validates
+        data = jsonio.tiling_to_json(minimal_tiling(4))
+        rhombi = data["rhombi"]
+        if fault == "type-in-base":
+            rhombi[0]["X"] = [rhombi[0]["i"]]
+        elif fault == "out-of-range":
+            rhombi[0]["X"] = [5]
+        elif fault == "missing":
+            del rhombi[-1]
+        elif fault == "overlapping":
+            rhombi.append(next(r for r in jsonio.tiling_to_json(maximal_tiling(4))["rhombi"] if r not in rhombi))
+        else:
+            rhombi[0]["X"] = [4]
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(data))
+        assert cmd(["render", "--tiling", str(f), "--out", str(tmp_path / "t.svg")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error, "detail": detail}
+        assert not (tmp_path / "t.svg").exists()
 
     @pytest.mark.parametrize(
         "argv, detail",

@@ -9,7 +9,7 @@ import pytest
 
 from zonotile import bitsets as bs
 from zonotile.combi import Delta, Lens, Nabla, from_rhombus, shared_delta
-from zonotile.rhombus import Rhombus, from_s_collection
+from zonotile.rhombus import from_s_collection, minimal_tiling
 from zonotile.separation import enumerate_maximal, hypercube_domain
 from zonotile.suite import CubePool
 
@@ -82,7 +82,8 @@ def test_readings_match_the_per_kind_reference_n6():
         shared_delta(M([1, 3]), 1, 3),
         Nabla(M([2]), 1, 3),
         Lens((M([1, 2]), M([2, 3]), M([2, 4])), (M([1, 2]), M([1, 4]), M([2, 4]))),
-        Rhombus(M([3]), 1, 2),
+        # a rhombus, named in its tiling by its lower half
+        max(minimal_tiling(3).tiles),
     ],
     ids=["delta", "shared-delta", "nabla", "lens", "rhombus"],
 )

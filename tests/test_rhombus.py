@@ -1,26 +1,35 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile import rhombus
-from zonotile._planar import TilingError
-from zonotile.combi import from_rhombus, from_w_collection
+from zonotile import jsonio, rhombus
+from zonotile._planar import TilingError, check_planar_cover, zonogon_region
+from zonotile.combi import (
+    Combi,
+    Delta,
+    Nabla,
+    from_rhombus,
+    from_w_collection,
+    shared_delta,
+    shared_nabla,
+    spectrum,
+    validate_combi,
+)
+from zonotile.geometry import default_generators
 from zonotile.render import _fmt, render_svg
 from zonotile.rhombus import (
-    Rhombus,
     RhombusTiling,
     from_s_collection,
     hexagons,
     maximal_tiling,
     minimal_tiling,
-    shared_rhombus,
-    spectrum_rhombus,
     strong_flip,
-    validate_rhombus,
 )
+from zonotile.suite import all_combis
 from zonotile.separation import (
     SetFamily,
     cointerval_collection,
@@ -35,49 +44,64 @@ from reverse_search import reverse_search_count
 M = bs.mask_of
 
 
+def _tiling(n: int, nablas) -> RhombusTiling:
+    """The tiling of the rhombi named by the given lower halves, the nablas
+    (X; i, j), each split into it and the delta (X+i+j; i, j)."""
+    return RhombusTiling(Combi(n, [Delta(v.left | v.right, v.low, v.high) for v in nablas], nablas))
+
+
+def _json_tiling(n: int, *rhombi) -> RhombusTiling:
+    return jsonio.tiling_from_json({"n": n, "rhombi": [{"X": x, "i": i, "j": j} for x, i, j in rhombi]})
+
+
 def test_single_rhombus_tiling_valid():
-    tiling = RhombusTiling(2, [Rhombus(0, 1, 2)])
-    assert validate_rhombus(tiling)
+    tiling = _tiling(2, [Nabla(0, 1, 2)])
+    assert validate_combi(tiling.combi)
+    assert tiling.combi == Combi(2, [Delta(3, 1, 2)], [Nabla(0, 1, 2)])
 
 
 def test_missing_tile_reports_area():
-    tiling = RhombusTiling(3, [Rhombus(0, 1, 2), Rhombus(0, 2, 3)])
+    tiling = _tiling(3, [Nabla(0, 1, 2), Nabla(0, 2, 3)])
     with pytest.raises(TilingError):
-        validate_rhombus(tiling)
+        validate_combi(tiling.combi)
 
 
 def test_type_elements_must_avoid_base():
-    with pytest.raises(ValueError):
-        Rhombus(M([2]), 1, 2)
+    # a rhombus is read as its lower half, so the nabla's check names it
+    with pytest.raises(ValueError) as info:
+        _json_tiling(3, ([2], 1, 2))
+    assert str(info.value) == "bottom of a Nabla must avoid both type elements"
 
 
 def test_failed_rhombi_are_never_shared():
-    # each text through the class, then twice through the shared
-    # constructor: a failure is not cached, so it raises every time
+    # each bad JSON rhombus raises its lower half's text, twice over, and
+    # leaves no tile in the shared caches
     cases = [
-        ((0, 2, 2), "need 1 <= low < high, got 2, 2"),
-        ((0, 0, 2), "need 1 <= low < high, got 0, 2"),
-        ((M([1]), 1, 2), "type elements must not lie in the base set"),
-        ((M([2]), 1, 2), "type elements must not lie in the base set"),
+        (([], 2, 2), "need 1 <= low < high, got 2, 2"),
+        (([], 2, 1), "need 1 <= low < high, got 2, 1"),
+        (([], 0, 2), "i must be in 1..16, got 0"),
+        (([1], 1, 2), "bottom of a Nabla must avoid both type elements"),
+        (([2], 1, 2), "bottom of a Nabla must avoid both type elements"),
     ]
-    size = shared_rhombus.cache_info().currsize
-    for args, text in cases:
-        for build in (Rhombus, shared_rhombus, shared_rhombus):
+    sizes = shared_delta.cache_info().currsize, shared_nabla.cache_info().currsize
+    for rhombus_, text in cases:
+        for _ in range(2):
             with pytest.raises(ValueError) as info:
-                build(*args)
+                _json_tiling(3, rhombus_)
             assert str(info.value) == text
-    assert shared_rhombus.cache_info().currsize == size
-    t = Rhombus(M([3]), 1, 2)
-    assert (t.left, t.right) == (M([1, 3]), M([2, 3]))
+    assert (shared_delta.cache_info().currsize, shared_nabla.cache_info().currsize) == sizes
+    (t,) = _json_tiling(3, ([3], 1, 2)).tiles
+    assert (t.bottom, t.left, t.right) == (M([3]), M([1, 3]), M([2, 3]))
 
 
-def _quadruple_tiles(fam: SetFamily) -> set[Rhombus]:
+def _quadruple_tiles(fam: SetFamily) -> set[Nabla]:
     """The reference rule: a plain rhombus on every quadruple X, X+i, X+j,
     X+ij of members (no other subset point can fall inside such a rhombus,
-    so each quadruple of a maximal strong collection bounds a tile)."""
+    so each quadruple of a maximal strong collection bounds a tile), named
+    by its lower half."""
     s, n = fam.as_set(), fam.n
     return {
-        Rhombus(x, i, j)
+        Nabla(x, i, j)
         for x in s for i in range(1, n + 1) for j in range(i + 1, n + 1)
         if {x | bs.singleton(i), x | bs.singleton(j), x | bs.singleton(i) | bs.singleton(j)} <= s
         and not x & (bs.singleton(i) | bs.singleton(j))
@@ -138,13 +162,16 @@ def test_svg_numbers_round_as_fractions_do():
 
 
 def test_out_of_range_text():
+    # a rhombus's top, its upper half's apex, is named
     with pytest.raises(ValueError) as info:
-        RhombusTiling(2, [Rhombus(0, 1, 2), Rhombus(4, 1, 2)])
+        _tiling(2, [Nabla(0, 1, 2), Nabla(4, 1, 2)])
     assert str(info.value) == "mask 0x7 has elements outside 1..2"
     # of two tiles out of range, the one first in tile order is named
-    for tiles in ([Rhombus(8, 1, 2), Rhombus(4, 1, 2)], [Rhombus(4, 1, 2), Rhombus(8, 1, 2)]):
+    for tiles in ([(8, 1, 2), (4, 1, 2)], [(4, 1, 2), (8, 1, 2)]):
         with pytest.raises(ValueError, match="^mask 0x7 has"):
-            RhombusTiling(2, tiles)
+            _tiling(2, [Nabla(*t) for t in tiles])
+        with pytest.raises(ValueError, match="^mask 0x7 has"):
+            _json_tiling(2, *((list(bs.elements_of(x)), i, j) for x, i, j in tiles))
 
 
 def test_tile_counts():
@@ -155,28 +182,23 @@ def test_tile_counts():
 
 
 def test_spectrum_examples():
-    assert spectrum_rhombus(RhombusTiling(2, [Rhombus(0, 1, 2)])) == SetFamily(
-        2, [0, 1, 2, 3]
-    )
-    assert spectrum_rhombus(minimal_tiling(3)) == interval_collection(3)
-    assert spectrum_rhombus(maximal_tiling(3)) == cointerval_collection(3)
+    assert spectrum(_tiling(2, [Nabla(0, 1, 2)]).combi) == SetFamily(2, [0, 1, 2, 3])
+    assert spectrum(minimal_tiling(3).combi) == interval_collection(3)
+    assert spectrum(maximal_tiling(3).combi) == cointerval_collection(3)
     # the segment of n = 1 has no tile, only its two vertices and one edge
-    assert spectrum_rhombus(minimal_tiling(1)) == SetFamily(1, [0, 1])
+    assert spectrum(minimal_tiling(1).combi) == SetFamily(1, [0, 1])
     assert _svg_digest([minimal_tiling(1)]) == "a74a46164c52d91f"
 
 
 def test_from_s_collection_rejects_non_maximal(monkeypatch):
     with pytest.raises(ValueError, match="^family is not a maximal strongly separated collection$"):
         from_s_collection(SetFamily(3, [0, M([1])]))
-    # let through the input check, the family fails validation, and the
-    # error says that the collection does not assemble
+    # let through the input check, the family fails the combi layer's
+    # validation, whose error comes out as it is
     monkeypatch.setattr(rhombus, "is_maximal_separated", lambda family, relation: True)
     with pytest.raises(TilingError) as info:
         from_s_collection(SetFamily(3, [0, M([1])]))
-    assert str(info.value) == (
-        "region-boundary: collection does not assemble into a tiling "
-        "(boundary edge (0, 4) not covered exactly once by the tiles)"
-    )
+    assert str(info.value) == "region-boundary: boundary edge (0, 4) not covered exactly once by the tiles"
 
 
 def test_bijection_round_trip_all_n5():
@@ -184,20 +206,20 @@ def test_bijection_round_trip_all_n5():
         report = enumerate_maximal(hypercube_domain(n), "strong")
         for fam in report.maximal_collections:
             tiling = from_s_collection(fam)
-            assert validate_rhombus(tiling)
-            assert spectrum_rhombus(tiling) == fam
+            assert validate_combi(tiling.combi)
+            assert spectrum(tiling.combi) == fam
 
 
 def test_spectrum_is_maximal_strong():
     for n in (2, 3, 4):
-        fam = spectrum_rhombus(minimal_tiling(n))
+        fam = spectrum(minimal_tiling(n).combi)
         assert is_maximal_separated(fam, "strong")
 
 
 def test_strong_flip_n3():
     low = minimal_tiling(3)
     high = strong_flip(low, 0, 1, 2, 3, "raise")
-    assert validate_rhombus(high)
+    assert validate_combi(high.combi)
     assert high == maximal_tiling(3)
     assert strong_flip(high, 0, 1, 2, 3, "lower") == low
 
@@ -230,14 +252,14 @@ def test_flip_validates_its_result():
     low = minimal_tiling(4)
     base, i, j, k = hexagons(low, "raise")[0]
     raised = {
-        Rhombus(base | bs.singleton(k), i, j),
-        Rhombus(base | bs.singleton(i), j, k),
-        Rhombus(base, i, k),
+        Nabla(base | bs.singleton(k), i, j),
+        Nabla(base | bs.singleton(i), j, k),
+        Nabla(base, i, k),
     }
     extra = min(maximal_tiling(4).tiles - low.tiles - raised)
-    bad = RhombusTiling(4, low.tiles | {extra})
+    bad = _tiling(4, low.tiles | {extra})
     with pytest.raises(TilingError):
-        validate_rhombus(bad)
+        validate_combi(bad.combi)
     with pytest.raises(ValueError) as info:
         strong_flip(bad, base, i, j, k, "raise")
     assert str(info.value) == "family is not a maximal strongly separated collection"
@@ -250,16 +272,16 @@ def _surgery_flip(
     three rhombi around X+j (raise) or X+i+k (lower), add the other three,
     and validate the result."""
     sj = bs.singleton(j)
-    lowered = {Rhombus(base, i, j), Rhombus(base, j, k), Rhombus(base | sj, i, k)}
+    lowered = {Nabla(base, i, j), Nabla(base, j, k), Nabla(base | sj, i, k)}
     raised = {
-        Rhombus(base | bs.singleton(k), i, j),
-        Rhombus(base | bs.singleton(i), j, k),
-        Rhombus(base, i, k),
+        Nabla(base | bs.singleton(k), i, j),
+        Nabla(base | bs.singleton(i), j, k),
+        Nabla(base, i, k),
     }
     old, new = (lowered, raised) if direction == "raise" else (raised, lowered)
     assert old <= tiling.tiles
-    flipped = RhombusTiling(tiling.n, tiling.tiles - old | new)
-    validate_rhombus(flipped)
+    flipped = _tiling(tiling.n, tiling.tiles - old | new)
+    assert _rhombus_verdict(flipped.n, flipped.tiles) == validate_combi(flipped.combi)
     return flipped
 
 
@@ -316,9 +338,9 @@ def _hexagon_reference(tiling: RhombusTiling, direction: str) -> list[tuple[int,
             if base & (si | sj | sk):
                 continue
             if direction == "raise":
-                old = {Rhombus(base, i, j), Rhombus(base, j, k), Rhombus(base | sj, i, k)}
+                old = {Nabla(base, i, j), Nabla(base, j, k), Nabla(base | sj, i, k)}
             else:
-                old = {Rhombus(base | sk, i, j), Rhombus(base | si, j, k), Rhombus(base, i, k)}
+                old = {Nabla(base | sk, i, j), Nabla(base | si, j, k), Nabla(base, i, k)}
             if old <= tiling.tiles:
                 out.append((base, i, j, k))
     return out
@@ -367,4 +389,89 @@ def test_round_trip_under_flips_n4():
         if not hexes:
             break
         cur = strong_flip(cur, *hexes[0], "raise")
-        assert from_s_collection(spectrum_rhombus(cur)) == cur
+        assert from_s_collection(spectrum(cur.combi)) == cur
+
+
+def _rhombus_verdict(n: int, rhombi) -> bool:
+    """The reference certify path: each rhombus (X; i, j) as one tile with
+    the cycle X, X+j, X+i+j, X+i, put through the planar-cover check."""
+    gens = default_generators(n)
+    cycles = []
+    for r in rhombi:
+        x, si, sj = r.bottom, bs.singleton(r.low), bs.singleton(r.high)
+        cycles.append((r, (x, x | sj, x | si | sj, x | si)))
+    try:
+        return check_planar_cover(gens, cycles, *zonogon_region(gens))
+    except TilingError:
+        return False
+
+
+def _split_verdict(n: int, rhombi) -> bool:
+    """`validate_combi` on the rhombi's triangle split."""
+    try:
+        return validate_combi(_tiling(n, rhombi).combi)
+    except TilingError:
+        return False
+
+
+def test_rhombus_reference_agrees_with_the_triangle_split():
+    rng = random.Random(31)
+    tampered = 0
+    for n in range(1, 6):
+        tilings = [from_s_collection(f) for f in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections]
+        every = set().union(*(t.tiles for t in tilings))
+        for tiling in tilings:
+            tiles = sorted(tiling.tiles)
+            assert _rhombus_verdict(n, tiles) is _split_verdict(n, tiles) is True
+            if not tiles:
+                continue
+            gone = rng.choice(tiles)
+            # a rhombus of another tiling, which overlaps this one's
+            extra = sorted(every - tiling.tiles)
+            # the same types on another base set
+            bases = [b for b in range(1 << n) if not b & (gone.left | gone.right) and b != gone.bottom]
+            variants = [
+                [t for t in tiles if t != gone],
+                tiles + [rng.choice(extra)] if extra else None,
+                [t for t in tiles if t != gone] + [Nabla(rng.choice(bases), gone.low, gone.high)] if bases else None,
+            ]
+            for rhombi in (v for v in variants if v is not None):
+                assert _rhombus_verdict(n, rhombi) is _split_verdict(n, rhombi) is False
+                tampered += 1
+    assert tampered == 217
+
+
+def test_view_accepts_exactly_the_lens_free_combis():
+    accepted = []
+    for n in range(1, 6):
+        views = 0
+        for combi in all_combis(n):
+            if combi.lenses:
+                with pytest.raises(TilingError) as info:
+                    RhombusTiling(combi)
+                assert info.value.axiom == "rhombus"
+                continue
+            tiling = RhombusTiling(combi)
+            assert tiling.combi is combi and tiling.n == n and tiling.tiles == combi.nablas
+            assert from_rhombus(from_s_collection(spectrum(combi))) == combi
+            views += 1
+        accepted.append(views)
+    # OEIS A006245
+    assert accepted == [1, 1, 2, 8, 62]
+
+
+def test_view_rejection_texts():
+    lensy = min((c for c in all_combis(4) if c.lenses), key=lambda c: sorted(c.lenses))
+    with pytest.raises(TilingError) as info:
+        RhombusTiling(lensy)
+    assert str(info.value) == f"rhombus: {min(lensy.lenses)} is not half of a rhombus"
+    assert str(min(lensy.lenses)).startswith("lens(")
+    cases = [
+        (Combi(2, [], [Nabla(0, 1, 2)]), "rhombus: 0 deltas do not pair with 1 nablas"),
+        (Combi(2, [Delta(3, 1, 2)]), "rhombus: 1 deltas do not pair with 0 nablas"),
+        (Combi(3, [Delta(7, 1, 2)], [Nabla(0, 1, 2), Nabla(0, 2, 3)]), "rhombus: 1 deltas do not pair with 2 nablas"),
+    ]
+    for combi, text in cases:
+        with pytest.raises(TilingError) as info:
+            RhombusTiling(combi=combi)
+        assert str(info.value) == text
