@@ -2,7 +2,7 @@
 
 One binary with subcommands; inputs and outputs are the JSON schemas of
 :mod:`zonotile.jsonio`.  Exit codes: 0 success, 1 validation or input
-error (with an error object on stderr), 2 resource guard.
+error (with an error object on stderr), 2 resource guard or out of memory.
 """
 
 from __future__ import annotations
@@ -149,6 +149,10 @@ def cmd(argv: list[str]) -> int:
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": "invalid-input", "detail": str(exc)}) + "\n")
         return 1
+    except MemoryError:
+        pass  # reported below, once the failed command's frames are freed
+    sys.stderr.write(json.dumps({"error": "out-of-memory", "detail": "ran out of memory"}) + "\n")
+    return 2
 
 
 def _dispatch(args) -> int:

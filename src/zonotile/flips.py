@@ -21,7 +21,6 @@ from .separation import (
     DomainReport,
     ResourceGuardError,
     SetFamily,
-    _max_enum_n,
     enumerate_maximal,
     hypercube_domain,
     interval_collection,
@@ -147,7 +146,7 @@ def flip_graph(n: int, report: DomainReport | None = None) -> FlipGraph:
     The flips must reach exactly the collections of the report, so the flip
     moves provably reach every maximal w-collection.
     """
-    if n > min(5, _max_enum_n()):
+    if n > 5:
         raise ResourceGuardError(f"flip_graph guard: n={n} exceeds the configured bound")
     index = _index(n, report)
     start = interval_combi(n)

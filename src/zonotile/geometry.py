@@ -8,7 +8,7 @@ constructor verifies that this embedding is injective.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import gcd, lcm
 
 from ._value import Value
@@ -240,31 +240,18 @@ def polygon_area2(points: list[Point]) -> int:
     return total
 
 
-class _AngleKey:
-    """Sort key of a nonzero direction: its half-plane, then the cross product."""
-
-    __slots__ = ("half", "vec")
-
-    def __init__(self, half: int, vec: Point) -> None:
-        self.half = half
-        self.vec = vec
-
-    def __lt__(self, other: "_AngleKey") -> bool:
-        if self.half != other.half:
-            return self.half < other.half
-        return cross(self.vec, other.vec) > 0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _AngleKey)
-            and self.half == other.half
-            and cross(self.vec, other.vec) == 0
-        )
+def _angle_cmp(p: tuple[int, Point], q: tuple[int, Point]) -> int:
+    """(half-plane, direction) pairs by half-plane, then by the cross product."""
+    (h, a), (k, b) = p, q
+    return h - k or -cross(a, b)
 
 
-def angle_sort_key(v: Point) -> _AngleKey:
+_angle_key = cmp_to_key(_angle_cmp)
+
+
+def angle_sort_key(v: Point):
     """Total order on nonzero directions by angle in [0, 2*pi), exact."""
     x, y = v
     if x == 0 and y == 0:
         raise ValueError("zero direction")
-    return _AngleKey(0 if (y > 0 or (y == 0 and x > 0)) else 1, v)
+    return _angle_key((0 if (y > 0 or (y == 0 and x > 0)) else 1, v))

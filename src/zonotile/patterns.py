@@ -36,9 +36,7 @@ from .geometry import (
     sub,
 )
 from .separation import (
-    ResourceGuardError,
     SetFamily,
-    _max_enum_n,
     compatible_row,
     compatible_sets,
     members_mask,
@@ -267,15 +265,7 @@ def regions(pattern: CyclicPattern) -> PatternRegions:
 
 def pattern_compatible_sets(pattern: CyclicPattern, relation: str = "weak") -> SetFamily:
     """All subsets separated (weakly by default) from every member of the pattern."""
-    return SetFamily(pattern.n, _domain_scan(set(pattern.cycle), pattern.n, relation))
-
-
-def _domain_scan(members, n: int, relation: str) -> list[int]:
-    """The subsets separated from every member, ascending, under the
-    domain-scan guard."""
-    if n > _max_enum_n():
-        raise ResourceGuardError(f"domain scan guard: n={n}")
-    return compatible_sets(members, n, relation)
+    return SetFamily(pattern.n, compatible_sets(set(pattern.cycle), pattern.n, relation))
 
 
 def domains(pattern: CyclicPattern, relation: str = "weak") -> tuple[SetFamily, SetFamily]:
@@ -291,9 +281,11 @@ def strong_domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:
 
 
 def verify_complementary(dom: SetFamily, dom2: SetFamily, relation: str = "weak") -> bool:
-    """Every member of one domain is separated from every member of the other."""
-    other = members_mask(dom2.members)
-    return compatible_row(dom.members, max(dom.n, dom2.n), relation) & other == other
+    """Every member of one domain is separated from every member of the
+    other; both relations are symmetric, so only the smaller's rows are built."""
+    small, large = sorted((dom, dom2), key=len)
+    other = members_mask(large.members)
+    return compatible_row(small.members, max(dom.n, dom2.n), relation) & other == other
 
 
 # --------------------------------------------------------------------------
@@ -453,7 +445,7 @@ def graph_pattern_domains(pat: GraphPattern):
     nested, so each such set goes to the smallest face around it.
     """
     n = pat.n
-    compatible = _domain_scan(pat.vertices, n, "weak")
+    compatible = compatible_sets(pat.vertices, n, "weak")
     table = embedding_table(default_generators(n))
     faces = _faces(pat, table)
     curves = [[table[v] for v in face.cycle] for face in faces]
@@ -467,13 +459,14 @@ def graph_pattern_domains(pat: GraphPattern):
     return [(face, SetFamily(n, found)) for face, found in zip(faces, hits)]
 
 
-def verify_face_domains(pat: GraphPattern) -> bool:
-    """All face-domain pairs complementary and every face domain pure."""
+def verify_face_domains(pat: GraphPattern, verdict=purity_verdict) -> bool:
+    """All face-domain pairs complementary and every face domain pure, each
+    purity verdict from `verdict(domain, relation)`."""
     doms = graph_pattern_domains(pat)
     for (_, fa), (_, fb) in combinations(doms, 2):
         if not verify_complementary(fa, fb):
             return False
-    return all(purity_verdict(fam, "weak").pure for _, fam in doms)
+    return all(verdict(fam, "weak").pure for _, fam in doms)
 
 
 def grassmann_necklace(sequence, n: int) -> tuple[CyclicPattern, int]:

@@ -143,6 +143,10 @@ class SetFamily(Value):
         return frozenset(self.members)
 
 
+# The most collections `enumerate_maximal` holds: the weak 7-cube's 259,480
+# with margin, about 0.4 GB at the 390 B a collection measured there.
+OUTPUT_BUDGET = 1_000_000
+
 # At n=16 a row is 8 KB, so a full cache holds at most 32 MB of rows.
 ROW_CACHE_SIZE = 4096
 
@@ -313,7 +317,7 @@ def maximal_cliques(adjacency, vertices: int) -> list[int]:
 def _compatibility_graph(domain: SetFamily, relation: str) -> tuple[int, dict[int, int]]:
     """The domain's members as one bitmask, and each member's neighbours: its
     separation row cut to the domain, itself excluded."""
-    guard = 1 << min(_max_enum_n(), 16)
+    guard = 1 << _max_enum_n()
     if len(domain) > guard:
         raise ResourceGuardError(
             f"domain has {len(domain)} members, enumeration guard is {guard}"
@@ -334,11 +338,20 @@ def enumerate_maximal(domain: SetFamily, relation: str) -> DomainReport:
     clique becomes its `SetFamily` as the search reaches it, built straight
     from that path (the constructor sorts it and runs its range and
     duplicate checks), and the collections are then sorted by their members.
+    Past `OUTPUT_BUDGET` collections it raises `ResourceGuardError`.
     """
     dom, adj = _compatibility_graph(domain, relation)
-    n, collections = domain.n, []
+    n, collections, budget = domain.n, [], OUTPUT_BUDGET
     add = collections.append
-    _bron_kerbosch_pivot(adj, [], dom, 0, lambda path: add(SetFamily(n, path)))
+
+    def emit(path: list[int]) -> None:
+        if len(collections) == budget:
+            raise ResourceGuardError(
+                f"domain has more than {budget} maximal collections, the output budget"
+            )
+        add(SetFamily(n, path))
+
+    _bron_kerbosch_pivot(adj, [], dom, 0, emit)
     collections.sort(key=attrgetter("members"))
     ranks = tuple(sorted({len(c) for c in collections}))
     return DomainReport(

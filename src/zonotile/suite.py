@@ -357,7 +357,8 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) 
         combi = rng.choice(combi_pool[n4])
         edges = sorted(combi.vertical_edges() | combi.horizontal_edges())
         chosen = [e for e in edges if rng.random() < 0.35]
-        graph_ok &= verify_face_domains(graph_pattern(n4, set(combi.vertex_masks()), chosen))
+        graph = graph_pattern(n4, set(combi.vertex_masks()), chosen)
+        graph_ok &= verify_face_domains(graph, pool.verdict)
     detail["graph_patterns"] = {"checked": 50, "pass": graph_ok}
 
     return {"pass": all(entry["pass"] for entry in detail.values()), "detail": detail}

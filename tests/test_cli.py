@@ -4,7 +4,7 @@ import json
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile import jsonio, suite
+from zonotile import cli, jsonio, separation, suite
 from zonotile.cli import cmd
 from zonotile.combi import from_rhombus, from_w_collection, spectrum
 from zonotile.flips import interval_combi
@@ -328,6 +328,41 @@ class TestCli:
         assert cmd(["purity", "--hypercube", "12", "--relation", "weak"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "resource-guard"
+
+    def test_enumeration_past_its_output_budget_is_a_resource_guard(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(separation, "OUTPUT_BUDGET", 9)
+        domain = tmp_path / "cube.json"
+        domain.write_text(json.dumps(jsonio.family_to_json(hypercube_domain(4))))
+        assert cmd(["enumerate", "--domain", str(domain)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "resource-guard",
+            "detail": "domain has more than 9 maximal collections, the output budget",
+        }
+
+    def test_out_of_memory_is_exit_2(self, monkeypatch, tmp_path, capsys):
+        def exhaust(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "enumerate_maximal", exhaust)
+        domain = tmp_path / "cube.json"
+        domain.write_text(json.dumps(jsonio.family_to_json(hypercube_domain(3))))
+        assert cmd(["enumerate", "--domain", str(domain)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "out-of-memory", "detail": "ran out of memory"}
+
+    def test_pattern_domains_are_unguarded_and_verify_meets_the_member_guard(self, tmp_path, capsys):
+        pat_file = tmp_path / "pat.json"
+        pat_file.write_text(json.dumps(jsonio.pattern_to_json(boundary_pattern(9))))
+        assert cmd(["pattern", "domains", "--pattern", str(pat_file)]) == 0
+        doms = json.loads(capsys.readouterr().out)
+        assert (len(doms["inside"]["members"]), len(doms["outside"]["members"])) == (512, 18)
+        assert cmd(["pattern", "verify", "--pattern", str(pat_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "resource-guard", "detail": "domain has 512 members, enumeration guard is 256"}
 
     def test_invalid_combi_rejected(self, tmp_path, capsys):
         broken = {"n": 2, "deltas": [], "nablas": [{"bottom": [], "base": [[1], [2]]}], "lenses": []}

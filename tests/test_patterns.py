@@ -5,10 +5,10 @@ from math import lcm
 import pytest
 
 from zonotile import bitsets as bs
-from zonotile import patterns
+from zonotile import patterns, separation
 from zonotile._planar import TilingError
 from zonotile.combi import from_rhombus, from_w_collection, spectrum, validate_combi
-from zonotile.flips import interval_combi
+from zonotile.flips import flip_graph, interval_combi
 from zonotile.geometry import Generators, default_generators, embedding_table, point_in_closed_polyline
 from zonotile.patterns import (
     CyclicPattern,
@@ -375,12 +375,37 @@ class TestComplementaryPairs:
             checked += 1
         assert checked >= 4
 
-    def test_domain_guard_covers_both_relations(self, monkeypatch):
+    def test_complementary_check_builds_the_smaller_domains_rows(self, monkeypatch):
+        rows, row = [], separation.separation_row
+
+        def counted_row(a, n, relation):
+            rows.append(a)
+            return row(a, n, relation)
+
+        monkeypatch.setattr(separation, "separation_row", counted_row)
+        inner, outer = domains(boundary_pattern(5))
+        assert (len(inner), len(outer)) == (32, 10)
+        # {1,3} and {2} are not weakly separated, in either order
+        apart = SetFamily(3, [M([1, 3])]), SetFamily(3, [0, M([2])])
+        for first, second, verdict in [(inner, outer, True), (*apart, False)]:
+            for pair in ((first, second), (second, first)):
+                rows.clear()
+                assert verify_complementary(*pair) is verdict
+                assert sorted(rows) == sorted(min(first, second, key=len).members)
+
+    def test_guard_bounds_the_clique_search_not_the_domain_scan(self, monkeypatch):
+        # a domain is one linear scan under either relation; the
+        # exponential work is the clique search, and only that is guarded
+        report = enumerate_maximal(hypercube_domain(4), "weak")
         monkeypatch.setenv("ZONOTILE_MAX_N", "3")
         pat = boundary_pattern(4)
         for scan in (domains, strong_domains):
-            with pytest.raises(ResourceGuardError, match="domain scan guard: n=4"):
-                scan(pat)
+            inner, outer = scan(pat)
+            assert (len(inner), len(outer)) == (16, 8)
+        assert len(flip_graph(4, report).nodes) == 10
+        with pytest.raises(ResourceGuardError) as info:
+            purity_verdict(hypercube_domain(4), "weak")
+        assert str(info.value) == "domain has 16 members, enumeration guard is 8"
         assert strong_domains(boundary_pattern(3)) == domains(boundary_pattern(3), "strong")
 
 

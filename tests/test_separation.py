@@ -13,6 +13,7 @@ from zonotile.separation import (
     DomainReport,
     Permutation,
     PurityVerdict,
+    ResourceGuardError,
     SetFamily,
     base_relation,
     chamber_domain,
@@ -315,6 +316,15 @@ class TestSeparationRows:
         monkeypatch.setenv("ZONOTILE_MAX_N", "3")
         assert enumerate_maximal(hypercube_domain(3), "weak").ranks == (7,)
 
+    def test_max_n_is_clamped_to_1_through_16(self, monkeypatch):
+        for raw, want in [("-3", 1), ("0", 1), ("1", 1), ("9", 9), ("16", 16), ("17", 16)]:
+            monkeypatch.setenv("ZONOTILE_MAX_N", raw)
+            assert separation._max_enum_n() == want
+        monkeypatch.setenv("ZONOTILE_MAX_N", "0")
+        with pytest.raises(ResourceGuardError) as info:
+            purity_verdict(hypercube_domain(2), "weak")
+        assert str(info.value) == "domain has 4 members, enumeration guard is 2"
+
 
 class TestEnumeration:
     def test_hypercube_n3(self):
@@ -326,6 +336,18 @@ class TestEnumeration:
     def test_hypercube_n4(self):
         report = enumerate_maximal(hypercube_domain(4), "weak")
         assert report.pure and report.ranks == (11,)
+
+    def test_output_budget_is_exact(self, monkeypatch):
+        # the weak 4-cube has 10 maximal collections: a budget of 10 holds
+        # them, one of 9 stops the search at the tenth; a verdict holds none
+        cube = hypercube_domain(4)
+        monkeypatch.setattr(separation, "OUTPUT_BUDGET", 10)
+        assert len(enumerate_maximal(cube, "weak").maximal_collections) == 10
+        monkeypatch.setattr(separation, "OUTPUT_BUDGET", 9)
+        with pytest.raises(ResourceGuardError) as info:
+            enumerate_maximal(cube, "weak")
+        assert str(info.value) == "domain has more than 9 maximal collections, the output budget"
+        assert purity_verdict(cube, "weak").count == 10
 
     def test_strong_counts_match_a006245(self):
         # OEIS A006245 counts the rhombus tilings of the 2n-gon; the

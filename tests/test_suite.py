@@ -65,9 +65,10 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
     # expanded once; the converse (pairs at n - 1 = 1..3) reads them all
     assert set(contract1.values()) == set(expand1.values()) == {1}
     assert len(contract1) == len(expand1) == 1 + 2 + 10
-    # one purity verdict per distinct (domain, relation), 412 in this run
+    # one purity verdict per distinct (domain, relation), 489 in this run,
+    # the graph patterns' face domains among them
     assert set(verdict1.values()) == {1}
-    assert len(verdict1) == 412
+    assert len(verdict1) == 489
     # a second run in the same process starts from an empty pool
     assert second == first
 
