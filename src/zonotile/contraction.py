@@ -45,7 +45,8 @@ def n_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
 
 def legal_path_report(combi: Combi, path: tuple[int, ...]) -> tuple[bool, str]:
     """Check (P1) endpoints and vertical steps, (P2) no two consecutive
-    backward edges, (P3) zigzags bend to the right."""
+    backward edges, (P3) zigzags bend to the right; name the first fault of
+    (P1), else of (P2), else of (P3)."""
     n = combi.n
     edges = combi.vertical_edges()
     if len(path) < 2:
@@ -55,32 +56,34 @@ def legal_path_report(combi: Combi, path: tuple[int, ...]) -> tuple[bool, str]:
     for a, b in zip(path, path[1:]):
         if (a, b) not in edges and (b, a) not in edges:
             return False, f"P1: {bs.format_subset(a)}->{bs.format_subset(b)} is not a vertical edge"
-    sizes = [v.bit_count() for v in path]
-    for d, (sa, sb, sc) in enumerate(zip(sizes, sizes[1:], sizes[2:]), 1):
-        if sa > sb > sc:
-            return False, f"P2: two consecutive backward edges at position {d}"
-    # a step's type is its one element, so two types compare as the one-bit
-    # masks the steps differ by
-    for d, (a, b, c) in enumerate(zip(path, path[1:], path[2:]), 1):
-        if a.bit_count() != c.bit_count():
-            continue
-        if a == c:
-            return False, f"P3: path doubles back at position {d}"
-        if a.bit_count() > b.bit_count():
-            if not a ^ b < c ^ b:
-                return False, f"P3: pit at position {d} bends left"
-        elif not a ^ b > c ^ b:
-            return False, f"P3: peak at position {d} bends left"
+    turns = [_turn(a, b, c) for a, b, c in zip(path, path[1:], path[2:])]
+    faults = [(why[:2], d, why) for d, why in enumerate(turns, 1) if why not in _ROLES]
+    if faults:
+        _, d, why = min(faults)
+        return False, why.format(d)
     return True, ""
 
 
-def _roles(path: tuple[int, ...]) -> list[str]:
-    """Slope, peak or pit for each internal vertex of a legal path."""
-    sizes = [v.bit_count() for v in path]
-    return [
-        "slope" if sa < sb < sc else "pit" if sa > sb else "peak"
-        for sa, sb, sc in zip(sizes, sizes[1:], sizes[2:])
-    ]
+_ROLES = ("slope", "pit", "peak")
+
+
+def _turn(a: int, b: int, c: int) -> str:
+    """The role of b between the steps a->b and b->c along vertical edges,
+    "slope", "pit" or "peak", or else the rule the turn breaks, with `{}`
+    for its position.  A step's type is its one element, so two types
+    compare as the one-bit masks the steps differ by: out of a pit a path
+    turns right going up by a larger type, at a peak going down by a
+    smaller one."""
+    sa, sb, sc = a.bit_count(), b.bit_count(), c.bit_count()
+    if sa < sb < sc:
+        return "slope"
+    if sa > sb > sc:
+        return "P2: two consecutive backward edges at position {}"
+    if a == c:
+        return "P3: path doubles back at position {}"
+    if sa > sb:
+        return "pit" if a ^ b < c ^ b else "P3: pit at position {} bends left"
+    return "peak" if a ^ b > c ^ b else "P3: peak at position {} bends left"
 
 
 def path_vertex_roles(combi: Combi, path) -> list[str]:
@@ -89,21 +92,19 @@ def path_vertex_roles(combi: Combi, path) -> list[str]:
     ok, why = legal_path_report(combi, path)
     if not ok:
         raise ValueError(why)
-    return _roles(path)
+    return [_turn(a, b, c) for a, b, c in zip(path, path[1:], path[2:])]
 
 
 def n_expand(combi: Combi, path) -> Combi:
     """Inverse of `n_contract`: insert element n along a legal path."""
     path = tuple(path)
-    ok, why = legal_path_report(combi, path)
-    if not ok:
-        raise ValueError(why)
+    roles = path_vertex_roles(combi, path)
     if len(set(path)) != len(path):  # never after the report: a legal path is simple
         raise ValueError("legal path repeats a vertex")
     n = combi.n + 1
     sn = bs.singleton(n)
     members = set()
-    for x, role in zip(path, ["end", *_roles(path), "end"]):
+    for x, role in zip(path, ["end", *roles, "end"]):
         if role != "pit":
             members.add(x)
         if role != "peak":
@@ -132,44 +133,34 @@ def enumerate_legal_paths(combi: Combi) -> list[tuple[int, ...]]:
 
 def _walks(combi: Combi, within: set[int] | None = None) -> list[tuple[int, ...]]:
     """The simple paths along vertical edges from the bottom to the top
-    vertex with no two backward edges in a row and every zigzag bent to the
-    right, by depth-first search: from each vertex the up-steps in ascending
-    order, then the down-steps in ascending order, each of them to a smaller
-    vertex than the current one; with `within`, only the paths through
-    exactly the vertices of `within`."""
-    edges = combi.vertical_edges()
+    vertex whose every turn `_turn` allows, by depth-first search: from each
+    vertex the up-steps in ascending order, then the down-steps in ascending
+    order; with `within`, only the paths through exactly the vertices of
+    `within`."""
+    edges = sorted(combi.vertical_edges())
     if within is not None:
         edges = [(a, b) for a, b in edges if a in within and b in within]
-    ups: dict[int, list[int]] = {}
-    downs: dict[int, list[int]] = {}
-    for a, b in sorted(edges):
-        ups.setdefault(a, []).append(b)
-        downs.setdefault(b, []).append(a)
+    steps: dict[int, list[int]] = {}
+    for a, b in edges:
+        steps.setdefault(a, []).append(b)
+    for a, b in edges:
+        steps.setdefault(b, []).append(a)
     full = bs.full_mask(combi.n)
     out: list[tuple[int, ...]] = []
 
-    # `last` is the vertex before `cur`, `cur` itself at the start.  Types
-    # compare as masks, as in `legal_path_report`: out of a pit the path
-    # turns right going up by a larger type, at a peak going down by a
-    # smaller one.
-    def walk(path: list[int], seen: set[int], last: int) -> None:
+    def walk(path: list[int], seen: set[int]) -> None:
         cur = path[-1]
         if cur == full:
             if within is None or len(path) == len(within):
                 out.append(tuple(path))
             return
-        went_down = last.bit_count() > cur.bit_count()
-        turn = last ^ cur
-        steps = [v for v in ups.get(cur, ()) if not went_down or v ^ cur > turn]
-        if not went_down:
-            steps += [v for v in downs.get(cur, ()) if v ^ cur < turn]
-        for nxt in steps:
-            if nxt not in seen:
+        for nxt in steps.get(cur, ()):
+            if nxt not in seen and (len(path) == 1 or _turn(path[-2], cur, nxt) in _ROLES):
                 path.append(nxt)
                 seen.add(nxt)
-                walk(path, seen, cur)
+                walk(path, seen)
                 seen.discard(nxt)
                 path.pop()
 
-    walk([0], {0}, 0)
+    walk([0], {0})
     return out

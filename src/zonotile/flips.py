@@ -147,7 +147,7 @@ def flip_graph(n: int, report: DomainReport | None = None) -> FlipGraph:
     moves provably reach every maximal w-collection.
     """
     if n > 5:
-        raise ResourceGuardError(f"flip_graph guard: n={n} exceeds the configured bound")
+        raise ResourceGuardError(f"flip_graph guard: n={n} exceeds 5")
     index = _index(n, report)
     start = interval_combi(n)
     queue, seen, arcs = [start], {start.vertex_masks()}, set()

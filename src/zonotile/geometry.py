@@ -12,7 +12,7 @@ from functools import cmp_to_key, lru_cache
 from math import gcd, lcm
 
 from ._value import Value
-from .bitsets import check_ground, full_mask, iter_elements
+from .bitsets import check_ground, full_mask
 
 Point = tuple[int, int]
 
@@ -107,18 +107,16 @@ def default_generators(n: int) -> Generators:
 
 
 def embed(mask: int, gens: Generators) -> Point:
-    x = y = 0
-    for e in iter_elements(mask):
-        vx, vy = gens.vector(e)
-        x += vx
-        y += vy
-    return (x, y)
+    """The point of subset `mask`: the sum of its elements' generators."""
+    if mask < 0:  # a negative index would read the table from its end
+        raise IndexError(f"mask {mask} is negative")
+    return embedding_table(gens)[mask]
 
 
 # At n=16 a table holds 65,536 points, some 8 MB.
 @lru_cache(maxsize=8)
 def embedding_table(gens: Generators) -> tuple[Point, ...]:
-    """`embed(mask, gens)` for every mask of {1..n}, indexed by mask."""
+    """The subset sum of the generators for every mask of {1..n}, indexed by mask."""
     table = [(0, 0)]
     vecs = gens.vectors
     for mask in range(1, 1 << gens.n):

@@ -403,10 +403,7 @@ class PatternFace(Value):
 
 def pattern_faces(pat: GraphPattern) -> list[PatternFace]:
     """Bounded faces from the rotation system of the exact embedding."""
-    return _faces(pat, embedding_table(default_generators(pat.n)))
-
-
-def _faces(pat: GraphPattern, pts: tuple[Point, ...]) -> list[PatternFace]:
+    pts = embedding_table(default_generators(pat.n))
     outgoing: dict[int, list[int]] = {v: [] for v in pat.vertices}
     for u, v in pat.edges:
         outgoing[u].append(v)
@@ -447,7 +444,7 @@ def graph_pattern_domains(pat: GraphPattern):
     n = pat.n
     compatible = compatible_sets(pat.vertices, n, "weak")
     table = embedding_table(default_generators(n))
-    faces = _faces(pat, table)
+    faces = pattern_faces(pat)
     curves = [[table[v] for v in face.cycle] for face in faces]
     hits: list[list[int]] = [[] for _ in faces]
     for x in compatible:

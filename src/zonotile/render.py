@@ -13,7 +13,7 @@ from math import isqrt
 
 from . import bitsets as bs
 from .combi import Combi
-from .geometry import Generators, _reduced, default_generators, embed
+from .geometry import Generators, _reduced, default_generators, embedding_table
 from .patterns import CyclicPattern
 from .rhombus import RhombusTiling
 
@@ -21,9 +21,11 @@ from .rhombus import RhombusTiling
 # the length of a generator and the blank border, in SVG units
 SCALE = 160
 MARGIN = 30
-# stroke widths in half SVG units: vertical edges bold, horizontal ones thin
-VERTICAL_WIDTH = 5
-HORIZONTAL_WIDTH = 2
+# stroke styles as `_Canvas.line` takes them, width in half SVG units,
+# colour and dashing: vertical edges bold, horizontal ones thin, curves dashed
+VERTICAL = (5, "#000000")
+HORIZONTAL = (2, "#555555")
+CURVE = (4, "#c22", True)
 
 
 def _fmt(num: int, den: int = 1) -> str:
@@ -104,40 +106,28 @@ def render_svg(obj, labels: bool = True) -> str:
     drawn with the default generators; `labels` names every vertex."""
     if isinstance(obj, RhombusTiling):
         # a rhombus's edges are the vertical edges of its two triangles
-        return _render_edges(obj.n, sorted(obj.combi.vertical_edges()), [], [], labels)
+        return _render(obj.n, [], [(VERTICAL, sorted(obj.combi.vertical_edges()))], labels)
     if isinstance(obj, Combi):
-        vert = sorted(obj.vertical_edges())
-        horiz = sorted(obj.horizontal_edges())
         fills = [l.cycle() for l in sorted(obj.lenses)]
-        return _render_edges(obj.n, vert, horiz, fills, labels)
+        strokes = [(HORIZONTAL, sorted(obj.horizontal_edges())), (VERTICAL, sorted(obj.vertical_edges()))]
+        return _render(obj.n, fills, strokes, labels)
     if isinstance(obj, CyclicPattern):
-        return _render_pattern(obj, labels)
+        cyc = obj.cycle
+        return _render(obj.n, [], [(CURVE, list(zip(cyc, cyc[1:] + cyc[:1])))], labels)
     raise TypeError(f"cannot render object of type {type(obj).__name__}")
 
 
-def _render_edges(n, vertical, horizontal, lens_cycles, labels) -> str:
+def _render(n: int, lens_cycles, strokes, labels: bool) -> str:
+    """The shaded lens cycles, then each (style, edges) group of strokes in
+    turn, then, with `labels`, every stroked vertex named."""
     gens = default_generators(n)
-    canvas = _Canvas(gens)
+    pts, canvas = embedding_table(gens), _Canvas(gens)
     for cyc in lens_cycles:
-        canvas.polygon([embed(v, gens) for v in cyc], "#9ecae1")
-    for a, b in horizontal:
-        canvas.line(embed(a, gens), embed(b, gens), HORIZONTAL_WIDTH, "#555555")
-    for a, b in vertical:
-        canvas.line(embed(a, gens), embed(b, gens), VERTICAL_WIDTH, "#000000")
+        canvas.polygon([pts[v] for v in cyc], "#9ecae1")
+    for style, edges in strokes:
+        for a, b in edges:
+            canvas.line(pts[a], pts[b], *style)
     if labels:
-        verts = {v for e in list(vertical) + list(horizontal) for v in e}
-        for v in sorted(verts):
-            canvas.label(embed(v, gens), _vertex_label(v))
-    return canvas.document()
-
-
-def _render_pattern(pattern: CyclicPattern, labels) -> str:
-    gens = default_generators(pattern.n)
-    canvas = _Canvas(gens)
-    cyc = pattern.cycle
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        canvas.line(embed(a, gens), embed(b, gens), HORIZONTAL_WIDTH * 2, "#c22", dashed=True)
-    if labels:
-        for v in sorted(set(cyc)):
-            canvas.label(embed(v, gens), _vertex_label(v))
+        for v in sorted({v for _, edges in strokes for e in edges for v in e}):
+            canvas.label(pts[v], _vertex_label(v))
     return canvas.document()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from zonotile.combi import from_rhombus, from_w_collection, spectrum
 from zonotile.flips import interval_combi
 from zonotile.patterns import boundary_pattern, split_quasi
 from zonotile.render import render_svg
-from zonotile.rhombus import maximal_tiling, minimal_tiling
+from zonotile.rhombus import from_s_collection, maximal_tiling, minimal_tiling
 from zonotile.separation import (
     enumerate_maximal,
     hypercube_domain,
@@ -26,6 +27,11 @@ ENUMERATE_6_CUBE_SHA256 = {
     "weak": "3613eda452b3840af692c90459f4f46c997ecbb47e20724de699fb2734ea6ceb",
     "strong": "4115a360f30e5b09c00f29f95aacea32e1becb25d19d4a06fae1cbcf26ecbadb",
 }
+
+# the bytes `render_svg` writes, with and without labels, for every combi and
+# every strong tiling with n <= 5 and 200 seeded patterns, so a change to how
+# a drawing is assembled cannot move a byte unseen
+RENDER_SHA256 = "c5eea00964820cbf4d679929f2ccecacc9296b2ef2fdcae98a7ce78b8d1a48a5"
 
 
 class TestJsonRoundTrips:
@@ -112,6 +118,27 @@ class TestRender:
         assert cmd(["render", "--tiling", str(tiling_file), "--no-labels", "--out", str(bare)]) == 0
         assert bare.read_text() == render_svg(tiling, labels=False)
         assert "<text" not in bare.read_text()
+
+    def test_svg_bytes_are_pinned(self):
+        combis = [c for n in range(1, 6) for c in suite.all_combis(n)]
+        tilings = [
+            from_s_collection(fam)
+            for n in range(1, 6)
+            for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections
+        ]
+        rng = random.Random(11)
+        patterns = []
+        while len(patterns) < 200:
+            sample = rng.choice((suite.sample_simple_pattern, suite.sample_generalized_pattern))
+            pat = sample(rng.choice(combis[2:]), rng)
+            if pat is not None:
+                patterns.append(pat)
+        h = hashlib.sha256()
+        for obj in combis + tilings + patterns:
+            for labels in (True, False):
+                h.update(render_svg(obj, labels=labels).encode())
+        assert (len(combis), len(tilings)) == (138, 74)
+        assert h.hexdigest() == RENDER_SHA256
 
     def test_pattern_render_to_stdout(self, tmp_path, capsys):
         pattern = boundary_pattern(3)

@@ -4,9 +4,13 @@
 strip construction they replace is kept here verbatim as the reference of a
 differential test: the walk along the type-*n tiles, the L-Z and Z-L tile
 surgery, and the point-location test that decides a tile's side of a path.
+So are the legal-path walker and report that stated the (P2) and (P3) rules
+each on its own, before both read them from one turn rule.
 """
 
 import random
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -15,6 +19,8 @@ from zonotile import bitsets as bs
 from zonotile._planar import TilingError
 from zonotile.combi import Combi, Delta, Lens, Nabla, Tile, validate_combi
 from zonotile.contraction import (
+    _turn,
+    _walks,
     enumerate_legal_paths,
     legal_path_report,
     mirror,
@@ -296,6 +302,141 @@ def _reference_expand(combi: Combi, path) -> Combi:
     return out
 
 
+# The legal-path rules stated twice, the reference of a differential test.
+
+
+def _separate_report(combi: Combi, path: tuple[int, ...]) -> tuple[bool, str]:
+    n = combi.n
+    edges = combi.vertical_edges()
+    if len(path) < 2:
+        return False, "P1: path too short"
+    if path[0] != 0 or path[-1] != bs.full_mask(n):
+        return False, "P1: path must run from the bottom to the top vertex"
+    for a, b in zip(path, path[1:]):
+        if (a, b) not in edges and (b, a) not in edges:
+            return False, f"P1: {bs.format_subset(a)}->{bs.format_subset(b)} is not a vertical edge"
+    sizes = [v.bit_count() for v in path]
+    for d, (sa, sb, sc) in enumerate(zip(sizes, sizes[1:], sizes[2:]), 1):
+        if sa > sb > sc:
+            return False, f"P2: two consecutive backward edges at position {d}"
+    for d, (a, b, c) in enumerate(zip(path, path[1:], path[2:]), 1):
+        if a.bit_count() != c.bit_count():
+            continue
+        if a == c:
+            return False, f"P3: path doubles back at position {d}"
+        if a.bit_count() > b.bit_count():
+            if not a ^ b < c ^ b:
+                return False, f"P3: pit at position {d} bends left"
+        elif not a ^ b > c ^ b:
+            return False, f"P3: peak at position {d} bends left"
+    return True, ""
+
+
+def _separate_walks(combi: Combi, within: set[int] | None = None) -> list[tuple[int, ...]]:
+    edges = combi.vertical_edges()
+    if within is not None:
+        edges = [(a, b) for a, b in edges if a in within and b in within]
+    ups: dict[int, list[int]] = {}
+    downs: dict[int, list[int]] = {}
+    for a, b in sorted(edges):
+        ups.setdefault(a, []).append(b)
+        downs.setdefault(b, []).append(a)
+    full = bs.full_mask(combi.n)
+    out: list[tuple[int, ...]] = []
+
+    def walk(path: list[int], seen: set[int], last: int) -> None:
+        cur = path[-1]
+        if cur == full:
+            if within is None or len(path) == len(within):
+                out.append(tuple(path))
+            return
+        went_down = last.bit_count() > cur.bit_count()
+        turn = last ^ cur
+        steps = [v for v in ups.get(cur, ()) if not went_down or v ^ cur > turn]
+        if not went_down:
+            steps += [v for v in downs.get(cur, ()) if v ^ cur < turn]
+        for nxt in steps:
+            if nxt not in seen:
+                path.append(nxt)
+                seen.add(nxt)
+                walk(path, seen, cur)
+                seen.discard(nxt)
+                path.pop()
+
+    walk([0], {0}, 0)
+    return out
+
+
+def _random_walk(combi: Combi, rng: random.Random) -> tuple[int, ...]:
+    """Steps along vertical edges, more often up than down, from the bottom
+    vertex towards the top one; now and then a start elsewhere or a jump."""
+    verts = sorted(combi.vertex_masks())
+    nbrs: dict[int, list[int]] = {v: [] for v in verts}
+    for a, b in sorted(combi.vertical_edges()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    full = bs.full_mask(combi.n)
+    path = [0 if rng.random() < 0.95 else rng.choice(verts)]
+    while len(path) < 3 * combi.n and not (path[-1] == full and rng.random() < 0.8):
+        cur = path[-1]
+        ups = [v for v in nbrs[cur] if v > cur]
+        if rng.random() < 0.03 or not nbrs[cur]:
+            path.append(rng.choice(verts))
+        else:
+            path.append(rng.choice(ups if ups and rng.random() < 0.7 else nbrs[cur]))
+    return tuple(path)
+
+
+def _both_3_combis() -> Combi:
+    """The triangles of both 3-combis together: a left-bending pit after a
+    right-bending peak, which no combi with n <= 5 has."""
+    both = all_combis(3)
+    return Combi(3, set().union(*(c.deltas for c in both)), set().union(*(c.nablas for c in both)))
+
+
+def test_walks_and_report_match_the_separate_rules():
+    rng = random.Random(33)
+    combis = [c for n in range(1, 6) for c in all_combis(n)]
+    sixes = rng.sample(all_combis(6), 500)
+    restricted = 0
+    for combi in combis + sixes:
+        paths = _walks(combi)
+        assert paths == _separate_walks(combi), combi
+        assert enumerate_legal_paths(combi) == paths
+        # the walk restricted to the vertices of a legal path, as
+        # `n_contract` restricts it to the strip's image
+        for path in paths if combi.n < 6 else rng.sample(paths, 2):
+            within = set(path)
+            assert _walks(combi, within) == _separate_walks(combi, within), (combi, path)
+            restricted += 1
+    # a path for each (n+1)-combi, n <= 5, and two for each 6-combi
+    assert restricted == 1 + 2 + 10 + 124 + 3694 + 2 * 500
+    # both reports on random walks, which break every rule the walks can
+    # reach; some break (P3) before they break (P2), and the (P2) is named
+    kinds = Counter()
+    for combi in combis[2:] * 2 + [_both_3_combis()] * 20:
+        for _ in range(20):
+            path = _random_walk(combi, rng)
+            ok, why = legal_path_report(combi, path)
+            assert (ok, why) == _separate_report(combi, path), (combi, path)
+            kinds["legal" if ok else re.sub(r" at position \d+|\{.*\}->\{.*\} ", "", why)] += 1
+            turns = [_turn(a, b, c) for a, b, c in zip(path, path[1:], path[2:])]
+            faults = [why[:2] for why in turns if why.startswith("P")]
+            kinds["P3 before P2"] += not ok and why.startswith("P2") and faults[0] == "P3"
+    assert sorted(kinds) == [
+        "P1: is not a vertical edge",
+        "P1: path must run from the bottom to the top vertex",
+        "P1: path too short",
+        "P2: two consecutive backward edges",
+        "P3 before P2",
+        "P3: path doubles back",
+        "P3: peak bends left",
+        "P3: pit bends left",
+        "legal",
+    ], kinds
+    assert kinds["P3 before P2"] > 0
+
+
 def test_strip_of_z2():
     strip = extract_n_strip(interval_combi(2))
     assert len(strip.tiles) == 2
@@ -360,10 +501,7 @@ def test_legal_path_rules():
     wrongzig = (0, M([3]), M([2, 3]), M([2]), M([1, 2]), M([1, 2, 3]))
     assert legal_path_report(combi, wrongzig) == (False, "P3: peak at position 2 bends left")
     assert legal_path_report(combi, (0,)) == (False, "P1: path too short")
-    # no combi with n <= 5 has a left-bending pit after a right-bending
-    # peak, but the triangles of both 3-combis together have one
-    both = all_combis(3)
-    union = Combi(3, set().union(*(c.deltas for c in both)), set().union(*(c.nablas for c in both)))
+    union = _both_3_combis()
     left_pit = (0, M([1]), M([1, 2]), M([2]), M([2, 3]), M([3]), M([1, 3]), M([1, 2, 3]))
     assert legal_path_report(union, left_pit) == (False, "P3: pit at position 5 bends left")
     twice_down = (0, M([1]), M([1, 2]), M([1]), 0, M([1]), M([1, 2]), M([1, 2, 3]))

@@ -418,7 +418,7 @@ def test_flip_graph_guard_and_reach_check(monkeypatch):
     assert (len(graph.nodes), len(graph.arcs)) == (124, 254)
     with pytest.raises(ResourceGuardError) as info:
         flip_graph(6)
-    assert str(info.value) == "flip_graph guard: n=6 exceeds the configured bound"
+    assert str(info.value) == "flip_graph guard: n=6 exceeds 5"
     # a search that stops at the start misses the other collections
     monkeypatch.setattr(flips, "find_m_configs", lambda combi: [])
     with pytest.raises(TilingError) as info:

@@ -96,6 +96,10 @@ def test_embed_examples():
     assert embed(0, gens) == (0, 0)
     assert embed(bs.full_mask(3), gens) == gens.top
     assert embed(bs.singleton(2), gens) == gens.vector(2)
+    # a mask that is no subset of {1..3} has no point
+    for mask in (-1, bs.singleton(4)):
+        with pytest.raises(IndexError):
+            embed(mask, gens)
 
 
 def test_embedding_injective_n4():
@@ -151,29 +155,12 @@ def test_point_location_examples():
     assert point_in_closed_polyline((2, 0), square) == "on"
 
 
-def _naive_ray_cast(p, poly):
-    # crossing parity against a horizontal ray, counting half-open edges
-    count = 0
-    r = len(poly)
-    for k in range(r):
-        a, b = poly[k], poly[(k + 1) % r]
-        if _on_segment(p, a, b):
-            return "on"
-        if (a[1] <= p[1] < b[1]) or (b[1] <= p[1] < a[1]):
-            # x coordinate of the intersection, exactly: cross-multiplied
-            dy = b[1] - a[1]
-            xin = a[0] * dy + (p[1] - a[1]) * (b[0] - a[0])
-            if (xin > p[0] * dy) if dy > 0 else (xin < p[0] * dy):
-                count += 1
-    return "inside" if count % 2 else "outside"
-
-
 def test_point_location_matches_naive_oracle():
     rng = random.Random(11)
     poly = [(0, 0), (7, 1), (9, 6), (4, 9), (1, 5)]
     for _ in range(600):
         p = (rng.randrange(-2, 12), rng.randrange(-2, 12))
-        assert point_in_closed_polyline(p, poly) == _naive_ray_cast(p, poly)
+        assert point_in_closed_polyline(p, poly) == _reference_point_location(p, poly)
 
 
 # Reference copies of the predicates that `segment_contact` and the one-pass

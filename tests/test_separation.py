@@ -300,6 +300,11 @@ class TestSeparationRows:
                     cases.append((fam, relation, dom))
                     cases.append((fam, relation, None))
                     cases += [(SetFamily(n, set(fam.members) - {m}), relation, dom) for m in fam.members[:2]]
+                # and one set outside the domain added to a maximal collection,
+                # which leaves some of these families not separated
+                fam = enumerate_maximal(dom, relation).maximal_collections[0]
+                outside = set(range(1 << n)) - set(dom.members)
+                cases += [(SetFamily(n, set(fam.members) | {x}), relation, dom) for x in sorted(outside)]
         verdicts = set()
         for fam, relation, within in cases:
             want = _maximal_reference(
