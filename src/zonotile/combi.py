@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
-from operator import attrgetter, or_
+from operator import and_, attrgetter, or_
 from typing import TYPE_CHECKING
 
 from . import bitsets as bs
@@ -51,10 +51,12 @@ class Tile(OrderedValue):
     the corner holds both type elements, `_wrong`, the error if not, and
     `_recipe`, the cycle from the corner and the two type masks: the right
     corner second, the left one first if the corner holds the types and
-    last if not.  A lens gives its own `_corners`, str and ends.
+    last if not.  A lens gives its own `_corners`, str and ends.  Each class
+    has its own `_cycle` slot, which `Combi` reads each field through, so a
+    tile filed under another kind fails there.
     """
 
-    __slots__ = ("_cycle",)
+    __slots__ = ()
     _cycle: tuple[int, ...]
 
     def _fill(self, *values) -> None:
@@ -105,7 +107,7 @@ class Tile(OrderedValue):
 class Delta(Tile):
     """Upward triangle: apex, base from apex-high (left) to apex-low (right)."""
 
-    __slots__ = ("apex", "low", "high")
+    __slots__ = ("apex", "low", "high", "_cycle")
     apex: int
     low: int
     high: int
@@ -117,7 +119,7 @@ class Delta(Tile):
 class Nabla(Tile):
     """Downward triangle: bottom, base from bottom+low (left) to bottom+high."""
 
-    __slots__ = ("bottom", "low", "high")
+    __slots__ = ("bottom", "low", "high", "_cycle")
     bottom: int
     low: int
     high: int
@@ -139,7 +141,7 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 class Lens(Tile):
-    __slots__ = ("upper", "lower")
+    __slots__ = ("upper", "lower", "_cycle")
     upper: tuple[int, ...]
     lower: tuple[int, ...]
 
@@ -151,21 +153,16 @@ class Lens(Tile):
             raise ValueError("lens boundaries need at least two edges each")
         if up[0] != lo[0] or up[-1] != lo[-1]:
             raise ValueError("lens boundaries must share their end vertices")
-        sizes = {v.bit_count() for v in up} | {v.bit_count() for v in lo}
-        if len(sizes) != 1:
+        if len({v.bit_count() for v in up + lo}) != 1:
             raise ValueError("all lens vertices must have the same cardinality")
         ups = _path_types(up)
         types = [ups[0][0]] + [t[1] for t in ups]
         if any(a >= b for a, b in zip(types, types[1:])):
             raise ValueError("upper path types must strictly increase")
-        inter = up[0]
-        for v in up:
-            inter &= v
+        inter = reduce(and_, up)
         if any((v & ~inter).bit_count() != 1 for v in up):
             raise ValueError("upper path vertices must share a common center")
-        union = 0
-        for v in lo:
-            union |= v
+        union = reduce(or_, lo)
         if any((union & ~v).bit_count() != 1 for v in lo):
             raise ValueError("lower path vertices must share a common union")
         lseq = [(union & ~v).bit_length() for v in lo]
@@ -215,6 +212,7 @@ shared_delta = lru_cache(maxsize=TILE_CACHE_SIZE)(Delta)
 shared_nabla = lru_cache(maxsize=TILE_CACHE_SIZE)(Nabla)
 shared_lens = lru_cache(maxsize=TILE_CACHE_SIZE)(Lens)
 _CYCLE = attrgetter("_cycle")
+_DELTA_CYCLE, _NABLA_CYCLE, _LENS_CYCLE = (kind._cycle.__get__ for kind in (Delta, Nabla, Lens))
 
 
 class Combi(Value):
@@ -226,18 +224,31 @@ class Combi(Value):
     def __init__(self, n: int, deltas=(), nablas=(), lenses=()) -> None:
         bs.check_ground(n)
         self._fill(n, frozenset(deltas), frozenset(nablas), frozenset(lenses))
+        try:
+            # not a field, so equality and hashing see only the tiles; copied
+            # from a set, the frozenset's table is sized to the vertices, not
+            # to the corners with repeats
+            _set(self, "_vertices", frozenset(set(chain.from_iterable(self._cycles()))))
+        except TypeError:
+            # a field holds a tile of another kind: name the least, by its
+            # str, of the first such field in `tiles()` order
+            kinds = enumerate(zip(self._fields[1:], (Delta, Nabla, Lens)))
+            stray = [(k, str(t), f) for k, (f, cls) in kinds for t in getattr(self, f) if not isinstance(t, cls)]
+            _, tile, name = min(stray)
+            raise ValueError(f"{tile} is filed among the {name}") from None
         # A triangle's largest corner (its apex or right corner) or a lens's
         # lower center is out of range just when one of its corners is; the
-        # tiles are scanned one by one, in `tiles()` order, only to name the
-        # first one out of range.
-        if reduce(or_, chain.from_iterable(self._cycles()), 0) & ~bs.full_mask(n):
+        # distinct vertices decide, and the tiles are scanned one by one, in
+        # `tiles()` order, only to name the first one out of range.
+        if reduce(or_, self._vertices, 0) & ~bs.full_mask(n):
             for t in self.tiles():
                 bs.check_subset(t.lower_center if isinstance(t, Lens) else max(t.cycle()), n)
 
     def _cycles(self):
-        """Every tile's boundary cycle; for n = 1, with no tiles, the one
-        edge of the zonogon as the two-corner cycle ({}, {1})."""
-        cycles = map(_CYCLE, chain(self.deltas, self.nablas, self.lenses))
+        """Every tile's boundary cycle, read through its field's kind's slot,
+        which raises TypeError on a tile of another kind; for n = 1, with no
+        tiles, the one edge of the zonogon as the two-corner cycle ({}, {1})."""
+        cycles = chain(map(_DELTA_CYCLE, self.deltas), map(_NABLA_CYCLE, self.nablas), map(_LENS_CYCLE, self.lenses))
         return chain(cycles, [(0, 1)]) if self.n == 1 else cycles
 
     def tiles(self) -> list[Tile]:
@@ -252,13 +263,6 @@ class Combi(Value):
     def vertex_masks(self) -> frozenset[int]:
         return self._vertices
 
-    @cached_property
-    def _vertices(self) -> frozenset[int]:
-        # Built on first use and not a field, so equality and
-        # hashing see only the tiles; copied from a set, the frozenset's
-        # table is sized to the members, not to the corners with repeats.
-        return frozenset(set(chain.from_iterable(self._cycles())))
-
     def vertical_edges(self) -> frozenset[tuple[int, int]]:
         """Upward (X, X+i) edges of the derived graph."""
         return self._edges[0]
@@ -269,24 +273,19 @@ class Combi(Value):
 
     @cached_property
     def _edges(self) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
-        # Built once per instance and, like `_vertices`, not a field.
-        return cycle_sides(self._cycles())
+        # Built once per instance and, like the vertex set, not a field; a
+        # side is vertical when its ends differ in size, stored upward if so
+        # and rightward (smaller traded element first) if not.
+        vertical, horizontal = set(), set()
+        for cyc in self._cycles():
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                side = (a, b) if a & ~b < b & ~a else (b, a)
+                (vertical if a.bit_count() != b.bit_count() else horizontal).add(side)
+        return frozenset(vertical), frozenset(horizontal)
 
     def size_sum(self) -> int:
         """Sum of vertex cardinalities (the flip potential)."""
         return sum(bs.size(v) for v in self.vertex_masks())
-
-
-def cycle_sides(cycles) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
-    """The vertical and the horizontal sides of the given boundary cycles: a
-    side is vertical when its ends differ in size, and is stored upward if
-    so and rightward (smaller traded element first) if not."""
-    vertical, horizontal = set(), set()
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            side = (a, b) if a & ~b < b & ~a else (b, a)
-            (vertical if a.bit_count() != b.bit_count() else horizontal).add(side)
-    return frozenset(vertical), frozenset(horizontal)
 
 
 def validate_combi(combi: Combi) -> bool:
@@ -296,10 +295,11 @@ def validate_combi(combi: Combi) -> bool:
     region = zonogon_region(gens)
     tiles = (*combi.deltas, *combi.nablas, *combi.lenses)
     try:
-        return check_planar_cover(gens, [(t, t.cycle()) for t in tiles], *region)
+        return check_planar_cover(gens, list(zip(tiles, map(_CYCLE, tiles))), *region)
     except TilingError:
         # the verdict does not depend on the tile order, only the error does
-        return check_planar_cover(gens, [(t, t.cycle()) for t in combi.tiles()], *region)
+        tiles = combi.tiles()
+        return check_planar_cover(gens, list(zip(tiles, map(_CYCLE, tiles))), *region)
 
 
 def from_rhombus(tiling: RhombusTiling) -> Combi:
@@ -311,40 +311,42 @@ def spectrum(combi: Combi) -> SetFamily:
     return SetFamily(combi.n, combi.vertex_masks())
 
 
-def _assemble(members: frozenset[int], n: int) -> tuple[list[Delta], list[Nabla], list[Lens]]:
+def _assemble(family: SetFamily, members: frozenset[int]) -> tuple[list[Delta], list[Nabla], list[Lens]]:
     """The deltas, nablas and lenses of the fan-and-lens rule (see the module
-    docstring), in one pass over the members X in ascending order and the
-    elements i of 1..n: consecutive members X+i over a member X span a
-    Nabla, consecutive members X-i under it a Delta, and the members over a
-    non-member, when three or more, are a lens's upper path."""
-    bits = [(i, 1 << (i - 1)) for i in range(1, n + 1)]
+    docstring) for `family`, held as the set `members`, in one pass over the
+    members X, ascending, and the elements i of 1..n, one membership test
+    each: consecutive members X+i over a member X span a Nabla, consecutive
+    members X-i under it a Delta, and the members over a non-member, when
+    three or more, are a lens's upper path, whose lower path is then read:
+    the members U-j under the union U of its ends, ascending, or none if U
+    is a member."""
+    bits = [(i, 1 << (i - 1)) for i in range(1, family.n + 1)]
     deltas: list[Delta] = []
     nablas: list[Nabla] = []
-    # members over / under each non-member; ascending members keep each list
-    # in path order
+    # members over each non-member, in path order as the members ascend
     over: dict[int, list[int]] = {}
-    under: dict[int, list[int]] = {}
-    for x in sorted(members):
+    for x in family.members:
         up = down = 0  # the last type seen going up / down, 0 for none
         for i, b in bits:
-            if x & b:
-                if x ^ b in members:
+            y = x ^ b  # X-i if X holds i, so just when y < x, and X+i if not
+            if y in members:
+                if y < x:
                     if down:
                         deltas.append(shared_delta(x, down, i))
                     down = i
                 else:
-                    over.setdefault(x ^ b, []).append(x)
-            elif x | b in members:
-                if up:
-                    nablas.append(shared_nabla(x, up, i))
-                up = i
-            else:
-                under.setdefault(x | b, []).append(x)
-    lenses = [
-        shared_lens(tuple(upper), tuple(under.get(upper[0] | upper[-1], ())))
-        for upper in over.values()
-        if len(upper) >= 3
-    ]
+                    if up:
+                        nablas.append(shared_nabla(x, up, i))
+                    up = i
+            elif y < x:
+                over.setdefault(y, []).append(x)
+    lenses = []
+    for upper in over.values():
+        if len(upper) >= 3:
+            u = upper[0] | upper[-1]
+            # dropping a larger element leaves a smaller set
+            lower = () if u in members else tuple(u ^ b for _, b in reversed(bits) if u & b and u ^ b in members)
+            lenses.append(shared_lens(tuple(upper), lower))
     return deltas, nablas, lenses
 
 
@@ -362,7 +364,7 @@ def from_w_collection(family: SetFamily, check_input: bool = True) -> Combi:
     if check_input and not is_maximal_separated(family, "weak"):
         raise ValueError("family is not a maximal weakly separated collection")
     members = family.as_set()
-    combi = Combi(n, *_assemble(members, n))
+    combi = Combi(n, *_assemble(family, members))
     validate_combi(combi)
     if combi.vertex_masks() != members:
         raise TilingError("spectrum", "reconstruction changed the vertex set")
@@ -419,8 +421,6 @@ def find_m_configs(combi: Combi) -> list[MConfig]:
         i, j = d.low, d.high
         core = d.apex & ~(bs.singleton(i) | bs.singleton(j))
         for k in range(j + 1, combi.n + 1):
-            if bs.has(core, k):
-                continue
-            if shared_delta(core | bs.singleton(j) | bs.singleton(k), j, k) in deltas:
+            if not bs.has(core, k) and shared_delta(core | bs.singleton(j) | bs.singleton(k), j, k) in deltas:
                 out.append(MConfig(core, i, j, k))
     return sorted(out, key=lambda m: (m.core, m.i, m.j, m.k))

@@ -1,16 +1,23 @@
 import random
 import re
 from collections import Counter
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 
 from zonotile import bitsets as bs
+from zonotile import combi as combi_module
 from zonotile._planar import TilingError, _tile_shapes, check_planar_cover, zonogon_region
 from zonotile.combi import (
     Combi,
     Delta,
     Lens,
+    MConfig,
     Nabla,
+    WConfig,
+    _assemble,
     find_m_configs,
     find_w_configs,
     from_rhombus,
@@ -154,6 +161,59 @@ def _reference_combi(family):
             )
         )
     return Combi(n, deltas, nablas, lenses)
+
+
+def _two_pass_assemble(members, n):
+    """The fan-and-lens assembly with the members under each non-member
+    gathered in the one pass, beside those over it, for every lower path."""
+    bits = [(i, 1 << (i - 1)) for i in range(1, n + 1)]
+    deltas, nablas, over, under = [], [], {}, {}
+    for x in sorted(members):
+        up = down = 0
+        for i, b in bits:
+            if x & b:
+                if x ^ b in members:
+                    if down:
+                        deltas.append(shared_delta(x, down, i))
+                    down = i
+                else:
+                    over.setdefault(x ^ b, []).append(x)
+            elif x | b in members:
+                if up:
+                    nablas.append(shared_nabla(x, up, i))
+                up = i
+            else:
+                under.setdefault(x | b, []).append(x)
+    lenses = [
+        shared_lens(tuple(upper), tuple(under.get(upper[0] | upper[-1], ())))
+        for upper in over.values()
+        if len(upper) >= 3
+    ]
+    return deltas, nablas, lenses
+
+
+def _two_pass_reconstruction(family):
+    """`from_w_collection(family, check_input=False)` on the two-pass
+    assembly, the range check ORing every corner and the vertex set read
+    after the cover check."""
+    n, members = family.n, family.as_set()
+    deltas, nablas, lenses = _two_pass_assemble(members, n)
+    corners = [c for t in (*deltas, *nablas, *lenses) for c in t.cycle()]
+    assert not reduce(or_, corners, 0) & ~bs.full_mask(n)
+    combi = Combi(n, deltas, nablas, lenses)
+    validate_combi(combi)
+    if (set(corners) if n > 1 else {0, 1}) != members:
+        raise TilingError("spectrum", "reconstruction changed the vertex set")
+    return combi
+
+
+def _outcome(call, *args, **kwargs):
+    """What `call` returns, or the type and text of the ValueError (a
+    TilingError included) it raises."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as error:
+        return type(error), str(error)
 
 
 def _reference_turns(pts):
@@ -689,14 +749,66 @@ class TestReconstruction:
                 assert combi.deltas == frozenset(deltas)
                 assert combi.nablas == frozenset(nablas)
                 ref = _reference_combi(fam)
-                # `combi` has read its vertex set (the spectrum check), `ref`
-                # has not: equality and hashing must not see the difference
+                # both read their vertex sets when built; `combi` has read its
+                # edge sets too, `ref` has not: equality and hashing must not
+                # see the difference
+                combi.vertical_edges()
                 assert combi == ref and hash(combi) == hash(ref)
                 cycles = set().union(*(t.cycle() for t in combi.tiles())) if n > 1 else {0, 1}
                 assert combi.vertex_masks() == cycles == fam.as_set()
                 assert combi.vertex_masks() is combi.vertex_masks()
-                ref.vertex_masks()
+                ref.horizontal_edges()
                 assert combi == ref and hash(combi) == hash(ref)
+
+    def test_assembly_matches_the_two_pass_assembly(self):
+        # every weak collection with n <= 5, sampled ones at n = 6, and
+        # seeded families that miss a member of one, hold one more, or both
+        pools = {n: enumerate_maximal(hypercube_domain(n), "weak").maximal_collections for n in range(1, 7)}
+        rng = random.Random(5)
+        fams = [fam for n in range(1, 6) for fam in pools[n]] + rng.sample(pools[6], 600)
+        maximal = len(fams)
+        # a lens's upper path {1}, {2}, {3} whose end-union {1,3} is a member
+        fams.append(SetFamily(3, [M([1]), M([2]), M([3]), M([1, 3])]))
+        for _ in range(2000):
+            n = rng.choice((3, 4, 5, 6))
+            members = set(rng.choice(pools[n]).members)
+            way = rng.choice(("drop", "add", "swap"))
+            if way != "add":
+                members.remove(rng.choice(sorted(members)))
+            if way != "drop":
+                members.add(rng.choice(sorted(set(range(1 << n)) - members)))
+            fams.append(SetFamily(n, members))
+        kinds = Counter()
+        for fam in fams:
+            want = _outcome(_two_pass_reconstruction, fam)
+            assert _outcome(from_w_collection, fam, check_input=False) == want
+            assert _outcome(_assemble, fam, fam.as_set()) == _outcome(_two_pass_assemble, fam.as_set(), fam.n)
+            # a TilingError's axiom, a lens error's text
+            kinds["combi" if isinstance(want, Combi) else want[1].split(":")[0]] += 1
+        # the altered families reach every error of the reconstruction, and
+        # some, a flip away, are maximal again
+        assert kinds["lens boundaries need at least two edges each"] > 100
+        assert kinds["lens boundaries must share their end vertices"] > 0
+        assert min(kinds["edge-sharing"], kinds["region-boundary"]) > 100
+        assert kinds["spectrum"] > 10
+        assert kinds["combi"] > maximal + 100
+
+    def test_misfiled_tile_is_named(self):
+        combi = from_w_collection(interval_collection(4))
+        nablas, deltas = sorted(combi.nablas), sorted(combi.deltas)
+        nb, d = nablas[0], deltas[0]
+        cases = [
+            ((combi.deltas | {nb}, combi.nablas - {nb}, ()), f"{nb} is filed among the deltas"),
+            ((combi.deltas - {d}, combi.nablas | {d}, ()), f"{d} is filed among the nablas"),
+            ((combi.deltas, combi.nablas - {nb}, {nb}), f"{nb} is filed among the lenses"),
+            # two in one field: the least by its str; the deltas come first
+            ((combi.deltas | set(nablas[:2]), combi.nablas | {d}, ()), f"{min(map(str, nablas[:2]))} is filed among the deltas"),
+            ((combi.deltas, combi.nablas, [5]), "5 is filed among the lenses"),
+        ]
+        for fields, text in cases:
+            with pytest.raises(ValueError) as info:
+                Combi(4, *fields)
+            assert str(info.value) == text
 
     def test_reconstructions_share_every_tile(self):
         # each distinct tile is built once: every site that builds all the
@@ -799,6 +911,19 @@ class TestConfigs:
         combi = Combi(1)
         assert find_w_configs(combi) == [] and find_m_configs(combi) == []
 
+    def test_configs_match_every_witness_pair(self):
+        # every (core; i < j < k), the types not in the core, whose two
+        # nablas (deltas) are tiles, in (core, i, j, k) order
+        for n in range(3, 6):
+            for combi in all_combis(n):
+                ws, ms = [], []
+                for core in range(1 << n):
+                    for i, j, k in combinations(bs.iter_elements(bs.full_mask(n) & ~core), 3):
+                        w, m = WConfig(core, i, j, k), MConfig(core, i, j, k)
+                        ws += [w] if {w.left_nabla(), w.right_nabla()} <= combi.nablas else []
+                        ms += [m] if {m.left_delta(), m.right_delta()} <= combi.deltas else []
+                assert find_w_configs(combi) == ws and find_m_configs(combi) == ms
+
 
 # A weak collection at n=5 whose delta fan at {1,3,4,5} has three deltas,
 # with a W-configuration in the middle of that fan and a legal path that
@@ -811,7 +936,8 @@ _FAN5 = [
 
 class TestIncidenceIndex:
     def test_index_is_not_part_of_equality(self):
-        # the vertex and edge readings are cached on first use, not fields
+        # the vertex set, read when built, and the edge readings, cached on
+        # first use, are not fields
         combi = from_w_collection(SetFamily(5, [M(s) for s in _FAN5]))
         fresh = Combi(5, combi.deltas, combi.nablas, combi.lenses)
         combi.vertex_masks(), combi.vertical_edges(), combi.horizontal_edges()
@@ -876,6 +1002,41 @@ class TestIncidenceIndex:
             with pytest.raises(ValueError) as info:
                 cls.on_base(*args)
             assert str(info.value) == text
+
+
+def test_every_reconstruction_checks_one_whole_cover(monkeypatch):
+    # each weak 5-collection's reconstruction and each strong 6-collection's
+    # tiling runs the cover check once, on a list of every tile's cycle
+    # that can be read again after the call
+    calls = []
+
+    def recording(gens, cycles, boundary, area2):
+        calls.append(cycles)
+        return check_planar_cover(gens, cycles, boundary, area2)
+
+    monkeypatch.setattr(combi_module, "check_planar_cover", recording)
+    weak = enumerate_maximal(hypercube_domain(5), "weak").maximal_collections
+    strong = enumerate_maximal(hypercube_domain(6), "strong").maximal_collections
+    assert (len(weak), len(strong)) == (124, 908)
+    builds = [(from_w_collection, fam) for fam in weak] + [(from_s_collection, fam) for fam in strong]
+    for build, fam in builds:
+        calls.clear()
+        combi = build(fam)
+        combi = getattr(combi, "combi", combi)  # a rhombus tiling's combi
+        (cycles,) = calls
+        assert type(cycles) is list and len(cycles) == len(combi.tiles())
+        assert sum(len(cyc) for _, cyc in cycles) == sum(len(t.cycle()) for t in combi.tiles())
+        assert {t: cyc for t, cyc in cycles} == {t: t.cycle() for t in combi.tiles()}
+
+
+def test_range_check_scans_no_tile_in_range(monkeypatch):
+    # the tiles are scanned one by one only to name one out of range
+    combis = [(n, combi) for n in range(1, 6) for combi in all_combis(n)]
+    scanned = []
+    monkeypatch.setattr(bs, "check_subset", lambda mask, n: scanned.append(mask))
+    for n, combi in combis:
+        assert Combi(n, combi.deltas, combi.nablas, combi.lenses) == combi
+    assert scanned == []
 
 
 def test_range_check_names_a_tile_independent_of_order():
