@@ -319,7 +319,7 @@ def _assemble(family: SetFamily, members: frozenset[int]) -> tuple[list[Delta], 
     members X-i under it a Delta, and the members over a non-member, when
     three or more, are a lens's upper path, whose lower path is then read:
     the members U-j under the union U of its ends, ascending, or none if U
-    is a member."""
+    is a member.  Paths that make no lens raise TilingError "lens"."""
     bits = [(i, 1 << (i - 1)) for i in range(1, family.n + 1)]
     deltas: list[Delta] = []
     nablas: list[Nabla] = []
@@ -341,12 +341,15 @@ def _assemble(family: SetFamily, members: frozenset[int]) -> tuple[list[Delta], 
             elif y < x:
                 over.setdefault(y, []).append(x)
     lenses = []
-    for upper in over.values():
+    for y, upper in over.items():
         if len(upper) >= 3:
             u = upper[0] | upper[-1]
             # dropping a larger element leaves a smaller set
             lower = () if u in members else tuple(u ^ b for _, b in reversed(bits) if u & b and u ^ b in members)
-            lenses.append(shared_lens(tuple(upper), lower))
+            try:
+                lenses.append(shared_lens(tuple(upper), lower))
+            except ValueError as error:
+                raise TilingError("lens", f"upper path over {bs.format_subset(y)}: {error}") from None
     return deltas, nablas, lenses
 
 

@@ -36,11 +36,7 @@ def n_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
     paths = _walks(smaller, on_path)
     if len(paths) != 1:
         raise TilingError("contract", f"{len(paths)} legal paths visit the strip's image, not 1")
-    (path,) = paths
-    ok, why = legal_path_report(smaller, path)
-    if not ok:  # never, as `_walks` takes only legal steps: a last certificate
-        raise TilingError("contract", f"contracted boundary path is not legal: {why}")
-    return smaller, path
+    return smaller, paths[0]
 
 
 def legal_path_report(combi: Combi, path: tuple[int, ...]) -> tuple[bool, str]:
@@ -99,8 +95,6 @@ def n_expand(combi: Combi, path) -> Combi:
     """Inverse of `n_contract`: insert element n along a legal path."""
     path = tuple(path)
     roles = path_vertex_roles(combi, path)
-    if len(set(path)) != len(path):  # never after the report: a legal path is simple
-        raise ValueError("legal path repeats a vertex")
     n = combi.n + 1
     sn = bs.singleton(n)
     members = set()
@@ -127,16 +121,18 @@ def mirror(combi: Combi) -> Combi:
 
 
 def enumerate_legal_paths(combi: Combi) -> list[tuple[int, ...]]:
-    """All legal paths of a combi (simple, by depth-first search)."""
-    return [p for p in _walks(combi) if legal_path_report(combi, p)[0]]
+    """All legal paths of a combi, by the depth-first search of `_walks`."""
+    return _walks(combi)
 
 
 def _walks(combi: Combi, within: set[int] | None = None) -> list[tuple[int, ...]]:
-    """The simple paths along vertical edges from the bottom to the top
-    vertex whose every turn `_turn` allows, by depth-first search: from each
-    vertex the up-steps in ascending order, then the down-steps in ascending
-    order; with `within`, only the paths through exactly the vertices of
-    `within`."""
+    """The paths along vertical edges from the bottom to the top vertex
+    whose every turn `_turn` allows, by depth-first search (from each vertex
+    the up-steps, then the down-steps, each ascending); with `within`, only
+    the paths through exactly the vertices of `within`.  None repeats a
+    vertex: the largest type stepped between two visits is stepped down
+    there, with an up-step by a larger type just before and just after it,
+    one of them also between the visits."""
     edges = sorted(combi.vertical_edges())
     if within is not None:
         edges = [(a, b) for a, b in edges if a in within and b in within]
@@ -148,19 +144,17 @@ def _walks(combi: Combi, within: set[int] | None = None) -> list[tuple[int, ...]
     full = bs.full_mask(combi.n)
     out: list[tuple[int, ...]] = []
 
-    def walk(path: list[int], seen: set[int]) -> None:
+    def walk(path: list[int]) -> None:
         cur = path[-1]
         if cur == full:
             if within is None or len(path) == len(within):
                 out.append(tuple(path))
             return
         for nxt in steps.get(cur, ()):
-            if nxt not in seen and (len(path) == 1 or _turn(path[-2], cur, nxt) in _ROLES):
+            if len(path) == 1 or _turn(path[-2], cur, nxt) in _ROLES:
                 path.append(nxt)
-                seen.add(nxt)
-                walk(path, seen)
-                seen.discard(nxt)
+                walk(path)
                 path.pop()
 
-    walk([0], {0})
+    walk([0])
     return out

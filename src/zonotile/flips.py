@@ -6,7 +6,7 @@ complement are rules on vertex sets.  A lowering flip, on the two nablas of
 a W-configuration, trades their shared top vertex core+i+k for core+j one
 level down; a raising flip, on the two deltas of an M-configuration, makes
 the reverse trade; the complement complements every vertex.  Every result
-is validated.  The trade itself, with its type and direction checks, is
+is validated.  The trade itself, with its type, direction and core checks, is
 `_trade`, shared by these flips, `set_flip` and `rhombus.strong_flip`;
 each checks only its own witnesses.
 """
@@ -37,11 +37,14 @@ def _lowers(direction: str) -> bool:
 def _trade(core: int, i: int, j: int, k: int, direction: str) -> tuple[int, int]:
     """The vertex a flip at core X and types i < j < k removes and the one it
     adds: X+j and X+i+k for a raise, the reverse for a lower.  Raises
-    ValueError unless i < j < k, then unless the direction is known."""
+    ValueError unless i < j < k, then unless the direction is known, then
+    unless the core avoids i, j and k."""
     if not i < j < k:
         raise ValueError("types must satisfy i < j < k")
     lowers = _lowers(direction)
     low, high = core | bs.singleton(j), core | bs.singleton(i) | bs.singleton(k)
+    if (low ^ high).bit_count() != 3:  # less when the core holds i, j or k
+        raise ValueError("the core must avoid i, j and k")
     return (high, low) if lowers else (low, high)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import bitsets as bs
 from ._planar import TilingError
 from ._value import Value
-from .combi import Combi, Nabla, from_w_collection
+from .combi import Combi, Nabla, find_m_configs, find_w_configs, from_w_collection
 from .flips import _lowers, _trade
 from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
@@ -63,38 +63,25 @@ def maximal_tiling(n: int) -> RhombusTiling:
     return from_s_collection(cointerval_collection(n))
 
 
-def _hexagon(base: int, i: int, j: int, k: int) -> tuple[tuple[Nabla, ...], tuple[Nabla, ...]]:
-    """The hexagon at base set X and types i < j < k: its lowered rhombi
-    (X;i,j), (X;j,k), (X+j;i,k) and its raised ones (X+k;i,j), (X+i;j,k),
-    (X;i,k); a flip in a direction that lowers removes the raised ones."""
-    si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
-    lowered = (Nabla(base, i, j), Nabla(base, j, k), Nabla(base | sj, i, k))
-    raised = (Nabla(base | sk, i, j), Nabla(base | si, j, k), Nabla(base, i, k))
-    return lowered, raised
-
-
 def strong_flip(tiling: RhombusTiling, base: int, i: int, j: int, k: int, direction: str) -> RhombusTiling:
-    """Hexagon flip at base set X and types i < j < k.
+    """Hexagon flip at base set X and types i < j < k, one that `hexagons` lists.
 
     raise: tiles (X;i,j), (X;j,k), (X+j;i,k) become (X+k;i,j), (X+i;j,k), (X;i,k),
     trading the spectrum vertex X+j for X+i+k.  lower: the inverse.  The
     result is `from_s_collection` of the traded vertex set, so certified.
     """
     gone, came = _trade(base, i, j, k, direction)
-    if not tiling.tiles.issuperset(_hexagon(base, i, j, k)[_lowers(direction)]):
+    if (base, i, j, k) not in hexagons(tiling, direction):
         raise ValueError("hexagon witnesses are not present in the tiling")
     return from_s_collection(SetFamily(tiling.n, tiling.vertex_masks() - {gone} | {came}))
 
 
 def hexagons(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:
-    """All (base, i, j, k) admitting a strong flip in the given direction:
-    by the removed tile (X;i,j) or (X;i,k) in sorted order, then by the
-    third type ascending, which no corner of that tile holds."""
-    side = _lowers(direction)
-    tiles, out = tiling.tiles, []
-    for t in sorted(tiles):
-        for m in bs.iter_elements(bs.full_mask(tiling.n) ^ (t.left | t.right)):
-            hexagon = (t.bottom, t.low, m, t.high) if side else (t.bottom, t.low, t.high, m)
-            if hexagon[1] < hexagon[2] < hexagon[3] and tiles.issuperset(_hexagon(*hexagon)[side]):
-                out.append(hexagon)
-    return out
+    """All (base, i, j, k) admitting a strong flip in the given direction,
+    ascending: the combi's M-configurations (raise) or W-configurations
+    (lower), two of a hexagon's rhombi through its inner vertex, whose
+    third rhombus, (X+j;i,k) or (X;i,k), is a tile."""
+    lowers = _lowers(direction)
+    configs = find_w_configs(tiling.combi) if lowers else find_m_configs(tiling.combi)
+    return [(c.core, c.i, c.j, c.k) for c in configs
+            if Nabla(c.core if lowers else c.core | bs.singleton(c.j), c.i, c.k) in tiling.tiles]

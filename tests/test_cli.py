@@ -13,6 +13,7 @@ from zonotile.patterns import boundary_pattern, split_quasi
 from zonotile.render import render_svg
 from zonotile.rhombus import from_s_collection, maximal_tiling, minimal_tiling
 from zonotile.separation import (
+    cointerval_collection,
     enumerate_maximal,
     hypercube_domain,
     interval_collection,
@@ -337,6 +338,16 @@ class TestCli:
             assert cmd(argv + ["--i", types[0], "--j", types[1], "--k", types[2]]) == 1
             err = json.loads(capsys.readouterr().err)
             assert err == {"error": "invalid-input", "detail": "types must satisfy i < j < k"}
+
+    def test_flip_rejects_a_core_holding_a_type(self, tmp_path, capsys):
+        combi_file, out, trace = tmp_path / "c.json", tmp_path / "out.json", tmp_path / "t.jsonl"
+        high = from_w_collection(cointerval_collection(3), check_input=False)
+        combi_file.write_text(json.dumps(jsonio.combi_to_json(high)))
+        argv = ["flip", "--combi", str(combi_file), "--op", "raise", "--core", "1,2,3", "--out", str(out)]
+        assert cmd(argv + ["--i", "1", "--j", "2", "--k", "3", "--trace", str(trace)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-input", "detail": "the core must avoid i, j and k"}
+        assert not out.exists() and not trace.exists()
 
     def test_pattern_commands(self, tmp_path, capsys):
         pat_file = tmp_path / "pat.json"

@@ -216,6 +216,17 @@ def _outcome(call, *args, **kwargs):
         return type(error), str(error)
 
 
+def _as_reconstructed(got, want):
+    """Whether the outcome `got` is the reference outcome `want`, where the
+    reference's bare ValueError, a lens constructor's, comes as the
+    TilingError "lens" naming the non-member the upper path lies over and
+    keeping the constructor's text."""
+    if isinstance(want, tuple) and want[0] is ValueError:
+        pattern = r"lens: upper path over \{[0-9,]*\}: " + re.escape(want[1])
+        return got[0] is TilingError and re.fullmatch(pattern, got[1]) is not None
+    return got == want
+
+
 def _reference_turns(pts):
     """The first vertex index where the polygon fails to turn strictly left
     (None if there is none), and its doubled signed area."""
@@ -731,8 +742,9 @@ class TestReconstruction:
         # {1}, {2}, {3} over the non-member {} make a lens's upper path, but
         # the union {1,3} of its ends is a member, so no lower path exists
         fam = SetFamily(3, [M([1]), M([2]), M([3]), M([1, 3])])
-        with pytest.raises(ValueError, match="two edges each"):
+        with pytest.raises(TilingError) as info:
             from_w_collection(fam, check_input=False)
+        assert str(info.value) == "lens: upper path over {}: lens boundaries need at least two edges each"
 
     def test_unique_and_deterministic_all_n5(self):
         report = enumerate_maximal(hypercube_domain(5), "weak")
@@ -781,8 +793,9 @@ class TestReconstruction:
         kinds = Counter()
         for fam in fams:
             want = _outcome(_two_pass_reconstruction, fam)
-            assert _outcome(from_w_collection, fam, check_input=False) == want
-            assert _outcome(_assemble, fam, fam.as_set()) == _outcome(_two_pass_assemble, fam.as_set(), fam.n)
+            assert _as_reconstructed(_outcome(from_w_collection, fam, check_input=False), want)
+            got = _outcome(_assemble, fam, fam.as_set())
+            assert _as_reconstructed(got, _outcome(_two_pass_assemble, fam.as_set(), fam.n))
             # a TilingError's axiom, a lens error's text
             kinds["combi" if isinstance(want, Combi) else want[1].split(":")[0]] += 1
         # the altered families reach every error of the reconstruction, and

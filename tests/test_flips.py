@@ -11,6 +11,7 @@ reference raising flip is a lowering flip on the complemented combi.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -277,6 +278,33 @@ def test_flip_requires_configuration():
         assert (m.left_delta() in low.deltas) != (m.right_delta() in low.deltas)
         with pytest.raises(ValueError, match="^the requested M-configuration is not present$"):
             raising_flip(low, m)
+
+
+def test_flips_reject_a_core_holding_a_type():
+    # the core is checked after the types and the direction, in every flip,
+    # before any witness; set_flip checks its direction last
+    for n in (3, 4):
+        for combi in all_combis(n):
+            fam = spectrum(combi)
+            for i, j, k in combinations(range(1, n + 1), 3):
+                held = bs.singleton(i) | bs.singleton(j) | bs.singleton(k)
+                for core in (c for c in range(1 << n) if c & held):
+                    calls = [
+                        lambda: lowering_flip(combi, WConfig(core, i, j, k)),
+                        lambda: raising_flip(combi, MConfig(core, i, j, k)),
+                        lambda: set_flip(fam, core, i, j, k, "raise"),
+                        lambda: set_flip(fam, core, i, j, k, "lower"),
+                    ]
+                    for call in calls:
+                        with pytest.raises(ValueError) as info:
+                            call()
+                        assert str(info.value) == "the core must avoid i, j and k"
+    with pytest.raises(ValueError) as info:
+        set_flip(interval_collection(3), M([2]), 1, 2, 3, "sideways")
+    assert str(info.value) == "the core must avoid i, j and k"
+    with pytest.raises(ValueError) as info:
+        flips._trade(M([2]), 1, 2, 3, "sideways")
+    assert str(info.value) == "direction must be 'raise' or 'lower', got 'sideways'"
 
 
 def test_every_flip_matches_set_flip_n4():

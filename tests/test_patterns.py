@@ -548,6 +548,12 @@ class TestSplitMerge:
         with pytest.raises(TilingError) as info:
             merge_repair(*(QuasiCombi(h.n, h.region, h.pattern, h.vertices - top) for h in (inner, outer)))
         assert info.value.axiom == "edge-sharing"
+        # {1}, {2}, {3} over the non-member {} whose end-union {1,3} is a
+        # member: an upper path with no lower path, which makes no lens
+        halves = QuasiCombi(3, "in", (1, 3, 2), frozenset({1, 2})), QuasiCombi(3, "out", (1, 3, 2), frozenset({4, 5}))
+        with pytest.raises(TilingError) as info:
+            merge_repair(*halves)
+        assert str(info.value) == "lens: upper path over {}: lens boundaries need at least two edges each"
 
     # Curves through lenses and fans that the sampled exchanges rarely
     # reach: each case splits combi a and combi b along the cycle and
