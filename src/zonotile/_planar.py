@@ -27,12 +27,12 @@ from .geometry import Generators, Point, boundary_cycle, embedding_table
 
 # C(10,2)·2^8 = 11,520 is the number of deltas, and of nablas, with
 # n <= 10, so up to n = 10 none of them is ever evicted from the tile
-# caches of `combi`, one per tile class.  A full cache holds at most
-# 3.1 MB of these triangles, or 12.3 MB of lenses with the longest paths
-# at n = 16 (18 path entries), each tile counted with its masks, its cycle
-# and its kept hash, the cache's own keys not.  The tile-shape memo of a
-# generator set holds as many cycles, and no tiles: 0.44 MB for the 926
-# tiles at n = 6; full at n = 16, 7.3 MB of triangles or 19.6 MB of
+# caches of `combi`, one per tile class.  A full cache holds at most 3.9 MB
+# of these triangles, or 12.2 MB of lenses with the longest paths at n = 16
+# (18 path entries), each tile counted with its masks, cycle, field tuple
+# and hash, the cache's own keys not.  The tile-shape memo of a generator
+# set holds as many cycles, and no tiles: 0.34 MB for the 686 tiles of the
+# weak 6-combis; full at n = 16, 7.3 MB of triangles or 19.6 MB of
 # 16-vertex lenses.  (tracemalloc, Python 3.11)
 TILE_CACHE_SIZE = 11_520
 

@@ -12,8 +12,9 @@ cached properties, unless the subclass declares them as slots, as
 `SetFamily` does: an enumeration makes it by the hundred thousand, and a
 slotted instance is smaller.  `OrderedValue` keeps them in slots the
 subclass declares, adds the comparisons of the field tuples, and keeps the
-hash in a slot, worked out when the fields are filled.  Defining a
-subclass builds one `attrgetter` over its fields and compiles nothing.
+field tuple and its hash in slots, set when filled, which `_values` and
+`__hash__` read.  Defining a subclass builds one `attrgetter` over its
+fields and compiles nothing.
 """
 
 from __future__ import annotations
@@ -86,12 +87,17 @@ class Value:
 
 
 class OrderedValue(Value):
-    __slots__ = ("_hash",)
+    __slots__ = ("_key", "_hash")
 
     __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter("_key")
+
     def _fill(self, *values) -> None:
         super()._fill(*values)
+        _set(self, "_key", values)
         _set(self, "_hash", hash(values))
 
     def __hash__(self) -> int:

@@ -25,7 +25,7 @@ path, and the members under the union of its ends its lower path.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import and_, attrgetter, or_
 from typing import TYPE_CHECKING
@@ -204,78 +204,102 @@ class Lens(Tile):
 
 # One checked instance per distinct tile, for the sites that build every
 # tile of a combi (a combi is fixed by its vertex set, so its tiles repeat
-# across reconstructions) and for the W/M-configuration search's partner
-# candidates: each tile runs its constructor check and builds its cycle on
-# its first build only, and a failure, never cached, raises every time.  A
-# single tile is built with its class.
+# across reconstructions), the W/M-configuration search's partner candidates
+# and `rhombus`'s hexagon lookups: each tile runs its constructor check and
+# builds its cycle on its first build only, and a failure, never cached,
+# raises every time.  A single tile is built with its class.
 shared_delta = lru_cache(maxsize=TILE_CACHE_SIZE)(Delta)
 shared_nabla = lru_cache(maxsize=TILE_CACHE_SIZE)(Nabla)
 shared_lens = lru_cache(maxsize=TILE_CACHE_SIZE)(Lens)
 _CYCLE = attrgetter("_cycle")
 _DELTA_CYCLE, _NABLA_CYCLE, _LENS_CYCLE = (kind._cycle.__get__ for kind in (Delta, Nabla, Lens))
+_KEY = OrderedValue._key.__get__  # a tile's field tuple; TypeError on anything else
 
 
 class Combi(Value):
+    """Kept compact, as a run holds every combi it certifies: each tile kind
+    as a tuple in `tiles()` order, repeats dropped, and the vertex set as a
+    sorted tuple, as `SetFamily.members` is.  The fields read as frozensets
+    built on each read; the hash (the frozen-dataclass one), the vertex
+    frozenset and the edge sets are worked out on first use and kept."""
+
+    __slots__ = ("n", "_deltas", "_nablas", "_lenses", "_vertices", "_vertex_set", "_edges", "_hash")
     n: int
-    deltas: frozenset[Delta]
-    nablas: frozenset[Nabla]
-    lenses: frozenset[Lens]
+    # the tile fields, each read as a frozenset of its kept tuple
+    deltas: frozenset[Delta] = property(lambda self: frozenset(self._deltas))
+    nablas: frozenset[Nabla] = property(lambda self: frozenset(self._nablas))
+    lenses: frozenset[Lens] = property(lambda self: frozenset(self._lenses))
+    _state = attrgetter("n", "_deltas", "_nablas", "_lenses")
 
     def __init__(self, n: int, deltas=(), nablas=(), lenses=()) -> None:
         bs.check_ground(n)
-        self._fill(n, frozenset(deltas), frozenset(nablas), frozenset(lenses))
+        kinds = (set(deltas), set(nablas), set(lenses))
         try:
-            # not a field, so equality and hashing see only the tiles; copied
-            # from a set, the frozenset's table is sized to the vertices, not
-            # to the corners with repeats
-            _set(self, "_vertices", frozenset(set(chain.from_iterable(self._cycles()))))
+            self._fill(n, *(tuple(sorted(tiles, key=_KEY)) for tiles in kinds))
         except TypeError:
-            # a field holds a tile of another kind: name the least, by its
-            # str, of the first such field in `tiles()` order
-            kinds = enumerate(zip(self._fields[1:], (Delta, Nabla, Lens)))
-            stray = [(k, str(t), f) for k, (f, cls) in kinds for t in getattr(self, f) if not isinstance(t, cls)]
+            # a tile of another kind: the least by str in the first such field
+            fields = enumerate(zip(self._fields[1:], (Delta, Nabla, Lens), kinds))
+            stray = [(k, str(t), f) for k, (f, cls, tiles) in fields for t in tiles if not isinstance(t, cls)]
             _, tile, name = min(stray)
             raise ValueError(f"{tile} is filed among the {name}") from None
+
+    @classmethod
+    def _assembled(cls, n: int, deltas: list[Delta], nablas: list[Nabla], lenses: list[Lens]) -> Combi:
+        """`_assemble`'s tiles, deltas and nablas sorted, none repeated."""
+        combi = object.__new__(cls)
+        combi._fill(n, tuple(deltas), tuple(nablas), tuple(sorted(lenses, key=_KEY)))
+        return combi
+
+    def _fill(self, *values) -> None:
+        for slot, value in zip(("n", "_deltas", "_nablas", "_lenses"), values):
+            _set(self, slot, value)
+        _set(self, "_vertices", vertices := tuple(sorted(set(chain.from_iterable(self._cycles())))))
         # A triangle's largest corner (its apex or right corner) or a lens's
-        # lower center is out of range just when one of its corners is; the
-        # distinct vertices decide, and the tiles are scanned one by one, in
-        # `tiles()` order, only to name the first one out of range.
-        if reduce(or_, self._vertices, 0) & ~bs.full_mask(n):
+        # lower center is out of range just when one of its corners is: the
+        # tiles are scanned, in `tiles()` order, only to name the first one.
+        if vertices and (vertices[0] < 0 or vertices[-1] > bs.full_mask(self.n)):
             for t in self.tiles():
-                bs.check_subset(t.lower_center if isinstance(t, Lens) else max(t.cycle()), n)
+                bs.check_subset(t.lower_center if isinstance(t, Lens) else max(t.cycle()), self.n)
+
+    def _kept(self, slot: str, build):
+        if (value := getattr(self, slot, None)) is None:
+            _set(self, slot, value := build(self))
+        return value
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._state(self) == self._state(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._kept("_hash", lambda combi: hash(combi._values(combi)))
 
     def _cycles(self):
         """Every tile's boundary cycle, read through its field's kind's slot,
         which raises TypeError on a tile of another kind; for n = 1, with no
         tiles, the one edge of the zonogon as the two-corner cycle ({}, {1})."""
-        cycles = chain(map(_DELTA_CYCLE, self.deltas), map(_NABLA_CYCLE, self.nablas), map(_LENS_CYCLE, self.lenses))
+        _, deltas, nablas, lenses = self._state(self)
+        cycles = chain(map(_DELTA_CYCLE, deltas), map(_NABLA_CYCLE, nablas), map(_LENS_CYCLE, lenses))
         return chain(cycles, [(0, 1)]) if self.n == 1 else cycles
 
     def tiles(self) -> list[Tile]:
-        """Deltas, nablas, lenses, each kind in its own order (sorted by the
-        field tuples, faster than by the tiles' __lt__)."""
-        return (
-            sorted(self.deltas, key=Delta._values)
-            + sorted(self.nablas, key=Nabla._values)
-            + sorted(self.lenses, key=Lens._values)
-        )
+        """Deltas, nablas, lenses, each kind sorted by its field tuples."""
+        return [*self._deltas, *self._nablas, *self._lenses]
 
     def vertex_masks(self) -> frozenset[int]:
-        return self._vertices
+        return self._kept("_vertex_set", lambda combi: frozenset(combi._vertices))
 
     def vertical_edges(self) -> frozenset[tuple[int, int]]:
         """Upward (X, X+i) edges of the derived graph."""
-        return self._edges[0]
+        return self._kept("_edges", Combi._edge_sets)[0]
 
     def horizontal_edges(self) -> frozenset[tuple[int, int]]:
         """Rightward trading edges of the derived graph."""
-        return self._edges[1]
+        return self._kept("_edges", Combi._edge_sets)[1]
 
-    @cached_property
-    def _edges(self) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
-        # Built once per instance and, like the vertex set, not a field; a
-        # side is vertical when its ends differ in size, stored upward if so
-        # and rightward (smaller traded element first) if not.
+    def _edge_sets(self) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+        # a side is vertical when its ends differ in size, stored upward if
+        # so and rightward (smaller traded element first) if not
         vertical, horizontal = set(), set()
         for cyc in self._cycles():
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -285,21 +309,15 @@ class Combi(Value):
 
     def size_sum(self) -> int:
         """Sum of vertex cardinalities (the flip potential)."""
-        return sum(bs.size(v) for v in self.vertex_masks())
+        return sum(bs.size(v) for v in self._vertices)
 
 
 def validate_combi(combi: Combi) -> bool:
     """Exact planar-cover axioms under the default generators; raises
     TilingError naming the first violation in `tiles()` order."""
     gens = default_generators(combi.n)
-    region = zonogon_region(gens)
-    tiles = (*combi.deltas, *combi.nablas, *combi.lenses)
-    try:
-        return check_planar_cover(gens, list(zip(tiles, map(_CYCLE, tiles))), *region)
-    except TilingError:
-        # the verdict does not depend on the tile order, only the error does
-        tiles = combi.tiles()
-        return check_planar_cover(gens, list(zip(tiles, map(_CYCLE, tiles))), *region)
+    tiles = combi.tiles()
+    return check_planar_cover(gens, list(zip(tiles, map(_CYCLE, tiles))), *zonogon_region(gens))
 
 
 def from_rhombus(tiling: RhombusTiling) -> Combi:
@@ -308,7 +326,7 @@ def from_rhombus(tiling: RhombusTiling) -> Combi:
 
 
 def spectrum(combi: Combi) -> SetFamily:
-    return SetFamily(combi.n, combi.vertex_masks())
+    return SetFamily(combi.n, combi._vertices)
 
 
 def _assemble(family: SetFamily, members: frozenset[int]) -> tuple[list[Delta], list[Nabla], list[Lens]]:
@@ -366,10 +384,9 @@ def from_w_collection(family: SetFamily, check_input: bool = True) -> Combi:
     n = family.n
     if check_input and not is_maximal_separated(family, "weak"):
         raise ValueError("family is not a maximal weakly separated collection")
-    members = family.as_set()
-    combi = Combi(n, *_assemble(family, members))
+    combi = Combi._assembled(n, *_assemble(family, family.as_set()))
     validate_combi(combi)
-    if combi.vertex_masks() != members:
+    if combi._vertices != family.members:
         raise TilingError("spectrum", "reconstruction changed the vertex set")
     return combi
 
@@ -407,7 +424,7 @@ class MConfig(Value):
 def find_w_configs(combi: Combi) -> list[WConfig]:
     nablas = combi.nablas
     out = []
-    for nb in nablas:
+    for nb in combi._nablas:
         # nb as the left tile: bottom core+i, base types (j, k)
         for i in bs.iter_elements(nb.bottom):
             cand_core = nb.bottom ^ bs.singleton(i)
@@ -419,7 +436,7 @@ def find_w_configs(combi: Combi) -> list[WConfig]:
 def find_m_configs(combi: Combi) -> list[MConfig]:
     deltas = combi.deltas
     out = []
-    for d in deltas:
+    for d in combi._deltas:
         # d as the left tile Delta(core+i+j; i, j); partner Delta(core+j+k; j, k)
         i, j = d.low, d.high
         core = d.apex & ~(bs.singleton(i) | bs.singleton(j))

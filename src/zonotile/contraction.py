@@ -27,10 +27,10 @@ def n_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
     if n < 2:
         raise ValueError("contraction needs a ground set of size at least 2")
     sn = bs.singleton(n)
-    verts = combi.vertex_masks()
+    verts = set(combi._vertices)
     smaller = from_w_collection(SetFamily(n - 1, {x & ~sn for x in verts}), check_input=False)
     on_path = {x for x in verts if not x & sn and x | sn in verts}
-    for l in combi.lenses:
+    for l in combi._lenses:
         if l.upper_types[-1] == n:
             on_path.update((l.upper[0], l.upper[-2], l.lower[-1] ^ sn))
     paths = _walks(smaller, on_path)
@@ -104,7 +104,7 @@ def n_expand(combi: Combi, path) -> Combi:
         if role != "peak":
             members.add(x | sn)
     row = compatible_row(members, n, "weak")
-    for x in combi.vertex_masks().difference(path):
+    for x in sorted(set(combi._vertices).difference(path)):
         low, high = row >> x & 1, row >> (x | sn) & 1
         if low == high:
             which = "both" if low else "neither"
@@ -116,7 +116,7 @@ def n_expand(combi: Combi, path) -> Combi:
 def mirror(combi: Combi) -> Combi:
     """Left-right mirror: relabel every element i as n+1-i."""
     n = combi.n
-    verts = {bs.reverse_mask(x, n) for x in combi.vertex_masks()}
+    verts = [bs.reverse_mask(x, n) for x in combi._vertices]
     return from_w_collection(SetFamily(n, verts), check_input=False)
 
 

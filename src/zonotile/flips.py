@@ -48,30 +48,33 @@ def _trade(core: int, i: int, j: int, k: int, direction: str) -> tuple[int, int]
     return (high, low) if lowers else (low, high)
 
 
+def _traded(combi: Combi, gone: int, came: int) -> SetFamily:
+    """The combi's vertex set with `gone` traded for `came`."""
+    return SetFamily(combi.n, set(combi._vertices) - {gone} | {came})
+
+
 def lowering_flip(combi: Combi, w: WConfig) -> Combi:
     """Replace the middle vertex core+i+k by core+j (i < j < k); raises
     ValueError unless i < j < k and the two nablas of `w` are tiles of the combi."""
     gone, came = _trade(w.core, w.i, w.j, w.k, "lower")
-    if w.left_nabla() not in combi.nablas or w.right_nabla() not in combi.nablas:
+    if not combi.nablas.issuperset((w.left_nabla(), w.right_nabla())):
         raise ValueError("the requested W-configuration is not present")
-    verts = combi.vertex_masks() - {gone} | {came}
-    return from_w_collection(SetFamily(combi.n, verts), check_input=False)
+    return from_w_collection(_traded(combi, gone, came), check_input=False)
 
 
 def raising_flip(combi: Combi, m: MConfig) -> Combi:
     """Replace the middle vertex core+j by core+i+k (i < j < k); raises
     ValueError unless i < j < k and the two deltas of `m` are tiles of the combi."""
     gone, came = _trade(m.core, m.i, m.j, m.k, "raise")
-    if m.left_delta() not in combi.deltas or m.right_delta() not in combi.deltas:
+    if not combi.deltas.issuperset((m.left_delta(), m.right_delta())):
         raise ValueError("the requested M-configuration is not present")
-    verts = combi.vertex_masks() - {gone} | {came}
-    return from_w_collection(SetFamily(combi.n, verts), check_input=False)
+    return from_w_collection(_traded(combi, gone, came), check_input=False)
 
 
 def complement_combi(combi: Combi) -> Combi:
     """The combi on the complemented vertex set (an involution)."""
     full = bs.full_mask(combi.n)
-    verts = {full ^ x for x in combi.vertex_masks()}
+    verts = [full ^ x for x in combi._vertices]
     return from_w_collection(SetFamily(combi.n, verts), check_input=False)
 
 
@@ -113,7 +116,7 @@ def descend_to_minimum(combi: Combi) -> tuple[Combi, list[WConfig]]:
         if cur.size_sum() != before - 1:
             raise TilingError("flip", "lowering flip did not decrease the size sum by 1")
         trace.append(w)
-    if cur.vertex_masks() != interval_collection(combi.n).as_set():
+    if cur._vertices != interval_collection(combi.n).members:
         raise TilingError("flip", "flip descent did not reach the interval combi")
     return cur, trace
 

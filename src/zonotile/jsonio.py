@@ -85,7 +85,7 @@ def tiling_to_json(tiling: RhombusTiling) -> dict:
         "n": tiling.n,
         "rhombi": [
             {"X": subset_to_json(t.bottom), "i": t.low, "j": t.high}
-            for t in sorted(tiling.tiles)
+            for t in tiling.combi._nablas
         ],
     }
 
@@ -111,15 +111,15 @@ def combi_to_json(combi: Combi) -> dict:
         "n": combi.n,
         "deltas": [
             {"apex": subset_to_json(d.apex), "base": [subset_to_json(d.left), subset_to_json(d.right)]}
-            for d in sorted(combi.deltas)
+            for d in combi._deltas
         ],
         "nablas": [
             {"bottom": subset_to_json(v.bottom), "base": [subset_to_json(v.left), subset_to_json(v.right)]}
-            for v in sorted(combi.nablas)
+            for v in combi._nablas
         ],
         "lenses": [
             {"upper": [subset_to_json(v) for v in l.upper], "lower": [subset_to_json(v) for v in l.lower]}
-            for l in sorted(combi.lenses)
+            for l in combi._lenses
         ],
     }
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from . import bitsets as bs
 from ._planar import TilingError
 from ._value import Value
-from .combi import Combi, Nabla, find_m_configs, find_w_configs, from_w_collection
-from .flips import _lowers, _trade
+from .combi import Combi, Nabla, find_m_configs, find_w_configs, from_w_collection, shared_delta, shared_nabla
+from .flips import _lowers, _trade, _traded
 from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
 
@@ -26,9 +26,9 @@ class RhombusTiling(Value):
     combi: Combi
 
     def _fill(self, combi: Combi) -> None:
-        deltas, nablas = len(combi.deltas), len(combi.nablas)
-        if combi.lenses:
-            raise TilingError("rhombus", f"{min(combi.lenses)} is not half of a rhombus")
+        deltas, nablas = len(combi._deltas), len(combi._nablas)
+        if combi._lenses:
+            raise TilingError("rhombus", f"{combi._lenses[0]} is not half of a rhombus")
         if deltas != nablas:
             raise TilingError("rhombus", f"{deltas} deltas do not pair with {nablas} nablas")
         super()._fill(combi)
@@ -67,13 +67,20 @@ def strong_flip(tiling: RhombusTiling, base: int, i: int, j: int, k: int, direct
     """Hexagon flip at base set X and types i < j < k, one that `hexagons` lists.
 
     raise: tiles (X;i,j), (X;j,k), (X+j;i,k) become (X+k;i,j), (X+i;j,k), (X;i,k),
-    trading the spectrum vertex X+j for X+i+k.  lower: the inverse.  The
-    result is `from_s_collection` of the traded vertex set, so certified.
+    trading the spectrum vertex X+j for X+i+k.  lower: the inverse.  Its
+    witnesses are the M-configuration's deltas (the W-configuration's
+    nablas) and the third rhombus.  The result is `from_s_collection` of
+    the traded vertex set, so certified.
     """
     gone, came = _trade(base, i, j, k, direction)
-    if (base, i, j, k) not in hexagons(tiling, direction):
+    xi, xj, xk = (base | bs.singleton(t) for t in (i, j, k))
+    if _lowers(direction):
+        witnesses = (shared_nabla(xi, j, k), shared_nabla(xk, i, j), shared_nabla(base, i, k))
+    else:
+        witnesses = (shared_delta(xi | xj, i, j), shared_delta(xj | xk, j, k), shared_nabla(xj, i, k))
+    if not set(tiling.combi.tiles()).issuperset(witnesses):
         raise ValueError("hexagon witnesses are not present in the tiling")
-    return from_s_collection(SetFamily(tiling.n, tiling.vertex_masks() - {gone} | {came}))
+    return from_s_collection(_traded(tiling.combi, gone, came))
 
 
 def hexagons(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:
@@ -83,5 +90,6 @@ def hexagons(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int,
     third rhombus, (X+j;i,k) or (X;i,k), is a tile."""
     lowers = _lowers(direction)
     configs = find_w_configs(tiling.combi) if lowers else find_m_configs(tiling.combi)
+    rhombi = tiling.tiles
     return [(c.core, c.i, c.j, c.k) for c in configs
-            if Nabla(c.core if lowers else c.core | bs.singleton(c.j), c.i, c.k) in tiling.tiles]
+            if shared_nabla(c.core if lowers else c.core | bs.singleton(c.j), c.i, c.k) in rhombi]

@@ -44,6 +44,18 @@ class TestJsonRoundTrips:
         tiling = minimal_tiling(4)
         assert jsonio.tiling_from_json(jsonio.tiling_to_json(tiling)) == tiling
 
+    def test_tiling_at_the_largest_ground_set(self):
+        # element 16, bitsets.MAX_GROUND, is read back; 17 is refused by
+        # name before any mask is built
+        data = jsonio.tiling_to_json(minimal_tiling(16))
+        assert max(r["j"] for r in data["rhombi"]) == 16
+        assert jsonio.tiling_from_json(data) == minimal_tiling(16)
+        rhombus = next(r for r in data["rhombi"] if r["j"] == 16)
+        rhombus["j"] = 17
+        with pytest.raises(ValueError) as info:
+            jsonio.tiling_from_json(data)
+        assert str(info.value) == "j must be in 1..16, got 17"
+
     def test_combi_all_n4(self):
         for fam in enumerate_maximal(hypercube_domain(4), "weak").maximal_collections:
             combi = from_w_collection(fam, check_input=False)

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from itertools import combinations
@@ -955,6 +956,22 @@ class TestIncidenceIndex:
         fresh = Combi(5, combi.deltas, combi.nablas, combi.lenses)
         combi.vertex_masks(), combi.vertical_edges(), combi.horizontal_edges()
         assert combi == fresh and hash(combi) == hash(fresh)
+        # nor are the order, the repeats and the container of the tiles given
+        rng = random.Random(11)
+        for n in range(1, 5):
+            for combi in all_combis(n):
+                kinds = [sorted(kind) for kind in (combi.deltas, combi.nablas, combi.lenses)]
+                for kind in kinds:
+                    rng.shuffle(kind)
+                rebuilds = [
+                    Combi(n, *kinds),
+                    Combi(n, *(kind + kind[:1] for kind in kinds)),
+                    Combi(n, *map(tuple, kinds)),
+                    Combi(n, *map(set, kinds)),
+                    Combi(n, *((t for t in kind) for kind in kinds)),
+                ]
+                for fresh in rebuilds:
+                    assert fresh == combi and hash(fresh) == hash(combi) and fresh.tiles() == combi.tiles()
 
     def test_cached_edges_match_tile_cycles(self):
         for n in range(1, 6):
@@ -1040,6 +1057,23 @@ def test_every_reconstruction_checks_one_whole_cover(monkeypatch):
         assert type(cycles) is list and len(cycles) == len(combi.tiles())
         assert sum(len(cyc) for _, cyc in cycles) == sum(len(t.cycle()) for t in combi.tiles())
         assert {t: cyc for t, cyc in cycles} == {t: t.cycle() for t in combi.tiles()}
+
+
+def test_a_held_combi_is_compact():
+    # a run holds every combi it certifies, so each keeps its tile kinds and
+    # vertex set as tuples (as frozensets they took about 3.2 KB a 5-combi);
+    # the shared tiles and the shape memo are built before the count, and
+    # the first combis stay held, so no freed tuple is reused in it
+    fams = enumerate_maximal(hypercube_domain(5), "weak").maximal_collections
+    warm = [from_w_collection(fam) for fam in fams]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [from_w_collection(fam) for fam in fams]
+        per_combi = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == len(warm) == 124 and per_combi <= 1200
 
 
 def test_range_check_scans_no_tile_in_range(monkeypatch):

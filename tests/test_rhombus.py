@@ -362,6 +362,25 @@ def test_hexagons_match_reference_scan():
                 assert hexagons(tiling, direction) == _hexagon_reference(tiling, direction)
 
 
+def test_strong_flip_accepts_just_the_listed_hexagons():
+    # `strong_flip` looks up its own hexagon's three tiles; on every base
+    # and every i < j < k its verdict is membership in `hexagons`, and a
+    # core holding i, j or k is rejected by the trade first
+    texts = {"hexagon witnesses are not present in the tiling", "the core must avoid i, j and k"}
+    for n in range(1, 6):
+        for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections:
+            tiling = from_s_collection(fam)
+            for direction in ("raise", "lower"):
+                listed = set(hexagons(tiling, direction))
+                for base, (i, j, k) in product(range(1 << n), combinations(range(1, n + 1), 3)):
+                    try:
+                        strong_flip(tiling, base, i, j, k, direction)
+                    except ValueError as error:
+                        assert str(error) in texts and (base, i, j, k) not in listed
+                    else:
+                        assert (base, i, j, k) in listed
+
+
 def test_flip_graph_unique_source_and_sink():
     # breadth-first search over strong raising flips, n = 4
     n = 4
