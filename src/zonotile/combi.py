@@ -219,9 +219,10 @@ _KEY = OrderedValue._key.__get__  # a tile's field tuple; TypeError on anything 
 class Combi(Value):
     """Kept compact, as a run holds every combi it certifies: each tile kind
     as a tuple in `tiles()` order, repeats dropped, and the vertex set as a
-    sorted tuple, as `SetFamily.members` is.  The fields read as frozensets
-    built on each read; the hash (the frozen-dataclass one), the vertex
-    frozenset and the edge sets are worked out on first use and kept."""
+    sorted tuple, as `SetFamily.members` is: a reconstruction keeps its
+    family's tuple itself, and `spectrum` hands it back.  The fields read as
+    frozensets built on each read; the hash (the frozen-dataclass one), the
+    vertex frozenset and the edge sets are worked out on first use and kept."""
 
     __slots__ = ("n", "_deltas", "_nablas", "_lenses", "_vertices", "_vertex_set", "_edges", "_hash")
     n: int
@@ -244,16 +245,23 @@ class Combi(Value):
             raise ValueError(f"{tile} is filed among the {name}") from None
 
     @classmethod
-    def _assembled(cls, n: int, deltas: list[Delta], nablas: list[Nabla], lenses: list[Lens]) -> Combi:
-        """`_assemble`'s tiles, deltas and nablas sorted, none repeated."""
+    def _assembled(
+        cls, family: SetFamily, members: frozenset[int], deltas: list[Delta], nablas: list[Nabla], lenses: list[Lens]
+    ) -> Combi:
+        """`_assemble`'s tiles for `family`, held as the set `members`,
+        deltas and nablas sorted, none repeated; if the tiles' corners are
+        the members, the vertex tuple is `family.members` itself."""
         combi = object.__new__(cls)
-        combi._fill(n, tuple(deltas), tuple(nablas), tuple(sorted(lenses, key=_KEY)))
+        tiles = (tuple(deltas), tuple(nablas), tuple(sorted(lenses, key=_KEY)))
+        combi._fill(family.n, *tiles, members=family.members, member_set=members)
         return combi
 
-    def _fill(self, *values) -> None:
+    def _fill(self, *values, members: tuple[int, ...] = (), member_set: frozenset[int] = frozenset()) -> None:
         for slot, value in zip(("n", "_deltas", "_nablas", "_lenses"), values):
             _set(self, slot, value)
-        _set(self, "_vertices", vertices := tuple(sorted(set(chain.from_iterable(self._cycles())))))
+        # the corners, sorted: the given sorted `members` if they are the corners
+        corners = set(chain.from_iterable(self._cycles()))
+        _set(self, "_vertices", vertices := members if corners == member_set else tuple(sorted(corners)))
         # A triangle's largest corner (its apex or right corner) or a lens's
         # lower center is out of range just when one of its corners is: the
         # tiles are scanned, in `tiles()` order, only to name the first one.
@@ -326,7 +334,8 @@ def from_rhombus(tiling: RhombusTiling) -> Combi:
 
 
 def spectrum(combi: Combi) -> SetFamily:
-    return SetFamily(combi.n, combi._vertices)
+    """The combi's vertex set, as a family on its vertex tuple itself."""
+    return SetFamily._trusted(combi.n, combi._vertices)
 
 
 def _assemble(family: SetFamily, members: frozenset[int]) -> tuple[list[Delta], list[Nabla], list[Lens]]:
@@ -381,12 +390,13 @@ def from_w_collection(family: SetFamily, check_input: bool = True) -> Combi:
     under its ends' union.  The result is validated, so success certifies
     correctness on each instance.
     """
-    n = family.n
     if check_input and not is_maximal_separated(family, "weak"):
         raise ValueError("family is not a maximal weakly separated collection")
-    combi = Combi._assembled(n, *_assemble(family, family.as_set()))
+    members = family.as_set()
+    combi = Combi._assembled(family, members, *_assemble(family, members))
     validate_combi(combi)
-    if combi._vertices != family.members:
+    # the vertex tuple is the members' own just when the corners are the members
+    if combi._vertices is not family.members:
         raise TilingError("spectrum", "reconstruction changed the vertex set")
     return combi
 

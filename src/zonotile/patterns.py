@@ -313,8 +313,8 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     halves meet in the pattern's members and together hold every vertex.
     """
     reg = regions(pattern)
-    verts = combi.vertex_masks()
-    if not set(pattern.cycle) <= verts:
+    verts = combi._vertices
+    if not set(pattern.cycle).issubset(verts):
         raise ValueError("pattern members must be vertices of the combi")
     inside, outside = reg._closed_sides(verts)
     return (

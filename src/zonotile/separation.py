@@ -132,6 +132,15 @@ class SetFamily(Value):
             raise ValueError("SetFamily members must be duplicate-free")
         self._fill(n, mem)
 
+    @classmethod
+    def _trusted(cls, n: int, members: tuple[int, ...]) -> SetFamily:
+        """A family on `members` as given, checked by no one here: only for
+        a tuple already sorted, free of repeats and in range for n, as a
+        `Combi`'s vertex tuple is (`Combi` range-checks it)."""
+        family = object.__new__(cls)
+        family._fill(n, members)
+        return family
+
     def __len__(self) -> int:
         return len(self.members)
 

@@ -221,7 +221,7 @@ def check_flip_coherence(max_n: int, pool: CubePool) -> dict:
         snk_ok = len(sinks) == 1 and g_combi.nodes[sinks[0]] == cointerval_collection(n).as_set()
         eta_ok = True
         # `flip_graph` checked that its nodes are the weak collections
-        by_vertices = {combi.vertex_masks(): combi for combi in pool.combis(n)}
+        by_vertices = {frozenset(combi._vertices): combi for combi in pool.combis(n)}
         for fam_set in g_combi.nodes:
             combi = by_vertices[fam_set]
             for w in find_w_configs(combi):
@@ -240,16 +240,22 @@ def check_flip_coherence(max_n: int, pool: CubePool) -> dict:
 def check_contraction_bijection(max_n: int, pool: CubePool) -> dict:
     per_n = {}
     # each map's result by its input: the converse calls a map only on an
-    # input the forward pass did not
+    # input the forward pass did not.  Both hold one instance per distinct
+    # combi, the pool's where it has one: a contraction's smaller combi is
+    # the pool's equal (n-1)-combi, and an expansion equal to its combi is
+    # that combi; a pair is one tuple, the contraction's value and the
+    # expansion's key.
     contracted: dict[Combi, tuple[Combi, tuple[int, ...]]] = {}
     expanded: dict[tuple[Combi, tuple[int, ...]], Combi] = {}
     for n in range(2, max_n + 1):
         good = True
+        pooled = {smaller: smaller for smaller in pool.combis(n - 1)}
         for combi in pool.combis(n):
-            smaller, path = contracted[combi] = n_contract(combi)
-            key = (smaller, tuple(path))
+            smaller, path = n_contract(combi)
+            contracted[combi] = key = (pooled.get(smaller, smaller), path)
             if key not in expanded:
-                expanded[key] = n_expand(smaller, path)
+                bigger = n_expand(*key)
+                expanded[key] = combi if bigger == combi else bigger
             good &= expanded[key] == combi
         per_n[f"forward_n{n}"] = {"pass": good}
     for n2 in range(1, min(max_n - 1, 4) + 1):
@@ -347,7 +353,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) 
         combi = rng.choice(combi_pool[n4])
         edges = sorted(combi.vertical_edges() | combi.horizontal_edges())
         chosen = [e for e in edges if rng.random() < 0.35]
-        graph = graph_pattern(n4, set(combi.vertex_masks()), chosen)
+        graph = graph_pattern(n4, set(combi._vertices), chosen)
         graph_ok &= verify_face_domains(graph, pool.verdict)
     detail["graph_patterns"] = {"checked": 50, "pass": graph_ok}
 
@@ -381,7 +387,7 @@ def check_cross_exchange(max_n: int, seed: int, samples: int, pool: CubePool) ->
         n = rng.choice(sorted(pools))
         combi_a = rng.choice(pools[n])
         combi_b = rng.choice(pools[n])
-        common = combi_a.vertex_masks() & combi_b.vertex_masks()
+        common = set(combi_a._vertices).intersection(combi_b._vertices)
         edges = (combi_a.vertical_edges() | combi_a.horizontal_edges()
                  | combi_b.vertical_edges() | combi_b.horizontal_edges())
         usable = {(u, v) for u, v in edges if u in common and v in common}
@@ -404,10 +410,11 @@ def run_suite(max_n: int = 4, seed: int = 7, samples: int = 500) -> dict:
     """Full battery; returns a deterministic report dictionary."""
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
-    if max_n > 6:
-        # --max-n 6 runs in 1.4 s at 77 MB; --max-n 7 ran out of a 3 GB
-        # address space after 73 s, over the 259,480 weak 7-combis
-        raise ResourceGuardError(f"max_n is at most 6, got {max_n}")
+    if max_n > 7:
+        # --max-n 7, over the 259,480 weak 7-combis, runs in 77 s at
+        # 342 MB peak RSS (2-core host); the weak 8-cube alone holds
+        # 42,419,886 collections
+        raise ResourceGuardError(f"max_n is at most 7, got {max_n}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     pool = CubePool()

@@ -5,6 +5,12 @@ with `pytest -s` to see the lines)."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from zonotile import suite
 from zonotile.cli import cmd
@@ -103,3 +109,27 @@ def test_criterion_8_determinism(tmp_path):
     rc5 = cmd(["verify", "--paper-suite", "--max-n", "5", "--seed", "7", "--out", str(out5)])
     ok &= rc5 == 0 and hashlib.sha256(out5.read_bytes()).hexdigest() == REPORT_MAX_N5_SEED7_SHA256
     _verdict(8, ok, "verify --paper-suite --max-n 4 and 5 --seed 7 byte-identical across runs and commits")
+
+
+@pytest.mark.slow
+def test_the_suite_at_n7_runs_in_a_gigabyte():
+    # the top n the suite allows, in its own process under a 1 GB address
+    # space: every weak 7-collection is reconstructed, round-tripped and
+    # contracted and expanded again (POSIX only, as `resource` is)
+    import resource
+
+    def one_gigabyte():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    args = [sys.executable, "-m", "zonotile.cli", "verify", "--paper-suite", "--max-n", "7", "--seed", "7"]
+    run = subprocess.run(args, env=env, capture_output=True, text=True, preexec_fn=one_gigabyte, timeout=600)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["pass"] is True
+    checks = report["checks"]
+    purity = checks["hypercube_purity"]["detail"]["7"]
+    assert (purity["collections"], purity["ranks"], purity["pass"]) == (259480, [29], True)
+    assert checks["combi_bijection"]["detail"]["7"] == {"collections": 259480, "pass": True}
+    assert checks["contraction_bijection"]["detail"]["forward_n7"] == {"pass": True}

@@ -1076,6 +1076,21 @@ def test_a_held_combi_is_compact():
     assert len(held) == len(warm) == 124 and per_combi <= 1200
 
 
+def test_a_reconstruction_shares_its_familys_members():
+    # a certified combi keeps its family's member tuple as its vertex tuple,
+    # and its spectrum is a family on that same tuple; a combi built from
+    # the same tiles sorts its own and is equal, with the same hash and
+    # vertex set
+    pools = {n: enumerate_maximal(hypercube_domain(n), "weak").maximal_collections for n in range(1, 7)}
+    fams = [fam for n in range(1, 6) for fam in pools[n]] + random.Random(6).sample(pools[6], 300)
+    for fam in fams:
+        combi = from_w_collection(fam)
+        assert combi._vertices is fam.members
+        assert spectrum(combi).members is combi._vertices and spectrum(combi) == fam
+        fresh = Combi(fam.n, combi.deltas, combi.nablas, combi.lenses)
+        assert fresh == combi and hash(fresh) == hash(combi) and fresh.vertex_masks() == combi.vertex_masks()
+
+
 def test_range_check_scans_no_tile_in_range(monkeypatch):
     # the tiles are scanned one by one only to name one out of range
     combis = [(n, combi) for n in range(1, 6) for combi in all_combis(n)]
