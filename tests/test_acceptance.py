@@ -94,6 +94,9 @@ REPORT_MAX_N4_SEED7_SHA256 = "679d55dfce7ddb17f44090002abbe7ddc378d10bb637807e26
 # shares: the contraction converse up to n - 1 = 4, the sampled n = 5
 # complementary pairs and the n = 5 cross exchanges
 REPORT_MAX_N5_SEED7_SHA256 = "70d7680daa669d5549a0fbdc7c1ce4dd9cdea17b80851647158ea65700ff47be"
+# --max-n 6 is the smallest run with a forward contraction pass (n = 6) that
+# the converse, which stops at n - 1 = 4, does not read
+REPORT_MAX_N6_SEED7_SHA256 = "d9ff8f2aa6e07d452dfae80cee521b97842f6879854dae7ec595e506f116eb1f"
 
 
 def test_criterion_8_determinism(tmp_path):
@@ -109,6 +112,13 @@ def test_criterion_8_determinism(tmp_path):
     rc5 = cmd(["verify", "--paper-suite", "--max-n", "5", "--seed", "7", "--out", str(out5)])
     ok &= rc5 == 0 and hashlib.sha256(out5.read_bytes()).hexdigest() == REPORT_MAX_N5_SEED7_SHA256
     _verdict(8, ok, "verify --paper-suite --max-n 4 and 5 --seed 7 byte-identical across runs and commits")
+
+
+@pytest.mark.slow
+def test_report_max_n6_is_pinned(tmp_path):
+    out = tmp_path / "r6.json"
+    assert cmd(["verify", "--paper-suite", "--max-n", "6", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_MAX_N6_SEED7_SHA256
 
 
 @pytest.mark.slow

@@ -145,6 +145,8 @@ class TestBaseRelations:
     def test_cancel_and_termwise(self):
         assert base_relation("cancel", M([1, 2]), M([2, 3]), 3) is True
         assert base_relation("termwise", M([1, 2]), M([2, 3]), 3) is True
+        # A = {1, 2} has more elements than B = {3}, though 1 <= 3
+        assert base_relation("termwise", M([1, 2]), M([3]), 3) is False
 
     def test_equal_sets_rejected_outside_global(self):
         for kind in ("termwise", "cancel", "split"):

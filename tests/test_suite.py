@@ -1,11 +1,16 @@
 """`run_suite` shares one `CubePool` among its checks: each weak hypercube is
-enumerated once per run, each distinct contraction, expansion and purity
-input is worked out once per run, and nothing carries over from one run to
-the next.  Also the cycle sampler the pattern checks draw through, and the
-cross exchange's two skips: a draw with no cycle or a self-crossing one."""
+enumerated once per run, each combi is contracted and expanded back once per
+run, each distinct purity input is worked out once per run, and nothing
+carries over from one run to the next.  The contraction converse compares the
+legal pairs with the forward pass's images, so a pool that lacks a combi or an
+enumeration that repeats a path fails it.  Also the cycle sampler the pattern
+checks draw through, and the cross exchange's two skips: a draw with no cycle
+or a self-crossing one."""
 
 import random
 from collections import Counter
+
+import pytest
 
 from zonotile import flips, suite
 
@@ -62,7 +67,7 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
     # coherence check reads the pooled combis
     assert builds1 == Counter({1: 1, 2: 2, 3: 4, 4: 20})
     # every n-combi for n = 2..4 is contracted once, and the pair it gives
-    # expanded once; the converse (pairs at n - 1 = 1..3) reads them all
+    # expanded once; the converse (pairs at n - 1 = 1..3) calls neither map
     assert set(contract1.values()) == set(expand1.values()) == {1}
     assert len(contract1) == len(expand1) == 1 + 2 + 10
     # one purity verdict per distinct (domain, relation), 489 in this run,
@@ -73,7 +78,7 @@ def test_one_enumeration_per_n_per_run(monkeypatch):
     assert second == first
 
 
-def test_converse_works_out_the_pairs_the_forward_pass_lacks(monkeypatch):
+def test_converse_fails_a_pool_that_lacks_a_combi():
     class FewerCombis(suite.CubePool):
         """Only the first three of the ten 4-combis."""
 
@@ -81,25 +86,30 @@ def test_converse_works_out_the_pairs_the_forward_pass_lacks(monkeypatch):
             got = super().combis(n)
             return got[:3] if n == 4 else got
 
-    calls = Counter()
-    n_contract, n_expand = suite.n_contract, suite.n_expand
-
-    def counted_contract(combi):
-        calls["contract"] += 1
-        return n_contract(combi)
-
-    def counted_expand(combi, path):
-        calls["expand"] += 1
-        return n_expand(combi, path)
-
-    monkeypatch.setattr(suite, "n_contract", counted_contract)
-    monkeypatch.setattr(suite, "n_expand", counted_expand)
     result = suite.check_contraction_bijection(4, FewerCombis())
-    assert result["pass"] is True
-    assert result["detail"]["converse_n3"] == {"pairs": 10, "expected": 10, "pass": True}
-    # the forward pass maps the 1 + 2 + 3 combis it sees; the converse maps
-    # the 7 pairs at n - 1 = 3 that it did not, both ways
-    assert calls == Counter({"contract": 6 + 7, "expand": 6 + 7})
+    assert result["pass"] is False
+    # the 10 legal pairs at n - 1 = 3 are counted right, but 7 of them are
+    # no image of the forward pass, which maps the 3 combis it sees
+    assert result["detail"]["converse_n3"] == {"pairs": 10, "expected": 10, "pass": False}
+    assert all(entry["pass"] for key, entry in result["detail"].items() if key != "converse_n3")
+
+
+@pytest.mark.parametrize("repeat", ["in_place_of_another", "as_an_extra"])
+def test_converse_fails_a_repeated_path(monkeypatch, repeat):
+    enumerate_legal_paths = suite.enumerate_legal_paths
+
+    def repeating(combi):
+        paths = enumerate_legal_paths(combi)
+        if combi.n != 3:
+            return paths
+        # a 3-combi has at least two legal paths
+        return paths[:-1] + paths[:1] if repeat == "in_place_of_another" else paths + paths[:1]
+
+    monkeypatch.setattr(suite, "enumerate_legal_paths", repeating)
+    result = suite.check_contraction_bijection(4, suite.CubePool())
+    pairs = 10 if repeat == "in_place_of_another" else 12
+    assert result["detail"]["converse_n3"] == {"pairs": pairs, "expected": 10, "pass": False}
+    assert all(entry["pass"] for key, entry in result["detail"].items() if key != "converse_n3")
 
 
 def test_sample_cycle_without_a_cycle_gives_none():
