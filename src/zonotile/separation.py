@@ -136,7 +136,9 @@ class SetFamily(Value):
     def _trusted(cls, n: int, members: tuple[int, ...]) -> SetFamily:
         """A family on `members` as given, checked by no one here: only for
         a tuple already sorted, free of repeats and in range for n, as a
-        `Combi`'s vertex tuple is (`Combi` range-checks it)."""
+        `Combi`'s vertex tuple is (`Combi` range-checks it), and as a sorted
+        maximal clique of `enumerate_maximal` is (its vertices are distinct
+        members of a checked domain)."""
         family = object.__new__(cls)
         family._fill(n, members)
         return family
@@ -344,25 +346,29 @@ def enumerate_maximal(domain: SetFamily, relation: str) -> DomainReport:
     members, which is exhaustive by construction.  A vertex is the member's
     own mask, and its neighbours are its separation row cut to the domain,
     so the search's path of vertices is a clique's members.  Each maximal
-    clique becomes its `SetFamily` as the search reaches it, built straight
-    from that path (the constructor sorts it and runs its range and
-    duplicate checks), and the collections are then sorted by their members.
+    clique becomes its `SetFamily` as the search reaches it, built from the
+    sorted path with no check of its own: the path's vertices are distinct
+    bits of the checked domain's member mask, since each step keeps only
+    candidates and drops the vertex it takes (a row cut to the domain
+    excludes its own vertex).  The ranks are the path lengths the search
+    hands over, and the collections are then sorted by their members.
     Past `OUTPUT_BUDGET` collections it raises `ResourceGuardError`.
     """
     dom, adj = _compatibility_graph(domain, relation)
-    n, collections, budget = domain.n, [], OUTPUT_BUDGET
-    add = collections.append
+    n, collections, sizes, budget = domain.n, [], set(), OUTPUT_BUDGET
+    add, trusted = collections.append, SetFamily._trusted
 
     def emit(path: list[int]) -> None:
         if len(collections) == budget:
             raise ResourceGuardError(
                 f"domain has more than {budget} maximal collections, the output budget"
             )
-        add(SetFamily(n, path))
+        sizes.add(len(path))
+        add(trusted(n, tuple(sorted(path))))
 
     _bron_kerbosch_pivot(adj, [], dom, 0, emit)
     collections.sort(key=attrgetter("members"))
-    ranks = tuple(sorted({len(c) for c in collections}))
+    ranks = tuple(sorted(sizes))
     return DomainReport(
         domain=domain,
         relation=relation,

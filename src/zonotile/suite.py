@@ -171,15 +171,16 @@ def check_hypercube_purity(max_n: int, pool: CubePool) -> dict:
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
 def check_rank_formulas(max_n: int, pool: CubePool) -> dict:
-    perms4 = [Permutation(p) for p in permutations(range(1, 5))]
+    # each permutation of 1..4 with its inversion set, worked out once
+    inv = {w: inversions(w) for w in map(Permutation, permutations(range(1, 5)))}
     # per report key, each domain with the rank its formula gives
     tables = {
-        "chamber_n4": [(chamber_domain(w), len(inversions(w)) + 4 + 1) for w in perms4],
+        "chamber_n4": [(chamber_domain(w), len(inv[w]) + 4 + 1) for w in inv],
         "chamber_pairs_n4": [
-            (chamber_pair_domain(wp, w), len(inversions(w)) - len(inversions(wp)) + 4 + 1)
-            for wp in perms4
-            for w in perms4
-            if inversions(wp) <= inversions(w)
+            (chamber_pair_domain(wp, w), len(inv[w]) - len(inv[wp]) + 4 + 1)
+            for wp in inv
+            for w in inv
+            if inv[wp] <= inv[w]
         ],
         "hypersimplex": [
             (hypersimplex_domain(n, lo, hi), comb(n + 1, 2) - comb(n - hi + 1, 2) - comb(lo + 1, 2) + 1)

@@ -68,9 +68,9 @@ def _enumerate_reference(domain, relation):
 
 
 @pytest.fixture(scope="module")
-def small_domains():
-    """The hypersimplex domains with n <= 6, the n = 4 chamber domains and
-    chamber pairs, and the distinct simple cycles of the 4-combis as patterns."""
+def rank_domains():
+    """The domains of the suite's rank table: the hypersimplex domains with
+    n <= 6, the n = 4 chamber domains and chamber pairs."""
     chambers, pairs = [], []
     for upper in permutations(range(1, 5)):
         up = Permutation(upper)
@@ -78,18 +78,24 @@ def small_domains():
         for lower in permutations(range(1, 5)):
             if inversions(Permutation(lower)) <= inversions(up):
                 pairs.append(chamber_pair_domain(Permutation(lower), up))
-    patterns = {}
-    for combi in all_combis(4):
-        for cyc in _all_cycles(combi.vertical_edges()):
-            pat = CyclicPattern(4, cyc)
-            patterns.setdefault(pat.canonical(), pat)
     return {
         "hypersimplex": [hypersimplex_domain(n, lo, hi) for n in range(1, 7)
                          for lo in range(n + 1) for hi in range(lo, n + 1)],
         "chamber": chambers,
         "chamber_pair": pairs,
-        "pattern": list(patterns.values()),
     }
+
+
+@pytest.fixture(scope="module")
+def small_domains(rank_domains):
+    """The rank table's domains, and the distinct simple cycles of the
+    4-combis as patterns."""
+    patterns = {}
+    for combi in all_combis(4):
+        for cyc in _all_cycles(combi.vertical_edges()):
+            pat = CyclicPattern(4, cyc)
+            patterns.setdefault(pat.canonical(), pat)
+    return {**rank_domains, "pattern": list(patterns.values())}
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +394,31 @@ class TestEnumeration:
             for relation in SCALAR:
                 want = _enumerate_reference(dom, relation)
                 assert enumerated(dom, relation) == want, (dom, relation)
+
+    def test_collections_keep_the_family_contract(self, rank_domains, enumerated):
+        # each collection is built unchecked from its clique, so it must be
+        # what the checked constructor would build from its members
+        rng = random.Random(39)
+        subdomains = [SetFamily(n, rng.sample(range(1 << n), k))
+                      for n in (3, 4, 5, 8) for k in (3, n + 3, 2 * n + 2)]
+        assert any(not enumerated(dom, relation).pure for dom in subdomains for relation in SCALAR)
+        doms = [hypercube_domain(n) for n in range(1, 7)]
+        doms += [dom for kind in rank_domains.values() for dom in kind]
+        for dom in doms + subdomains:
+            within = dom.as_set()
+            for relation in SCALAR:
+                report = enumerated(dom, relation)
+                keys = [fam.members for fam in report.maximal_collections]
+                assert keys == sorted(keys), (dom, relation)
+                for fam in report.maximal_collections:
+                    mem = fam.members
+                    # strictly ascending: sorted and free of repeats
+                    assert fam.n == dom.n and list(mem) == sorted(set(mem)), (dom, relation, mem)
+                    assert within.issuperset(mem), (dom, relation, mem)
+                    checked = SetFamily(dom.n, mem)
+                    assert checked == fam and hash(checked) == hash(fam), (dom, relation, mem)
+                assert report.ranks == tuple(sorted({len(fam) for fam in report.maximal_collections}))
+                assert report.pure == (len(report.ranks) == 1)
 
     def test_rank_only_matches_enumeration(self, small_domains, enumerated):
         counts = {kind: len(doms) for kind, doms in small_domains.items()}
