@@ -9,31 +9,26 @@ O(edges) certificate with no pairwise intersection tests.
 
 `check_planar_cover` checks it in two stages.  Each tile's shape,
 convexity, directed edges and area are a pure function of its vertex cycle
-and the generators, memoised per generator set and keyed by the cycle's
-vertex tuple, so a distinct tile is worked out once however many covers
-hold it.  The whole cover is then checked on every call: no directed edge
-used twice, the edges cancelling against the region's boundary, and the
-areas summing to the region's.  Only when a check fails is the first
-violation in tile order worked out and named.
+and the generators, memoised per generator set in a dict keyed by the
+cycle's vertex tuple, so a distinct tile is worked out once however many
+covers hold it.  The whole cover is then checked on every call, by set
+lookups: no directed edge used twice, the edges cancelling against the
+region's boundary, and the areas summing to the region's.  Only when a
+check fails is the first violation in tile order worked out and named.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
-from functools import lru_cache, partial
+from collections.abc import Sequence
+from functools import lru_cache
 
-from .geometry import Generators, Point, boundary_cycle, embedding_table
+from .geometry import Generators, boundary_cycle, default_generators, embedding_table
 
 # C(10,2)·2^8 = 11,520 is the number of deltas, and of nablas, with
 # n <= 10, so up to n = 10 none of them is ever evicted from the tile
-# caches of `combi`, one per tile class.  A full cache holds at most 3.9 MB
-# of these triangles, or 12.2 MB of lenses with the longest paths at n = 16
-# (18 path entries), each tile counted with its masks, cycle, field tuple
-# and hash, the cache's own keys not.  The tile-shape memo of a generator
-# set holds as many cycles, and no tiles: 0.34 MB for the 686 tiles of the
-# weak 6-combis; full at n = 16, 7.3 MB of triangles or 19.6 MB of
-# 16-vertex lenses.  (tracemalloc, Python 3.11)
+# caches of `combi`, one per tile class, nor a cycle from the tile-shape
+# memo of a generator set; README gives what a full cache or memo holds.
 TILE_CACHE_SIZE = 11_520
 
 
@@ -47,58 +42,72 @@ class TilingError(ValueError):
 
 
 class _Boundary(tuple):
-    """A region's directed boundary edges (u, v), with `keys`, their keys
-    u << 16 | v, and `unpaired`, the keys whose reverse is not one."""
+    """A region's directed boundary edges (u, v), with `keys`, their keys u << 16 | v,
+    `unpaired`, the keys whose reverse is not one, and `outward`, their reverses."""
 
     def __init__(self, edges: Sequence[tuple[int, int]]) -> None:
         self.keys = frozenset(u << 16 | v for u, v in self)
-        self.unpaired = self.keys - {(k & 0xFFFF) << 16 | k >> 16 for k in self.keys}
+        back = frozenset(v << 16 | u for u, v in self)
+        self.unpaired, self.outward = self.keys - back, back - self.keys
+
+
+def zonogon_region(gens: Generators) -> tuple[_Boundary, int]:
+    """The zonogon's counterclockwise directed boundary edges and doubled area."""
+    cyc = boundary_cycle(gens)
+    return _Boundary(zip(cyc, [*cyc[1:], cyc[0]])), gens.zonogon_area2()
 
 
 @lru_cache(maxsize=64)
-def zonogon_region(gens: Generators) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The zonogon's counterclockwise directed boundary edges and doubled area."""
-    cyc = boundary_cycle(gens)
-    boundary = _Boundary((cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc)))
-    return boundary, gens.zonogon_area2()
+def default_region(n: int) -> tuple[Generators, _Boundary, int]:
+    """`default_generators(n)` and its `zonogon_region`, in one lookup per n."""
+    gens = default_generators(n)
+    return (gens, *zonogon_region(gens))
 
 
-def _tile_shape(table: tuple[Point, ...], cyc: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The directed-edge keys of the vertex-mask cycle `cyc`, from (cyc[0],
-    cyc[1]) on, their reverses' keys and its doubled area in the embedding
-    `table`.  Raises TilingError, whose detail names no tile, unless `cyc`
-    has at least 3 distinct vertices and turns strictly left at each."""
-    m = len(cyc)
-    if m < 3:
-        raise TilingError("tile-shape", "has fewer than 3 vertices")
-    if len(set(cyc)) != m:
-        raise TilingError("tile-shape", "repeats a vertex")
-    pts = [table[v] for v in cyc]
-    area = 0
-    for k in range(m):
-        # the turn at pts[k] from its predecessor onto its successor
-        (ax, ay), (bx, by), (cx, cy) = pts[k - 1], pts[k], pts[k + 1 - m]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-            raise TilingError("tile-convexity", f"is not strictly convex and counterclockwise at vertex index {k}")
-        area += bx * cy - by * cx
-    # every mask is below 2**16 (bitsets.MAX_GROUND is 16), so the keys
-    # order as the (u, v) pairs do
-    edges = list(zip(cyc, cyc[1:] + cyc[:1]))
-    return tuple(u << 16 | v for u, v in edges), tuple(v << 16 | u for u, v in edges), area
+class _TileShapes(dict):
+    """memo[cyc] or memo(cyc): the directed-edge keys of the vertex cycle `cyc`, from (cyc[0],
+    cyc[1]) on, their reverses' keys and its doubled area in the embedding `table`, kept by
+    `cyc`, the earliest dropped past TILE_CACHE_SIZE.  Raises TilingError, whose detail names
+    no tile, and keeps nothing, unless `cyc` has 3 distinct vertices or more and turns strictly
+    left at each."""
+
+    __slots__ = ("table",)
+    __call__, cache_clear = dict.__getitem__, dict.clear
+
+    def __missing__(self, cyc: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        m = len(cyc)
+        if m < 3:
+            raise TilingError("tile-shape", "has fewer than 3 vertices")
+        if len(set(cyc)) != m:
+            raise TilingError("tile-shape", "repeats a vertex")
+        pts = [self.table[v] for v in cyc]
+        area = 0
+        for k in range(m):
+            # the turn at pts[k] from its predecessor onto its successor
+            (ax, ay), (bx, by), (cx, cy) = pts[k - 1], pts[k], pts[k + 1 - m]
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+                detail = f"is not strictly convex and counterclockwise at vertex index {k}"
+                raise TilingError("tile-convexity", detail)
+            area += bx * cy - by * cx
+        # every mask is below 2**16 (bitsets.MAX_GROUND is 16), so the keys
+        # order as the (u, v) pairs do
+        edges = list(zip(cyc, (*cyc[1:], cyc[0])))
+        if len(self) >= TILE_CACHE_SIZE:
+            del self[next(iter(self))]
+        shape = self[cyc] = tuple(u << 16 | v for u, v in edges), tuple(v << 16 | u for u, v in edges), area
+        return shape
 
 
 @lru_cache(maxsize=8)
-def _tile_shapes(gens: Generators) -> Callable[[tuple[int, ...]], tuple]:
-    """`_tile_shape` under `gens`, memoised by the cycle's vertex tuple; a
-    failing cycle raises and is never stored."""
-    return lru_cache(maxsize=TILE_CACHE_SIZE)(partial(_tile_shape, embedding_table(gens)))
+def _tile_shapes(gens: Generators) -> _TileShapes:
+    """The tile-shape memo of `gens`."""
+    memo = _TileShapes()
+    memo.table = embedding_table(gens)
+    return memo
 
 
 def check_planar_cover(
-    gens: Generators,
-    cycles: list[tuple[object, Sequence[int]]],
-    boundary: Sequence[tuple[int, int]],
-    area2: int,
+    gens: Generators, cycles: list[tuple[object, Sequence[int]]], boundary: Sequence[tuple[int, int]], area2: int
 ) -> bool:
     """Verify that `cycles`, (tile, CCW vertex-mask cycle) pairs, exactly tile
     the region whose counterclockwise directed boundary edges are `boundary`
@@ -107,10 +116,17 @@ def check_planar_cover(
     each checked for its shape, then its convexity, then for a directed
     edge an earlier tile used; the region's boundary, the cancellation of
     the edges and the area come after.  The verdict does not depend on the
-    order, only the error does: `combi.validate_combi`, through which every
-    combi, and so every rhombus tiling, is validated, passes the tiles as
-    they come and, on failure, again in tile order.  Every mask must be a
-    subset of {1..gens.n}, as the Combi constructor ensures.
+    order, only the error does.  Every mask must be a subset of
+    {1..gens.n}, as the Combi constructor ensures.
+
+    Cancellation is decided by lookups.  With no edge used twice, an edge's
+    net use is +1, -1 or 0, so the used edges E cancel just when E - rev(E)
+    = P, the boundary's edges whose reverse is not one.  That holds just when
+    (a) P lies in E, (b) rev(P) misses E and (c) rev(E) lies in E and rev(P).
+    If E - rev(E) = P: (a) is plain; an e of E in rev(P) would have rev(e)
+    in P, so e not in E; and a used e with rev(e) unused is in P.  Given (a)
+    to (c): a p of P is used and rev(p), in rev(P), is not; and a used e
+    with rev(e) unused has rev(e) in rev(P) by (c), so e is in P.
     """
     shape = _tile_shapes(gens)
     keys: list[int] = []
@@ -118,7 +134,7 @@ def check_planar_cover(
     total2 = 0
     for tile, cyc in cycles:
         try:
-            edges, reverse, area = shape(tuple(cyc))
+            edges, reverse, area = shape[tuple(cyc)]
         except TilingError as fault:  # an edge the tiles before used twice comes first
             raise _edge_twice(keys) or TilingError(fault.axiom, f"{tile} {fault.detail}") from None
         keys += edges
@@ -133,30 +149,21 @@ def check_planar_cover(
     if len(bnd) != len(boundary):
         e = next(e for e, c in Counter(boundary).items() if c > 1)
         raise TilingError("region-boundary", f"boundary edge {e} repeated")
-    # Each directed edge must be used by the tiles, net of its reverse, as
-    # often as by the boundary.  With no edge used twice, the net use of e
-    # is 1 if e is used and its reverse is not, -1 if the reverse is used
-    # and e is not, and 0 otherwise: so the edges used without their
-    # reverse must be the same for the tiles as for the boundary.
-    if used.difference(back) != boundary.unpaired:
-        rev = set(back)
+    # (a) and (b) of the docstring, then (c) with rev(P) added to E
+    outward = boundary.outward
+    cancels = used.issuperset(boundary.unpaired) and used.isdisjoint(outward)
+    if cancels:
+        used |= outward
+        cancels = used.issuperset(back)
+    if not cancels:
+        used, rev = set(keys), set(back)
         rbnd = {(k & 0xFFFF) << 16 | k >> 16 for k in bnd}
-        e = min(
-            e for e in used | bnd if (e in used) - (e in rev) != (e in bnd) - (e in rbnd)
-        )
+        e = min(e for e in used | bnd if (e in used) - (e in rev) != (e in bnd) - (e in rbnd))
         if e in bnd or e in rbnd:
-            raise TilingError(
-                "region-boundary",
-                f"boundary edge {_pair(e)} not covered exactly once by the tiles",
-            )
-        raise TilingError(
-            "edge-sharing",
-            f"interior edge {_pair(e)} is not shared by tiles on both sides",
-        )
+            raise TilingError("region-boundary", f"boundary edge {_pair(e)} not covered exactly once by the tiles")
+        raise TilingError("edge-sharing", f"interior edge {_pair(e)} is not shared by tiles on both sides")
     if total2 != area2:
-        raise TilingError(
-            "area", f"tile areas sum to {total2}/2, region area is {area2}/2"
-        )
+        raise TilingError("area", f"tile areas sum to {total2}/2, region area is {area2}/2")
     return True
 
 

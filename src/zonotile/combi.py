@@ -26,14 +26,13 @@ path, and the members under the union of its ends its lower path.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain
-from operator import and_, attrgetter, or_
+from itertools import chain, compress
+from operator import and_, attrgetter, ne, or_
 from typing import TYPE_CHECKING
 
 from . import bitsets as bs
-from ._planar import TILE_CACHE_SIZE, TilingError, check_planar_cover, zonogon_region
+from ._planar import TILE_CACHE_SIZE, TilingError, check_planar_cover, default_region
 from ._value import OrderedValue, Value, _set
-from .geometry import default_generators
 from .separation import SetFamily, is_maximal_separated
 
 if TYPE_CHECKING:
@@ -211,9 +210,18 @@ class Lens(Tile):
 shared_delta = lru_cache(maxsize=TILE_CACHE_SIZE)(Delta)
 shared_nabla = lru_cache(maxsize=TILE_CACHE_SIZE)(Nabla)
 shared_lens = lru_cache(maxsize=TILE_CACHE_SIZE)(Lens)
-_CYCLE = attrgetter("_cycle")
 _DELTA_CYCLE, _NABLA_CYCLE, _LENS_CYCLE = (kind._cycle.__get__ for kind in (Delta, Nabla, Lens))
-_KEY = OrderedValue._key.__get__  # a tile's field tuple; TypeError on anything else
+_KEY = attrgetter("_key")  # a tile's field tuple; AttributeError on anything else
+# the (i, 1 << (i - 1)) pairs of the elements i of 1..n, for each n
+_TYPE_BITS = [tuple((i, 1 << (i - 1)) for i in range(1, n + 1)) for n in range(bs.MAX_GROUND + 1)]
+
+
+def _distinct(tiles: list[Tile]) -> tuple[Tile, ...]:
+    """`tiles` sorted by their field tuples, an equal neighbour dropped, so
+    no tile is hashed; AttributeError or TypeError if one is no tile."""
+    tiles.sort(key=_KEY)
+    keys = [*map(_KEY, tiles), None]
+    return tuple(compress(tiles, map(ne, keys, keys[1:])))
 
 
 class Combi(Value):
@@ -234,10 +242,10 @@ class Combi(Value):
 
     def __init__(self, n: int, deltas=(), nablas=(), lenses=()) -> None:
         bs.check_ground(n)
-        kinds = (set(deltas), set(nablas), set(lenses))
+        kinds = (list(deltas), list(nablas), list(lenses))
         try:
-            self._fill(n, *(tuple(sorted(tiles, key=_KEY)) for tiles in kinds))
-        except TypeError:
+            self._fill(n, *map(_distinct, kinds))
+        except (TypeError, AttributeError):
             # a tile of another kind: the least by str in the first such field
             fields = enumerate(zip(self._fields[1:], (Delta, Nabla, Lens), kinds))
             stray = [(k, str(t), f) for k, (f, cls, tiles) in fields for t in tiles if not isinstance(t, cls)]
@@ -321,11 +329,12 @@ class Combi(Value):
 
 
 def validate_combi(combi: Combi) -> bool:
-    """Exact planar-cover axioms under the default generators; raises
-    TilingError naming the first violation in `tiles()` order."""
-    gens = default_generators(combi.n)
-    tiles = combi.tiles()
-    return check_planar_cover(gens, list(zip(tiles, map(_CYCLE, tiles))), *zonogon_region(gens))
+    """Exact planar-cover axioms under the default generators, which with
+    their zonogon's boundary and area come from one lookup by n; the tiles
+    go to the check in `tiles()` order as (tile, cycle) pairs, so a
+    TilingError names the first violation by its tile's str."""
+    gens, boundary, area2 = default_region(combi.n)
+    return check_planar_cover(gens, [(t, t._cycle) for t in combi.tiles()], boundary, area2)
 
 
 def from_rhombus(tiling: RhombusTiling) -> Combi:
@@ -347,7 +356,7 @@ def _assemble(family: SetFamily, members: frozenset[int]) -> tuple[list[Delta], 
     three or more, are a lens's upper path, whose lower path is then read:
     the members U-j under the union U of its ends, ascending, or none if U
     is a member.  Paths that make no lens raise TilingError "lens"."""
-    bits = [(i, 1 << (i - 1)) for i in range(1, family.n + 1)]
+    bits = _TYPE_BITS[family.n]
     deltas: list[Delta] = []
     nablas: list[Nabla] = []
     # members over each non-member, in path order as the members ascend

@@ -428,45 +428,28 @@ class Permutation(Value):
 
 def inversions(perm: Permutation) -> frozenset[tuple[int, int]]:
     n = perm.n
-    return frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if perm(i) > perm(j)
-    )
+    return frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if perm(i) > perm(j))
 
 
 def chamber_domain(perm: Permutation) -> SetFamily:
     """Sets X with: i < j, perm(i) < perm(j), j in X imply i in X."""
     n = perm.n
-    pairs = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if perm(i) < perm(j)
-    ]
-    members = [
-        x
-        for x in range(1 << n)
-        if all(not (x >> (j - 1) & 1) or (x >> (i - 1) & 1) for i, j in pairs)
-    ]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if perm(i) < perm(j)]
+    members = [x for x in range(1 << n) if all(not (x >> (j - 1) & 1) or (x >> (i - 1) & 1) for i, j in pairs)]
     return SetFamily(n, members)
 
 
 def chamber_pair_domain(lower: Permutation, upper: Permutation) -> SetFamily:
-    """Chamber sets of `upper` that also respect the inversions of `lower`.
-
-    Requires Inv(lower) to be contained in Inv(upper).
-    """
+    """Chamber sets of `upper` that also respect the inversions of `lower`;
+    requires Inv(lower) to be contained in Inv(upper)."""
     if lower.n != upper.n:
         raise ValueError("permutations must act on the same ground set")
-    if not inversions(lower) <= inversions(upper):
+    inv = inversions(lower)
+    if not inv <= inversions(upper):
         raise ValueError("Inv(lower) must be a subset of Inv(upper)")
-    n = upper.n
-    inv_pairs = [(i, j) for (i, j) in inversions(lower)]
-    members = [
-        x
-        for x in chamber_domain(upper).members
-        if all(not (x >> (i - 1) & 1) or (x >> (j - 1) & 1) for i, j in inv_pairs)
-    ]
-    return SetFamily(n, members)
+    members = chamber_domain(upper).members
+    kept = [x for x in members if all(not (x >> (i - 1) & 1) or (x >> (j - 1) & 1) for i, j in inv)]
+    return SetFamily(upper.n, kept)
 
 
 def hypersimplex_domain(n: int, m_low: int, m_high: int) -> SetFamily:

@@ -8,6 +8,7 @@ from operator import or_
 
 import pytest
 
+from zonotile import _planar as planar_module
 from zonotile import bitsets as bs
 from zonotile import combi as combi_module
 from zonotile._planar import TilingError, _tile_shapes, check_planar_cover, zonogon_region
@@ -433,6 +434,19 @@ def test_tile_memo_keyed_by_cycle_and_generators():
         _tile_shapes(thin)((M([1]), M([1, 3]), M([2])))
 
 
+def test_tile_memo_drops_its_earliest_cycle_past_the_bound(monkeypatch):
+    # the memo keeps at most TILE_CACHE_SIZE cycles, dropping the one kept
+    # earliest; a dropped cycle is worked out again, the same
+    monkeypatch.setattr(planar_module, "TILE_CACHE_SIZE", 3)
+    memo = _tile_shapes(default_generators(3))
+    memo.cache_clear()
+    cycles = [t.cycle() for t in from_rhombus(minimal_tiling(3)).tiles()][:4]
+    shapes = [memo(cyc) for cyc in cycles]
+    assert list(memo) == cycles[1:]
+    assert memo(cycles[0]) == shapes[0] and list(memo) == cycles[2:] + cycles[:1]
+    memo.cache_clear()
+
+
 class TestTileTypes:
     def test_delta_vertices(self):
         d = Delta(M([1, 2]), 1, 2)
@@ -681,6 +695,41 @@ class TestValidation:
                 validate_combi(Combi(3, combi.deltas - {tile}, combi.nablas - {tile}))
             got[str(tile)] = str(info.value)
         assert got == want
+
+    def test_each_cancellation_lookup_fails_alone(self):
+        # With no edge used twice, the used edges E cancel against the
+        # boundary's unpaired edges P just when (a) P lies in E, (b) no
+        # reverse of P is in E, and (c) each reverse of E is in E or among
+        # the reverses of P.  Each cover below fails one of the three only.
+        def failing(cycles, boundary):
+            used = {e for _, cyc in cycles for e in zip(cyc, cyc[1:] + cyc[:1])}
+            unpaired = {e for e in boundary if e[::-1] not in boundary}
+            outward = {e[::-1] for e in unpaired}
+            held = [unpaired <= used, not used & outward, {e[::-1] for e in used} <= used | outward]
+            return [name for name, ok in zip("abc", held) if not ok]
+
+        hexagon, area3 = zonogon_region(default_generators(3))
+        tiles = [(t, t.cycle()) for t in from_rhombus(minimal_tiling(3)).tiles()]
+        spare = Delta(M([1, 3]), 1, 3).cycle()  # a tile of the hexagon's other tiling
+        nabla, delta = Nabla(0, 1, 2), Delta(M([1, 2]), 1, 2)
+        cases = [
+            # a boundary edge no tile covers: the spare delta's, a second region
+            (3, tiles, hexagon + tuple(zip(spare, spare[1:] + spare[:1])), area3, "a",
+             "region-boundary: boundary edge (1, 4) not covered exactly once by the tiles"),
+            # a tile using a boundary edge reversed: the delta over the nabla's
+            # edge from {2} to {1}, with the delta's other sides on the boundary
+            (2, [(nabla, nabla.cycle()), (delta, delta.cycle())], ((0, 2), (2, 1), (1, 0), (2, 3), (3, 1)), 0,
+             "b", "region-boundary: boundary edge (1, 2) not covered exactly once by the tiles"),
+            # an interior edge without its partner: the one tile touching no
+            # side of the hexagon left out
+            (3, [pair for pair in tiles if str(pair[0]) != "nabla({2};1,3)"], hexagon, area3, "c",
+             "edge-sharing: interior edge (2, 3) is not shared by tiles on both sides"),
+        ]
+        for n, cycles, boundary, area2, fails, text in cases:
+            assert failing(cycles, boundary) == [fails]
+            with pytest.raises(TilingError) as info:
+                check_planar_cover(default_generators(n), cycles, boundary, area2)
+            assert str(info.value) == text
 
     def test_from_rhombus_examples(self):
         combi = from_rhombus(minimal_tiling(3))
