@@ -265,14 +265,14 @@ def regions(pattern: CyclicPattern) -> PatternRegions:
 
 def pattern_compatible_sets(pattern: CyclicPattern, relation: str = "weak") -> SetFamily:
     """All subsets separated (weakly by default) from every member of the pattern."""
-    return SetFamily(pattern.n, compatible_sets(set(pattern.cycle), pattern.n, relation))
+    return SetFamily._trusted(pattern.n, tuple(compatible_sets(set(pattern.cycle), pattern.n, relation)))
 
 
 def domains(pattern: CyclicPattern, relation: str = "weak") -> tuple[SetFamily, SetFamily]:
     """Split the compatible sets into the closed inside and outside domains."""
     reg = regions(pattern)
     inner, outer = reg._closed_sides(pattern_compatible_sets(pattern, relation).members)
-    return SetFamily(pattern.n, inner), SetFamily(pattern.n, outer)
+    return SetFamily._trusted(pattern.n, tuple(inner)), SetFamily._trusted(pattern.n, tuple(outer))
 
 
 def strong_domains(pattern: CyclicPattern) -> tuple[SetFamily, SetFamily]:

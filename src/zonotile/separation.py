@@ -136,9 +136,10 @@ class SetFamily(Value):
     def _trusted(cls, n: int, members: tuple[int, ...]) -> SetFamily:
         """A family on `members` as given, checked by no one here: only for
         a tuple already sorted, free of repeats and in range for n, as a
-        `Combi`'s vertex tuple is (`Combi` range-checks it), and as a sorted
+        `Combi`'s vertex tuple is (`Combi` range-checks it), as a sorted
         maximal clique of `enumerate_maximal` is (its vertices are distinct
-        members of a checked domain)."""
+        members of a checked domain), and as `patterns.domains`'s sets are
+        (one row's bits, ascending, and two subsequences of them)."""
         family = object.__new__(cls)
         family._fill(n, members)
         return family
@@ -325,9 +326,12 @@ def maximal_cliques(adjacency, vertices: int) -> list[int]:
     return out
 
 
-def _compatibility_graph(domain: SetFamily, relation: str) -> tuple[int, dict[int, int]]:
-    """The domain's members as one bitmask, and each member's neighbours: its
-    separation row cut to the domain, itself excluded."""
+def _clique_search(domain: SetFamily, relation: str, emit) -> None:
+    """`_bron_kerbosch_pivot` on the domain's compatibility graph: a vertex
+    is a member's own mask, its neighbours its row cut to the domain, itself
+    excluded.  Every maximal clique holds each universal member, one whose
+    row covers the domain, so these go on the path before the search
+    branches, where the pivot rule would spend a level on each."""
     guard = 1 << _max_enum_n()
     if len(domain) > guard:
         raise ResourceGuardError(
@@ -336,25 +340,24 @@ def _compatibility_graph(domain: SetFamily, relation: str) -> tuple[int, dict[in
     _check_relation(relation)
     n = domain.n
     dom = members_mask(domain.members)
-    return dom, {v: separation_row(v, n, relation) & dom & ~(1 << v) for v in domain.members}
+    adj = {v: separation_row(v, n, relation) & dom & ~(1 << v) for v in domain.members}
+    universal = [v for v, row in adj.items() if row | 1 << v == dom]
+    _bron_kerbosch_pivot(adj, universal, dom & ~members_mask(universal), 0, emit)
 
 
 def enumerate_maximal(domain: SetFamily, relation: str) -> DomainReport:
     """Every inclusion-wise maximal separated collection inside the domain.
 
     Computed as the maximal cliques of the compatibility graph on the domain
-    members, which is exhaustive by construction.  A vertex is the member's
-    own mask, and its neighbours are its separation row cut to the domain,
-    so the search's path of vertices is a clique's members.  Each maximal
-    clique becomes its `SetFamily` as the search reaches it, built from the
-    sorted path with no check of its own: the path's vertices are distinct
-    bits of the checked domain's member mask, since each step keeps only
-    candidates and drops the vertex it takes (a row cut to the domain
-    excludes its own vertex).  The ranks are the path lengths the search
-    hands over, and the collections are then sorted by their members.
+    members by `_clique_search`, which is exhaustive by construction.  Each
+    maximal clique becomes its `SetFamily` as the search reaches it, built
+    from the sorted path with no check of its own: the path's vertices are
+    distinct bits of the checked domain's member mask, since the universal
+    ones leave the candidates and each step takes one candidate, which it
+    drops (a row cut to the domain excludes its own vertex).  The ranks are
+    the path lengths, and the collections are then sorted by their members.
     Past `OUTPUT_BUDGET` collections it raises `ResourceGuardError`.
     """
-    dom, adj = _compatibility_graph(domain, relation)
     n, collections, sizes, budget = domain.n, [], set(), OUTPUT_BUDGET
     add, trusted = collections.append, SetFamily._trusted
 
@@ -366,7 +369,7 @@ def enumerate_maximal(domain: SetFamily, relation: str) -> DomainReport:
         sizes.add(len(path))
         add(trusted(n, tuple(sorted(path))))
 
-    _bron_kerbosch_pivot(adj, [], dom, 0, emit)
+    _clique_search(domain, relation, emit)
     collections.sort(key=attrgetter("members"))
     ranks = tuple(sorted(sizes))
     return DomainReport(
@@ -380,19 +383,19 @@ def enumerate_maximal(domain: SetFamily, relation: str) -> DomainReport:
 
 def purity_verdict(domain: SetFamily, relation: str) -> PurityVerdict:
     """The count and the sizes of the maximal separated collections inside
-    the domain, from the same clique search as `enumerate_maximal`.
+    the domain, from the same clique search as `enumerate_maximal`, which
+    takes the universal members before it branches.
 
     Each clique is tallied by its size as the search finds it and then
     dropped, so memory stays that of the rows and the recursion: the strong
     8-cube's 1,232,944 collections are counted without holding one.
     """
-    dom, adj = _compatibility_graph(domain, relation)
     tally = [0] * (len(domain) + 1)
 
     def emit(path: list[int]) -> None:
         tally[len(path)] += 1
 
-    _bron_kerbosch_pivot(adj, [], dom, 0, emit)
+    _clique_search(domain, relation, emit)
     return PurityVerdict(
         count=sum(tally),
         ranks=tuple(size for size, hits in enumerate(tally) if hits),
@@ -433,23 +436,21 @@ def inversions(perm: Permutation) -> frozenset[tuple[int, int]]:
 
 def chamber_domain(perm: Permutation) -> SetFamily:
     """Sets X with: i < j, perm(i) < perm(j), j in X imply i in X."""
-    n = perm.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if perm(i) < perm(j)]
-    members = [x for x in range(1 << n) if all(not (x >> (j - 1) & 1) or (x >> (i - 1) & 1) for i, j in pairs)]
-    return SetFamily(n, members)
+    return chamber_pair_domain(Permutation.identity(perm.n), perm)
 
 
 def chamber_pair_domain(lower: Permutation, upper: Permutation) -> SetFamily:
-    """Chamber sets of `upper` that also respect the inversions of `lower`;
-    requires Inv(lower) to be contained in Inv(upper)."""
+    """Chamber sets of `upper` that also respect the inversions of `lower`
+    (i in X implies j in X for each); requires Inv(lower) to be contained
+    in Inv(upper).  One scan of all subsets, each rule a pair of bits."""
     if lower.n != upper.n:
         raise ValueError("permutations must act on the same ground set")
-    inv = inversions(lower)
-    if not inv <= inversions(upper):
+    n, inv = upper.n, inversions(lower)
+    if not all(upper(i) > upper(j) for i, j in inv):
         raise ValueError("Inv(lower) must be a subset of Inv(upper)")
-    members = chamber_domain(upper).members
-    kept = [x for x in members if all(not (x >> (i - 1) & 1) or (x >> (j - 1) & 1) for i, j in inv)]
-    return SetFamily(upper.n, kept)
+    rules = [(1 << j - 1, 1 << i - 1) for i in range(1, n + 1) for j in range(i + 1, n + 1) if upper(i) < upper(j)]
+    rules += [(1 << i - 1, 1 << j - 1) for i, j in inv]
+    return SetFamily(n, [x for x in range(1 << n) if all(x & then or not x & when for when, then in rules)])
 
 
 def hypersimplex_domain(n: int, m_low: int, m_high: int) -> SetFamily:

@@ -18,10 +18,10 @@ the number and the sizes of the maximal collections, so they come from
 `purity_verdict`, which builds no collection.
 
 The pattern checks draw through one sampler, `_patterns`: a random cycle of
-each combi's edges in turn, interned in the pool.  A cycle of one combi's
-edges is a simple curve, and that combi's vertices with some of its edges
-form a graph pattern, so a crossing sample or a rejected graph fails the run
-rather than being drawn again.
+each combi's edges in turn, walked on the adjacency the pool keeps per
+combi and edge kind, interned in the pool.  A cycle of one combi's edges is
+a simple curve, and that combi's vertices with some of its edges form a
+graph pattern, so a crossing sample or a rejected graph fails the run.
 """
 
 from __future__ import annotations
@@ -68,13 +68,14 @@ class CubePool:
     """One run's shared inputs, each filled on first use: per n, the weak
     hypercube report and the combis certified from its collections by
     `from_w_collection`, in the report's order; the purity verdict of each
-    distinct (domain, relation); and `patterns`, one interned copy of each
-    cyclic pattern classified, which keeps its class."""
+    distinct (domain, relation) and the adjacency of each (combi, edge kind)
+    walked; `patterns`, one interned copy of each pattern classified."""
 
     def __init__(self) -> None:
         self._reports: dict[int, DomainReport] = {}
         self._combis: dict[int, list[Combi]] = {}
         self._verdicts: dict[tuple[int, tuple[int, ...], str], PurityVerdict] = {}
+        self._adjacencies: dict[tuple[Combi, bool], _SortedAdjacency] = {}
         self.patterns: dict[CyclicPattern, CyclicPattern] = {}
 
     def report(self, n: int) -> DomainReport:
@@ -95,14 +96,21 @@ class CubePool:
             self._verdicts[key] = purity_verdict(domain, relation)
         return self._verdicts[key]
 
+    def adjacency(self, combi: Combi, generalized: bool) -> _SortedAdjacency:
+        adjacency = self._adjacencies.get((combi, generalized))
+        if adjacency is None:
+            edges = combi.vertical_edges() | combi.horizontal_edges() if generalized else combi.vertical_edges()
+            adjacency = self._adjacencies[combi, generalized] = _SortedAdjacency(edges)
+        return adjacency
+
 def all_combis(n: int) -> list[Combi]:
     """Every n-combi, certified, in the order of the weak n-cube's collections."""
     return CubePool().combis(n)
 
 class _SortedAdjacency(dict):
-    """Sorted neighbour lists of an undirected graph given by vertex-pair edges
-    (a class: perfbench's paper-suite round reads the clock around every call
-    to a function of this module, and this runs once per sampled cycle)."""
+    """Sorted neighbour lists of an undirected graph given by vertex-pair
+    edges, and the walk that samples its cycles (a class and a method, since
+    perfbench's paper-suite round times each call to a function here)."""
 
     def __init__(self, edges: set[tuple[int, int]]) -> None:
         super().__init__()
@@ -111,39 +119,40 @@ class _SortedAdjacency(dict):
             self.setdefault(v, []).append(u)
         for nbrs in self.values():
             nbrs.sort()
+        self.verts = sorted(self)
+
+    def cycle(self, rng: random.Random) -> tuple[int, ...] | None:
+        """A random simple cycle from at most 40 random walks; None if none closes."""
+        if not self:
+            return None
+        for _ in range(40):
+            start = rng.choice(self.verts)
+            path = [start]
+            onpath = {start}
+            while True:
+                nbrs = self[path[-1]]
+                if len(path) >= 3 and start in nbrs and rng.random() < 0.5:
+                    return tuple(path)
+                fresh = [w for w in nbrs if w not in onpath]
+                if not fresh:
+                    if len(path) >= 3 and start in nbrs:
+                        return tuple(path)
+                    break
+                nxt = rng.choice(fresh)
+                path.append(nxt)
+                onpath.add(nxt)
+        return None
 
 def sample_cycle(edges: set[tuple[int, int]], rng: random.Random) -> tuple[int, ...] | None:
     """A random simple cycle in an undirected graph given by vertex-pair
     edges, from at most 40 random walks; None if none of them closes."""
-    adjacency = _SortedAdjacency(edges)
-    if not adjacency:
-        return None
-    verts = sorted(adjacency)
-    for _ in range(40):
-        start = rng.choice(verts)
-        path = [start]
-        onpath = {start}
-        while True:
-            nbrs = adjacency[path[-1]]
-            if len(path) >= 3 and start in nbrs and rng.random() < 0.5:
-                return tuple(path)
-            fresh = [w for w in nbrs if w not in onpath]
-            if not fresh:
-                if len(path) >= 3 and start in nbrs:
-                    return tuple(path)
-                break
-            nxt = rng.choice(fresh)
-            path.append(nxt)
-            onpath.add(nxt)
-    return None
+    return _SortedAdjacency(edges).cycle(rng)
 
 def sample_simple_pattern(combi: Combi, rng: random.Random) -> CyclicPattern | None:
-    cyc = sample_cycle(combi.vertical_edges(), rng)
-    return CyclicPattern(combi.n, cyc) if cyc else None
+    return next(_patterns(rng, [combi], False, CubePool()), None)
 
 def sample_generalized_pattern(combi: Combi, rng: random.Random) -> CyclicPattern | None:
-    cyc = sample_cycle(combi.vertical_edges() | combi.horizontal_edges(), rng)
-    return CyclicPattern(combi.n, cyc) if cyc else None
+    return next(_patterns(rng, [combi], True, CubePool()), None)
 
 def crossing_pattern_examples(n: int) -> list[CyclicPattern]:
     """Hand-built quadruple violators used as negative controls."""
@@ -259,12 +268,13 @@ def check_contraction_bijection(max_n: int, pool: CubePool) -> dict:
             per_n[f"converse_n{n - 1}"] = {"pairs": len(legal), "expected": want, "pass": good}
     return {"pass": all(entry["pass"] for entry in per_n.values()), "detail": per_n}
 
-def _patterns(rng: random.Random, combis, sample, pool: CubePool):
-    """`sample(combi, rng)` for each combi in turn, interned in
-    `pool.patterns`; a combi that gives None gives nothing."""
+def _patterns(rng: random.Random, combis, generalized: bool, pool: CubePool):
+    """A random cycle of each combi's vertical edges, or of all its edges if
+    `generalized`, as a pattern interned in `pool.patterns`, if one closes."""
     for combi in combis:
-        pat = sample(combi, rng)
-        if pat is not None:
+        cyc = pool.adjacency(combi, generalized).cycle(rng)
+        if cyc is not None:
+            pat = CyclicPattern(combi.n, cyc)
             yield pool.patterns.setdefault(pat, pat)
 
 def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) -> dict:
@@ -290,13 +300,13 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) 
                             for s, w in zip(strong, weak))
 
     simple = [classify_pattern(pat) == "simple"
-              for pat in islice(_patterns(rng, draws, sample_simple_pattern, pool), samples)]
+              for pat in islice(_patterns(rng, draws, False, pool), samples)]
     detail["simple_never_crossing"] = {"samples": len(simple), "pass": all(simple)}
 
     controls = crossing_pattern_examples(n4)
     gen = [classify_pattern(pat) == "self_crossing" and curve_kind(pat) == "crossing"
            for pat in controls]
-    sampled = _patterns(rng, draws, sample_generalized_pattern, pool)
+    sampled = _patterns(rng, draws, True, pool)
     gen += [classify_pattern(pat) in ("simple", "generalized_ok")
             for pat in islice(sampled, max(samples - len(controls), 0))]
     detail["quadruples_match_curve"] = {
@@ -312,7 +322,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) 
     if max_n >= 5:
         # a cycle of one combi's edges is a simple curve: a crossing one fails
         draws5 = iter(lambda: rng.choice(combi_pool[5]), None)
-        sampled = _patterns(rng, draws5, sample_generalized_pattern, pool)
+        sampled = _patterns(rng, draws5, True, pool)
         sampled5 = [classify_pattern(pat) != "self_crossing" and complementary_pair(pat)
                     for pat in islice(sampled, 100)]
     detail["complementary_pairs"] = {
@@ -325,7 +335,7 @@ def check_pattern_theorems(max_n: int, seed: int, samples: int, pool: CubePool) 
     # one, and its combi is the semi-rhombus combi of its tiling
     semis = (combi for fam, combi in zip(pool.report(n4).maximal_collections, combi_pool[n4])
              if is_maximal_separated(fam, "strong"))
-    strong = [strong_pair(pat) for pat in _patterns(rng, semis, sample_simple_pattern, pool)]
+    strong = [strong_pair(pat) for pat in _patterns(rng, semis, False, pool)]
     detail["strong_patterns"] = {"checked": len(strong), "pass": all(strong)}
 
     graph_ok = True
@@ -345,8 +355,7 @@ def _all_cycles(edges: set[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Every simple cycle of an undirected graph, rooted at its least vertex."""
     adjacency = _SortedAdjacency(edges)
     out = []
-    verts = sorted(adjacency)
-    for root in verts:
+    for root in adjacency.verts:
         stack = [(root, [root])]
         while stack:
             cur, path = stack.pop()

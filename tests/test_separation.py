@@ -67,6 +67,25 @@ def _enumerate_reference(domain, relation):
     return DomainReport(domain, relation, tuple(collections), len(ranks) == 1, ranks)
 
 
+def _brute_force_maximal(domain, relation):
+    """The members of every maximal separated collection of the domain, in
+    ascending order, from every subset of its members checked pair by pair
+    with the scalar predicate: no clique search."""
+    rel, mem = SCALAR[relation], domain.members
+    k = len(mem)
+    adj = [sum(1 << j for j in range(k) if j != i and rel(mem[i], mem[j])) for i in range(k)]
+    # a subset is separated when its rest is and its top member is separated
+    # from each member of the rest
+    separated = [True] * (1 << k)
+    for s in range(1, 1 << k):
+        top = s.bit_length() - 1
+        rest = s ^ 1 << top
+        separated[s] = separated[rest] and rest & ~adj[top] == 0
+    return sorted(tuple(mem[i] for i in range(k) if s >> i & 1)
+                  for s in range(1 << k)
+                  if separated[s] and not any(s & ~adj[j] == 0 for j in range(k) if not s >> j & 1))
+
+
 @pytest.fixture(scope="module")
 def rank_domains():
     """The domains of the suite's rank table: the hypersimplex domains with
@@ -438,6 +457,31 @@ class TestEnumeration:
         assert purity_verdict(impure, "weak").ranks == (1, 2)
         assert not purity_verdict(impure, "strong").pure
 
+    def test_clique_search_matches_every_subset(self):
+        rng = random.Random(41)
+        subdomains = [SetFamily(n, rng.sample(range(1 << n), rng.randint(6, 12)))
+                      for n in (4, 5) for _ in range(8)]
+        intervals = interval_collection(4)  # pairwise strongly separated
+        # {1,3} is separated from neither {2} nor {2,4}, and {3} not from {2,4}
+        no_universal = SetFamily(4, [M([1, 3]), M([2]), M([2, 4]), M([3])])
+        for relation, rel in SCALAR.items():
+            assert all(rel(a, b) for a, b in combinations(intervals.members, 2))
+            assert not any(all(rel(a, b) for b in no_universal.members if b != a)
+                           for a in no_universal.members)
+        verdicts = []
+        for dom in [*subdomains, intervals, no_universal, SetFamily(3, [])]:
+            assert len(dom) <= 12
+            for relation in SCALAR:
+                want = _brute_force_maximal(dom, relation)
+                got = enumerate_maximal(dom, relation).maximal_collections
+                assert [fam.members for fam in got] == want, (dom, relation)
+                verdict = purity_verdict(dom, relation)
+                assert verdict == PurityVerdict(len(want), tuple(sorted({len(c) for c in want}))), (dom, relation)
+                verdicts.append(verdict)
+        assert any(not verdict.pure for verdict in verdicts)
+        assert verdicts[-2:] == [PurityVerdict(1, (0,))] * 2
+        assert purity_verdict(intervals, "weak") == PurityVerdict(1, (11,))
+
     def test_unknown_relation(self):
         for dom in (hypercube_domain(3), SetFamily(3, [])):
             with pytest.raises(ValueError, match="relation must be"):
@@ -493,6 +537,26 @@ class TestDomains:
     def test_chamber_pair_requires_inversion_containment(self):
         with pytest.raises(ValueError):
             chamber_pair_domain(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+
+    def test_chamber_pair_is_its_definition_on_every_pair_of_s4(self):
+        # X holds i when it holds j, for i < j with upper(i) < upper(j), and
+        # holds j when it holds i, for each inversion (i, j) of lower
+        perms = [Permutation(images) for images in permutations(range(1, 5))]
+        raised = 0
+        for lower in perms:
+            inv = inversions(lower)
+            for upper in perms:
+                if not inv <= inversions(upper):
+                    with pytest.raises(ValueError) as info:
+                        chamber_pair_domain(lower, upper)
+                    assert str(info.value) == "Inv(lower) must be a subset of Inv(upper)"
+                    raised += 1
+                    continue
+                rules = [(j, i) for i, j in combinations(range(1, 5), 2) if upper(i) < upper(j)]
+                rules += inv
+                want = [x for x in range(16) if all(x >> (b - 1) & 1 for a, b in rules if x >> (a - 1) & 1)]
+                assert chamber_pair_domain(lower, upper).members == tuple(want), (lower, upper)
+        assert raised == 24 * 24 - 151
 
     def test_chamber_pair_requires_one_ground_set(self):
         with pytest.raises(ValueError) as info:

@@ -4,9 +4,11 @@ run, each distinct purity input is worked out once per run, and nothing
 carries over from one run to the next.  The contraction converse compares the
 legal pairs with the forward pass's images, so a pool that lacks a combi or an
 enumeration that repeats a path fails it.  Also the cycle sampler the pattern
-checks draw through, and the cross exchange's two skips: a draw with no cycle
-or a self-crossing one."""
+checks draw through, the adjacencies the pool keeps for it and a pin of the
+cycles it draws, and the cross exchange's two skips: a draw with no cycle or
+a self-crossing one."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -169,3 +171,36 @@ def test_cross_exchange_fails_at_its_attempt_cap_when_every_draw_is_skipped(monk
             result = suite.check_cross_exchange(3, 7, 2, suite.CubePool())
         assert result == {"pass": False, "detail": {"checked": 0}}
         assert draws[name] == 2 * 60
+
+
+# per seed: the patterns interned after the pattern checks, after the cross
+# exchange, and the sha256 of the whole list
+DRAW_PINS = {
+    1: (1152, 1224, "1a7eb5cca7832f5dbe64886a185a193140bc2cae7d287be97ae531597b0ca877"),
+    7: (1114, 1184, "936e8ecf7bc0f900b92e129c2eaf210309951d9f9c9b07bf2f17567da9a5cda2"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DRAW_PINS))
+def test_the_pattern_draws_are_pinned(seed):
+    # the reports hold only counts, so a change in which cycles are drawn
+    # shows only here: the pool interns each pattern in first-draw order
+    after_patterns, after_exchange, digest = DRAW_PINS[seed]
+    pool = suite.CubePool()
+    suite.check_pattern_theorems(5, seed, 500, pool)
+    assert len(pool.patterns) == after_patterns
+    suite.check_cross_exchange(5, seed, 100, pool)
+    assert len(pool.patterns) == after_exchange
+    drawn = repr([(p.n, p.cycle) for p in pool.patterns]).encode()
+    assert hashlib.sha256(drawn).hexdigest() == digest
+
+
+def test_the_pool_keeps_one_adjacency_per_combi_and_edge_kind():
+    pool = suite.CubePool()
+    assert pool._adjacencies == {}
+    suite.check_pattern_theorems(4, 7, 50, pool)
+    assert {generalized for _, generalized in pool._adjacencies} == {False, True}
+    for (combi, generalized), adjacency in pool._adjacencies.items():
+        edges = combi.vertical_edges() | (combi.horizontal_edges() if generalized else set())
+        assert adjacency == suite._SortedAdjacency(edges) and adjacency.verts == sorted(adjacency)
+        assert pool.adjacency(combi, generalized) is adjacency

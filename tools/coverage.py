@@ -6,6 +6,7 @@ and the totals.  From the root of a source checkout:
 
     python tools/coverage.py                    # the whole tier-1 suite
     python tools/coverage.py -k separation      # extra arguments go to pytest
+    python tools/coverage.py --max-unrun 2      # exit 1 past 2 unrun statements
 
 The statements are the `ast` statement nodes of each module, docstrings
 and the bodies of `if TYPE_CHECKING:` blocks, which never run, excepted.  A
@@ -13,12 +14,14 @@ statement has run when a line event fires on one of its own lines: the
 whole of a simple statement, the header of a compound one (for a decorated
 definition, its decorators too).  A `try` has run when its first
 body statement has.  Tracing makes the run about five times slower than
-plain pytest, so this is a tool to run by hand, not a test.  The exit code
-is pytest's.
+plain pytest, so this is a tool to run by hand or in CI, not a test.  The
+exit code is pytest's, or 1 when the tests pass but more statements go unrun
+than `--max-unrun` allows.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import sys
@@ -110,7 +113,10 @@ def _trace_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 
 def main() -> int:
-    code, hits = _trace_run(sys.argv[1:])
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    parser.add_argument("--max-unrun", type=int, metavar="N", help="exit 1 if more than N statements never run")
+    opts, pytest_args = parser.parse_known_args()
+    code, hits = _trace_run(pytest_args)
     total = missed = 0
     for path in sorted(SRC.glob("*.py")):
         stmts = statements(path.read_text(encoding="utf-8"))
@@ -122,6 +128,9 @@ def main() -> int:
             print(f"{path.relative_to(ROOT)}: {len(never)} of {len(stmts)} never run: "
                   + ", ".join(map(str, never)))
     print(f"total: {missed} of {total} statements never run ({total - missed} run)")
+    if code == 0 and opts.max_unrun is not None and missed > opts.max_unrun:
+        print(f"more than the {opts.max_unrun} allowed never run")
+        return 1
     return code
 
 
