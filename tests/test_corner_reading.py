@@ -1,6 +1,6 @@
 """A combi's vertex set and edge sets are read off the tiles' boundary
-cycles.  The per-kind readings below are the reference: they name each tile
-kind's corners and sides by hand."""
+cycles.  The reference readings in `oracles.py` name each tile kind's
+corners and sides by hand."""
 
 import copy
 import pickle
@@ -13,45 +13,9 @@ from zonotile.rhombus import from_s_collection, minimal_tiling
 from zonotile.separation import enumerate_maximal, hypercube_domain
 from zonotile.suite import CubePool
 
+import oracles
+
 M = bs.mask_of
-
-
-def _reference_vertices(combi):
-    verts = {d.apex for d in combi.deltas}
-    for d in combi.deltas:
-        verts.add(d.apex ^ (1 << (d.low - 1)))
-        verts.add(d.apex ^ (1 << (d.high - 1)))
-    for v in combi.nablas:
-        verts.add(v.bottom)
-        verts.add(v.bottom | (1 << (v.low - 1)))
-        verts.add(v.bottom | (1 << (v.high - 1)))
-    for l in combi.lenses:
-        verts.update(l.upper)
-        verts.update(l.lower)
-    if combi.n == 1:
-        verts.update((0, 1))
-    return verts
-
-
-def _reference_vertical_edges(combi):
-    out = set()
-    for d in combi.deltas:
-        out.add((d.left, d.apex))
-        out.add((d.right, d.apex))
-    for v in combi.nablas:
-        out.add((v.bottom, v.left))
-        out.add((v.bottom, v.right))
-    if combi.n == 1:
-        out.add((0, 1))
-    return out
-
-
-def _reference_horizontal_edges(combi):
-    out = {d.base for d in combi.deltas} | {v.base for v in combi.nablas}
-    for l in combi.lenses:
-        out.update(zip(l.upper, l.upper[1:]))
-        out.update(zip(l.lower, l.lower[1:]))
-    return out
 
 
 def _weak_and_semi_combis(n):
@@ -61,9 +25,9 @@ def _weak_and_semi_combis(n):
 
 def _assert_readings_match(combis):
     for combi in combis:
-        assert combi.vertex_masks() == _reference_vertices(combi)
-        assert combi.vertical_edges() == _reference_vertical_edges(combi)
-        assert combi.horizontal_edges() == _reference_horizontal_edges(combi)
+        assert combi.vertex_masks() == oracles.reference_vertices(combi)
+        assert combi.vertical_edges() == oracles.reference_vertical_edges(combi)
+        assert combi.horizontal_edges() == oracles.reference_horizontal_edges(combi)
 
 
 def test_readings_match_the_per_kind_reference():

@@ -2,12 +2,7 @@
 
 `zonotile.flips` computes the flips and the complement, and
 `zonotile.contraction` the mirror, as rules on vertex sets.  The tile maps
-they replace are kept here as the references of a differential test.  The
-lowering flip's tile surgery has the paper's case analysis: two regimes
-above the removed vertex (its top companion present, or a lens absorbing the
-two horizontal edges) and three below (a single delta over a nabla, a single
-delta over a lens, or a delta fan that turns into a new lens).  The
-reference raising flip is a lowering flip on the complemented combi.
+they replace are the references of a differential test, in `oracles.py`.
 """
 
 import random
@@ -20,8 +15,6 @@ from zonotile import flips
 from zonotile._planar import TilingError
 from zonotile.combi import (
     Combi,
-    Delta,
-    Lens,
     MConfig,
     Nabla,
     WConfig,
@@ -52,136 +45,9 @@ from zonotile.separation import (
 )
 from zonotile.suite import all_combis
 
-from tile_scans import delta_fan, lenses_on
-from reverse_search import reverse_search_count
+import oracles
 
 M = bs.mask_of
-
-
-# The tile maps, the references of the differential tests.
-
-
-def _reference_lower(combi: Combi, w: WConfig) -> Combi:
-    """Replace the middle vertex core+i+k by core+j (i < j < k).
-
-    The lenses and the delta fan are looked up in the input combi: every
-    tile changed before a lookup has its apex or its edges elsewhere.
-    """
-    core, i, j, k = w.core, w.i, w.j, w.k
-    si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
-    mid = core | si | sk
-    new_v = core | sj
-    left_top = core | si | sj
-    right_top = core | sj | sk
-    left_low = core | si
-    right_low = core | sk
-    top = core | si | sj | sk
-
-    deltas = set(combi.deltas)
-    nablas = set(combi.nablas)
-    lenses = set(combi.lenses)
-
-    nb_left = Nabla(left_low, j, k)
-    nb_right = Nabla(right_low, i, j)
-    if nb_left not in nablas or nb_right not in nablas:
-        raise ValueError("W-configuration is not present in the combi")
-    nablas.discard(nb_left)
-    nablas.discard(nb_right)
-
-    # update above the removed vertex
-    if top in combi.vertex_masks():
-        d_left = Delta(top, j, k)
-        d_right = Delta(top, i, j)
-        if d_left not in deltas or d_right not in deltas:
-            raise TilingError("flip", "top companions of the W-configuration missing")
-        deltas.discard(d_left)
-        deltas.discard(d_right)
-        deltas.add(Delta(top, i, k))
-        nablas.add(Nabla(new_v, i, k))
-    else:
-        hosts = lenses_on(combi, (left_top, mid), "lower")
-        if len(hosts) != 1 or hosts != lenses_on(combi, (mid, right_top), "lower"):
-            raise TilingError("flip", "no lens carries the two horizontal flip edges")
-        (host,) = hosts
-        lenses.discard(host)
-        if len(host.lower) >= 4:
-            new_lower = tuple(v for v in host.lower if v != mid)
-            lenses.add(Lens(host.upper, new_lower))
-            nablas.add(Nabla(new_v, i, k))
-        else:
-            up = host.upper
-            for a, b in zip(up, up[1:]):
-                nablas.add(Nabla.on_base(new_v, a, b))
-
-    deltas.add(Delta(left_top, i, j))
-    deltas.add(Delta(right_top, j, k))
-
-    # rebuild below the removed vertex
-    fan = delta_fan(combi, mid)
-    if not fan or (fan[0], fan[-1]) != (left_low, right_low):
-        raise TilingError("fan", "delta fan does not run between the flip edges")
-    for a, b in zip(fan, fan[1:]):
-        deltas.discard(Delta.on_base(mid, a, b))
-    if len(fan) == 2:  # a single delta
-        under = Nabla(core, i, k)
-        if under in nablas:
-            nablas.discard(under)
-            nablas.add(Nabla(core, i, j))
-            nablas.add(Nabla(core, j, k))
-        else:
-            hosts = lenses_on(combi, (left_low, right_low), "upper")
-            if len(hosts) != 1:
-                raise TilingError("flip", "nothing beneath the flip fan base")
-            (host,) = hosts
-            lenses.discard(host)
-            new_upper = []
-            for v in host.upper:
-                new_upper.append(v)
-                if v == left_low:
-                    new_upper.append(new_v)
-            lenses.add(Lens(tuple(new_upper), host.lower))
-    else:
-        lenses.add(Lens((left_low, new_v, right_low), fan))
-
-    return Combi(combi.n, deltas, nablas, lenses)
-
-
-def _reference_complement(combi: Combi) -> Combi:
-    """Deltas and nablas swap roles with unchanged types; each lens swaps its
-    boundaries, reversed and complemented."""
-    full = bs.full_mask(combi.n)
-    deltas = [Delta(full ^ v.bottom, v.low, v.high) for v in combi.nablas]
-    nablas = [Nabla(full ^ d.apex, d.low, d.high) for d in combi.deltas]
-    lenses = [
-        Lens(tuple(full ^ v for v in reversed(l.lower)), tuple(full ^ v for v in reversed(l.upper)))
-        for l in combi.lenses
-    ]
-    return Combi(combi.n, deltas, nablas, lenses)
-
-
-def _reference_raise(combi: Combi, m: MConfig) -> Combi:
-    """Replace core+j by core+i+k: a lowering flip on the complemented combi."""
-    if m.left_delta() not in combi.deltas or m.right_delta() not in combi.deltas:
-        raise ValueError("M-configuration is not present in the combi")
-    full = bs.full_mask(combi.n)
-    comp_core = full ^ (m.core | bs.singleton(m.i) | bs.singleton(m.j) | bs.singleton(m.k))
-    mirrored = WConfig(comp_core, m.i, m.j, m.k)
-    return _reference_complement(_reference_lower(_reference_complement(combi), mirrored))
-
-
-def _reference_mirror(combi: Combi) -> Combi:
-    """Relabel every element i as n+1-i, tile by tile."""
-    n = combi.n
-    deltas = [Delta(bs.reverse_mask(d.apex, n), n + 1 - d.high, n + 1 - d.low) for d in combi.deltas]
-    nablas = [Nabla(bs.reverse_mask(v.bottom, n), n + 1 - v.high, n + 1 - v.low) for v in combi.nablas]
-    lenses = [
-        Lens(
-            tuple(bs.reverse_mask(v, n) for v in reversed(l.upper)),
-            tuple(bs.reverse_mask(v, n) for v in reversed(l.lower)),
-        )
-        for l in combi.lenses
-    ]
-    return Combi(n, deltas, nablas, lenses)
 
 
 def _check_against_references(n: int) -> tuple[int, int]:
@@ -193,20 +59,20 @@ def _check_against_references(n: int) -> tuple[int, int]:
         fam = spectrum(combi)
         for w in find_w_configs(combi):
             lowered = lowering_flip(combi, w)
-            assert lowered == _reference_lower(combi, w), (combi, w)
+            assert lowered == oracles.reference_lower(combi, w), (combi, w)
             assert spectrum(lowered) == set_flip(fam, w.core, w.i, w.j, w.k, "lower")
             ws += 1
         for m in find_m_configs(combi):
             raised = raising_flip(combi, m)
-            assert raised == _reference_raise(combi, m), (combi, m)
+            assert raised == oracles.reference_raise(combi, m), (combi, m)
             assert spectrum(raised) == set_flip(fam, m.core, m.i, m.j, m.k, "raise")
             ms += 1
         comp = complement_combi(combi)
-        assert comp == _reference_complement(combi)
-        assert _reference_complement(comp) == combi
+        assert comp == oracles.reference_complement(combi)
+        assert oracles.reference_complement(comp) == combi
         mirrored = mirror(combi)
-        assert mirrored == _reference_mirror(combi)
-        assert _reference_mirror(mirrored) == combi
+        assert mirrored == oracles.reference_mirror(combi)
+        assert oracles.reference_mirror(mirrored) == combi
     return ws, ms
 
 
@@ -226,7 +92,7 @@ def _weak_count(n: int) -> int:
             return raising_flip(combi, MConfig(*move))
         return lowering_flip(combi, WConfig(*move))
 
-    return reverse_search_count(
+    return oracles.reverse_search_count(
         interval_combi(n),
         lambda c: [(m.core, m.i, m.j, m.k) for m in find_m_configs(c)],
         lambda c: [(w.core, w.i, w.j, w.k) for w in find_w_configs(c)],
@@ -433,12 +299,6 @@ def test_descent_rejects_a_combi_off_its_tiling():
     with pytest.raises(TilingError) as info:
         descend_to_minimum(Combi(3))
     assert str(info.value) == "flip: flip descent did not reach the interval combi"
-
-
-def test_flip_graph_n3():
-    graph = flip_graph(3)
-    assert len(graph.nodes) == 2 and len(graph.arcs) == 1
-    assert graph.sources() != graph.sinks()
 
 
 def test_flip_graph_guard_and_reach_check(monkeypatch):

@@ -1,8 +1,6 @@
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 import pytest
 
@@ -14,13 +12,15 @@ from zonotile.geometry import (
     boundary_vertices,
     default_generators,
     embed,
+    embedding_table,
     first_crossing,
     point_in_closed_polyline,
     segment_contact,
-    sub,
 )
-from zonotile.patterns import CyclicPattern, curve_kind, curve_points
+from zonotile.patterns import CyclicPattern, curve_kind
 from zonotile.suite import _all_cycles, all_combis, crossing_pattern_examples
+
+import oracles
 
 
 def test_default_generators_basic():
@@ -31,23 +31,12 @@ def test_default_generators_basic():
         assert all(y > 0 for _, y in gens.vectors)
 
 
-def _fraction_generators(n):
-    """The generator vectors in Fractions: the points of the rational
-    parametrization at u = 2(n-k+1)/(n+1), scaled by the least common
-    denominator."""
-    pts = []
-    for k in range(1, n + 1):
-        u = Fraction(2 * (n - k + 1), n + 1)
-        p, q = u.numerator, u.denominator
-        d = p * p + q * q
-        pts.append((Fraction(q * q - p * p, d), Fraction(2 * p * q, d)))
-    denom = lcm(*(c.denominator for p in pts for c in p))
-    return tuple((int(x * denom), int(y * denom)) for x, y in pts)
-
-
 def test_default_generators_match_the_fraction_reference():
     for n in range(1, 17):
-        assert default_generators(n).vectors == _fraction_generators(n)
+        assert default_generators(n).vectors == oracles.fraction_generators(n)
+    # and their subset sums, which the oracles read from `points`
+    for n in range(1, 9):
+        assert embedding_table(default_generators(n)) == oracles.points(n)
 
 
 def test_generator_order_is_clockwise():
@@ -160,74 +149,7 @@ def test_point_location_matches_naive_oracle():
     poly = [(0, 0), (7, 1), (9, 6), (4, 9), (1, 5)]
     for _ in range(600):
         p = (rng.randrange(-2, 12), rng.randrange(-2, 12))
-        assert point_in_closed_polyline(p, poly) == _reference_point_location(p, poly)
-
-
-# Reference copies of the predicates that `segment_contact` and the one-pass
-# `point_in_closed_polyline` replaced; the tests below require the same
-# verdict from old and new on every input.
-
-
-def _orient(a, b, c):
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (d > 0) - (d < 0)
-
-
-def _on_segment(p, a, b):
-    if _orient(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _segments_properly_cross(a, b, c, d):
-    o1, o2 = _orient(a, b, c), _orient(a, b, d)
-    o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
-
-
-def _collinear_overlap(a, b, c, d):
-    if _orient(a, b, c) != 0 or _orient(a, b, d) != 0:
-        return False
-    pts = [p for p in (c, d) if _on_segment(p, a, b)] + [
-        p for p in (a, b) if _on_segment(p, c, d)
-    ]
-    return len(set(pts)) >= 2
-
-
-def _reference_segment_contact(a, b, c, d):
-    if _segments_properly_cross(a, b, c, d):
-        return "cross"
-    if _collinear_overlap(a, b, c, d):
-        return "cross"
-    touching = [
-        p
-        for p in set((a, b, c, d))
-        if (p in (a, b) and _on_segment(p, c, d)) or (p in (c, d) and _on_segment(p, a, b))
-    ]
-    if not touching:
-        return "none"
-    if all(p in (a, b) and p in (c, d) for p in touching):
-        return "endpoint"
-    return "cross"
-
-
-def _reference_point_location(p, points):
-    r = len(points)
-    for k in range(r):
-        if _on_segment(p, points[k], points[(k + 1) % r]):
-            return "on"
-    wind = 0
-    for k in range(r):
-        a, b = points[k], points[(k + 1) % r]
-        if a[1] <= p[1]:
-            if b[1] > p[1] and _orient(a, b, p) > 0:
-                wind += 1
-        elif b[1] <= p[1] and _orient(a, b, p) < 0:
-            wind -= 1
-    return "inside" if wind != 0 else "outside"
+        assert point_in_closed_polyline(p, poly) == oracles.reference_point_location(p, poly)
 
 
 def _quadruple(rng):
@@ -258,7 +180,7 @@ def test_segment_contact_matches_reference_predicates():
     for _ in range(100_000):
         a, b, c, d = _quadruple(rng)
         got = segment_contact(a, b, c, d)
-        assert got == _reference_segment_contact(a, b, c, d), (a, b, c, d)
+        assert got == oracles.reference_segment_contact(a, b, c, d), (a, b, c, d)
         verdicts[got] += 1
     assert min(verdicts.values()) > 20_000, verdicts
 
@@ -274,28 +196,9 @@ def test_point_location_matches_reference_winding():
             for x in range(5 * scale + 1):
                 for y in range(5 * scale + 1):
                     got = point_in_closed_polyline((x, y), scaled)
-                    assert got == _reference_point_location((x, y), scaled), (x, y, scaled)
+                    assert got == oracles.reference_point_location((x, y), scaled), (x, y, scaled)
                     verdicts[got] += 1
     assert min(verdicts.values()) > 4_000, verdicts
-
-
-def _reference_curve_kind(pattern):
-    """The segment test of `curve_kind` as it was, with its separate branch
-    for adjacent segments.  The cycles compared have distinct sets, hence
-    distinct points, so the touch-point analysis after it never runs."""
-    pts = curve_points(pattern)
-    r = len(pts)
-    for i in range(r):
-        a, b = pts[i], pts[(i + 1) % r]
-        for j in range(i + 1, r):
-            c, d = pts[j], pts[(j + 1) % r]
-            if j == i + 1 or (i == 0 and j == r - 1):
-                if _collinear_overlap(a, b, c, d):
-                    return "crossing"
-                continue
-            if _reference_segment_contact(a, b, c, d) == "cross":
-                return "crossing"
-    return "simple"
 
 
 def test_curve_kind_matches_reference_on_all_small_cycles():
@@ -311,7 +214,7 @@ def test_curve_kind_matches_reference_on_all_small_cycles():
     for pattern in patterns:
         assert len(set(pattern.cycle)) == len(pattern.cycle)
         kind = curve_kind(pattern)
-        assert kind == _reference_curve_kind(pattern), pattern
+        assert kind == oracles.parent_curve_kind(pattern), pattern
         kinds[kind] += 1
     assert kinds == {"simple": 4945, "crossing": 3}
 
@@ -331,7 +234,7 @@ def test_segment_contact_on_a_shared_endpoint(shared):
         first = (p, q) if shared[0] == "a" else (q, p)
         second = (p, s) if shared[2] == "c" else (s, p)
         assert segment_contact(*first, *second) == want, (first, second)
-        assert _reference_segment_contact(*first, *second) == want
+        assert oracles.reference_segment_contact(*first, *second) == want
 
 
 def test_segment_contact_on_identical_and_degenerate_segments():
@@ -344,7 +247,7 @@ def test_segment_contact_on_identical_and_degenerate_segments():
         ((4, 2), (4, 2), "none"),  # one on the line beyond b
     ):
         assert segment_contact(a, b, c, d) == segment_contact(c, d, a, b) == want, (c, d)
-        assert _reference_segment_contact(a, b, c, d) == want
+        assert oracles.reference_segment_contact(a, b, c, d) == want
     assert segment_contact(a, a, a, a) == "endpoint"
     assert segment_contact(a, a, b, b) == "none"
 
@@ -428,33 +331,6 @@ def test_first_crossing_keeps_t_touches_at_a_box_edge(stem, bar):
     assert first_crossing([stem]) is None and first_crossing([]) is None
 
 
-def _parent_curve_kind(pattern):
-    """`curve_kind` as it was: every pair of segments, then the touch-point
-    analysis at each repeated point.  `segment_contact` itself is held to
-    the references above."""
-    pts = curve_points(pattern)
-    r = len(pts)
-    for i in range(r):
-        a, b = pts[i], pts[(i + 1) % r]
-        for j in range(i + 1, r):
-            if segment_contact(a, b, pts[j], pts[(j + 1) % r]) == "cross":
-                return "crossing"
-    multiplicity = {}
-    for idx, p in enumerate(pts):
-        multiplicity.setdefault(p, []).append(idx)
-    repeated = {p: occ for p, occ in multiplicity.items() if len(occ) > 1}
-    if not repeated:
-        return "simple"
-    for p, occurrences in repeated.items():
-        dirs = [(sub(pts[(idx + step) % r], p), v) for v, idx in enumerate(occurrences) for step in (-1, 1)]
-        order = [v for _, v in sorted(dirs, key=lambda t: angle_sort_key(t[0]))]
-        pairs = [tuple(k for k, w in enumerate(order) if w == v) for v in range(len(occurrences))]
-        for (a, b), (c, d) in combinations(pairs, 2):
-            if (a < c < b) != (a < d < b):
-                return "crossing"
-    return "touching"
-
-
 def _legal_steps(n):
     """For each subset of {1..n}, the sets one legal step away: one element
     added or removed, or one traded for another."""
@@ -492,6 +368,6 @@ def test_curve_kind_matches_parent_scan_on_closed_walks():
     kinds = Counter()
     for pattern in _closed_walks(random.Random(30), 30_000):
         kind = curve_kind(pattern)
-        assert kind == _parent_curve_kind(pattern), pattern
+        assert kind == oracles.parent_curve_kind(pattern), pattern
         kinds[kind] += 1
     assert kinds == {"simple": 14_023, "crossing": 15_631, "touching": 346}

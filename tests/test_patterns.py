@@ -1,6 +1,4 @@
 import random
-from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -39,7 +37,6 @@ from zonotile.separation import (
     hypercube_domain,
     inversions,
     purity_verdict,
-    weakly_separated,
 )
 from zonotile.suite import (
     all_combis,
@@ -49,58 +46,9 @@ from zonotile.suite import (
     sample_simple_pattern,
 )
 
+import oracles
+
 M = bs.mask_of
-
-
-def perturbed_generators(n: int, shift: int) -> Generators:
-    """The circle points of `default_generators(n)` with the k-th parameter u
-    moved by shift/((n+2)(k+2)): another valid generator set for n."""
-    pts = []
-    for k in range(1, n + 1):
-        u = Fraction(2 * (n - k + 1), n + 1) + Fraction(shift, (n + 2) * (k + 2))
-        p, q = u.numerator, u.denominator
-        pts.append((Fraction(q * q - p * p, p * p + q * q), Fraction(2 * p * q, p * p + q * q)))
-    denom = lcm(*(c.denominator for p in pts for c in p))
-    return Generators(n, [(int(x * denom), int(y * denom)) for x, y in pts])
-
-
-def _violates_c3(p, q):
-    """The interleaving condition as it was stated on both sides, kept as a
-    reference: interleaved 2-distance pairs around a common intersection or
-    union."""
-    (a1, b1), (a2, b2) = p, q
-    if a1 & b1 == a2 & b2:
-        x = a1 & b1
-        t = sorted((bs.min_element(a1 & ~x), bs.min_element(b1 & ~x)))
-        s = sorted((bs.min_element(a2 & ~x), bs.min_element(b2 & ~x)))
-        if len({*t, *s}) == 4 and (t[0] < s[0] < t[1] < s[1] or s[0] < t[0] < s[1] < t[1]):
-            return True
-    if a1 | b1 == a2 | b2:
-        y = a1 | b1
-        t = sorted((bs.min_element(y & ~a1), bs.min_element(y & ~b1)))
-        s = sorted((bs.min_element(y & ~a2), bs.min_element(y & ~b2)))
-        if len({*t, *s}) == 4 and (t[0] < s[0] < t[1] < s[1] or s[0] < t[0] < s[1] < t[1]):
-            return True
-    return False
-
-
-def _violates_c4(two, one):
-    """The spanning condition as it was stated on both sides, kept as a
-    reference: a 1-distance step climbing through the span of a 2-distance
-    step."""
-    a, b = two
-    c, d = one if bs.size(one[0]) < bs.size(one[1]) else (one[1], one[0])
-    x = a & b
-    if c == x:
-        i, k = sorted((bs.min_element(a & ~x), bs.min_element(b & ~x)))
-        if i < bs.min_element(d & ~c) < k:
-            return True
-    y = a | b
-    if d == y:
-        i, k = sorted((bs.min_element(y & ~a), bs.min_element(y & ~b)))
-        if i < bs.min_element(y & ~c) < k:
-            return True
-    return False
 
 
 def _all_steps(n):
@@ -145,7 +93,7 @@ class TestClassification:
         # 2-distance step {2,3}-{1,2}, and its type 2 lies between 1 and 3
         two, one = (M([2, 3]), M([1, 2])), (M([1, 2, 3]), M([1, 3]))
         assert two[0] & two[1] != one[1]
-        assert _violates_c4(two, one)
+        assert oracles.violates_c4(two, one)
         assert patterns._quadruple_violation([two], [one]) is not None
         assert not patterns._climbs(two, one)
         pat = CyclicPattern(3, (*two, *one))
@@ -161,11 +109,11 @@ class TestClassification:
         for p in twos:
             for q in twos:
                 if p != q:
-                    want = _violates_c3(p, q)
+                    want = oracles.violates_c3(p, q)
                     assert (violation([p, q], []) is not None) == want, (p, q)
                     fired[0] += want
             for one in ones:
-                want = _violates_c4(p, one)
+                want = oracles.violates_c4(p, one)
                 assert (violation([p], [one]) is not None) == want, (p, one)
                 fired[1] += want
         # interleaving needs four elements, and climbing three
@@ -327,7 +275,7 @@ class TestRegionsAndDomains:
     def test_region_generator_independence(self):
         # inside, on and outside are combinatorial: two other generator sets
         # locate every compatible set as the default generators do
-        others = [perturbed_generators(4, shift) for shift in (1, 2)]
+        others = [Generators(4, oracles.fraction_generators(4, shift)) for shift in (1, 2)]
         assert len({g.vectors for g in others} | {default_generators(4).vectors}) == 3
         cycle = sample_cycle(interval_combi(4).vertical_edges(), random.Random(1))
         for pat in (boundary_pattern(4), CyclicPattern(4, cycle)):
@@ -689,7 +637,7 @@ class TestGraphPatterns:
             table = embedding_table(default_generators(pat.n))
             faces = pattern_faces(pat)
             compatible = [
-                x for x in range(1 << pat.n) if all(weakly_separated(x, v) for v in pat.vertices)
+                x for x in range(1 << pat.n) if all(oracles.weakly_separated(x, v) for v in pat.vertices)
             ]
 
             def closure_contains(face, x):

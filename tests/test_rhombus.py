@@ -7,7 +7,7 @@ import pytest
 
 from zonotile import bitsets as bs
 from zonotile import jsonio, rhombus
-from zonotile._planar import TilingError, check_planar_cover, zonogon_region
+from zonotile._planar import TilingError
 from zonotile.combi import (
     Combi,
     Delta,
@@ -19,7 +19,6 @@ from zonotile.combi import (
     spectrum,
     validate_combi,
 )
-from zonotile.geometry import default_generators
 from zonotile.render import _fmt, render_svg
 from zonotile.rhombus import (
     RhombusTiling,
@@ -39,15 +38,9 @@ from zonotile.separation import (
     is_maximal_separated,
 )
 
-from reverse_search import reverse_search_count
+import oracles
 
 M = bs.mask_of
-
-
-def _tiling(n: int, nablas) -> RhombusTiling:
-    """The tiling of the rhombi named by the given lower halves, the nablas
-    (X; i, j), each split into it and the delta (X+i+j; i, j)."""
-    return RhombusTiling(Combi(n, [Delta(v.left | v.right, v.low, v.high) for v in nablas], nablas))
 
 
 def _json_tiling(n: int, *rhombi) -> RhombusTiling:
@@ -55,13 +48,13 @@ def _json_tiling(n: int, *rhombi) -> RhombusTiling:
 
 
 def test_single_rhombus_tiling_valid():
-    tiling = _tiling(2, [Nabla(0, 1, 2)])
+    tiling = oracles.tiling_of(2, [Nabla(0, 1, 2)])
     assert validate_combi(tiling.combi)
     assert tiling.combi == Combi(2, [Delta(3, 1, 2)], [Nabla(0, 1, 2)])
 
 
 def test_missing_tile_reports_area():
-    tiling = _tiling(3, [Nabla(0, 1, 2), Nabla(0, 2, 3)])
+    tiling = oracles.tiling_of(3, [Nabla(0, 1, 2), Nabla(0, 2, 3)])
     with pytest.raises(TilingError):
         validate_combi(tiling.combi)
 
@@ -94,20 +87,6 @@ def test_failed_rhombi_are_never_shared():
     assert (t.bottom, t.left, t.right) == (M([3]), M([1, 3]), M([2, 3]))
 
 
-def _quadruple_tiles(fam: SetFamily) -> set[Nabla]:
-    """The reference rule: a plain rhombus on every quadruple X, X+i, X+j,
-    X+ij of members (no other subset point can fall inside such a rhombus,
-    so each quadruple of a maximal strong collection bounds a tile), named
-    by its lower half."""
-    s, n = fam.as_set(), fam.n
-    return {
-        Nabla(x, i, j)
-        for x in s for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        if {x | bs.singleton(i), x | bs.singleton(j), x | bs.singleton(i) | bs.singleton(j)} <= s
-        and not x & (bs.singleton(i) | bs.singleton(j))
-    }
-
-
 def test_tilings_share_every_rhombus():
     # two reconstructions hold the same rhombus objects, equal to those the
     # quadruple reference builds
@@ -116,7 +95,7 @@ def test_tilings_share_every_rhombus():
             first, second = from_s_collection(fam), from_s_collection(fam)
             held = {t: t for t in first.tiles}
             assert all(held.get(t) is t for t in second.tiles)
-            assert first.tiles == _quadruple_tiles(fam)
+            assert first.tiles == oracles.quadruple_tiles(fam)
 
 
 @pytest.mark.slow
@@ -127,7 +106,7 @@ def test_fan_rule_matches_quadruples_n6():
     assert len(fams) == 908
     for fam in fams:
         tiling = from_s_collection(fam)
-        assert tiling.tiles == _quadruple_tiles(fam)
+        assert tiling.tiles == oracles.quadruple_tiles(fam)
         combi = from_w_collection(fam)
         assert from_rhombus(tiling) == combi and not combi.lenses
         assert tiling.vertex_masks() == fam.as_set()
@@ -164,12 +143,12 @@ def test_svg_numbers_round_as_fractions_do():
 def test_out_of_range_text():
     # a rhombus's top, its upper half's apex, is named
     with pytest.raises(ValueError) as info:
-        _tiling(2, [Nabla(0, 1, 2), Nabla(4, 1, 2)])
+        oracles.tiling_of(2, [Nabla(0, 1, 2), Nabla(4, 1, 2)])
     assert str(info.value) == "mask 0x7 has elements outside 1..2"
     # of two tiles out of range, the one first in tile order is named
     for tiles in ([(8, 1, 2), (4, 1, 2)], [(4, 1, 2), (8, 1, 2)]):
         with pytest.raises(ValueError, match="^mask 0x7 has"):
-            _tiling(2, [Nabla(*t) for t in tiles])
+            oracles.tiling_of(2, [Nabla(*t) for t in tiles])
         with pytest.raises(ValueError, match="^mask 0x7 has"):
             _json_tiling(2, *((list(bs.elements_of(x)), i, j) for x, i, j in tiles))
 
@@ -182,7 +161,7 @@ def test_tile_counts():
 
 
 def test_spectrum_examples():
-    assert spectrum(_tiling(2, [Nabla(0, 1, 2)]).combi) == SetFamily(2, [0, 1, 2, 3])
+    assert spectrum(oracles.tiling_of(2, [Nabla(0, 1, 2)]).combi) == SetFamily(2, [0, 1, 2, 3])
     assert spectrum(minimal_tiling(3).combi) == interval_collection(3)
     assert spectrum(maximal_tiling(3).combi) == cointerval_collection(3)
     # the segment of n = 1 has no tile, only its two vertices and one edge
@@ -262,32 +241,12 @@ def test_flip_validates_its_result():
         Nabla(base, i, k),
     }
     extra = min(maximal_tiling(4).tiles - low.tiles - raised)
-    bad = _tiling(4, low.tiles | {extra})
+    bad = oracles.tiling_of(4, low.tiles | {extra})
     with pytest.raises(TilingError):
         validate_combi(bad.combi)
     with pytest.raises(ValueError) as info:
         strong_flip(bad, base, i, j, k, "raise")
     assert str(info.value) == "family is not a maximal strongly separated collection"
-
-
-def _surgery_flip(
-    tiling: RhombusTiling, base: int, i: int, j: int, k: int, direction: str
-) -> RhombusTiling:
-    """The reference strong flip, by tile surgery: remove the hexagon's
-    three rhombi around X+j (raise) or X+i+k (lower), add the other three,
-    and validate the result."""
-    sj = bs.singleton(j)
-    lowered = {Nabla(base, i, j), Nabla(base, j, k), Nabla(base | sj, i, k)}
-    raised = {
-        Nabla(base | bs.singleton(k), i, j),
-        Nabla(base | bs.singleton(i), j, k),
-        Nabla(base, i, k),
-    }
-    old, new = (lowered, raised) if direction == "raise" else (raised, lowered)
-    assert old <= tiling.tiles
-    flipped = _tiling(tiling.n, tiling.tiles - old | new)
-    assert _rhombus_verdict(flipped.n, flipped.tiles) == validate_combi(flipped.combi)
-    return flipped
 
 
 def _check_flips_against_surgery(n: int) -> int:
@@ -298,7 +257,7 @@ def _check_flips_against_surgery(n: int) -> int:
         tiling = from_s_collection(fam)
         for direction in ("raise", "lower"):
             for hexagon in hexagons(tiling, direction):
-                want = _surgery_flip(tiling, *hexagon, direction)
+                want = oracles.surgery_flip(tiling, *hexagon, direction)
                 assert strong_flip(tiling, *hexagon, direction) == want
                 flips += 1
     return flips
@@ -314,7 +273,7 @@ def test_flips_match_tile_surgery_n6():
 
 
 def _strong_count(n: int) -> int:
-    return reverse_search_count(
+    return oracles.reverse_search_count(
         minimal_tiling(n),
         lambda t: hexagons(t, "raise"),
         lambda t: hexagons(t, "lower"),
@@ -333,25 +292,6 @@ def test_reverse_search_counts_strong_tilings_slow(n, count):
     assert _strong_count(n) == count
 
 
-def _hexagon_reference(tiling: RhombusTiling, direction: str) -> list[tuple[int, int, int, int]]:
-    """Every (X, i, j, k) at which the tiling holds the three tiles that a
-    flip in `direction` removes, by a scan over all bases and types, in
-    ascending order."""
-    n, out = tiling.n, []
-    for base in range(1 << n):
-        for i, j, k in combinations(range(1, n + 1), 3):
-            si, sj, sk = bs.singleton(i), bs.singleton(j), bs.singleton(k)
-            if base & (si | sj | sk):
-                continue
-            if direction == "raise":
-                old = {Nabla(base, i, j), Nabla(base, j, k), Nabla(base | sj, i, k)}
-            else:
-                old = {Nabla(base | sk, i, j), Nabla(base | si, j, k), Nabla(base, i, k)}
-            if old <= tiling.tiles:
-                out.append((base, i, j, k))
-    return out
-
-
 def test_hexagons_match_reference_scan():
     assert hexagons(minimal_tiling(3), "raise") == [(0, 1, 2, 3)]
     assert hexagons(maximal_tiling(3), "lower") == [(0, 1, 2, 3)]
@@ -359,7 +299,7 @@ def test_hexagons_match_reference_scan():
         for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections:
             tiling = from_s_collection(fam)
             for direction in ("raise", "lower"):
-                assert hexagons(tiling, direction) == _hexagon_reference(tiling, direction)
+                assert hexagons(tiling, direction) == oracles.hexagon_reference(tiling, direction)
 
 
 def test_strong_flip_accepts_just_the_listed_hexagons():
@@ -415,24 +355,10 @@ def test_round_trip_under_flips_n4():
         assert from_s_collection(spectrum(cur.combi)) == cur
 
 
-def _rhombus_verdict(n: int, rhombi) -> bool:
-    """The reference certify path: each rhombus (X; i, j) as one tile with
-    the cycle X, X+j, X+i+j, X+i, put through the planar-cover check."""
-    gens = default_generators(n)
-    cycles = []
-    for r in rhombi:
-        x, si, sj = r.bottom, bs.singleton(r.low), bs.singleton(r.high)
-        cycles.append((r, (x, x | sj, x | si | sj, x | si)))
-    try:
-        return check_planar_cover(gens, cycles, *zonogon_region(gens))
-    except TilingError:
-        return False
-
-
 def _split_verdict(n: int, rhombi) -> bool:
     """`validate_combi` on the rhombi's triangle split."""
     try:
-        return validate_combi(_tiling(n, rhombi).combi)
+        return validate_combi(oracles.tiling_of(n, rhombi).combi)
     except TilingError:
         return False
 
@@ -445,7 +371,7 @@ def test_rhombus_reference_agrees_with_the_triangle_split():
         every = set().union(*(t.tiles for t in tilings))
         for tiling in tilings:
             tiles = sorted(tiling.tiles)
-            assert _rhombus_verdict(n, tiles) is _split_verdict(n, tiles) is True
+            assert oracles.rhombus_verdict(n, tiles) is _split_verdict(n, tiles) is True
             if not tiles:
                 continue
             gone = rng.choice(tiles)
@@ -459,7 +385,7 @@ def test_rhombus_reference_agrees_with_the_triangle_split():
                 [t for t in tiles if t != gone] + [Nabla(rng.choice(bases), gone.low, gone.high)] if bases else None,
             ]
             for rhombi in (v for v in variants if v is not None):
-                assert _rhombus_verdict(n, rhombi) is _split_verdict(n, rhombi) is False
+                assert oracles.rhombus_verdict(n, rhombi) is _split_verdict(n, rhombi) is False
                 tampered += 1
     assert tampered == 217
 

@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -34,56 +34,9 @@ from zonotile.separation import (
 )
 from zonotile.suite import _all_cycles, all_combis
 
+import oracles
+
 M = bs.mask_of
-SCALAR = {"weak": weakly_separated, "strong": strongly_separated}
-
-
-def _maximal_reference(members, n, relation, within=None):
-    """Pairwise separated and no set of the ambient domain can be added."""
-    rel = SCALAR[relation]
-    if not all(rel(a, b) for a, b in combinations(members, 2)):
-        return False
-    ambient = range(1 << n) if within is None else within
-    return not any(c not in members and all(rel(c, m) for m in members) for c in ambient)
-
-
-def _enumerate_reference(domain, relation):
-    """`enumerate_maximal` with the adjacency built pair by pair from the
-    scalar predicates, over the member indices."""
-    rel = SCALAR[relation]
-    mem = domain.members
-    k = len(mem)
-    adj = [0] * k
-    for i, j in combinations(range(k), 2):
-        if rel(mem[i], mem[j]):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    collections = sorted(
-        (SetFamily(domain.n, [mem[v] for v in range(k) if clique >> v & 1])
-         for clique in maximal_cliques(adj, (1 << k) - 1)),
-        key=lambda f: f.members,
-    )
-    ranks = tuple(sorted({len(c) for c in collections}))
-    return DomainReport(domain, relation, tuple(collections), len(ranks) == 1, ranks)
-
-
-def _brute_force_maximal(domain, relation):
-    """The members of every maximal separated collection of the domain, in
-    ascending order, from every subset of its members checked pair by pair
-    with the scalar predicate: no clique search."""
-    rel, mem = SCALAR[relation], domain.members
-    k = len(mem)
-    adj = [sum(1 << j for j in range(k) if j != i and rel(mem[i], mem[j])) for i in range(k)]
-    # a subset is separated when its rest is and its top member is separated
-    # from each member of the rest
-    separated = [True] * (1 << k)
-    for s in range(1, 1 << k):
-        top = s.bit_length() - 1
-        rest = s ^ 1 << top
-        separated[s] = separated[rest] and rest & ~adj[top] == 0
-    return sorted(tuple(mem[i] for i in range(k) if s >> i & 1)
-                  for s in range(1 << k)
-                  if separated[s] and not any(s & ~adj[j] == 0 for j in range(k) if not s >> j & 1))
 
 
 @pytest.fixture(scope="module")
@@ -142,36 +95,16 @@ class TestBaseRelations:
         assert base_relation("split", M([2, 4]), M([1, 3]), 4) is False
 
     def test_split_brute_force_oracle(self):
-        # oracle: try every 2-part decomposition of B-A into nonempty subsets
-        def oracle(a, b, n):
-            diff = a & ~b
-            rest = b & ~a
-            if diff == 0:
-                return False
-            parts = list(bs.iter_elements(rest))
-            for bits in range(1 << len(parts)):
-                lo = bs.mask_of(p for i, p in enumerate(parts) if bits >> i & 1)
-                hi = rest  # union of the two parts must cover rest; allow overlap
-                for bits2 in range(1 << len(parts)):
-                    hi = bs.mask_of(p for i, p in enumerate(parts) if bits2 >> i & 1)
-                    if lo and hi and (lo | hi) == rest:
-                        if bs.max_element(lo) < bs.min_element(diff) and bs.max_element(
-                            diff
-                        ) < bs.min_element(hi):
-                            return True
-            return False
-
-        for a in range(16):
-            for b in range(16):
-                if a == b:
-                    continue
-                assert base_relation("split", a, b, 4) == oracle(a, b, 4)
+        for a, b in permutations(range(16), 2):
+            assert base_relation("split", a, b, 4) == oracles.splits_around(a, b)
 
     def test_cancel_and_termwise(self):
         assert base_relation("cancel", M([1, 2]), M([2, 3]), 3) is True
         assert base_relation("termwise", M([1, 2]), M([2, 3]), 3) is True
         # A = {1, 2} has more elements than B = {3}, though 1 <= 3
         assert base_relation("termwise", M([1, 2]), M([3]), 3) is False
+        # equal terms do not break the order
+        assert base_relation("termwise", M([1]), M([1, 2]), 2) is True
 
     def test_equal_sets_rejected_outside_global(self):
         for kind in ("termwise", "cancel", "split"):
@@ -206,6 +139,13 @@ class TestSeparation:
         assert not weakly_separated(M([2]), M([1, 3]))
         assert not weakly_separated(M([1, 3]), M([2, 4]))
 
+    def test_predicates_match_their_definitions(self):
+        # every ordered pair of subsets of {1..6}, equal pairs included
+        for a, b in product(range(64), repeat=2):
+            got = (weakly_separated(a, b), strongly_separated(a, b), separation.splits_around(a, b))
+            want = (oracles.weakly_separated(a, b), oracles.strongly_separated(a, b), oracles.splits_around(a, b))
+            assert got == want, (a, b)
+
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_symmetry(self, a, b):
         assert weakly_separated(a, b) == weakly_separated(b, a)
@@ -234,12 +174,16 @@ class TestSeparation:
         ):
             fam = members_mask(family.members)
             assert (compatible_row(family.members, 3, "weak") & fam == fam) == separated
+        # no member rules nothing out
+        assert compatible_row([], 3, "weak") == 0xFF
 
     def test_family_names_its_first_member_out_of_range(self):
         with pytest.raises(ValueError, match=r"^mask 0x8 has elements outside 1\.\.3$"):
             SetFamily(3, [M([1, 4, 5]), M([1]), M([4])])
         with pytest.raises(ValueError, match=r"^mask -0x1 has elements outside 1\.\.3$"):
             SetFamily(3, [M([2]), M([5]), -1])
+        with pytest.raises(ValueError, match=r"^mask -0x1 has elements outside 1\.\.3$"):
+            SetFamily(3, [-1, 2])
 
     def test_family_membership(self):
         fam = interval_collection(3)
@@ -274,7 +218,7 @@ class TestSeparation:
 class TestSeparationRows:
     def test_rows_match_scalar_predicates(self):
         for n in range(1, 8):
-            for relation, rel in SCALAR.items():
+            for relation, rel in oracles.SEPARATED.items():
                 for a in range(1 << n):
                     row = separation_row(a, n, relation)
                     assert row >> (1 << n) == 0
@@ -285,7 +229,8 @@ class TestSeparationRows:
     def test_seeded_rows_match_scalar_predicates(self, n):
         rng = random.Random(n)
         for a in [0, bs.full_mask(n)] + [rng.randrange(1 << n) for _ in range(2)]:
-            for relation, rel in SCALAR.items():
+            # `test_predicates_match_their_definitions` holds these scalars
+            for relation, rel in (("weak", weakly_separated), ("strong", strongly_separated)):
                 want = sum(1 << b for b in range(1 << n) if rel(a, b))
                 assert separation_row(a, n, relation) == want, (a, relation)
 
@@ -298,7 +243,7 @@ class TestSeparationRows:
                 return fn(*args)
             return call
 
-        for name, fn in SCALAR.items():
+        for name, fn in list(separation._RELATION_FUNC.items()):
             monkeypatch.setitem(separation._RELATION_FUNC, name, counted(fn))
             monkeypatch.setattr(separation, fn.__name__, counted(fn))
         separation_row.cache_clear()
@@ -317,7 +262,7 @@ class TestSeparationRows:
     def test_maximality_matches_scalar_reference(self):
         n = 4
         cases = []
-        for relation in SCALAR:
+        for relation in oracles.SEPARATED:
             for fam in enumerate_maximal(hypercube_domain(n), relation).maximal_collections:
                 cases.append((fam, relation, None))
                 cases += [(SetFamily(n, set(fam.members) - {m}), relation, None) for m in fam.members]
@@ -334,7 +279,7 @@ class TestSeparationRows:
                 cases += [(SetFamily(n, set(fam.members) | {x}), relation, dom) for x in sorted(outside)]
         verdicts = set()
         for fam, relation, within in cases:
-            want = _maximal_reference(
+            want = oracles.maximal_reference(
                 set(fam.members), n, relation, None if within is None else within.members
             )
             assert is_maximal_separated(fam, relation, within) == want, (fam, relation, within)
@@ -410,9 +355,24 @@ class TestEnumeration:
         doms.append(SetFamily(16, rng.sample(range(1 << 16), 12)))
         doms = {(d.n, d.members): d for d in doms}.values()
         for dom in doms:
-            for relation in SCALAR:
-                want = _enumerate_reference(dom, relation)
-                assert enumerated(dom, relation) == want, (dom, relation)
+            for relation in oracles.SEPARATED:
+                want = oracles.clique_collections(dom, relation)
+                ranks = tuple(sorted({len(c) for c in want}))
+                report = DomainReport(dom, relation, tuple(SetFamily(dom.n, c) for c in want), len(ranks) == 1, ranks)
+                assert enumerated(dom, relation) == report, (dom, relation)
+
+    def test_maximal_cliques_match_the_oracle_search(self):
+        # the empty graph, three vertices and no edge, and seeded graphs
+        rng = random.Random(42)
+        graphs = [[], [0, 0, 0]]
+        for k in (5, 8, 12):
+            edges = [e for e in combinations(range(k), 2) if rng.random() < 0.5]
+            graphs.append([sum(1 << u for e in edges if v in e for u in e if u != v) for v in range(k)])
+        for adj in graphs:
+            k = len(adj)
+            want = oracles.maximal_cliques_of({v: {u for u in range(k) if adj[v] >> u & 1} for v in range(k)})
+            got = [tuple(u for u in range(k) if c >> u & 1) for c in maximal_cliques(adj, (1 << k) - 1)]
+            assert sorted(got) == want, adj
 
     def test_collections_keep_the_family_contract(self, rank_domains, enumerated):
         # each collection is built unchecked from its clique, so it must be
@@ -420,12 +380,12 @@ class TestEnumeration:
         rng = random.Random(39)
         subdomains = [SetFamily(n, rng.sample(range(1 << n), k))
                       for n in (3, 4, 5, 8) for k in (3, n + 3, 2 * n + 2)]
-        assert any(not enumerated(dom, relation).pure for dom in subdomains for relation in SCALAR)
+        assert any(not enumerated(dom, relation).pure for dom in subdomains for relation in oracles.SEPARATED)
         doms = [hypercube_domain(n) for n in range(1, 7)]
         doms += [dom for kind in rank_domains.values() for dom in kind]
         for dom in doms + subdomains:
             within = dom.as_set()
-            for relation in SCALAR:
+            for relation in oracles.SEPARATED:
                 report = enumerated(dom, relation)
                 keys = [fam.members for fam in report.maximal_collections]
                 assert keys == sorted(keys), (dom, relation)
@@ -448,7 +408,7 @@ class TestEnumeration:
         for pat in small_domains["pattern"]:
             doms += domains(pat)
         for dom in doms:
-            for relation in SCALAR:
+            for relation in oracles.SEPARATED:
                 report = enumerated(dom, relation)
                 verdict = purity_verdict(dom, relation)
                 got = (verdict.count, verdict.ranks, verdict.pure)
@@ -464,15 +424,15 @@ class TestEnumeration:
         intervals = interval_collection(4)  # pairwise strongly separated
         # {1,3} is separated from neither {2} nor {2,4}, and {3} not from {2,4}
         no_universal = SetFamily(4, [M([1, 3]), M([2]), M([2, 4]), M([3])])
-        for relation, rel in SCALAR.items():
+        for relation, rel in oracles.SEPARATED.items():
             assert all(rel(a, b) for a, b in combinations(intervals.members, 2))
             assert not any(all(rel(a, b) for b in no_universal.members if b != a)
                            for a in no_universal.members)
         verdicts = []
         for dom in [*subdomains, intervals, no_universal, SetFamily(3, [])]:
             assert len(dom) <= 12
-            for relation in SCALAR:
-                want = _brute_force_maximal(dom, relation)
+            for relation in oracles.SEPARATED:
+                want = oracles.brute_force_maximal(dom, relation)
                 got = enumerate_maximal(dom, relation).maximal_collections
                 assert [fam.members for fam in got] == want, (dom, relation)
                 verdict = purity_verdict(dom, relation)
@@ -572,8 +532,9 @@ class TestDomains:
     def test_hypersimplex(self):
         dom = hypersimplex_domain(4, 2, 2)
         assert len(dom) == 6
-        with pytest.raises(ValueError):
-            hypersimplex_domain(4, 3, 2)
+        for low, high in ((3, 2), (-1, 2), (2, 5)):
+            with pytest.raises(ValueError):
+                hypersimplex_domain(4, low, high)
 
     def test_chamber_rank_formula_n3(self):
         for images in ((1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2)):

@@ -22,8 +22,8 @@ comments stay and tracebacks name the original lines.  Each mutant runs
 `pytest -x -q` on the named tests (by default `tests`, the tier-1 suite)
 in one of two copies of the checkout at once, and is killed
 when pytest fails or runs past ten times the unmutated run.  The run
-first checks that the unmutated module passes.  The 71 mutants of
-`_planar.py` take about 80 s under `tests/test_combi.py tests/test_rhombus.py`
+first checks that the unmutated module passes.  The 70 mutants of
+`_planar.py` take about 90 s under `tests/test_combi.py tests/test_rhombus.py`
 on a 2-core host, and far longer under tier-1, so this is a tool to run by
 hand, not a test.  The exit code is 1 if a mutant
 survives.
