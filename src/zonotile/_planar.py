@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .geometry import Generators, boundary_cycle, default_generators, embedding_table
+from .geometry import Generators, boundary_cycle, default_generators, embedding_table, polygon_area2
 
 # C(10,2)·2^8 = 11,520 is the number of deltas, and of nablas, with
 # n <= 10, so up to n = 10 none of them is ever evicted from the tile
@@ -53,8 +53,8 @@ class _Boundary(tuple):
 
 def zonogon_region(gens: Generators) -> tuple[_Boundary, int]:
     """The zonogon's counterclockwise directed boundary edges and doubled area."""
-    cyc = boundary_cycle(gens)
-    return _Boundary(zip(cyc, [*cyc[1:], cyc[0]])), gens.zonogon_area2()
+    cyc, table = boundary_cycle(gens.n), embedding_table(gens)
+    return _Boundary(zip(cyc, [*cyc[1:], cyc[0]])), polygon_area2([table[v] for v in cyc])
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,9 @@
 """Exact plane geometry for the zonogon model.
 
-Generator vectors are stored with integer coordinates (a common denominator
-is cleared on construction), so every predicate below is exact integer
-arithmetic.  Subsets of {1..n} embed as subset-sums of the generators; the
-constructor verifies that this embedding is injective.
+Generator vectors have integer coordinates, so every predicate below is
+exact integer arithmetic.  Subsets of {1..n} embed as subset-sums of the
+generators; the constructor builds the table of them once and verifies
+that this embedding is injective.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cmp_to_key, lru_cache
 from math import gcd, lcm
 
-from ._value import Value
+from ._value import Value, _set
 from .bitsets import check_ground, full_mask
 
 Point = tuple[int, int]
@@ -25,19 +25,19 @@ def sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def add(a: Point, b: Point) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 class Generators(Value):
     """n integer vectors in the upper half-plane, clockwise, equal norms."""
 
     n: int
     vectors: tuple[Point, ...]
+    _table: tuple[Point, ...]
 
     def __init__(self, n: int, vectors) -> None:
         check_ground(n)
-        vecs = tuple((int(x), int(y)) for x, y in vectors)
+        vecs = tuple((x, y) for x, y in vectors)
+        for x, y in vecs:  # bool is a subclass of int, so compare the exact type
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"generator {(x, y)} has a coordinate that is not an integer")
         if len(vecs) != n:
             raise ValueError(f"expected {n} generator vectors, got {len(vecs)}")
         for x, y in vecs:
@@ -49,33 +49,17 @@ class Generators(Value):
         for k in range(n - 1):
             if cross(vecs[k], vecs[k + 1]) >= 0:
                 raise ValueError("generators must be ordered strictly clockwise")
-        # subset-sum injectivity, verified exhaustively for this n
-        sums = {(0, 0)}
-        for v in vecs:
-            nxt = set(sums)
-            for s in sums:
-                nxt.add(add(s, v))
-            if len(nxt) != 2 * len(sums):
-                raise ValueError("subset sums of the generators collide")
-            sums = nxt
+        # each mask's subset sum: its lowest element's vector plus the rest's sum
+        table = [(0, 0)]
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            vx, vy = vecs[low.bit_length() - 1]
+            px, py = table[mask ^ low]
+            table.append((px + vx, py + vy))
+        if len(set(table)) != len(table):
+            raise ValueError("subset sums of the generators collide")
         self._fill(n, vecs)
-
-    def vector(self, i: int) -> Point:
-        return self.vectors[i - 1]
-
-    @property
-    def top(self) -> Point:
-        x = sum(v[0] for v in self.vectors)
-        y = sum(v[1] for v in self.vectors)
-        return (x, y)
-
-    def zonogon_area2(self) -> int:
-        """Twice the zonogon area (sum of rhombus parallelogram areas)."""
-        total = 0
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                total += cross(self.vectors[b], self.vectors[a])
-        return 2 * total
+        _set(self, "_table", tuple(table))
 
 
 def _reduced(a: int, b: int) -> tuple[int, int]:
@@ -113,31 +97,23 @@ def embed(mask: int, gens: Generators) -> Point:
     return embedding_table(gens)[mask]
 
 
-# At n=16 a table holds 65,536 points, some 8 MB.
-@lru_cache(maxsize=8)
 def embedding_table(gens: Generators) -> tuple[Point, ...]:
-    """The subset sum of the generators for every mask of {1..n}, indexed by mask."""
-    table = [(0, 0)]
-    vecs = gens.vectors
-    for mask in range(1, 1 << gens.n):
-        low = mask & -mask
-        vx, vy = vecs[low.bit_length() - 1]
-        px, py = table[mask ^ low]
-        table.append((px + vx, py + vy))
-    return tuple(table)
+    """The subset sum of the generators for every mask of {1..n}, indexed by mask,
+    built once by the constructor: at n=16, 65,536 points, some 8 MB."""
+    return gens._table
 
 
-def boundary_vertices(gens: Generators) -> tuple[list[int], list[int]]:
-    """Left and right boundary vertex chains of the zonogon, bottom to top."""
-    n = gens.n
+def boundary_vertices(n: int) -> tuple[list[int], list[int]]:
+    """Left and right boundary vertex chains of the zonogon Z_n, bottom to
+    top: the prefixes and the suffixes of {1..n}."""
     left = [((1 << k) - 1) for k in range(n + 1)]
     right = [full_mask(n) ^ ((1 << (n - k)) - 1) for k in range(n + 1)]
     return left, right
 
 
-def boundary_cycle(gens: Generators) -> list[int]:
-    """Boundary vertices in counterclockwise order, starting at the bottom."""
-    left, right = boundary_vertices(gens)
+def boundary_cycle(n: int) -> list[int]:
+    """Boundary vertices of Z_n in counterclockwise order, starting at the bottom."""
+    left, right = boundary_vertices(n)
     return right[:-1] + list(reversed(left))[:-1]
 
 

@@ -107,7 +107,7 @@ def _by_distance(steps) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
 
 
 def boundary_pattern(n: int) -> CyclicPattern:
-    return CyclicPattern(n, boundary_cycle(default_generators(n)))
+    return CyclicPattern(n, boundary_cycle(n))
 
 
 def _pairwise_weakly_separated(members, n: int) -> bool:
@@ -378,7 +378,7 @@ def graph_pattern(n: int, vertices, edges) -> GraphPattern:
     pair obeys the quadruple conditions, and that the drawn segments are
     pairwise non-crossing.
     """
-    cyc = boundary_cycle(default_generators(n))
+    cyc = boundary_cycle(n)
     verts = set(vertices) | set(cyc)
     if not _pairwise_weakly_separated(verts, n):
         raise ValueError("graph-pattern vertices must form a weakly separated family")

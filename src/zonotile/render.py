@@ -46,7 +46,7 @@ class _Canvas:
         self.unit, self.den = _unit(norm2)
         self.x_shift = -sum(min(v[0], 0) for v in gens.vectors)
         self.width = self.x_shift + sum(max(v[0], 0) for v in gens.vectors)
-        self.top = gens.top[1]
+        self.top = embedding_table(gens)[-1][1]
         self.margin = MARGIN * self.den
         self.parts: list[str] = []
 

@@ -235,18 +235,6 @@ def test_no_lowering_flip_means_intervals_n4():
             assert fam == interval_collection(4)
 
 
-def test_complement_is_involution_and_swaps_tiles():
-    for fam in _all_families(4):
-        combi = from_w_collection(fam, check_input=False)
-        comp = complement_combi(combi)
-        assert complement_combi(comp) == combi
-        assert len(comp.deltas) == len(combi.nablas)
-        assert len(comp.nablas) == len(combi.deltas)
-        assert len(comp.lenses) == len(combi.lenses)
-    low = interval_combi(3)
-    assert spectrum(complement_combi(low)) == cointerval_collection(3)
-
-
 def test_set_flip_examples():
     fam = interval_collection(3)
     raised = set_flip(fam, 0, 1, 2, 3, "raise")

@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from zonotile import bitsets as bs
 from zonotile import geometry
+from zonotile._planar import zonogon_region
 from zonotile.geometry import (
     Generators,
     angle_sort_key,
@@ -37,6 +39,12 @@ def test_default_generators_match_the_fraction_reference():
     # and their subset sums, which the oracles read from `points`
     for n in range(1, 9):
         assert embedding_table(default_generators(n)) == oracles.points(n)
+    # the zonogon's doubled area, read from the boundary's points, and the
+    # table, built once by the constructor
+    for n in range(1, 11):
+        g = default_generators(n)
+        assert zonogon_region(g)[1] == oracles.zonogon(n)[2]
+        assert embedding_table(g) is embedding_table(g)
 
 
 def test_generator_order_is_clockwise():
@@ -65,6 +73,13 @@ def test_subset_sum_injectivity_checked():
         (2, [(-3, 4), (1, 1)], "generators must have equal euclidean norms"),
         (2, [(0, 5), (0, 5)], "generators must be ordered strictly clockwise"),
         (2, [(3, 4), (-3, 4)], "generators must be ordered strictly clockwise"),
+        # coordinates are integers as given, never truncated or coerced
+        (2, [(-1.5, 2), (1.5, 2)], "generator (-1.5, 2) has a coordinate that is not an integer"),
+        (2, [(-3, 4), (Fraction(3, 2), 2)], "generator (Fraction(3, 2), 2) has a coordinate that is not an integer"),
+        (1, [("1", 2)], "generator ('1', 2) has a coordinate that is not an integer"),
+        (1, [(0, True)], "generator (0, True) has a coordinate that is not an integer"),
+        # checked first, as the vectors are read, before their count
+        (2, [(0, 1.0)], "generator (0, 1.0) has a coordinate that is not an integer"),
     ],
 )
 def test_generators_reject_bad_vectors(n, vectors, text):
@@ -83,8 +98,8 @@ def test_polyline_needs_two_points():
 def test_embed_examples():
     gens = default_generators(3)
     assert embed(0, gens) == (0, 0)
-    assert embed(bs.full_mask(3), gens) == gens.top
-    assert embed(bs.singleton(2), gens) == gens.vector(2)
+    assert embed(bs.full_mask(3), gens) == tuple(map(sum, zip(*gens.vectors)))
+    assert embed(bs.singleton(2), gens) == gens.vectors[1]
     # a mask that is no subset of {1..3} has no point
     for mask in (-1, bs.singleton(4)):
         with pytest.raises(IndexError):
@@ -106,11 +121,10 @@ def test_size_increases_height():
 
 
 def test_boundary_vertices():
-    gens = default_generators(3)
-    left, right = boundary_vertices(gens)
+    left, right = boundary_vertices(3)
     assert left == [0, bs.mask_of([1]), bs.mask_of([1, 2]), bs.mask_of([1, 2, 3])]
     assert right == [0, bs.mask_of([3]), bs.mask_of([2, 3]), bs.mask_of([1, 2, 3])]
-    l1, r1 = boundary_vertices(default_generators(1))
+    l1, r1 = boundary_vertices(1)
     assert l1 == r1 == [0, 1]
 
 
