@@ -148,12 +148,6 @@ def sample_cycle(edges: set[tuple[int, int]], rng: random.Random) -> tuple[int, 
     edges, from at most 40 random walks; None if none of them closes."""
     return _SortedAdjacency(edges).cycle(rng)
 
-def sample_simple_pattern(combi: Combi, rng: random.Random) -> CyclicPattern | None:
-    return next(_patterns(rng, [combi], False, CubePool()), None)
-
-def sample_generalized_pattern(combi: Combi, rng: random.Random) -> CyclicPattern | None:
-    return next(_patterns(rng, [combi], True, CubePool()), None)
-
 def crossing_pattern_examples(n: int) -> list[CyclicPattern]:
     """Hand-built quadruple violators used as negative controls."""
     out = []

@@ -8,7 +8,8 @@ oracle calls a routine of another layer, an oracle test holds that routine,
 and the oracle's docstring names the test.  The value types (`SetFamily`,
 the tiles, `Combi`, `RhombusTiling`, `Generators`), their readings held by
 `test_corner_reading.py::test_readings_match_the_per_kind_reference`, and
-`zonotile.bitsets` are data here, not layers.
+`zonotile.bitsets` are data here, not layers.  The last section holds no
+oracle: the inputs that several tests loop over, each built once per run.
 """
 
 from collections import Counter
@@ -22,8 +23,10 @@ from zonotile import bitsets as bs
 from zonotile._planar import TilingError
 from zonotile.combi import Combi, Delta, Lens, MConfig, Nabla, Tile, WConfig, validate_combi
 from zonotile.geometry import Generators, point_in_closed_polyline, segment_contact
-from zonotile.rhombus import RhombusTiling
-from zonotile.separation import SetFamily
+from zonotile.patterns import CyclicPattern
+from zonotile.rhombus import RhombusTiling, from_s_collection
+from zonotile.separation import SetFamily, enumerate_maximal, hypercube_domain
+from zonotile.suite import sample_cycle
 
 
 # Separation: the relations on element sets, maximality and the clique search.
@@ -1080,3 +1083,27 @@ def surgery_flip(tiling: RhombusTiling, base: int, i: int, j: int, k: int, direc
     flipped = tiling_of(tiling.n, tiling.tiles - old | new)
     assert rhombus_verdict(flipped.n, flipped.tiles) == validate_combi(flipped.combi)
     return flipped
+
+
+# Inputs shared by the tests.
+
+
+@lru_cache(maxsize=None)
+def cube_families(n: int, relation: str) -> tuple[SetFamily, ...]:
+    """Every maximal `relation`-separated collection of the n-cube, in order."""
+    return enumerate_maximal(hypercube_domain(n), relation).maximal_collections
+
+
+@lru_cache(maxsize=None)
+def strong_tilings(n: int) -> tuple[RhombusTiling, ...]:
+    """The tiling of each maximal strongly separated n-collection, in order."""
+    return tuple(map(from_s_collection, cube_families(n, "strong")))
+
+
+def sample_pattern(combi: Combi, rng, generalized: bool) -> CyclicPattern | None:
+    """A random cycle of the combi's vertical edges, or of all its edges if
+    `generalized`, as a pattern, or None if no walk closes: the draw the
+    suite's pattern checks make from the same generator state."""
+    edges = combi.vertical_edges() | (combi.horizontal_edges() if generalized else set())
+    cycle = sample_cycle(edges, rng)
+    return None if cycle is None else CyclicPattern(combi.n, cycle)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import runpy
+import sys
 
 import pytest
 
@@ -11,13 +13,14 @@ from zonotile.combi import from_rhombus, from_w_collection, spectrum
 from zonotile.flips import interval_combi
 from zonotile.patterns import boundary_pattern, split_quasi
 from zonotile.render import render_svg
-from zonotile.rhombus import from_s_collection, maximal_tiling, minimal_tiling
+from zonotile.rhombus import maximal_tiling, minimal_tiling
 from zonotile.separation import (
     cointerval_collection,
-    enumerate_maximal,
     hypercube_domain,
     interval_collection,
 )
+
+import oracles
 
 M = bs.mask_of
 
@@ -57,8 +60,7 @@ class TestJsonRoundTrips:
         assert str(info.value) == "j must be in 1..16, got 17"
 
     def test_combi_all_n4(self):
-        for fam in enumerate_maximal(hypercube_domain(4), "weak").maximal_collections:
-            combi = from_w_collection(fam, check_input=False)
+        for combi in suite.all_combis(4):
             assert jsonio.combi_from_json(jsonio.combi_to_json(combi)) == combi
 
     def test_pattern(self):
@@ -102,11 +104,7 @@ class TestRender:
         assert svg.count("<circle") == 2
 
     def test_lens_shading(self):
-        lensy = next(
-            from_w_collection(f, check_input=False)
-            for f in enumerate_maximal(hypercube_domain(4), "weak").maximal_collections
-            if from_w_collection(f, check_input=False).lenses
-        )
+        lensy = next(c for c in suite.all_combis(4) if c.lenses)
         svg = render_svg(lensy)
         assert svg.count("<polygon") == len(lensy.lenses) == 1
 
@@ -134,16 +132,12 @@ class TestRender:
 
     def test_svg_bytes_are_pinned(self):
         combis = [c for n in range(1, 6) for c in suite.all_combis(n)]
-        tilings = [
-            from_s_collection(fam)
-            for n in range(1, 6)
-            for fam in enumerate_maximal(hypercube_domain(n), "strong").maximal_collections
-        ]
+        tilings = [t for n in range(1, 6) for t in oracles.strong_tilings(n)]
         rng = random.Random(11)
         patterns = []
         while len(patterns) < 200:
-            sample = rng.choice((suite.sample_simple_pattern, suite.sample_generalized_pattern))
-            pat = sample(rng.choice(combis[2:]), rng)
+            generalized = rng.choice((False, True))
+            pat = oracles.sample_pattern(rng.choice(combis[2:]), rng, generalized)
             if pat is not None:
                 patterns.append(pat)
         h = hashlib.sha256()
@@ -271,15 +265,6 @@ class TestCli:
         ]) == 0
         assert json.loads(back.read_text()) == json.loads(combi_file.read_text())
 
-    def test_expand_illegal_path_names_rule(self, tmp_path, capsys):
-        combi_file = tmp_path / "c.json"
-        combi_file.write_text(json.dumps(jsonio.combi_to_json(interval_combi(3))))
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"vertices": [[], [1]]}))
-        assert cmd(["expand", "--combi", str(combi_file), "--path", str(bad)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert "P1" in err["detail"]
-
     def test_expand_illegal_path_error_text_and_exit_code(self, tmp_path, capsys):
         # n_expand checks the path itself; the CLI passes its error on unchanged
         combi_file = tmp_path / "c.json"
@@ -294,10 +279,7 @@ class TestCli:
         )
 
     def test_flip_and_descend(self, tmp_path):
-        high = from_w_collection(
-            enumerate_maximal(hypercube_domain(3), "weak").maximal_collections[1],
-            check_input=False,
-        )
+        high = suite.all_combis(3)[1]
         combi_file = tmp_path / "c.json"
         combi_file.write_text(json.dumps(jsonio.combi_to_json(high)))
         out = tmp_path / "low.json"
@@ -520,3 +502,19 @@ class TestCli:
         assert cmd(args + ["--out", str(out1)]) == 0
         assert cmd(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:'zonotile.cli' found in sys.modules")
+    @pytest.mark.parametrize("run", [cli.main, lambda: runpy.run_module("zonotile.cli", run_name="__main__")],
+                             ids=["console-script", "python-m"])
+    @pytest.mark.parametrize("argv, code, out, error", [
+        (["purity", "--hypercube", "3"], 0, "pure, rank 7\n", ""),
+        (["purity"], 1, "", '{"error": "invalid-input", "detail": "pass exactly one of --domain or --hypercube"}\n'),
+    ], ids=["good", "bad"])
+    def test_entry_points_exit_with_the_command_code(self, monkeypatch, capsys, run, argv, code, out, error):
+        # `main` is the `zonotile` console script; `python -m zonotile.cli`
+        # runs the module as `__main__`, which calls it
+        monkeypatch.setattr(sys, "argv", ["zonotile", *argv])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == code
+        assert capsys.readouterr() == (out, error)

@@ -34,12 +34,10 @@ from zonotile.rhombus import from_s_collection, minimal_tiling
 from zonotile.separation import (
     SetFamily,
     cointerval_collection,
-    enumerate_maximal,
-    hypercube_domain,
     interval_collection,
     is_maximal_separated,
 )
-from zonotile.suite import all_combis
+from zonotile.suite import CubePool, all_combis
 
 import oracles
 
@@ -111,19 +109,15 @@ def test_cover_check_matches_reference_scan():
     for n in range(1, 6):
         gens = default_generators(n)
         region = zonogon_region(gens)
-        weak = enumerate_maximal(hypercube_domain(n), "weak").maximal_collections
-        strong = enumerate_maximal(hypercube_domain(n), "strong").maximal_collections
+        weak, strong = all_combis(n), oracles.strong_tilings(n)
         if n == 5:
             weak, strong = rng.sample(weak, 40), rng.sample(strong, 20)
-        for fam in weak:
-            tiles = from_w_collection(fam, check_input=False).tiles()
-            covers.append((gens, region, [(t, t.cycle()) for t in tiles], fam))
-        for fam in strong:
-            tiles = sorted(from_s_collection(fam).tiles)
-            covers.append((gens, region, [(t, t.cycle()) for t in tiles], fam))
+        for combi in weak:
+            covers.append((gens, region, [(t, t.cycle()) for t in combi.tiles()], sorted(combi.vertex_masks())))
+        for tiling in strong:
+            covers.append((gens, region, [(t, t.cycle()) for t in sorted(tiling.tiles)], sorted(tiling.vertex_masks())))
     verdicts = Counter()
-    for gens, (boundary, area2), cycles, fam in covers:
-        vertices = sorted(fam.as_set())
+    for gens, (boundary, area2), cycles, vertices in covers:
         tampered = [_tampered_covers(cycles, boundary, area2, vertices, rng) for _ in range(3)]
         batch = [c for copies in tampered for c in copies]
         wants = [_verdict(oracles.reference_cover_check, gens, cover) for cover in batch]
@@ -213,8 +207,6 @@ class TestTileTypes:
         assert (good.left, good.right) == (M([1, 3]), M([3, 4]))
         shifted = Lens([v << 1 for v in good.upper], [v << 1 for v in good.lower])
         assert shifted.lower_center == M([2, 4, 5])
-        with pytest.raises(ValueError):
-            Lens((M([2, 3]), M([1, 3]), M([3, 4])), (M([2, 3]), M([2, 4]), M([3, 4])))
 
     def test_lens_needs_two_edges_per_side(self):
         with pytest.raises(ValueError):
@@ -543,7 +535,7 @@ class TestReconstruction:
 
     def test_assembly_matches_two_step_reference(self):
         for n in range(1, 6):
-            for fam in enumerate_maximal(hypercube_domain(n), "weak").maximal_collections:
+            for fam in oracles.cube_families(n, "weak"):
                 combi = from_w_collection(fam)
                 ref = oracles.reference_combi(fam)
                 # both read their vertex sets when built; `combi` has read its
@@ -562,7 +554,7 @@ class TestReconstruction:
         # seeded families that miss a member of one, hold one more, or both:
         # the unchecked reconstruction succeeds exactly on the maximal ones,
         # and then builds the two-step reference's combi
-        pools = {n: enumerate_maximal(hypercube_domain(n), "weak").maximal_collections for n in range(1, 7)}
+        pools = {n: oracles.cube_families(n, "weak") for n in range(1, 7)}
         rng = random.Random(5)
         fams = [fam for n in range(1, 6) for fam in pools[n]] + rng.sample(pools[6], 600)
         maximal = len(fams)
@@ -618,9 +610,8 @@ class TestReconstruction:
         # each distinct tile is built once: every site that builds all the
         # tiles of a combi hands out the same objects
         for n in range(1, 5):
-            cube = hypercube_domain(n)
-            strong = {fam.members: fam for fam in enumerate_maximal(cube, "strong").maximal_collections}
-            for fam in enumerate_maximal(cube, "weak").maximal_collections:
+            strong = {fam.members: fam for fam in oracles.cube_families(n, "strong")}
+            for fam in oracles.cube_families(n, "weak"):
                 first = from_w_collection(fam)
                 held = {t: t for t in first.tiles()}
                 again = [from_w_collection(fam), mirror(mirror(first))]
@@ -666,19 +657,13 @@ class TestReconstruction:
 @pytest.mark.parametrize("n, collections, lenses", [(6, 3694, 4352), (7, 259480, 504578)])
 def test_reconstructs_every_weak_collection(n, collections, lenses):
     # the lens totals are those the girdle peeling (`oracles.reference_combi`) found
-    fams = enumerate_maximal(hypercube_domain(n), "weak").maximal_collections
+    fams = CubePool().report(n).maximal_collections
     assert len(fams) == collections
     assert sum(len(from_w_collection(fam, check_input=False).lenses) for fam in fams) == lenses
 
 
-class TestGirdles:
-    def test_lens_levels_constant(self):
-        for combi in all_combis(5):
-            for lens in combi.lenses:
-                sizes = {bs.size(v) for v in lens.upper} | {bs.size(v) for v in lens.lower}
-                assert len(sizes) == 1
-
-    def test_girdle_spans_boundary_to_boundary(self):
+class TestNablaLevels:
+    def test_bases_chain_boundary_to_boundary(self):
         # the chained nabla bases of each level run from the left-boundary
         # vertex [1..h] to the right-boundary vertex [(n-h+1)..n]
         n = 4
@@ -833,8 +818,8 @@ def test_every_reconstruction_checks_one_whole_cover(monkeypatch):
         return check_planar_cover(gens, cycles, boundary, area2)
 
     monkeypatch.setattr(combi_module, "check_planar_cover", recording)
-    weak = enumerate_maximal(hypercube_domain(5), "weak").maximal_collections
-    strong = enumerate_maximal(hypercube_domain(6), "strong").maximal_collections
+    weak = oracles.cube_families(5, "weak")
+    strong = oracles.cube_families(6, "strong")
     assert (len(weak), len(strong)) == (124, 908)
     builds = [(from_w_collection, fam) for fam in weak] + [(from_s_collection, fam) for fam in strong]
     for build, fam in builds:
@@ -852,7 +837,7 @@ def test_a_held_combi_is_compact():
     # vertex set as tuples (as frozensets they took about 3.2 KB a 5-combi);
     # the shared tiles and the shape memo are built before the count, and
     # the first combis stay held, so no freed tuple is reused in it
-    fams = enumerate_maximal(hypercube_domain(5), "weak").maximal_collections
+    fams = oracles.cube_families(5, "weak")
     warm = [from_w_collection(fam) for fam in fams]
     tracemalloc.start()
     try:
@@ -869,7 +854,7 @@ def test_a_reconstruction_shares_its_familys_members():
     # and its spectrum is a family on that same tuple; a combi built from
     # the same tiles sorts its own and is equal, with the same hash and
     # vertex set
-    pools = {n: enumerate_maximal(hypercube_domain(n), "weak").maximal_collections for n in range(1, 7)}
+    pools = {n: oracles.cube_families(n, "weak") for n in range(1, 7)}
     fams = [fam for n in range(1, 6) for fam in pools[n]] + random.Random(6).sample(pools[6], 300)
     for fam in fams:
         combi = from_w_collection(fam)

@@ -9,8 +9,7 @@ import pytest
 
 from zonotile import bitsets as bs
 from zonotile.combi import Delta, Lens, Nabla, from_rhombus, shared_delta
-from zonotile.rhombus import from_s_collection, minimal_tiling
-from zonotile.separation import enumerate_maximal, hypercube_domain
+from zonotile.rhombus import minimal_tiling
 from zonotile.suite import CubePool
 
 import oracles
@@ -19,8 +18,7 @@ M = bs.mask_of
 
 
 def _weak_and_semi_combis(n):
-    strong = enumerate_maximal(hypercube_domain(n), "strong").maximal_collections
-    return CubePool().combis(n) + [from_rhombus(from_s_collection(f)) for f in strong]
+    return CubePool().combis(n) + [from_rhombus(t) for t in oracles.strong_tilings(n)]
 
 
 def _assert_readings_match(combis):

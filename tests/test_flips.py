@@ -110,10 +110,6 @@ def test_reverse_search_counts_combis_n6():
     assert _weak_count(6) == 3694
 
 
-def _all_families(n):
-    return enumerate_maximal(hypercube_domain(n), "weak").maximal_collections
-
-
 def test_n3_flip_pair():
     low = interval_combi(3)
     (m,) = find_m_configs(low)
@@ -173,21 +169,10 @@ def test_flips_reject_a_core_holding_a_type():
     assert str(info.value) == "direction must be 'raise' or 'lower', got 'sideways'"
 
 
-def test_every_flip_matches_set_flip_n4():
-    for fam in _all_families(4):
-        combi = from_w_collection(fam, check_input=False)
-        for w in find_w_configs(combi):
-            flipped = lowering_flip(combi, w)
-            assert spectrum(flipped) == set_flip(fam, w.core, w.i, w.j, w.k, "lower")
-            assert flipped.size_sum() == combi.size_sum() - 1
-            back = raising_flip(flipped, MConfig(w.core, w.i, w.j, w.k))
-            assert back == combi
-
-
 def test_flips_and_round_trip_on_sampled_n6():
     # beyond the exhaustive n <= 5 checks: 100 of the 3,694 weak collections
     # at n=6, drawn with a fixed seed
-    families = _all_families(6)
+    families = oracles.cube_families(6, "weak")
     assert len(families) == 3694
     flips = 0
     for fam in random.Random(6).sample(families, 100):
@@ -206,9 +191,8 @@ def test_flips_and_round_trip_on_sampled_n6():
 
 def test_flip_feasible_whenever_witnesses_present_n4():
     # statement (10): five members of the right shape always admit the flip
-    for fam in _all_families(4):
-        combi = from_w_collection(fam, check_input=False)
-        mem = fam.as_set()
+    for combi in all_combis(4):
+        mem = combi.vertex_masks()
         ws = {(w.core, w.i, w.j, w.k) for w in find_w_configs(combi)}
         for core in range(16):
             for i in range(1, 5):
@@ -226,13 +210,6 @@ def test_flip_feasible_whenever_witnesses_present_n4():
                         ]
                         if all(x in mem for x in need):
                             assert (core, i, j, k) in ws
-
-
-def test_no_lowering_flip_means_intervals_n4():
-    for fam in _all_families(4):
-        combi = from_w_collection(fam, check_input=False)
-        if not find_w_configs(combi):
-            assert fam == interval_collection(4)
 
 
 def test_set_flip_examples():
@@ -267,8 +244,7 @@ def test_descend_to_minimum():
     final, trace = descend_to_minimum(high)
     assert len(trace) == 1
     assert spectrum(final) == interval_collection(3)
-    for fam in _all_families(4):
-        combi = from_w_collection(fam, check_input=False)
+    for combi in all_combis(4):
         final, trace = descend_to_minimum(combi)
         assert len(trace) == combi.size_sum() - final.size_sum()
         # the least W-configuration goes first
@@ -328,17 +304,3 @@ def test_flip_graphs_index_the_report():
     assert {(graph.nodes[u], graph.nodes[v]) for u, v in graph.arcs} == {
         (sorted_graph.nodes[u], sorted_graph.nodes[v]) for u, v in sorted_graph.arcs
     }
-
-
-def test_flip_graphs_agree_n4():
-    combi_graph = flip_graph(4)
-    sets_graph = set_flip_graph(4)
-    assert combi_graph.nodes == sets_graph.nodes
-    assert combi_graph.arcs == sets_graph.arcs
-    (src,) = combi_graph.sources()
-    (snk,) = combi_graph.sinks()
-    assert combi_graph.nodes[src] == interval_collection(4).as_set()
-    assert combi_graph.nodes[snk] == cointerval_collection(4).as_set()
-    # the same graphs over a weak report the caller already has
-    report = enumerate_maximal(hypercube_domain(4), "weak")
-    assert flip_graph(4, report) == combi_graph and set_flip_graph(4, report) == sets_graph
