@@ -86,11 +86,6 @@ class Tile(OrderedValue):
     def right(self) -> int:
         return self._cycle[1]
 
-    @property
-    def base(self) -> tuple[int, int]:
-        """A triangle's horizontal side, (left, right)."""
-        return (self.left, self.right)
-
     @classmethod
     def on_base(cls, corner: int, left: int, right: int) -> Tile:
         """The triangle with this apex or bottom and the base (left, right);
@@ -132,7 +127,8 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
     out = []
     for a, b in zip(vertices, vertices[1:]):
         gone, came = a & ~b, b & ~a
-        if gone.bit_count() != 1 or came.bit_count() != 1:
+        # the lens vertices share one size, so `came` has one element when `gone` does
+        if gone.bit_count() != 1:
             raise ValueError("lens path steps must trade exactly one element")
         # one element each, so it is the highest
         out.append((gone.bit_length(), came.bit_length()))
@@ -190,10 +186,6 @@ class Lens(Tile):
     @property
     def lower_center(self) -> int:
         return self.lower[0] | self.lower[-1]
-
-    @property
-    def level(self) -> int:
-        return bs.size(self.upper[0])
 
     @property
     def upper_types(self) -> tuple[int, ...]:

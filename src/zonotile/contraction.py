@@ -39,27 +39,6 @@ def n_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
     return smaller, paths[0]
 
 
-def legal_path_report(combi: Combi, path: tuple[int, ...]) -> tuple[bool, str]:
-    """Check (P1) endpoints and vertical steps, (P2) no two consecutive
-    backward edges, (P3) zigzags bend to the right; name the first fault of
-    (P1), else of (P2), else of (P3)."""
-    n = combi.n
-    edges = combi.vertical_edges()
-    if len(path) < 2:
-        return False, "P1: path too short"
-    if path[0] != 0 or path[-1] != bs.full_mask(n):
-        return False, "P1: path must run from the bottom to the top vertex"
-    for a, b in zip(path, path[1:]):
-        if (a, b) not in edges and (b, a) not in edges:
-            return False, f"P1: {bs.format_subset(a)}->{bs.format_subset(b)} is not a vertical edge"
-    turns = [_turn(a, b, c) for a, b, c in zip(path, path[1:], path[2:])]
-    faults = [(why[:2], d, why) for d, why in enumerate(turns, 1) if why not in _ROLES]
-    if faults:
-        _, d, why = min(faults)
-        return False, why.format(d)
-    return True, ""
-
-
 _ROLES = ("slope", "pit", "peak")
 
 
@@ -83,12 +62,25 @@ def _turn(a: int, b: int, c: int) -> str:
 
 
 def path_vertex_roles(combi: Combi, path) -> list[str]:
-    """Classify internal path vertices as slope, peak, or pit."""
+    """The role of each internal vertex of a legal path, slope, peak or pit.
+    Checks (P1) endpoints and vertical steps, (P2) no two consecutive
+    backward edges, (P3) zigzags bend to the right, and raises ValueError
+    naming the first fault of (P1), else of (P2), else of (P3)."""
     path = tuple(path)
-    ok, why = legal_path_report(combi, path)
-    if not ok:
-        raise ValueError(why)
-    return [_turn(a, b, c) for a, b, c in zip(path, path[1:], path[2:])]
+    edges = combi.vertical_edges()
+    if len(path) < 2:
+        raise ValueError("P1: path too short")
+    if path[0] != 0 or path[-1] != bs.full_mask(combi.n):
+        raise ValueError("P1: path must run from the bottom to the top vertex")
+    for a, b in zip(path, path[1:]):
+        if (a, b) not in edges and (b, a) not in edges:
+            raise ValueError(f"P1: {bs.format_subset(a)}->{bs.format_subset(b)} is not a vertical edge")
+    turns = [_turn(a, b, c) for a, b, c in zip(path, path[1:], path[2:])]
+    faults = [(why[:2], d, why) for d, why in enumerate(turns, 1) if why not in _ROLES]
+    if faults:
+        _, d, why = min(faults)
+        raise ValueError(why.format(d))
+    return turns
 
 
 def n_expand(combi: Combi, path) -> Combi:

@@ -3,8 +3,10 @@
 Subsets are encoded as ascending element lists; every decoder checks the
 shape of its input (objects, lists, and ints that are neither bools nor
 floats) and then validates through the ordinary constructors, so
-parse(serialize(x)) == x on valid data and malformed input raises
-ValueError.
+malformed input raises ValueError.  Families, combis and paths are
+written and read, with parse(serialize(x)) == x on valid data; tilings
+and patterns are only read, purity reports and flip-trace lines only
+written.
 """
 
 from __future__ import annotations
@@ -80,16 +82,6 @@ def report_to_json(report: DomainReport) -> dict:
     }
 
 
-def tiling_to_json(tiling: RhombusTiling) -> dict:
-    return {
-        "n": tiling.n,
-        "rhombi": [
-            {"X": subset_to_json(t.bottom), "i": t.low, "j": t.high}
-            for t in tiling.combi._nablas
-        ],
-    }
-
-
 def tiling_from_json(data: Any) -> RhombusTiling:
     """Each rhombus (X; i, j) as its lower half, the nabla (X; i, j), and
     its upper half, the delta (X+i+j; i, j)."""
@@ -150,10 +142,6 @@ def combi_from_json(data: Any) -> Combi:
         for l in kinds["lenses"]
     ]
     return Combi(n, deltas, nablas, lenses)
-
-
-def pattern_to_json(pattern: CyclicPattern) -> dict:
-    return {"n": pattern.n, "cycle": [subset_to_json(v) for v in pattern.cycle]}
 
 
 def pattern_from_json(data: Any) -> CyclicPattern:

@@ -68,15 +68,12 @@ class CyclicPattern(Value):
                 bs.check_subset(m, n)
         self._fill(n, cyc)
         # in cycle order, so the first illegal step is the one named
-        a = cyc[0]
-        for b in (*cyc[1:], cyc[0]):
-            d = (a ^ b).bit_count()
-            if d != 1 and (d != 2 or a.bit_count() != b.bit_count()):
+        for a, b in self.steps():
+            if not _legal_step(a, b):
                 raise ValueError(
                     f"illegal step {bs.format_subset(a)} -> {bs.format_subset(b)}: "
                     "steps must be 1-distance or equal-size 2-distance"
                 )
-            a = b
 
     def steps(self) -> list[tuple[int, int]]:
         c = self.cycle
@@ -93,11 +90,28 @@ class CyclicPattern(Value):
         # cycle.  A classification that raises leaves nothing behind.
         return _classification(self)
 
+    @cached_property
+    def _points(self) -> list[Point]:
+        # the curve's corners, the members' points in cycle order, kept like `_kind`
+        table = embedding_table(default_generators(self.n))
+        return [table[v] for v in self.cycle]
+
+    def locate(self, mask: int) -> str:
+        """The set's point against the curve: 'inside', 'on' or 'outside'."""
+        return point_in_closed_polyline(embedding_table(default_generators(self.n))[mask], self._points)
+
+    def _closed_sides(self, masks) -> tuple[list[int], list[int]]:
+        """The masks in the closed inside and those in the closed outside of
+        the curve, each in the given order; the curve's own lie in both."""
+        table, pts = embedding_table(default_generators(self.n)), self._points
+        where = [(x, point_in_closed_polyline(table[x], pts)) for x in masks]
+        return [x for x, w in where if w != "outside"], [x for x, w in where if w != "inside"]
+
 
 def _legal_step(a: int, b: int) -> bool:
     """A 1-distance step, or a 2-distance one between sets of equal size."""
-    d = bs.size(a ^ b)
-    return d == 1 or (d == 2 and bs.size(a) == bs.size(b))
+    d = (a ^ b).bit_count()
+    return d == 1 or (d == 2 and a.bit_count() == b.bit_count())
 
 
 def _by_distance(steps) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -164,11 +178,6 @@ def _quadruple_violation(twos, ones) -> str | None:
     return None
 
 
-def curve_points(pattern: CyclicPattern) -> list[Point]:
-    table = embedding_table(default_generators(pattern.n))
-    return [table[v] for v in pattern.cycle]
-
-
 def _chords_laminar(pairs: list[tuple[int, int]]) -> bool:
     """Ascending pairs of distinct positions must nest or be disjoint."""
     for (a, b), (c, d) in combinations(pairs, 2):
@@ -179,7 +188,7 @@ def _chords_laminar(pairs: list[tuple[int, int]]) -> bool:
 
 def curve_kind(pattern: CyclicPattern) -> str:
     """Geometric verdict on the closed curve: 'simple', 'touching', 'crossing'."""
-    pts = curve_points(pattern)
+    pts = pattern._points
     r = len(pts)
     # adjacent segments share an endpoint, so for them "cross" is exactly a
     # collinear fold-back
@@ -236,42 +245,18 @@ def _classification(pattern: CyclicPattern) -> str:
     return "simple" if not twos else "generalized_ok"
 
 
-class PatternRegions(Value):
-    pattern: CyclicPattern
-
-    @cached_property
-    def _table(self) -> tuple[Point, ...]:
-        return embedding_table(default_generators(self.pattern.n))
-
-    @cached_property
-    def points(self) -> list[Point]:
-        return curve_points(self.pattern)
-
-    def locate(self, mask: int) -> str:
-        return point_in_closed_polyline(self._table[mask], self.points)
-
-    def _closed_sides(self, masks) -> tuple[list[int], list[int]]:
-        """The masks in the closed inside and those in the closed outside of
-        the curve, each in the given order; the curve's own lie in both."""
-        where = [(x, self.locate(x)) for x in masks]
-        return [x for x, w in where if w != "outside"], [x for x, w in where if w != "inside"]
-
-
-def regions(pattern: CyclicPattern) -> PatternRegions:
+def regions(pattern: CyclicPattern) -> CyclicPattern:
+    """The pattern, once checked to bound an inside and an outside region."""
     if classify_pattern(pattern) == "self_crossing":
         raise ValueError("a self-crossing pattern does not bound regions")
-    return PatternRegions(pattern)
-
-
-def pattern_compatible_sets(pattern: CyclicPattern, relation: str = "weak") -> SetFamily:
-    """All subsets separated (weakly by default) from every member of the pattern."""
-    return SetFamily._trusted(pattern.n, tuple(compatible_sets(set(pattern.cycle), pattern.n, relation)))
+    return pattern
 
 
 def domains(pattern: CyclicPattern, relation: str = "weak") -> tuple[SetFamily, SetFamily]:
-    """Split the compatible sets into the closed inside and outside domains."""
-    reg = regions(pattern)
-    inner, outer = reg._closed_sides(pattern_compatible_sets(pattern, relation).members)
+    """Split the sets separated (weakly by default) from every member of the
+    pattern into the closed inside and outside domains."""
+    regions(pattern)
+    inner, outer = pattern._closed_sides(compatible_sets(set(pattern.cycle), pattern.n, relation))
     return SetFamily._trusted(pattern.n, tuple(inner)), SetFamily._trusted(pattern.n, tuple(outer))
 
 
@@ -301,9 +286,6 @@ class QuasiCombi(Value):
     pattern: tuple[int, ...]
     vertices: frozenset[int]
 
-    def vertex_masks(self) -> frozenset[int]:
-        return self.vertices
-
 
 def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, QuasiCombi]:
     """Split the combi along the pattern curve into its inside and outside
@@ -312,11 +294,11 @@ def split_quasi(combi: Combi, pattern: CyclicPattern) -> tuple[QuasiCombi, Quasi
     A combi is fixed by its vertex set, so a half is its vertex set; the two
     halves meet in the pattern's members and together hold every vertex.
     """
-    reg = regions(pattern)
+    regions(pattern)
     verts = combi._vertices
     if not set(pattern.cycle).issubset(verts):
         raise ValueError("pattern members must be vertices of the combi")
-    inside, outside = reg._closed_sides(verts)
+    inside, outside = pattern._closed_sides(verts)
     return (
         QuasiCombi(combi.n, "in", pattern.cycle, frozenset(inside)),
         QuasiCombi(combi.n, "out", pattern.cycle, frozenset(outside)),
@@ -340,7 +322,7 @@ def merge_repair(inside: QuasiCombi, outside: QuasiCombi) -> Combi:
         raise ValueError("halves were split along different patterns")
     if inside.region == outside.region:
         raise ValueError("need one inside half and one outside half")
-    verts = inside.vertex_masks() | outside.vertex_masks()
+    verts = inside.vertices | outside.vertices
     return from_w_collection(SetFamily(inside.n, verts), check_input=False)
 
 

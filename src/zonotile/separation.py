@@ -257,16 +257,10 @@ def compatible_sets(members, n: int, relation: str) -> list[int]:
     return _bits(compatible_row(members, n, relation))
 
 
-def is_maximal_separated(family: SetFamily, relation: str, within: SetFamily | None = None) -> bool:
-    """Separated and not extendable by any set of the ambient domain."""
-    n = family.n if within is None else max(family.n, within.n)
-    fam = members_mask(family.members)
-    common = compatible_row(family.members, n, relation)
-    if common & fam != fam:
-        return False
-    if within is None:
-        return common == fam
-    return common & members_mask(within.members) & ~fam == 0
+def is_maximal_separated(family: SetFamily, relation: str) -> bool:
+    """Separated and not extendable by any subset of {1..n}: the sets
+    separated from every member are the members themselves."""
+    return compatible_row(family.members, family.n, relation) == members_mask(family.members)
 
 
 @dataclass(frozen=True)

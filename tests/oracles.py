@@ -95,13 +95,12 @@ def clique_collections(domain, relation: str) -> list[tuple[int, ...]]:
     return maximal_cliques_of({a: {b for b in mem if b != a and rel(a, b)} for a in mem})
 
 
-def maximal_reference(members, n, relation, within=None):
-    """Pairwise separated and no set of the ambient domain can be added."""
+def maximal_reference(members, n, relation):
+    """Pairwise separated and no subset of {1..n} can be added."""
     rel = SEPARATED[relation]
     if not all(rel(a, b) for a, b in combinations(members, 2)):
         return False
-    ambient = range(1 << n) if within is None else within
-    return not any(c not in members and all(rel(c, m) for m in members) for c in ambient)
+    return not any(c not in members and all(rel(c, m) for m in members) for c in range(1 << n))
 
 
 def brute_force_maximal(domain, relation):
@@ -328,10 +327,10 @@ def reference_combi(family):
         by_level.setdefault(bs.size(m), set()).add(m)
     nb_by_level = {}
     for v in nablas:
-        nb_by_level.setdefault(bs.size(v.left), []).append(v.base)
+        nb_by_level.setdefault(bs.size(v.left), []).append((v.left, v.right))
     db_by_level = {}
     for d in deltas:
-        db_by_level.setdefault(bs.size(d.left), set()).add(d.base)
+        db_by_level.setdefault(bs.size(d.left), set()).add((d.left, d.right))
     lenses = []
     for level, bases in sorted(nb_by_level.items()):
         members = frozenset(by_level.get(level, ()))
@@ -428,7 +427,7 @@ def reference_vertical_edges(combi):
 
 
 def reference_horizontal_edges(combi):
-    out = {d.base for d in combi.deltas} | {v.base for v in combi.nablas}
+    out = {(d.left, d.right) for d in combi.deltas} | {(v.left, v.right) for v in combi.nablas}
     for l in combi.lenses:
         out.update(zip(l.upper, l.upper[1:]))
         out.update(zip(l.lower, l.lower[1:]))
@@ -569,7 +568,7 @@ def extract_n_strip(combi: Combi) -> NStrip:
     strip_deltas = {d for d in combi.deltas if d.high == n}
     strip_nablas = {v for v in combi.nablas if v.high == n}
     strip_lenses = {l for l in combi.lenses if l.upper_types[-1] == n}
-    above_delta = {d.base: d for d in strip_deltas}
+    above_delta = {(d.left, d.right): d for d in strip_deltas}
     above_lens = {(l.lower[0], l.lower[1]): l for l in strip_lenses}
     nabla_by_bottom = {v.bottom: v for v in strip_nablas}
 
@@ -584,7 +583,7 @@ def extract_n_strip(combi: Combi) -> NStrip:
     last_left = bs.full_mask(n) ^ bs.singleton(n)
     while True:
         if isinstance(cur, Nabla):
-            exit_edge = cur.base
+            exit_edge = (cur.left, cur.right)
         elif isinstance(cur, Lens):
             exit_edge = (cur.upper[-2], cur.upper[-1])
         else:
@@ -808,7 +807,7 @@ def reference_expand(combi: Combi, path) -> Combi:
 
 
 def separate_report(combi: Combi, path: tuple[int, ...]) -> tuple[bool, str]:
-    """`legal_path_report` with (P1), (P2) and (P3) each checked in a pass of its own."""
+    """The check of `path_vertex_roles` with (P1), (P2) and (P3) each in a pass of its own."""
     n = combi.n
     edges = combi.vertical_edges()
     if len(path) < 2:
@@ -1098,6 +1097,18 @@ def cube_families(n: int, relation: str) -> tuple[SetFamily, ...]:
 def strong_tilings(n: int) -> tuple[RhombusTiling, ...]:
     """The tiling of each maximal strongly separated n-collection, in order."""
     return tuple(map(from_s_collection, cube_families(n, "strong")))
+
+
+def tiling_json(tiling: RhombusTiling) -> dict:
+    """The tiling as a JSON document the CLI reads: each rhombus (X; i, j),
+    named by its lower half, in the order of the sorted nablas."""
+    rhombi = [{"X": [*bs.elements_of(t.bottom)], "i": t.low, "j": t.high} for t in sorted(tiling.tiles)]
+    return {"n": tiling.n, "rhombi": rhombi}
+
+
+def pattern_json(pattern: CyclicPattern) -> dict:
+    """The pattern as a JSON document the CLI reads."""
+    return {"n": pattern.n, "cycle": [[*bs.elements_of(v)] for v in pattern.cycle]}
 
 
 def sample_pattern(combi: Combi, rng, generalized: bool) -> CyclicPattern | None:

@@ -45,12 +45,12 @@ class TestJsonRoundTrips:
 
     def test_tiling(self):
         tiling = minimal_tiling(4)
-        assert jsonio.tiling_from_json(jsonio.tiling_to_json(tiling)) == tiling
+        assert jsonio.tiling_from_json(oracles.tiling_json(tiling)) == tiling
 
     def test_tiling_at_the_largest_ground_set(self):
         # element 16, bitsets.MAX_GROUND, is read back; 17 is refused by
         # name before any mask is built
-        data = jsonio.tiling_to_json(minimal_tiling(16))
+        data = oracles.tiling_json(minimal_tiling(16))
         assert max(r["j"] for r in data["rhombi"]) == 16
         assert jsonio.tiling_from_json(data) == minimal_tiling(16)
         rhombus = next(r for r in data["rhombi"] if r["j"] == 16)
@@ -65,7 +65,7 @@ class TestJsonRoundTrips:
 
     def test_pattern(self):
         pat = boundary_pattern(3)
-        assert jsonio.pattern_from_json(jsonio.pattern_to_json(pat)) == pat
+        assert jsonio.pattern_from_json(oracles.pattern_json(pat)) == pat
 
     def test_path(self):
         path = (0, M([1]), M([1, 2]))
@@ -120,7 +120,7 @@ class TestRender:
     def test_tiling_render_through_cli(self, tmp_path):
         tiling = minimal_tiling(3)
         tiling_file = tmp_path / "t.json"
-        tiling_file.write_text(json.dumps(jsonio.tiling_to_json(tiling)))
+        tiling_file.write_text(json.dumps(oracles.tiling_json(tiling)))
         svg_file = tmp_path / "t.svg"
         assert cmd(["render", "--tiling", str(tiling_file), "--out", str(svg_file)]) == 0
         assert svg_file.read_text() == render_svg(tiling)
@@ -150,7 +150,7 @@ class TestRender:
     def test_pattern_render_to_stdout(self, tmp_path, capsys):
         pattern = boundary_pattern(3)
         pat_file = tmp_path / "pat.json"
-        pat_file.write_text(json.dumps(jsonio.pattern_to_json(pattern)))
+        pat_file.write_text(json.dumps(oracles.pattern_json(pattern)))
         assert cmd(["render", "--pattern", str(pat_file)]) == 0
         assert capsys.readouterr().out == render_svg(pattern)
 
@@ -345,7 +345,7 @@ class TestCli:
 
     def test_pattern_commands(self, tmp_path, capsys):
         pat_file = tmp_path / "pat.json"
-        pat_file.write_text(json.dumps(jsonio.pattern_to_json(boundary_pattern(3))))
+        pat_file.write_text(json.dumps(oracles.pattern_json(boundary_pattern(3))))
         assert cmd(["pattern", "classify", "--pattern", str(pat_file)]) == 0
         assert capsys.readouterr().out.strip() == "simple"
         out = tmp_path / "doms.json"
@@ -387,7 +387,7 @@ class TestCli:
 
     def test_pattern_domains_are_unguarded_and_verify_meets_the_member_guard(self, tmp_path, capsys):
         pat_file = tmp_path / "pat.json"
-        pat_file.write_text(json.dumps(jsonio.pattern_to_json(boundary_pattern(9))))
+        pat_file.write_text(json.dumps(oracles.pattern_json(boundary_pattern(9))))
         assert cmd(["pattern", "domains", "--pattern", str(pat_file)]) == 0
         doms = json.loads(capsys.readouterr().out)
         assert (len(doms["inside"]["members"]), len(doms["outside"]["members"])) == (512, 18)
@@ -461,7 +461,7 @@ class TestCli:
     def test_render_rejects_a_bad_tiling(self, tmp_path, capsys, fault, error, detail):
         # each JSON rhombus is read as its two triangles, which the combi
         # layer checks and validates
-        data = jsonio.tiling_to_json(minimal_tiling(4))
+        data = oracles.tiling_json(minimal_tiling(4))
         rhombi = data["rhombi"]
         if fault == "type-in-base":
             rhombi[0]["X"] = [rhombi[0]["i"]]
@@ -470,7 +470,7 @@ class TestCli:
         elif fault == "missing":
             del rhombi[-1]
         elif fault == "overlapping":
-            rhombi.append(next(r for r in jsonio.tiling_to_json(maximal_tiling(4))["rhombi"] if r not in rhombi))
+            rhombi.append(next(r for r in oracles.tiling_json(maximal_tiling(4))["rhombi"] if r not in rhombi))
         else:
             rhombi[0]["X"] = [4]
         f = tmp_path / "t.json"

@@ -21,6 +21,8 @@ from zonotile.patterns import boundary_pattern
 from zonotile.rhombus import minimal_tiling
 from zonotile.separation import interval_collection
 
+import oracles
+
 KEYS = ("n", "members", "cycle", "vertices", "rhombi", "X", "i", "j",
         "deltas", "nablas", "lenses", "apex", "bottom", "base", "upper", "lower")
 SMALL = st.integers(-1, 5)
@@ -38,8 +40,8 @@ VALID = [
     jsonio.family_to_json(interval_collection(3)),
     jsonio.combi_to_json(interval_combi(3)),
     jsonio.combi_to_json(SMALLER),
-    jsonio.tiling_to_json(minimal_tiling(3)),
-    jsonio.pattern_to_json(boundary_pattern(3)),
+    oracles.tiling_json(minimal_tiling(3)),
+    oracles.pattern_json(boundary_pattern(3)),
     jsonio.path_to_json(PATH),
 ]
 

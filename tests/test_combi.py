@@ -190,7 +190,6 @@ class TestTileTypes:
     def test_delta_vertices(self):
         d = Delta(M([1, 2]), 1, 2)
         assert d.left == M([1]) and d.right == M([2])
-        assert d.base == (M([1]), M([2]))
         assert Combi(2, [d]).vertex_masks() == {M([1]), M([2]), M([1, 2])}
 
     def test_nabla_vertices(self):
@@ -200,7 +199,6 @@ class TestTileTypes:
 
     def test_lens_axioms(self):
         good = Lens((M([1, 3]), M([2, 3]), M([3, 4])), (M([1, 3]), M([1, 4]), M([3, 4])))
-        assert good.level == 2
         assert good.upper_center == M([3])
         assert good.lower_center == M([1, 3, 4])
         assert good.upper_types == (1, 2, 4)
@@ -475,7 +473,7 @@ class TestValidation:
         assert spectrum(combi) == interval_collection(3)
         # a semi-rhombus combi: no lenses, and every delta's base is a nabla's
         assert not combi.lenses
-        assert {d.base for d in combi.deltas} == {v.base for v in combi.nablas}
+        assert {(d.left, d.right) for d in combi.deltas} == {(v.left, v.right) for v in combi.nablas}
 
 
 class TestSpectrum:
@@ -669,7 +667,7 @@ class TestNablaLevels:
         n = 4
         for combi in all_combis(n):
             for level in range(1, n):
-                bases = sorted(v.base for v in combi.nablas if bs.size(v.left) == level)
+                bases = sorted((v.left, v.right) for v in combi.nablas if bs.size(v.left) == level)
                 succ = dict(bases)
                 start = bs.full_mask(level)
                 end = bs.full_mask(n) ^ bs.full_mask(n - level)

@@ -19,7 +19,6 @@ from zonotile.contraction import (
     _turn,
     _walks,
     enumerate_legal_paths,
-    legal_path_report,
     mirror,
     n_contract,
     n_expand,
@@ -55,6 +54,15 @@ def _random_walk(combi: Combi, rng: random.Random) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _report(combi: Combi, path) -> tuple[bool, str]:
+    """`path_vertex_roles`'s check in the shape of `oracles.separate_report`."""
+    try:
+        path_vertex_roles(combi, path)
+    except ValueError as fault:
+        return False, str(fault)
+    return True, ""
+
+
 def _both_3_combis() -> Combi:
     """The triangles of both 3-combis together: a left-bending pit after a
     right-bending peak, which no combi with n <= 5 has."""
@@ -85,7 +93,7 @@ def test_walks_and_report_match_the_separate_rules():
     for combi in combis[2:] * 2 + [_both_3_combis()] * 20:
         for _ in range(20):
             path = _random_walk(combi, rng)
-            ok, why = legal_path_report(combi, path)
+            ok, why = _report(combi, path)
             assert (ok, why) == oracles.separate_report(combi, path), (combi, path)
             kinds["legal" if ok else re.sub(r" at position \d+|\{.*\}->\{.*\} ", "", why)] += 1
             turns = [_turn(a, b, c) for a, b, c in zip(path, path[1:], path[2:])]
@@ -159,21 +167,20 @@ def test_interval_expansion_along_right_boundary():
 def test_legal_path_rules():
     combi = interval_combi(3)
     lbd = (0, M([1]), M([1, 2]), M([1, 2, 3]))
-    assert legal_path_report(combi, lbd)[0]
     assert path_vertex_roles(combi, lbd) == ["slope", "slope"]
-    ok, why = legal_path_report(combi, (0, M([1]), M([1, 2])))
+    ok, why = _report(combi, (0, M([1]), M([1, 2])))
     assert not ok and why.startswith("P1")
     zig = (0, M([2]), M([1, 2]), M([2]), M([2, 3]), M([1, 2, 3]))
     # revisits a vertex via the same edge pair
-    assert legal_path_report(combi, zig) == (False, "P3: path doubles back at position 2")
+    assert _report(combi, zig) == (False, "P3: path doubles back at position 2")
     wrongzig = (0, M([3]), M([2, 3]), M([2]), M([1, 2]), M([1, 2, 3]))
-    assert legal_path_report(combi, wrongzig) == (False, "P3: peak at position 2 bends left")
-    assert legal_path_report(combi, (0,)) == (False, "P1: path too short")
+    assert _report(combi, wrongzig) == (False, "P3: peak at position 2 bends left")
+    assert _report(combi, (0,)) == (False, "P1: path too short")
     union = _both_3_combis()
     left_pit = (0, M([1]), M([1, 2]), M([2]), M([2, 3]), M([3]), M([1, 3]), M([1, 2, 3]))
-    assert legal_path_report(union, left_pit) == (False, "P3: pit at position 5 bends left")
+    assert _report(union, left_pit) == (False, "P3: pit at position 5 bends left")
     twice_down = (0, M([1]), M([1, 2]), M([1]), 0, M([1]), M([1, 2]), M([1, 2, 3]))
-    assert legal_path_report(combi, twice_down) == (
+    assert _report(combi, twice_down) == (
         False, "P2: two consecutive backward edges at position 3"
     )
     with pytest.raises(ValueError, match="^P2"):
@@ -291,7 +298,7 @@ def test_expand_names_a_vertex_on_neither_side():
     combi = interval_combi(3)
     extra = Combi(3, combi.deltas | {Delta(M([1, 2, 3]), 2, 3)}, combi.nablas)
     path = tuple(M(s) for s in ([], [1], [1, 2], [2], [2, 3], [1, 2, 3]))
-    assert legal_path_report(combi, path)[0]
+    assert _report(combi, path)[0]
     with pytest.raises(TilingError) as info:
         n_expand(extra, path)
     assert str(info.value) == "expand: neither of {1,3} and its lift fit the path"

@@ -20,7 +20,6 @@ from zonotile.patterns import (
     grassmann_necklace,
     interval_necklace,
     merge_repair,
-    pattern_compatible_sets,
     pattern_faces,
     regions,
     split_quasi,
@@ -263,8 +262,8 @@ class TestRegionsAndDomains:
     def test_domain_split_covers_compatible_sets(self):
         pat = boundary_pattern(4)
         inner, outer = domains(pat)
-        compat = pattern_compatible_sets(pat)
-        assert set(inner.members) | set(outer.members) == set(compat.members)
+        compat = separation.compatible_sets(pat.cycle, 4, "weak")
+        assert set(inner.members) | set(outer.members) == set(compat)
         for v in pat.cycle:
             assert v in set(inner.members) and v in set(outer.members)
 
@@ -275,7 +274,7 @@ class TestRegionsAndDomains:
         assert len({g.vectors for g in others} | {default_generators(4).vectors}) == 3
         cycle = sample_cycle(interval_combi(4).vertical_edges(), random.Random(1))
         for pat in (boundary_pattern(4), CyclicPattern(4, cycle)):
-            compat = pattern_compatible_sets(pat).members
+            compat = separation.compatible_sets(pat.cycle, 4, "weak")
             reg = regions(pat)
             baseline = [reg.locate(x) for x in compat]
             for gens in others:
@@ -342,8 +341,8 @@ class TestSplitMerge:
         cyc = sample_cycle(combi.vertical_edges(), random.Random(2))
         inner, outer = split_quasi(combi, CyclicPattern(4, cyc))
         assert (inner.region, outer.region) == ("in", "out")
-        assert inner.vertex_masks() & outer.vertex_masks() == set(cyc)
-        assert inner.vertex_masks() | outer.vertex_masks() == combi.vertex_masks()
+        assert inner.vertices & outer.vertices == set(cyc)
+        assert inner.vertices | outer.vertices == combi.vertex_masks()
 
     def test_central_chord_split(self):
         target = None
@@ -361,8 +360,8 @@ class TestSplitMerge:
         # the curve closes the lens's central chord over its upper path,
         # and no vertex lies inside a lens
         inner, outer = split_quasi(combi, pat)
-        assert inner.vertex_masks() == set(lens.upper)
-        assert outer.vertex_masks() == combi.vertex_masks()
+        assert inner.vertices == set(lens.upper)
+        assert outer.vertices == combi.vertex_masks()
         assert merge_repair(inner, outer) == combi
 
     def test_self_merge_preserves_spectrum(self):
@@ -375,8 +374,8 @@ class TestSplitMerge:
             if pat is None or classify_pattern(pat) == "self_crossing":
                 continue
             inner, outer = split_quasi(combi, pat)
-            assert inner.vertex_masks() & outer.vertex_masks() == set(pat.cycle)
-            assert inner.vertex_masks() | outer.vertex_masks() == combi.vertex_masks()
+            assert inner.vertices & outer.vertices == set(pat.cycle)
+            assert inner.vertices | outer.vertices == combi.vertex_masks()
             assert merge_repair(inner, outer) == combi
             done += 1
 
@@ -405,8 +404,8 @@ class TestSplitMerge:
                 for combi in combis:
                     if set(pat.cycle) <= combi.vertex_masks():
                         for half, dom, rank in zip(split_quasi(combi, pat), doms, ranks):
-                            assert half.vertex_masks() <= dom.as_set()
-                            assert rank == (len(half.vertex_masks()),)
+                            assert half.vertices <= dom.as_set()
+                            assert rank == (len(half.vertices),)
                             halves += 1
         assert halves == 490
 
@@ -424,7 +423,7 @@ class TestSplitMerge:
         qa, _ = split_quasi(hosts[0], pat)
         _, qb = split_quasi(hosts[1], pat)
         merged = merge_repair(qa, qb)
-        assert qa.vertex_masks() | qb.vertex_masks() == merged.vertex_masks()
+        assert qa.vertices | qb.vertices == merged.vertex_masks()
         din, dout = domains(pat)
         assert verify_complementary(din, dout)
         assert purity_verdict(din, "weak").pure and purity_verdict(dout, "weak").pure
@@ -513,7 +512,7 @@ class TestSplitMerge:
         _, outer = split_quasi(b, pat)
         merged = merge_repair(inner, outer)
         validate_combi(merged)
-        assert inner.vertex_masks() | outer.vertex_masks() == merged.vertex_masks()
+        assert inner.vertices | outer.vertices == merged.vertex_masks()
 
 
 class TestGraphPatterns:

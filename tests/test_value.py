@@ -15,7 +15,7 @@ from zonotile._value import OrderedValue, Value
 from zonotile.combi import Combi, Delta, Lens, MConfig, Nabla, Tile, WConfig
 from zonotile.flips import FlipGraph
 from zonotile.geometry import Generators
-from zonotile.patterns import CyclicPattern, GraphPattern, PatternFace, PatternRegions, QuasiCombi
+from zonotile.patterns import CyclicPattern, GraphPattern, PatternFace, QuasiCombi
 from zonotile.rhombus import RhombusTiling
 from zonotile.separation import DomainReport, Permutation, PurityVerdict, SetFamily
 from zonotile.suite import all_combis
@@ -45,11 +45,6 @@ CASES = [
         FlipGraph(1, (frozenset({0}),), ()),
     ),
     (PATTERN, "CyclicPattern(n=2, cycle=(0, 1, 3, 2))", CyclicPattern(2, (0, 2, 3, 1))),
-    (
-        PatternRegions(PATTERN),
-        "PatternRegions(pattern=CyclicPattern(n=2, cycle=(0, 1, 3, 2)))",
-        PatternRegions(CyclicPattern(2, (0, 2, 3, 1))),
-    ),
     (
         QuasiCombi(2, "in", (0, 1, 3, 2), frozenset({0, 1})),
         "QuasiCombi(n=2, region='in', pattern=(0, 1, 3, 2), vertices=frozenset({0, 1}))",
@@ -88,7 +83,7 @@ def _fields(value):
 
 def test_every_value_class_is_covered():
     covered = {type(value) for value, _, _ in CASES}
-    assert len(covered) == len(CASES) == 17
+    assert len(covered) == len(CASES) == 16
     # the tiles' abstract base is the one value class with no instance
     assert {cls for cls in _classes() if issubclass(cls, Value)} - {Value, OrderedValue, Tile} == covered
     assert {cls for cls in covered if issubclass(cls, OrderedValue)} == set(TILES)
