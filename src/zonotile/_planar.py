@@ -23,6 +23,7 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 
+from ._value import _set
 from .geometry import Generators, boundary_cycle, default_generators, embedding_table, polygon_area2
 
 # C(10,2)·2^8 = 11,520 is the number of deltas, and of nablas, with
@@ -41,13 +42,22 @@ class TilingError(ValueError):
         super().__init__(f"{axiom}: {detail}" if detail else axiom)
 
 
+_SPREAD = 106_039  # 2**16 + 0x9E37
+
+
+def edge_key(u: int, v: int) -> int:
+    """The key of the directed edge (u, v): one-to-one and ordered as the pairs are, as every mask is
+    below 2**16 (bitsets.MAX_GROUND is 16); odd _SPREAD mixes u into the low bits that pick a set slot."""
+    return u * _SPREAD + v
+
+
 class _Boundary(tuple):
-    """A region's directed boundary edges (u, v), with `keys`, their keys u << 16 | v,
+    """A region's directed boundary edges (u, v), with `keys`, their `edge_key`s,
     `unpaired`, the keys whose reverse is not one, and `outward`, their reverses."""
 
     def __init__(self, edges: Sequence[tuple[int, int]]) -> None:
-        self.keys = frozenset(u << 16 | v for u, v in self)
-        back = frozenset(v << 16 | u for u, v in self)
+        self.keys = frozenset(edge_key(u, v) for u, v in self)
+        back = frozenset(edge_key(v, u) for u, v in self)
         self.unpaired, self.outward = self.keys - back, back - self.keys
 
 
@@ -89,20 +99,19 @@ class _TileShapes(dict):
                 detail = f"is not strictly convex and counterclockwise at vertex index {k}"
                 raise TilingError("tile-convexity", detail)
             area += bx * cy - by * cx
-        # every mask is below 2**16 (bitsets.MAX_GROUND is 16), so the keys
-        # order as the (u, v) pairs do
         edges = list(zip(cyc, (*cyc[1:], cyc[0])))
         if len(self) >= TILE_CACHE_SIZE:
             del self[next(iter(self))]
-        shape = self[cyc] = tuple(u << 16 | v for u, v in edges), tuple(v << 16 | u for u, v in edges), area
+        shape = self[cyc] = tuple(edge_key(u, v) for u, v in edges), tuple(edge_key(v, u) for u, v in edges), area
         return shape
 
 
-@lru_cache(maxsize=8)
 def _tile_shapes(gens: Generators) -> _TileShapes:
-    """The tile-shape memo of `gens`."""
-    memo = _TileShapes()
-    memo.table = embedding_table(gens)
+    """The tile-shape memo of `gens`, kept on `gens` itself, so finding it hashes nothing."""
+    if (memo := getattr(gens, "_shapes", None)) is None:
+        memo = _TileShapes()
+        memo.table = embedding_table(gens)
+        _set(gens, "_shapes", memo)
     return memo
 
 
@@ -157,7 +166,7 @@ def check_planar_cover(
         cancels = used.issuperset(back)
     if not cancels:
         used, rev = set(keys), set(back)
-        rbnd = {(k & 0xFFFF) << 16 | k >> 16 for k in bnd}
+        rbnd = {edge_key(v, u) for u, v in boundary}
         e = min(e for e in used | bnd if (e in used) - (e in rev) != (e in bnd) - (e in rbnd))
         if e in bnd or e in rbnd:
             raise TilingError("region-boundary", f"boundary edge {_pair(e)} not covered exactly once by the tiles")
@@ -181,5 +190,5 @@ def _edge_twice(keys: list[int]) -> TilingError | None:
 
 
 def _pair(key: int) -> tuple[int, int]:
-    """The directed edge (u, v) kept as u << 16 | v."""
-    return (key >> 16, key & 0xFFFF)
+    """The directed edge (u, v) whose `edge_key` is `key`."""
+    return divmod(key, _SPREAD)

@@ -248,19 +248,20 @@ class Combi(Value):
     def _assembled(
         cls, family: SetFamily, members: frozenset[int], deltas: list[Delta], nablas: list[Nabla], lenses: list[Lens]
     ) -> Combi:
-        """`_assemble`'s tiles for `family`, held as the set `members`,
-        deltas and nablas sorted, none repeated; if the tiles' corners are
-        the members, the vertex tuple is `family.members` itself."""
+        """`_assemble`'s tiles for `family`, held as the set `members`, deltas and nablas sorted, none
+        repeated, each of its field's kind, so the corners are read straight off the tiles'
+        `_cycle`s; if they are the members, the vertex tuple is `family.members` itself."""
         combi = object.__new__(cls)
         tiles = (tuple(deltas), tuple(nablas), tuple(sorted(lenses, key=_KEY)))
-        combi._fill(family.n, *tiles, members=family.members, member_set=members)
+        cycles = [t._cycle for t in chain(*tiles)]
+        combi._fill(family.n, *tiles, cycles=cycles, members=family.members, member_set=members)
         return combi
 
-    def _fill(self, *values, members: tuple[int, ...] = (), member_set: frozenset[int] = frozenset()) -> None:
+    def _fill(self, *values, cycles=(), members: tuple[int, ...] = (), member_set: frozenset[int] = frozenset()) -> None:
         for slot, value in zip(("n", "_deltas", "_nablas", "_lenses"), values):
             _set(self, slot, value)
-        # the corners, sorted: the given sorted `members` if they are the corners
-        corners = set(chain.from_iterable(self._cycles()))
+        # the corners, sorted (`members` if they are them), read through `_cycles()` unless tile cycles are given
+        corners = set(chain.from_iterable(cycles or self._cycles()))
         _set(self, "_vertices", vertices := members if corners == member_set else tuple(sorted(corners)))
         # A triangle's largest corner (its apex or right corner) or a lens's
         # lower center is out of range just when one of its corners is: the

@@ -42,9 +42,6 @@ class RhombusTiling(Value):
         """The rhombi, each named by its lower half."""
         return self.combi.nablas
 
-    def vertex_masks(self) -> frozenset[int]:
-        return self.combi.vertex_masks()
-
 
 def from_s_collection(family: SetFamily) -> RhombusTiling:
     """The unique rhombus tiling whose vertex set is the given maximal

@@ -19,9 +19,8 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 
-from ._value import Value
+from ._value import Value, _set
 from .bitsets import (
     MAX_GROUND,
     check_ground,
@@ -141,7 +140,8 @@ class SetFamily(Value):
         members of a checked domain), and as `patterns.domains`'s sets are
         (one row's bits, ascending, and two subsequences of them)."""
         family = object.__new__(cls)
-        family._fill(n, members)
+        _set(family, "n", n)
+        _set(family, "members", members)
         return family
 
     def __len__(self) -> int:
@@ -159,7 +159,8 @@ class SetFamily(Value):
 # with margin, about 0.4 GB at the 390 B a collection measured there.
 OUTPUT_BUDGET = 1_000_000
 
-# At n=16 a row is 8 KB, so a full cache holds at most 32 MB of rows.
+# The most rows the row memo of one (n, relation) holds: 32 MB of them at n=16, where a
+# row is 8 KB.  All 32 memos full, those of each n <= 12 with its 2^n rows, hold 125 MB.
 ROW_CACHE_SIZE = 4096
 
 
@@ -184,12 +185,28 @@ def _row_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int
     return full, tuple(positions), tuple(at_most), tuple(at_least)
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
 def separation_row(a: int, n: int, relation: str) -> int:
     """Bitmask over all 2^n subsets: bit b is set iff `a` and `b` are separated.
 
-    Both relations are reflexive and symmetric, so bit `a` is always set and
-    bit b of row a equals bit a of row b.
+    Read from the row memo of (n, relation).  Both relations are reflexive and symmetric, so
+    bit `a` is always set and bit b of row a equals bit a of row b.
+    """
+    check_ground(n)
+    check_subset(a, n)
+    return _rows(n, relation)[a]
+
+
+@lru_cache(maxsize=2 * MAX_GROUND)
+def _rows(n: int, relation: str) -> _Rows:
+    """The row memo of (n, relation), made on first use."""
+    memo = _Rows()
+    memo.n, memo.weak = check_ground(n), _check_relation(relation) == "weak"
+    return memo
+
+
+class _Rows(dict):
+    """memo[a]: row a for the memo's n and relation, kept by `a`, the earliest dropped past
+    ROW_CACHE_SIZE; raises ValueError and keeps nothing unless `a` is a subset of {1..n}.
 
     Built bit-parallel (Baeza-Yates & Gonnet 1992): reading positions 1..n,
     each b steps through an automaton on its differences with `a`, an
@@ -199,35 +216,40 @@ def separation_row(a: int, n: int, relation: str) -> int:
     |b| >= |a|, the split relation from the larger set.  O(n) operations on
     2^n-bit integers: about 0.06 ms a row at n=16.
     """
-    check_ground(n)
-    check_subset(a, n)
-    _check_relation(relation)
-    full, positions, at_most, at_least = _row_masks(n)
-    start, a_only, b_only, ab, ba, aba, bab = full, 0, 0, 0, 0, 0, 0
-    for i, has in enumerate(positions):
-        if a >> i & 1:  # step A for the b lacking i; the rest stay
-            step, keep = full ^ has, has
-            aba |= ab & step
-            ab &= keep
-            ba |= b_only & step
-            b_only &= keep
-            a_only |= start & step
-            start &= keep
-            bab &= keep
-        else:  # step B for the b holding i
-            step, keep = has, full ^ has
-            bab |= ba & step
-            ba &= keep
-            ab |= a_only & step
-            a_only &= keep
-            b_only |= start & step
-            start &= keep
-            aba &= keep
-    row = start | a_only | b_only | ab | ba
-    if relation == "weak":
-        k = size(a)
-        row |= bab & at_most[k] | aba & at_least[k]
-    return row
+
+    __slots__ = ("n", "weak")
+
+    def __missing__(self, a: int) -> int:
+        check_subset(a, self.n)
+        full, positions, at_most, at_least = _row_masks(self.n)
+        start, a_only, b_only, ab, ba, aba, bab = full, 0, 0, 0, 0, 0, 0
+        for i, has in enumerate(positions):
+            if a >> i & 1:  # step A for the b lacking i; the rest stay
+                step, keep = full ^ has, has
+                aba |= ab & step
+                ab &= keep
+                ba |= b_only & step
+                b_only &= keep
+                a_only |= start & step
+                start &= keep
+                bab &= keep
+            else:  # step B for the b holding i
+                step, keep = has, full ^ has
+                bab |= ba & step
+                ba &= keep
+                ab |= a_only & step
+                a_only &= keep
+                b_only |= start & step
+                start &= keep
+                aba &= keep
+        row = start | a_only | b_only | ab | ba
+        if self.weak:
+            k = size(a)
+            row |= bab & at_most[k] | aba & at_least[k]
+        if len(self) >= ROW_CACHE_SIZE:
+            del self[next(iter(self))]
+        self[a] = row
+        return row
 
 
 def members_mask(members) -> int:
@@ -241,9 +263,10 @@ def members_mask(members) -> int:
 def compatible_row(members, n: int, relation: str) -> int:
     """The AND of the members' rows: every subset separated from all of them."""
     _check_relation(relation)
+    rows = _rows(n, relation)
     common = (1 << (1 << n)) - 1
     for m in members:
-        common &= separation_row(m, n, relation)
+        common &= rows[m]
     return common
 
 
@@ -287,8 +310,9 @@ def _bron_kerbosch_pivot(adj, path: list[int], p: int, x: int, emit) -> None:
     """Tomita-Tanaka-Takahashi pivoting: hands every maximal clique extending
     the vertices on `path` to `emit`, one call each, as that list itself;
     `emit` reads it before the search goes on."""
-    if p == 0 and x == 0:
-        emit(path)
+    if p == 0:  # no candidate: the path is maximal unless an excluded vertex extends it
+        if x == 0:
+            emit(path)
         return
     pool = p | x
     pivot, best = -1, -1
@@ -331,10 +355,10 @@ def _clique_search(domain: SetFamily, relation: str, emit) -> None:
         raise ResourceGuardError(
             f"domain has {len(domain)} members, enumeration guard is {guard}"
         )
-    _check_relation(relation)
     n = domain.n
+    rows = _rows(n, relation)  # checks the relation
     dom = members_mask(domain.members)
-    adj = {v: separation_row(v, n, relation) & dom & ~(1 << v) for v in domain.members}
+    adj = {v: rows[v] & dom & ~(1 << v) for v in domain.members}
     universal = [v for v, row in adj.items() if row | 1 << v == dom]
     _bron_kerbosch_pivot(adj, universal, dom & ~members_mask(universal), 0, emit)
 
@@ -344,32 +368,31 @@ def enumerate_maximal(domain: SetFamily, relation: str) -> DomainReport:
 
     Computed as the maximal cliques of the compatibility graph on the domain
     members by `_clique_search`, which is exhaustive by construction.  Each
-    maximal clique becomes its `SetFamily` as the search reaches it, built
-    from the sorted path with no check of its own: the path's vertices are
-    distinct bits of the checked domain's member mask, since the universal
-    ones leave the candidates and each step takes one candidate, which it
-    drops (a row cut to the domain excludes its own vertex).  The ranks are
-    the path lengths, and the collections are then sorted by their members.
-    Past `OUTPUT_BUDGET` collections it raises `ResourceGuardError`.
+    maximal clique is kept as its path's sorted member tuple as the search
+    reaches it; the tuples are sorted, and each becomes its `SetFamily` with
+    no check of its own: the path's vertices are distinct bits of the
+    checked domain's member mask, since the universal ones leave the
+    candidates and each step takes one candidate, which it drops (a row cut
+    to the domain excludes its own vertex).  The ranks are the tuple
+    lengths.  Past `OUTPUT_BUDGET` collections it raises `ResourceGuardError`.
     """
-    n, collections, sizes, budget = domain.n, [], set(), OUTPUT_BUDGET
-    add, trusted = collections.append, SetFamily._trusted
+    n, cliques, budget, trusted = domain.n, [], OUTPUT_BUDGET, SetFamily._trusted
+    add = cliques.append
 
     def emit(path: list[int]) -> None:
-        if len(collections) == budget:
+        if len(cliques) == budget:
             raise ResourceGuardError(
                 f"domain has more than {budget} maximal collections, the output budget"
             )
-        sizes.add(len(path))
-        add(trusted(n, tuple(sorted(path))))
+        add(tuple(sorted(path)))
 
     _clique_search(domain, relation, emit)
-    collections.sort(key=attrgetter("members"))
-    ranks = tuple(sorted(sizes))
+    cliques.sort()
+    ranks = tuple(sorted(set(map(len, cliques))))
     return DomainReport(
         domain=domain,
         relation=relation,
-        maximal_collections=tuple(collections),
+        maximal_collections=tuple([trusted(n, clique) for clique in cliques]),
         pure=len(ranks) == 1,
         ranks=ranks,
     )

@@ -396,8 +396,8 @@ def run_suite(max_n: int = 4, seed: int = 7, samples: int = 500) -> dict:
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
     if max_n > 7:
-        # --max-n 7, over the 259,480 weak 7-combis, runs in 74 s at
-        # 245 MB peak RSS (2-core host); the weak 8-cube alone holds
+        # --max-n 7, over the 259,480 weak 7-combis, runs in 90 s at
+        # 248 MB peak RSS (2-core host); the weak 8-cube alone holds
         # 42,419,886 collections
         raise ResourceGuardError(f"max_n is at most 7, got {max_n}")
     if samples < 1:

@@ -9,7 +9,7 @@ import pytest
 from zonotile import _planar as planar_module
 from zonotile import bitsets as bs
 from zonotile import combi as combi_module
-from zonotile._planar import TilingError, _tile_shapes, check_planar_cover, zonogon_region
+from zonotile._planar import TilingError, _pair, _tile_shapes, check_planar_cover, edge_key, zonogon_region
 from zonotile.combi import (
     Combi,
     Delta,
@@ -115,7 +115,7 @@ def test_cover_check_matches_reference_scan():
         for combi in weak:
             covers.append((gens, region, [(t, t.cycle()) for t in combi.tiles()], sorted(combi.vertex_masks())))
         for tiling in strong:
-            covers.append((gens, region, [(t, t.cycle()) for t in sorted(tiling.tiles)], sorted(tiling.vertex_masks())))
+            covers.append((gens, region, [(t, t.cycle()) for t in sorted(tiling.tiles)], sorted(tiling.combi.vertex_masks())))
     verdicts = Counter()
     for gens, (boundary, area2), cycles, vertices in covers:
         tampered = [_tampered_covers(cycles, boundary, area2, vertices, rng) for _ in range(3)]
@@ -160,8 +160,8 @@ def test_tile_memo_keyed_by_cycle_and_generators():
     symmetric = Generators(3, [(-3, 4), (0, 5), (3, 4)])
     for _ in range(2):
         edges, reverse, area = _tile_shapes(default_generators(3))(triangle)
-        assert edges == (M([1, 3]), M([1, 3]) << 16 | M([2]), M([2]) << 16) and area > 0
-        assert reverse == tuple((k & 0xFFFF) << 16 | k >> 16 for k in edges)
+        assert edges == (edge_key(0, M([1, 3])), edge_key(M([1, 3]), M([2])), edge_key(M([2]), 0)) and area > 0
+        assert reverse == tuple(edge_key(*_pair(k)[::-1]) for k in edges)
         with pytest.raises(TilingError, match="^tile-convexity: is not strictly convex .* index 0$"):
             _tile_shapes(symmetric)(triangle)
         with pytest.raises(TilingError, match="flat is not strictly convex .* at vertex index 0"):
@@ -171,6 +171,16 @@ def test_tile_memo_keyed_by_cycle_and_generators():
     assert _tile_shapes(thin)((M([1]), M([2]), M([1, 3])))[2] == 1
     with pytest.raises(TilingError, match="^tile-convexity: .* index 0$"):
         _tile_shapes(thin)((M([1]), M([1, 3]), M([2])))
+
+
+def test_edge_keys_are_one_to_one_ordered_and_decoded():
+    # every directed edge (u, v) of masks with n <= 6, and the extremes of
+    # n = 16, in (u, v) order: the keys ascend strictly and decode back
+    masks = [*range(1 << 6), 1 << 15, (1 << 16) - 2, (1 << 16) - 1]
+    pairs = [(u, v) for u in masks for v in masks]
+    keys = [edge_key(u, v) for u, v in pairs]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert [_pair(k) for k in keys] == pairs
 
 
 def test_tile_memo_drops_its_earliest_cycle_past_the_bound(monkeypatch):

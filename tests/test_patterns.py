@@ -301,13 +301,19 @@ class TestComplementaryPairs:
                 assert purity_verdict(inner, "weak").pure and purity_verdict(outer, "weak").pure
 
     def test_complementary_check_builds_the_smaller_domains_rows(self, monkeypatch):
-        rows, row = [], separation.separation_row
+        rows, memo = [], separation._rows
 
-        def counted_row(a, n, relation):
-            rows.append(a)
-            return row(a, n, relation)
+        class Reads(dict):
+            """A row memo that misses on every read, so records each, then reads the real one."""
 
-        monkeypatch.setattr(separation, "separation_row", counted_row)
+            def __init__(self, n, relation):
+                self.memo = memo(n, relation)
+
+            def __missing__(self, a):
+                rows.append(a)
+                return self.memo[a]
+
+        monkeypatch.setattr(separation, "_rows", Reads)
         inner, outer = domains(boundary_pattern(5))
         assert (len(inner), len(outer)) == (32, 10)
         # {1,3} and {2} are not weakly separated, in either order

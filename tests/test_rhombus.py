@@ -107,7 +107,7 @@ def test_fan_rule_matches_quadruples_n6():
         assert tiling.tiles == oracles.quadruple_tiles(fam)
         combi = from_w_collection(fam)
         assert from_rhombus(tiling) == combi and not combi.lenses
-        assert tiling.vertex_masks() == fam.as_set()
+        assert tiling.combi.vertex_masks() == fam.as_set()
 
 
 def _svg_digest(tilings) -> str:
@@ -151,7 +151,7 @@ def test_tile_counts():
     for n in (2, 3, 4, 5):
         tiling = minimal_tiling(n)
         assert len(tiling.tiles) == n * (n - 1) // 2
-        assert len(tiling.vertex_masks()) == n * (n + 1) // 2 + 1
+        assert len(tiling.combi.vertex_masks()) == n * (n + 1) // 2 + 1
 
 
 def test_spectrum_examples():

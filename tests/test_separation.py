@@ -246,10 +246,30 @@ class TestSeparationRows:
         for name, fn in list(separation._RELATION_FUNC.items()):
             monkeypatch.setitem(separation._RELATION_FUNC, name, counted(fn))
             monkeypatch.setattr(separation, fn.__name__, counted(fn))
-        separation_row.cache_clear()
+        separation._rows.cache_clear()
         assert is_maximal_separated(interval_collection(16), "weak")
-        assert separation_row.cache_info().misses == 137
+        # a fresh memo keeps each row it builds: 137 builds, one per member
+        assert len(separation._rows(16, "weak")) == 137
         assert calls == []
+
+    def test_row_memo_drops_its_earliest_row_past_the_bound(self, monkeypatch):
+        # the memo of one (n, relation) keeps at most ROW_CACHE_SIZE rows,
+        # dropping the one kept earliest; a dropped row is built again, the
+        # same, and a mask out of range raises each time and is never kept
+        monkeypatch.setattr(separation, "ROW_CACHE_SIZE", 3)
+        memo = separation._rows(3, "weak")
+        memo.clear()
+        masks = [0, M([1]), M([2]), M([1, 2])]
+        rows = [memo[a] for a in masks]
+        assert list(memo) == masks[1:]
+        assert memo[masks[0]] == rows[0] and list(memo) == masks[2:] + masks[:1]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^mask 0x8 has elements outside 1..3$"):
+                memo[M([4])]
+        assert list(memo) == masks[2:] + masks[:1]
+        weak = oracles.SEPARATED["weak"]
+        assert rows == [sum(1 << b for b in range(8) if weak(a, b)) for a in masks]
+        memo.clear()
 
     def test_row_rejects_bad_input(self):
         with pytest.raises(ValueError):
