@@ -75,14 +75,13 @@ def default_region(n: int) -> tuple[Generators, _Boundary, int]:
 
 
 class _TileShapes(dict):
-    """memo[cyc] or memo(cyc): the directed-edge keys of the vertex cycle `cyc`, from (cyc[0],
-    cyc[1]) on, their reverses' keys and its doubled area in the embedding `table`, kept by
-    `cyc`, the earliest dropped past TILE_CACHE_SIZE.  Raises TilingError, whose detail names
-    no tile, and keeps nothing, unless `cyc` has 3 distinct vertices or more and turns strictly
-    left at each."""
+    """memo[cyc]: the directed-edge keys of the vertex cycle `cyc`, from (cyc[0], cyc[1]) on,
+    their reverses' keys and its doubled area in the embedding `table`, kept by `cyc`, the
+    earliest dropped past TILE_CACHE_SIZE.  Raises TilingError, whose detail names no tile,
+    and keeps nothing, unless `cyc` has 3 distinct vertices or more and turns strictly left
+    at each."""
 
     __slots__ = ("table",)
-    __call__, cache_clear = dict.__getitem__, dict.clear
 
     def __missing__(self, cyc: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         m = len(cyc)

@@ -50,12 +50,11 @@ class Tile(OrderedValue):
     the corner holds both type elements, `_wrong`, the error if not, and
     `_recipe`, the cycle from the corner and the two type masks: the right
     corner second, the left one first if the corner holds the types and
-    last if not.  A lens gives its own `_corners`, str and ends.  Each class
-    has its own `_cycle` slot, which `Combi` reads each field through, so a
-    tile filed under another kind fails there.
+    last if not.  A lens gives its own `_corners`, str and ends.  Every
+    kind keeps its cycle in the one `_cycle` slot declared here.
     """
 
-    __slots__ = ()
+    __slots__ = ("_cycle",)
     _cycle: tuple[int, ...]
 
     def _fill(self, *values) -> None:
@@ -101,7 +100,7 @@ class Tile(OrderedValue):
 class Delta(Tile):
     """Upward triangle: apex, base from apex-high (left) to apex-low (right)."""
 
-    __slots__ = ("apex", "low", "high", "_cycle")
+    __slots__ = ("apex", "low", "high")
     apex: int
     low: int
     high: int
@@ -113,7 +112,7 @@ class Delta(Tile):
 class Nabla(Tile):
     """Downward triangle: bottom, base from bottom+low (left) to bottom+high."""
 
-    __slots__ = ("bottom", "low", "high", "_cycle")
+    __slots__ = ("bottom", "low", "high")
     bottom: int
     low: int
     high: int
@@ -136,7 +135,7 @@ def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 class Lens(Tile):
-    __slots__ = ("upper", "lower", "_cycle")
+    __slots__ = ("upper", "lower")
     upper: tuple[int, ...]
     lower: tuple[int, ...]
 
@@ -202,15 +201,15 @@ class Lens(Tile):
 shared_delta = lru_cache(maxsize=TILE_CACHE_SIZE)(Delta)
 shared_nabla = lru_cache(maxsize=TILE_CACHE_SIZE)(Nabla)
 shared_lens = lru_cache(maxsize=TILE_CACHE_SIZE)(Lens)
-_DELTA_CYCLE, _NABLA_CYCLE, _LENS_CYCLE = (kind._cycle.__get__ for kind in (Delta, Nabla, Lens))
-_KEY = attrgetter("_key")  # a tile's field tuple; AttributeError on anything else
+_CYCLE = attrgetter("_cycle")  # a tile's boundary cycle
+_KEY = attrgetter("_key")  # a tile's field tuple
 # the (i, 1 << (i - 1)) pairs of the elements i of 1..n, for each n
 _TYPE_BITS = [tuple((i, 1 << (i - 1)) for i in range(1, n + 1)) for n in range(bs.MAX_GROUND + 1)]
 
 
 def _distinct(tiles: list[Tile]) -> tuple[Tile, ...]:
     """`tiles` sorted by their field tuples, an equal neighbour dropped, so
-    no tile is hashed; AttributeError or TypeError if one is no tile."""
+    no tile is hashed."""
     tiles.sort(key=_KEY)
     keys = [*map(_KEY, tiles), None]
     return tuple(compress(tiles, map(ne, keys, keys[1:])))
@@ -235,33 +234,29 @@ class Combi(Value):
     def __init__(self, n: int, deltas=(), nablas=(), lenses=()) -> None:
         bs.check_ground(n)
         kinds = (list(deltas), list(nablas), list(lenses))
-        try:
-            self._fill(n, *map(_distinct, kinds))
-        except (TypeError, AttributeError):
-            # a tile of another kind: the least by str in the first such field
-            fields = enumerate(zip(self._fields[1:], (Delta, Nabla, Lens), kinds))
-            stray = [(k, str(t), f) for k, (f, cls, tiles) in fields for t in tiles if not isinstance(t, cls)]
-            _, tile, name = min(stray)
-            raise ValueError(f"{tile} is filed among the {name}") from None
+        # a tile of another kind: the least by str in the first such field
+        for name, kind, tiles in zip(self._fields[1:], (Delta, Nabla, Lens), kinds):
+            if stray := [str(t) for t in tiles if not isinstance(t, kind)]:
+                raise ValueError(f"{min(stray)} is filed among the {name}")
+        self._fill(n, *map(_distinct, kinds))
 
     @classmethod
     def _assembled(
         cls, family: SetFamily, members: frozenset[int], deltas: list[Delta], nablas: list[Nabla], lenses: list[Lens]
     ) -> Combi:
         """`_assemble`'s tiles for `family`, held as the set `members`, deltas and nablas sorted, none
-        repeated, each of its field's kind, so the corners are read straight off the tiles'
-        `_cycle`s; if they are the members, the vertex tuple is `family.members` itself."""
+        repeated, each of its field's kind; if the corners are the members, the vertex tuple is
+        `family.members` itself."""
         combi = object.__new__(cls)
         tiles = (tuple(deltas), tuple(nablas), tuple(sorted(lenses, key=_KEY)))
-        cycles = [t._cycle for t in chain(*tiles)]
-        combi._fill(family.n, *tiles, cycles=cycles, members=family.members, member_set=members)
+        combi._fill(family.n, *tiles, members=family.members, member_set=members)
         return combi
 
-    def _fill(self, *values, cycles=(), members: tuple[int, ...] = (), member_set: frozenset[int] = frozenset()) -> None:
+    def _fill(self, *values, members: tuple[int, ...] = (), member_set: frozenset[int] = frozenset()) -> None:
         for slot, value in zip(("n", "_deltas", "_nablas", "_lenses"), values):
             _set(self, slot, value)
-        # the corners, sorted (`members` if they are them), read through `_cycles()` unless tile cycles are given
-        corners = set(chain.from_iterable(cycles or self._cycles()))
+        # the corners, sorted (`members` if they are them)
+        corners = set(chain.from_iterable(self._cycles()))
         _set(self, "_vertices", vertices := members if corners == member_set else tuple(sorted(corners)))
         # A triangle's largest corner (its apex or right corner) or a lens's
         # lower center is out of range just when one of its corners is: the
@@ -284,11 +279,9 @@ class Combi(Value):
         return self._kept("_hash", lambda combi: hash(combi._values(combi)))
 
     def _cycles(self):
-        """Every tile's boundary cycle, read through its field's kind's slot,
-        which raises TypeError on a tile of another kind; for n = 1, with no
+        """Every tile's boundary cycle, in `tiles()` order; for n = 1, with no
         tiles, the one edge of the zonogon as the two-corner cycle ({}, {1})."""
-        _, deltas, nablas, lenses = self._state(self)
-        cycles = chain(map(_DELTA_CYCLE, deltas), map(_NABLA_CYCLE, nablas), map(_LENS_CYCLE, lenses))
+        cycles = map(_CYCLE, self.tiles())
         return chain(cycles, [(0, 1)]) if self.n == 1 else cycles
 
     def tiles(self) -> list[Tile]:

@@ -103,10 +103,6 @@ class CubePool:
             adjacency = self._adjacencies[combi, generalized] = _SortedAdjacency(edges)
         return adjacency
 
-def all_combis(n: int) -> list[Combi]:
-    """Every n-combi, certified, in the order of the weak n-cube's collections."""
-    return CubePool().combis(n)
-
 class _SortedAdjacency(dict):
     """Sorted neighbour lists of an undirected graph given by vertex-pair
     edges, and the walk that samples its cycles (a class and a method, since

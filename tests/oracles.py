@@ -21,7 +21,7 @@ from math import lcm
 
 from zonotile import bitsets as bs
 from zonotile._planar import TilingError
-from zonotile.combi import Combi, Delta, Lens, MConfig, Nabla, Tile, WConfig, validate_combi
+from zonotile.combi import Combi, Delta, Lens, MConfig, Nabla, Tile, WConfig, from_w_collection, validate_combi
 from zonotile.geometry import Generators, point_in_closed_polyline, segment_contact
 from zonotile.patterns import CyclicPattern
 from zonotile.rhombus import RhombusTiling, from_s_collection
@@ -1091,6 +1091,12 @@ def surgery_flip(tiling: RhombusTiling, base: int, i: int, j: int, k: int, direc
 def cube_families(n: int, relation: str) -> tuple[SetFamily, ...]:
     """Every maximal `relation`-separated collection of the n-cube, in order."""
     return enumerate_maximal(hypercube_domain(n), relation).maximal_collections
+
+
+@lru_cache(maxsize=None)
+def cube_combis(n: int) -> tuple[Combi, ...]:
+    """Every n-combi, certified, in the order of the weak n-cube's collections."""
+    return tuple(from_w_collection(fam, check_input=False) for fam in cube_families(n, "weak"))
 
 
 @lru_cache(maxsize=None)

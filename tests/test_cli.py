@@ -48,8 +48,8 @@ class TestJsonRoundTrips:
         assert jsonio.tiling_from_json(oracles.tiling_json(tiling)) == tiling
 
     def test_tiling_at_the_largest_ground_set(self):
-        # element 16, bitsets.MAX_GROUND, is read back; 17 is refused by
-        # name before any mask is built
+        # element 16, bitsets.MAX_GROUND, is read back; 17, and 0 below the
+        # range, are refused by name before any mask is built
         data = oracles.tiling_json(minimal_tiling(16))
         assert max(r["j"] for r in data["rhombi"]) == 16
         assert jsonio.tiling_from_json(data) == minimal_tiling(16)
@@ -58,9 +58,13 @@ class TestJsonRoundTrips:
         with pytest.raises(ValueError) as info:
             jsonio.tiling_from_json(data)
         assert str(info.value) == "j must be in 1..16, got 17"
+        rhombus["i"], rhombus["j"] = 0, 16
+        with pytest.raises(ValueError) as info:
+            jsonio.tiling_from_json(data)
+        assert str(info.value) == "i must be in 1..16, got 0"
 
     def test_combi_all_n4(self):
-        for combi in suite.all_combis(4):
+        for combi in oracles.cube_combis(4):
             assert jsonio.combi_from_json(jsonio.combi_to_json(combi)) == combi
 
     def test_pattern(self):
@@ -104,7 +108,7 @@ class TestRender:
         assert svg.count("<circle") == 2
 
     def test_lens_shading(self):
-        lensy = next(c for c in suite.all_combis(4) if c.lenses)
+        lensy = next(c for c in oracles.cube_combis(4) if c.lenses)
         svg = render_svg(lensy)
         assert svg.count("<polygon") == len(lensy.lenses) == 1
 
@@ -131,7 +135,7 @@ class TestRender:
         assert "<text" not in bare.read_text()
 
     def test_svg_bytes_are_pinned(self):
-        combis = [c for n in range(1, 6) for c in suite.all_combis(n)]
+        combis = [c for n in range(1, 6) for c in oracles.cube_combis(n)]
         tilings = [t for n in range(1, 6) for t in oracles.strong_tilings(n)]
         rng = random.Random(11)
         patterns = []
@@ -279,7 +283,7 @@ class TestCli:
         )
 
     def test_flip_and_descend(self, tmp_path):
-        high = suite.all_combis(3)[1]
+        high = oracles.cube_combis(3)[1]
         combi_file = tmp_path / "c.json"
         combi_file.write_text(json.dumps(jsonio.combi_to_json(high)))
         out = tmp_path / "low.json"

@@ -37,7 +37,7 @@ from zonotile.separation import (
     interval_collection,
     is_maximal_separated,
 )
-from zonotile.suite import CubePool, all_combis
+from zonotile.suite import CubePool
 
 import oracles
 
@@ -109,7 +109,7 @@ def test_cover_check_matches_reference_scan():
     for n in range(1, 6):
         gens = default_generators(n)
         region = zonogon_region(gens)
-        weak, strong = all_combis(n), oracles.strong_tilings(n)
+        weak, strong = oracles.cube_combis(n), oracles.strong_tilings(n)
         if n == 5:
             weak, strong = rng.sample(weak, 40), rng.sample(strong, 20)
         for combi in weak:
@@ -123,7 +123,7 @@ def test_cover_check_matches_reference_scan():
         wants = [_verdict(oracles.reference_cover_check, gens, cover) for cover in batch]
         # each tile's shape is memoised by its cycle: the same verdicts and
         # error texts with the memo cleared as warm
-        _tile_shapes(gens).cache_clear()
+        _tile_shapes(gens).clear()
         for _ in range(2):
             assert [_verdict(check_planar_cover, gens, cover) for cover in batch] == wants
         verdicts.update(want if want is True else want.split(":")[0] for want in wants)
@@ -159,18 +159,18 @@ def test_tile_memo_keyed_by_cycle_and_generators():
     triangle = (0, M([1, 3]), M([2]))
     symmetric = Generators(3, [(-3, 4), (0, 5), (3, 4)])
     for _ in range(2):
-        edges, reverse, area = _tile_shapes(default_generators(3))(triangle)
+        edges, reverse, area = _tile_shapes(default_generators(3))[triangle]
         assert edges == (edge_key(0, M([1, 3])), edge_key(M([1, 3]), M([2])), edge_key(M([2]), 0)) and area > 0
         assert reverse == tuple(edge_key(*_pair(k)[::-1]) for k in edges)
         with pytest.raises(TilingError, match="^tile-convexity: is not strictly convex .* index 0$"):
-            _tile_shapes(symmetric)(triangle)
+            _tile_shapes(symmetric)[triangle]
         with pytest.raises(TilingError, match="flat is not strictly convex .* at vertex index 0"):
             check_planar_cover(symmetric, [("flat", list(triangle))], (), 0)
     # the least left turn there is: a triangle of doubled area 1
     thin = Generators(3, [(-4, 3), (-3, 4), (3, 4)])
-    assert _tile_shapes(thin)((M([1]), M([2]), M([1, 3])))[2] == 1
+    assert _tile_shapes(thin)[M([1]), M([2]), M([1, 3])][2] == 1
     with pytest.raises(TilingError, match="^tile-convexity: .* index 0$"):
-        _tile_shapes(thin)((M([1]), M([1, 3]), M([2])))
+        _tile_shapes(thin)[M([1]), M([1, 3]), M([2])]
 
 
 def test_edge_keys_are_one_to_one_ordered_and_decoded():
@@ -188,12 +188,12 @@ def test_tile_memo_drops_its_earliest_cycle_past_the_bound(monkeypatch):
     # earliest; a dropped cycle is worked out again, the same
     monkeypatch.setattr(planar_module, "TILE_CACHE_SIZE", 3)
     memo = _tile_shapes(default_generators(3))
-    memo.cache_clear()
+    memo.clear()
     cycles = [t.cycle() for t in from_rhombus(minimal_tiling(3)).tiles()][:4]
-    shapes = [memo(cyc) for cyc in cycles]
+    shapes = [memo[cyc] for cyc in cycles]
     assert list(memo) == cycles[1:]
-    assert memo(cycles[0]) == shapes[0] and list(memo) == cycles[2:] + cycles[:1]
-    memo.cache_clear()
+    assert memo[cycles[0]] == shapes[0] and list(memo) == cycles[2:] + cycles[:1]
+    memo.clear()
 
 
 class TestTileTypes:
@@ -281,7 +281,7 @@ class TestValidation:
     def test_missing_tile_names_its_edge(self):
         # Removing any tile leaves one of its edges unshared, and the error
         # names that edge, in one direction or the other.
-        for combi in all_combis(4)[:4]:
+        for combi in oracles.cube_combis(4)[:4]:
             for tile in combi.tiles():
                 short = Combi(4, combi.deltas - {tile}, combi.nablas - {tile}, combi.lenses - {tile})
                 with pytest.raises(TilingError) as info:
@@ -295,7 +295,7 @@ class TestValidation:
     def test_tile_named_only_when_raising(self):
         gens = default_generators(3)
         boundary, area2 = zonogon_region(gens)
-        combi = all_combis(3)[0]
+        combi = oracles.cube_combis(3)[0]
         named = []
 
         class Named:
@@ -489,7 +489,7 @@ class TestValidation:
 class TestSpectrum:
     def test_vertex_count(self):
         for n in (2, 3, 4, 5):
-            for combi in all_combis(n):
+            for combi in oracles.cube_combis(n):
                 assert len(combi.vertex_masks()) == n * (n + 1) // 2 + 1
 
     def test_z1_combi(self):
@@ -498,7 +498,7 @@ class TestSpectrum:
         assert combi.vertex_masks() == frozenset({0, 1})
 
     def test_spectra_are_maximal_weak(self):
-        for combi in all_combis(4):
+        for combi in oracles.cube_combis(4):
             assert is_maximal_separated(spectrum(combi), "weak")
 
 
@@ -609,6 +609,23 @@ class TestReconstruction:
             ((combi.deltas | set(nablas[:2]), combi.nablas | {d}, ()), f"{min(map(str, nablas[:2]))} is filed among the deltas"),
             ((combi.deltas, combi.nablas, [5]), "5 is filed among the lenses"),
         ]
+        # on a combi with a lens: each kind of stray in each field, and
+        # strays in two fields, where the first field's least str wins
+        lensy = next(c for c in oracles.cube_combis(4) if c.lenses)
+        ds, ns, ls = lensy.deltas, lensy.nablas, lensy.lenses
+        n0, d0, l0 = min(ns), min(ds), min(ls)
+        assert (str(n0), str(d0), str(l0)) == ("nabla({};1,4)", "delta({1,2,3};1,2)", "lens({1,3}..{3,4})")
+        cases += [
+            ((ds | {n0}, ns - {n0}, ls), "nabla({};1,4) is filed among the deltas"),
+            ((ds | {l0}, ns, ()), "lens({1,3}..{3,4}) is filed among the deltas"),
+            ((ds | {7}, ns, ls), "7 is filed among the deltas"),
+            ([[*ds, None], ns, ls], "None is filed among the deltas"),
+            ((ds, ns | {7}, ls), "7 is filed among the nablas"),
+            ((ds, ns, ls | {"tile"}), "tile is filed among the lenses"),
+            ((ds - {d0}, ns, ls | {d0}), "delta({1,2,3};1,2) is filed among the lenses"),
+            ((ds - {d0} | {7}, ns, ls | {d0}), "7 is filed among the deltas"),
+            ((ds | {n0}, ns | {3}, ls), "nabla({};1,4) is filed among the deltas"),
+        ]
         for fields, text in cases:
             with pytest.raises(ValueError) as info:
                 Combi(4, *fields)
@@ -632,7 +649,7 @@ class TestReconstruction:
 
     def test_every_adjacent_pair_is_an_edge(self):
         # X and X+i in the spectrum always join by a vertical edge
-        for combi in all_combis(4):
+        for combi in oracles.cube_combis(4):
             verts = combi.vertex_masks()
             edges = combi.vertical_edges()
             for x in verts:
@@ -643,7 +660,7 @@ class TestReconstruction:
     def test_pair_vertex_alternatives(self):
         # for vertices X+i, X+j one of: X present, X+i+j present, or both on
         # one lens boundary
-        for combi in all_combis(4):
+        for combi in oracles.cube_combis(4):
             verts = combi.vertex_masks()
             lens_uppers = [set(l.upper) for l in combi.lenses]
             lens_lowers = [set(l.lower) for l in combi.lenses]
@@ -675,7 +692,7 @@ class TestNablaLevels:
         # the chained nabla bases of each level run from the left-boundary
         # vertex [1..h] to the right-boundary vertex [(n-h+1)..n]
         n = 4
-        for combi in all_combis(n):
+        for combi in oracles.cube_combis(n):
             for level in range(1, n):
                 bases = sorted((v.left, v.right) for v in combi.nablas if bs.size(v.left) == level)
                 succ = dict(bases)
@@ -710,7 +727,7 @@ class TestConfigs:
         # every (core; i < j < k), the types not in the core, whose two
         # nablas (deltas) are tiles, in (core, i, j, k) order
         for n in range(3, 6):
-            for combi in all_combis(n):
+            for combi in oracles.cube_combis(n):
                 ws, ms = [], []
                 for core in range(1 << n):
                     for i, j, k in combinations(bs.iter_elements(bs.full_mask(n) & ~core), 3):
@@ -740,7 +757,7 @@ class TestIncidenceIndex:
         # nor are the order, the repeats and the container of the tiles given
         rng = random.Random(11)
         for n in range(1, 5):
-            for combi in all_combis(n):
+            for combi in oracles.cube_combis(n):
                 kinds = [sorted(kind) for kind in (combi.deltas, combi.nablas, combi.lenses)]
                 for kind in kinds:
                     rng.shuffle(kind)
@@ -757,7 +774,7 @@ class TestIncidenceIndex:
     def test_cached_edges_match_tile_cycles(self):
         for n in range(1, 6):
             table = embedding_table(default_generators(n))
-            for combi in all_combis(n):
+            for combi in oracles.cube_combis(n):
                 fresh = Combi(n, combi.deltas, combi.nablas, combi.lenses)
                 vert, horiz = {(0, 1)} if n == 1 else set(), set()
                 for tile in combi.tiles():
@@ -797,7 +814,7 @@ class TestIncidenceIndex:
         assert n_expand(broken, path) == n_expand(combi, path)
 
     def test_on_base(self):
-        for combi in all_combis(4):
+        for combi in oracles.cube_combis(4):
             for d in combi.deltas:
                 assert Delta.on_base(d.apex, d.left, d.right) == d
             for v in combi.nablas:
@@ -874,7 +891,7 @@ def test_a_reconstruction_shares_its_familys_members():
 
 def test_range_check_scans_no_tile_in_range(monkeypatch):
     # the tiles are scanned one by one only to name one out of range
-    combis = [(n, combi) for n in range(1, 6) for combi in all_combis(n)]
+    combis = [(n, combi) for n in range(1, 6) for combi in oracles.cube_combis(n)]
     scanned = []
     monkeypatch.setattr(bs, "check_subset", lambda mask, n: scanned.append(mask))
     for n, combi in combis:
@@ -885,7 +902,7 @@ def test_range_check_scans_no_tile_in_range(monkeypatch):
 def test_range_check_names_a_tile_independent_of_order():
     # the same tiles given in two orders, on a ground set one too small,
     # name the same out-of-range tile
-    for combi in all_combis(5):
+    for combi in oracles.cube_combis(5):
         d, v, l = sorted(combi.deltas), sorted(combi.nablas), sorted(combi.lenses)
         texts = []
         for order in (1, -1):

@@ -27,7 +27,6 @@ from zonotile.contraction import (
 from zonotile.flips import interval_combi
 from zonotile.geometry import default_generators, embedding_table, point_in_closed_polyline
 from zonotile.separation import compatible_row
-from zonotile.suite import all_combis
 
 import oracles
 
@@ -66,14 +65,14 @@ def _report(combi: Combi, path) -> tuple[bool, str]:
 def _both_3_combis() -> Combi:
     """The triangles of both 3-combis together: a left-bending pit after a
     right-bending peak, which no combi with n <= 5 has."""
-    both = all_combis(3)
+    both = oracles.cube_combis(3)
     return Combi(3, set().union(*(c.deltas for c in both)), set().union(*(c.nablas for c in both)))
 
 
 def test_walks_and_report_match_the_separate_rules():
     rng = random.Random(33)
-    combis = [c for n in range(1, 6) for c in all_combis(n)]
-    sixes = rng.sample(all_combis(6), 500)
+    combis = [c for n in range(1, 6) for c in oracles.cube_combis(n)]
+    sixes = rng.sample(oracles.cube_combis(6), 500)
     restricted = 0
     for combi in combis + sixes:
         paths = _walks(combi)
@@ -122,7 +121,7 @@ def test_strip_of_z2():
 
 def test_strip_endpoints():
     for n in (3, 4, 5):
-        for combi in all_combis(n):
+        for combi in oracles.cube_combis(n):
             strip = oracles.extract_n_strip(combi)
             assert strip.left_path[0] == 0
             assert strip.left_path[-1] == bs.full_mask(n) ^ bs.singleton(n)
@@ -131,7 +130,7 @@ def test_strip_endpoints():
 
 
 def test_strip_collects_every_starred_tile_once():
-    for combi in all_combis(4):
+    for combi in oracles.cube_combis(4):
         strip = oracles.extract_n_strip(combi)
         starred = {d for d in combi.deltas if d.high == 4}
         starred |= {v for v in combi.nablas if v.high == 4}
@@ -204,7 +203,7 @@ def test_mirror_of_intervals_is_intervals():
 def test_contraction_of_lens_combi():
     # a combi with a type-*n lens exercises the L-Z transformation
     hit = False
-    for combi in all_combis(5):
+    for combi in oracles.cube_combis(5):
         if any(l.upper_types[-1] == 5 for l in combi.lenses):
             _, path = n_contract(combi)
             assert any(bs.size(a) > bs.size(b) for a, b in zip(path, path[1:]))
@@ -223,7 +222,7 @@ def test_side_test_matches_centroid_probe():
         table = embedding_table(default_generators(n))
         lbd = [(1 << k) - 1 for k in range(n + 1)]
         sn = bs.singleton(n + 1)
-        for combi in all_combis(n):
+        for combi in oracles.cube_combis(n):
             for path in enumerate_legal_paths(combi):
                 region = [table[v] for v in lbd + list(reversed(path[1:-1]))]
                 members = set()
@@ -243,7 +242,7 @@ def test_side_test_matches_centroid_probe():
 def test_contraction_matches_strip_reference():
     contractions = 0
     for n in range(2, 6):
-        for combi in all_combis(n):
+        for combi in oracles.cube_combis(n):
             assert n_contract(combi) == oracles.reference_contract(combi), combi
             contractions += 1
     assert contractions == 137
@@ -252,7 +251,7 @@ def test_contraction_matches_strip_reference():
 def test_expansion_matches_strip_reference():
     expansions = 0
     for n2 in range(1, 5):
-        for combi in all_combis(n2):
+        for combi in oracles.cube_combis(n2):
             for path in enumerate_legal_paths(combi):
                 assert n_expand(combi, path) == oracles.reference_expand(combi, path), (combi, path)
                 expansions += 1
@@ -261,11 +260,11 @@ def test_expansion_matches_strip_reference():
 
 @pytest.mark.slow
 def test_maps_match_strip_reference_at_n6_and_sampled_n7():
-    sixes = all_combis(6)
+    sixes = oracles.cube_combis(6)
     for combi in sixes:
         assert n_contract(combi) == oracles.reference_contract(combi), combi
     pairs = 0
-    for combi in all_combis(5):
+    for combi in oracles.cube_combis(5):
         for path in enumerate_legal_paths(combi):
             assert n_expand(combi, path) == oracles.reference_expand(combi, path), (combi, path)
             pairs += 1
@@ -283,7 +282,7 @@ def test_contract_needs_the_strip_lenses():
     # without its strip lens the combi keeps its vertex set, but the path
     # through the strip's image misses the lens's zigzag, so no walk visits
     # all of it
-    combi = next(c for c in all_combis(4) if any(l.upper_types[-1] == 4 for l in c.lenses))
+    combi = next(c for c in oracles.cube_combis(4) if any(l.upper_types[-1] == 4 for l in c.lenses))
     strip = {l for l in combi.lenses if l.upper_types[-1] == 4}
     broken = Combi(4, combi.deltas, combi.nablas, combi.lenses - strip)
     assert broken.vertex_masks() == combi.vertex_masks()

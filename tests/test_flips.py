@@ -43,7 +43,6 @@ from zonotile.separation import (
     hypercube_domain,
     interval_collection,
 )
-from zonotile.suite import all_combis
 
 import oracles
 
@@ -55,7 +54,7 @@ def _check_against_references(n: int) -> tuple[int, int]:
     tile maps, and each flip against `set_flip`; returns the numbers of W-
     and M-configurations."""
     ws = ms = 0
-    for combi in all_combis(n):
+    for combi in oracles.cube_combis(n):
         fam = spectrum(combi)
         for w in find_w_configs(combi):
             lowered = lowering_flip(combi, w)
@@ -146,7 +145,7 @@ def test_flips_reject_a_core_holding_a_type():
     # the core is checked after the types and the direction, in every flip,
     # before any witness; set_flip checks its direction last
     for n in (3, 4):
-        for combi in all_combis(n):
+        for combi in oracles.cube_combis(n):
             fam = spectrum(combi)
             for i, j, k in combinations(range(1, n + 1), 3):
                 held = bs.singleton(i) | bs.singleton(j) | bs.singleton(k)
@@ -191,7 +190,7 @@ def test_flips_and_round_trip_on_sampled_n6():
 
 def test_flip_feasible_whenever_witnesses_present_n4():
     # statement (10): five members of the right shape always admit the flip
-    for combi in all_combis(4):
+    for combi in oracles.cube_combis(4):
         mem = combi.vertex_masks()
         ws = {(w.core, w.i, w.j, w.k) for w in find_w_configs(combi)}
         for core in range(16):
@@ -244,7 +243,7 @@ def test_descend_to_minimum():
     final, trace = descend_to_minimum(high)
     assert len(trace) == 1
     assert spectrum(final) == interval_collection(3)
-    for combi in all_combis(4):
+    for combi in oracles.cube_combis(4):
         final, trace = descend_to_minimum(combi)
         assert len(trace) == combi.size_sum() - final.size_sum()
         # the least W-configuration goes first

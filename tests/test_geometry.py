@@ -20,7 +20,7 @@ from zonotile.geometry import (
     segment_contact,
 )
 from zonotile.patterns import CyclicPattern, curve_kind
-from zonotile.suite import _all_cycles, all_combis, crossing_pattern_examples
+from zonotile.suite import _all_cycles, crossing_pattern_examples
 
 import oracles
 
@@ -221,7 +221,7 @@ def test_curve_kind_matches_reference_on_all_small_cycles():
     # crossing patterns
     patterns = list(crossing_pattern_examples(4))
     for n in range(2, 5):
-        for combi in all_combis(n):
+        for combi in oracles.cube_combis(n):
             vert, horiz = combi.vertical_edges(), combi.horizontal_edges()
             patterns += [CyclicPattern(n, cyc) for cyc in _all_cycles(vert | horiz)]
     kinds = {"simple": 0, "crossing": 0}

@@ -37,11 +37,7 @@ from zonotile.separation import (
     inversions,
     purity_verdict,
 )
-from zonotile.suite import (
-    all_combis,
-    crossing_pattern_examples,
-    sample_cycle,
-)
+from zonotile.suite import crossing_pattern_examples, sample_cycle
 
 import oracles
 
@@ -200,7 +196,7 @@ class TestClassification:
         pat = boundary_pattern(3)
         assert classify_pattern(pat) == classify_pattern(pat) == "simple"
         regions(pat)
-        split_quasi(all_combis(3)[0], pat)
+        split_quasi(oracles.cube_combis(3)[0], pat)
         assert calls == [pat]
         # the kept class is no field: a fresh equal pattern is equal and
         # hashes equal, also given with its first set repeated at the end
@@ -215,7 +211,7 @@ class TestClassification:
 
     def test_sampled_simple_patterns_never_cross(self):
         rng = random.Random(5)
-        pool = all_combis(4)
+        pool = oracles.cube_combis(4)
         found = 0
         while found < 60:
             pat = oracles.sample_pattern(rng.choice(pool), rng, False)
@@ -226,7 +222,7 @@ class TestClassification:
 
     def test_quadruples_match_curve_on_samples(self):
         rng = random.Random(6)
-        pool = all_combis(4)
+        pool = oracles.cube_combis(4)
         found = 0
         while found < 60:
             pat = oracles.sample_pattern(rng.choice(pool), rng, True)
@@ -253,7 +249,7 @@ class TestRegionsAndDomains:
     def test_empty_outside_boundary(self):
         # the bottom vertex is on the boundary of the zonogon, hence outside
         # any pattern that avoids it
-        vert = all_combis(3)[0].vertical_edges()
+        vert = oracles.cube_combis(3)[0].vertical_edges()
         cyc = sample_cycle({e for e in vert if 0 not in e}, random.Random(3))
         if cyc is not None:
             reg = regions(CyclicPattern(3, cyc))
@@ -287,7 +283,7 @@ class TestRegionsAndDomains:
 class TestComplementaryPairs:
     def test_exhaustive_small(self):
         rng = random.Random(0)
-        for combi in all_combis(3):
+        for combi in oracles.cube_combis(3):
             vert, horiz = combi.vertical_edges(), combi.horizontal_edges()
             for _ in range(20):
                 cyc = sample_cycle(vert | horiz, rng)
@@ -352,7 +348,7 @@ class TestSplitMerge:
 
     def test_central_chord_split(self):
         target = None
-        for combi in all_combis(4):
+        for combi in oracles.cube_combis(4):
             for lens in combi.lenses:
                 cyc = [lens.left, lens.right] + list(reversed(lens.upper))[1:-1]
                 pat = CyclicPattern(4, cyc)
@@ -372,7 +368,7 @@ class TestSplitMerge:
 
     def test_self_merge_preserves_spectrum(self):
         rng = random.Random(9)
-        pools = all_combis(4)
+        pools = oracles.cube_combis(4)
         done = 0
         while done < 25:
             combi = rng.choice(pools)
@@ -400,7 +396,7 @@ class TestSplitMerge:
         rng = random.Random(4)
         halves = 0
         for n in (4, 5):
-            combis = all_combis(n)
+            combis = oracles.cube_combis(n)
             for _ in range(6):
                 pat = oracles.sample_pattern(rng.choice(combis), rng, True)
                 if pat is None or classify_pattern(pat) == "self_crossing":
@@ -421,7 +417,7 @@ class TestSplitMerge:
         cyc = (0, M([1]), M([1, 2]), M([1, 2, 3]), M([1, 3]), M([1]), M([1, 4]), M([4]))
         pat = CyclicPattern(4, cyc)
         assert classify_pattern(pat) == "semi_simple"
-        hosts = [k for k in all_combis(4) if set(cyc) <= k.vertex_masks()]
+        hosts = [k for k in oracles.cube_combis(4) if set(cyc) <= k.vertex_masks()]
         assert len(hosts) >= 2
         for combi in hosts:
             inner, outer = split_quasi(combi, pat)
@@ -626,7 +622,7 @@ class TestGraphPatterns:
         holes = [
             (n, tile.cycle())
             for n in (4, 5)
-            for combi in all_combis(n)
+            for combi in oracles.cube_combis(n)
             for tile in combi.tiles()
             if set(boundary_pattern(n).cycle).isdisjoint(tile.cycle())
         ]

@@ -28,7 +28,6 @@ from zonotile.rhombus import (
     minimal_tiling,
     strong_flip,
 )
-from zonotile.suite import all_combis
 from zonotile.separation import (
     SetFamily,
     cointerval_collection,
@@ -348,7 +347,7 @@ def test_view_accepts_exactly_the_lens_free_combis():
     accepted = []
     for n in range(1, 6):
         views = 0
-        for combi in all_combis(n):
+        for combi in oracles.cube_combis(n):
             if combi.lenses:
                 with pytest.raises(TilingError) as info:
                     RhombusTiling(combi)
@@ -364,7 +363,7 @@ def test_view_accepts_exactly_the_lens_free_combis():
 
 
 def test_view_rejection_texts():
-    lensy = min((c for c in all_combis(4) if c.lenses), key=lambda c: sorted(c.lenses))
+    lensy = min((c for c in oracles.cube_combis(4) if c.lenses), key=lambda c: sorted(c.lenses))
     with pytest.raises(TilingError) as info:
         RhombusTiling(lensy)
     assert str(info.value) == f"rhombus: {min(lensy.lenses)} is not half of a rhombus"

@@ -32,7 +32,7 @@ from zonotile.separation import (
     strongly_separated,
     weakly_separated,
 )
-from zonotile.suite import _all_cycles, all_combis
+from zonotile.suite import _all_cycles
 
 import oracles
 
@@ -63,7 +63,7 @@ def small_domains(rank_domains):
     """The rank table's domains, and the distinct simple cycles of the
     4-combis as patterns."""
     patterns = {}
-    for combi in all_combis(4):
+    for combi in oracles.cube_combis(4):
         for cyc in _all_cycles(combi.vertical_edges()):
             pat = CyclicPattern(4, cyc)
             patterns.setdefault(pat.canonical(), pat)
