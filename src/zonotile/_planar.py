@@ -90,18 +90,17 @@ class _TileShapes(dict):
         if len(set(cyc)) != m:
             raise TilingError("tile-shape", "repeats a vertex")
         pts = [self.table[v] for v in cyc]
-        area = 0
         for k in range(m):
             # the turn at pts[k] from its predecessor onto its successor
             (ax, ay), (bx, by), (cx, cy) = pts[k - 1], pts[k], pts[k + 1 - m]
             if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
                 detail = f"is not strictly convex and counterclockwise at vertex index {k}"
                 raise TilingError("tile-convexity", detail)
-            area += bx * cy - by * cx
-        edges = list(zip(cyc, (*cyc[1:], cyc[0])))
+        edges = zip(cyc, (*cyc[1:], cyc[0]))
         if len(self) >= TILE_CACHE_SIZE:
             del self[next(iter(self))]
-        shape = self[cyc] = tuple(edge_key(u, v) for u, v in edges), tuple(edge_key(v, u) for u, v in edges), area
+        keys, reverses = zip(*((edge_key(u, v), edge_key(v, u)) for u, v in edges))
+        shape = self[cyc] = keys, reverses, polygon_area2(pts)
         return shape
 
 

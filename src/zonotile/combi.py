@@ -25,9 +25,9 @@ path, and the members under the union of its ends its lower path.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, compress
-from operator import and_, attrgetter, ne, or_
+from operator import attrgetter, ne
 from typing import TYPE_CHECKING
 
 from . import bitsets as bs
@@ -121,20 +121,12 @@ class Nabla(Tile):
     _recipe = staticmethod(lambda bottom, lo, hi: (bottom, bottom | hi, bottom | lo))
 
 
-def _path_types(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(removed, added) element pair per consecutive horizontal step."""
-    out = []
-    for a, b in zip(vertices, vertices[1:]):
-        gone, came = a & ~b, b & ~a
-        # the lens vertices share one size, so `came` has one element when `gone` does
-        if gone.bit_count() != 1:
-            raise ValueError("lens path steps must trade exactly one element")
-        # one element each, so it is the highest
-        out.append((gone.bit_length(), came.bit_length()))
-    return out
-
-
 class Lens(Tile):
+    """Two paths of two horizontal edges or more between the same ends, all
+    vertices of one size: each upper vertex is the ends' meet and one element,
+    each lower one their join less one (so equal ends fail), and those types
+    strictly increase along the upper path and decrease along the lower."""
+
     __slots__ = ("upper", "lower")
     upper: tuple[int, ...]
     lower: tuple[int, ...]
@@ -149,18 +141,16 @@ class Lens(Tile):
             raise ValueError("lens boundaries must share their end vertices")
         if len({v.bit_count() for v in up + lo}) != 1:
             raise ValueError("all lens vertices must have the same cardinality")
-        ups = _path_types(up)
-        types = [ups[0][0]] + [t[1] for t in ups]
-        if any(a >= b for a, b in zip(types, types[1:])):
-            raise ValueError("upper path types must strictly increase")
-        inter = reduce(and_, up)
-        if any((v & ~inter).bit_count() != 1 for v in up):
+        # each path's types as one-bit masks, which compare as the elements do
+        meet, join = up[0] & up[-1], up[0] | up[-1]
+        ups, los = [v & ~meet for v in up], [join & ~v for v in lo]
+        if any(t.bit_count() != 1 for t in ups):
             raise ValueError("upper path vertices must share a common center")
-        union = reduce(or_, lo)
-        if any((union & ~v).bit_count() != 1 for v in lo):
+        if any(a >= b for a, b in zip(ups, ups[1:])):
+            raise ValueError("upper path types must strictly increase")
+        if any(t.bit_count() != 1 for t in los):
             raise ValueError("lower path vertices must share a common union")
-        lseq = [(union & ~v).bit_length() for v in lo]
-        if any(a <= b for a, b in zip(lseq, lseq[1:])):
+        if any(a <= b for a, b in zip(los, los[1:])):
             raise ValueError("lower path types must strictly decrease")
         return lo + up[-2:0:-1]
 
@@ -174,9 +164,6 @@ class Lens(Tile):
     @property
     def right(self) -> int:
         return self.upper[-1]
-
-    # each upper (lower) vertex is its center with (without) one element,
-    # and the ends differ, so they meet (join) in the center
 
     @property
     def upper_center(self) -> int:

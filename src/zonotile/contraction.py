@@ -15,9 +15,10 @@ whichever of X and X+n is weakly separated from those.  This gives the bijection
 from __future__ import annotations
 
 from . import bitsets as bs
+from . import separation
 from ._planar import TilingError
 from .combi import Combi, from_w_collection
-from .separation import SetFamily, compatible_row
+from .separation import ResourceGuardError, SetFamily, compatible_row
 
 
 def n_contract(combi: Combi) -> tuple[Combi, tuple[int, ...]]:
@@ -124,7 +125,8 @@ def _walks(combi: Combi, within: set[int] | None = None) -> list[tuple[int, ...]
     the paths through exactly the vertices of `within`.  None repeats a
     vertex: the largest type stepped between two visits is stepped down
     there, with an up-step by a larger type just before and just after it,
-    one of them also between the visits."""
+    one of them also between the visits.  Past `OUTPUT_BUDGET` paths it
+    raises `ResourceGuardError`."""
     edges = sorted(combi.vertical_edges())
     if within is not None:
         edges = [(a, b) for a, b in edges if a in within and b in within]
@@ -133,13 +135,15 @@ def _walks(combi: Combi, within: set[int] | None = None) -> list[tuple[int, ...]
         steps.setdefault(a, []).append(b)
     for a, b in edges:
         steps.setdefault(b, []).append(a)
-    full = bs.full_mask(combi.n)
+    full, budget = bs.full_mask(combi.n), separation.OUTPUT_BUDGET
     out: list[tuple[int, ...]] = []
 
     def walk(path: list[int]) -> None:
         cur = path[-1]
         if cur == full:
             if within is None or len(path) == len(within):
+                if len(out) == budget:
+                    raise ResourceGuardError(f"combi has more than {budget} legal paths, the output budget")
                 out.append(tuple(path))
             return
         for nxt in steps.get(cur, ()):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import bitsets as bs
 from ._planar import TilingError
 from ._value import Value
-from .combi import Combi, Nabla, find_m_configs, find_w_configs, from_w_collection, shared_delta, shared_nabla
+from .combi import Combi, Nabla, find_m_configs, find_w_configs, from_w_collection, shared_nabla
 from .flips import _lowers, _trade, _traded
 from .separation import SetFamily, cointerval_collection, interval_collection, is_maximal_separated
 
@@ -64,18 +64,13 @@ def strong_flip(tiling: RhombusTiling, base: int, i: int, j: int, k: int, direct
     """Hexagon flip at base set X and types i < j < k, one that `hexagons` lists.
 
     raise: tiles (X;i,j), (X;j,k), (X+j;i,k) become (X+k;i,j), (X+i;j,k), (X;i,k),
-    trading the spectrum vertex X+j for X+i+k.  lower: the inverse.  Its
-    witnesses are the M-configuration's deltas (the W-configuration's
-    nablas) and the third rhombus.  The result is `from_s_collection` of
-    the traded vertex set, so certified.
+    trading the spectrum vertex X+j for X+i+k.  lower: the inverse.  After
+    `_trade`'s checks of the arguments, the flip is accepted just when
+    (X, i, j, k) is among `hexagons(tiling, direction)`.  The result is
+    `from_s_collection` of the traded vertex set, so certified.
     """
     gone, came = _trade(base, i, j, k, direction)
-    xi, xj, xk = (base | bs.singleton(t) for t in (i, j, k))
-    if _lowers(direction):
-        witnesses = (shared_nabla(xi, j, k), shared_nabla(xk, i, j), shared_nabla(base, i, k))
-    else:
-        witnesses = (shared_delta(xi | xj, i, j), shared_delta(xj | xk, j, k), shared_nabla(xj, i, k))
-    if not set(tiling.combi.tiles()).issuperset(witnesses):
+    if (base, i, j, k) not in hexagons(tiling, direction):
         raise ValueError("hexagon witnesses are not present in the tiling")
     return from_s_collection(_traded(tiling.combi, gone, came))
 

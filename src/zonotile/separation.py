@@ -156,7 +156,8 @@ class SetFamily(Value):
 
 
 # The most collections `enumerate_maximal` holds: the weak 7-cube's 259,480
-# with margin, about 0.4 GB at the 390 B a collection measured there.
+# with margin, about 0.4 GB at the 390 B a collection measured there.  Also
+# the most legal paths `contraction` lists, about 0.3 GB of them at n = 14.
 OUTPUT_BUDGET = 1_000_000
 
 # The most rows the row memo of one (n, relation) holds: 32 MB of them at n=16, where a

@@ -467,6 +467,24 @@ def lenses_on(combi, edge: tuple[int, int], side: str) -> list:
     return hosts
 
 
+def lens_axioms(upper, lower) -> bool:
+    """Whether the vertex masks `upper` and `lower` bound a lens, as the
+    `combi` module docstring states it, on element sets: two paths of at
+    least two edges each from one left end to one right end, every upper
+    vertex the upper path's common intersection with one more element, and
+    those types strictly increasing, every lower vertex the lower path's
+    common union less one element, and those types strictly decreasing."""
+    up, lo = [elements(v) for v in upper], [elements(v) for v in lower]
+    if len(up) < 3 or len(lo) < 3 or (up[0], up[-1]) != (lo[0], lo[-1]):
+        return False
+    center, union = frozenset.intersection(*up), frozenset.union(*lo)
+    ups, los = [v - center for v in up], [union - v for v in lo]
+    if any(len(t) != 1 for t in ups + los):
+        return False
+    utypes, ltypes = [min(t) for t in ups], [min(t) for t in los]
+    return utypes == sorted(set(utypes)) and ltypes == sorted(set(ltypes), reverse=True)
+
+
 # Patterns: the quadruple conditions and the curve kind.
 
 

@@ -2,7 +2,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -230,11 +230,14 @@ class TestTileTypes:
             (up, (M([1, 3]), M([1, 4]), M([2, 4])), "lens boundaries must share their end vertices"),
             (up, (M([1, 3]), M([1]), M([3, 4])), "all lens vertices must have the same cardinality"),
             ((M([1, 2]), M([3, 4]), M([4, 5])), (M([1, 2]), M([1, 5]), M([4, 5])),
-             "lens path steps must trade exactly one element"),
-            ((M([2, 3]), M([1, 3]), M([3, 4])), (M([2, 3]), M([2, 4]), M([3, 4])),
-             "upper path types must strictly increase"),
+             "upper path vertices must share a common center"),
             ((M([1, 2]), M([2, 3]), M([3, 4])), (M([1, 2]), M([1, 4]), M([3, 4])),
              "upper path vertices must share a common center"),
+            # equal ends meet in themselves
+            ((M([1, 3]), M([2, 3]), M([1, 3])), (M([1, 3]), M([1, 4]), M([1, 3])),
+             "upper path vertices must share a common center"),
+            ((M([2, 3]), M([1, 3]), M([3, 4])), (M([2, 3]), M([2, 4]), M([3, 4])),
+             "upper path types must strictly increase"),
             (up, (M([1, 3]), M([1, 2]), M([3, 4])), "lower path vertices must share a common union"),
             (up, (M([1, 3]), M([3, 4]), M([3, 4])), "lower path types must strictly decrease"),
         ]
@@ -243,6 +246,45 @@ class TestTileTypes:
                 Lens(upper, lower)
             assert str(info.value) == text
         assert Lens(up, lo).upper_types == (1, 2, 4)
+
+    def test_lens_accepts_just_the_axiom_lenses(self):
+        # every pair of 3-vertex sides sharing their ends, over the subsets of
+        # {1..5} of each size 1..4, then a seeded sample over {1..6} with a
+        # 4-vertex side or two
+        def accepts(upper, lower):
+            try:
+                Lens(upper, lower)
+            except ValueError:
+                return False
+            return True
+
+        levels = [[M(c) for c in combinations(range(1, 6), k)] for k in range(1, 5)]
+        verdicts = Counter()
+        for subs in levels:
+            for a, b, x, y in product(subs, repeat=4):
+                verdicts[accepts((a, x, b), (a, y, b)), oracles.lens_axioms((a, x, b), (a, y, b))] += 1
+        assert verdicts == {(False, False): 21230, (True, True): 20}
+
+        def middle(rng, count, pool, ends, vertex):
+            # `count` vertices by `vertex` of types from `pool`, mostly
+            # between the end types, ascending; now and then any subset
+            between = [e for e in pool if ends[0] < e < ends[1]]
+            types = sorted(rng.choices(between if between and rng.random() < 0.8 else pool, k=count))
+            return [vertex(e) if rng.random() < 0.9 else rng.randrange(1, 64) for e in types]
+
+        rng, sample = random.Random(5), Counter()
+        for _ in range(1000):
+            # a center and the end types, mostly in order; the upper middle
+            # vertices hold the center, the lower ones lie in the ends' join
+            *center, s, t = rng.sample(range(1, 7), rng.randint(3, 6))
+            ends = sorted((s, t)) if rng.random() < 0.8 else [s, t]
+            a, b = M(center + ends[:1]), M(center + ends[1:])
+            ups, los = rng.choice(((2, 1), (1, 2), (2, 2)))
+            outside = [e for e in range(1, 7) if e not in center]
+            upper = (a, *middle(rng, ups, outside, ends, lambda e: M(center + [e])), b)
+            lower = (a, *middle(rng, los, center, ends, lambda e: (a | b) & ~M([e]))[::-1], b)
+            sample[accepts(upper, lower), oracles.lens_axioms(upper, lower)] += 1
+        assert set(sample) == {(False, False), (True, True)}
 
     def test_failed_tiles_are_never_shared(self):
         # each text through the class, then twice through the shared

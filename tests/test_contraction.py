@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from zonotile import bitsets as bs
+from zonotile import separation
 from zonotile._planar import TilingError
 from zonotile.combi import Combi, Delta
 from zonotile.contraction import (
@@ -26,7 +27,7 @@ from zonotile.contraction import (
 )
 from zonotile.flips import interval_combi
 from zonotile.geometry import default_generators, embedding_table, point_in_closed_polyline
-from zonotile.separation import compatible_row
+from zonotile.separation import ResourceGuardError, compatible_row
 
 import oracles
 
@@ -184,6 +185,18 @@ def test_legal_path_rules():
     )
     with pytest.raises(ValueError, match="^P2"):
         path_vertex_roles(combi, twice_down)
+
+
+def test_legal_path_budget_is_exact(monkeypatch):
+    # the interval 5-combi has the Catalan number C(5) = 42 legal paths: a
+    # budget of 42 holds them, one of 41 stops the search at the 42nd
+    combi = interval_combi(5)
+    monkeypatch.setattr(separation, "OUTPUT_BUDGET", 42)
+    assert len(enumerate_legal_paths(combi)) == 42
+    monkeypatch.setattr(separation, "OUTPUT_BUDGET", 41)
+    with pytest.raises(ResourceGuardError) as info:
+        enumerate_legal_paths(combi)
+    assert str(info.value) == "combi has more than 41 legal paths, the output budget"
 
 
 def test_expand_rejects_illegal_path():

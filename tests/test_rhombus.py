@@ -282,9 +282,9 @@ def test_hexagons_match_reference_scan():
 
 
 def test_strong_flip_accepts_just_the_listed_hexagons():
-    # `strong_flip` looks up its own hexagon's three tiles; on every base
-    # and every i < j < k its verdict is membership in `hexagons`, and a
-    # core holding i, j or k is rejected by the trade first
+    # on every base and every i < j < k, `strong_flip`'s verdict is
+    # membership in `hexagons`, and a core holding i, j or k is rejected by
+    # the trade first
     texts = {"hexagon witnesses are not present in the tiling", "the core must avoid i, j and k"}
     for n in range(1, 6):
         for tiling in oracles.strong_tilings(n):
